@@ -105,22 +105,6 @@ func (b *Batch) Append(si int, tuple []value.Value) {
 	}
 }
 
-// AppendCols is Append restricted to the given column indexes: only
-// those columns are materialized, the rest stay empty (reading an
-// unmaterialized column panics on the out-of-range index — a mask bug
-// fails loudly instead of serving stale values). Row counting (Len,
-// Full) follows the slots, which are always appended.
-func (b *Batch) AppendCols(si int, tuple []value.Value, cols []int) {
-	b.slots = append(b.slots, int32(si))
-	for _, c := range cols {
-		if b.IsOrd(c) {
-			b.ords[c] = append(b.ords[c], tuple[c].Ord())
-		} else {
-			b.vals[c] = append(b.vals[c], tuple[c])
-		}
-	}
-}
-
 // AppendSlot appends only the slot index of one row, deferring column
 // materialization to GrowOrds/GrowVals. It is the row half of the
 // bulk-fill fast path: the storage backend gathers a window of live

@@ -516,11 +516,12 @@ func (r *Relation) scanSlots(st *stats.Counters, lo, hi int, fn func(ref value.V
 	})
 }
 
-// ScanBatches is the columnar counterpart of ScanSlots: it scans the
-// live slots in [lo, hi) in slot order, copying tuples into b (the
-// storage backend may reuse its tuple buffers, so the batch owns its
-// values) and calling fn whenever b fills, plus once more for a final
-// partial batch. cols selects which columns to materialize — the
+// ScanBatches is the columnar counterpart of ScanSlots: it has the
+// storage backend fill b with the live slots in [lo, hi) in slot order
+// (Backend.ScanBatchesInto — both backends fill column by column, the
+// memory backend from its columnar mirror, the disk tier from its
+// SSTable blocks), calling fn whenever b fills, plus once more for a
+// final partial batch. cols selects which columns to materialize — the
 // projection pushdown of the vectorized path: nil materializes every
 // column, a non-nil list (possibly empty, for reference-only scans)
 // only the named ones, leaving the rest unreadable. Tuples are counted
@@ -539,43 +540,7 @@ func (r *Relation) ScanBatches(st *stats.Counters, lo, hi int, b *colbatch.Batch
 		return nil
 	}
 	b.Configure(r.id, r.batchKinds, r.batchEnums)
-	if bf, ok := r.store.(batchFiller); ok {
-		return bf.ScanBatchesInto(lo, hi, cols, b, flush)
-	}
-	appendRow := func(si int, tuple []value.Value) { b.Append(si, tuple) }
-	if cols != nil {
-		appendRow = func(si int, tuple []value.Value) { b.AppendCols(si, tuple, cols) }
-	}
-	var ferr error
-	err := r.store.Scan(lo, hi, func(si int, tuple []value.Value) bool {
-		appendRow(si, tuple)
-		if b.Full() {
-			if ferr = flush(); ferr != nil {
-				return false
-			}
-		}
-		return true
-	})
-	if ferr != nil {
-		return ferr
-	}
-	if err != nil {
-		return err
-	}
-	if b.Len() > 0 {
-		return flush()
-	}
-	return nil
-}
-
-// batchFiller is the optional backend fast path used by ScanBatches:
-// the memory backend fills the batch in one tight loop with no per-row
-// callbacks. flush counts tuples, forwards the batch, and resets it;
-// the backend must call it on every full batch and once for a trailing
-// partial one. Backends without it (the disk tier) fall back to the
-// generic Scan-driven path above.
-type batchFiller interface {
-	ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error
+	return r.store.ScanBatchesInto(lo, hi, cols, b, flush)
 }
 
 // Refs returns the references of all elements in insertion order,

@@ -7,22 +7,24 @@ import (
 )
 
 // BlockCache is the byte-budgeted LRU block cache shared by every
-// SSTable of a database. It caches the point-read segments — the
-// bounded sparse-slot and sparse-key runs a Get or LookupKey decodes —
-// keyed by (file, offset): a segment's offset comes from the table's
-// immutable sparse index, so the key fully determines the bytes and a
+// SSTable of a database. It caches what point reads decode — the data
+// block a Get searches (its verified payload, so a hit pays no CRC) and
+// the bounded sparse-key run a LookupKey walks — keyed by (file,
+// offset): the offset comes from the table's immutable block directory
+// or sparse key index, so the key fully determines the bytes and a
 // cached entry never goes stale while its file exists. Closing a table
 // evicts its entries, so a compacted-away file cannot serve reads from
 // beyond the grave.
 //
 // Two cache tiers front the disk tier's reads. The handle tier is the
-// open ssTable itself: bloom filter and sparse indexes, loaded once at
-// open and pinned for the table's lifetime (they are small and every
-// probe consults them). This LRU is the block tier underneath, holding
-// the data bytes those structures point into. Sequential scans
-// deliberately bypass it — one large scan would otherwise flush the
-// whole point-read working set (classic scan resistance); scans stream
-// through their own bounded bufio window instead.
+// open ssTable itself: bloom filter, block directory and sparse key
+// index, loaded once at open and pinned for the table's lifetime (they
+// are small and every probe consults them). This LRU is the block tier
+// underneath, holding the data bytes those structures point into.
+// Sequential scans deliberately bypass it — one large scan would
+// otherwise flush the whole point-read working set (classic scan
+// resistance); scans read block by block into one buffer of their own
+// instead.
 //
 // Unlike the backends it serves, the cache IS internally synchronized:
 // concurrent readers under the database content read lock probe tables

@@ -8,11 +8,12 @@ import (
 )
 
 // BenchmarkBlockCache times the block cache at both granularities. The
-// cold/warm pair measures the block fetch itself — readSegment paying a
-// pread plus allocation versus serving the bytes from the cache — which
-// is the latency the cache exists to remove. The pointget pair measures
-// the same contrast end to end through Disk.Get, where segment decode
-// runs on both paths and dilutes the ratio. CI converts the output to
+// cold/warm pair measures the block fetch itself — cachedBlock paying a
+// pread, an allocation and the block's CRC versus serving the verified
+// payload from the cache — which is the latency the cache exists to
+// remove. The pointget pair measures the same contrast end to end
+// through Disk.Get, where the slot search and row decode run on both
+// paths and dilute the ratio. CI converts the output to
 // BENCH_storage_tier.json.
 func BenchmarkBlockCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { benchSegmentFetch(b, nil) })
@@ -21,8 +22,8 @@ func BenchmarkBlockCache(b *testing.B) {
 	b.Run("pointget-warm", func(b *testing.B) { benchPointReads(b, NewBlockCache(32<<20)) })
 }
 
-// benchSegmentFetch cycles readSegment over every slot segment of one
-// wide SSTable (16 records × ~240 bytes per segment).
+// benchSegmentFetch cycles cachedBlock over every data block of one
+// wide SSTable (~240 bytes a record).
 func benchSegmentFetch(b *testing.B, cache *BlockCache) {
 	d := NewDisk(b.TempDir(), 0, Options{
 		Fsync:           SyncNever,
@@ -41,23 +42,15 @@ func benchSegmentFetch(b *testing.B, cache *BlockCache) {
 		b.Fatal(err)
 	}
 	t := d.tables[0]
-	segs := make([][2]int64, len(t.spSlots))
-	for i, sp := range t.spSlots {
-		end := t.indexOff
-		if o := sp.off + int64(t.maxSlotSeg); o < end {
-			end = o
-		}
-		segs[i] = [2]int64{sp.off, end}
-	}
-	for _, s := range segs { // populate the cache (no-op when nil)
-		if _, _, err := t.readSegment(s[0], s[1]); err != nil {
+	var v blockView
+	for bi := range t.blocks { // populate the cache (no-op when nil)
+		if _, err := t.cachedBlock(bi, &v); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := segs[i%len(segs)]
-		if _, _, err := t.readSegment(s[0], s[1]); err != nil {
+		if _, err := t.cachedBlock(i%len(t.blocks), &v); err != nil {
 			b.Fatal(err)
 		}
 	}

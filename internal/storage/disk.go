@@ -192,44 +192,46 @@ func (d *Disk) tableFor(si int) *ssTable {
 }
 
 // Scan implements Backend: tables in range order, then the memtable —
-// ascending slot order throughout.
+// ascending slot order throughout. Table-resident rows are materialized
+// a block at a time.
 func (d *Disk) Scan(lo, hi int, fn func(si int, tuple []value.Value) bool) error {
-	if lo < 0 {
-		lo = 0
-	}
-	if span := d.SlotSpan(); hi > span {
-		hi = span
-	}
+	lo, hi = d.clampScan(lo, hi)
 	if lo >= hi {
 		return nil
 	}
 	start := time.Now()
 	visited := 0
-	defer func() {
-		if visited > 0 {
-			d.scanTupleNanos.observe(float64(time.Since(start).Nanoseconds()) / float64(visited))
-		}
-	}()
+	defer func() { d.observeScan(start, visited) }()
+	var sc blockScanner
+	hasDead := len(d.dead) > 0
 	for _, t := range d.tables {
-		if t.hi <= lo || t.hi <= d.resetFloor {
+		if t.hi <= lo {
 			continue
 		}
 		if t.lo >= hi {
 			break
 		}
 		mSSTableReads.Inc()
-		keep, err := t.scan(lo, hi, func(si int, _ string, tuple []value.Value) bool {
-			if si < d.resetFloor || d.dead[si] {
-				return true
+		keep, err := t.scanBlocks(&sc, lo, hi, func(v *blockView, r, end int) (bool, error) {
+			flat, err := v.tuples(r, end)
+			if err != nil {
+				return false, err
 			}
-			visited++
-			return fn(si, tuple)
+			n := len(v.kinds)
+			for j := r; j < end; j++ {
+				si := v.slot(j)
+				if hasDead && d.dead[si] {
+					continue
+				}
+				visited++
+				if row := flat[(j-r)*n:]; !fn(si, row[:n:n]) {
+					return false, nil
+				}
+			}
+			return true, nil
 		})
-		if err != nil {
+		if err != nil || !keep {
 			return err
-		}
-		if !keep {
-			return nil
 		}
 	}
 	for i := range d.mem {
@@ -248,63 +250,86 @@ func (d *Disk) Scan(lo, hi int, fn func(si int, tuple []value.Value) bool) error
 	return nil
 }
 
-// ScanBatchesInto is the disk tier's batchFiller: SSTable-resident rows
-// stream through the generic per-record decode (each tuple is freshly
-// decoded from the file, so there is nothing columnar to gather from),
-// but memtable-resident rows get the memory backend's blocked columnar
-// fill — gather a window of live slots, then one tight loop per column
-// over resolved row blocks. A hot relation's recent rows live in the
-// memtable, so the fraction that benefits is exactly the fraction being
-// re-scanned. Flush/batch semantics match Memory.ScanBatchesInto.
-func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
-	if lo < 0 {
-		lo = 0
+// clampScan clamps scan bounds to the slots that can be live: below the
+// reset floor every slot is dead, so a scan starts there at the
+// earliest and the table walk needs no floor test of its own.
+func (d *Disk) clampScan(lo, hi int) (int, int) {
+	if lo < d.resetFloor {
+		lo = d.resetFloor
 	}
 	if span := d.SlotSpan(); hi > span {
 		hi = span
 	}
-	start := time.Now()
-	visited := 0
-	defer func() {
-		if visited > 0 {
-			d.scanTupleNanos.observe(float64(time.Since(start).Nanoseconds()) / float64(visited))
-		}
-	}()
+	return lo, hi
+}
 
-	// Phase 1: table-resident rows, generic row-at-a-time fill.
-	appendRow := func(si int, tuple []value.Value) {
-		if cols != nil {
-			b.AppendCols(si, tuple, cols)
-		} else {
-			b.Append(si, tuple)
+// observeScan feeds one scan's per-tuple latency into the EWMA behind
+// MeasuredCosts.
+func (d *Disk) observeScan(start time.Time, visited int) {
+	if visited > 0 {
+		d.scanTupleNanos.observe(float64(time.Since(start).Nanoseconds()) / float64(visited))
+	}
+}
+
+// ScanBatchesInto implements Backend. SSTable-resident rows fill the
+// batch straight from their blocks: the directory gives the blocks of
+// [lo, hi), each is read into one reused buffer and checksummed once,
+// and only the requested columns are decoded, one loop per column over
+// a run of rows (a whole block, unless a shard bound, a tombstone or the
+// batch's capacity cuts it). Tombstones are looked up only while the
+// relation has any. Memtable-resident rows get the memory backend's
+// blocked columnar fill — gather a window of live slots, then one tight
+// loop per column over resolved row blocks. Flush/batch semantics match
+// Memory.ScanBatchesInto.
+func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
+	lo, hi = d.clampScan(lo, hi)
+	if cols == nil {
+		cols = make([]int, b.NumCols())
+		for c := range cols {
+			cols[c] = c
 		}
 	}
+	start := time.Now()
+	visited := 0
+	defer func() { d.observeScan(start, visited) }()
+
+	// Phase 1: table-resident rows, one decode per column per run.
+	var sc blockScanner
+	fill := func(v *blockView, r, end int) (bool, error) {
+		for r < end {
+			run := end // rows [r, run) are live
+			if len(d.dead) > 0 {
+				for r < end && d.dead[v.slot(r)] {
+					r++
+				}
+				for run = r; run < end && !d.dead[v.slot(run)]; run++ {
+				}
+			}
+			for r < run {
+				k := min(run-r, b.Cap()-b.Len())
+				if err := v.fill(b, cols, r, k); err != nil {
+					return false, err
+				}
+				visited += k
+				r += k
+				if b.Full() {
+					if err := flush(); err != nil {
+						return false, err
+					}
+				}
+			}
+		}
+		return true, nil
+	}
 	for _, t := range d.tables {
-		if t.hi <= lo || t.hi <= d.resetFloor {
+		if t.hi <= lo {
 			continue
 		}
 		if t.lo >= hi {
 			break
 		}
 		mSSTableReads.Inc()
-		var ferr error
-		_, err := t.scan(lo, hi, func(si int, _ string, tuple []value.Value) bool {
-			if si < d.resetFloor || d.dead[si] {
-				return true
-			}
-			visited++
-			appendRow(si, tuple)
-			if b.Full() {
-				if ferr = flush(); ferr != nil {
-					return false
-				}
-			}
-			return true
-		})
-		if ferr != nil {
-			return ferr
-		}
-		if err != nil {
+		if _, err := t.scanBlocks(&sc, lo, hi, fill); err != nil {
 			return err
 		}
 	}
@@ -335,14 +360,8 @@ func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush 
 					valDsts = append(valDsts, valDst{b.GrowVals(c, n), c})
 				}
 			}
-			if cols == nil {
-				for c := 0; c < b.NumCols(); c++ {
-					add(c)
-				}
-			} else {
-				for _, c := range cols {
-					add(c)
-				}
+			for _, c := range cols {
+				add(c)
 			}
 			for base := 0; base < n; base += fillBlock {
 				k := n - base
@@ -678,12 +697,25 @@ func (d *Disk) Compact() error {
 		run := d.tables[lo:hi]
 		slotLo, slotHi := run[0].lo, run[len(run)-1].hi
 		var entries []SSEntry
+		var sc blockScanner
 		for _, t := range run {
-			_, err := t.scan(t.lo, t.hi, func(si int, enc string, tuple []value.Value) bool {
-				if si >= d.resetFloor && !d.dead[si] {
-					entries = append(entries, SSEntry{Si: si, Enc: enc, Tuple: tuple})
+			_, err := t.scanBlocks(&sc, max(t.lo, d.resetFloor), t.hi, func(v *blockView, r, end int) (bool, error) {
+				flat, err := v.tuples(r, end)
+				if err != nil {
+					return false, err
 				}
-				return true
+				keys, err := v.keys(r, end)
+				if err != nil {
+					return false, err
+				}
+				n := len(v.kinds)
+				for j := r; j < end; j++ {
+					if si := v.slot(j); !d.dead[si] {
+						row := flat[(j-r)*n:]
+						entries = append(entries, SSEntry{Si: si, Enc: keys[j-r], Tuple: row[:n:n]})
+					}
+				}
+				return true, nil
 			})
 			if err != nil {
 				return err

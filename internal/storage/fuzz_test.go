@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pascalr/internal/colbatch"
 	"pascalr/internal/value"
 )
 
@@ -89,23 +90,54 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
+// drainView runs every decoder of a parsed block over all its rows:
+// tuples and keys (Scan, get, compaction) and the batch fill, typed and
+// boxed. None may panic or read outside the payload, whatever the
+// string offsets hold.
+func drainView(v *blockView) {
+	_, _ = v.tuples(0, v.rows)
+	_, _ = v.keys(0, v.rows)
+	cols := make([]int, len(v.kinds))
+	for c := range cols {
+		cols[c] = c
+	}
+	typed := colbatch.New(len(v.kinds), v.rows)
+	typed.Configure(0, v.kinds, v.enums)
+	_ = v.fill(typed, cols, 0, v.rows)
+	boxed := colbatch.New(len(v.kinds), v.rows)
+	_ = v.fill(boxed, cols, 0, v.rows)
+	for j := 0; j < typed.Len(); j++ {
+		_ = typed.Ref(j) // a slot past 31 bits would panic here
+	}
+}
+
 func FuzzOpenSSTable(f *testing.F) {
 	dir := f.TempDir()
-	entries := []SSEntry{
+	seed := func(name string, entries []SSEntry, lo, hi int) []byte {
+		tbl, err := writeSSTable(dir, name, entries, lo, hi, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		tbl.close()
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	raw := seed("seed.sst", []SSEntry{
 		{Si: 0, Enc: ikey(1), Tuple: ituple(1)},
 		{Si: 2, Enc: ikey(2), Tuple: ituple(2)},
-	}
-	tbl, err := writeSSTable(dir, "seed.sst", entries, 0, 3, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	tbl.close()
-	raw, err := os.ReadFile(filepath.Join(dir, "seed.sst"))
-	if err != nil {
-		f.Fatal(err)
-	}
+	}, 0, 3)
 	f.Add(raw)
 	f.Add(raw[:len(raw)-5])
+	var mixed []SSEntry // every kind; kept small, the fuzzer minimizes what it keeps
+	for i := 0; i < 9; i++ {
+		mixed = append(mixed, SSEntry{Si: 3 + 2*i, Enc: ikey(i), Tuple: mixedTuple(i)})
+	}
+	f.Add(seed("mixed.sst", mixed, 3, 4+2*len(mixed)))
+	// The previous format: same trailer, per-record frames after the magic.
+	f.Add(append([]byte("PRSST001"), raw[len(sstMagic):]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.sst")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -117,8 +149,55 @@ func FuzzOpenSSTable(f *testing.F) {
 		}
 		defer tb.close()
 		// An accepted table must serve its read paths without panicking.
-		_, _ = tb.scan(tb.lo, tb.hi, func(int, string, []value.Value) bool { return true })
+		var sc blockScanner
+		_, _ = tb.scanBlocks(&sc, tb.lo, tb.hi, func(v *blockView, r, end int) (bool, error) {
+			drainView(v)
+			return true, nil
+		})
+		_, _ = tb.scanBlocks(&sc, tb.lo+1, tb.hi-1, func(*blockView, int, int) (bool, error) { return true, nil })
 		_, _, _, _ = tb.get(tb.lo)
+		for _, ref := range tb.blocks {
+			_, _, _, _ = tb.get(ref.first)
+			_, _, _, _ = tb.get(ref.first + 1)
+		}
 		_, _, _, _ = tb.lookupKey(ikey(1))
+	})
+}
+
+// FuzzDecodeBlock feeds arbitrary bytes to the block decoder as a frame
+// payload, under the column kinds of the seed blocks: a truncated or
+// bit-flipped block must be refused (or decode to something harmless),
+// never panic or over-read.
+func FuzzDecodeBlock(f *testing.F) {
+	var entries []SSEntry
+	for i := 0; i < 5; i++ {
+		entries = append(entries, SSEntry{Si: 10 + 3*i, Enc: ikey(i), Tuple: mixedTuple(i)})
+	}
+	kinds, enums, err := columnsOf(entries[0].Tuple)
+	if err != nil {
+		f.Fatal(err)
+	}
+	frame, err := appendBlock(nil, entries, kinds, enums)
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload := frame[frameHeader:]
+	f.Add(payload)
+	f.Add(payload[:len(payload)-7])
+	f.Add(payload[:blockHeader])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v blockView
+		if err := v.parse(data, kinds, enums); err != nil {
+			return
+		}
+		if v.rows > 1<<16 {
+			return // the decoders allocate per row; parse already bounded rows by the payload
+		}
+		if err := v.checkSlots(blockRef{first: v.slot(0), rows: v.rows}, maxSlot+1); err != nil {
+			return
+		}
+		drainView(&v)
+		_ = v.search(v.slot(v.rows-1) + 1)
 	})
 }

@@ -101,21 +101,19 @@ type valDst struct {
 	c    int
 }
 
-// ScanBatchesInto is the closure-free columnar fast path behind the
-// relation layer's ScanBatches: it gathers a window of live slot
-// indexes from [lo, hi), materializes each requested column for the
-// window in one sequential pass, and calls flush whenever b fills plus
-// once for a trailing partial batch. Only the listed columns are
-// materialized (nil = all columns). The caller's flush owns counting
-// and resetting the batch. Filling via pre-grown per-window spans
+// ScanBatchesInto implements Backend, closure-free: it gathers a window
+// of live slot indexes from [lo, hi), materializes each requested
+// column for the window in one sequential pass, and calls flush
+// whenever b fills plus once for a trailing partial batch. Only the
+// listed columns are materialized (nil = all columns). The caller's
+// flush owns counting and resetting the batch. Filling via pre-grown per-window spans
 // amortizes the slice bookkeeping to one grow per column per window
 // instead of per row, and removes the three indirect calls per tuple
 // of Scan plus a per-row callback; the row-major pass visits each
 // scattered source row exactly once while its cache lines are hot.
 // Int-backed columns are unboxed into int64 spans — 8-byte writes
 // instead of 32-byte value copies, which is where most of the fill
-// bandwidth goes. Backends without this method (the disk tier) keep
-// the generic callback path.
+// bandwidth goes.
 func (m *Memory) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
 	if lo < 0 {
 		lo = 0

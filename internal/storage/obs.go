@@ -19,6 +19,10 @@ var (
 		"Memtable flushes that wrote a new SSTable")
 	mSSTableReads = obs.GetCounter("pascal_storage_sstable_reads_total",
 		"SSTable accesses (point gets, key probes, and per-table scans)")
+	mSSTableBlocksRead = obs.GetCounter("pascal_storage_sstable_blocks_read_total",
+		"SSTable data blocks read from file (scans, compactions, and point reads that missed the block cache)")
+	mSSTableBlockBytes = obs.GetCounter("pascal_storage_sstable_block_bytes_total",
+		"Bytes of SSTable data blocks read from file, each CRC-checked and decoded")
 	mBloomHits = obs.GetCounter("pascal_storage_bloom_hits_total",
 		"Key probes the bloom filter passed through to the table")
 	mBloomSkips = obs.GetCounter("pascal_storage_bloom_skips_total",

@@ -1,18 +1,16 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"pascalr/internal/protocol"
 	"pascalr/internal/schema"
 	"pascalr/internal/value"
 )
 
-// Every persistent record — WAL entries, SSTable data records, the
+// Every persistent record — WAL entries, SSTable data blocks, the
 // checkpoint manifest — is framed identically:
 //
 //	uint32 big-endian payload length
@@ -36,6 +34,15 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// sealFrame turns buf[start:] — frameHeader reserved bytes followed by
+// a payload built in place — into a frame, sparing the payload copy
+// appendFrame makes.
+func sealFrame(buf []byte, start int) {
+	payload := buf[start+frameHeader:]
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+}
+
 // readFrame decodes the frame starting at data[off], returning its
 // payload and the offset just past it. Truncated or corrupt frames
 // return an error; payload aliases data.
@@ -57,30 +64,6 @@ func readFrame(data []byte, off int) (payload []byte, end int, err error) {
 		return nil, off, fmt.Errorf("storage: record checksum mismatch")
 	}
 	return payload, off + frameHeader + int(n), nil
-}
-
-// readFrameFrom reads one frame from a stream. io.EOF at a frame
-// boundary means a clean end.
-func readFrameFrom(br *bufio.Reader) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.EOF
-		}
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxRecordSize {
-		return nil, fmt.Errorf("storage: implausible record length %d", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, io.EOF // torn tail
-	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:]) {
-		return nil, fmt.Errorf("storage: record checksum mismatch")
-	}
-	return payload, nil
 }
 
 // Op identifies a WAL record type. Every effective mutation of a

@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,32 +16,50 @@ import (
 // of a contiguous slot range of one relation, flushed from the
 // memtable (or produced by compaction). The layout:
 //
-//	[8]  magic "PRSST001"
-//	     data section: per live slot one CRC frame (record.go framing)
-//	       payload: uvarint si, string encodedKey, tuple values
+//	[8]  magic "PRSST002"
+//	     data section: PAX blocks, back to back, each one CRC frame
+//	       (record.go framing) holding up to sstBlockRows live records
+//	       in ascending slot order, column by column (block.go)
 //	     index section: entries sorted by encoded key (no framing)
 //	       string encodedKey, uvarint si
 //	     footer: one CRC frame
-//	       payload: count, lo, hi, indexOff, maxSlotSeg, maxKeySeg,
-//	                bloom (k + packed words), sparse slot index
-//	                (every sstSparseEvery-th record: si, offset), sparse
-//	                key index (every sstSparseEvery-th entry: key, offset)
+//	       payload: count, lo, hi, indexOff, maxKeySeg,
+//	                bloom (k + packed words),
+//	                columns (per column: kind, enum type name),
+//	                block directory (per block: first slot, frame
+//	                length, rows; offsets are implied, blocks being
+//	                contiguous from the magic to indexOff),
+//	                sparse key index (every sstSparseEvery-th entry:
+//	                key, offset)
 //	[4]  footer frame length
 //	[8]  magic "PRSSTEND"
 //
-// Data records are in ascending slot order, so the merging read path
-// presents the engine's slot-ordered scan by walking tables in range
-// order. Point reads never touch the data section blindly: a key probe
-// consults the bloom filter first (definitely-absent keys skip the
-// table entirely), then binary-searches the sparse key index and decodes
-// one bounded index segment; a slot fetch binary-searches the sparse
-// slot index and decodes one bounded run of data frames.
+// The storage layer sees no schema, so the column kinds (and the
+// enumeration type name of enum columns) are those of the first record;
+// the relation layer checks every tuple against one schema, and the
+// writer refuses a record that disagrees.
+//
+// Blocks are in ascending slot order, so the merging read path presents
+// the engine's slot-ordered scan by walking tables in range order and
+// each table's directory in block order. A batch scan reads a block
+// into a reused buffer, verifies its one CRC, and decodes only the
+// requested columns, one tight loop per column. Point reads never touch
+// the data section blindly: a key probe consults the bloom filter first
+// (definitely-absent keys skip the table entirely), then binary-searches
+// the sparse key index and decodes one bounded index segment; a slot
+// fetch binary-searches the directory, takes the block through the
+// block cache, and binary-searches its slot vector.
+//
+// There are deliberately no per-block zone maps (min/max per column):
+// a scan that skipped blocks by predicate would read fewer tuples than
+// the memory backend's scan of the same relation, and the differential
+// matrix demands identical "tuples read" counters across backends.
 const (
-	sstMagic    = "PRSST001"
+	sstMagic    = "PRSST002"
 	sstEndMagic = "PRSSTEND"
 
-	// sstSparseEvery is the sparse-index granularity: one retained
-	// (key, offset) / (slot, offset) pair per this many entries.
+	// sstSparseEvery is the sparse key index granularity: one retained
+	// (key, offset) pair per this many index entries.
 	sstSparseEvery = 16
 )
 
@@ -54,19 +70,26 @@ type SSEntry struct {
 	Tuple []value.Value
 }
 
-type spSlot struct {
-	si  int
-	off int64
-}
-
 type spKey struct {
 	key string
 	off int64
 }
 
+// blockRef is one block directory entry: where the block's frame lies
+// in the file and which slots it can hold. A block's slots lie in
+// [first, first of the next block), the last block's below the table's
+// hi.
+type blockRef struct {
+	first  int   // slot of the block's first record
+	off    int64 // file offset of the frame
+	length int   // frame bytes, header included
+	rows   int
+}
+
 // ssTable is an open SSTable file handle plus its in-memory probe
-// structures (bloom filter and sparse indexes); the data itself stays
-// on disk, fronted for point reads by the shared block cache.
+// structures (bloom filter, column kinds, block directory, sparse key
+// index); the data itself stays on disk, fronted for point reads by the
+// shared block cache.
 type ssTable struct {
 	path   string
 	name   string
@@ -75,20 +98,21 @@ type ssTable struct {
 	lo, hi int    // slot range [lo, hi)
 	count  int
 
-	indexOff   int64 // data section ends here
-	footerOff  int64 // index section ends here
-	maxSlotSeg int   // byte bound of one sparse-slot segment
-	maxKeySeg  int   // byte bound of one sparse-key segment
+	indexOff  int64 // data section ends here
+	footerOff int64 // index section ends here
+	maxKeySeg int   // byte bound of one sparse-key segment
 
-	filter  *bloom
-	spSlots []spSlot
-	spKeys  []spKey
+	filter *bloom
+	kinds  []value.Kind // per-column kinds
+	enums  []string     // enumeration type name per enum column ("" otherwise)
+	blocks []blockRef
+	spKeys []spKey
 
 	cache *BlockCache // shared, nil when caching is disabled
 
-	// pins counts in-flight point reads; the obsolete-file GC refuses
-	// to unlink a table while any read holds a pin (belt and braces on
-	// top of the lock discipline, which already excludes readers during
+	// pins counts in-flight reads; the obsolete-file GC refuses to
+	// unlink a table while any read holds a pin (belt and braces on top
+	// of the lock discipline, which already excludes readers during
 	// table swaps).
 	pins atomic.Int32
 }
@@ -104,32 +128,35 @@ var nextFileID atomic.Uint64
 // [lo, hi) the table covers (it may exceed the entries' own range when
 // dead slots were dropped).
 func writeSSTable(dir, name string, entries []SSEntry, lo, hi int, cache *BlockCache) (*ssTable, error) {
-	var buf []byte
-	buf = append(buf, sstMagic...)
-
-	// Data section: one frame per entry, recording sparse slot offsets
-	// and segment bounds as we go.
-	var spSlots []spSlot
-	maxSlotSeg, segStart := 0, len(buf)
-	pw := protocol.NewWriter()
-	for i, e := range entries {
-		if i%sstSparseEvery == 0 {
-			if i > 0 && len(buf)-segStart > maxSlotSeg {
-				maxSlotSeg = len(buf) - segStart
-			}
-			spSlots = append(spSlots, spSlot{si: e.Si, off: int64(len(buf))})
-			segStart = len(buf)
-		}
-		pw = protocol.NewWriter()
-		pw.Uvarint(uint64(e.Si))
-		pw.String(e.Enc)
-		if err := pw.Vals(e.Tuple); err != nil {
+	var kinds []value.Kind
+	var enums []string
+	if len(entries) > 0 {
+		var err error
+		if kinds, enums, err = columnsOf(entries[0].Tuple); err != nil {
 			return nil, fmt.Errorf("storage: sstable %s: %w", name, err)
 		}
-		buf = appendFrame(buf, pw.Bytes())
 	}
-	if len(buf)-segStart > maxSlotSeg {
-		maxSlotSeg = len(buf) - segStart
+	buf := make([]byte, 0, 64<<10)
+	buf = append(buf, sstMagic...)
+
+	// Data section: one block per run of entries.
+	var blocks []blockRef
+	prev := lo - 1
+	for start := 0; start < len(entries); {
+		end := blockCut(entries, start)
+		for _, e := range entries[start:end] {
+			if e.Si <= prev || e.Si >= hi || e.Si > maxSlot {
+				return nil, fmt.Errorf("storage: sstable %s: slot %d out of order or outside [%d, %d)", name, e.Si, lo, hi)
+			}
+			prev = e.Si
+		}
+		off := len(buf)
+		var err error
+		if buf, err = appendBlock(buf, entries[start:end], kinds, enums); err != nil {
+			return nil, fmt.Errorf("storage: sstable %s: %w", name, err)
+		}
+		blocks = append(blocks, blockRef{first: entries[start].Si, off: int64(off), length: len(buf) - off, rows: end - start})
+		start = end
 	}
 	indexOff := int64(len(buf))
 
@@ -142,7 +169,7 @@ func writeSSTable(dir, name string, entries []SSEntry, lo, hi int, cache *BlockC
 	filter := newBloom(len(entries))
 	var spKeys []spKey
 	maxKeySeg := 0
-	segStart = len(buf)
+	segStart := len(buf)
 	for i, ei := range byKey {
 		e := entries[ei]
 		filter.add(e.Enc)
@@ -153,10 +180,9 @@ func writeSSTable(dir, name string, entries []SSEntry, lo, hi int, cache *BlockC
 			spKeys = append(spKeys, spKey{key: e.Enc, off: int64(len(buf))})
 			segStart = len(buf)
 		}
-		iw := protocol.NewWriter()
-		iw.String(e.Enc)
-		iw.Uvarint(uint64(e.Si))
-		buf = append(buf, iw.Bytes()...)
+		buf = binary.AppendUvarint(buf, uint64(len(e.Enc)))
+		buf = append(buf, e.Enc...)
+		buf = binary.AppendUvarint(buf, uint64(e.Si))
 	}
 	if len(buf)-segStart > maxKeySeg {
 		maxKeySeg = len(buf) - segStart
@@ -168,7 +194,6 @@ func writeSSTable(dir, name string, entries []SSEntry, lo, hi int, cache *BlockC
 	fw.Uvarint(uint64(lo))
 	fw.Uvarint(uint64(hi))
 	fw.Uvarint(uint64(indexOff))
-	fw.Uvarint(uint64(maxSlotSeg))
 	fw.Uvarint(uint64(maxKeySeg))
 	fw.Uvarint(uint64(filter.k))
 	words := make([]byte, 8*len(filter.bits))
@@ -176,10 +201,16 @@ func writeSSTable(dir, name string, entries []SSEntry, lo, hi int, cache *BlockC
 		binary.LittleEndian.PutUint64(words[8*i:], wd)
 	}
 	fw.String(string(words))
-	fw.Uvarint(uint64(len(spSlots)))
-	for _, s := range spSlots {
-		fw.Uvarint(uint64(s.si))
-		fw.Uvarint(uint64(s.off))
+	fw.Uvarint(uint64(len(kinds)))
+	for c, k := range kinds {
+		fw.Uvarint(uint64(k))
+		fw.String(enums[c])
+	}
+	fw.Uvarint(uint64(len(blocks)))
+	for _, b := range blocks {
+		fw.Uvarint(uint64(b.first))
+		fw.Uvarint(uint64(b.length))
+		fw.Uvarint(uint64(b.rows))
 	}
 	fw.Uvarint(uint64(len(spKeys)))
 	for _, s := range spKeys {
@@ -205,8 +236,8 @@ func writeSSTable(dir, name string, entries []SSEntry, lo, hi int, cache *BlockC
 }
 
 // openSSTable opens an SSTable file, verifying and loading its footer
-// (bloom filter, sparse indexes). The cache (nil ok) fronts the
-// table's point reads for its lifetime.
+// (bloom filter, column kinds, block directory, sparse key index). The
+// cache (nil ok) fronts the table's point reads for its lifetime.
 func openSSTable(path string, cache *BlockCache) (*ssTable, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -220,9 +251,9 @@ func openSSTable(path string, cache *BlockCache) (*ssTable, error) {
 	return t, nil
 }
 
-// readSegment returns the file bytes [off, end), serving from the block
-// cache when resident; hit reports which way it went so the disk tier
-// can feed its cost EWMAs.
+// readSegment returns the index-section bytes [off, end), serving from
+// the block cache when resident; hit reports which way it went so the
+// disk tier can feed its cost EWMAs.
 func (t *ssTable) readSegment(off, end int64) (data []byte, hit bool, err error) {
 	if data, ok := t.cache.Get(t.id, off); ok {
 		return data, true, nil
@@ -236,6 +267,113 @@ func (t *ssTable) readSegment(off, end int64) (data []byte, hit bool, err error)
 	// identifies these bytes and the entry can never go stale.
 	t.cache.Put(t.id, off, seg)
 	return seg, false, nil
+}
+
+// readBlock reads block bi from the file into buf (grown when too
+// small, and returned for reuse), verifies its CRC, and parses it into
+// v, slot vector checked. v aliases buf until the next read into it.
+func (t *ssTable) readBlock(bi int, buf []byte, v *blockView) ([]byte, error) {
+	ref := t.blocks[bi]
+	if cap(buf) < ref.length {
+		buf = make([]byte, ref.length)
+	}
+	buf = buf[:ref.length]
+	if _, err := t.f.ReadAt(buf, ref.off); err != nil {
+		return buf, fmt.Errorf("storage: sstable %s: block %d: %w", t.name, bi, err)
+	}
+	mSSTableBlocksRead.Inc()
+	mSSTableBlockBytes.Add(int64(ref.length))
+	payload, end, err := readFrame(buf, 0)
+	if err == nil && end != ref.length {
+		err = fmt.Errorf("frame of %d bytes in a %d-byte directory entry", end, ref.length)
+	}
+	if err == nil {
+		if err = v.parse(payload, t.kinds, t.enums); err == nil {
+			err = v.checkSlots(ref, t.blockEnd(bi))
+		}
+	}
+	if err != nil {
+		return buf, fmt.Errorf("storage: sstable %s: block %d: %w", t.name, bi, err)
+	}
+	return buf, nil
+}
+
+// cachedBlock parses block bi into v through the block cache: a
+// resident block was verified when it was read, a missing one is read,
+// verified and handed to the cache. The cache unit is the whole block,
+// keyed by its frame offset.
+func (t *ssTable) cachedBlock(bi int, v *blockView) (hit bool, err error) {
+	if payload, ok := t.cache.Get(t.id, t.blocks[bi].off); ok {
+		return true, v.parse(payload, t.kinds, t.enums)
+	}
+	if _, err := t.readBlock(bi, nil, v); err != nil {
+		return false, err
+	}
+	t.cache.Put(t.id, t.blocks[bi].off, v.payload)
+	return false, nil
+}
+
+// blockEnd returns the exclusive upper bound of block bi's slots.
+func (t *ssTable) blockEnd(bi int) int {
+	if bi+1 < len(t.blocks) {
+		return t.blocks[bi+1].first
+	}
+	return t.hi
+}
+
+// seekBlock returns the index of the first block that can hold a slot
+// >= lo.
+func (t *ssTable) seekBlock(lo int) int {
+	// Last block whose first slot is at or below lo; an earlier block
+	// ends before it.
+	bi := sort.Search(len(t.blocks), func(i int) bool { return t.blocks[i].first > lo }) - 1
+	if bi < 0 {
+		bi = 0
+	}
+	return bi
+}
+
+// blockScanner is one scan's reusable block buffer and view, carried
+// across the blocks and tables it walks.
+type blockScanner struct {
+	buf  []byte
+	view blockView
+}
+
+// scanBlocks walks the blocks that can hold slots of [lo, hi) in slot
+// order, reading each into sc, and calls fn with the block and its rows
+// [r, end) whose slots lie in the range — a bound that falls inside a
+// block cuts it by binary search of the slot vector. fn returning false
+// stops the walk; keep reports whether iteration should continue into
+// the next table. The view is only valid during the call.
+func (t *ssTable) scanBlocks(sc *blockScanner, lo, hi int, fn func(v *blockView, r, end int) (bool, error)) (keep bool, err error) {
+	if lo >= hi {
+		return true, nil
+	}
+	// Scans bypass the block cache (scan resistance — see BlockCache)
+	// but still pin the table against the obsolete-file GC.
+	t.pins.Add(1)
+	defer t.pins.Add(-1)
+	v := &sc.view
+	for bi := t.seekBlock(lo); bi < len(t.blocks) && t.blocks[bi].first < hi; bi++ {
+		if sc.buf, err = t.readBlock(bi, sc.buf, v); err != nil {
+			return false, err
+		}
+		r, end := 0, v.rows
+		if t.blocks[bi].first < lo {
+			r = v.search(lo)
+		}
+		if t.blockEnd(bi) > hi {
+			end = v.search(hi)
+		}
+		if r >= end {
+			continue
+		}
+		if keep, err := fn(v, r, end); err != nil || !keep {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 func (t *ssTable) loadFooter() error {
@@ -252,7 +390,7 @@ func (t *ssTable) loadFooter() error {
 		return err
 	}
 	if string(head) != sstMagic {
-		return fmt.Errorf("bad magic")
+		return fmt.Errorf("bad magic %q (this build reads %s only)", head, sstMagic)
 	}
 	tail := make([]byte, 12)
 	if _, err := t.f.ReadAt(tail, size-12); err != nil {
@@ -279,62 +417,79 @@ func (t *ssTable) loadFooter() error {
 
 func (t *ssTable) parseFooter(payload []byte) error {
 	pr := protocol.NewReader(payload)
-	count, err := pr.Uvarint()
-	if err != nil {
-		return err
+	var head [6]uint64 // count, lo, hi, indexOff, maxKeySeg, bloom k
+	for i := range head {
+		v, err := pr.Uvarint()
+		if err != nil {
+			return err
+		}
+		head[i] = v
 	}
-	lo, err := pr.Uvarint()
-	if err != nil {
-		return err
-	}
-	hi, err := pr.Uvarint()
-	if err != nil {
-		return err
-	}
-	indexOff, err := pr.Uvarint()
-	if err != nil {
-		return err
-	}
-	maxSlotSeg, err := pr.Uvarint()
-	if err != nil {
-		return err
-	}
-	maxKeySeg, err := pr.Uvarint()
-	if err != nil {
-		return err
-	}
-	k, err := pr.Uvarint()
-	if err != nil {
-		return err
-	}
+	count, lo, hi, indexOff, maxKeySeg, k := head[0], head[1], head[2], head[3], head[4], head[5]
 	words, err := pr.String()
 	if err != nil {
 		return err
 	}
-	if hi < lo || count > hi-lo || indexOff > uint64(t.footerOff) || len(words)%8 != 0 || k == 0 || k > 64 {
+	if hi < lo || hi > maxSlot+1 || count > hi-lo || indexOff < uint64(len(sstMagic)) || indexOff > uint64(t.footerOff) ||
+		maxKeySeg > uint64(t.footerOff) || len(words)%8 != 0 || k == 0 || k > 64 {
 		return fmt.Errorf("inconsistent footer")
 	}
 	t.count, t.lo, t.hi = int(count), int(lo), int(hi)
 	t.indexOff = int64(indexOff)
-	t.maxSlotSeg, t.maxKeySeg = int(maxSlotSeg), int(maxKeySeg)
+	t.maxKeySeg = int(maxKeySeg)
 	bits := make([]uint64, len(words)/8)
 	for i := range bits {
 		bits[i] = binary.LittleEndian.Uint64([]byte(words[8*i : 8*i+8]))
 	}
 	t.filter = bloomFromParts(bits, int(k))
-	nSlots, err := pr.Uvarint()
-	if err != nil || nSlots > count+1 {
-		return fmt.Errorf("bad sparse slot count")
+
+	ncols, err := pr.Uvarint()
+	if err != nil || ncols > uint64(pr.Len()) { // every column costs at least two bytes
+		return fmt.Errorf("bad column count")
 	}
-	t.spSlots = make([]spSlot, 0, nSlots)
-	for range nSlots {
-		si, err1 := pr.Uvarint()
-		off, err2 := pr.Uvarint()
+	t.kinds = make([]value.Kind, ncols)
+	t.enums = make([]string, ncols)
+	for c := range t.kinds {
+		kind, err1 := pr.Uvarint()
+		enum, err2 := pr.String()
 		if err1 != nil || err2 != nil {
-			return fmt.Errorf("truncated sparse slot index")
+			return fmt.Errorf("truncated column table")
 		}
-		t.spSlots = append(t.spSlots, spSlot{si: int(si), off: int64(off)})
+		if kind > uint64(value.KindRef) || (!value.OrdKind(value.Kind(kind)) && value.Kind(kind) != value.KindString) {
+			return fmt.Errorf("column %d has unknown kind %d", c, kind)
+		}
+		if enum != "" && value.Kind(kind) != value.KindEnum {
+			return fmt.Errorf("column %d of kind %s names enumeration %q", c, value.Kind(kind), enum)
+		}
+		t.kinds[c], t.enums[c] = value.Kind(kind), enum
 	}
+
+	nBlocks, err := pr.Uvarint()
+	if err != nil || nBlocks > count {
+		return fmt.Errorf("bad block count")
+	}
+	t.blocks = make([]blockRef, 0, nBlocks)
+	off, rows, prev := int64(len(sstMagic)), uint64(0), int64(lo)-1
+	for range nBlocks {
+		first, err1 := pr.Uvarint()
+		length, err2 := pr.Uvarint()
+		n, err3 := pr.Uvarint()
+		if err1 != nil || err2 != nil || err3 != nil {
+			return fmt.Errorf("truncated block directory")
+		}
+		if int64(first) <= prev || first >= hi || n == 0 || n > count-rows ||
+			length < frameHeader || length > uint64(t.indexOff-off) {
+			return fmt.Errorf("inconsistent block directory")
+		}
+		t.blocks = append(t.blocks, blockRef{first: int(first), off: off, length: int(length), rows: int(n)})
+		// The block's n ascending slots start at first, so the next
+		// block's first slot lies at least n further on.
+		off, rows, prev = off+int64(length), rows+n, int64(first+n-1)
+	}
+	if off != t.indexOff || rows != count {
+		return fmt.Errorf("block directory covers %d bytes and %d records, want %d and %d", off, rows, t.indexOff, count)
+	}
+
 	nKeys, err := pr.Uvarint()
 	if err != nil || nKeys > count+1 {
 		return fmt.Errorf("bad sparse key count")
@@ -346,114 +501,37 @@ func (t *ssTable) parseFooter(payload []byte) error {
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("truncated sparse key index")
 		}
+		if off < indexOff || off > uint64(t.footerOff) {
+			return fmt.Errorf("sparse key offset %d outside the index section", off)
+		}
 		t.spKeys = append(t.spKeys, spKey{key: key, off: int64(off)})
 	}
 	return nil
 }
 
-// decodeDataRecord parses one data-frame payload into (si, enc, tuple).
-func decodeDataRecord(payload []byte) (int, string, []value.Value, error) {
-	pr := protocol.NewReader(payload)
-	si, err := pr.Uvarint()
-	if err != nil {
-		return 0, "", nil, err
-	}
-	if si > 0x7FFFFFFF {
-		return 0, "", nil, fmt.Errorf("slot %d out of range", si)
-	}
-	enc, err := pr.String()
-	if err != nil {
-		return 0, "", nil, err
-	}
-	tuple, err := pr.Vals()
-	if err != nil {
-		return 0, "", nil, err
-	}
-	return int(si), enc, tuple, nil
-}
-
-// scan streams the data section in slot order, calling fn for every
-// record with slot in [lo, hi) until fn returns false; keep reports
-// whether iteration should continue into the next table.
-func (t *ssTable) scan(lo, hi int, fn func(si int, enc string, tuple []value.Value) bool) (keep bool, err error) {
-	// Scans bypass the block cache (scan resistance — see BlockCache)
-	// but still pin the table against the obsolete-file GC.
-	t.pins.Add(1)
-	defer t.pins.Add(-1)
-	start := int64(len(sstMagic))
-	if len(t.spSlots) > 0 && lo > t.lo {
-		// Seek: last sparse entry at or below lo.
-		i := sort.Search(len(t.spSlots), func(i int) bool { return t.spSlots[i].si > lo }) - 1
-		if i >= 0 {
-			start = t.spSlots[i].off
-		}
-	}
-	sec := io.NewSectionReader(t.f, start, t.indexOff-start)
-	br := bufio.NewReaderSize(sec, 32<<10)
-	for {
-		payload, err := readFrameFrom(br)
-		if err == io.EOF {
-			return true, nil
-		}
-		if err != nil {
-			return false, fmt.Errorf("storage: sstable %s: %w", t.name, err)
-		}
-		si, enc, tuple, err := decodeDataRecord(payload)
-		if err != nil {
-			return false, fmt.Errorf("storage: sstable %s: %w", t.name, err)
-		}
-		if si >= hi {
-			return true, nil
-		}
-		if si < lo {
-			continue
-		}
-		if !fn(si, enc, tuple) {
-			return false, nil
-		}
-	}
-}
-
-// get fetches the record at slot si via the sparse slot index; ok is
+// get fetches the record at slot si via the block directory; ok is
 // false when the slot is not present (dead at flush time). hit reports
-// whether the segment came out of the block cache.
+// whether the block came out of the block cache.
 func (t *ssTable) get(si int) (_ []value.Value, ok bool, hit bool, err error) {
-	if si < t.lo || si >= t.hi || len(t.spSlots) == 0 {
+	if si < t.lo || si >= t.hi || len(t.blocks) == 0 || si < t.blocks[0].first {
 		return nil, false, false, nil
-	}
-	i := sort.Search(len(t.spSlots), func(i int) bool { return t.spSlots[i].si > si }) - 1
-	if i < 0 {
-		return nil, false, false, nil
-	}
-	off := t.spSlots[i].off
-	end := t.indexOff
-	if o := off + int64(t.maxSlotSeg); o < end {
-		end = o
 	}
 	t.pins.Add(1)
 	defer t.pins.Add(-1)
-	seg, hit, err := t.readSegment(off, end)
+	var v blockView
+	hit, err = t.cachedBlock(t.seekBlock(si), &v)
 	if err != nil {
-		return nil, false, false, fmt.Errorf("storage: sstable %s: %w", t.name, err)
+		return nil, false, hit, err
 	}
-	for pos := 0; pos < len(seg); {
-		payload, next, err := readFrame(seg, pos)
-		if err != nil {
-			break // segment bound clipped a frame: records beyond it are past the segment
-		}
-		rsi, _, tuple, err := decodeDataRecord(payload)
-		if err != nil {
-			return nil, false, hit, fmt.Errorf("storage: sstable %s: %w", t.name, err)
-		}
-		if rsi == si {
-			return tuple, true, hit, nil
-		}
-		if rsi > si {
-			break
-		}
-		pos = next
+	j := v.search(si)
+	if j == v.rows || v.slot(j) != si {
+		return nil, false, hit, nil
 	}
-	return nil, false, hit, nil
+	tuple, err := v.tuples(j, j+1)
+	if err != nil {
+		return nil, false, hit, fmt.Errorf("storage: sstable %s: slot %d: %w", t.name, si, err)
+	}
+	return tuple, true, hit, nil
 }
 
 // lookupKey resolves an encoded key to its slot: bloom filter first (a
