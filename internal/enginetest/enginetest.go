@@ -111,6 +111,9 @@ func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Sel
 			// Snapshot before the prepared re-runs accumulate into the
 			// same engine sink.
 			serialFP := stSerial.Fingerprint()
+			if mode.Est == nil && !goldenUpdate {
+				checkGolden(t, label, strat, want.Len(), serialFP)
+			}
 			plan, err := eng.Compile(sel, info, opts)
 			if err != nil {
 				t.Fatalf("%s [%s %s]: compile: %v", label, strat, mode.Name, err)
@@ -163,6 +166,10 @@ func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Sel
 					t.Fatalf("%s [%s %s]: tuple-path par=%d result mismatch\nwant %d rows, got %d rows\nquery: %s",
 						label, strat, mode.Name, par, want.Len(), gotTup.Len(), sel)
 				}
+				if mode.Est == nil && goldenUpdate && par == 1 {
+					// The golden file is generated from the tuple driver.
+					checkGolden(t, label, strat, want.Len(), stTup.Fingerprint())
+				}
 				if sk, tk := serialFP, stTup.Fingerprint(); sk != tk {
 					t.Fatalf("%s [%s %s]: tuple-path par=%d counters diverge from batch path\nbatch: %s\ntuple: %s",
 						label, strat, mode.Name, par, sk, tk)
@@ -213,7 +220,7 @@ func RunTable(t *testing.T, workload string, db *relation.DB, queries []QueryTes
 	for _, q := range queries {
 		q := q
 		t.Run(fmt.Sprintf("%s/%s", workload, q.Name), func(t *testing.T) {
-			RunQuery(t, q.Name, db, q.Src)
+			RunQuery(t, workload+"/"+q.Name, db, q.Src)
 		})
 	}
 }
