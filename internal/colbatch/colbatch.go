@@ -182,8 +182,8 @@ func (b *Batch) ColVal(c, i int) value.Value {
 }
 
 // Row reconstructs row i into dst, which must have NumCols capacity.
-// It is the degrade seam to tuple-at-a-time evaluation: predicates
-// with no bulk form run against the reconstructed row.
+// Predicates with no bulk form (derived strategy-4 atoms) and the
+// value-list builders run against the reconstructed row.
 func (b *Batch) Row(i int, dst []value.Value) {
 	for c := range dst {
 		dst[c] = b.ColVal(c, i)

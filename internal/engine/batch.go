@@ -2,546 +2,50 @@ package engine
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 
-	"pascalr/internal/calculus"
 	"pascalr/internal/colbatch"
-	"pascalr/internal/optimizer"
-	"pascalr/internal/schema"
 	"pascalr/internal/stats"
-	"pascalr/internal/value"
-
-	"fmt"
 )
 
-// The vectorized collection path. A scan job whose tasks all compile to
-// batch form materializes columnar batches (internal/colbatch) instead
-// of dispatching tuple-at-a-time: predicates run as bulk operations
-// over whole columns, producing selection bitmaps combined with bitwise
-// AND/OR, and only surviving rows reach the per-row structure builders.
-//
-// The counter discipline is the same one the parallel scans follow:
-// every bulk operation counts exactly what its tuple-at-a-time
-// counterpart would have, in the same order — a batched Cmp over a
-// selection of k rows counts k comparisons, a chain of predicates
-// evaluates (and counts) predicate j only over the rows predicates
-// 0..j-1 kept, and row-only predicates (derived strategy-4 atoms) run
-// against reconstructed rows exactly on the selected positions. Batch
-// runs are therefore bit-identical — results AND counter fingerprints —
-// to ExecTuple runs, which enginetest asserts differentially.
+// The collection drive. A scan job materializes columnar batches
+// (internal/colbatch) of its relation, restricted to the columns its
+// tasks read, and hands each batch to every task: predicates run as
+// bulk operations over whole columns producing selection bitmaps
+// (preds.go), and only surviving rows reach the per-row structure
+// builders (the tasks of exec.go).
 
 // batchSize is the row capacity of one columnar batch. A variable, not
 // a constant, so tests shrink it to stress batch-boundary and
 // non-multiple-of-64 edge cases.
 var batchSize = 1024
 
-// batchPred evaluates one predicate in bulk over a batch, clearing the
-// selection bits of rows that fail. run must count into st exactly what
-// the corresponding rowPred chain would for the selected rows, and must
-// not keep mutable state across calls — compiled predicates are shared
-// by concurrent shard tasks. cols lists the column indexes run reads
-// (all marks whole-row access instead); the scan materializes only the
-// union of its tasks' footprints into the batch — the projection
-// pushdown of the vectorized path.
-type batchPred struct {
-	run  func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error
-	cols []int
-	all  bool
-}
-
-// unionPredCols merges the column footprints of a predicate chain;
-// all=true swallows everything (some predicate reads whole rows).
-func unionPredCols(chains ...[]batchPred) ([]int, bool) {
-	seen := map[int]bool{}
-	cols := []int{}
-	for _, preds := range chains {
-		for _, p := range preds {
-			if p.all {
-				return nil, true
-			}
-			for _, c := range p.cols {
-				if !seen[c] {
-					seen[c] = true
-					cols = append(cols, c)
-				}
-			}
-		}
-	}
-	return cols, false
-}
-
-// evalBatchPreds applies a predicate chain to sel: predicate j sees
-// only the rows predicates 0..j-1 kept, mirroring evalPreds'
-// short-circuit counting.
-func evalBatchPreds(preds []batchPred, b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-	for _, p := range preds {
-		if sel.Empty() {
-			return nil // nothing left to evaluate (or count) — as per tuple short-circuit
-		}
-		if err := p.run(b, sel, st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// liftRowPred degrades a row predicate to batch form: the predicate
-// runs against reconstructed rows, exactly on the selected positions in
-// ascending order, so its counting is untouched. This is the seam
-// where batches fall back to tuple-at-a-time evaluation (derived
-// strategy-4 atoms and anything else without a bulk form).
-func liftRowPred(pr rowPred) batchPred {
-	return batchPred{all: true, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-		row := make([]value.Value, b.NumCols())
-		return sel.Filter(func(i int) (bool, error) {
-			b.Row(i, row)
-			return pr(row, st)
-		})
-	}}
-}
-
-// batchConstPred compiles "col[ci] op rhs" into a bulk predicate.
-// Int-backed columns run the unboxed FilterOrdBits kernel over the
-// batch's raw ordinal vector: the column's kind is known from the
-// schema, so the constant is type-checked here, at compile time, and
-// no per-row kind dispatch remains. A mismatched constant fails the
-// batch compile, degrading the job to the tuple path — which surfaces
-// the identical runtime comparison error (or none at all, if
-// evaluation never reaches the term; erroring eagerly here would
-// change observable behavior). String columns keep the boxed
-// FilterBits path.
-func batchConstPred(ci int, op value.CmpOp, rhs value.Value, sch *schema.RelSchema) (batchPred, error) {
-	k := sch.Cols[ci].Type.ValueKind()
-	if !value.OrdKind(k) {
-		return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-			st.CountComparisons(sel.Count())
-			return op.FilterBits(b.Vals(ci), rhs, sel.Words())
-		}}, nil
-	}
-	if rhs.Kind() != k {
-		return batchPred{}, fmt.Errorf("engine: cannot compare %s column %s with %s constant", k, sch.Cols[ci].Name, rhs.Kind())
-	}
-	if k == value.KindEnum && rhs.EnumType() != sch.Cols[ci].Type.Name {
-		return batchPred{}, fmt.Errorf("engine: cannot compare enum %s column %s with enum %s constant", sch.Cols[ci].Type.Name, sch.Cols[ci].Name, rhs.EnumType())
-	}
-	r := rhs.Ord()
-	return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-		st.CountComparisons(sel.Count())
-		op.FilterOrdBits(b.Ords(ci), r, sel.Words())
-		return nil
-	}}, nil
-}
-
-// compileBatchMonadic compiles a monadic join term over v into a bulk
-// predicate. Field-versus-constant terms — the common case — go
-// through batchConstPred, one (compile-time) kind dispatch per column
-// instead of per row; field-versus-field terms run a per-selected-row
-// loop, unboxed when both columns are int-backed.
-func compileBatchMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (batchPred, error) {
-	colIdx := func(f calculus.Field) (int, error) {
-		if f.Var != v {
-			return 0, fmt.Errorf("engine: operand %s is not over variable %s", f, v)
-		}
-		ci, ok := sch.ColIndex(f.Col)
-		if !ok {
-			return 0, fmt.Errorf("engine: relation %s has no component %s", sch.Name, f.Col)
-		}
-		return ci, nil
-	}
-	op := c.Op
-	lc, lConst := c.L.(calculus.Const)
-	lf, lField := c.L.(calculus.Field)
-	rc, rConst := c.R.(calculus.Const)
-	rf, rField := c.R.(calculus.Field)
-	switch {
-	case lField && rConst:
-		ci, err := colIdx(lf)
-		if err != nil {
-			return batchPred{}, err
-		}
-		return batchConstPred(ci, op, rc.Val, sch)
-	case lConst && rField:
-		ci, err := colIdx(rf)
-		if err != nil {
-			return batchPred{}, err
-		}
-		// const op col[i]  ⇔  col[i] flip(op) const
-		return batchConstPred(ci, op.Flip(), lc.Val, sch)
-	case lField && rField:
-		li, err := colIdx(lf)
-		if err != nil {
-			return batchPred{}, err
-		}
-		ri, err := colIdx(rf)
-		if err != nil {
-			return batchPred{}, err
-		}
-		lk, rk := sch.Cols[li].Type.ValueKind(), sch.Cols[ri].Type.ValueKind()
-		if value.OrdKind(lk) || value.OrdKind(rk) {
-			// Same compile-time discipline as batchConstPred: a kind or
-			// enum-type mismatch degrades to the tuple path instead of
-			// erroring eagerly.
-			if lk != rk {
-				return batchPred{}, fmt.Errorf("engine: cannot compare %s column %s with %s column %s", lk, sch.Cols[li].Name, rk, sch.Cols[ri].Name)
-			}
-			if lk == value.KindEnum && sch.Cols[li].Type.Name != sch.Cols[ri].Type.Name {
-				return batchPred{}, fmt.Errorf("engine: cannot compare enum %s column %s with enum %s column %s", sch.Cols[li].Type.Name, sch.Cols[li].Name, sch.Cols[ri].Type.Name, sch.Cols[ri].Name)
-			}
-			return batchPred{cols: []int{li, ri}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-				st.CountComparisons(sel.Count())
-				lcol, rcol := b.Ords(li), b.Ords(ri)
-				return sel.Filter(func(i int) (bool, error) {
-					return op.HoldsOrd(lcol[i], rcol[i]), nil
-				})
-			}}, nil
-		}
-		return batchPred{cols: []int{li, ri}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-			st.CountComparisons(sel.Count())
-			lcol, rcol := b.Vals(li), b.Vals(ri)
-			return sel.Filter(func(i int) (bool, error) {
-				return op.Apply(lcol[i], rcol[i])
-			})
-		}}, nil
-	case lConst && rConst:
-		lv, rv := lc.Val, rc.Val
-		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-			n := sel.Count()
-			if n == 0 {
-				return nil
-			}
-			st.CountComparisons(n)
-			ok, err := op.Apply(lv, rv)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				sel.ClearAll(sel.Len())
-			}
-			return nil
-		}}, nil
-	default:
-		return batchPred{}, fmt.Errorf("engine: unresolved operand in %s", c)
-	}
-}
-
-// compileBatchFilter compiles a quantifier-free filter formula into a
-// bulk predicate with the same evaluation (and counting) order as
-// compileFilter: And chains filter sequentially, Or evaluates disjunct
-// k only over rows no earlier disjunct admitted, Not evaluates its
-// operand over every row reaching it.
-func compileBatchFilter(f calculus.Formula, fv string, sch *schema.RelSchema) (batchPred, error) {
-	switch g := f.(type) {
-	case nil:
-		return batchPred{}, fmt.Errorf("engine: nil filter formula")
-	case *calculus.Lit:
-		val := g.Val
-		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, _ *stats.Counters) error {
-			if !val {
-				sel.ClearAll(sel.Len())
-			}
-			return nil
-		}}, nil
-	case *calculus.Cmp:
-		return compileBatchMonadic(g, fv, sch)
-	case *calculus.Not:
-		sub, err := compileBatchFilter(g.F, fv, sch)
-		if err != nil {
-			return batchPred{}, err
-		}
-		return batchPred{cols: sub.cols, all: sub.all, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-			var tmp colbatch.Bitmap
-			tmp.CopyFrom(sel)
-			if err := sub.run(b, &tmp, st); err != nil {
-				return err
-			}
-			sel.AndNot(&tmp)
-			return nil
-		}}, nil
-	case *calculus.And:
-		subs, err := compileBatchFilters(g.Fs, fv, sch)
-		if err != nil {
-			return batchPred{}, err
-		}
-		cols, all := unionPredCols(subs)
-		return batchPred{cols: cols, all: all, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-			return evalBatchPreds(subs, b, sel, st)
-		}}, nil
-	case *calculus.Or:
-		subs, err := compileBatchFilters(g.Fs, fv, sch)
-		if err != nil {
-			return batchPred{}, err
-		}
-		cols, all := unionPredCols(subs)
-		return batchPred{cols: cols, all: all, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-			var acc, remaining, m colbatch.Bitmap
-			acc.ClearAll(sel.Len())
-			remaining.CopyFrom(sel)
-			for _, s := range subs {
-				if remaining.Empty() {
-					break
-				}
-				m.CopyFrom(&remaining)
-				if err := s.run(b, &m, st); err != nil {
-					return err
-				}
-				acc.Or(&m)
-				remaining.AndNot(&m)
-			}
-			sel.CopyFrom(&acc)
-			return nil
-		}}, nil
-	default:
-		return batchPred{}, fmt.Errorf("engine: quantifier inside range filter")
-	}
-}
-
-func compileBatchFilters(fs []calculus.Formula, fv string, sch *schema.RelSchema) ([]batchPred, error) {
-	out := make([]batchPred, len(fs))
-	for i, f := range fs {
-		p, err := compileBatchFilter(f, fv, sch)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
-}
-
-// rangeBatchPredsFor compiles v's range filter to batch form; ok=false
-// marks the variable's tasks tuple-only (the row compile surfaces any
-// real error — the batch compile failing alone just degrades the job).
-func (p *plan) rangeBatchPredsFor(v string) ([]batchPred, bool) {
-	node := p.vars[v]
-	if !node.rng.Extended() {
-		return nil, true
-	}
-	bp, err := compileBatchFilter(node.rng.Filter, node.rng.FilterVar, node.sch)
-	if err != nil {
-		return nil, false
-	}
-	return []batchPred{bp}, true
-}
-
-// compileBatchAtoms compiles monadic atoms over v to batch form: plain
-// comparisons in bulk, derived strategy-4 atoms lifted row-wise.
-func (p *plan) compileBatchAtoms(v string, atoms []optimizer.Atom) ([]batchPred, bool) {
-	node := p.vars[v]
-	out := make([]batchPred, 0, len(atoms))
-	for _, a := range atoms {
-		if a.Cmp != nil {
-			bp, err := compileBatchMonadic(a.Cmp, v, node.sch)
-			if err != nil {
-				return nil, false
-			}
-			out = append(out, bp)
-			continue
-		}
-		rt, ok := p.specRTs[a.Semi.Spec]
-		if !ok {
-			return nil, false
-		}
-		pr, err := compileSemiAtom(a.Semi, node.sch, rt)
-		if err != nil {
-			return nil, false
-		}
-		out = append(out, liftRowPred(pr))
-	}
-	return out, true
-}
-
-// batchTask is a scanTask that can process a whole columnar batch. sel
-// arrives all-ones over the batch's rows and is the task's to mutate;
-// the returned count is the rows surviving the task's own predicate
-// chain (feeding the selection-density metrics).
-type batchTask interface {
-	scanTask
-	batchable() bool
-	// batchCols reports the column indexes processBatch reads, or
-	// all=true for whole-row access; the scan materializes only the
-	// union across its tasks.
-	batchCols() (cols []int, all bool)
-	processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error)
-}
-
-func (t *rangeTask) batchable() bool { return t.bOK }
-
-func (t *rangeTask) batchCols() ([]int, bool) { return unionPredCols(t.bRange) }
-
-func (t *rangeTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
-	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
-		return 0, err
-	}
-	n := 0
-	sel.Do(func(i int) bool {
-		t.refs = append(t.refs, b.Ref(i))
-		n++
-		return true
-	})
-	return n, nil
-}
-
-func (t *slTask) batchable() bool { return t.bOK && t.spec.bOK }
-
-func (t *slTask) batchCols() ([]int, bool) { return unionPredCols(t.bRange, t.spec.bPreds) }
-
-func (t *slTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
-	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
-		return 0, err
-	}
-	if err := evalBatchPreds(t.spec.bPreds, b, sel, st); err != nil {
-		return 0, err
-	}
-	n := 0
-	sel.Do(func(i int) bool {
-		t.out.Add(b.Ref(i))
-		n++
-		return true
-	})
-	return n, nil
-}
-
-func (t *ixTask) batchable() bool { return t.bOK }
-
-func (t *ixTask) batchCols() ([]int, bool) {
-	cols, all := unionPredCols(t.bRange)
-	if all {
-		return nil, true
-	}
-	return append(cols, t.spec.colIdx), false
-}
-
-func (t *ixTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
-	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
-		return 0, err
-	}
-	n := 0
-	ci := t.spec.colIdx
-	sel.Do(func(i int) bool {
-		t.out.Add(b.ColVal(ci, i), b.Ref(i))
-		n++
-		return true
-	})
-	return n, nil
-}
-
-func (t *groupTask) batchable() bool { return t.bOK && t.grp.bOK }
-
-func (t *groupTask) batchCols() ([]int, bool) {
-	cols, all := unionPredCols(t.bRange, t.grp.bPreds)
-	if all {
-		return nil, true
-	}
-	for _, pr := range t.grp.probes {
-		cols = append(cols, pr.probeCol)
-	}
-	return cols, false
-}
-
-func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
-	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
-		return 0, err
-	}
-	if err := evalBatchPreds(t.grp.bPreds, b, sel, st); err != nil {
-		return 0, err
-	}
-	if t.matchBuf == nil {
-		t.matchBuf = make([][]value.Value, len(t.grp.probes))
-	}
-	n := 0
-	sel.Do(func(i int) bool {
-		n++
-		for pi := range t.grp.probes {
-			pr := &t.grp.probes[pi]
-			t.matchBuf[pi] = t.matchBuf[pi][:0]
-			pr.index.probe(t.p, st, pr.op, b.ColVal(pr.probeCol, i), func(r value.Value) {
-				t.matchBuf[pi] = append(t.matchBuf[pi], r)
-			})
-			if t.grp.mutual && len(t.matchBuf[pi]) == 0 {
-				return true // another probe failed: suppress all pairs (4.2)
-			}
-		}
-		for pi := range t.grp.probes {
-			for _, r := range t.matchBuf[pi] {
-				t.outs[pi].Add(b.Ref(i), r)
-			}
-		}
-		return true
-	})
-	return n, nil
-}
-
-func (t *specTask) batchable() bool { return t.bOK }
-
-func (t *specTask) batchCols() ([]int, bool) { return nil, true } // builds whole rows
-
-func (t *specTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
-	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
-		return 0, err
-	}
-	var mon colbatch.Bitmap
-	mon.CopyFrom(sel)
-	if err := evalBatchPreds(t.bMon, b, &mon, st); err != nil {
-		return 0, err
-	}
-	n := 0
-	row := make([]value.Value, b.NumCols())
-	sel.Do(func(i int) bool {
-		b.Row(i, row)
-		t.rt.add(row, mon.Has(i), t.dyCols)
-		n++
-		return true
-	})
-	return n, nil
-}
-
-// finalizeBatchJobs decides, per scan job, whether it runs the batched
-// path: every task must compile to batch form. errTask (a deferred
-// planning error) never does, so failing plans surface their error on
-// the tuple path unchanged. For batched jobs it also computes the
-// column mask — the union of the tasks' footprints, sorted for a
-// deterministic materialization order — so the scan copies only the
-// columns some task actually reads (nil = whole rows).
-func (p *plan) finalizeBatchJobs() {
-	if p.exec == ExecTuple {
-		return
-	}
+// planColumnMasks computes every scan job's column mask — the union of
+// its tasks' footprints, sorted for a deterministic materialization
+// order — so the scan copies only the columns some task actually reads
+// (nil = whole rows, empty = references only).
+func (p *plan) planColumnMasks() {
 	for _, job := range p.jobs {
-		job.batch = len(job.tasks) > 0
-		seen := map[int]bool{}
 		cols, all := []int{}, false
 		for _, t := range job.tasks {
-			bt, ok := t.(batchTask)
-			if !ok || !bt.batchable() {
-				job.batch = false
-				break
-			}
-			tc, ta := bt.batchCols()
-			if ta {
-				all = true
-				continue
-			}
-			for _, c := range tc {
-				if !seen[c] {
-					seen[c] = true
-					cols = append(cols, c)
-				}
-			}
+			tc, ta := t.batchCols()
+			all = all || ta
+			cols = append(cols, tc...)
 		}
-		if !job.batch || all {
-			continue
+		if !all {
+			slices.Sort(cols)
+			job.batchCols = slices.Compact(cols)
 		}
-		sort.Ints(cols)
-		job.batchCols = cols
 	}
 }
 
 // batchPool recycles columnar batches across scans and executions: the
-// buffers are the dominant per-execution allocation of the vectorized
-// path (cols × batchSize interface values), and without reuse the GC
-// pressure erases the bulk-evaluation win on repeated queries. A batch
-// whose shape no longer matches (different column count, or a test
-// shrank batchSize) is simply dropped and a fresh one allocated.
+// buffers are the dominant per-execution allocation of the collection
+// phase (cols × batchSize values), and without reuse the GC pressure
+// erases the bulk-evaluation win on repeated queries. A batch whose
+// shape no longer matches (different column count, or a test shrank
+// batchSize) is simply dropped and a fresh one allocated.
 var batchPool sync.Pool
 
 func getBatch(ncols int) *colbatch.Batch {
@@ -559,18 +63,17 @@ func putBatch(b *colbatch.Batch) {
 	batchPool.Put(b)
 }
 
-// scanSlotRangeBatch is the columnar drive of one slot range: fill a
-// batch, run every task's bulk predicate chain over it, flush, repeat.
-// Cancellation is checked per batch — batchSize (1024) matches the old
-// per-tuple check interval, and the final partial batch checks too, so
-// cancellation latency is the same or tighter than the tuple path's.
-func (p *plan) scanSlotRangeBatch(ctx context.Context, job *scanJob, tasks []scanTask, st *stats.Counters, lo, hi int) error {
+// scanSlotRange drives the given tasks over one slot range of the job's
+// relation — a full scan, or one shard of a split scan: fill a batch,
+// run every task's bulk predicate chain over it, flush, repeat.
+// Cancellation is checked per batch, the final partial one included.
+func (p *plan) scanSlotRange(ctx context.Context, job *scanJob, tasks []scanTask, st *stats.Counters, lo, hi int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	b := getBatch(len(job.rel.Schema().Cols))
 	defer putBatch(b)
-	cols := job.batchCols
+	snk := &scanSink{st: st}
 	var sel colbatch.Bitmap
 	flush := func() error {
 		if err := ctx.Err(); err != nil {
@@ -580,7 +83,7 @@ func (p *plan) scanSlotRangeBatch(ctx context.Context, job *scanJob, tasks []sca
 		kept := int64(0)
 		for _, t := range tasks {
 			sel.SetAll(rows)
-			n, err := t.(batchTask).processBatch(b, &sel, st)
+			n, err := t.processBatch(b, &sel, snk)
 			if err != nil {
 				return err
 			}
@@ -594,5 +97,8 @@ func (p *plan) scanSlotRangeBatch(ctx context.Context, job *scanJob, tasks []sca
 		hBatchSizeRows.Observe(int64(rows))
 		return nil
 	}
-	return job.rel.ScanBatches(st, lo, hi, b, cols, flush)
+	err := job.rel.ScanBatches(st, lo, hi, b, job.batchCols, flush)
+	job.liftedRows.Add(snk.liftedRows)
+	mBatchLiftedRows.Add(snk.liftedRows)
+	return err
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pascalr/internal/baseline"
 	"pascalr/internal/calculus"
 	"pascalr/internal/relation"
 	"pascalr/internal/stats"
@@ -24,35 +25,46 @@ func setBatchSize(t *testing.T, n int) {
 	t.Cleanup(func() { batchSize = old })
 }
 
-// evalBoth runs one selection on the vectorized path and on the forced
-// tuple path with identical options and asserts bit-identical results
-// and counter fingerprints. It returns the batch run's result.
-func evalBoth(t *testing.T, db *relation.DB, sel *calculus.Selection, opts Options) *relation.Relation {
+// defaultBatchSize is the production batch capacity, captured before
+// any test shrinks batchSize.
+var defaultBatchSize = batchSize
+
+// evalChecked runs one selection at the test's (shrunk) batch size and
+// asserts the rows the tuple-substitution baseline produces, and the
+// counter fingerprint of the same run at the default batch size: what
+// the engine counts must not depend on where batches break. It returns
+// the engine's result.
+func evalChecked(t *testing.T, db *relation.DB, sel *calculus.Selection, opts Options) *relation.Relation {
 	t.Helper()
 	checked, info, err := calculus.Check(sel, db.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := baseline.Eval(checked, info, db)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
 	ctx := context.Background()
-	stBatch := &stats.Counters{}
-	opts.Exec = ExecAuto
-	gotBatch, err := New(db, stBatch).Eval(ctx, checked, info, opts)
+	st := &stats.Counters{}
+	got, err := New(db, st).Eval(ctx, checked, info, opts)
 	if err != nil {
-		t.Fatalf("batch path: %v", err)
+		t.Fatal(err)
 	}
-	stTuple := &stats.Counters{}
-	opts.Exec = ExecTuple
-	gotTuple, err := New(db, stTuple).Eval(ctx, checked, info, opts)
+	if gk, wk := resultKey(got), resultKey(want); gk != wk {
+		t.Fatalf("batch size %d: result (%d rows) != baseline (%d rows)", batchSize, got.Len(), want.Len())
+	}
+	small := batchSize
+	batchSize = defaultBatchSize
+	stWhole := &stats.Counters{}
+	_, err = New(db, stWhole).Eval(ctx, checked, info, opts)
+	batchSize = small
 	if err != nil {
-		t.Fatalf("tuple path: %v", err)
+		t.Fatal(err)
 	}
-	if bk, tk := resultKey(gotBatch), resultKey(gotTuple); bk != tk {
-		t.Fatalf("batch result (%d rows) != tuple result (%d rows)", gotBatch.Len(), gotTuple.Len())
+	if sf, wf := st.Fingerprint(), stWhole.Fingerprint(); sf != wf {
+		t.Fatalf("counter fingerprints depend on the batch size\nsize %d: %s\nsize %d: %s", small, sf, defaultBatchSize, wf)
 	}
-	if bf, tf := stBatch.Fingerprint(), stTuple.Fingerprint(); bf != tf {
-		t.Fatalf("counter fingerprints diverge\nbatch: %s\ntuple: %s", bf, tf)
-	}
-	return gotBatch
+	return got
 }
 
 // empnoSelection selects employee names by a single comparison on the
@@ -76,15 +88,15 @@ func TestBatchSelectionVectorDensityExtremes(t *testing.T) {
 		bs := bs
 		t.Run(fmt.Sprintf("bs%d", bs), func(t *testing.T) {
 			setBatchSize(t, bs)
-			allOne := evalBoth(t, db, empnoSelection(value.OpGe, 0), Options{Strategies: AllStrategies})
+			allOne := evalChecked(t, db, empnoSelection(value.OpGe, 0), Options{Strategies: AllStrategies})
 			if allOne.Len() != db.MustRelation("employees").Len() {
 				t.Fatalf("all-one selection kept %d of %d rows", allOne.Len(), db.MustRelation("employees").Len())
 			}
-			allZero := evalBoth(t, db, empnoSelection(value.OpLt, 0), Options{Strategies: AllStrategies})
+			allZero := evalChecked(t, db, empnoSelection(value.OpLt, 0), Options{Strategies: AllStrategies})
 			if allZero.Len() != 0 {
 				t.Fatalf("all-zero selection kept %d rows", allZero.Len())
 			}
-			needle := evalBoth(t, db, empnoSelection(value.OpEq, 1), Options{Strategies: AllStrategies})
+			needle := evalChecked(t, db, empnoSelection(value.OpEq, 1), Options{Strategies: AllStrategies})
 			if needle.Len() != 1 {
 				t.Fatalf("needle selection kept %d rows, want 1", needle.Len())
 			}
@@ -92,19 +104,19 @@ func TestBatchSelectionVectorDensityExtremes(t *testing.T) {
 	}
 }
 
-// TestBatchEmptyRelations runs the differential pair against empty base
-// relations: zero batches must flow, and results must stay identical.
+// TestBatchEmptyRelations runs against empty base relations: zero
+// batches must flow, and results must stay the baseline's.
 func TestBatchEmptyRelations(t *testing.T) {
 	setBatchSize(t, 7)
 	db := relation.NewDB()
 	if err := workload.DefineSchema(db, workload.DefaultConfig(10)); err != nil {
 		t.Fatal(err)
 	}
-	res := evalBoth(t, db, empnoSelection(value.OpGe, 0), Options{Strategies: AllStrategies})
+	res := evalChecked(t, db, empnoSelection(value.OpGe, 0), Options{Strategies: AllStrategies})
 	if res.Len() != 0 {
 		t.Fatalf("empty relation produced %d rows", res.Len())
 	}
-	res = evalBoth(t, db, workload.SampleSelection(), Options{Strategies: AllStrategies})
+	res = evalChecked(t, db, workload.SampleSelection(), Options{Strategies: AllStrategies})
 	if res.Len() != 0 {
 		t.Fatalf("empty university produced %d rows", res.Len())
 	}
@@ -113,7 +125,7 @@ func TestBatchEmptyRelations(t *testing.T) {
 // TestBatchBoundaryMatrix sweeps the paper's sample queries across odd
 // batch sizes (including sizes that split every quantified scan at
 // non-multiple-of-64 offsets) and every strategy rung, serial and
-// parallel — the bit-identity contract under boundary stress.
+// parallel — rows and counters under boundary stress.
 func TestBatchBoundaryMatrix(t *testing.T) {
 	db := workload.MustUniversity(workload.DefaultConfig(17))
 	sels := []*calculus.Selection{
@@ -127,7 +139,7 @@ func TestBatchBoundaryMatrix(t *testing.T) {
 			for _, strat := range []Strategy{0, S1 | S2, AllStrategies} {
 				for _, par := range []int{1, 4} {
 					setBatchSize(t, bs)
-					evalBoth(t, db, sel, Options{Strategies: strat, Parallelism: par})
+					evalChecked(t, db, sel, Options{Strategies: strat, Parallelism: par})
 				}
 			}
 		}
@@ -137,7 +149,7 @@ func TestBatchBoundaryMatrix(t *testing.T) {
 // TestBatchCursorStreamingDedup streams a compiled plan's rows through
 // the cursor with a batch size that fractures every scan, checking the
 // streamed multiset (including construction-phase dedup) against the
-// tuple path's materialized result.
+// baseline's result.
 func TestBatchCursorStreamingDedup(t *testing.T) {
 	setBatchSize(t, 5)
 	db := workload.MustUniversity(workload.DefaultConfig(40))
@@ -170,40 +182,41 @@ func TestBatchCursorStreamingDedup(t *testing.T) {
 	cur.Close()
 	sort.Strings(keys)
 
-	tup, err := New(db, nil).Eval(ctx, checked, info, Options{Strategies: AllStrategies, Exec: ExecTuple})
+	base, err := baseline.Eval(checked, info, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strings.Join(keys, "|"), resultKey(tup); got != want {
-		t.Fatalf("streamed batch rows != tuple-path result\nbatch: %s\ntuple: %s", got, want)
+	if got, want := strings.Join(keys, "|"), resultKey(base); got != want {
+		t.Fatalf("streamed rows != baseline result\nstreamed: %s\nbaseline: %s", got, want)
 	}
 }
 
-// TestBatchJobsActuallyBatch guards the degrade seam from silently
-// pinning everything to the tuple path: a plain monadic query must
-// compile every scan job to batch form under ExecAuto and none under
-// ExecTuple.
-func TestBatchJobsActuallyBatch(t *testing.T) {
-	db := workload.MustUniversity(workload.DefaultConfig(20))
-	checked, _, err := calculus.Check(empnoSelection(value.OpGe, 0), db.Catalog())
+// TestLiftedRowsCounted pins the one row-at-a-time tally left in the
+// collection phase: derived strategy-4 atoms count the rows they are
+// lifted over — independently of where batches break — and a plan
+// without strategy 4 lifts nothing.
+func TestLiftedRowsCounted(t *testing.T) {
+	db := workload.MustUniversity(workload.DefaultConfig(40))
+	checked, info, err := calculus.Check(workload.SampleSelection(), db.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ExecMode{ExecAuto, ExecTuple} {
-		e := New(db, nil)
-		opts := Options{Strategies: AllStrategies, Exec: mode}
-		x, err := e.prepare(checked, opts)
-		if err != nil {
+	lifted := func(strat Strategy) int64 {
+		before := mBatchLiftedRows.Load()
+		if _, err := New(db, nil).Eval(context.Background(), checked, info, Options{Strategies: strat}); err != nil {
 			t.Fatal(err)
 		}
-		p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, planEstimator(opts), 1, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, job := range p.jobs {
-			if want := mode == ExecAuto; job.batch != want {
-				t.Fatalf("mode %s: job over %s batch=%v, want %v", mode, job.rel.Name(), job.batch, want)
-			}
-		}
+		return mBatchLiftedRows.Load() - before
+	}
+	whole := lifted(AllStrategies)
+	if whole == 0 {
+		t.Fatal("sample query under S4 lifted no rows")
+	}
+	setBatchSize(t, 7)
+	if split := lifted(AllStrategies); split != whole {
+		t.Fatalf("lifted rows depend on the batch size: %d at 7, %d at %d", split, whole, defaultBatchSize)
+	}
+	if n := lifted(S1 | S2 | S3); n != 0 {
+		t.Fatalf("plan without strategy 4 lifted %d rows", n)
 	}
 }

@@ -78,7 +78,7 @@ func planOrder(t *testing.T, db *relation.DB, sel *calculus.Selection, costBased
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, planEstimator(opts), 1, ExecAuto)
+	p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, planEstimator(opts), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCostBasedTransientOverFilteredPermanent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, planEstimator(opts), 1, ExecAuto)
+		p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, planEstimator(opts), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

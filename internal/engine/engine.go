@@ -94,34 +94,8 @@ type Options struct {
 	// bit-identical results and counters; higher values produce the same
 	// results and the same merged counters, faster.
 	Parallelism int
-	// Exec selects the collection-phase execution path. The zero value
-	// (ExecAuto) vectorizes every scan whose tasks compile to bulk
-	// batch form; ExecTuple forces the tuple-at-a-time path. Both paths
-	// produce bit-identical results and counter fingerprints.
-	Exec ExecMode
 	// maxAdaptations guards the adaptation loop; set by Eval.
 	maxAdaptations int
-}
-
-// ExecMode selects between the vectorized columnar collection path and
-// the legacy tuple-at-a-time path.
-type ExecMode int
-
-const (
-	// ExecAuto (the default) runs batched columnar scans wherever every
-	// task of a scan job compiles to bulk form, degrading per job to
-	// tuple-at-a-time otherwise.
-	ExecAuto ExecMode = iota
-	// ExecTuple forces the tuple-at-a-time path everywhere — the
-	// differential baseline for the batch path.
-	ExecTuple
-)
-
-func (m ExecMode) String() string {
-	if m == ExecTuple {
-		return "tuple"
-	}
-	return "auto"
 }
 
 // parallelism normalizes the worker budget: at least one.
@@ -270,7 +244,7 @@ func (e *Engine) collectWithAdaptation(ctx context.Context, x *optimizer.XForm, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), parallelism(opts), opts.Exec)
+		p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), parallelism(opts))
 		if err != nil {
 			return nil, err
 		}
@@ -374,7 +348,7 @@ func (e *Engine) Explain(sel *calculus.Selection, opts Options) (string, error) 
 	}
 	st := &stats.Counters{}
 	e.db.RLock()
-	p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), parallelism(opts), opts.Exec)
+	p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), parallelism(opts))
 	e.db.RUnlock()
 	if err != nil {
 		return "", err
@@ -387,11 +361,7 @@ func (e *Engine) Explain(sel *calculus.Selection, opts Options) (string, error) 
 	fmt.Fprintf(&b, "transformed query:\n%s", x)
 	fmt.Fprintf(&b, "collection phase (%d scans):\n", len(p.jobs))
 	for i, job := range p.jobs {
-		path := "tuple"
-		if job.batch {
-			path = "batch"
-		}
-		fmt.Fprintf(&b, "  scan %d: %s (vars %s, path=%s)\n", i+1, job.rel.Name(), strings.Join(job.vars, ","), path)
+		fmt.Fprintf(&b, "  scan %d: %s (vars %s)\n", i+1, job.rel.Name(), strings.Join(job.vars, ","))
 		for _, t := range job.tasks {
 			fmt.Fprintf(&b, "    - %s\n", t.describe())
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"pascalr/internal/algebra"
+	"pascalr/internal/colbatch"
 	"pascalr/internal/collection"
 	"pascalr/internal/obs"
 	"pascalr/internal/sched"
@@ -13,12 +14,19 @@ import (
 	"pascalr/internal/value"
 )
 
-// scanTask processes elements during one relation scan. The sink passed
-// to process is the scanning worker's — per job, or per shard when the
-// scan is split — so counting never races; finish runs once per task
-// after the whole logical scan (all shards) completed.
+// scanTask consumes the columnar batches of one relation scan. sel
+// arrives all-ones over the batch's rows and is the task's to mutate;
+// the count processBatch returns is the rows surviving the task's own
+// predicate chain (feeding the selection-density metrics). The sink is
+// the scanning worker's — per job, or per shard when the scan is split
+// — so counting never races; finish runs once per task after the whole
+// logical scan (all shards) completed.
 type scanTask interface {
-	process(ref value.Value, tuple []value.Value, st *stats.Counters) error
+	processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error)
+	// batchCols reports the column indexes processBatch reads, or
+	// all=true for whole-row access; the scan materializes only the
+	// union across its tasks.
+	batchCols() (cols []int, all bool)
 	finish() error
 	describe() string
 }
@@ -35,17 +43,6 @@ type shardableTask interface {
 	absorb(shard scanTask) error
 }
 
-// evalPreds evaluates a predicate chain; all must hold.
-func evalPreds(preds []rowPred, tuple []value.Value, st *stats.Counters) (bool, error) {
-	for _, p := range preds {
-		ok, err := p(tuple, st)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
 // rangeTask collects the references of a live variable's range —
 // "the collection phase evaluates range expressions". References
 // accumulate task-locally and publish into the plan's range-list map at
@@ -54,20 +51,23 @@ func evalPreds(preds []rowPred, tuple []value.Value, st *stats.Counters) (bool, 
 type rangeTask struct {
 	p     *plan
 	v     string
-	preds []rowPred // the range filter, if extended
+	preds []batchPred // the range filter, if extended
 	refs  []value.Value
-
-	bRange []batchPred // bulk form of preds (batch.go)
-	bOK    bool
 }
 
-func (t *rangeTask) process(ref value.Value, tuple []value.Value, st *stats.Counters) error {
-	ok, err := evalPreds(t.preds, tuple, st)
-	if err != nil || !ok {
-		return err
+func (t *rangeTask) batchCols() ([]int, bool) { return unionPredCols(t.preds) }
+
+func (t *rangeTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error) {
+	if err := evalPreds(t.preds, b, sel, snk); err != nil {
+		return 0, err
 	}
-	t.refs = append(t.refs, ref)
-	return nil
+	n := 0
+	sel.Do(func(i int) bool {
+		t.refs = append(t.refs, b.Ref(i))
+		n++
+		return true
+	})
+	return n, nil
 }
 
 func (t *rangeTask) finish() error {
@@ -77,7 +77,7 @@ func (t *rangeTask) finish() error {
 func (t *rangeTask) describe() string { return "range " + t.v }
 
 func (t *rangeTask) shardClone() scanTask {
-	return &rangeTask{p: t.p, v: t.v, preds: t.preds, bRange: t.bRange, bOK: t.bOK}
+	return &rangeTask{p: t.p, v: t.v, preds: t.preds}
 }
 
 func (t *rangeTask) absorb(shard scanTask) error {
@@ -89,34 +89,32 @@ func (t *rangeTask) absorb(shard scanTask) error {
 // list merged back in shard order.
 type slTask struct {
 	spec       *slSpec
-	rangePreds []rowPred
+	rangePreds []batchPred
 	out        *collection.SingleList // spec.out, or shard-local
-
-	bRange []batchPred // bulk form of rangePreds (batch.go)
-	bOK    bool
 }
 
-func newSLTask(spec *slSpec, rangePreds []rowPred) *slTask {
-	return &slTask{spec: spec, rangePreds: rangePreds, out: spec.out}
-}
+func (t *slTask) batchCols() ([]int, bool) { return unionPredCols(t.rangePreds, t.spec.preds) }
 
-func (t *slTask) process(ref value.Value, tuple []value.Value, st *stats.Counters) error {
-	ok, err := evalPreds(t.rangePreds, tuple, st)
-	if err != nil || !ok {
-		return err
+func (t *slTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error) {
+	if err := evalPreds(t.rangePreds, b, sel, snk); err != nil {
+		return 0, err
 	}
-	ok, err = evalPreds(t.spec.preds, tuple, st)
-	if err != nil || !ok {
-		return err
+	if err := evalPreds(t.spec.preds, b, sel, snk); err != nil {
+		return 0, err
 	}
-	t.out.Add(ref)
-	return nil
+	n := 0
+	sel.Do(func(i int) bool {
+		t.out.Add(b.Ref(i))
+		n++
+		return true
+	})
+	return n, nil
 }
 func (t *slTask) finish() error    { return nil }
 func (t *slTask) describe() string { return "single-list " + t.spec.key }
 
 func (t *slTask) shardClone() scanTask {
-	return &slTask{spec: t.spec, rangePreds: t.rangePreds, out: collection.NewSingleList(t.spec.v), bRange: t.bRange, bOK: t.bOK}
+	return &slTask{spec: t.spec, rangePreds: t.rangePreds, out: collection.NewSingleList(t.spec.v)}
 }
 
 func (t *slTask) absorb(shard scanTask) error {
@@ -128,30 +126,36 @@ func (t *slTask) absorb(shard scanTask) error {
 // private indexes merged back in shard order.
 type ixTask struct {
 	spec       *ixSpec
-	rangePreds []rowPred
+	rangePreds []batchPred
 	out        *collection.Index // spec.out, or shard-local
-
-	bRange []batchPred // bulk form of rangePreds (batch.go)
-	bOK    bool
 }
 
-func newIxTask(spec *ixSpec, rangePreds []rowPred) *ixTask {
-	return &ixTask{spec: spec, rangePreds: rangePreds, out: spec.out}
-}
-
-func (t *ixTask) process(ref value.Value, tuple []value.Value, st *stats.Counters) error {
-	ok, err := evalPreds(t.rangePreds, tuple, st)
-	if err != nil || !ok {
-		return err
+func (t *ixTask) batchCols() ([]int, bool) {
+	cols, all := unionPredCols(t.rangePreds)
+	if all {
+		return nil, true
 	}
-	t.out.Add(tuple[t.spec.colIdx], ref)
-	return nil
+	return append(cols, t.spec.colIdx), false
+}
+
+func (t *ixTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error) {
+	if err := evalPreds(t.rangePreds, b, sel, snk); err != nil {
+		return 0, err
+	}
+	n := 0
+	ci := t.spec.colIdx
+	sel.Do(func(i int) bool {
+		t.out.Add(b.ColVal(ci, i), b.Ref(i))
+		n++
+		return true
+	})
+	return n, nil
 }
 func (t *ixTask) finish() error    { return nil }
 func (t *ixTask) describe() string { return "index " + t.spec.key }
 
 func (t *ixTask) shardClone() scanTask {
-	return &ixTask{spec: t.spec, rangePreds: t.rangePreds, out: collection.NewIndex(t.out.Rel, t.out.Col), bRange: t.bRange, bOK: t.bOK}
+	return &ixTask{spec: t.spec, rangePreds: t.rangePreds, out: collection.NewIndex(t.out.Rel, t.out.Col)}
 }
 
 func (t *ixTask) absorb(shard scanTask) error {
@@ -168,15 +172,12 @@ func (t *ixTask) absorb(shard scanTask) error {
 type groupTask struct {
 	p          *plan
 	grp        *probeGroup
-	rangePreds []rowPred
+	rangePreds []batchPred
 	outs       []*collection.IndirectJoin // per probe: pr.out, or shard-local
 	matchBuf   [][]value.Value
-
-	bRange []batchPred // bulk form of rangePreds (batch.go)
-	bOK    bool
 }
 
-func newGroupTask(p *plan, grp *probeGroup, rangePreds []rowPred) *groupTask {
+func newGroupTask(p *plan, grp *probeGroup, rangePreds []batchPred) *groupTask {
 	t := &groupTask{p: p, grp: grp, rangePreds: rangePreds}
 	for _, pr := range grp.probes {
 		t.outs = append(t.outs, pr.out)
@@ -184,39 +185,54 @@ func newGroupTask(p *plan, grp *probeGroup, rangePreds []rowPred) *groupTask {
 	return t
 }
 
-func (t *groupTask) process(ref value.Value, tuple []value.Value, st *stats.Counters) error {
-	ok, err := evalPreds(t.rangePreds, tuple, st)
-	if err != nil || !ok {
-		return err
+func (t *groupTask) batchCols() ([]int, bool) {
+	cols, all := unionPredCols(t.rangePreds, t.grp.preds)
+	if all {
+		return nil, true
 	}
-	ok, err = evalPreds(t.grp.preds, tuple, st)
-	if err != nil || !ok {
-		return err
+	for _, pr := range t.grp.probes {
+		cols = append(cols, pr.probeCol)
+	}
+	return cols, false
+}
+
+func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error) {
+	if err := evalPreds(t.rangePreds, b, sel, snk); err != nil {
+		return 0, err
+	}
+	if err := evalPreds(t.grp.preds, b, sel, snk); err != nil {
+		return 0, err
 	}
 	if t.matchBuf == nil {
 		t.matchBuf = make([][]value.Value, len(t.grp.probes))
 	}
-	for i, pr := range t.grp.probes {
-		t.matchBuf[i] = t.matchBuf[i][:0]
-		pr.index.probe(t.p, st, pr.op, tuple[pr.probeCol], func(r value.Value) {
-			t.matchBuf[i] = append(t.matchBuf[i], r)
-		})
-		if t.grp.mutual && len(t.matchBuf[i]) == 0 {
-			return nil // another probe failed: suppress all pairs (4.2)
+	n := 0
+	sel.Do(func(i int) bool {
+		n++
+		for pi := range t.grp.probes {
+			pr := &t.grp.probes[pi]
+			t.matchBuf[pi] = t.matchBuf[pi][:0]
+			pr.index.probe(t.p, snk.st, pr.op, b.ColVal(pr.probeCol, i), func(r value.Value) {
+				t.matchBuf[pi] = append(t.matchBuf[pi], r)
+			})
+			if t.grp.mutual && len(t.matchBuf[pi]) == 0 {
+				return true // another probe failed: suppress all pairs (4.2)
+			}
 		}
-	}
-	for i := range t.grp.probes {
-		for _, r := range t.matchBuf[i] {
-			t.outs[i].Add(ref, r)
+		for pi := range t.grp.probes {
+			for _, r := range t.matchBuf[pi] {
+				t.outs[pi].Add(b.Ref(i), r)
+			}
 		}
-	}
-	return nil
+		return true
+	})
+	return n, nil
 }
 func (t *groupTask) finish() error    { return nil }
 func (t *groupTask) describe() string { return "probe " + t.grp.key }
 
 func (t *groupTask) shardClone() scanTask {
-	c := &groupTask{p: t.p, grp: t.grp, rangePreds: t.rangePreds, bRange: t.bRange, bOK: t.bOK}
+	c := &groupTask{p: t.p, grp: t.grp, rangePreds: t.rangePreds}
 	for _, pr := range t.grp.probes {
 		c.outs = append(c.outs, collection.NewIndirectJoin(pr.out.LVar, pr.out.RVar))
 	}
@@ -235,26 +251,31 @@ func (t *groupTask) absorb(shard scanTask) error {
 // shard order before the parent's finish resolves the predicate.
 type specTask struct {
 	rt         *specRuntime
-	rangePreds []rowPred
-	monPreds   []rowPred
+	rangePreds []batchPred
+	monPreds   []batchPred
 	dyCols     []int
-
-	bRange []batchPred // bulk forms of rangePreds/monPreds (batch.go)
-	bMon   []batchPred
-	bOK    bool
 }
 
-func (t *specTask) process(ref value.Value, tuple []value.Value, st *stats.Counters) error {
-	ok, err := evalPreds(t.rangePreds, tuple, st)
-	if err != nil || !ok {
-		return err
+func (t *specTask) batchCols() ([]int, bool) { return nil, true } // builds whole rows
+
+func (t *specTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error) {
+	if err := evalPreds(t.rangePreds, b, sel, snk); err != nil {
+		return 0, err
 	}
-	monOK, err := evalPreds(t.monPreds, tuple, st)
-	if err != nil {
-		return err
+	var mon colbatch.Bitmap
+	mon.CopyFrom(sel)
+	if err := evalPreds(t.monPreds, b, &mon, snk); err != nil {
+		return 0, err
 	}
-	t.rt.add(tuple, monOK, t.dyCols)
-	return nil
+	n := 0
+	row := make([]value.Value, b.NumCols())
+	sel.Do(func(i int) bool {
+		b.Row(i, row)
+		t.rt.add(row, mon.Has(i), t.dyCols)
+		n++
+		return true
+	})
+	return n, nil
 }
 func (t *specTask) finish() error { return t.rt.finish() }
 func (t *specTask) describe() string {
@@ -262,7 +283,7 @@ func (t *specTask) describe() string {
 }
 
 func (t *specTask) shardClone() scanTask {
-	return &specTask{rt: newSpecRuntime(t.rt.spec), rangePreds: t.rangePreds, monPreds: t.monPreds, dyCols: t.dyCols, bRange: t.bRange, bMon: t.bMon, bOK: t.bOK}
+	return &specTask{rt: newSpecRuntime(t.rt.spec), rangePreds: t.rangePreds, monPreds: t.monPreds, dyCols: t.dyCols}
 }
 
 func (t *specTask) absorb(shard scanTask) error {
@@ -280,38 +301,27 @@ func (p *plan) tasksForVar(v string) []scanTask {
 		// Surfaced during the scan phase via an erroring task.
 		return []scanTask{&errTask{err: err}}
 	}
-	var bRange []batchPred
-	bOK := false
-	if p.exec != ExecTuple {
-		bRange, bOK = p.rangeBatchPredsFor(v)
-	}
 	var tasks []scanTask
 	if node.live && p.needRange[v] {
-		tasks = append(tasks, &rangeTask{p: p, v: v, preds: rangePreds, bRange: bRange, bOK: bOK})
+		tasks = append(tasks, &rangeTask{p: p, v: v, preds: rangePreds})
 	}
 	for _, key := range sortedKeys(p.sls) {
 		if sl := p.sls[key]; sl.v == v {
-			t := newSLTask(sl, rangePreds)
-			t.bRange, t.bOK = bRange, bOK
-			tasks = append(tasks, t)
+			tasks = append(tasks, &slTask{spec: sl, rangePreds: rangePreds, out: sl.out})
 		}
 	}
 	for _, key := range sortedKeys(p.ixs) {
 		if ix := p.ixs[key]; ix.v == v && ix.out != nil {
-			t := newIxTask(ix, rangePreds)
-			t.bRange, t.bOK = bRange, bOK
-			tasks = append(tasks, t)
+			tasks = append(tasks, &ixTask{spec: ix, rangePreds: rangePreds, out: ix.out})
 		}
 	}
 	for _, key := range sortedKeys(p.groups) {
 		if grp := p.groups[key]; grp.v == v {
-			t := newGroupTask(p, grp, rangePreds)
-			t.bRange, t.bOK = bRange, bOK
-			tasks = append(tasks, t)
+			tasks = append(tasks, newGroupTask(p, grp, rangePreds))
 		}
 	}
 	if node.rt != nil {
-		task := &specTask{rt: node.rt, rangePreds: rangePreds, bRange: bRange, bOK: bOK}
+		task := &specTask{rt: node.rt, rangePreds: rangePreds}
 		spec := node.rt.spec
 		for _, m := range spec.Monadic {
 			pr, err := compileMonadic(m, spec.Var, node.sch)
@@ -319,14 +329,6 @@ func (p *plan) tasksForVar(v string) []scanTask {
 				return []scanTask{&errTask{err: err}}
 			}
 			task.monPreds = append(task.monPreds, pr)
-			if task.bOK {
-				bp, berr := compileBatchMonadic(m, spec.Var, node.sch)
-				if berr != nil {
-					task.bOK = false
-				} else {
-					task.bMon = append(task.bMon, bp)
-				}
-			}
 		}
 		for _, n := range spec.NestedMonadic {
 			rt, ok := p.specRTs[n.Spec]
@@ -337,10 +339,7 @@ func (p *plan) tasksForVar(v string) []scanTask {
 			if err != nil {
 				return []scanTask{&errTask{err: err}}
 			}
-			task.monPreds = append(task.monPreds, pr)
-			if task.bOK {
-				task.bMon = append(task.bMon, liftRowPred(pr))
-			}
+			task.monPreds = append(task.monPreds, liftRowPred(pr))
 		}
 		for _, d := range spec.Dyadic {
 			ci, ok := node.sch.ColIndex(d.VnCol)
@@ -357,20 +356,25 @@ func (p *plan) tasksForVar(v string) []scanTask {
 // errTask defers a planning error into the scan phase.
 type errTask struct{ err error }
 
-func (t *errTask) process(value.Value, []value.Value, *stats.Counters) error { return t.err }
-func (t *errTask) finish() error                                             { return t.err }
-func (t *errTask) describe() string                                          { return "error" }
+func (t *errTask) processBatch(*colbatch.Batch, *colbatch.Bitmap, *scanSink) (int, error) {
+	return 0, t.err
+}
+func (t *errTask) batchCols() ([]int, bool) { return nil, false }
+func (t *errTask) finish() error            { return t.err }
+func (t *errTask) describe() string         { return "error" }
 
-func (p *plan) rangePredsFor(v string) ([]rowPred, error) {
+// rangePredsFor compiles v's range filter; nil when the range is not
+// extended (the filter variable denotes the scanned tuple, like v).
+func (p *plan) rangePredsFor(v string) ([]batchPred, error) {
 	node := p.vars[v]
-	pr, err := rangeFilterPred(node.rng, node.sch)
+	if !node.rng.Extended() {
+		return nil, nil
+	}
+	bp, err := compileFilter(node.rng.Filter, node.rng.FilterVar, node.sch)
 	if err != nil {
 		return nil, err
 	}
-	if pr == nil {
-		return nil, nil
-	}
-	return []rowPred{pr}, nil
+	return []batchPred{bp}, nil
 }
 
 // runScans executes the collection phase: every job is one scan, run
@@ -378,9 +382,8 @@ func (p *plan) rangePredsFor(v string) ([]rowPred, error) {
 // the sched worker pool (see exec_parallel.go). The caller holds the
 // database read lock for the duration, so scans, permanent-index
 // probes, and the deferred index-index joins all read one consistent
-// snapshot. Cancellation is checked between jobs and every
-// scanCheckInterval tuples within a scan, so a long scan aborts
-// promptly with ctx.Err().
+// snapshot. Cancellation is checked between jobs and per batch within
+// a scan, so a long scan aborts promptly with ctx.Err().
 func (p *plan) runScans(ctx context.Context) error {
 	if p.par > 1 && len(p.jobs) > 0 {
 		if err := p.runScansParallel(ctx); err != nil {
@@ -476,41 +479,6 @@ func (p *plan) runScanJob(ctx context.Context, job *scanJob, st *stats.Counters)
 	}
 	return nil
 }
-
-// scanSlotRange drives the given tasks over one slot range of the job's
-// relation — a full scan, or one shard of a split scan. Jobs whose
-// tasks all compiled to batch form take the columnar drive instead.
-func (p *plan) scanSlotRange(ctx context.Context, job *scanJob, tasks []scanTask, st *stats.Counters, lo, hi int) error {
-	if job.batch {
-		return p.scanSlotRangeBatch(ctx, job, tasks, st, lo, hi)
-	}
-	var scanErr error
-	n := 0
-	err := job.rel.ScanSlots(st, lo, hi, func(ref value.Value, tuple []value.Value) bool {
-		if n%scanCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				scanErr = err
-				return false
-			}
-		}
-		n++
-		for _, t := range tasks {
-			if err := t.process(ref, tuple, st); err != nil {
-				scanErr = err
-				return false
-			}
-		}
-		return true
-	})
-	if scanErr != nil {
-		return scanErr
-	}
-	return err
-}
-
-// scanCheckInterval is how many scanned tuples pass between context
-// checks inside one relation scan.
-const scanCheckInterval = 1024
 
 // effLen is the number of entries an index side actually contributes: a
 // filtered permanent index is restricted to the variable's range list,

@@ -46,19 +46,17 @@ func formatExplain(pp *plan, rows int) string {
 	}
 	fmt.Fprintf(&b, "strategies: %s, planner: %s\n", pp.strat, planner)
 	fmt.Fprintf(&b, "scan order: %s\n", strings.Join(pp.order, " -> "))
-	batched, totalBatches := 0, int64(0)
+	var totalBatches, liftedRows int64
 	for _, job := range pp.jobs {
-		if job.batch {
-			batched++
-			totalBatches += job.batches.Load()
-		}
+		totalBatches += job.batches.Load()
+		liftedRows += job.liftedRows.Load()
 	}
 	combExec := "serial"
 	if pp.par > 1 && len(pp.conjs) > 1 {
 		combExec = "parallel"
 	}
-	fmt.Fprintf(&b, "execution: %d/%d scans batched (%d batches), combination %s\n",
-		batched, len(pp.jobs), totalBatches, combExec)
+	fmt.Fprintf(&b, "execution: %d scans (%d batches, %d rows lifted), combination %s\n",
+		len(pp.jobs), totalBatches, liftedRows, combExec)
 	b.WriteString("scans (estimated vs actual surviving tuples):\n")
 	for _, v := range pp.order {
 		node := pp.vars[v]
@@ -103,12 +101,8 @@ func (pp *plan) annotateScanSpans() {
 		if sp == nil {
 			continue
 		}
-		if job.batch {
-			sp.SetAttr("path", "batch")
-			sp.SetInt("batches", job.batches.Load())
-		} else {
-			sp.SetAttr("path", "tuple")
-		}
+		sp.SetInt("batches", job.batches.Load())
+		sp.SetInt("lifted_rows", job.liftedRows.Load())
 		for _, v := range job.vars {
 			if pp.est != nil {
 				sp.SetFloat("est."+v, pp.estCard(v))

@@ -37,12 +37,8 @@ type slSpec struct {
 	key   string
 	v     string
 	label string
-	preds []rowPred
+	preds []batchPred
 	out   *collection.SingleList
-	// bPreds is the bulk form of preds; bOK=false pins tasks reading
-	// this spec to the tuple path.
-	bPreds []batchPred
-	bOK    bool
 }
 
 // ixSpec describes one index over v's range: either built during v's
@@ -124,13 +120,9 @@ type probeRef struct {
 type probeGroup struct {
 	key    string
 	v      string
-	preds  []rowPred
+	preds  []batchPred
 	probes []probeRef
 	mutual bool
-	// bPreds is the bulk form of preds; bOK=false pins tasks reading
-	// this group to the tuple path.
-	bPreds []batchPred
-	bOK    bool
 }
 
 // dyAssign is a dyadic term with its probe/index side assignment.
@@ -169,14 +161,15 @@ type scanJob struct {
 	rel   *relation.Relation
 	vars  []string
 	tasks []scanTask
-	// batch marks the job for the vectorized drive: every task compiled
-	// to batch form (finalizeBatchJobs). batchCols is the job's column
-	// mask — the sorted union of its tasks' footprints, nil when some
-	// task reads whole rows. batches counts columnar batches produced
-	// across all shards, for EXPLAIN and span attributes.
-	batch     bool
-	batchCols []int
-	batches   atomic.Int64
+	// batchCols is the job's column mask — the sorted union of its
+	// tasks' footprints, nil when some task reads whole rows
+	// (planColumnMasks). batches and liftedRows count, across all
+	// shards, the columnar batches produced and the rows evaluated
+	// row-at-a-time through liftRowPred, for EXPLAIN and span
+	// attributes.
+	batchCols  []int
+	batches    atomic.Int64
+	liftedRows atomic.Int64
 }
 
 // plan is the compiled physical plan for one evaluation.
@@ -188,10 +181,6 @@ type plan struct {
 	// par is the collection-phase worker budget; 1 runs the paper's
 	// serial schedule on the calling goroutine.
 	par int
-	// exec selects the collection drive: ExecAuto batches every job
-	// whose tasks all compile to bulk form, ExecTuple forces the
-	// tuple-at-a-time path everywhere.
-	exec ExecMode
 	// mu guards the structures that scan workers touch across job
 	// boundaries: the range-list map (published by range tasks, read by
 	// filtered permanent-index probes of concurrent scans) and the
@@ -247,12 +236,12 @@ type joinStep struct {
 	got  int
 }
 
-func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat Strategy, est *stats.Estimator, par int, exec ExecMode) (*plan, error) {
+func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat Strategy, est *stats.Estimator, par int) (*plan, error) {
 	if par < 1 {
 		par = 1
 	}
 	p := &plan{
-		x: x, db: db, st: st, strat: strat, est: est, par: par, exec: exec,
+		x: x, db: db, st: st, strat: strat, est: est, par: par,
 		refBase:   st.RefTuples,
 		costCards: map[string]float64{},
 		vars:      map[string]*varNode{},
@@ -277,7 +266,7 @@ func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat St
 	if err := p.buildJobs(); err != nil {
 		return nil, err
 	}
-	p.finalizeBatchJobs()
+	p.planColumnMasks()
 	st.RecordPlanOrder(p.order, p.est != nil)
 	return p, nil
 }
@@ -792,9 +781,6 @@ func (p *plan) singleListFor(v string, atoms []optimizer.Atom) (*slSpec, error) 
 		return nil, err
 	}
 	sl := &slSpec{key: key, v: v, label: sigOf(atoms), preds: preds, out: collection.NewSingleList(v)}
-	if p.exec != ExecTuple {
-		sl.bPreds, sl.bOK = p.compileBatchAtoms(v, atoms)
-	}
 	p.sls[key] = sl
 	return sl, nil
 }
@@ -817,9 +803,6 @@ func (p *plan) probeGroupFor(pv string, as []dyAssign, predAtoms []optimizer.Ato
 		return nil, err
 	}
 	grp := &probeGroup{key: key, v: pv, preds: preds, mutual: mutual}
-	if p.exec != ExecTuple {
-		grp.bPreds, grp.bOK = p.compileBatchAtoms(pv, predAtoms)
-	}
 	for _, a := range as {
 		ci, ok := node.sch.ColIndex(a.probeF.Col)
 		if !ok {
@@ -864,11 +847,11 @@ func (p *plan) deferredJoinFor(a dyAssign) (*deferredIJ, error) {
 	return d, nil
 }
 
-// compileAtoms compiles monadic atoms (plain or derived) over v into row
-// predicates.
-func (p *plan) compileAtoms(v string, atoms []optimizer.Atom) ([]rowPred, error) {
+// compileAtoms compiles monadic atoms over v: plain comparisons in
+// bulk, derived strategy-4 atoms lifted row-wise.
+func (p *plan) compileAtoms(v string, atoms []optimizer.Atom) ([]batchPred, error) {
 	node := p.vars[v]
-	out := make([]rowPred, 0, len(atoms))
+	out := make([]batchPred, 0, len(atoms))
 	for _, a := range atoms {
 		if a.Cmp != nil {
 			pr, err := compileMonadic(a.Cmp, v, node.sch)
@@ -886,7 +869,7 @@ func (p *plan) compileAtoms(v string, atoms []optimizer.Atom) ([]rowPred, error)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, pr)
+		out = append(out, liftRowPred(pr))
 	}
 	return out, nil
 }

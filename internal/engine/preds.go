@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pascalr/internal/calculus"
+	"pascalr/internal/colbatch"
 	"pascalr/internal/collection"
 	"pascalr/internal/optimizer"
 	"pascalr/internal/schema"
@@ -11,107 +12,292 @@ import (
 	"pascalr/internal/value"
 )
 
-// rowPred tests one element (tuple) of a relation during a scan,
-// counting comparisons into the scanning worker's sink — predicates are
-// compiled once per plan but evaluated by per-job (and per-shard)
-// workers, so the sink travels with the call, not the closure.
+// The predicate compiler. Range filters and monadic atoms compile, once
+// per plan, to bulk predicates over columnar batches (internal/colbatch):
+// a predicate clears the selection bits of the rows that fail, and
+// chains combine with bitwise AND/OR/AND-NOT.
+//
+// The counter discipline is the paper's tuple-at-a-time one, kept
+// exactly: a Cmp over a selection of k rows counts k comparisons, a
+// chain evaluates (and counts) predicate j only over the rows
+// predicates 0..j-1 kept, Or evaluates disjunct k only over rows no
+// earlier disjunct admitted, and row predicates (derived strategy-4
+// atoms) run against reconstructed rows exactly on the selected
+// positions. enginetest's counters.golden, generated by the deleted
+// tuple driver, pins it.
+
+// scanSink is where one scanning worker — a whole job, or one shard of
+// a split scan — counts: st takes the paper's counters (sinks merge in
+// job and shard order, so fingerprints equal the serial run's), and
+// liftedRows tallies the rows evaluated row-at-a-time through
+// liftRowPred, for the trace and the metrics only.
+type scanSink struct {
+	st         *stats.Counters
+	liftedRows int64
+}
+
+// batchPred evaluates one predicate in bulk over a batch, clearing the
+// selection bits of rows that fail. run must not keep mutable state
+// across calls — compiled predicates are shared by concurrent shard
+// tasks. cols lists the column indexes run reads (all marks whole-row
+// access instead); the scan materializes only the union of its tasks'
+// footprints into the batch — the projection pushdown.
+type batchPred struct {
+	run  func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error
+	cols []int
+	all  bool
+}
+
+// rowPred tests one reconstructed row, counting comparisons into the
+// scanning worker's sink. Only derived strategy-4 atoms have this form
+// (compileSemiAtom); liftRowPred runs them inside a batch.
 type rowPred func(tuple []value.Value, st *stats.Counters) (bool, error)
 
-// getter extracts an operand value from the scanned tuple.
-type getter func(tuple []value.Value) value.Value
-
-func compileOperand(o calculus.Operand, v string, sch *schema.RelSchema) (getter, error) {
-	switch op := o.(type) {
-	case calculus.Const:
-		val := op.Val
-		return func([]value.Value) value.Value { return val }, nil
-	case calculus.Field:
-		if op.Var != v {
-			return nil, fmt.Errorf("engine: operand %s is not over variable %s", op, v)
+// unionPredCols merges the column footprints of a predicate chain;
+// all=true swallows everything (some predicate reads whole rows).
+func unionPredCols(chains ...[]batchPred) ([]int, bool) {
+	seen := map[int]bool{}
+	cols := []int{}
+	for _, preds := range chains {
+		for _, p := range preds {
+			if p.all {
+				return nil, true
+			}
+			for _, c := range p.cols {
+				if !seen[c] {
+					seen[c] = true
+					cols = append(cols, c)
+				}
+			}
 		}
-		ci, ok := sch.ColIndex(op.Col)
-		if !ok {
-			return nil, fmt.Errorf("engine: relation %s has no component %s", sch.Name, op.Col)
-		}
-		return func(tuple []value.Value) value.Value { return tuple[ci] }, nil
-	default:
-		return nil, fmt.Errorf("engine: unresolved operand %s", o)
 	}
+	return cols, false
 }
 
-// compileMonadic compiles a monadic join term over v into a row
-// predicate.
-func compileMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (rowPred, error) {
-	getL, err := compileOperand(c.L, v, sch)
-	if err != nil {
-		return nil, err
+// evalPreds applies a predicate chain to sel: predicate j sees (and
+// counts) only the rows predicates 0..j-1 kept.
+func evalPreds(preds []batchPred, b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+	for _, p := range preds {
+		if sel.Empty() {
+			return nil // nothing left to evaluate (or count)
+		}
+		if err := p.run(b, sel, snk); err != nil {
+			return err
+		}
 	}
-	getR, err := compileOperand(c.R, v, sch)
-	if err != nil {
-		return nil, err
+	return nil
+}
+
+// liftRowPred lifts a row predicate to batch form: the predicate runs
+// against reconstructed rows, exactly on the selected positions in
+// ascending order, so its counting is untouched. Derived strategy-4
+// atoms are the only predicates without a bulk form, which makes this
+// the only row-at-a-time evaluation left in the collection phase; the
+// rows it touches are tallied per call, not per row.
+func liftRowPred(pr rowPred) batchPred {
+	return batchPred{all: true, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+		snk.liftedRows += int64(sel.Count())
+		row := make([]value.Value, b.NumCols())
+		return sel.Filter(func(i int) (bool, error) {
+			b.Row(i, row)
+			return pr(row, snk.st)
+		})
+	}}
+}
+
+// constPred compiles "col[ci] op rhs" into a bulk predicate.
+// Int-backed columns run the unboxed FilterOrdBits kernel over the
+// batch's raw ordinal vector: the column's kind is known from the
+// schema, so the constant is type-checked here, at compile time, and
+// no per-row kind dispatch remains. A mismatched constant is a
+// planning error; calculus.Check rejects every such comparison first
+// (schema.Type.Comparable), which TestComparableImpliesCompilable
+// holds the two to. String columns keep the boxed FilterBits path.
+func constPred(ci int, op value.CmpOp, rhs value.Value, sch *schema.RelSchema) (batchPred, error) {
+	k := sch.Cols[ci].Type.ValueKind()
+	if !value.OrdKind(k) {
+		return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+			snk.st.CountComparisons(sel.Count())
+			return op.FilterBits(b.Vals(ci), rhs, sel.Words())
+		}}, nil
+	}
+	if rhs.Kind() != k {
+		return batchPred{}, fmt.Errorf("engine: cannot compare %s column %s with %s constant", k, sch.Cols[ci].Name, rhs.Kind())
+	}
+	if k == value.KindEnum && rhs.EnumType() != sch.Cols[ci].Type.Name {
+		return batchPred{}, fmt.Errorf("engine: cannot compare enum %s column %s with enum %s constant", sch.Cols[ci].Type.Name, sch.Cols[ci].Name, rhs.EnumType())
+	}
+	r := rhs.Ord()
+	return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+		snk.st.CountComparisons(sel.Count())
+		op.FilterOrdBits(b.Ords(ci), r, sel.Words())
+		return nil
+	}}, nil
+}
+
+// compileMonadic compiles a monadic join term over v into a bulk
+// predicate. Field-versus-constant terms — the common case — go
+// through constPred, one (compile-time) kind dispatch per column
+// instead of per row; field-versus-field terms run a per-selected-row
+// loop, unboxed when both columns are int-backed.
+func compileMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (batchPred, error) {
+	colIdx := func(f calculus.Field) (int, error) {
+		if f.Var != v {
+			return 0, fmt.Errorf("engine: operand %s is not over variable %s", f, v)
+		}
+		ci, ok := sch.ColIndex(f.Col)
+		if !ok {
+			return 0, fmt.Errorf("engine: relation %s has no component %s", sch.Name, f.Col)
+		}
+		return ci, nil
 	}
 	op := c.Op
-	return func(tuple []value.Value, st *stats.Counters) (bool, error) {
-		st.CountComparisons(1)
-		return op.Apply(getL(tuple), getR(tuple))
-	}, nil
+	lc, lConst := c.L.(calculus.Const)
+	lf, lField := c.L.(calculus.Field)
+	rc, rConst := c.R.(calculus.Const)
+	rf, rField := c.R.(calculus.Field)
+	switch {
+	case lField && rConst:
+		ci, err := colIdx(lf)
+		if err != nil {
+			return batchPred{}, err
+		}
+		return constPred(ci, op, rc.Val, sch)
+	case lConst && rField:
+		ci, err := colIdx(rf)
+		if err != nil {
+			return batchPred{}, err
+		}
+		// const op col[i]  ⇔  col[i] flip(op) const
+		return constPred(ci, op.Flip(), lc.Val, sch)
+	case lField && rField:
+		li, err := colIdx(lf)
+		if err != nil {
+			return batchPred{}, err
+		}
+		ri, err := colIdx(rf)
+		if err != nil {
+			return batchPred{}, err
+		}
+		lk, rk := sch.Cols[li].Type.ValueKind(), sch.Cols[ri].Type.ValueKind()
+		if value.OrdKind(lk) || value.OrdKind(rk) {
+			// Same compile-time discipline as constPred.
+			if lk != rk {
+				return batchPred{}, fmt.Errorf("engine: cannot compare %s column %s with %s column %s", lk, sch.Cols[li].Name, rk, sch.Cols[ri].Name)
+			}
+			if lk == value.KindEnum && sch.Cols[li].Type.Name != sch.Cols[ri].Type.Name {
+				return batchPred{}, fmt.Errorf("engine: cannot compare enum %s column %s with enum %s column %s", sch.Cols[li].Type.Name, sch.Cols[li].Name, sch.Cols[ri].Type.Name, sch.Cols[ri].Name)
+			}
+			return batchPred{cols: []int{li, ri}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+				snk.st.CountComparisons(sel.Count())
+				lcol, rcol := b.Ords(li), b.Ords(ri)
+				return sel.Filter(func(i int) (bool, error) {
+					return op.HoldsOrd(lcol[i], rcol[i]), nil
+				})
+			}}, nil
+		}
+		return batchPred{cols: []int{li, ri}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+			snk.st.CountComparisons(sel.Count())
+			lcol, rcol := b.Vals(li), b.Vals(ri)
+			return sel.Filter(func(i int) (bool, error) {
+				return op.Apply(lcol[i], rcol[i])
+			})
+		}}, nil
+	case lConst && rConst:
+		lv, rv := lc.Val, rc.Val
+		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+			n := sel.Count()
+			if n == 0 {
+				return nil
+			}
+			snk.st.CountComparisons(n)
+			ok, err := op.Apply(lv, rv)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				sel.ClearAll(sel.Len())
+			}
+			return nil
+		}}, nil
+	default:
+		return batchPred{}, fmt.Errorf("engine: unresolved operand in %s", c)
+	}
 }
 
-// compileFilter compiles a (quantifier-free) range filter formula over
-// the filter variable into a row predicate.
-func compileFilter(f calculus.Formula, fv string, sch *schema.RelSchema) (rowPred, error) {
+// compileFilter compiles a quantifier-free range filter formula over
+// the filter variable into a bulk predicate: And chains filter
+// sequentially, Or evaluates disjunct k only over rows no earlier
+// disjunct admitted, Not evaluates its operand over every row reaching
+// it.
+func compileFilter(f calculus.Formula, fv string, sch *schema.RelSchema) (batchPred, error) {
 	switch g := f.(type) {
 	case nil:
-		return nil, fmt.Errorf("engine: nil filter formula")
+		return batchPred{}, fmt.Errorf("engine: nil filter formula")
 	case *calculus.Lit:
 		val := g.Val
-		return func([]value.Value, *stats.Counters) (bool, error) { return val, nil }, nil
+		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, _ *scanSink) error {
+			if !val {
+				sel.ClearAll(sel.Len())
+			}
+			return nil
+		}}, nil
 	case *calculus.Cmp:
 		return compileMonadic(g, fv, sch)
 	case *calculus.Not:
 		sub, err := compileFilter(g.F, fv, sch)
 		if err != nil {
-			return nil, err
+			return batchPred{}, err
 		}
-		return func(tuple []value.Value, st *stats.Counters) (bool, error) {
-			ok, err := sub(tuple, st)
-			return !ok, err
-		}, nil
+		return batchPred{cols: sub.cols, all: sub.all, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+			var tmp colbatch.Bitmap
+			tmp.CopyFrom(sel)
+			if err := sub.run(b, &tmp, snk); err != nil {
+				return err
+			}
+			sel.AndNot(&tmp)
+			return nil
+		}}, nil
 	case *calculus.And:
 		subs, err := compileFilters(g.Fs, fv, sch)
 		if err != nil {
-			return nil, err
+			return batchPred{}, err
 		}
-		return func(tuple []value.Value, st *stats.Counters) (bool, error) {
-			for _, s := range subs {
-				ok, err := s(tuple, st)
-				if err != nil || !ok {
-					return false, err
-				}
-			}
-			return true, nil
-		}, nil
+		cols, all := unionPredCols(subs)
+		return batchPred{cols: cols, all: all, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+			return evalPreds(subs, b, sel, snk)
+		}}, nil
 	case *calculus.Or:
 		subs, err := compileFilters(g.Fs, fv, sch)
 		if err != nil {
-			return nil, err
+			return batchPred{}, err
 		}
-		return func(tuple []value.Value, st *stats.Counters) (bool, error) {
+		cols, all := unionPredCols(subs)
+		return batchPred{cols: cols, all: all, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+			var acc, remaining, m colbatch.Bitmap
+			acc.ClearAll(sel.Len())
+			remaining.CopyFrom(sel)
 			for _, s := range subs {
-				ok, err := s(tuple, st)
-				if err != nil || ok {
-					return ok, err
+				if remaining.Empty() {
+					break
 				}
+				m.CopyFrom(&remaining)
+				if err := s.run(b, &m, snk); err != nil {
+					return err
+				}
+				acc.Or(&m)
+				remaining.AndNot(&m)
 			}
-			return false, nil
-		}, nil
+			sel.CopyFrom(&acc)
+			return nil
+		}}, nil
 	default:
-		return nil, fmt.Errorf("engine: quantifier inside range filter")
+		return batchPred{}, fmt.Errorf("engine: quantifier inside range filter")
 	}
 }
 
-func compileFilters(fs []calculus.Formula, fv string, sch *schema.RelSchema) ([]rowPred, error) {
-	out := make([]rowPred, len(fs))
+func compileFilters(fs []calculus.Formula, fv string, sch *schema.RelSchema) ([]batchPred, error) {
+	out := make([]batchPred, len(fs))
 	for i, f := range fs {
 		p, err := compileFilter(f, fv, sch)
 		if err != nil {
@@ -120,17 +306,6 @@ func compileFilters(fs []calculus.Formula, fv string, sch *schema.RelSchema) ([]
 		out[i] = p
 	}
 	return out, nil
-}
-
-// rangeFilterPred compiles a range expression's filter for elements of
-// the variable v (the filter variable is renamed to v implicitly, since
-// both denote the scanned tuple). Returns nil when the range has no
-// filter.
-func rangeFilterPred(r *calculus.RangeExpr, sch *schema.RelSchema) (rowPred, error) {
-	if !r.Extended() {
-		return nil, nil
-	}
-	return compileFilter(r.Filter, r.FilterVar, sch)
 }
 
 // specRuntime holds the execution state of one strategy-4 spec: the

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	_ "embed"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -67,12 +68,7 @@ func formatGolden(m map[string]string) string {
 // the golden workloads are not covered.
 func checkGolden(t *testing.T, label string, strat engine.Strategy, rows int, fingerprint string) {
 	t.Helper()
-	workload, _, _ := strings.Cut(label, "/")
-	covered := false
-	for _, w := range goldenWorkloads {
-		covered = covered || w == workload
-	}
-	if !covered {
+	if workload, _, _ := strings.Cut(label, "/"); !slices.Contains(goldenWorkloads, workload) {
 		return
 	}
 	key := label + "/" + strat.String()

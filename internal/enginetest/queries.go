@@ -4,8 +4,9 @@ package enginetest
 // paper's concrete syntax, evaluated against the university schema of
 // workload.DefineSchema (employees, papers, courses, timetable).
 //
-// To add a query: append an entry here. The harness automatically runs
-// it under all 16 strategy combinations × {static, cost-based} planning
+// To add a query: append an entry here and run `go test -update` once to
+// add its lines to testdata/counters.golden. The harness runs it under
+// all 32 strategy combinations × {static, uniform, histogram} planning
 // against every workload database (populated, skewed, and the
 // empty-relation variants) and compares each result with the
 // tuple-substitution baseline.

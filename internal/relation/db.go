@@ -25,7 +25,7 @@ import (
 //     ScanStats, Lookup, Get, Deref) take it shared per call. The query
 //     engine instead holds it shared across a whole collection phase
 //     (RLock/RUnlock) and uses the non-locking snapshot accessors
-//     (ScanSlots, SlotSpan, DB.Deref), so one read acquisition covers
+//     (ScanBatches, SlotSpan, DB.Deref), so one read acquisition covers
 //     every scan and permanent-index probe of an execution — including
 //     probes into relations other than the one being scanned. Code
 //     running under the engine's phase lock must never call the locking

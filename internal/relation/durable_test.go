@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"pascalr/internal/colbatch"
 	"pascalr/internal/schema"
 	"pascalr/internal/stats"
 	"pascalr/internal/storage"
@@ -43,15 +44,20 @@ func fingerprint(t *testing.T, d *DB) string {
 		if !ok {
 			t.Fatalf("relation %s in catalog but not attached", name)
 		}
-		// ScanSlots is the lock-free snapshot path: its callers must
+		// ScanBatches is the lock-free snapshot path: its callers must
 		// hold the content read lock (as the engine does), or a
 		// background compaction can swap SSTables mid-scan. Scoped to
 		// the scan only — Indexes() re-acquires the same lock itself.
+		b := colbatch.New(len(r.Schema().Cols), 64)
+		row := make([]value.Value, b.NumCols())
 		d.RLock()
 		fmt.Fprintf(h, "rel %s span=%d len=%d\n", name, r.SlotSpan(), r.Len())
-		err := r.ScanSlots(sink, 0, r.SlotSpan(), func(ref value.Value, tuple []value.Value) bool {
-			fmt.Fprintf(h, "  %s -> %s\n", value.EncodeKey([]value.Value{ref}), value.EncodeKey(tuple))
-			return true
+		err := r.ScanBatches(sink, 0, r.SlotSpan(), b, nil, func() error {
+			for i := 0; i < b.Len(); i++ {
+				b.Row(i, row)
+				fmt.Fprintf(h, "  %s -> %s\n", value.EncodeKey([]value.Value{b.Ref(i)}), value.EncodeKey(row))
+			}
+			return nil
 		})
 		d.RUnlock()
 		if err != nil {

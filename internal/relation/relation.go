@@ -16,7 +16,7 @@
 // by default, or the SSTable-backed disk tier for durable databases
 // (OpenDB). Relations created through DB.Create share the database's
 // content RWMutex (see the locking discipline on DB): exported mutators
-// and readers lock per call, while the snapshot accessors (ScanSlots,
+// and readers lock per call, while the snapshot accessors (ScanBatches,
 // SlotSpan, deref via DB.Deref) rely on the caller holding the database
 // read lock. Standalone relations (New) carry no lock and stay as cheap
 // as before — the engine's per-execution result relations are built
@@ -478,7 +478,7 @@ func (r *Relation) Scan(fn func(ref value.Value, tuple []value.Value) bool) {
 	r.rlock()
 	defer r.runlock()
 	r.st.CountScan(r.sch.Name)
-	_ = r.scanSlots(r.st, 0, r.store.SlotSpan(), fn)
+	r.scan(r.st, fn)
 }
 
 // ScanStats is Scan with an explicit counter sink, so concurrent
@@ -489,47 +489,38 @@ func (r *Relation) ScanStats(st *stats.Counters, fn func(ref value.Value, tuple 
 	r.rlock()
 	defer r.runlock()
 	st.CountScan(r.sch.Name)
-	_ = r.scanSlots(st, 0, r.store.SlotSpan(), fn)
+	r.scan(st, fn)
 }
 
-// SlotSpan returns the exclusive upper bound of slot indexes, the range
-// ScanSlots shards partition. Callers must hold the database read lock
-// (or otherwise own the relation exclusively).
-func (r *Relation) SlotSpan() int { return r.store.SlotSpan() }
-
-// ScanSlots scans the live slots in [lo, hi) in slot order, counting
-// tuples (but no scan start — the caller decides what one logical scan
-// is, so a sharded scan counts once) into st. It takes no lock: callers
-// must hold the database read lock. Sharding a scan into consecutive
-// slot ranges visits exactly the elements of a full scan, in an order
-// that concatenates shard-locally to the serial order. The error is the
-// backend's (disk-tier reads can fail); fn stopping early is not an
-// error.
-func (r *Relation) ScanSlots(st *stats.Counters, lo, hi int, fn func(ref value.Value, tuple []value.Value) bool) error {
-	return r.scanSlots(st, lo, hi, fn)
-}
-
-func (r *Relation) scanSlots(st *stats.Counters, lo, hi int, fn func(ref value.Value, tuple []value.Value) bool) error {
-	return r.store.Scan(lo, hi, func(si int, tuple []value.Value) bool {
+func (r *Relation) scan(st *stats.Counters, fn func(ref value.Value, tuple []value.Value) bool) {
+	_ = r.store.Scan(0, r.store.SlotSpan(), func(si int, tuple []value.Value) bool {
 		st.CountTuples(1)
 		return fn(r.refOf(si), tuple)
 	})
 }
 
-// ScanBatches is the columnar counterpart of ScanSlots: it has the
-// storage backend fill b with the live slots in [lo, hi) in slot order
+// SlotSpan returns the exclusive upper bound of slot indexes, the range
+// ScanBatches shards partition. Callers must hold the database read lock
+// (or otherwise own the relation exclusively).
+func (r *Relation) SlotSpan() int { return r.store.SlotSpan() }
+
+// ScanBatches is the engine's scan: it has the storage backend fill b
+// with the live slots in [lo, hi) in slot order
 // (Backend.ScanBatchesInto — both backends fill column by column, the
 // memory backend from its columnar mirror, the disk tier from its
 // SSTable blocks), calling fn whenever b fills, plus once more for a
 // final partial batch. cols selects which columns to materialize — the
-// projection pushdown of the vectorized path: nil materializes every
-// column, a non-nil list (possibly empty, for reference-only scans)
-// only the named ones, leaving the rest unreadable. Tuples are counted
-// in bulk per batch immediately before fn — the sum over batches
-// equals the tuple-at-a-time count. fn must not retain the batch; it
-// is reset after each call. Like ScanSlots it takes no lock and shards
-// concatenate to the serial order. An error from fn aborts the scan
-// and is returned.
+// projection pushdown: nil materializes every column, a non-nil list
+// (possibly empty, for reference-only scans) only the named ones,
+// leaving the rest unreadable. Tuples are counted in bulk per batch
+// immediately before fn (but no scan start — the caller decides what
+// one logical scan is, so a sharded scan counts once). fn must not
+// retain the batch; it is reset after each call.
+// ScanBatches takes no lock: callers must hold the database read lock.
+// Sharding a scan into consecutive slot ranges visits exactly the
+// elements of a full scan, in an order that concatenates shard-locally
+// to the serial order. An error from fn, or from the backend
+// (disk-tier reads can fail), aborts the scan and is returned.
 func (r *Relation) ScanBatches(st *stats.Counters, lo, hi int, b *colbatch.Batch, cols []int, fn func() error) error {
 	flush := func() error {
 		st.CountTuples(b.Len())

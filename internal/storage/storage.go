@@ -108,11 +108,13 @@ var memoryCosts = CostProfile{ScanTuple: 1, Probe: 1}
 
 // diskCosts is the static profile of the SSTable-backed tier: scanning
 // reads, checksums and decodes blocks from (page-cached) files, probing
-// pays bloom checks plus a sparse-index segment read. ScanTuple is the
-// measured disk/memory batch-scan ratio, rounded: cmd/bench's storage
-// probe (storage.disk_vs_mem_scan_ratio, every column of timetable)
-// reads 19 ns a row from SSTable blocks against 6.4 to 9.9 ns from the
-// memory backend, a ratio of 2.0 to 3.0.
+// pays bloom checks and a key-index segment read to resolve the slot,
+// then a block-directory lookup and one block read (both reads through
+// the block cache) to fetch the row. ScanTuple is the measured
+// disk/memory batch-scan ratio, rounded: cmd/bench's storage probe
+// (storage.disk_vs_mem_scan_ratio, every column of timetable) reads
+// 19 ns a row from SSTable blocks against 6.4 to 9.9 ns from the memory
+// backend, a ratio of 2.0 to 3.0.
 var diskCosts = CostProfile{ScanTuple: 3, Probe: 16}
 
 // FsyncPolicy says when the WAL fsyncs.
