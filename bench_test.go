@@ -1,9 +1,9 @@
 package pascalr
 
-// One benchmark per experiment of DESIGN.md / EXPERIMENTS.md. The
-// benchmarks drive the same code paths as cmd/experiments but at fixed
-// small scales so `go test -bench=.` stays fast; use cmd/experiments for
-// scale sweeps.
+// One benchmark per experiment of internal/experiments (E1–E15, printed
+// by `go run ./cmd/experiments`). The benchmarks drive the same code
+// paths as cmd/experiments but at fixed small scales so `go test
+// -bench=.` stays fast; use cmd/experiments for scale sweeps.
 
 import (
 	"context"

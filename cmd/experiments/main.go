@@ -1,7 +1,8 @@
 // Command experiments regenerates the paper's evaluation artifacts —
 // every figure and worked example of Jarke & Schmidt (SIGMOD 1982) —
-// as measured tables. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded outputs.
+// as measured tables, each under the paper's claim it checks. The
+// experiment index is `-run` (E1–E15, see internal/experiments); no
+// output is committed yet (ROADMAP.md, "One ruler…", part (c)).
 //
 // Usage:
 //

@@ -7,8 +7,10 @@
 // intermediate-structure sizes, reference tuples — plus wall-clock time,
 // which is what the paper's cost arguments are about.
 //
-// EXPERIMENTS.md records the paper's claim next to the measured output
-// of each experiment; `go run ./cmd/experiments` re-generates them all.
+// Each experiment prints the paper's claim above its measured table;
+// `go run ./cmd/experiments` regenerates them all. No run is committed
+// yet: ROADMAP.md ("One ruler…", part (c)) plans to commit the
+// machine-independent columns as a golden ledger.
 package experiments
 
 import (
@@ -162,7 +164,7 @@ func overBudget(err error) bool {
 
 func runE1(w io.Writer, scales []int) error {
 	fmt.Fprintln(w, "paper: Figure 1 declares the four-relation university database;")
-	fmt.Fprintln(w, "here: generated synthetically at increasing scale (see DESIGN.md §5).")
+	fmt.Fprintln(w, "here: generated synthetically at increasing scale (see package internal/workload).")
 	t := &table{header: []string{"scale", "employees", "papers", "courses", "timetable", "load"}}
 	for _, n := range scales {
 		start := time.Now()

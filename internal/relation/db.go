@@ -185,9 +185,11 @@ func (d *DB) Create(sch *schema.RelSchema) (*Relation, error) {
 		d.mu.Unlock()
 		return nil, err
 	}
-	r := New(sch, d.nextID)
+	var r *Relation
 	if d.dur != nil {
-		r.store = storage.NewDisk(d.dur.dir, r.id, d.dur.opts, d.dur.cache)
+		r = newRelation(sch, d.nextID, storage.NewDisk(d.dur.dir, d.nextID, d.dur.opts, d.dur.cache))
+	} else {
+		r = New(sch, d.nextID)
 	}
 	d.attach(r)
 	tk, err := d.logRecord(r, storage.Record{Op: storage.OpCreateRel, Schema: sch})

@@ -287,8 +287,7 @@ func (d *DB) openRelFromManifest(id int, rm storage.RelManifest) error {
 	if err != nil {
 		return err
 	}
-	r := New(rm.Schema, id)
-	r.store = store
+	r := newRelation(rm.Schema, id, store)
 	r.live.Store(int64(rm.Disk.Live))
 	if len(rm.Stats) > 0 {
 		ts, err := stats.Unmarshal(rm.Stats)
@@ -434,11 +433,11 @@ func (d *DB) maybeMaintain(r *Relation) {
 	if r == nil {
 		return
 	}
-	if disk, ok := r.store.(*storage.Disk); ok && disk.NeedsCompaction() {
+	if r.store.NeedsCompaction() {
 		d.async.Submit("compact:"+r.sch.Name, func() {
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			disk.Compact()
+			r.store.Compact()
 		})
 	}
 }
@@ -483,16 +482,10 @@ func (d *DB) checkpointLocked() error {
 		}
 		m.Types = append(m.Types, t)
 	}
-	disks := make([]*storage.Disk, len(rels))
-	for i, r := range rels {
-		disk, ok := r.store.(*storage.Disk)
-		if !ok {
-			return fmt.Errorf("relation %s: not disk-backed", r.sch.Name)
-		}
-		if err := disk.Flush(); err != nil {
+	for _, r := range rels {
+		if err := r.store.Flush(); err != nil {
 			return err
 		}
-		disks[i] = disk
 		blob, err := r.stTable.Marshal()
 		if err != nil {
 			return err
@@ -503,7 +496,7 @@ func (d *DB) checkpointLocked() error {
 		}
 		sort.Strings(ixCols)
 		m.Rels = append(m.Rels, storage.RelManifest{
-			Schema: r.sch, Disk: disk.Meta(), Indexes: ixCols, Stats: blob,
+			Schema: r.sch, Disk: r.store.Meta(), Indexes: ixCols, Stats: blob,
 		})
 	}
 	if err := storage.WriteManifest(d.dur.dir, m); err != nil {
@@ -526,8 +519,8 @@ func (d *DB) checkpointLocked() error {
 			referenced[name] = true
 		}
 	}
-	for _, disk := range disks {
-		disk.DropObsolete(referenced)
+	for _, r := range rels {
+		r.store.DropObsolete(referenced)
 	}
 	return nil
 }

@@ -616,6 +616,46 @@ func TestWALFailureFailsStop(t *testing.T) {
 	}
 }
 
+// TestInsertProbeErrorAppendsNothing: when the key probe cannot read
+// the SSTable holding a key, Insert of that key must fail and append
+// nothing — treating the unreadable table as "absent" would give the
+// key a second live element (and log it). The block cache is off so the
+// probe reads the file itself.
+func TestInsertProbeErrorAppendsNothing(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDB(dir, storage.Options{Fsync: storage.SyncNever, CheckpointWALBytes: -1, BlockCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	r, err := d.Create(wideSchema(t, "wide"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := wrow(1, "one")
+	if _, err := r.Insert(row); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil { // flushes the row into an SSTable
+		t.Fatal(err)
+	}
+	tables := r.store.Meta().Tables
+	if len(tables) != 1 {
+		t.Fatalf("checkpoint left %d tables, want 1", len(tables))
+	}
+	// Keep only the magic: the data, key-index and footer sections are gone.
+	if err := os.Truncate(filepath.Join(dir, tables[0]), 8); err != nil {
+		t.Fatal(err)
+	}
+	span, n := r.SlotSpan(), r.Len()
+	if _, err := r.Insert(row); err == nil {
+		t.Fatal("insert over an unreadable key probe succeeded")
+	}
+	if r.SlotSpan() != span || r.Len() != n {
+		t.Fatalf("failed insert changed the relation: span %d -> %d, len %d -> %d", span, r.SlotSpan(), n, r.Len())
+	}
+}
+
 // TestLargeAssignChunkedDurable drives an assignment past the 8 MiB
 // chunk threshold through the public mutator: the log must hold it as
 // multiple bounded frames (a single frame this size would previously

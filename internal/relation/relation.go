@@ -12,15 +12,15 @@
 // slot discipline (slots never revive, so a live slot is always at
 // generation zero).
 //
-// Tuples live in a pluggable storage.Backend: the in-memory slot array
-// by default, or the SSTable-backed disk tier for durable databases
-// (OpenDB). Relations created through DB.Create share the database's
-// content RWMutex (see the locking discipline on DB): exported mutators
-// and readers lock per call, while the snapshot accessors (ScanBatches,
-// SlotSpan, deref via DB.Deref) rely on the caller holding the database
-// read lock. Standalone relations (New) carry no lock and stay as cheap
-// as before — the engine's per-execution result relations are built
-// that way.
+// Tuples live in a storage.Disk slot store: one with no directory
+// (storage.NewMemory) by default, or one spilling to SSTables for
+// durable databases (OpenDB). Relations created through DB.Create share
+// the database's content RWMutex (see the locking discipline on DB):
+// exported mutators and readers lock per call, while the snapshot
+// accessors (ScanBatches, SlotSpan, deref via DB.Deref) rely on the
+// caller holding the database read lock. Standalone relations (New)
+// carry no lock and stay as cheap as before — the engine's
+// per-execution result relations are built that way.
 package relation
 
 import (
@@ -47,8 +47,8 @@ var ErrStale = errors.New("stale reference")
 // elements with a declared key.
 type Relation struct {
 	sch   *schema.RelSchema
-	id    int             // catalog id used inside reference values
-	store storage.Backend // slot storage (memory by default)
+	id    int           // catalog id used inside reference values
+	store *storage.Disk // slot storage (no directory by default)
 	live  atomic.Int64
 
 	colIndexes map[string]*ColIndex // permanent indexes, by component
@@ -87,9 +87,15 @@ type Relation struct {
 }
 
 // New creates an empty relation with the given schema and catalog id,
-// backed by in-memory slot storage. The id must fit in 16 bits (it is
-// packed into reference values).
+// backed by a slot store with no directory. The id must fit in 16 bits
+// (it is packed into reference values).
 func New(sch *schema.RelSchema, id int) *Relation {
+	return newRelation(sch, id, storage.NewMemory())
+}
+
+// newRelation creates a relation over the given empty or checkpointed
+// slot store.
+func newRelation(sch *schema.RelSchema, id int, store *storage.Disk) *Relation {
 	if id < 0 || id > 0xFFFF {
 		panic(fmt.Sprintf("relation: id %d out of range", id))
 	}
@@ -101,7 +107,7 @@ func New(sch *schema.RelSchema, id int) *Relation {
 			enums[i] = c.Type.Name
 		}
 	}
-	return &Relation{sch: sch, id: id, store: storage.NewMemory(),
+	return &Relation{sch: sch, id: id, store: store,
 		batchKinds: kinds, batchEnums: enums}
 }
 
@@ -201,7 +207,13 @@ func (r *Relation) insert(tuple []value.Value) (value.Value, bool, error) {
 		return value.Value{}, false, err
 	}
 	k := r.sch.EncodeKeyOf(tuple)
-	if si, ok := r.store.LookupKey(k); ok {
+	// The probe must not mistake an unreadable table for an absent key:
+	// appending then would give an existing key a second live element.
+	si, ok, err := r.store.ProbeKey(k)
+	if err != nil {
+		return value.Value{}, false, fmt.Errorf("relation %s: key probe: %w", r.sch.Name, err)
+	}
+	if ok {
 		existing, _, err := r.store.Get(si)
 		if err != nil {
 			return value.Value{}, false, err
@@ -214,7 +226,7 @@ func (r *Relation) insert(tuple []value.Value) (value.Value, bool, error) {
 	}
 	cp := make([]value.Value, len(tuple))
 	copy(cp, tuple)
-	si, err := r.store.Append(k, cp)
+	si, err = r.store.Append(k, cp)
 	if err != nil {
 		return value.Value{}, false, err
 	}
@@ -282,8 +294,8 @@ func (r *Relation) delete(keyVals []value.Value) bool {
 	}
 	drifted := r.stTable.ObserveDelete(si, tuple)
 	if err := r.store.Delete(si, k); err != nil {
-		// Neither backend can fail here today (deletes touch in-memory
-		// structures only); fail loudly if one ever does.
+		// The store cannot fail here today (deletes touch in-memory
+		// structures only); fail loudly if it ever does.
 		panic(fmt.Sprintf("relation %s: delete slot %d: %v", r.sch.Name, si, err))
 	}
 	r.live.Add(-1)
@@ -504,23 +516,22 @@ func (r *Relation) scan(st *stats.Counters, fn func(ref value.Value, tuple []val
 // (or otherwise own the relation exclusively).
 func (r *Relation) SlotSpan() int { return r.store.SlotSpan() }
 
-// ScanBatches is the engine's scan: it has the storage backend fill b
-// with the live slots in [lo, hi) in slot order
-// (Backend.ScanBatchesInto — both backends fill column by column, the
-// memory backend from its columnar mirror, the disk tier from its
-// SSTable blocks), calling fn whenever b fills, plus once more for a
-// final partial batch. cols selects which columns to materialize — the
-// projection pushdown: nil materializes every column, a non-nil list
-// (possibly empty, for reference-only scans) only the named ones,
-// leaving the rest unreadable. Tuples are counted in bulk per batch
-// immediately before fn (but no scan start — the caller decides what
-// one logical scan is, so a sharded scan counts once). fn must not
-// retain the batch; it is reset after each call.
+// ScanBatches is the engine's scan: it has the slot store fill b with
+// the live slots in [lo, hi) in slot order (storage.Disk.ScanBatchesInto
+// fills column by column, SSTable-resident rows from their blocks and
+// memtable rows from its columnar mirror), calling fn whenever b fills,
+// plus once more for a final partial batch. cols selects which columns
+// to materialize — the projection pushdown: nil materializes every
+// column, a non-nil list (possibly empty, for reference-only scans) only
+// the named ones, leaving the rest unreadable. Tuples are counted in
+// bulk per batch immediately before fn (but no scan start — the caller
+// decides what one logical scan is, so a sharded scan counts once). fn
+// must not retain the batch; it is reset after each call.
 // ScanBatches takes no lock: callers must hold the database read lock.
 // Sharding a scan into consecutive slot ranges visits exactly the
 // elements of a full scan, in an order that concatenates shard-locally
-// to the serial order. An error from fn, or from the backend
-// (disk-tier reads can fail), aborts the scan and is returned.
+// to the serial order. An error from fn, or from the store (SSTable
+// reads can fail), aborts the scan and is returned.
 func (r *Relation) ScanBatches(st *stats.Counters, lo, hi int, b *colbatch.Batch, cols []int, fn func() error) error {
 	flush := func() error {
 		st.CountTuples(b.Len())

@@ -78,10 +78,7 @@ func TestCompactionCrashTorture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, ok := r.store.(*storage.Disk)
-	if !ok {
-		t.Fatal("durable relation not disk-backed")
-	}
+	disk := r.store
 
 	// image snapshots the live state and verifies a crash image taken
 	// right now recovers to it.

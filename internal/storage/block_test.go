@@ -33,7 +33,7 @@ func mixedTuple(i int) []value.Value {
 // dumpBatches renders what ScanBatchesInto hands to flush over [lo, hi):
 // per batch the slots and every materialized column, unboxed or boxed as
 // the batch was configured.
-func dumpBatches(t *testing.T, be Backend, lo, hi int, cols []int, kinds []value.Kind, enums []string, capacity int) string {
+func dumpBatches(t *testing.T, be *Disk, lo, hi int, cols []int, kinds []value.Kind, enums []string, capacity int) string {
 	t.Helper()
 	ncols := len(mixedTuple(0))
 	b := colbatch.New(ncols, capacity)
@@ -64,7 +64,7 @@ func dumpBatches(t *testing.T, be Backend, lo, hi int, cols []int, kinds []value
 	return out.String()
 }
 
-func dumpScan(t *testing.T, be Backend, lo, hi int) string {
+func dumpScan(t *testing.T, be *Disk, lo, hi int) string {
 	t.Helper()
 	var out strings.Builder
 	err := be.Scan(lo, hi, func(si int, tuple []value.Value) bool {
@@ -77,11 +77,35 @@ func dumpScan(t *testing.T, be Backend, lo, hi int) string {
 	return out.String()
 }
 
+// dumpTypedBatches renders a ScanBatchesInto of every column over
+// [lo, hi), into a batch configured with kinds and enums (int-backed
+// columns unboxed), in dumpScan's format: each row is reconstructed from
+// the batch's columns.
+func dumpTypedBatches(t *testing.T, be *Disk, lo, hi int, kinds []value.Kind, enums []string) string {
+	t.Helper()
+	b := colbatch.New(len(kinds), 100)
+	b.Configure(7, kinds, enums)
+	row := make([]value.Value, len(kinds))
+	var out strings.Builder
+	err := be.ScanBatchesInto(lo, hi, nil, b, func() error {
+		for i := 0; i < b.Len(); i++ {
+			b.Row(i, row)
+			fmt.Fprintf(&out, "%d:%v\n", b.Slots()[i], row)
+		}
+		b.Reset()
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("ScanBatchesInto(%d, %d): %v", lo, hi, err)
+	}
+	return out.String()
+}
+
 // compareBackends demands that mem and disk answer every read of the
-// Backend interface identically: full and sharded scans, batch fills
+// store identically: full and sharded scans, batch fills
 // under random shard bounds, column masks (nil and empty included),
 // batch capacities and both batch configurations, and Get of every slot.
-func compareBackends(t *testing.T, stage string, rng *rand.Rand, mem *Memory, disk *Disk) {
+func compareBackends(t *testing.T, stage string, rng *rand.Rand, mem, disk *Disk) {
 	t.Helper()
 	span := mem.SlotSpan()
 	if disk.SlotSpan() != span {
@@ -123,8 +147,9 @@ func compareBackends(t *testing.T, stage string, rng *rand.Rand, mem *Memory, di
 }
 
 // TestDiskBlockDifferential applies one seeded history — inserts of a
-// mixed-kind schema, deletes, a Reset, under a tiny memtable that spills
-// constantly — to Memory and Disk, and compares every read path after
+// mixed-kind schema, deletes, a Reset — to a store with no directory and
+// to one whose tiny memtable spills constantly, and compares every read
+// path after
 // the history, after Flush, after compaction (tables grow past one
 // block), after reopening from the checkpoint metadata, and after
 // deleting out of the reopened multi-block tables.

@@ -7,26 +7,42 @@ import (
 	"path/filepath"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"pascalr/internal/colbatch"
 	"pascalr/internal/value"
 )
 
-// memEntry is one memtable slot: slot index memBase+position.
-type memEntry struct {
-	enc   string
+// memRow is one memtable slot, slot index memBase+position: the stored
+// tuple and its liveness. Its encoded key lives only in the key map,
+// which holds exactly the live rows; Flush recovers the keys from there.
+type memRow struct {
 	tuple []value.Value
 	live  bool
 }
 
-// Disk is the LSM-ish backend: appends land in a slot-ordered in-memory
-// memtable; when it fills, the live entries flush to an immutable
-// SSTable file covering the memtable's slot range. Tables therefore
-// have disjoint, ascending slot ranges, and the merging read path is a
+// Disk is the slot store of one relation: an append-only array of
+// (tuple, live) slots plus a key directory.
+//
+// Slot indexes are handed out by Append in strictly ascending order and
+// are never reused: a slot that dies (Delete, Reset) stays dead forever.
+// That append-only discipline is what makes the relation layer's
+// reference staleness check (per-slot generation counters) collapse to
+// "live slot == generation zero", and it is what lets the store keep
+// immutable SSTable files whose slot ranges never overlap.
+//
+// A Disk is NOT internally synchronized. The relation layer serializes
+// mutators under its database-wide content write lock and readers under
+// the content read lock (compaction runs under an exclusive section
+// scheduled on the database's async executor).
+//
+// Appends land in a slot-ordered in-memory memtable. A store with a
+// directory flushes the memtable's live rows, once it fills, to an
+// immutable SSTable file covering the memtable's slot range; tables
+// therefore have disjoint, ascending slot ranges, and the read path is a
 // walk over tables-then-memtable in range order — exactly the
-// slot-ordered scan the engine consumes, bit-identical to the memory
-// backend's.
+// slot-ordered scan the engine consumes. A store with no directory
+// (NewMemory) is its memtable alone: it never spills and never writes a
+// file.
 //
 // Deletes of table-resident slots land in the dead set (tombstones);
 // the := assignment raises resetFloor instead (every slot below it is
@@ -34,24 +50,33 @@ type memEntry struct {
 // tables dropping dead and below-floor records; superseded files move
 // to the obsolete list and are unlinked only after the next checkpoint
 // manifest stops referencing them.
-//
-// Like every backend, Disk is unsynchronized: the relation layer's
-// content lock serializes access (compaction runs under an exclusive
-// section scheduled on the database's async executor).
 type Disk struct {
-	dir   string
+	dir   string // "" for a store with no directory
 	relID int
 	opts  Options
+	costs CostProfile // static access-cost profile
 
 	tables     []*ssTable   // ascending, disjoint slot ranges
 	dead       map[int]bool // table-resident tombstones
 	resetFloor int          // every slot < resetFloor is dead
 
-	mem      []memEntry
+	mem      []memRow
 	memBase  int
-	memByKey map[string]int // encoded key -> memtable position (newest)
+	memByKey map[string]int // encoded key -> memtable position, live rows only
 
-	memLive   int // live entries in the memtable
+	// ordCols is the memtable's columnar mirror: for every column whose
+	// values are int-backed (integers, booleans, enums, references),
+	// ordCols[c][i] holds the Ord payload of memtable row i's column c,
+	// maintained by Append alongside the row. Batch scans fill from the
+	// mirror with sequential 8-byte reads instead of chasing one scattered
+	// tuple pointer per row — the difference between a memory-latency-
+	// bound fill and a bandwidth-trivial one. Dead rows keep stale mirror
+	// values; the gather skips them, so they are never read. Shaped by
+	// the first Append into an empty memtable and cleared by Flush;
+	// ordOK[c] records whether column c has stayed mirrorable.
+	ordCols [][]int64
+	ordOK   []bool
+
 	tableLive int // live (non-dead, above-floor) records in tables
 
 	nextGen  int        // SSTable file-name generation counter
@@ -59,12 +84,6 @@ type Disk struct {
 
 	cache *BlockCache // shared per-database block cache, nil when disabled
 
-	// Measured access latencies (EWMA nanoseconds), for observability
-	// and the cost model's learned per-backend profile. Sampled, not
-	// exhaustive: one timing per scan, one per sampled probe.
-	scanTupleNanos  atomicEWMA
-	probeNanos      atomicEWMA
-	probeCount      uint64
 	bloomNegSkipped uint64 // probes answered "absent" by filters alone
 
 	// cacheHitRate tracks the block-cache hit fraction of this
@@ -84,22 +103,32 @@ type DiskTableMeta struct {
 	Live       int
 }
 
-// NewDisk creates an empty disk backend writing its files into dir.
+// NewMemory returns an empty store with no directory: no tables, bloom
+// filters or block cache, a memtable that never spills, and the unit
+// cost profile. It is volatile; durable databases pair stores with a
+// directory with the WAL.
+func NewMemory() *Disk {
+	d := NewDisk("", 0, Options{MemtableEntries: math.MaxInt}, nil)
+	d.costs = memoryCosts
+	return d
+}
+
+// NewDisk creates an empty store writing its files into dir.
 // cache is the database's shared block cache (nil disables caching).
 func NewDisk(dir string, relID int, opts Options, cache *BlockCache) *Disk {
 	return &Disk{
 		dir:      dir,
 		relID:    relID,
 		opts:     opts.withDefaults(),
+		costs:    diskCosts,
 		dead:     make(map[int]bool),
 		memByKey: make(map[string]int),
 		cache:    cache,
 	}
 }
 
-// OpenDisk reconstitutes a disk backend from checkpoint metadata,
-// opening the listed SSTable files (loading their bloom filters and
-// sparse indexes).
+// OpenDisk reconstitutes a store from checkpoint metadata, opening the
+// listed SSTable files (loading their bloom filters and sparse indexes).
 func OpenDisk(dir string, relID int, opts Options, cache *BlockCache, meta DiskTableMeta) (*Disk, error) {
 	d := NewDisk(dir, relID, opts, cache)
 	d.resetFloor = meta.ResetFloor
@@ -141,20 +170,23 @@ func (d *Disk) Meta() DiskTableMeta {
 	return m
 }
 
-// SlotSpan implements Backend.
+// SlotSpan returns the exclusive upper bound of slot indexes — the
+// range scan shards partition.
 func (d *Disk) SlotSpan() int { return d.memBase + len(d.mem) }
 
-// Get implements Backend.
+// Get returns the tuple stored at slot si and whether the slot is live.
+// Dead or never-allocated slots return (nil, false, nil). The returned
+// tuple must not be modified or retained across mutations.
 func (d *Disk) Get(si int) ([]value.Value, bool, error) {
 	if si < 0 || si >= d.SlotSpan() {
 		return nil, false, nil
 	}
 	if si >= d.memBase {
-		e := &d.mem[si-d.memBase]
-		if !e.live {
+		r := &d.mem[si-d.memBase]
+		if !r.live {
 			return nil, false, nil
 		}
-		return e.tuple, true, nil
+		return r.tuple, true, nil
 	}
 	if si < d.resetFloor || d.dead[si] {
 		return nil, false, nil
@@ -191,17 +223,27 @@ func (d *Disk) tableFor(si int) *ssTable {
 	return nil
 }
 
-// Scan implements Backend: tables in range order, then the memtable —
-// ascending slot order throughout. Table-resident rows are materialized
-// a block at a time.
+// Scan calls fn for every live slot in [lo, hi) in ascending slot order
+// — tables in range order, then the memtable — until fn returns false.
+// Bounds are clamped to the slot span.
 func (d *Disk) Scan(lo, hi int, fn func(si int, tuple []value.Value) bool) error {
 	lo, hi = d.clampScan(lo, hi)
-	if lo >= hi {
-		return nil
+	if lo < d.memBase {
+		if keep, err := d.scanTables(lo, hi, fn); err != nil || !keep {
+			return err
+		}
 	}
-	start := time.Now()
-	visited := 0
-	defer func() { d.observeScan(start, visited) }()
+	for si := max(lo, d.memBase); si < hi; si++ {
+		if r := &d.mem[si-d.memBase]; r.live && !fn(si, r.tuple) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// scanTables is Scan over the table-resident rows, materialized a block
+// at a time; keep reports whether fn wants the scan to go on.
+func (d *Disk) scanTables(lo, hi int, fn func(si int, tuple []value.Value) bool) (keep bool, err error) {
 	var sc blockScanner
 	hasDead := len(d.dead) > 0
 	for _, t := range d.tables {
@@ -223,7 +265,6 @@ func (d *Disk) Scan(lo, hi int, fn func(si int, tuple []value.Value) bool) error
 				if hasDead && d.dead[si] {
 					continue
 				}
-				visited++
 				if row := flat[(j-r)*n:]; !fn(si, row[:n:n]) {
 					return false, nil
 				}
@@ -231,23 +272,10 @@ func (d *Disk) Scan(lo, hi int, fn func(si int, tuple []value.Value) bool) error
 			return true, nil
 		})
 		if err != nil || !keep {
-			return err
+			return false, err
 		}
 	}
-	for i := range d.mem {
-		si := d.memBase + i
-		if si >= hi {
-			break
-		}
-		if si < lo || !d.mem[i].live {
-			continue
-		}
-		visited++
-		if !fn(si, d.mem[i].tuple) {
-			return nil
-		}
-	}
-	return nil
+	return true, nil
 }
 
 // clampScan clamps scan bounds to the slots that can be live: below the
@@ -263,37 +291,44 @@ func (d *Disk) clampScan(lo, hi int) (int, int) {
 	return lo, hi
 }
 
-// observeScan feeds one scan's per-tuple latency into the EWMA behind
-// MeasuredCosts.
-func (d *Disk) observeScan(start time.Time, visited int) {
-	if visited > 0 {
-		d.scanTupleNanos.observe(float64(time.Since(start).Nanoseconds()) / float64(visited))
-	}
-}
-
-// ScanBatchesInto implements Backend. SSTable-resident rows fill the
-// batch straight from their blocks: the directory gives the blocks of
-// [lo, hi), each is read into one reused buffer and checksummed once,
-// and only the requested columns are decoded, one loop per column over
-// a run of rows (a whole block, unless a shard bound, a tombstone or the
-// batch's capacity cuts it). Tombstones are looked up only while the
-// relation has any. Memtable-resident rows get the memory backend's
-// blocked columnar fill — gather a window of live slots, then one tight
-// loop per column over resolved row blocks. Flush/batch semantics match
-// Memory.ScanBatchesInto.
+// ScanBatchesInto is the columnar scan: it appends every live slot in
+// [lo, hi), in ascending slot order, to b — the slot index plus the
+// columns listed in cols (nil = all columns, an empty list = none) —
+// and calls flush whenever b fills, plus once for a trailing partial
+// batch. flush counts, consumes and resets the batch; its error aborts
+// the scan and is returned. Int-backed columns of a configured batch are
+// filled as raw ordinals. Bounds are clamped to the slot span.
+// Table-resident rows fill from their blocks (fillTables), memtable
+// rows from the mirror and the rows (fillMem).
 func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
 	lo, hi = d.clampScan(lo, hi)
+	if lo < d.memBase {
+		if err := d.fillTables(lo, hi, cols, b, flush); err != nil {
+			return err
+		}
+	}
+	if err := d.fillMem(max(lo, d.memBase), hi, cols, b, flush); err != nil {
+		return err
+	}
+	if b.Len() > 0 {
+		return flush()
+	}
+	return nil
+}
+
+// fillTables fills b from the table-resident rows of [lo, hi): the
+// directory gives the blocks, each is read into one reused buffer and
+// checksummed once, and only the requested columns are decoded, one
+// loop per column over a run of rows (a whole block, unless a shard
+// bound, a tombstone or the batch's capacity cuts it). Tombstones are
+// looked up only while the relation has any.
+func (d *Disk) fillTables(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
 	if cols == nil {
 		cols = make([]int, b.NumCols())
 		for c := range cols {
 			cols[c] = c
 		}
 	}
-	start := time.Now()
-	visited := 0
-	defer func() { d.observeScan(start, visited) }()
-
-	// Phase 1: table-resident rows, one decode per column per run.
 	var sc blockScanner
 	fill := func(v *blockView, r, end int) (bool, error) {
 		for r < end {
@@ -310,7 +345,6 @@ func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush 
 				if err := v.fill(b, cols, r, k); err != nil {
 					return false, err
 				}
-				visited += k
 				r += k
 				if b.Full() {
 					if err := flush(); err != nil {
@@ -333,55 +367,95 @@ func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush 
 			return err
 		}
 	}
+	return nil
+}
 
-	// Phase 2: memtable-resident rows, blocked columnar fill.
-	mlo := lo
-	if mlo < d.memBase {
-		mlo = d.memBase
-	}
-	ordDsts := make([]ordDst, 0, 8)
+// fillBlock is the row-block size of fillMem's boxed columns: small
+// enough that a block's source rows stay cache-resident across the
+// per-column passes, large enough to amortize the pointer-resolution
+// pass.
+const fillBlock = 256
+
+// mirDst pairs a grown destination span with its mirror column; valDst
+// pairs one with the column index the rows supply it from.
+type mirDst struct {
+	span []int64
+	src  []int64
+}
+
+type valDst struct {
+	span []value.Value
+	c    int
+}
+
+// fillMem is the memtable's batch fill, closure-free: it gathers a
+// window of live slots of [lo, hi) into b, then fills each requested
+// column for the whole window in one pass and calls flush whenever b
+// fills. Filling pre-grown per-window spans amortizes the slice
+// bookkeeping to one grow per column per window instead of per row.
+// Unboxed columns come from the mirror, which holds every int-backed
+// column; a batch wanting any other column unboxed is refused, as the
+// block decoder refuses it.
+func (d *Disk) fillMem(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
+	mirDsts := make([]mirDst, 0, 8)
 	valDsts := make([]valDst, 0, 8)
-	var tbuf [fillBlock][]value.Value
-	for si := mlo; si < hi; {
-		winStart := b.Len()
+	var rows [fillBlock][]value.Value
+	ncols := len(cols)
+	if cols == nil {
+		ncols = b.NumCols()
+	}
+	base := d.memBase
+	for si := lo; si < hi; {
+		start := b.Len()
 		for ; si < hi && !b.Full(); si++ {
-			if d.mem[si-d.memBase].live {
+			if d.mem[si-base].live {
 				b.AppendSlot(si)
 			}
 		}
-		if n := b.Len() - winStart; n > 0 {
-			visited += n
-			window := b.Slots()[winStart:]
-			ordDsts, valDsts = ordDsts[:0], valDsts[:0]
-			add := func(c int) {
-				if b.IsOrd(c) {
-					ordDsts = append(ordDsts, ordDst{b.GrowOrds(c, n), c})
-				} else {
+		if n := b.Len() - start; n > 0 {
+			window := b.Slots()[start:]
+			mirDsts, valDsts = mirDsts[:0], valDsts[:0]
+			for k := 0; k < ncols; k++ {
+				c := k
+				if cols != nil {
+					c = cols[k]
+				}
+				switch {
+				case !b.IsOrd(c):
 					valDsts = append(valDsts, valDst{b.GrowVals(c, n), c})
+				case c < len(d.ordCols) && d.ordOK[c]:
+					mirDsts = append(mirDsts, mirDst{b.GrowOrds(c, n), d.ordCols[c]})
+				default:
+					return fmt.Errorf("storage: scan wants column %d, which is not int-backed, as ordinals", c)
 				}
 			}
-			for _, c := range cols {
-				add(c)
+			// Mirrored columns gather straight from the mirror: ascending
+			// positions over an 8-byte-stride array, which the prefetcher
+			// handles, instead of a dependent load through the row pointer.
+			for _, dst := range mirDsts {
+				span, src := dst.span, dst.src
+				for j, s := range window {
+					span[j] = src[int(s)-base]
+				}
 			}
-			for base := 0; base < n; base += fillBlock {
-				k := n - base
-				if k > fillBlock {
-					k = fillBlock
-				}
-				rows := tbuf[:k]
-				for j, s := range window[base : base+k] {
-					rows[j] = d.mem[int(s)-d.memBase].tuple
-				}
-				for _, dst := range ordDsts {
-					span := dst.span[base : base+k]
-					for j, t := range rows {
-						span[j] = t[dst.c].Ord()
+			// Boxed columns fill from the rows in blocks: resolve a block
+			// of row pointers once, then run one tight loop per column
+			// over the block. The first column pass pulls each scattered
+			// row into cache, where the remaining passes find it —
+			// row-major locality — while each inner loop keeps a fixed
+			// destination span and column index, free of the per-row
+			// per-column bookkeeping a fused row-major loop pays.
+			if len(valDsts) > 0 {
+				for off := 0; off < n; off += fillBlock {
+					blk := rows[:min(n-off, fillBlock)]
+					for j, s := range window[off : off+len(blk)] {
+						blk[j] = d.mem[int(s)-base].tuple
 					}
-				}
-				for _, dst := range valDsts {
-					span := dst.span[base : base+k]
-					for j, t := range rows {
-						span[j] = t[dst.c]
+					for _, dst := range valDsts {
+						span := dst.span[off : off+len(blk)]
+						for j, t := range blk {
+							span[j] = t[dst.c]
+						}
 					}
 				}
 			}
@@ -392,28 +466,18 @@ func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush 
 			}
 		}
 	}
-	if b.Len() > 0 {
-		return flush()
-	}
 	return nil
 }
 
-// LookupKey implements Backend: memtable first (its key map tracks the
-// newest entry per key, dead entries masking older table occurrences),
-// then tables newest-first — the first table containing the key decides,
-// because a key can only be re-inserted after a delete, and that delete
-// tombstoned every older occurrence.
-func (d *Disk) LookupKey(enc string) (int, bool) {
+// ProbeKey returns the live slot holding the tuple whose encoded
+// primary key is enc: memtable first (its key map holds exactly the
+// live rows), then tables newest-first — the first table containing the
+// key decides, because a key can only be re-inserted after a delete, and
+// that delete tombstoned every older occurrence. A table that cannot be
+// read fails the probe.
+func (d *Disk) ProbeKey(enc string) (si int, ok bool, err error) {
 	if i, ok := d.memByKey[enc]; ok {
-		if !d.mem[i].live {
-			return 0, false
-		}
-		return d.memBase + i, true
-	}
-	sampled := atomic.AddUint64(&d.probeCount, 1)%16 == 0
-	var start time.Time
-	if sampled {
-		start = time.Now()
+		return d.memBase + i, true, nil
 	}
 	for i := len(d.tables) - 1; i >= 0; i-- {
 		t := d.tables[i]
@@ -430,65 +494,91 @@ func (d *Disk) LookupKey(enc string) (int, bool) {
 		si, ok, hit, err := t.lookupKey(enc)
 		d.observeCache(hit)
 		if err != nil {
-			// A probe has no error channel (the relation layer's Lookup
-			// contract predates I/O): treat unreadable as absent. Scans
-			// surface the corruption with a real error.
-			return 0, false
+			return 0, false, err
 		}
 		if ok {
-			if sampled {
-				d.probeNanos.observe(float64(time.Since(start).Nanoseconds()))
-			}
 			if si < d.resetFloor || d.dead[si] {
-				return 0, false
+				return 0, false, nil
 			}
-			return si, true
+			return si, true, nil
 		}
 	}
-	if sampled {
-		d.probeNanos.observe(float64(time.Since(start).Nanoseconds()))
-	}
-	return 0, false
+	return 0, false, nil
 }
 
-// Append implements Backend, flushing the memtable to an SSTable when
-// it reaches the configured entry budget.
+// LookupKey is ProbeKey for callers with no error channel (the relation
+// layer's Lookup, Get and Delete): an unreadable table answers
+// "absent". Scans surface the corruption with a real error, and inserts
+// probe with ProbeKey.
+func (d *Disk) LookupKey(enc string) (int, bool) {
+	si, ok, _ := d.ProbeKey(enc)
+	return si, ok
+}
+
+// Append stores a new live tuple under the encoded key enc and returns
+// its slot index (== the previous SlotSpan), flushing the memtable to an
+// SSTable when it reaches the configured entry budget. The caller has
+// already checked that enc is not present. The store takes ownership of
+// the tuple slice.
 func (d *Disk) Append(enc string, tuple []value.Value) (int, error) {
-	prev, hadPrev := d.memByKey[enc]
-	d.mem = append(d.mem, memEntry{enc: enc, tuple: tuple, live: true})
-	i := len(d.mem) - 1
+	i := len(d.mem)
+	d.mem = append(d.mem, memRow{tuple: tuple, live: true})
+	d.mirrorAppend(tuple)
 	d.memByKey[enc] = i
-	d.memLive++
 	si := d.memBase + i
 	if len(d.mem) >= d.opts.MemtableEntries {
 		if err := d.Flush(); err != nil {
 			// The caller treats the append as failed and publishes
-			// nothing (no live count, no index entries), so the entry
-			// must not stay visible here either: roll the memtable back
-			// to its pre-append state (a failed Flush mutated nothing).
+			// nothing (no live count, no index entries), so the row must
+			// not stay visible here either: roll the memtable and its
+			// mirror back to their pre-append state (a failed Flush
+			// mutated nothing).
 			d.mem = d.mem[:i]
-			if hadPrev {
-				d.memByKey[enc] = prev
-			} else {
-				delete(d.memByKey, enc)
+			for c, col := range d.ordCols {
+				if d.ordOK[c] {
+					d.ordCols[c] = col[:i]
+				}
 			}
-			d.memLive--
+			delete(d.memByKey, enc)
 			return 0, err
 		}
 	}
 	return si, nil
 }
 
-// Delete implements Backend.
+// mirrorAppend extends the columnar mirror with one tuple, keeping the
+// invariant that len(ordCols[c]) == len(mem) for every column with
+// ordOK[c]. A column's first non-int-backed value permanently drops it
+// from the mirror; batches take such a column boxed from the rows. The
+// relation layer checks every tuple against one schema, so the arity
+// never varies.
+func (d *Disk) mirrorAppend(tuple []value.Value) {
+	if d.ordCols == nil {
+		d.ordCols = make([][]int64, len(tuple))
+		d.ordOK = make([]bool, len(tuple))
+		for c := range tuple {
+			d.ordOK[c] = true
+		}
+	}
+	for c, v := range tuple {
+		if !d.ordOK[c] {
+			continue
+		}
+		if !value.OrdKind(v.Kind()) {
+			d.ordOK[c] = false
+			d.ordCols[c] = nil
+			continue
+		}
+		d.ordCols[c] = append(d.ordCols[c], v.Ord())
+	}
+}
+
+// Delete kills slot si, which currently holds the encoded key enc.
 func (d *Disk) Delete(si int, enc string) error {
 	if si >= d.memBase {
-		i := si - d.memBase
-		if i < len(d.mem) && d.mem[i].live {
-			d.mem[i].live = false
-			d.mem[i].tuple = nil
-			d.memLive--
-			// The key map entry stays as a tombstone: it masks any older
-			// table-resident occurrence of the same key.
+		if i := si - d.memBase; i < len(d.mem) && d.mem[i].live {
+			d.mem[i] = memRow{}
+			delete(d.memByKey, enc)
 		}
 		return nil
 	}
@@ -499,36 +589,41 @@ func (d *Disk) Delete(si int, enc string) error {
 	return nil
 }
 
-// Reset implements Backend: raise the floor instead of touching the
-// immutable files; compaction reclaims the space later.
+// Reset kills every live slot (the := assignment). Slot indexes are not
+// reused: the next Append continues from the current span. The floor
+// rises instead of the immutable files being touched; compaction
+// reclaims the space later. The mirror stays: memtable rows die, they
+// are not truncated, so its alignment must survive for the appends that
+// follow.
 func (d *Disk) Reset() error {
-	d.resetFloor = d.SlotSpan()
-	for i := range d.mem {
-		if d.mem[i].live {
-			d.mem[i].live = false
-			d.mem[i].tuple = nil
-		}
+	for i := max(d.resetFloor-d.memBase, 0); i < len(d.mem); i++ {
+		d.mem[i] = memRow{}
 	}
-	d.memLive = 0
+	d.resetFloor = d.SlotSpan()
+	d.memByKey = make(map[string]int)
 	d.tableLive = 0
-	d.dead = make(map[int]bool)
+	clear(d.dead)
 	return nil
 }
 
-// Flush spills the memtable's live entries to a new SSTable covering
-// the memtable's slot range and advances the base. A memtable with no
-// live entries advances the base without writing a file. Idempotent
-// per fill: replaying the same appends re-flushes at the same point
-// with the same contents.
+// Flush spills the memtable's live rows to a new SSTable covering the
+// memtable's slot range and advances the base. A memtable with no live
+// rows advances the base without writing a file; a store with no
+// directory never flushes. Idempotent per fill: replaying the same
+// appends re-flushes at the same point with the same contents.
 func (d *Disk) Flush() error {
 	n := len(d.mem)
-	if n == 0 {
+	if n == 0 || d.dir == "" {
 		return nil
 	}
+	keys := make([]string, n)
+	for enc, i := range d.memByKey {
+		keys[i] = enc
+	}
 	var entries []SSEntry
-	for i := range d.mem {
-		if d.mem[i].live {
-			entries = append(entries, SSEntry{Si: d.memBase + i, Enc: d.mem[i].enc, Tuple: d.mem[i].tuple})
+	for i, r := range d.mem {
+		if r.live {
+			entries = append(entries, SSEntry{Si: d.memBase + i, Enc: keys[i], Tuple: r.tuple})
 		}
 	}
 	if len(entries) > 0 {
@@ -545,7 +640,7 @@ func (d *Disk) Flush() error {
 	d.memBase += n
 	d.mem = nil
 	d.memByKey = make(map[string]int)
-	d.memLive = 0
+	d.ordCols, d.ordOK = nil, nil
 	return nil
 }
 
@@ -798,20 +893,22 @@ func (d *Disk) DropObsolete(referenced map[string]bool) {
 	d.obsolete = kept
 }
 
-// Costs implements Backend. ScanTuple stays the static disk estimate
-// (scans bypass the block cache by design), but Probe is learned: it
-// blends the cold probe cost toward the in-memory cost by the measured
-// block-cache hit rate, so the estimator's memory-vs-disk pricing
+// Costs returns the store's access-cost profile: the static one its
+// constructor chose (the disk tier's, or the unit profile of a store
+// with no directory). ScanTuple stays static (scans bypass the block
+// cache by design), but Probe is learned once point reads go through a
+// block cache: it blends the cold probe cost toward the in-memory cost
+// by the measured hit rate, so the estimator's memory-vs-disk pricing
 // tracks what probes actually pay. Plan shape never reads this (see
 // CostProfile); only shard balancing and the estimator's cost totals
 // do, both counter-invisible.
 func (d *Disk) Costs() CostProfile {
-	c := diskCosts
+	c := d.costs
 	if rate, ok := d.cacheHitRate.load(); ok {
 		// A warm probe still pays bloom checks and segment decoding on
-		// top of the memory backend's map hit.
+		// top of an in-memory map hit.
 		const warmProbe = 2
-		c.Probe = rate*warmProbe + (1-rate)*diskCosts.Probe
+		c.Probe = rate*warmProbe + (1-rate)*d.costs.Probe
 	}
 	return c
 }
@@ -819,13 +916,6 @@ func (d *Disk) Costs() CostProfile {
 // CacheHitRate returns the EWMA block-cache hit fraction of this
 // relation's point reads, and whether any read has been observed.
 func (d *Disk) CacheHitRate() (float64, bool) { return d.cacheHitRate.load() }
-
-// MeasuredCosts returns the observed per-tuple scan and per-probe
-// latencies in nanoseconds (0 until observed) — the learned complement
-// to the static profile, surfaced through statistics for monitoring.
-func (d *Disk) MeasuredCosts() (scanTupleNs, probeNs float64) {
-	return d.scanTupleNanos.load(), d.probeNanos.load()
-}
 
 // BloomNegatives returns how many key probes the bloom filters answered
 // without any file I/O.
@@ -835,7 +925,8 @@ func (d *Disk) BloomNegatives() uint64 { return atomic.LoadUint64(&d.bloomNegSki
 // reads.
 func (d *Disk) TableCount() int { return len(d.tables) }
 
-// Close implements Backend.
+// Close releases the open table files. A store with tables is unusable
+// afterwards.
 func (d *Disk) Close() error {
 	var err error
 	for _, t := range d.tables {
@@ -847,28 +938,10 @@ func (d *Disk) Close() error {
 	return err
 }
 
-// atomicEWMA is a lock-free exponentially weighted moving average
-// (alpha 1/8), readable concurrently with single-writer updates.
-type atomicEWMA struct{ bits atomic.Uint64 }
-
-func (e *atomicEWMA) observe(v float64) {
-	old := e.load()
-	if old == 0 {
-		e.store(v)
-		return
-	}
-	e.store(old + (v-old)/8)
-}
-
-func (e *atomicEWMA) load() float64 {
-	return math.Float64frombits(e.bits.Load())
-}
-
-func (e *atomicEWMA) store(v float64) { e.bits.Store(math.Float64bits(v)) }
-
-// atomicRate is an atomicEWMA whose observations legitimately include
-// zero (a cache miss is 0.0), so "unset" needs its own flag instead of
-// the zero value. Concurrent observers race benignly: each
+// atomicRate is a lock-free exponentially weighted moving average
+// (alpha 1/8) whose observations legitimately include zero (a cache
+// miss is 0.0), so "unset" has its own flag instead of the zero value.
+// Concurrent observers race benignly: each
 // read-modify-write is atomic and a lost update only drops one sample
 // from the average.
 type atomicRate struct {

@@ -52,8 +52,9 @@ import (
 //
 // There are deliberately no per-block zone maps (min/max per column):
 // a scan that skipped blocks by predicate would read fewer tuples than
-// the memory backend's scan of the same relation, and the differential
-// matrix demands identical "tuples read" counters across backends.
+// the in-memory scan of the same relation, and the differential matrix
+// demands identical "tuples read" counters for stores with and without
+// files.
 const (
 	sstMagic    = "PRSST002"
 	sstEndMagic = "PRSSTEND"

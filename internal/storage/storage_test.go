@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"pascalr/internal/colbatch"
 	"pascalr/internal/schema"
 	"pascalr/internal/value"
 )
@@ -19,9 +21,9 @@ func ituple(i int) []value.Value {
 	return []value.Value{value.Int(int64(i)), value.String_(fmt.Sprintf("v%d", i))}
 }
 
-// snapshot captures everything the Backend interface exposes, for
+// snapshot captures the slot span and every live slot's tuple, for
 // equivalence comparisons.
-func snapshot(t *testing.T, b Backend) string {
+func snapshot(t *testing.T, b *Disk) string {
 	t.Helper()
 	out := fmt.Sprintf("span=%d\n", b.SlotSpan())
 	err := b.Scan(0, b.SlotSpan(), func(si int, tuple []value.Value) bool {
@@ -35,10 +37,10 @@ func snapshot(t *testing.T, b Backend) string {
 }
 
 // TestMemoryDiskEquivalence drives an identical randomized mutation
-// sequence through the memory backend and a disk backend with a tiny
-// memtable (constant spilling): every scan, every lookup, and every
-// slot number must match — the engine's bit-identity across backends
-// rests on this.
+// sequence through a store with no directory (NewMemory) and a store
+// with a tiny memtable (constant spilling): every scan, every lookup,
+// and every slot number must match — the engine's bit-identity across
+// in-memory and durable databases rests on this.
 func TestMemoryDiskEquivalence(t *testing.T) {
 	mem := NewMemory()
 	disk := NewDisk(t.TempDir(), 0, Options{MemtableEntries: 4, Fsync: SyncNever}, nil)
@@ -596,39 +598,139 @@ func TestSplitRecordChunks(t *testing.T) {
 }
 
 // TestDiskAppendFlushFailureRollsBack: a memtable flush failing inside
-// Append must leave the backend exactly as before the append — the
+// Append must leave the store exactly as before the append — the
 // caller published nothing (no live count, no index entries), so a
 // half-registered entry would answer key probes while being invisible
-// to scans.
+// to scans. The columnar mirror is memtable state too: it must be back
+// in step with the rows, so that batch fills of the rows that stay
+// agree with Scan.
 func TestDiskAppendFlushFailureRollsBack(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "missing")
-	d := NewDisk(dir, 0, Options{MemtableEntries: 1, Fsync: SyncNever}, nil)
+	d := NewDisk(dir, 0, Options{MemtableEntries: 3, Fsync: SyncNever}, nil)
 	defer d.Close()
-	if _, err := d.Append(ikey(1), ituple(1)); err == nil {
+	for i := 1; i <= 2; i++ {
+		if _, err := d.Append(ikey(i), mixedTuple(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := snapshot(t, d)
+	if _, err := d.Append(ikey(3), mixedTuple(3)); err == nil {
 		t.Fatal("append with failing flush reported success")
 	}
-	if span := d.SlotSpan(); span != 0 {
+	if span := d.SlotSpan(); span != 2 {
 		t.Fatalf("slot span %d after rolled-back append", span)
 	}
-	if _, ok := d.LookupKey(ikey(1)); ok {
+	if _, ok := d.LookupKey(ikey(3)); ok {
 		t.Fatal("rolled-back entry still answers key lookups")
 	}
-	if got := snapshot(t, d); got != "span=0\n" {
+	if got := snapshot(t, d); got != before {
 		t.Fatalf("rolled-back entry visible to scans:\n%s", got)
+	}
+	for c, col := range d.ordCols {
+		if d.ordOK[c] && len(col) != len(d.mem) {
+			t.Fatalf("mirror column %d holds %d values for %d memtable rows", c, len(col), len(d.mem))
+		}
+	}
+	kinds, enums, err := columnsOf(mixedTuple(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dumpTypedBatches(t, d, 0, d.SlotSpan(), kinds, enums), dumpScan(t, d, 0, d.SlotSpan()); got != want {
+		t.Fatalf("typed batch fill after the rolled-back append diverged from Scan:\nbatches:\n%s\nscan:\n%s", got, want)
 	}
 	// With the failure cause repaired, the same append must succeed and
 	// reuse the never-published slot.
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	si, err := d.Append(ikey(1), ituple(1))
+	si, err := d.Append(ikey(3), mixedTuple(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if si != 0 {
-		t.Fatalf("retried append landed on slot %d, want 0", si)
+	if si != 2 {
+		t.Fatalf("retried append landed on slot %d, want 2", si)
 	}
-	if got, ok := d.LookupKey(ikey(1)); !ok || got != 0 {
+	if got, ok := d.LookupKey(ikey(3)); !ok || got != 2 {
 		t.Fatalf("retried append not found: slot %d ok %v", got, ok)
+	}
+}
+
+// TestScanBatchesRefusesStringAsOrdinals: a batch that wants a string
+// column unboxed is refused with an error, whether the rows sit in the
+// memtable (which mirrors only int-backed columns) or in SSTable blocks.
+func TestScanBatchesRefusesStringAsOrdinals(t *testing.T) {
+	mem := NewMemory()
+	disk := NewDisk(t.TempDir(), 0, Options{MemtableEntries: 2, Fsync: SyncNever}, nil)
+	defer disk.Close()
+	for i := 0; i < 3; i++ { // the disk store spills two rows, keeps one
+		for _, s := range []*Disk{mem, disk} {
+			if _, err := s.Append(ikey(i), ituple(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	b := colbatch.New(2, 8)
+	b.Configure(0, []value.Kind{value.KindInt, value.KindInt}, nil)
+	for name, s := range map[string]*Disk{"memtable": mem, "blocks": disk} {
+		b.Reset()
+		err := s.ScanBatchesInto(0, s.SlotSpan(), []int{1}, b, func() error { b.Reset(); return nil })
+		if err == nil || !strings.Contains(err.Error(), "as ordinals") {
+			t.Errorf("%s: string column filled as ordinals: %v", name, err)
+		}
+	}
+}
+
+// TestMemoryStoreWritesNoFiles: a store with no directory keeps every
+// slot in its memtable. Three default memtable budgets of appends (and
+// an explicit Flush) leave no table and no file in the working
+// directory, accesses are priced at the unit profile, and the batch
+// fill from the columnar mirror — which holds exactly the int-backed
+// columns — agrees with Scan.
+func TestMemoryStoreWritesNoFiles(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+
+	m := NewMemory()
+	n := 3 * Options{}.withDefaults().MemtableEntries
+	for i := 0; i < n; i++ {
+		if _, err := m.Append(ikey(i), mixedTuple(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i += 7 {
+		if err := m.Delete(i, ikey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.TableCount(); got != 0 {
+		t.Fatalf("TableCount = %d after %d appends", got, n)
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("working directory holds %d files (%v)", len(files), err)
+	}
+	if c := m.Costs(); c != (CostProfile{ScanTuple: 1, Probe: 1}) {
+		t.Fatalf("Costs = %+v, want the unit profile", c)
+	}
+	kinds, enums, err := columnsOf(mixedTuple(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, k := range kinds {
+		if mirrored := c < len(m.ordOK) && m.ordOK[c]; mirrored != value.OrdKind(k) {
+			t.Fatalf("column %d (%s): mirrored = %v", c, k, mirrored)
+		}
+	}
+	if got, want := dumpTypedBatches(t, m, 0, m.SlotSpan(), kinds, enums), dumpScan(t, m, 0, m.SlotSpan()); got != want {
+		t.Fatal("typed batch fill diverged from Scan")
 	}
 }
