@@ -134,7 +134,7 @@ func Dial(addr string) (*Conn, error) {
 		}
 		if ver != protocol.Version {
 			nc.Close()
-			return nil, fmt.Errorf("client: protocol version %d, want %d", ver, protocol.Version)
+			return nil, fmt.Errorf("client: server speaks protocol version %d, this client speaks version %d", ver, protocol.Version)
 		}
 		if c.sessionID, err = r.Uvarint(); err != nil {
 			nc.Close()
@@ -305,14 +305,16 @@ func (s *Stmt) Close() error {
 }
 
 // Rows streams a cursor in fetch batches, in the database/sql idiom:
-// Next, Values, then Err after Next returns false.
+// Next, then Scan or Values, then Err after Next returns false. Each
+// batch arrives as one column-major block and stays in typed column
+// vectors until a row is read.
 type Rows struct {
-	stmt  *Stmt
-	cols  []string
-	batch [][]any
-	i     int
-	done  bool
-	err   error
+	stmt *Stmt
+	cols []string
+	blk  protocol.Block
+	i    int // rows of blk consumed; the current row is i-1
+	done bool
+	err  error
 
 	// FetchSize overrides the per-Fetch row ask (default 256).
 	FetchSize int
@@ -327,10 +329,11 @@ func (r *Rows) Next() bool {
 	if r.err != nil {
 		return false
 	}
-	if r.i < len(r.batch) {
+	if r.i < r.blk.Rows {
 		r.i++
 		return true
 	}
+	r.i = r.blk.Rows + 1 // no current row unless the fetch yields one
 	if r.done {
 		return false
 	}
@@ -347,32 +350,98 @@ func (r *Rows) Next() bool {
 		r.done = true
 		return false
 	}
-	done, err := rd.Bool()
-	if err != nil {
-		r.err = err
-		return false
+	done, err := rd.RowBatch(&r.blk)
+	if err == nil && len(r.blk.Cols) != len(r.cols) {
+		err = fmt.Errorf("client: row batch has %d columns, the cursor %d", len(r.blk.Cols), len(r.cols))
 	}
-	rows, err := rd.Rows()
 	if err != nil {
+		r.blk.Rows = 0
 		r.err = err
 		return false
 	}
 	r.done = done
-	r.batch = rows
-	r.i = 0
-	if len(rows) == 0 {
-		return false
-	}
 	r.i = 1
-	return true
+	return r.blk.Rows > 0
 }
 
-// Values returns the current row.
+// row returns the index of the current row in the buffered block, or
+// -1 when there is none.
+func (r *Rows) row() int {
+	if r.i == 0 || r.i > r.blk.Rows {
+		return -1
+	}
+	return r.i - 1
+}
+
+// Values returns the current row as native values (int64, string,
+// bool; enumeration labels as strings) in a fresh slice the caller may
+// keep, or nil when there is no current row.
 func (r *Rows) Values() []any {
-	if r.i == 0 || r.i > len(r.batch) {
+	k := r.row()
+	if k < 0 {
 		return nil
 	}
-	return r.batch[r.i-1]
+	out := make([]any, len(r.blk.Cols))
+	for j := range out {
+		out[j] = r.blk.Value(k, j)
+	}
+	return out
+}
+
+// Scan copies the current row into the destinations: *int64 or *int
+// for integer columns, *string for string and enumeration columns,
+// *bool for booleans, and *any for the native value.
+func (r *Rows) Scan(dest ...any) error {
+	k := r.row()
+	if k < 0 {
+		return errors.New("client: Scan called without a successful Next")
+	}
+	if len(dest) != len(r.blk.Cols) {
+		return fmt.Errorf("client: Scan expects %d destinations, got %d", len(r.blk.Cols), len(dest))
+	}
+	for j, d := range dest {
+		c := &r.blk.Cols[j]
+		ok := true
+		switch d := d.(type) {
+		case *any:
+			*d = r.blk.Value(k, j)
+		case *int64:
+			if ok = c.Kind == protocol.ColInt; ok {
+				*d = c.Ints[k]
+			}
+		case *int:
+			if ok = c.Kind == protocol.ColInt; ok {
+				*d = int(c.Ints[k])
+			}
+		case *string:
+			switch c.Kind {
+			case protocol.ColString:
+				*d = c.Strs[k]
+			case protocol.ColEnum:
+				*d = c.Labels[c.Codes[k]]
+			default:
+				ok = false
+			}
+		case *bool:
+			if ok = c.Kind == protocol.ColBool; ok {
+				*d = c.Bools[k]
+			}
+		default:
+			return fmt.Errorf("client: column %s: unsupported Scan destination type %T", r.cols[j], d)
+		}
+		if !ok {
+			return fmt.Errorf("client: column %s: cannot scan %s into %T", r.cols[j], kindNames[c.Kind], d)
+		}
+	}
+	return nil
+}
+
+// kindNames names the column kinds in Scan errors.
+var kindNames = map[byte]string{
+	protocol.ColInt:    "an integer",
+	protocol.ColString: "a string",
+	protocol.ColBool:   "a boolean",
+	protocol.ColEnum:   "an enumeration label",
 }
 
 // Err returns the error that ended iteration, if any. A concurrent
@@ -384,7 +453,7 @@ func (r *Rows) Err() error { return r.err }
 // Stmt.Close or when the statement is re-executed.
 func (r *Rows) Close() error {
 	r.done = true
-	r.batch = nil
+	r.blk = protocol.Block{}
 	r.i = 0
 	return nil
 }

@@ -52,8 +52,13 @@ func main() {
 	rows.FetchSize = 4
 	n := 0
 	for rows.Next() {
+		var name string
+		var cnr int64
+		if err := rows.Scan(&name, &cnr); err != nil {
+			log.Fatal(err)
+		}
 		if n < 3 {
-			fmt.Printf("  %v\n", rows.Values())
+			fmt.Printf("  %s teaches course %d\n", name, cnr)
 		}
 		n++
 	}

@@ -217,7 +217,9 @@ func (p *Plan) Eval(ctx context.Context) (*relation.Relation, error) {
 // runs against a private copy of the plan's options after
 // revalidation, so concurrent executions with different
 // execution-time options (budget, parallelism, statistics) never
-// contaminate each other or the plan.
+// contaminate each other or the plan. It drains a cursor and is the
+// only path that builds a result relation, from the cursor's
+// already-distinct rows.
 func (p *Plan) EvalWith(ctx context.Context, override func(*Options)) (*relation.Relation, error) {
 	var lastErr error
 	for attempt := 0; attempt <= maxStaleRetries; attempt++ {
@@ -228,9 +230,13 @@ func (p *Plan) EvalWith(ctx context.Context, override func(*Options)) (*relation
 		for cur.Next() {
 		}
 		err = cur.Err()
+		var rel *relation.Relation
+		if err == nil {
+			rel, err = cur.relation()
+		}
 		cur.Close()
 		if err == nil {
-			return cur.result, nil
+			return rel, nil
 		}
 		if !errors.Is(err, relation.ErrStale) {
 			return nil, err
@@ -330,7 +336,7 @@ func (p *Plan) rowsWithPlan(ctx context.Context, override func(*Options)) (*Curs
 		pp.annotateScanSpans()
 	}
 
-	result := relation.New(p.info.Result, 0xFFFF)
+	result := p.info.Result
 	// An empty free range, or a constant-FALSE matrix, yields the empty
 	// relation.
 	if x.Const != nil && !*x.Const {

@@ -13,28 +13,50 @@ import (
 
 // Cursor streams the construction phase: the combination result (a
 // reference relation over the free variables) is materialized, but the
-// dereference-and-project step runs lazily, one result tuple per Next.
-// Duplicate projections are suppressed on the fly, preserving the set
-// semantics of the materializing path — the tuples yielded are exactly
-// the tuples Eval would return, in the same order.
+// dereference-and-project step runs lazily, one chunk of result tuples
+// at a time. Duplicate projections are suppressed by the cursor's own
+// exact set (rowSet), preserving the set semantics of the materializing
+// path — the tuples yielded are exactly the tuples Eval returns, in the
+// same order.
+//
+// A chunk is constructed under one acquisition of the database read
+// lock. Its rows are yielded only while the database version is the one
+// they were built at: after a concurrent mutation the unyielded rest of
+// the chunk is dropped and rebuilt, so a row whose element was deleted
+// since the combination phase still surfaces as a stale reference on
+// the Next that would have yielded it.
 type Cursor struct {
 	ctx       context.Context
 	db        *relation.DB
-	result    *relation.Relation // accumulates yielded tuples; dedup + schema
-	rows      [][]value.Value    // combination-phase reference tuples
-	cols      []int              // projection: combination column per output component
-	fieldCols []int              // projection: relation component per output component
-	i         int
-	buf       []value.Value // scratch projection buffer, reused per row
-	cur       []value.Value
-	err       error
-	closed    bool
+	sch       *schema.RelSchema
+	rows      [][]value.Value // combination-phase reference tuples
+	cols      []int           // projection: combination column per output component
+	fieldCols []int           // projection: relation component per output component
+	i         int             // next reference tuple to construct
+	buf       []value.Value   // scratch projection buffer, reused per row
+	set       rowSet          // distinct constructed rows, in yield order
+
+	yielded int     // rows of set handed out by Next
+	ver     uint64  // database version the unyielded rows were built at
+	src     []int32 // reference tuple of each row of the current chunk
+	base    int     // first row of the current chunk
+	resume  int     // reference tuple after the last yielded row's
+	pending error   // construction error behind the unyielded rows
+
+	cur    []value.Value
+	err    error
+	closed bool
 }
+
+// constructChunk is the number of distinct rows constructed under one
+// acquisition of the database read lock.
+const constructChunk = 256
 
 // newCursor prepares the construction projection. A nil refs means the
 // combination phase proved the result empty.
-func newCursor(ctx context.Context, db *relation.DB, sel *calculus.Selection, result *relation.Relation, refs *algebra.RefRel) (*Cursor, error) {
-	c := &Cursor{ctx: ctx, db: db, result: result}
+func newCursor(ctx context.Context, db *relation.DB, sel *calculus.Selection, sch *schema.RelSchema, refs *algebra.RefRel) (*Cursor, error) {
+	c := &Cursor{ctx: ctx, db: db, sch: sch}
+	c.set.w = len(sch.Cols)
 	if refs == nil || refs.Len() == 0 {
 		return c, nil
 	}
@@ -83,57 +105,89 @@ func (c *Cursor) Next() bool {
 		c.cur = nil
 		return false
 	}
-	if c.buf == nil {
-		c.buf = make([]value.Value, len(c.cols))
+	if err := c.ctx.Err(); err != nil {
+		return c.fail(err)
 	}
-	for c.i < len(c.rows) {
-		if err := c.ctx.Err(); err != nil {
-			c.err = err
+	if c.yielded < c.set.n && c.db.Version() != c.ver {
+		// A writer committed since the chunk was built: rebuild from
+		// the first unyielded row against the new contents.
+		c.set.truncate(c.yielded)
+		c.i = c.resume
+		c.pending = nil
+	}
+	if c.yielded == c.set.n {
+		if c.pending == nil && c.i < len(c.rows) {
+			c.construct()
+		}
+		if c.yielded == c.set.n {
+			if c.pending != nil {
+				return c.fail(c.pending)
+			}
 			c.cur = nil
 			return false
 		}
+	}
+	c.resume = int(c.src[c.yielded-c.base]) + 1
+	c.cur = c.set.row(c.yielded)
+	c.yielded++
+	return true
+}
+
+func (c *Cursor) fail(err error) bool {
+	c.err = err
+	c.cur = nil
+	return false
+}
+
+// construct dereferences and projects reference tuples until the set
+// holds constructChunk new rows or the tuples run out, all under one
+// acquisition of the database read lock: construction is race-free
+// against concurrent writers, and an element deleted since the
+// combination phase surfaces as a stale-reference error (per-slot
+// generations), not as a torn read. An error stops the chunk; it is
+// reported once the rows built before it are yielded.
+func (c *Cursor) construct() {
+	if c.buf == nil {
+		c.buf = make([]value.Value, len(c.cols))
+		c.src = make([]int32, 0, min(constructChunk, len(c.rows)))
+	}
+	c.base = c.set.n
+	c.src = c.src[:0]
+	c.db.RLock()
+	defer c.db.RUnlock()
+	c.ver = c.db.Version()
+	for c.i < len(c.rows) && len(c.src) < constructChunk {
+		if c.i%64 == 0 {
+			if err := c.ctx.Err(); err != nil {
+				c.pending = err
+				return
+			}
+		}
 		row := c.rows[c.i]
-		c.i++
-		// Dereference the row's references under the database read
-		// lock: construction is race-free against concurrent writers,
-		// and an element deleted since the combination phase surfaces
-		// as a stale-reference error (per-slot generations), not as a
-		// torn read.
-		c.db.RLock()
 		for j := range c.cols {
 			elem, err := c.db.Deref(row[c.cols[j]])
 			if err != nil {
-				c.db.RUnlock()
-				c.err = err
-				c.cur = nil
-				return false
+				c.pending = err
+				return
 			}
 			c.buf[j] = elem[c.fieldCols[j]]
 		}
-		c.db.RUnlock()
-		// Insert copies the buffer; only genuinely new tuples are
-		// yielded, and the yielded slice is the result relation's stored
-		// copy, so duplicate rows cost no allocation at all.
-		before := c.result.Len()
-		ref, err := c.result.Insert(c.buf)
-		if err != nil {
-			c.err = err
-			c.cur = nil
-			return false
+		if c.set.add(c.buf, len(c.rows)-c.i) {
+			c.src = append(c.src, int32(c.i))
 		}
-		if c.result.Len() > before {
-			stored, err := c.result.Deref(ref)
-			if err != nil {
-				c.err = err
-				c.cur = nil
-				return false
-			}
-			c.cur = stored
-			return true
-		}
+		c.i++
 	}
-	c.cur = nil
-	return false
+}
+
+// Seed marks the rows prev has yielded as already yielded by c, so a
+// re-executed cursor resumes a stream without repeating them. It must
+// be called before c's first Next.
+func (c *Cursor) Seed(prev *Cursor) {
+	for k := 0; k < prev.yielded; k++ {
+		c.set.add(prev.set.row(k), prev.yielded-k)
+	}
+	c.yielded = c.set.n
+	c.base = c.set.n
 }
 
 // Row returns the current tuple. It is valid until the next Next call
@@ -144,15 +198,28 @@ func (c *Cursor) Row() []value.Value { return c.cur }
 // ctx.Err() when the cursor's context was cancelled mid-stream.
 func (c *Cursor) Err() error { return c.err }
 
-// Close releases the buffered combination result. Further Next calls
-// return false. Close is idempotent and never fails; it exists for the
-// database/sql-style defer rows.Close() idiom.
+// Close releases the buffered combination result and the construction
+// set. Further Next calls return false. Close is idempotent and never
+// fails; it exists for the database/sql-style defer rows.Close() idiom.
 func (c *Cursor) Close() error {
 	c.closed = true
 	c.rows = nil
+	c.set = rowSet{}
 	c.cur = nil
 	return nil
 }
 
 // Schema returns the schema of the result relation the cursor produces.
-func (c *Cursor) Schema() *schema.RelSchema { return c.result.Schema() }
+func (c *Cursor) Schema() *schema.RelSchema { return c.sch }
+
+// relation materializes the rows the cursor has yielded as a result
+// relation; the rows are already distinct.
+func (c *Cursor) relation() (*relation.Relation, error) {
+	rel := relation.New(c.sch, 0xFFFF)
+	for k := 0; k < c.yielded; k++ {
+		if _, err := rel.Insert(c.set.row(k)); err != nil {
+			return nil, err
+		}
+	}
+	return rel, nil
+}

@@ -136,14 +136,23 @@ func (pp *plan) actualCard(v string) (int, string) {
 }
 
 // distinctIJRefs counts the distinct references of v across the
-// indirect joins it participates in.
+// indirect joins it participates in. All of them point into v's range
+// relation, so a bitset over their slots counts them.
 func (pp *plan) distinctIJRefs(v string) (int, bool) {
-	seen := map[string]struct{}{}
-	found := false
+	var seen []uint64
+	n, found := 0, false
 	count := func(side int, pairs [][2]value.Value) {
 		found = true
 		for _, pr := range pairs {
-			seen[value.EncodeKey([]value.Value{pr[side]})] = struct{}{}
+			_, slot, _ := pr[side].AsRef()
+			w, bit := slot/64, uint64(1)<<(slot%64)
+			if w >= len(seen) {
+				seen = append(seen, make([]uint64, w+1-len(seen))...)
+			}
+			if seen[w]&bit == 0 {
+				seen[w] |= bit
+				n++
+			}
 		}
 	}
 	for _, cp := range pp.conjs {
@@ -155,5 +164,5 @@ func (pp *plan) distinctIJRefs(v string) (int, bool) {
 			}
 		}
 	}
-	return len(seen), found
+	return n, found
 }

@@ -17,6 +17,31 @@
 // uvarint. A frame larger than MaxFrameSize is a protocol error — the
 // peer must close the connection.
 //
+// # Row blocks
+//
+// Query results travel column-major (protocol version 2). A RowBatch
+// frame carries a done byte (0 or 1) and one block. A Result frame
+// carries the column names and then blocks to the end of the payload,
+// one per run of rows with the same shape (Writer.Rows), so a query
+// result is one block. A block is
+//
+//	uvarint rows
+//	uvarint columns
+//	per column: kind byte, then the column's vector
+//
+// and the vectors, by kind, are
+//
+//	ColInt     a zigzag varint per row
+//	ColString  a uvarint length per row, then all rows' bytes in one run
+//	ColBool    one byte per row, 0 or 1
+//	ColEnum    uvarint label count, the labels as a string vector (as
+//	           ColString), then a uvarint label code per row
+//
+// No value carries a tag of its own. Decoders accept only this
+// canonical form (minimal varints, no rows without columns), so every
+// accepted block re-encodes to the same bytes. A peer announcing a
+// version other than Version in its Hello is refused.
+//
 // # Conversation
 //
 // The server sends a Hello frame (protocol version + session id) on
@@ -39,8 +64,10 @@ import (
 	"pascalr/internal/value"
 )
 
-// Version is the protocol version announced in the Hello frame.
-const Version = 1
+// Version is the protocol version announced in the Hello frame. Version
+// 2 carries result rows as column-major blocks (rowblock.go); a peer
+// announcing any other version is refused.
+const Version = 2
 
 // MaxFrameSize bounds a single frame (length header value). It is large
 // enough for any realistic row batch and small enough to keep a
@@ -73,10 +100,10 @@ const (
 	OpErr       byte = 0x81 // (code, message)
 	OpHello     byte = 0x82 // (version, sessionID)
 	OpPong      byte = 0x83 // ()
-	OpResult    byte = 0x84 // (cols, nrows, rows)
+	OpResult    byte = 0x84 // (cols, block)
 	OpStmtBound byte = 0x85 // (stmtID)
 	OpCursor    byte = 0x86 // (cols)
-	OpRowBatch  byte = 0x87 // (done, nrows, rows)
+	OpRowBatch  byte = 0x87 // (done, block)
 	OpStr       byte = 0x88 // (string)
 )
 
@@ -157,6 +184,9 @@ type Writer struct{ buf []byte }
 // NewWriter returns an empty payload writer.
 func NewWriter() *Writer { return &Writer{} }
 
+// Reset empties the payload, keeping its capacity for reuse.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // Bytes returns the accumulated payload.
 func (w *Writer) Bytes() []byte { return w.buf }
 
@@ -179,33 +209,6 @@ func (w *Writer) Bool(v bool) {
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
 	w.buf = append(w.buf, s...)
-}
-
-// Value tags used by Value/ReadValue: results travel as the native Go
-// representations of pascalr results (int64, string, bool).
-const (
-	tagInt    = 0
-	tagString = 1
-	tagBool   = 2
-)
-
-// Value appends one result value. Only int64, string, and bool occur —
-// the pascalr native conversions.
-func (w *Writer) Value(v any) error {
-	switch x := v.(type) {
-	case int64:
-		w.buf = append(w.buf, tagInt)
-		w.Int64(x)
-	case string:
-		w.buf = append(w.buf, tagString)
-		w.String(x)
-	case bool:
-		w.buf = append(w.buf, tagBool)
-		w.Bool(x)
-	default:
-		return fmt.Errorf("protocol: cannot encode value of type %T", v)
-	}
-	return nil
 }
 
 // Typed-value tags used by Val/ReadVal: the storage layer's WAL and
@@ -353,21 +356,6 @@ func (w *Writer) Opts(o QueryOpts) {
 	}
 }
 
-// Rows appends a row block: count followed by the tagged values of each
-// row. Callers write the column header separately.
-func (w *Writer) Rows(rows [][]any) error {
-	w.Uvarint(uint64(len(rows)))
-	for _, row := range rows {
-		w.Uvarint(uint64(len(row)))
-		for _, v := range row {
-			if err := w.Value(v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Strings appends a length-prefixed string list.
 func (w *Writer) Strings(ss []string) {
 	w.Uvarint(uint64(len(ss)))
@@ -438,24 +426,6 @@ func (r *Reader) String() (string, error) {
 	return s, nil
 }
 
-// Value reads one tagged result value.
-func (r *Reader) Value() (any, error) {
-	tag, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case tagInt:
-		return r.Int64()
-	case tagString:
-		return r.String()
-	case tagBool:
-		return r.Bool()
-	default:
-		return nil, fmt.Errorf("protocol: unknown value tag %d", tag)
-	}
-}
-
 // Opts reads a QueryOpts block.
 func (r *Reader) Opts() (QueryOpts, error) {
 	var o QueryOpts
@@ -487,37 +457,6 @@ func (r *Reader) Opts() (QueryOpts, error) {
 		}
 	}
 	return o, nil
-}
-
-// Rows reads a row block.
-func (r *Reader) Rows() ([][]any, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(r.Len()) { // every row costs at least one byte
-		return nil, fmt.Errorf("protocol: row count %d exceeds frame", n)
-	}
-	rows := make([][]any, 0, n)
-	for range n {
-		m, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if m > uint64(r.Len()) {
-			return nil, fmt.Errorf("protocol: value count %d exceeds frame", m)
-		}
-		row := make([]any, 0, m)
-		for range m {
-			v, err := r.Value()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // Strings reads a length-prefixed string list.

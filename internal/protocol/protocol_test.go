@@ -39,7 +39,6 @@ func TestValueRowsRoundTrip(t *testing.T) {
 	rows := [][]any{
 		{int64(7), "ada", true},
 		{int64(-3), "", false},
-		{},
 	}
 	w := NewWriter()
 	w.Strings([]string{"n", "s", "b"})
@@ -58,16 +57,23 @@ func TestValueRowsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range rows {
-		if len(rows[i]) == 0 && len(got[i]) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got[i], rows[i]) {
-			t.Fatalf("row %d = %v, want %v", i, got[i], rows[i])
-		}
+	if !reflect.DeepEqual(got, rows) {
+		t.Fatalf("rows = %v, want %v", got, rows)
 	}
-	if _, err := NewWriter(), w.Value(3.14); err == nil {
+	if err := NewWriter().Rows([][]any{{3.14}}); err == nil {
 		t.Fatal("float should not encode")
+	}
+	if err := NewWriter().Rows([][]any{{int64(1)}, {}}); err == nil {
+		t.Fatal("a row without values should not encode")
+	}
+	// Rows of different shapes travel as consecutive blocks.
+	mixed := [][]any{{int64(1)}, {"one"}, {"two"}, {int64(2), true}}
+	w = NewWriter()
+	if err := w.Rows(mixed); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := NewReader(w.Bytes()).Rows(); err != nil || !reflect.DeepEqual(got, mixed) {
+		t.Fatalf("mixed rows = %v, %v; want %v", got, err, mixed)
 	}
 }
 

@@ -36,7 +36,9 @@ func twinDBs(t testing.TB, scale int) (*pascalr.Database, *pascalr.Database) {
 
 // TestLoopbackMatrix runs queries under all 32 strategy combinations
 // through a real TCP loopback connection and in process against a twin
-// database, requiring bit-identical results and counter fingerprints.
+// database, requiring bit-identical results and counter fingerprints,
+// both materialized (Query) and streamed through a prepared cursor
+// fetched one and three rows at a time.
 // This is the serving-layer leg of the enginetest differential matrix:
 // it proves the protocol encode/decode, the session option plumbing,
 // and the server execution path add nothing and lose nothing.
@@ -100,6 +102,63 @@ func TestLoopbackMatrix(t *testing.T) {
 			}
 			if fpLocal != fpRemote {
 				t.Fatalf("%s: counter fingerprints diverge:\n  local:  %s\n  remote: %s", label, fpLocal, fpRemote)
+			}
+
+			// The cursor leg: a prepared statement drained through
+			// column-major row batches of one and of three rows.
+			fetch := 1 + 2*(i%2)
+			lstmt, err := local.Prepare(q.Src, localOpts...)
+			if err != nil {
+				t.Fatalf("%s: local prepare: %v", label, err)
+			}
+			local.ResetStats()
+			lrows, err := lstmt.Rows(ctx)
+			if err != nil {
+				t.Fatalf("%s: local cursor: %v", label, err)
+			}
+			wantRows := [][]any{}
+			for lrows.Next() {
+				wantRows = append(wantRows, lrows.Values())
+			}
+			if err := lrows.Err(); err != nil {
+				t.Fatalf("%s: local cursor: %v", label, err)
+			}
+			lrows.Close()
+			fpLocal = local.StatsFingerprint()
+
+			rstmt, err := conn.Prepare(q.Src, client.Options{
+				HasStrategies: true, Strategies: uint8(strat),
+				HasCostBased: true, CostBased: costBased,
+			})
+			if err != nil {
+				t.Fatalf("%s: prepare: %v", label, err)
+			}
+			if err := conn.ResetStats(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			rrows, err := rstmt.Execute()
+			if err != nil {
+				t.Fatalf("%s: execute: %v", label, err)
+			}
+			rrows.FetchSize = fetch
+			gotRows := [][]any{}
+			for rrows.Next() {
+				gotRows = append(gotRows, rrows.Values())
+			}
+			if err := rrows.Err(); err != nil {
+				t.Fatalf("%s: loopback cursor: %v", label, err)
+			}
+			if fpRemote, err = conn.StatsFingerprint(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if err := rstmt.Close(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !reflect.DeepEqual(gotRows, wantRows) {
+				t.Fatalf("%s: fetch size %d: loopback cursor rows diverge from in-process rows", label, fetch)
+			}
+			if fpLocal != fpRemote {
+				t.Fatalf("%s: fetch size %d: cursor fingerprints diverge:\n  local:  %s\n  remote: %s", label, fetch, fpLocal, fpRemote)
 			}
 		}
 	}

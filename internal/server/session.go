@@ -52,6 +52,9 @@ type session struct {
 	// to the client in StmtBound.
 	stmts      map[uint64]*serverStmt
 	nextStmtID uint64
+
+	// batchOut is the RowBatch payload buffer, reused across fetches.
+	batchOut protocol.Writer
 }
 
 // serverStmt is a prepared statement with at most one open cursor.
@@ -60,6 +63,7 @@ type serverStmt struct {
 	rows   *pascalr.Rows
 	cancel context.CancelFunc // cancels the cursor's statement context
 	tr     *obs.Trace         // trace of the current execution's cursor
+	enc    *fetchEncoder      // fills RowBatch blocks; built on first execution
 }
 
 func newSession(srv *Server, id uint64, conn net.Conn) *session {
@@ -477,6 +481,9 @@ func (s *session) handleExecStmt(r *protocol.Reader) error {
 		cancel()
 		return s.writeErr(s.errCode(err), err)
 	}
+	if st.enc == nil {
+		st.enc = newFetchEncoder(rows)
+	}
 	s.mu.Lock()
 	st.rows, st.cancel, st.tr = rows, cancel, tr
 	s.mu.Unlock()
@@ -509,17 +516,24 @@ func (s *session) handleFetch(r *protocol.Reader) error {
 	}
 	s.setState("fetch", firstLine(st.stmt.Src()))
 	fsp := st.tr.Root().Start("fetch")
-	var batch [][]any
+	enc := st.enc
+	enc.blk.Reset()
 	done := false
-	for uint64(len(batch)) < n {
+	var scanErr error
+	for uint64(enc.blk.Rows) < n {
 		if !st.rows.Next() {
 			done = true
 			break
 		}
-		batch = append(batch, st.rows.Values())
+		if scanErr = enc.add(st.rows); scanErr != nil {
+			break
+		}
 	}
-	fsp.SetInt("rows", int64(len(batch)))
+	fsp.SetInt("rows", int64(enc.blk.Rows))
 	fsp.End()
+	if scanErr != nil {
+		return s.writeErr(protocol.CodeInternal, scanErr)
+	}
 	if done {
 		err := st.rows.Err()
 		st.rows.Close()
@@ -532,12 +546,73 @@ func (s *session) handleFetch(r *protocol.Reader) error {
 			return s.writeErr(s.errCode(err), err)
 		}
 	}
-	w := protocol.NewWriter()
-	w.Bool(done)
-	if err := w.Rows(batch); err != nil {
-		return s.writeErr(protocol.CodeInternal, err)
+	s.batchOut.Reset()
+	s.batchOut.RowBatch(done, &enc.blk)
+	return protocol.WriteFrame(s.bw, protocol.OpRowBatch, s.batchOut.Bytes())
+}
+
+// fetchEncoder fills a column-major block from a cursor's rows through
+// typed Scan destinations, so a fetch boxes no values.
+type fetchEncoder struct {
+	blk   protocol.Block
+	dest  []any // per column: a pointer into ints, strs or bools
+	ints  []int64
+	strs  []string
+	bools []bool
+	codes []map[string]uint32 // enumeration columns: label -> code
+}
+
+func newFetchEncoder(rows *pascalr.Rows) *fetchEncoder {
+	kinds, labels := rows.ColumnKinds()
+	n := len(kinds)
+	e := &fetchEncoder{
+		dest:  make([]any, n),
+		ints:  make([]int64, n),
+		strs:  make([]string, n),
+		bools: make([]bool, n),
+		codes: make([]map[string]uint32, n),
 	}
-	return protocol.WriteFrame(s.bw, protocol.OpRowBatch, w.Bytes())
+	e.blk.Cols = make([]protocol.Column, n)
+	for i, k := range kinds {
+		c := &e.blk.Cols[i]
+		switch k {
+		case pascalr.ColumnInt:
+			c.Kind, e.dest[i] = protocol.ColInt, &e.ints[i]
+		case pascalr.ColumnBool:
+			c.Kind, e.dest[i] = protocol.ColBool, &e.bools[i]
+		case pascalr.ColumnEnum:
+			c.Kind, e.dest[i], c.Labels = protocol.ColEnum, &e.strs[i], labels[i]
+			e.codes[i] = make(map[string]uint32, len(labels[i]))
+			for code, l := range labels[i] {
+				e.codes[i][l] = uint32(code)
+			}
+		default:
+			c.Kind, e.dest[i] = protocol.ColString, &e.strs[i]
+		}
+	}
+	return e
+}
+
+// add appends the cursor's current row to the block.
+func (e *fetchEncoder) add(rows *pascalr.Rows) error {
+	if err := rows.Scan(e.dest...); err != nil {
+		return err
+	}
+	for i := range e.blk.Cols {
+		c := &e.blk.Cols[i]
+		switch c.Kind {
+		case protocol.ColInt:
+			c.Ints = append(c.Ints, e.ints[i])
+		case protocol.ColBool:
+			c.Bools = append(c.Bools, e.bools[i])
+		case protocol.ColEnum:
+			c.Codes = append(c.Codes, e.codes[i][e.strs[i]])
+		default:
+			c.Strs = append(c.Strs, e.strs[i])
+		}
+	}
+	e.blk.Rows++
+	return nil
 }
 
 // handleExplainAnalyze executes a selection once and returns the

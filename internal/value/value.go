@@ -13,6 +13,7 @@ package value
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"strings"
 )
 
@@ -240,6 +241,16 @@ func MakeOrd(k Kind, ord int64, enumType string) Value {
 	default:
 		panic(fmt.Sprintf("value: MakeOrd on %s", k))
 	}
+}
+
+// Hash returns a 64-bit hash of v under seed. Equal values hash equal,
+// so a hash match is a candidate that value.Equal confirms.
+func (v Value) Hash(seed maphash.Seed) uint64 {
+	h := uint64(v.i)*0x9E3779B97F4A7C15 ^ uint64(v.kind)
+	if v.s != "" {
+		h ^= maphash.String(seed, v.s)
+	}
+	return h
 }
 
 func cmpInt64(a, b int64) int {

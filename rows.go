@@ -43,7 +43,6 @@ type Rows struct {
 	// reopen re-executes the plan for the bounded mid-stream retry; nil
 	// on prepared statements (their callers own the retry decision).
 	reopen  func() (*engine.Cursor, error)
-	seen    map[string]struct{} // keys already yielded, for resume dedup
 	retried bool
 	err     error // sticky: a reopen that itself failed
 }
@@ -57,11 +56,11 @@ func newRows(cur *engine.Cursor) *Rows {
 	return r
 }
 
-// enableRetry arms the one-shot stale-read retry: yielded tuples are
-// tracked so a re-executed stream resumes without duplicates.
+// enableRetry arms the one-shot stale-read retry. The re-executed
+// cursor is seeded with the tuples already yielded, so the stream
+// resumes without duplicates.
 func (r *Rows) enableRetry(reopen func() (*engine.Cursor, error)) {
 	r.reopen = reopen
-	r.seen = make(map[string]struct{})
 }
 
 // Columns returns the component names of the result.
@@ -78,13 +77,6 @@ func (r *Rows) Next() bool {
 			return false
 		}
 		if r.cur.Next() {
-			if r.seen != nil {
-				k := value.EncodeKey(r.cur.Row())
-				if _, dup := r.seen[k]; dup {
-					continue // already yielded before the retry
-				}
-				r.seen[k] = struct{}{}
-			}
 			return true
 		}
 		err := r.cur.Err()
@@ -101,6 +93,7 @@ func (r *Rows) Next() bool {
 			r.err = rerr
 			return false
 		}
+		cur.Seed(r.cur)
 		r.cur.Close()
 		r.cur = cur
 	}
@@ -119,9 +112,44 @@ func (r *Rows) Err() error {
 // return false. It is idempotent and safe to defer.
 func (r *Rows) Close() error { return r.cur.Close() }
 
+// ColumnKind names the native Go type a result component converts to
+// in Values and Scan.
+type ColumnKind uint8
+
+// The result component kinds.
+const (
+	ColumnInt    ColumnKind = iota + 1 // int64
+	ColumnString                       // string: character arrays, and references rendered as text
+	ColumnBool                         // bool
+	ColumnEnum                         // string: a label of the component's enumeration type
+)
+
+// ColumnKinds reports the native kind of each result component and,
+// for enumeration components, the type's labels in declaration order
+// (nil for the others).
+func (r *Rows) ColumnKinds() ([]ColumnKind, [][]string) {
+	kinds := make([]ColumnKind, len(r.typs))
+	labels := make([][]string, len(r.typs))
+	for i, t := range r.typs {
+		switch t.Kind {
+		case schema.TInt:
+			kinds[i] = ColumnInt
+		case schema.TBool:
+			kinds[i] = ColumnBool
+		case schema.TEnum:
+			kinds[i] = ColumnEnum
+			labels[i] = t.Labels
+		default:
+			kinds[i] = ColumnString
+		}
+	}
+	return kinds, labels
+}
+
 // Scan copies the current tuple into the destinations: *int64 or *int
-// for integer components, *string for character arrays and enumeration
-// labels, *bool for booleans, and *any for the native conversion.
+// for integer components, *string for character arrays, enumeration
+// labels and references, *bool for booleans, and *any for the native
+// conversion.
 func (r *Rows) Scan(dest ...any) error {
 	row := r.cur.Row()
 	if row == nil {
@@ -170,7 +198,7 @@ func scanValue(v value.Value, t *schema.Type, dest any) error {
 		switch v.Kind() {
 		case value.KindString:
 			*d = v.AsString()
-		case value.KindEnum:
+		case value.KindEnum, value.KindRef:
 			*d = t.Format(v)
 		default:
 			return fmt.Errorf("cannot scan %s into *string", v)
