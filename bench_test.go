@@ -289,55 +289,6 @@ func BenchmarkCostBasedJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCollection measures the parallel collection-phase
-// scheduler: the join-heavy three-way join and its skewed variant at a
-// scale where scans dominate, executed with 1 (serial), 2, 4, and 8
-// workers from a precompiled plan. Results and merged counters are
-// identical across worker counts (enginetest proves it); this benchmark
-// tracks the wall-clock effect. On multi-core machines the 4-worker run
-// is the headline number CI watches; under GOMAXPROCS=1 it degenerates
-// to a scheduler-overhead measurement.
-func BenchmarkParallelCollection(b *testing.B) {
-	joinCfg := workload.DefaultConfig(2000)
-	skewCfg := workload.DefaultConfig(2000)
-	skewCfg.ProfFrac = 0.95
-	skewCfg.SophFrac = 0.05
-	workloads := []struct {
-		name string
-		cfg  workload.Config
-	}{
-		{"joinheavy", joinCfg},
-		{"skewed", skewCfg},
-	}
-	for _, w := range workloads {
-		db := workload.MustUniversity(w.cfg)
-		sel, info, err := calculus.Check(workload.JoinHeavySelection(), db.Catalog())
-		if err != nil {
-			b.Fatal(err)
-		}
-		est := db.Analyze()
-		for _, par := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", w.name, par), func(b *testing.B) {
-				eng := engine.New(db, nil)
-				plan, err := eng.Compile(sel, info, engine.Options{
-					Strategies: engine.S1 | engine.S2, CostBased: true,
-					Estimator: est, Parallelism: par,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := plan.Eval(ctx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkHistogramPlanning compares the uniform (System R) and
 // histogram estimators on the heavy-hitter join workload: the uniform
 // model believes the filtered facts side is small (1/distinct) when it
@@ -571,68 +522,5 @@ func BenchmarkBatchScan(b *testing.B) {
 		if _, err := plan.Eval(ctx); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// parallelCombinationSelection fans the three-way join of
-// JoinHeavySelection out over four weekday disjuncts. The standard
-// (disjunctive normal) form lands each day test in its own conjunction,
-// and every conjunction carries BOTH equi-joins (employees-timetable
-// and courses-timetable), so the combination phase runs four
-// independent greedy hash joins — exactly the per-conjunction jobs the
-// parallel combination scheduler spreads across workers.
-func parallelCombinationSelection() *calculus.Selection {
-	day := func(ord int) calculus.Formula {
-		return &calculus.Cmp{L: calculus.Field{Var: "t", Col: "tday"}, Op: value.OpEq,
-			R: calculus.Const{Val: value.Enum("daytype", ord)}}
-	}
-	return &calculus.Selection{
-		Proj: []calculus.Field{{Var: "e", Col: "ename"}, {Var: "c", Col: "cnr"}},
-		Free: []calculus.Decl{
-			{Var: "e", Range: &calculus.RangeExpr{Rel: "employees"}},
-			{Var: "c", Range: &calculus.RangeExpr{Rel: "courses"}},
-			{Var: "t", Range: &calculus.RangeExpr{Rel: "timetable"}},
-		},
-		Pred: calculus.NewAnd(
-			&calculus.Cmp{L: calculus.Field{Var: "e", Col: "enr"}, Op: value.OpEq, R: calculus.Field{Var: "t", Col: "tenr"}},
-			&calculus.Cmp{L: calculus.Field{Var: "c", Col: "cnr"}, Op: value.OpEq, R: calculus.Field{Var: "t", Col: "tcnr"}},
-			calculus.NewOr(calculus.NewOr(day(0), day(1)), calculus.NewOr(day(2), day(3))),
-		),
-	}
-}
-
-// BenchmarkParallelCombination measures the parallel combination phase:
-// the four-conjunction disjunctive join executed with 1 (serial), 2,
-// and 4 workers from a precompiled plan. The collection phase is shared
-// scans either way; the spread across workers is the per-conjunction
-// greedy-join work. Results and merged counters are identical across
-// worker counts (enginetest proves it); CI records the wall-clock
-// effect in BENCH_batch_exec.json.
-func BenchmarkParallelCombination(b *testing.B) {
-	db := workload.MustUniversity(workload.DefaultConfig(4000))
-	db.Quiesce() // drain the population's statistics rebuilds off the timed region
-	sel, info, err := calculus.Check(parallelCombinationSelection(), db.Catalog())
-	if err != nil {
-		b.Fatal(err)
-	}
-	est := db.Analyze()
-	for _, par := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			eng := engine.New(db, nil)
-			plan, err := eng.Compile(sel, info, engine.Options{
-				Strategies: engine.S1 | engine.S2, CostBased: true,
-				Estimator: est, Parallelism: par,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.Eval(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

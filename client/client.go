@@ -77,8 +77,6 @@ type Options struct {
 	// CostBased, when HasCostBased, selects the cost-based planner.
 	HasCostBased bool
 	CostBased    bool
-	// Parallelism > 0 bounds collection-phase workers.
-	Parallelism int
 	// MaxRefTuples > 0 bounds the reference-tuple working set.
 	MaxRefTuples int64
 	// TraceID, when non-empty, names the server-side trace of this call,
@@ -95,7 +93,6 @@ func (o Options) wire() protocol.QueryOpts {
 		Strategies:    o.Strategies,
 		HasCostBased:  o.HasCostBased,
 		CostBased:     o.CostBased,
-		Parallelism:   uint32(o.Parallelism),
 		MaxRefTuples:  uint64(o.MaxRefTuples),
 		TraceID:       o.TraceID,
 	}
@@ -529,7 +526,8 @@ func (c *Conn) TraceLastQuery() (string, error) {
 }
 
 // SetOption sets a session default on the server. Keys: "strategies",
-// "cost_based" (1 to enable), "parallelism", "max_ref_tuples".
+// "cost_based" (1 to enable), "max_ref_tuples"; the server refuses any
+// other key with a bad-request error.
 func (c *Conn) SetOption(key string, value int64) error {
 	w := protocol.NewWriter()
 	w.String(key)

@@ -47,7 +47,6 @@ func main() {
 	httpAddr := flag.String("http", "", "HTTP monitoring address (empty = disabled)")
 	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "maximum concurrent sessions")
 	university := flag.Int("university", 0, "populate the Figure 1 sample database at this scale")
-	parallel := flag.Int("parallel", 0, "database-wide collection-phase parallelism default")
 	grace := flag.Duration("grace", 10*time.Second, "graceful-shutdown drain budget")
 	dataDir := flag.String("data", "", "durable data directory (empty = in-memory)")
 	noFsync := flag.Bool("no-fsync", false, "with -data: skip the per-record WAL fsync")
@@ -80,9 +79,6 @@ func main() {
 		fmt.Printf("recovered durable database in %s\n", *dataDir)
 	} else {
 		db = pascalr.New()
-	}
-	if *parallel > 1 {
-		db.SetParallelism(*parallel)
 	}
 	if *university > 0 {
 		script, err := workload.UniversityScript(*university)

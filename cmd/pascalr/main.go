@@ -42,7 +42,6 @@ func main() {
 	showStats := flag.Bool("stats", false, "print cost counters after each query")
 	useBaseline := flag.Bool("baseline", false, "evaluate by tuple substitution instead of the engine")
 	costBased := flag.Bool("cost", false, "plan from cardinality estimates instead of the static order")
-	parallel := flag.Int("parallel", 1, "collection-phase scan workers (1 = serial)")
 	university := flag.Int("university", 0, "populate the Figure 1 sample database at this scale")
 	interactive := flag.Bool("i", false, "read statements and queries from stdin")
 	trace := flag.Bool("trace", false, "print each query's span tree (phase and scan/join timings) after execution")
@@ -87,9 +86,6 @@ func main() {
 		}
 		if *costBased {
 			opts = append(opts, pascalr.WithCostBased())
-		}
-		if *parallel > 1 {
-			opts = append(opts, pascalr.WithParallelism(*parallel))
 		}
 		if *explain {
 			out, err := db.Explain(q, opts...)

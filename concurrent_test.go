@@ -39,11 +39,14 @@ func concurrentDB(t *testing.T, rows int) *Database {
 
 // TestConcurrentStmtQuery runs one prepared statement from 8 goroutines
 // over one Database — the acceptance bar for concurrency-safe query
-// execution — asserting every execution returns the same result.
+// execution — asserting every execution returns the same result. Every
+// fourth call carries a reference-tuple budget too small for the
+// query's combination-phase join: it alone must fail, so per-call
+// options stay isolated between concurrent executions of one plan.
 func TestConcurrentStmtQuery(t *testing.T) {
 	db := concurrentDB(t, 60)
-	stmt, err := db.Prepare(`[<s.sname, d.dnr> OF EACH s IN staff, EACH d IN duties:
-		(s.sstatus = professor) AND (s.snr = d.dsnr)]`, WithCostBased())
+	stmt, err := db.Prepare(`[<s.sname, d.dnr, e.dnr> OF EACH s IN staff, EACH d IN duties, EACH e IN duties:
+		(s.sstatus = professor) AND (s.snr = d.dsnr) AND (s.snr = e.dsnr)]`, WithCostBased())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +63,14 @@ func TestConcurrentStmtQuery(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < reps; r++ {
-				par := 1 + (g+r)%4 // mix serial and parallel executions
-				res, err := stmt.Query(context.Background(), WithParallelism(par))
+				if (g+r)%4 == 0 {
+					if _, err := stmt.Query(context.Background(), WithMaxRefTuples(1)); err == nil || !strings.Contains(err.Error(), "exceeded 1 reference tuples") {
+						errs[g] = fmt.Errorf("goroutine %d rep %d: budget 1 gave %v, want the budget error", g, r, err)
+						return
+					}
+					continue
+				}
+				res, err := stmt.Query(context.Background(), WithMaxRefTuples(1<<20))
 				if err != nil {
 					errs[g] = err
 					return
@@ -126,12 +135,12 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 			for r := 0; r < reps; r++ {
 				switch r % 3 {
 				case 0:
-					if _, err := db.Query(src, WithParallelism(4)); err != nil {
+					if _, err := db.Query(src, WithMaxRefTuples(1<<20)); err != nil {
 						errCh <- fmt.Errorf("reader %d query: %w", g, err)
 						return
 					}
 				case 1:
-					if _, err := stmt.Query(ctx, WithParallelism(2)); err != nil {
+					if _, err := stmt.Query(ctx, WithMaxRefTuples(1<<20)); err != nil {
 						errCh <- fmt.Errorf("reader %d stmt: %w", g, err)
 						return
 					}
@@ -212,25 +221,5 @@ func TestConcurrentStmtQueryAndDDL(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
-	}
-}
-
-// TestWithParallelismResultsMatch compares one-shot results across
-// worker budgets on a join query, including through the plan cache.
-func TestWithParallelismResultsMatch(t *testing.T) {
-	db := concurrentDB(t, 50)
-	src := `[<s.snr, d.dnr> OF EACH s IN staff, EACH d IN duties: (s.snr = d.dsnr)]`
-	want, err := db.Query(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{1, 2, 4, 8} {
-		got, err := db.Query(src, WithParallelism(n))
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", n, err)
-		}
-		if got.Len() != want.Len() {
-			t.Fatalf("parallelism %d: %d rows, want %d", n, got.Len(), want.Len())
-		}
 	}
 }

@@ -12,7 +12,6 @@ package collection
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"pascalr/internal/stats"
 	"pascalr/internal/value"
@@ -41,16 +40,6 @@ func (sl *SingleList) Add(ref value.Value) {
 	sl.refs = append(sl.refs, ref)
 }
 
-// Merge appends another single list built from a disjoint slice of the
-// same scan (a shard): references append in order and the dedup set
-// unions without re-encoding keys.
-func (sl *SingleList) Merge(other *SingleList) {
-	for k := range other.set {
-		sl.set[k] = struct{}{}
-	}
-	sl.refs = append(sl.refs, other.refs...)
-}
-
 // Refs returns the references in insertion order.
 func (sl *SingleList) Refs() []value.Value { return sl.refs }
 
@@ -73,31 +62,23 @@ type IndexEntry struct {
 // references, e.g. ind_t_cnr in Figure 2. The build phase appends plain
 // (value, reference) entries; the entry list is immutable once the
 // build scan completes, and both access structures derive from it
-// lazily, each under its own sync.Once so concurrent probers share one
-// build — the equality hash table on the first =-probe, and a sorted
+// lazily — the equality hash table on the first =-probe, and a sorted
 // *copy* of the entries on the first ordered probe. Because the
 // insertion-order list is never mutated after the build, <>-probes and
-// the equality map always see the same deterministic order no matter
-// how probes interleave, scans that build an index nobody
-// equality-probes never pay the hashing, and shard merges are plain
-// slice concatenation.
+// the equality map always see the same deterministic order, and scans
+// that build an index nobody equality-probes never pay the hashing.
 //
-// The build phase (Add, Merge) is single-writer: the scheduler
-// guarantees an index's build scan completes before any probing scan
-// starts. Probes are concurrent — parallel scan workers share built
-// indexes — and count into explicit per-worker sinks instead of a
-// field.
+// The plan's scan order completes an index's build scan before any
+// probing scan starts; one execution owns the index, so it needs no
+// lock. Probes count into the caller's sink.
 type Index struct {
 	Rel string
 	Col string
 
 	entries []IndexEntry // insertion order; immutable once built
 
-	eqOnce sync.Once
-	eq     map[string][]value.Value
-
-	sortOnce sync.Once
-	sorted   []IndexEntry // ascending by Val, stable; derived copy
+	eq     map[string][]value.Value // built on the first =-probe
+	sorted []IndexEntry             // ascending by Val, stable; built on the first ordered probe
 }
 
 // NewIndex creates an empty index over rel.col.
@@ -110,38 +91,29 @@ func (ix *Index) Add(v, ref value.Value) {
 	ix.entries = append(ix.entries, IndexEntry{Val: v, Ref: ref})
 }
 
-// Merge appends another index built from a disjoint slice of the same
-// scan (a shard). Entries append in their insertion order, so absorbing
-// shard-local indexes shard by shard reproduces exactly the entry (and
-// derived per-value reference) order a serial scan would have built.
-func (ix *Index) Merge(other *Index) {
-	ix.entries = append(ix.entries, other.entries...)
-}
-
-// eqMap builds (once, first =-probe) and returns the equality hash
+// eqMap builds (on the first =-probe) and returns the equality hash
 // table. Entries are immutable by then: builds complete before probes.
 func (ix *Index) eqMap() map[string][]value.Value {
-	ix.eqOnce.Do(func() {
-		m := make(map[string][]value.Value, len(ix.entries))
+	if ix.eq == nil {
+		ix.eq = make(map[string][]value.Value, len(ix.entries))
 		for _, e := range ix.entries {
 			k := value.EncodeKey([]value.Value{e.Val})
-			m[k] = append(m[k], e.Ref)
+			ix.eq[k] = append(ix.eq[k], e.Ref)
 		}
-		ix.eq = m
-	})
+	}
 	return ix.eq
 }
 
-// sortedEntries builds (once, first ordered probe) and returns a stable
-// sorted copy of the entries; the insertion-order list stays untouched.
+// sortedEntries builds (on the first ordered probe) and returns a
+// stable sorted copy of the entries; the insertion-order list stays
+// untouched.
 func (ix *Index) sortedEntries() []IndexEntry {
-	ix.sortOnce.Do(func() {
-		cp := append([]IndexEntry(nil), ix.entries...)
-		sort.SliceStable(cp, func(i, j int) bool {
-			return value.MustCompare(cp[i].Val, cp[j].Val) < 0
+	if ix.sorted == nil && len(ix.entries) > 0 {
+		ix.sorted = append([]IndexEntry(nil), ix.entries...)
+		sort.SliceStable(ix.sorted, func(i, j int) bool {
+			return value.MustCompare(ix.sorted[i].Val, ix.sorted[j].Val) < 0
 		})
-		ix.sorted = cp
-	})
+	}
 	return ix.sorted
 }
 
@@ -174,7 +146,7 @@ func (ix *Index) Probe(st *stats.Counters, op value.CmpOp, pv value.Value, fn fu
 	case value.OpNe:
 		// Insertion order, always: the list is immutable post-build, so
 		// emission order is deterministic regardless of which probes ran
-		// before (serial and parallel runs agree byte for byte).
+		// before.
 		for _, e := range ix.entries {
 			st.CountComparisons(1)
 			if !value.Equal(e.Val, pv) {
@@ -227,13 +199,6 @@ func NewIndirectJoin(lv, rv string) *IndirectJoin {
 // Add inserts a reference pair.
 func (ij *IndirectJoin) Add(l, r value.Value) {
 	ij.pairs = append(ij.pairs, [2]value.Value{l, r})
-}
-
-// Merge appends another indirect join built from a disjoint slice of
-// the same scan (a shard — every pair's probing reference belongs to
-// exactly one shard): pairs append in shard order.
-func (ij *IndirectJoin) Merge(other *IndirectJoin) {
-	ij.pairs = append(ij.pairs, other.pairs...)
 }
 
 // Pairs returns the reference pairs in insertion order.

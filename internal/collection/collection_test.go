@@ -124,12 +124,6 @@ func TestIndirectJoin(t *testing.T) {
 	if got := ij.Pairs(); !value.Equal(got[0][0], ref(1)) || !value.Equal(got[1][1], ref(20)) {
 		t.Errorf("Pairs = %v", got)
 	}
-	other := NewIndirectJoin("c", "t")
-	other.Add(ref(3), ref(30))
-	ij.Merge(other)
-	if ij.Len() != 3 || !value.Equal(ij.Pairs()[2][0], ref(3)) {
-		t.Errorf("after merge: %v", ij.Pairs())
-	}
 }
 
 func TestValueList(t *testing.T) {
@@ -243,8 +237,8 @@ func TestQuantPredMatchesNaive(t *testing.T) {
 					return false
 				}
 				want := all
-				for _, v := range vl.Values() {
-					ok, _ := op.Apply(x, v)
+				for _, v := range vals {
+					ok, _ := op.Apply(x, value.Int(int64(v%16)))
 					if all && !ok {
 						want = false
 					}

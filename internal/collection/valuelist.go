@@ -52,9 +52,6 @@ func (vl *ValueList) Min() value.Value { return vl.min }
 // Max returns the largest value.
 func (vl *ValueList) Max() value.Value { return vl.max }
 
-// Values returns the distinct values in insertion order.
-func (vl *ValueList) Values() []value.Value { return vl.vals }
-
 // QuantPred is a derived monadic predicate over one component value x,
 // deciding "SOME v in list: x op v" or "ALL v in list: x op v" — the
 // quantifier evaluation strategy 4 moves into the collection phase.

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"pascalr/internal/colbatch"
-	"pascalr/internal/stats"
 )
 
 // The collection drive. A scan job materializes columnar batches
@@ -63,17 +62,17 @@ func putBatch(b *colbatch.Batch) {
 	batchPool.Put(b)
 }
 
-// scanSlotRange drives the given tasks over one slot range of the job's
-// relation — a full scan, or one shard of a split scan: fill a batch,
-// run every task's bulk predicate chain over it, flush, repeat.
-// Cancellation is checked per batch, the final partial one included.
-func (p *plan) scanSlotRange(ctx context.Context, job *scanJob, tasks []scanTask, st *stats.Counters, lo, hi int) error {
+// scanBatches drives the job's tasks over its relation's whole slot
+// span: fill a batch, run every task's bulk predicate chain over it,
+// flush, repeat. Cancellation is checked per batch, the final partial
+// one included.
+func (p *plan) scanBatches(ctx context.Context, job *scanJob) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	b := getBatch(len(job.rel.Schema().Cols))
 	defer putBatch(b)
-	snk := &scanSink{st: st}
+	snk := &scanSink{st: p.st}
 	var sel colbatch.Bitmap
 	flush := func() error {
 		if err := ctx.Err(); err != nil {
@@ -81,7 +80,7 @@ func (p *plan) scanSlotRange(ctx context.Context, job *scanJob, tasks []scanTask
 		}
 		rows := b.Len()
 		kept := int64(0)
-		for _, t := range tasks {
+		for _, t := range job.tasks {
 			sel.SetAll(rows)
 			n, err := t.processBatch(b, &sel, snk)
 			if err != nil {
@@ -89,16 +88,16 @@ func (p *plan) scanSlotRange(ctx context.Context, job *scanJob, tasks []scanTask
 			}
 			kept += int64(n)
 		}
-		job.batches.Add(1)
+		job.batches++
 		mBatchBatches.Inc()
 		mBatchRows.Add(int64(rows))
-		mBatchFilterRows.Add(int64(rows) * int64(len(tasks)))
+		mBatchFilterRows.Add(int64(rows) * int64(len(job.tasks)))
 		mBatchSelectedRows.Add(kept)
 		hBatchSizeRows.Observe(int64(rows))
 		return nil
 	}
-	err := job.rel.ScanBatches(st, lo, hi, b, job.batchCols, flush)
-	job.liftedRows.Add(snk.liftedRows)
+	err := job.rel.ScanBatches(p.st, 0, job.rel.SlotSpan(), b, job.batchCols, flush)
+	job.liftedRows += snk.liftedRows
 	mBatchLiftedRows.Add(snk.liftedRows)
 	return err
 }

@@ -124,8 +124,8 @@ func TestBatchEmptyRelations(t *testing.T) {
 
 // TestBatchBoundaryMatrix sweeps the paper's sample queries across odd
 // batch sizes (including sizes that split every quantified scan at
-// non-multiple-of-64 offsets) and every strategy rung, serial and
-// parallel — rows and counters under boundary stress.
+// non-multiple-of-64 offsets) and every strategy rung — rows and
+// counters under boundary stress.
 func TestBatchBoundaryMatrix(t *testing.T) {
 	db := workload.MustUniversity(workload.DefaultConfig(17))
 	sels := []*calculus.Selection{
@@ -137,10 +137,8 @@ func TestBatchBoundaryMatrix(t *testing.T) {
 	for _, bs := range []int{3, 65} {
 		for _, sel := range sels {
 			for _, strat := range []Strategy{0, S1 | S2, AllStrategies} {
-				for _, par := range []int{1, 4} {
-					setBatchSize(t, bs)
-					evalChecked(t, db, sel, Options{Strategies: strat, Parallelism: par})
-				}
+				setBatchSize(t, bs)
+				evalChecked(t, db, sel, Options{Strategies: strat})
 			}
 		}
 	}

@@ -216,7 +216,7 @@ func (p *Plan) Eval(ctx context.Context) (*relation.Relation, error) {
 // EvalWith is Eval with per-execution option overrides: the override
 // runs against a private copy of the plan's options after
 // revalidation, so concurrent executions with different
-// execution-time options (budget, parallelism, statistics) never
+// execution-time options (budget, statistics) never
 // contaminate each other or the plan. It drains a cursor and is the
 // only path that builds a result relation, from the cursor's
 // already-distinct rows.

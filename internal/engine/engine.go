@@ -85,25 +85,8 @@ type Options struct {
 	// nil and CostBased is set, Eval uses the database's live statistics
 	// (incrementally maintained, no analyze pass).
 	Estimator *stats.Estimator
-	// Parallelism is the worker budget for the collection phase
-	// (independent scan jobs on up to this many goroutines, large scans
-	// split into balanced slot-range shards — see internal/sched) and
-	// the combination phase (per-conjunction greedy joins and deferred
-	// index-index joins as independent jobs). Values below 2 run the
-	// paper's serial schedule on the calling goroutine, with
-	// bit-identical results and counters; higher values produce the same
-	// results and the same merged counters, faster.
-	Parallelism int
 	// maxAdaptations guards the adaptation loop; set by Eval.
 	maxAdaptations int
-}
-
-// parallelism normalizes the worker budget: at least one.
-func parallelism(opts Options) int {
-	if opts.Parallelism < 1 {
-		return 1
-	}
-	return opts.Parallelism
 }
 
 // Engine evaluates selections against one database. Engines are safe
@@ -244,7 +227,7 @@ func (e *Engine) collectWithAdaptation(ctx context.Context, x *optimizer.XForm, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), parallelism(opts))
+		p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts))
 		if err != nil {
 			return nil, err
 		}
@@ -348,7 +331,7 @@ func (e *Engine) Explain(sel *calculus.Selection, opts Options) (string, error) 
 	}
 	st := &stats.Counters{}
 	e.db.RLock()
-	p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), parallelism(opts))
+	p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts))
 	e.db.RUnlock()
 	if err != nil {
 		return "", err

@@ -7,20 +7,14 @@ import (
 
 	"pascalr/internal/algebra"
 	"pascalr/internal/colbatch"
-	"pascalr/internal/collection"
-	"pascalr/internal/obs"
-	"pascalr/internal/sched"
-	"pascalr/internal/stats"
 	"pascalr/internal/value"
 )
 
 // scanTask consumes the columnar batches of one relation scan. sel
 // arrives all-ones over the batch's rows and is the task's to mutate;
 // the count processBatch returns is the rows surviving the task's own
-// predicate chain (feeding the selection-density metrics). The sink is
-// the scanning worker's — per job, or per shard when the scan is split
-// — so counting never races; finish runs once per task after the whole
-// logical scan (all shards) completed.
+// predicate chain (feeding the selection-density metrics). finish runs
+// once per task after the scan completed.
 type scanTask interface {
 	processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error)
 	// batchCols reports the column indexes processBatch reads, or
@@ -31,23 +25,10 @@ type scanTask interface {
 	describe() string
 }
 
-// shardableTask is a scanTask whose scan may be split into consecutive
-// slot-range shards: shardClone returns a fresh task accumulating into
-// shard-local structures, and absorb folds a shard's accumulation back
-// into the parent. Absorbing shards in shard order reproduces exactly
-// the structures (content and order) a serial scan would have built, so
-// a sharded collection phase stays bit-identical to the serial one.
-type shardableTask interface {
-	scanTask
-	shardClone() scanTask
-	absorb(shard scanTask) error
-}
-
 // rangeTask collects the references of a live variable's range —
 // "the collection phase evaluates range expressions". References
 // accumulate task-locally and publish into the plan's range-list map at
-// finish, under the plan lock: concurrent scans of other variables may
-// be reading the map (filtered permanent-index probes) at that moment.
+// finish.
 type rangeTask struct {
 	p     *plan
 	v     string
@@ -71,26 +52,15 @@ func (t *rangeTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *s
 }
 
 func (t *rangeTask) finish() error {
-	t.p.publishRange(t.v, t.refs)
+	t.p.rangeLst[t.v] = t.refs
 	return nil
 }
 func (t *rangeTask) describe() string { return "range " + t.v }
 
-func (t *rangeTask) shardClone() scanTask {
-	return &rangeTask{p: t.p, v: t.v, preds: t.preds}
-}
-
-func (t *rangeTask) absorb(shard scanTask) error {
-	t.refs = append(t.refs, shard.(*rangeTask).refs...)
-	return nil
-}
-
-// slTask builds a single list; shard clones accumulate into a private
-// list merged back in shard order.
+// slTask builds a single list.
 type slTask struct {
 	spec       *slSpec
 	rangePreds []batchPred
-	out        *collection.SingleList // spec.out, or shard-local
 }
 
 func (t *slTask) batchCols() ([]int, bool) { return unionPredCols(t.rangePreds, t.spec.preds) }
@@ -104,7 +74,7 @@ func (t *slTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scan
 	}
 	n := 0
 	sel.Do(func(i int) bool {
-		t.out.Add(b.Ref(i))
+		t.spec.out.Add(b.Ref(i))
 		n++
 		return true
 	})
@@ -113,21 +83,10 @@ func (t *slTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scan
 func (t *slTask) finish() error    { return nil }
 func (t *slTask) describe() string { return "single-list " + t.spec.key }
 
-func (t *slTask) shardClone() scanTask {
-	return &slTask{spec: t.spec, rangePreds: t.rangePreds, out: collection.NewSingleList(t.spec.v)}
-}
-
-func (t *slTask) absorb(shard scanTask) error {
-	t.out.Merge(shard.(*slTask).out)
-	return nil
-}
-
-// ixTask builds an index over the variable's range; shard clones build
-// private indexes merged back in shard order.
+// ixTask builds an index over the variable's range.
 type ixTask struct {
 	spec       *ixSpec
 	rangePreds []batchPred
-	out        *collection.Index // spec.out, or shard-local
 }
 
 func (t *ixTask) batchCols() ([]int, bool) {
@@ -145,7 +104,7 @@ func (t *ixTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scan
 	n := 0
 	ci := t.spec.colIdx
 	sel.Do(func(i int) bool {
-		t.out.Add(b.ColVal(ci, i), b.Ref(i))
+		t.spec.out.Add(b.ColVal(ci, i), b.Ref(i))
 		n++
 		return true
 	})
@@ -154,35 +113,15 @@ func (t *ixTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scan
 func (t *ixTask) finish() error    { return nil }
 func (t *ixTask) describe() string { return "index " + t.spec.key }
 
-func (t *ixTask) shardClone() scanTask {
-	return &ixTask{spec: t.spec, rangePreds: t.rangePreds, out: collection.NewIndex(t.out.Rel, t.out.Col)}
-}
-
-func (t *ixTask) absorb(shard scanTask) error {
-	t.out.Merge(shard.(*ixTask).out)
-	return nil
-}
-
 // groupTask probes earlier-built indexes to produce indirect joins.
 // With mutual restriction (strategy 2), an element emits pairs only when
-// every probe in the group matched. The probed indexes are read-only by
-// the time the task runs (the scheduler orders builds before probes);
-// shard clones emit into private indirect joins merged back in shard
-// order.
+// every probe in the group matched. The probed indexes are complete by
+// the time the task runs: the scan order puts builds before probes.
 type groupTask struct {
 	p          *plan
 	grp        *probeGroup
 	rangePreds []batchPred
-	outs       []*collection.IndirectJoin // per probe: pr.out, or shard-local
 	matchBuf   [][]value.Value
-}
-
-func newGroupTask(p *plan, grp *probeGroup, rangePreds []batchPred) *groupTask {
-	t := &groupTask{p: p, grp: grp, rangePreds: rangePreds}
-	for _, pr := range grp.probes {
-		t.outs = append(t.outs, pr.out)
-	}
-	return t
 }
 
 func (t *groupTask) batchCols() ([]int, bool) {
@@ -212,7 +151,7 @@ func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *s
 		for pi := range t.grp.probes {
 			pr := &t.grp.probes[pi]
 			t.matchBuf[pi] = t.matchBuf[pi][:0]
-			pr.index.probe(t.p, snk.st, pr.op, b.ColVal(pr.probeCol, i), func(r value.Value) {
+			pr.index.probe(t.p, pr.op, b.ColVal(pr.probeCol, i), func(r value.Value) {
 				t.matchBuf[pi] = append(t.matchBuf[pi], r)
 			})
 			if t.grp.mutual && len(t.matchBuf[pi]) == 0 {
@@ -221,7 +160,7 @@ func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *s
 		}
 		for pi := range t.grp.probes {
 			for _, r := range t.matchBuf[pi] {
-				t.outs[pi].Add(b.Ref(i), r)
+				t.grp.probes[pi].out.Add(b.Ref(i), r)
 			}
 		}
 		return true
@@ -231,24 +170,8 @@ func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *s
 func (t *groupTask) finish() error    { return nil }
 func (t *groupTask) describe() string { return "probe " + t.grp.key }
 
-func (t *groupTask) shardClone() scanTask {
-	c := &groupTask{p: t.p, grp: t.grp, rangePreds: t.rangePreds}
-	for _, pr := range t.grp.probes {
-		c.outs = append(c.outs, collection.NewIndirectJoin(pr.out.LVar, pr.out.RVar))
-	}
-	return c
-}
-
-func (t *groupTask) absorb(shard scanTask) error {
-	for i, out := range shard.(*groupTask).outs {
-		t.outs[i].Merge(out)
-	}
-	return nil
-}
-
 // specTask feeds a strategy-4 spec while scanning the eliminated
-// variable's range; shard clones feed private runtimes merged back in
-// shard order before the parent's finish resolves the predicate.
+// variable's range; finish resolves the predicate.
 type specTask struct {
 	rt         *specRuntime
 	rangePreds []batchPred
@@ -282,15 +205,6 @@ func (t *specTask) describe() string {
 	return fmt.Sprintf("value-list spec%d (%s)", t.rt.spec.ID, t.rt.spec.Var)
 }
 
-func (t *specTask) shardClone() scanTask {
-	return &specTask{rt: newSpecRuntime(t.rt.spec), rangePreds: t.rangePreds, monPreds: t.monPreds, dyCols: t.dyCols}
-}
-
-func (t *specTask) absorb(shard scanTask) error {
-	t.rt.merge(shard.(*specTask).rt)
-	return nil
-}
-
 // tasksForVar builds the scan tasks of one variable: its range list
 // (live variables), its single lists, indexes, probe groups, and spec
 // feed.
@@ -307,17 +221,17 @@ func (p *plan) tasksForVar(v string) []scanTask {
 	}
 	for _, key := range sortedKeys(p.sls) {
 		if sl := p.sls[key]; sl.v == v {
-			tasks = append(tasks, &slTask{spec: sl, rangePreds: rangePreds, out: sl.out})
+			tasks = append(tasks, &slTask{spec: sl, rangePreds: rangePreds})
 		}
 	}
 	for _, key := range sortedKeys(p.ixs) {
 		if ix := p.ixs[key]; ix.v == v && ix.out != nil {
-			tasks = append(tasks, &ixTask{spec: ix, rangePreds: rangePreds, out: ix.out})
+			tasks = append(tasks, &ixTask{spec: ix, rangePreds: rangePreds})
 		}
 	}
 	for _, key := range sortedKeys(p.groups) {
 		if grp := p.groups[key]; grp.v == v {
-			tasks = append(tasks, newGroupTask(p, grp, rangePreds))
+			tasks = append(tasks, &groupTask{p: p, grp: grp, rangePreds: rangePreds})
 		}
 	}
 	if node.rt != nil {
@@ -378,98 +292,48 @@ func (p *plan) rangePredsFor(v string) ([]batchPred, error) {
 }
 
 // runScans executes the collection phase: every job is one scan, run
-// serially on this goroutine or — with Parallelism > 1 — fanned out to
-// the sched worker pool (see exec_parallel.go). The caller holds the
-// database read lock for the duration, so scans, permanent-index
-// probes, and the deferred index-index joins all read one consistent
-// snapshot. Cancellation is checked between jobs and per batch within
-// a scan, so a long scan aborts promptly with ctx.Err().
+// in plan order on the calling goroutine — strategy 1's single pass per
+// relation, with each index built before the scans that probe it. The
+// caller holds the database read lock for the duration, so scans,
+// permanent-index probes, and the deferred index-index joins all read
+// one consistent snapshot. Cancellation is checked between jobs and per
+// batch within a scan, so a long scan aborts promptly with ctx.Err().
 func (p *plan) runScans(ctx context.Context) error {
-	if p.par > 1 && len(p.jobs) > 0 {
-		if err := p.runScansParallel(ctx); err != nil {
+	for ji, job := range p.jobs {
+		sp := p.collSp.Start("scan " + job.rel.Name())
+		if ji < len(p.jobSpans) {
+			p.jobSpans[ji] = sp
+		}
+		err := p.runScanJob(ctx, job)
+		sp.End()
+		if err != nil {
 			return err
 		}
-	} else {
-		for ji, job := range p.jobs {
-			sp := p.collSp.Start("scan " + job.rel.Name())
-			if ji < len(p.jobSpans) {
-				p.jobSpans[ji] = sp
-			}
-			err := p.runScanJob(ctx, job, p.st)
-			sp.End()
-			if err != nil {
-				return err
-			}
-		}
-	}
-	if err := p.runDeferred(ctx); err != nil {
-		return err
-	}
-	p.recordStructures()
-	return nil
-}
-
-// runDeferred materializes the deferred index-index joins — serially,
-// or as independent sched jobs when the plan has a worker budget and
-// more than one join. Each join reads structures that are frozen once
-// the scans complete (the indexes, the range-list map) and writes only
-// its own output, so the jobs don't conflict; per-job private sinks
-// merge back in deferred order to keep counters bit-identical to the
-// serial pass.
-func (p *plan) runDeferred(ctx context.Context) error {
-	if p.par > 1 && len(p.deferred) > 1 {
-		jobs := make([]sched.Job, len(p.deferred))
-		sinks := make([]*stats.Counters, len(p.deferred))
-		for i, d := range p.deferred {
-			i, d := i, d
-			sinks[i] = &stats.Counters{}
-			jobs[i] = sched.Job{
-				Name: "deferred " + d.key,
-				Run: func(jctx context.Context) error {
-					if err := jctx.Err(); err != nil {
-						return err
-					}
-					sp := p.collSp.Start("deferred-join")
-					p.materializeDeferredInto(d, sinks[i])
-					if sp != nil {
-						sp.SetAttr("key", d.key)
-						sp.SetInt("pairs", int64(d.out.Len()))
-						sp.End()
-					}
-					return nil
-				},
-			}
-		}
-		err := sched.Run(ctx, p.par, jobs)
-		for _, snk := range sinks {
-			p.st.Merge(snk)
-		}
-		return err
 	}
 	for _, d := range p.deferred {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		sp := p.collSp.Start("deferred-join")
-		p.materializeDeferredInto(d, p.st)
+		p.materializeDeferred(d)
 		if sp != nil {
 			sp.SetAttr("key", d.key)
 			sp.SetInt("pairs", int64(d.out.Len()))
 			sp.End()
 		}
 	}
+	p.recordStructures()
 	return nil
 }
 
-// runScanJob runs one whole scan job — the unsharded case — counting
-// into st: one scan start, the tuples read, and everything the tasks'
-// predicates and probes count.
-func (p *plan) runScanJob(ctx context.Context, job *scanJob, st *stats.Counters) error {
+// runScanJob runs one scan job: one scan start, the tuples read, and
+// everything the tasks' predicates and probes count.
+func (p *plan) runScanJob(ctx context.Context, job *scanJob) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	st.CountScan(job.rel.Name())
-	if err := p.scanSlotRange(ctx, job, job.tasks, st, 0, job.rel.SlotSpan()); err != nil {
+	p.st.CountScan(job.rel.Name())
+	if err := p.scanBatches(ctx, job); err != nil {
 		return err
 	}
 	for _, t := range job.tasks {
@@ -504,23 +368,21 @@ func driveSmallerSide(op value.CmpOp) bool {
 	return false
 }
 
-// materializeDeferredInto joins two indexes into an indirect join
-// without touching the base relation again, counting into st (the
-// plan's sink, or a job-private one when deferred joins run in
-// parallel). Under cost-based planning the smaller index's entries
-// drive the probing (equality and ordered operators alike), minimizing
-// probe count at identical output.
-func (p *plan) materializeDeferredInto(d *deferredIJ, st *stats.Counters) {
+// materializeDeferred joins two indexes into an indirect join without
+// touching the base relation again. Under cost-based planning the
+// smaller index's entries drive the probing (equality and ordered
+// operators alike), minimizing probe count at identical output.
+func (p *plan) materializeDeferred(d *deferredIJ) {
 	if p.est != nil && driveSmallerSide(d.op) && p.effLen(d.lIx) > p.effLen(d.rIx) {
 		d.rIx.entriesDo(p, func(v, rref value.Value) {
-			d.lIx.probe(p, st, d.op.Flip(), v, func(lref value.Value) {
+			d.lIx.probe(p, d.op.Flip(), v, func(lref value.Value) {
 				d.out.Add(lref, rref)
 			})
 		})
 		return
 	}
 	d.lIx.entriesDo(p, func(v, lref value.Value) {
-		d.rIx.probe(p, st, d.op, v, func(rref value.Value) {
+		d.rIx.probe(p, d.op, v, func(rref value.Value) {
 			d.out.Add(lref, rref)
 		})
 	})
@@ -583,96 +445,27 @@ func (p *plan) liveVars() []string {
 	return out
 }
 
-// combState is the per-execution-strand state of the combination
-// phase: the counter sink the strand's algebra operations feed (the
-// plan's, or a private one when conjunctions run as parallel jobs), the
-// span joins hang off, the join log, and the budget checkpoint values
-// recorded for the ordered replay below.
-type combState struct {
-	st *stats.Counters
-	// base is st.RefTuples when the state was created, so checkVals are
-	// deltas regardless of whether st is shared or private.
-	base      int64
-	sp        *obs.Span
-	joinLog   []joinStep
-	checkVals []int64
-}
-
-// combBudget is the reference-tuple budget shared by every combination
-// strand. base0 is the execution's materialization before the
-// combination phase started (relative to the plan's refBase).
-type combBudget struct{ max, base0 int64 }
-
-func (b *combBudget) err() error {
-	return fmt.Errorf("engine: combination phase exceeded %d reference tuples", b.max)
-}
-
-// checkpoint records a budget checkpoint for cs and aborts on
-// cancellation or when the strand's own materialization alone exceeds
-// the budget. The own-only test is deliberately conservative: a
-// strand's delta is a lower bound on the serial cumulative value at the
-// same checkpoint, so it can never error where the serial schedule
-// would not — cross-strand accumulation is caught by the exact ordered
-// replay in combine.
-func (p *plan) checkpoint(ctx context.Context, cs *combState, budget *combBudget) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if cs.st == nil {
-		return nil
-	}
-	val := cs.st.RefTuples - cs.base
-	cs.checkVals = append(cs.checkVals, val)
-	if budget.max > 0 && budget.base0+val > budget.max {
-		return budget.err()
-	}
-	return nil
-}
-
 // combine runs the combination phase: per-conjunction n-tuples of
 // references, union over the disjunction, then quantifier elimination
 // right-to-left (projection for SOME, division for ALL). It returns a
 // reference relation over the free variables. Cancellation and the
-// reference-tuple budget are checked between algebra operations.
-//
-// With Parallelism > 1 and several conjunctions, the per-conjunction
-// greedy joins run as independent sched jobs: each feeds a private
-// counter sink and join log, merged back in conjunction order, so the
-// merged counters — and hence the fingerprint — are bit-identical to
-// the serial schedule. The budget keeps exactly the serial checkpoints
-// (after every join, after every quantifier op), re-checked in
-// conjunction order after the jobs complete, so the error/no-error
-// outcome matches the serial schedule exactly.
+// reference-tuple budget are checked after every join and every
+// quantifier op, against the execution's cumulative materialization.
 func (p *plan) combine(ctx context.Context, maxRefTuples int64) (*algebra.RefRel, error) {
 	live := p.liveVars()
-	var union *algebra.RefRel
-	budget := &combBudget{max: maxRefTuples, base0: p.st.RefTuples - p.refBase}
 
 	if p.x.Const != nil && *p.x.Const {
 		// Constant TRUE matrix: the n-tuples are the full Cartesian
 		// product of the live ranges; quantifiers then collapse over
 		// their (non-empty) ranges, so only the free variables matter.
-		cs := &combState{st: p.st, base: p.st.RefTuples, sp: p.combSp}
 		pieces := make([]*algebra.RefRel, 0, len(p.x.Free))
 		for _, d := range p.x.Free {
 			pieces = append(pieces, algebra.FromRefs(d.Var, p.rangeLst[d.Var], p.st))
 		}
-		joined, err := p.greedyJoin(ctx, pieces, cs, budget)
-		p.joinLog = append(p.joinLog, cs.joinLog...)
-		if err != nil {
-			return nil, err
-		}
-		return joined, nil
+		return p.greedyJoin(ctx, pieces, maxRefTuples)
 	}
 
-	// Constant gates are resolved up front so their errors stay
-	// deterministic regardless of how the conjunction jobs interleave.
-	type conjJob struct {
-		ci  int
-		cs  *combState
-		rel *algebra.RefRel
-	}
-	var cjobs []*conjJob
+	var conjRels []*algebra.RefRel
 	for ci, cp := range p.conjs {
 		skip := false
 		for _, rt := range cp.consts {
@@ -687,99 +480,35 @@ func (p *plan) combine(ctx context.Context, maxRefTuples int64) (*algebra.RefRel
 		if skip {
 			continue
 		}
-		cjobs = append(cjobs, &conjJob{ci: ci, cs: &combState{st: &stats.Counters{}}})
-	}
-
-	runConj := func(jctx context.Context, cj *conjJob) error {
-		cp, cs := p.conjs[cj.ci], cj.cs
 		var pieces []*algebra.RefRel
 		for i, ij := range cp.ijs {
-			pieces = append(pieces, algebra.FromPairs(cp.ijNames[i][0], cp.ijNames[i][1], ij.Pairs(), cs.st))
+			pieces = append(pieces, algebra.FromPairs(cp.ijNames[i][0], cp.ijNames[i][1], ij.Pairs(), p.st))
 		}
 		for _, sl := range cp.sls {
-			pieces = append(pieces, algebra.FromRefs(sl.v, sl.out.Refs(), cs.st))
+			pieces = append(pieces, algebra.FromRefs(sl.v, sl.out.Refs(), p.st))
 		}
 		// Unconstrained live variables enter as their full range lists —
 		// the Cartesian blow-up the paper's strategies fight.
 		for _, v := range live {
 			if !cp.consumed[v] {
-				pieces = append(pieces, algebra.FromRefs(v, p.rangeLst[v], cs.st))
+				pieces = append(pieces, algebra.FromRefs(v, p.rangeLst[v], p.st))
 			}
 		}
 		if len(pieces) == 0 {
-			return fmt.Errorf("engine: conjunction %d has no pieces", cj.ci)
+			return nil, fmt.Errorf("engine: conjunction %d has no pieces", ci)
 		}
-		joined, err := p.greedyJoin(jctx, pieces, cs, budget)
+		joined, err := p.greedyJoin(ctx, pieces, maxRefTuples)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cs.st.RecordStructure(fmt.Sprintf("conj%d", cj.ci), "refrel", joined.Len())
-		cj.rel = joined
-		return nil
-	}
-
-	var runErr error
-	if p.par > 1 && len(cjobs) > 1 {
-		jobs := make([]sched.Job, len(cjobs))
-		for i, cj := range cjobs {
-			cj := cj
-			jobs[i] = sched.Job{
-				Name: fmt.Sprintf("conj%d", cj.ci),
-				Run: func(jctx context.Context) error {
-					cj.cs.sp = p.combSp.Start(fmt.Sprintf("conj%d", cj.ci))
-					err := runConj(jctx, cj)
-					cj.cs.sp.End()
-					return err
-				},
-			}
-		}
-		if p.combSp != nil {
-			p.combSp.SetAttr("exec", "parallel")
-		}
-		runErr = sched.Run(ctx, p.par, jobs)
-	} else {
-		for _, cj := range cjobs {
-			cj.cs.sp = p.combSp
-			if runErr = runConj(ctx, cj); runErr != nil {
-				break
-			}
-		}
-	}
-
-	// Merge the strands back in conjunction order — error or not — so
-	// counters, structure records, and the join log stay deterministic.
-	for _, cj := range cjobs {
-		p.st.Merge(cj.cs.st)
-		p.joinLog = append(p.joinLog, cj.cs.joinLog...)
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	// Exact budget replay: walk the recorded checkpoints in conjunction
-	// order against the cumulative total, reproducing precisely the
-	// values the serial schedule's checks would have seen.
-	if budget.max > 0 {
-		prev := budget.base0
-		for _, cj := range cjobs {
-			for _, v := range cj.cs.checkVals {
-				if prev+v > budget.max {
-					return nil, budget.err()
-				}
-			}
-			prev += cj.cs.st.RefTuples
-		}
-	}
-
-	conjRels := make([]*algebra.RefRel, 0, len(cjobs))
-	for _, cj := range cjobs {
-		conjRels = append(conjRels, cj.rel)
+		p.st.RecordStructure(fmt.Sprintf("conj%d", ci), "refrel", joined.Len())
+		conjRels = append(conjRels, joined)
 	}
 
 	if len(conjRels) == 0 {
 		return algebra.New(freeVarNames(p), p.st), nil
 	}
-	union = conjRels[0]
+	union := conjRels[0]
 	for _, r := range conjRels[1:] {
 		u, err := algebra.Union(ctx, union, r, p.st)
 		if err != nil {
@@ -833,11 +562,7 @@ func freeVarNames(p *plan) []string {
 // of the shared variables), so equality-linked pieces whose hash join
 // collapses the product are taken before pairs that merely look small.
 // Disconnected pieces fall back to Cartesian products either way.
-// Counters, spans, the join log, and budget checkpoints all go through
-// cs, so the same code serves the serial schedule (cs over the plan's
-// sink and span) and a parallel conjunction job (private sink, per-
-// conjunction span).
-func (p *plan) greedyJoin(ctx context.Context, pieces []*algebra.RefRel, cs *combState, budget *combBudget) (*algebra.RefRel, error) {
+func (p *plan) greedyJoin(ctx context.Context, pieces []*algebra.RefRel, maxRefTuples int64) (*algebra.RefRel, error) {
 	for len(pieces) > 1 {
 		bi, bj, bestShared, bestProd := -1, -1, false, int64(0)
 		bestEst := 0.0
@@ -872,8 +597,8 @@ func (p *plan) greedyJoin(ctx context.Context, pieces []*algebra.RefRel, cs *com
 				}
 			}
 		}
-		jsp := cs.sp.Start("join")
-		joined, err := algebra.Join(ctx, pieces[bi], pieces[bj], cs.st)
+		jsp := p.combSp.Start("join")
+		joined, err := algebra.Join(ctx, pieces[bi], pieces[bj], p.st)
 		if err != nil {
 			jsp.End()
 			return nil, err
@@ -882,7 +607,7 @@ func (p *plan) greedyJoin(ctx context.Context, pieces []*algebra.RefRel, cs *com
 		if p.est != nil {
 			est = bestEst
 		}
-		cs.joinLog = append(cs.joinLog, joinStep{
+		p.joinLog = append(p.joinLog, joinStep{
 			vars: strings.Join(joined.Vars(), ","), est: est, got: joined.Len(),
 		})
 		if jsp != nil {
@@ -900,7 +625,7 @@ func (p *plan) greedyJoin(ctx context.Context, pieces []*algebra.RefRel, cs *com
 			}
 		}
 		pieces = append(next, joined)
-		if err := p.checkpoint(ctx, cs, budget); err != nil {
+		if err := checkLimits(ctx, p, maxRefTuples); err != nil {
 			return nil, err
 		}
 	}

@@ -48,15 +48,11 @@ func formatExplain(pp *plan, rows int) string {
 	fmt.Fprintf(&b, "scan order: %s\n", strings.Join(pp.order, " -> "))
 	var totalBatches, liftedRows int64
 	for _, job := range pp.jobs {
-		totalBatches += job.batches.Load()
-		liftedRows += job.liftedRows.Load()
+		totalBatches += job.batches
+		liftedRows += job.liftedRows
 	}
-	combExec := "serial"
-	if pp.par > 1 && len(pp.conjs) > 1 {
-		combExec = "parallel"
-	}
-	fmt.Fprintf(&b, "execution: %d scans (%d batches, %d rows lifted), combination %s\n",
-		len(pp.jobs), totalBatches, liftedRows, combExec)
+	fmt.Fprintf(&b, "execution: %d scans (%d batches, %d rows lifted)\n",
+		len(pp.jobs), totalBatches, liftedRows)
 	b.WriteString("scans (estimated vs actual surviving tuples):\n")
 	for _, v := range pp.order {
 		node := pp.vars[v]
@@ -101,8 +97,8 @@ func (pp *plan) annotateScanSpans() {
 		if sp == nil {
 			continue
 		}
-		sp.SetInt("batches", job.batches.Load())
-		sp.SetInt("lifted_rows", job.liftedRows.Load())
+		sp.SetInt("batches", job.batches)
+		sp.SetInt("lifted_rows", job.liftedRows)
 		for _, v := range job.vars {
 			if pp.est != nil {
 				sp.SetFloat("est."+v, pp.estCard(v))

@@ -8,8 +8,6 @@ import "pascalr/internal/obs"
 // never writes into stats.Counters, so counter fingerprints are
 // bit-identical with tracing on or off.
 var (
-	mParallelShards = obs.GetCounter("pascal_engine_parallel_shards_total",
-		"Collection-phase scan shards fanned out to the scheduler worker pool")
 	mQueries = obs.GetCounter("pascal_engine_queries_total",
 		"Query executions started (collection + combination phases)")
 	mQueryLatency = obs.GetHistogram("pascal_engine_query_seconds",

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"pascalr/internal/calculus"
 	"pascalr/internal/collection"
@@ -65,18 +63,18 @@ func (ix *ixSpec) length() int {
 
 // probe enumerates references whose indexed value iv satisfies
 // "pv op iv", applying the range filter for permanent indexes. Probes
-// count into st, the probing worker's sink.
-func (ix *ixSpec) probe(p *plan, st *stats.Counters, op value.CmpOp, pv value.Value, fn func(value.Value)) {
+// count into the plan's sink.
+func (ix *ixSpec) probe(p *plan, op value.CmpOp, pv value.Value, fn func(value.Value)) {
 	if ix.perm == nil {
-		ix.out.Probe(st, op, pv, fn)
+		ix.out.Probe(p.st, op, pv, fn)
 		return
 	}
 	if !ix.filtered {
-		ix.perm.ProbeStats(st, op, pv, fn)
+		ix.perm.ProbeStats(p.st, op, pv, fn)
 		return
 	}
 	in := p.rangeSet(ix.v)
-	ix.perm.ProbeStats(st, op, pv, func(ref value.Value) {
+	ix.perm.ProbeStats(p.st, op, pv, func(ref value.Value) {
 		if _, ok := in[value.EncodeKey([]value.Value{ref})]; ok {
 			fn(ref)
 		}
@@ -163,13 +161,12 @@ type scanJob struct {
 	tasks []scanTask
 	// batchCols is the job's column mask — the sorted union of its
 	// tasks' footprints, nil when some task reads whole rows
-	// (planColumnMasks). batches and liftedRows count, across all
-	// shards, the columnar batches produced and the rows evaluated
-	// row-at-a-time through liftRowPred, for EXPLAIN and span
-	// attributes.
+	// (planColumnMasks). batches and liftedRows count the columnar
+	// batches produced and the rows evaluated row-at-a-time through
+	// liftRowPred, for EXPLAIN and span attributes.
 	batchCols  []int
-	batches    atomic.Int64
-	liftedRows atomic.Int64
+	batches    int64
+	liftedRows int64
 }
 
 // plan is the compiled physical plan for one evaluation.
@@ -178,14 +175,6 @@ type plan struct {
 	db    *relation.DB
 	st    *stats.Counters
 	strat Strategy
-	// par is the collection-phase worker budget; 1 runs the paper's
-	// serial schedule on the calling goroutine.
-	par int
-	// mu guards the structures that scan workers touch across job
-	// boundaries: the range-list map (published by range tasks, read by
-	// filtered permanent-index probes of concurrent scans) and the
-	// lazily built range sets.
-	mu sync.Mutex
 	// est drives cost-based scan ordering and combination-phase join
 	// ordering; nil keeps the paper's static priorities.
 	est       *stats.Estimator
@@ -212,16 +201,13 @@ type plan struct {
 	conjs     []*conjPlan
 
 	// joinLog records each combination-phase join's estimated and
-	// actual output for EXPLAIN reporting. Parallel conjunction jobs
-	// append to private logs merged in conjunction order, so no lock
-	// guards it.
+	// actual output for EXPLAIN reporting.
 	joinLog []joinStep
 
 	// collSp/combSp/jobSpans hang this execution's trace spans off the
 	// caller's span tree (internal/obs); all nil/empty when tracing is
-	// off. jobSpans parallels jobs; each entry is written once by the
-	// goroutine that opens the job's span (serially, or at emission time
-	// in the parallel path) and read only after the scans complete.
+	// off. jobSpans parallels jobs; each entry is written when the job's
+	// scan starts and read only after the scans complete.
 	collSp   *obs.Span
 	combSp   *obs.Span
 	jobSpans []*obs.Span
@@ -236,12 +222,9 @@ type joinStep struct {
 	got  int
 }
 
-func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat Strategy, est *stats.Estimator, par int) (*plan, error) {
-	if par < 1 {
-		par = 1
-	}
+func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat Strategy, est *stats.Estimator) (*plan, error) {
 	p := &plan{
-		x: x, db: db, st: st, strat: strat, est: est, par: par,
+		x: x, db: db, st: st, strat: strat, est: est,
 		refBase:   st.RefTuples,
 		costCards: map[string]float64{},
 		vars:      map[string]*varNode{},
@@ -744,22 +727,10 @@ func (p *plan) planRangeLists() {
 	}
 }
 
-// publishRange stores a variable's collected range list, under the
-// plan lock: jobs of other variables may concurrently consult range
-// sets while this one's scan finishes.
-func (p *plan) publishRange(v string, refs []value.Value) {
-	p.mu.Lock()
-	p.rangeLst[v] = refs
-	p.mu.Unlock()
-}
-
-// rangeSet returns (building lazily, under the plan lock) the set of
-// encoded references in v's range list; valid once v's scan has
-// completed — which the scheduler's dependency edges guarantee for
-// every prober.
+// rangeSet returns (building lazily) the set of encoded references in
+// v's range list; valid once v's scan has completed, which the scan
+// order guarantees for every prober.
 func (p *plan) rangeSet(v string) map[string]struct{} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if s, ok := p.rangeSets[v]; ok {
 		return s
 	}

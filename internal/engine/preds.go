@@ -26,10 +26,8 @@ import (
 // positions. enginetest's counters.golden, generated by the deleted
 // tuple driver, pins it.
 
-// scanSink is where one scanning worker — a whole job, or one shard of
-// a split scan — counts: st takes the paper's counters (sinks merge in
-// job and shard order, so fingerprints equal the serial run's), and
-// liftedRows tallies the rows evaluated row-at-a-time through
+// scanSink is where one scan counts: st takes the paper's counters,
+// and liftedRows tallies the rows evaluated row-at-a-time through
 // liftRowPred, for the trace and the metrics only.
 type scanSink struct {
 	st         *stats.Counters
@@ -37,9 +35,7 @@ type scanSink struct {
 }
 
 // batchPred evaluates one predicate in bulk over a batch, clearing the
-// selection bits of rows that fail. run must not keep mutable state
-// across calls — compiled predicates are shared by concurrent shard
-// tasks. cols lists the column indexes run reads (all marks whole-row
+// selection bits of rows that fail. cols lists the column indexes run reads (all marks whole-row
 // access instead); the scan materializes only the union of its tasks'
 // footprints into the batch — the projection pushdown.
 type batchPred struct {
@@ -363,29 +359,6 @@ func (rt *specRuntime) add(tuple []value.Value, monPassed bool, dyCols []int) {
 		if _, dup := rt.tupleSet[k]; !dup {
 			rt.tupleSet[k] = struct{}{}
 			rt.tuples = append(rt.tuples, proj)
-		}
-	}
-}
-
-// merge folds a shard-local runtime into rt, in shard order: counters
-// add up, and the value/tuple lists interleave exactly as one serial
-// scan would have built them (first occurrence wins the dedup, shards
-// cover consecutive slot ranges). Must run before finish.
-func (rt *specRuntime) merge(o *specRuntime) {
-	rt.total += o.total
-	rt.monOK += o.monOK
-	switch {
-	case rt.vl != nil && o.vl != nil:
-		for _, v := range o.vl.Values() {
-			rt.vl.Add(v)
-		}
-	case rt.tupleSet != nil && o.tupleSet != nil:
-		for _, proj := range o.tuples {
-			k := value.EncodeKey(proj)
-			if _, dup := rt.tupleSet[k]; !dup {
-				rt.tupleSet[k] = struct{}{}
-				rt.tuples = append(rt.tuples, proj)
-			}
 		}
 	}
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -250,5 +252,52 @@ func TestExplainCountsRepeatedJoinRefs(t *testing.T) {
 		if attrs[k] != v {
 			t.Errorf("span attribute %s = %q, want %q", k, attrs[k], v)
 		}
+	}
+}
+
+// TestExplainExecutionLine pins EXPLAIN's execution summary: one scan
+// per relation, the batch and lifted-row totals of this execution (the
+// scan spans' attributes summed), and nothing after them. Explaining
+// the same plan twice reports the same line, so the counters are per
+// execution and do not accumulate on the compiled plan.
+func TestExplainExecutionLine(t *testing.T) {
+	db := tinyUniversity(t)
+	plan, _, _ := compileSrc(t, db, `[<e.ename, t.troom> OF EACH e IN employees, EACH t IN timetable: (e.enr = t.tenr)]`)
+	explain := func() (line string, batches, lifted int64) {
+		tr := obs.NewTrace("")
+		text, err := plan.Explain(obs.With(context.Background(), tr.Root()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		for _, l := range strings.Split(text, "\n") {
+			if strings.HasPrefix(l, "execution: ") {
+				line = l
+			}
+		}
+		var walk func(s obs.SpanJSON)
+		walk = func(s obs.SpanJSON) {
+			if b, ok := s.Attrs["batches"]; ok {
+				n, _ := strconv.ParseInt(b, 10, 64)
+				batches += n
+				n, _ = strconv.ParseInt(s.Attrs["lifted_rows"], 10, 64)
+				lifted += n
+			}
+			for _, c := range s.Children {
+				walk(c)
+			}
+		}
+		walk(tr.Snapshot().Root)
+		return line, batches, lifted
+	}
+	line, batches, lifted := explain()
+	if batches == 0 {
+		t.Fatalf("scan spans report no batches; execution line %q", line)
+	}
+	if want := fmt.Sprintf("execution: 2 scans (%d batches, %d rows lifted)", batches, lifted); line != want {
+		t.Fatalf("execution line = %q, want %q", line, want)
+	}
+	if again, _, _ := explain(); again != line {
+		t.Fatalf("second EXPLAIN reports %q, first %q", again, line)
 	}
 }

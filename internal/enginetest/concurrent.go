@@ -36,23 +36,21 @@ func RunConcurrent(t *testing.T, label string, db *relation.DB, src string, goro
 	est := db.Estimator()
 	for _, strat := range StrategySets() {
 		for _, costBased := range []bool{false, true} {
-			opts := engine.Options{Strategies: strat, CostBased: costBased, Parallelism: 2}
+			opts := engine.Options{Strategies: strat, CostBased: costBased}
 			if costBased {
 				opts.Estimator = est
 			}
 
-			// Serial reference run, instrumented.
-			serialOpts := opts
-			serialOpts.Parallelism = 1
+			// Reference run, instrumented.
 			stRef := &stats.Counters{}
-			want, err := engine.New(db, stRef).Eval(ctx, checked, info, serialOpts)
+			want, err := engine.New(db, stRef).Eval(ctx, checked, info, opts)
 			if err != nil {
-				t.Fatalf("%s [%s cost=%v]: serial reference: %v", label, strat, costBased, err)
+				t.Fatalf("%s [%s cost=%v]: reference: %v", label, strat, costBased, err)
 			}
 			wantKey := RelKey(want)
 
 			// Concurrent runs: one engine, one compiled plan, N
-			// goroutines — each execution itself parallel.
+			// goroutines.
 			stShared := &stats.Counters{}
 			eng := engine.New(db, stShared)
 			plan, err := eng.Compile(checked, info, opts)

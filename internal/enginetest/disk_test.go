@@ -78,32 +78,23 @@ func TestDiskMemoryBitIdentity(t *testing.T) {
 			dskModes := PlannerModes(dskDB)
 			for _, strat := range StrategySets() {
 				for mi := range memModes {
-					runOne := func(db *relation.DB, sel *calculus.Selection, info *calculus.Info, est *stats.Estimator, par int) (string, string) {
-						opts := engine.Options{Strategies: strat, CostBased: est != nil, Estimator: est, Parallelism: par}
+					runOne := func(db *relation.DB, sel *calculus.Selection, info *calculus.Info, est *stats.Estimator) (string, string) {
+						opts := engine.Options{Strategies: strat, CostBased: est != nil, Estimator: est}
 						st := &stats.Counters{}
 						got, err := engine.New(db, st).Eval(ctx, sel, info, opts)
 						if err != nil {
-							t.Fatalf("[%s %s par=%d]: %v", strat, memModes[mi].Name, par, err)
+							t.Fatalf("[%s %s]: %v", strat, memModes[mi].Name, err)
 						}
 						return RelKey(got), st.Fingerprint()
 					}
-					memKey, memFP := runOne(memDB, memSel, memInfo, memModes[mi].Est, 1)
-					dskKey, dskFP := runOne(dskDB, dskSel, dskInfo, dskModes[mi].Est, 1)
+					memKey, memFP := runOne(memDB, memSel, memInfo, memModes[mi].Est)
+					dskKey, dskFP := runOne(dskDB, dskSel, dskInfo, dskModes[mi].Est)
 					if memKey != dskKey {
 						t.Fatalf("[%s %s]: results diverge between backends", strat, memModes[mi].Name)
 					}
 					if memFP != dskFP {
 						t.Fatalf("[%s %s]: counter fingerprints diverge\nmem:  %s\ndisk: %s",
 							strat, memModes[mi].Name, memFP, dskFP)
-					}
-					// Parallel disk leg: sharding thresholds scale with the
-					// backend's access costs, but boundaries must stay
-					// counter-invisible — the merged counters still equal
-					// the memory backend's serial run bit for bit.
-					dskKeyPar, dskFPPar := runOne(dskDB, dskSel, dskInfo, dskModes[mi].Est, 4)
-					if dskKeyPar != memKey || dskFPPar != memFP {
-						t.Fatalf("[%s %s]: parallel disk run diverges from serial memory run",
-							strat, memModes[mi].Name)
 					}
 				}
 			}

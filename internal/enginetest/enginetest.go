@@ -4,11 +4,10 @@
 // histogram-cost planners, the latter two fed by the live incremental
 // statistics with no Analyze pass — and must produce exactly the
 // relation the tuple-substitution baseline produces. Each configuration
-// is exercised four ways: as a one-shot Eval, twice through a compiled
-// Plan (the second time via the streaming cursor), and once with a
-// parallel collection + combination phase — proving that plan reuse,
-// streaming construction and parallel scans are result- and
-// counter-identical to compile-and-run. The static-planner counters of
+// is exercised three ways: as a one-shot Eval and twice through a
+// compiled Plan (the second time via the streaming cursor) — proving
+// that plan reuse and streaming construction are result-identical to
+// compile-and-run. The static-planner counters of
 // the golden workloads are additionally pinned by
 // testdata/counters.golden (golden.go). The pattern
 // follows go-mysql-server's enginetest: a declarative query table, a set
@@ -79,11 +78,9 @@ type PlannerMode struct {
 // RunSelection evaluates one checked selection against the baseline and
 // against every strategy set × {static, uniform-cost, histogram-cost}
 // planner, failing the test on any disagreement. Each configuration
-// runs four times: once through the one-shot Eval (serially, with
-// instrumented counters), twice against a single compiled Plan — the
-// first reuse materialized, the second streamed through the cursor —
-// and once with a parallel collection phase (four workers), whose
-// result and merged counters must equal the serial run's exactly. It
+// runs three times: once through the one-shot Eval (with instrumented
+// counters), then twice against a single compiled Plan — the first
+// reuse materialized, the second streamed through the cursor. It
 // returns the baseline's row count so callers can assert workload
 // coverage.
 func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Selection, info *calculus.Info) int {
@@ -97,9 +94,9 @@ func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Sel
 	modes := PlannerModes(db) // the DB is not mutated during the matrix
 	for _, strat := range StrategySets() {
 		for _, mode := range modes {
-			opts := engine.Options{Strategies: strat, CostBased: mode.Est != nil, Estimator: mode.Est, Parallelism: 1}
-			stSerial := &stats.Counters{}
-			eng := engine.New(db, stSerial)
+			opts := engine.Options{Strategies: strat, CostBased: mode.Est != nil, Estimator: mode.Est}
+			st := &stats.Counters{}
+			eng := engine.New(db, st)
 			got, err := eng.Eval(ctx, sel, info, opts)
 			if err != nil {
 				t.Fatalf("%s [%s %s]: engine: %v", label, strat, mode.Name, err)
@@ -108,14 +105,11 @@ func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Sel
 				t.Fatalf("%s [%s %s]: result mismatch\nwant %d rows, got %d rows\nquery: %s",
 					label, strat, mode.Name, want.Len(), got.Len(), sel)
 			}
-			// Snapshot before the prepared re-runs accumulate into the
-			// same engine sink.
-			serialFP := stSerial.Fingerprint()
 			if mode.Est == nil {
 				// The static legs are deterministic: pinned by the golden
-				// file, and (through the parallel leg's identity below)
-				// under Parallelism 4 too.
-				checkGolden(t, label, strat, want.Len(), serialFP)
+				// file. Checked before the prepared re-runs accumulate
+				// into the same engine sink.
+				checkGolden(t, label, strat, want.Len(), st.Fingerprint())
 			}
 			plan, err := eng.Compile(sel, info, opts)
 			if err != nil {
@@ -134,23 +128,6 @@ func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Sel
 			} else if gotKey != wantKey {
 				t.Fatalf("%s [%s %s]: prepared run 2 (cursor) mismatch\nquery: %s",
 					label, strat, mode.Name, sel)
-			}
-			// Parallel leg: same results AND the same merged counters
-			// as the serial run — the scheduler's determinism contract.
-			optsPar := opts
-			optsPar.Parallelism = 4
-			stPar := &stats.Counters{}
-			gotPar, err := engine.New(db, stPar).Eval(ctx, sel, info, optsPar)
-			if err != nil {
-				t.Fatalf("%s [%s %s]: parallel: %v", label, strat, mode.Name, err)
-			}
-			if gotKey := RelKey(gotPar); gotKey != wantKey {
-				t.Fatalf("%s [%s %s]: parallel result mismatch\nwant %d rows, got %d rows\nquery: %s",
-					label, strat, mode.Name, want.Len(), gotPar.Len(), sel)
-			}
-			if sk, pk := serialFP, stPar.Fingerprint(); sk != pk {
-				t.Fatalf("%s [%s %s]: parallel counters diverge from serial\nserial:   %s\nparallel: %s",
-					label, strat, mode.Name, sk, pk)
 			}
 		}
 	}

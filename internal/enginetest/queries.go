@@ -89,10 +89,9 @@ var UniversityQueries = []QueryTest{
 	},
 	{
 		// Two variables probe one index column with different operators
-		// (= and <): under parallelism the probing scans run
-		// concurrently, exercising the shared index's lazily derived
-		// equality map and sorted copy — emission order must stay
-		// deterministic whichever probe builds first.
+		// (= and <), exercising the index's lazily derived equality map
+		// and sorted copy — emission order must stay deterministic
+		// whichever probe builds first.
 		Name: "mixed-op-shared-index",
 		Src: `[<c.cnr, e.enr> OF EACH c IN courses, EACH e IN employees, EACH t IN timetable:
 			(c.cnr = t.tcnr) AND (e.enr < t.tcnr)]`,

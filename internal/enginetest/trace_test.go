@@ -13,7 +13,7 @@ import (
 
 // TestTracedFingerprintIdentity proves that span tracing is invisible
 // to execution: for every table query under the full 32-combo strategy
-// matrix × all planner modes × serial and parallel collection, a run
+// matrix × all planner modes, a run
 // with a live trace on the context produces the exact result AND the
 // exact counter fingerprint of the untraced run. Tracing records into
 // its own sink and never touches stats.Counters, so any divergence
@@ -35,31 +35,29 @@ func TestTracedFingerprintIdentity(t *testing.T) {
 			}
 			for _, strat := range StrategySets() {
 				for _, mode := range modes {
-					for _, par := range []int{1, 4} {
-						opts := engine.Options{Strategies: strat, CostBased: mode.Est != nil, Estimator: mode.Est, Parallelism: par}
+					opts := engine.Options{Strategies: strat, CostBased: mode.Est != nil, Estimator: mode.Est}
 
-						plain := &stats.Counters{}
-						got, err := engine.New(db, plain).Eval(ctx, checked, info, opts)
-						if err != nil {
-							t.Fatalf("[%s %s par=%d] untraced: %v", strat, mode.Name, par, err)
-						}
+					plain := &stats.Counters{}
+					got, err := engine.New(db, plain).Eval(ctx, checked, info, opts)
+					if err != nil {
+						t.Fatalf("[%s %s] untraced: %v", strat, mode.Name, err)
+					}
 
-						tr := obs.NewTrace("")
-						traced := &stats.Counters{}
-						gotTr, err := engine.New(db, traced).Eval(obs.With(ctx, tr.Root()), checked, info, opts)
-						tr.Finish()
-						if err != nil {
-							t.Fatalf("[%s %s par=%d] traced: %v", strat, mode.Name, par, err)
-						}
+					tr := obs.NewTrace("")
+					traced := &stats.Counters{}
+					gotTr, err := engine.New(db, traced).Eval(obs.With(ctx, tr.Root()), checked, info, opts)
+					tr.Finish()
+					if err != nil {
+						t.Fatalf("[%s %s] traced: %v", strat, mode.Name, err)
+					}
 
-						if a, b := RelKey(got), RelKey(gotTr); a != b {
-							t.Fatalf("[%s %s par=%d] traced result diverges\nuntraced: %d rows\ntraced:   %d rows",
-								strat, mode.Name, par, got.Len(), gotTr.Len())
-						}
-						if a, b := plain.Fingerprint(), traced.Fingerprint(); a != b {
-							t.Fatalf("[%s %s par=%d] traced counters diverge\nuntraced: %s\ntraced:   %s",
-								strat, mode.Name, par, a, b)
-						}
+					if a, b := RelKey(got), RelKey(gotTr); a != b {
+						t.Fatalf("[%s %s] traced result diverges\nuntraced: %d rows\ntraced:   %d rows",
+							strat, mode.Name, got.Len(), gotTr.Len())
+					}
+					if a, b := plain.Fingerprint(), traced.Fingerprint(); a != b {
+						t.Fatalf("[%s %s] traced counters diverge\nuntraced: %s\ntraced:   %s",
+							strat, mode.Name, a, b)
 					}
 				}
 			}

@@ -65,9 +65,10 @@ import (
 )
 
 // Version is the protocol version announced in the Hello frame. Version
-// 2 carries result rows as column-major blocks (rowblock.go); a peer
-// announcing any other version is refused.
-const Version = 2
+// 2 carried result rows as column-major blocks (rowblock.go); version 3
+// keeps them and drops the worker-count field from the QueryOpts block.
+// A peer announcing any other version is refused.
+const Version = 3
 
 // MaxFrameSize bounds a single frame (length header value). It is large
 // enough for any realistic row batch and small enough to keep a
@@ -122,7 +123,7 @@ const (
 
 // QueryOpts carries per-call execution options. Zero values mean
 // "session default": Strategies/CostBased are tri-state through their
-// Has flags, Parallelism 0 and MaxRefTuples 0 defer to the session.
+// Has flags, MaxRefTuples 0 defers to the session.
 // TraceID, when non-empty, names the trace the server records the
 // statement's spans under; an empty TraceID lets the server assign one.
 type QueryOpts struct {
@@ -130,7 +131,6 @@ type QueryOpts struct {
 	Strategies    uint8
 	HasCostBased  bool
 	CostBased     bool
-	Parallelism   uint32
 	MaxRefTuples  uint64
 	TraceID       string
 }
@@ -346,7 +346,6 @@ func (w *Writer) Opts(o QueryOpts) {
 	if o.HasStrategies {
 		w.buf = append(w.buf, o.Strategies)
 	}
-	w.Uvarint(uint64(o.Parallelism))
 	w.Uvarint(o.MaxRefTuples)
 	// The trace ID travels last so a peer speaking the pre-trace layout
 	// (which never sets the flag) interoperates unchanged: the Opts block
@@ -443,11 +442,6 @@ func (r *Reader) Opts() (QueryOpts, error) {
 		o.HasCostBased = true
 		o.CostBased = flags&optFlagCostValue != 0
 	}
-	par, err := r.Uvarint()
-	if err != nil {
-		return o, err
-	}
-	o.Parallelism = uint32(par)
 	if o.MaxRefTuples, err = r.Uvarint(); err != nil {
 		return o, err
 	}

@@ -83,7 +83,7 @@ func TestOptsRoundTrip(t *testing.T) {
 		{HasStrategies: true, Strategies: 0x1f},
 		{HasCostBased: true, CostBased: true},
 		{HasCostBased: true, CostBased: false},
-		{HasStrategies: true, Strategies: 3, HasCostBased: true, CostBased: true, Parallelism: 8, MaxRefTuples: 1 << 20},
+		{HasStrategies: true, Strategies: 3, HasCostBased: true, CostBased: true, MaxRefTuples: 1 << 20},
 	}
 	for i, o := range cases {
 		w := NewWriter()
@@ -94,6 +94,31 @@ func TestOptsRoundTrip(t *testing.T) {
 		}
 		if got != o {
 			t.Fatalf("case %d: %+v != %+v", i, got, o)
+		}
+	}
+}
+
+// TestOptsWireLayout pins the version-3 QueryOpts block byte for byte:
+// a flags byte, the strategy bitset when flagged, the reference-tuple
+// budget as a uvarint directly after it (no worker-count field), and
+// the trace ID last when flagged.
+func TestOptsWireLayout(t *testing.T) {
+	cases := []struct {
+		o    QueryOpts
+		want []byte
+	}{
+		{QueryOpts{}, []byte{0x00, 0x00}},
+		{QueryOpts{MaxRefTuples: 300}, []byte{0x00, 0xac, 0x02}},
+		{QueryOpts{HasStrategies: true, Strategies: 0x1f, HasCostBased: true, CostBased: true, MaxRefTuples: 1},
+			[]byte{optFlagStrategies | optFlagCostBased | optFlagCostValue, 0x1f, 0x01}},
+		{QueryOpts{HasCostBased: true, TraceID: "ab"},
+			[]byte{optFlagCostBased | optFlagTraceID, 0x00, 0x02, 'a', 'b'}},
+	}
+	for i, c := range cases {
+		w := NewWriter()
+		w.Opts(c.o)
+		if !bytes.Equal(w.Bytes(), c.want) {
+			t.Errorf("case %d: %+v encodes as % x, want % x", i, c.o, w.Bytes(), c.want)
 		}
 	}
 }

@@ -201,8 +201,9 @@ func (ix *ColIndex) Probe(op value.CmpOp, pv value.Value, fn func(ref value.Valu
 
 // ProbeStats calls fn with every reference whose indexed value iv
 // satisfies "pv op iv" — the same contract as the collection phase's
-// transient indexes — counting probes and comparisons into st. Parallel
-// scan workers pass their per-job sinks here so counting never races.
+// transient indexes — counting probes and comparisons into st. Each
+// execution passes its own sink, so concurrent executions never race
+// on counting.
 func (ix *ColIndex) ProbeStats(st *stats.Counters, op value.CmpOp, pv value.Value, fn func(ref value.Value)) {
 	st.CountProbes(1)
 	switch op {

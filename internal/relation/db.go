@@ -217,7 +217,6 @@ func (d *DB) attach(r *Relation) {
 		}
 		r.stTable = stats.NewTableStats(r.sch.Name, cols)
 	}
-	r.stTable.SetAccessCost(r.AccessCost())
 	r.owner = d
 	d.nextID++
 	d.rels[r.sch.Name] = r

@@ -39,6 +39,7 @@ package relation
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -108,6 +109,7 @@ func OpenDB(dir string, opts storage.Options) (*DB, error) {
 	d.replaying.Store(true)
 	defer d.replaying.Store(false)
 	var lastSeq uint64
+	var staleStats []int // relations whose checkpointed statistics were dropped
 	if haveManifest {
 		lastSeq = m.LastSeq
 		d.dur.seq = m.LastSeq
@@ -117,8 +119,12 @@ func OpenDB(dir string, opts storage.Options) (*DB, error) {
 			}
 		}
 		for id, rm := range m.Rels {
-			if err := d.openRelFromManifest(id, rm); err != nil {
+			rebuild, err := d.openRelFromManifest(id, rm)
+			if err != nil {
 				return nil, d.openFailed(err)
+			}
+			if rebuild {
+				staleStats = append(staleStats, id)
 			}
 		}
 	}
@@ -144,6 +150,12 @@ func OpenDB(dir string, opts storage.Options) (*DB, error) {
 	}
 	if err != nil {
 		return nil, d.openFailed(err)
+	}
+	// After replay, so the rebuilt statistics count the replayed rows.
+	for _, id := range staleStats {
+		if r, ok := d.ByID(id); ok {
+			r.rebuildStatsLocked()
+		}
 	}
 	return d, nil
 }
@@ -251,16 +263,13 @@ func (d *DB) replayParallel(recs []storage.Record, workers int) error {
 			return fmt.Errorf("relation: WAL replay: unknown relation id %d", relID)
 		}
 		queue := byRel[relID]
-		jobs = append(jobs, sched.Job{
-			Name: "replay:" + r.sch.Name,
-			Run: func(ctx context.Context) error {
-				for _, rec := range queue {
-					if err := r.applyReplay(rec); err != nil {
-						return fmt.Errorf("relation: WAL replay seq %d: %w", rec.Seq, err)
-					}
+		jobs = append(jobs, func(context.Context) error {
+			for _, rec := range queue {
+				if err := r.applyReplay(rec); err != nil {
+					return fmt.Errorf("relation: WAL replay seq %d: %w", rec.Seq, err)
 				}
-				return nil
-			},
+			}
+			return nil
 		})
 	}
 	return sched.Run(context.Background(), workers, jobs)
@@ -278,39 +287,46 @@ func (d *DB) openFailed(err error) error {
 }
 
 // openRelFromManifest reconstitutes one relation from its checkpointed
-// state: disk backend, statistics, permanent indexes.
-func (d *DB) openRelFromManifest(id int, rm storage.RelManifest) error {
+// state: disk backend, statistics, permanent indexes. Statistics are
+// derived data, so a blob in another serialization version is dropped
+// rather than failing the open: rebuild reports that the caller must
+// rebuild them from the store once WAL replay is done.
+func (d *DB) openRelFromManifest(id int, rm storage.RelManifest) (rebuild bool, _ error) {
 	if err := d.cat.DefineRelation(rm.Schema); err != nil {
-		return err
+		return false, err
 	}
 	store, err := storage.OpenDisk(d.dur.dir, id, d.dur.opts, d.dur.cache, rm.Disk)
 	if err != nil {
-		return err
+		return false, err
 	}
 	r := newRelation(rm.Schema, id, store)
 	r.live.Store(int64(rm.Disk.Live))
 	if len(rm.Stats) > 0 {
 		ts, err := stats.Unmarshal(rm.Stats)
-		if err != nil {
+		switch {
+		case err == nil:
+			r.stTable = ts
+		case errors.Is(err, stats.ErrVersion):
+			rebuild = true
+		default:
 			store.Close()
-			return fmt.Errorf("relation %s: checkpointed statistics: %w", rm.Schema.Name, err)
+			return false, fmt.Errorf("relation %s: checkpointed statistics: %w", rm.Schema.Name, err)
 		}
-		r.stTable = ts
 	}
 	d.catMu.Lock()
 	if id != len(d.byID) {
 		d.catMu.Unlock()
 		store.Close()
-		return fmt.Errorf("relation %s: manifest id %d out of order", rm.Schema.Name, id)
+		return false, fmt.Errorf("relation %s: manifest id %d out of order", rm.Schema.Name, id)
 	}
 	d.attach(r)
 	d.catMu.Unlock()
 	for _, col := range rm.Indexes {
 		if _, err := r.CreateIndex(col); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	return rebuild, nil
 }
 
 // applyRecord replays one WAL record through the ordinary mutators

@@ -79,9 +79,6 @@ func TestStandaloneRelationHasNoStats(t *testing.T) {
 	if rel.LiveStats() != nil {
 		t.Fatal("standalone relation carries live statistics")
 	}
-	if w, _ := rel.SlotWeights(); w != nil {
-		t.Fatal("standalone relation reported slot weights")
-	}
 	ts := AnalyzeRelation(rel)
 	if ts.Rows() != 10 {
 		t.Fatalf("AnalyzeRelation rows = %d, want 10", ts.Rows())

@@ -58,7 +58,7 @@ type Relation struct {
 	// kind of each column and, for enum columns, the enumeration type
 	// name (needed to reconstruct boxed values from ordinals). Computed
 	// once at construction — the schema is immutable — so concurrent
-	// scan shards share them read-only.
+	// scans share them read-only.
 	batchKinds []value.Kind
 	batchEnums []string
 
@@ -67,7 +67,7 @@ type Relation struct {
 	onMutate func()
 
 	// stTable is the incrementally maintained statistics of this
-	// relation (histograms, distinct counts, slot density), fed by every
+	// relation (histograms, distinct counts), fed by every
 	// insert, delete, and assignment under the content write lock; nil
 	// for standalone relations, which skip all statistics work. owner
 	// points back at the database for drift-triggered background
@@ -166,15 +166,6 @@ func (r *Relation) setStats(st *stats.Counters) {
 	}
 }
 
-// AccessCost returns the storage backend's access-cost profile, in
-// units where an in-memory slot read is 1.0. The shard balancer budgets
-// finer work units for expensive backends; plan shape does not consult
-// it (see stats.CostProfile).
-func (r *Relation) AccessCost() stats.CostProfile {
-	c := r.store.Costs()
-	return stats.CostProfile{ScanTuple: c.ScanTuple, Probe: c.Probe}
-}
-
 // Insert implements the :+ operator for a single element. Inserting an
 // element whose key is present with identical non-key components is a
 // no-op (relations are sets); a key collision with different components
@@ -235,7 +226,7 @@ func (r *Relation) insert(tuple []value.Value) (value.Value, bool, error) {
 	for _, ix := range r.colIndexes {
 		ix.add(cp[ix.colIdx], ref)
 	}
-	drifted := r.stTable.ObserveInsert(si, cp)
+	drifted := r.stTable.ObserveInsert(cp)
 	r.mutated(drifted)
 	return ref, true, nil
 }
@@ -292,7 +283,7 @@ func (r *Relation) delete(keyVals []value.Value) bool {
 	for _, ix := range r.colIndexes {
 		ix.remove(tuple[ix.colIdx], r.refOf(si))
 	}
-	drifted := r.stTable.ObserveDelete(si, tuple)
+	drifted := r.stTable.ObserveDelete(tuple)
 	if err := r.store.Delete(si, k); err != nil {
 		// The store cannot fail here today (deletes touch in-memory
 		// structures only); fail loudly if it ever does.
@@ -511,8 +502,8 @@ func (r *Relation) scan(st *stats.Counters, fn func(ref value.Value, tuple []val
 	})
 }
 
-// SlotSpan returns the exclusive upper bound of slot indexes, the range
-// ScanBatches shards partition. Callers must hold the database read lock
+// SlotSpan returns the exclusive upper bound of slot indexes, the end
+// of the range a full ScanBatches covers. Callers must hold the database read lock
 // (or otherwise own the relation exclusively).
 func (r *Relation) SlotSpan() int { return r.store.SlotSpan() }
 
@@ -525,12 +516,9 @@ func (r *Relation) SlotSpan() int { return r.store.SlotSpan() }
 // column, a non-nil list (possibly empty, for reference-only scans) only
 // the named ones, leaving the rest unreadable. Tuples are counted in
 // bulk per batch immediately before fn (but no scan start — the caller
-// decides what one logical scan is, so a sharded scan counts once). fn
-// must not retain the batch; it is reset after each call.
-// ScanBatches takes no lock: callers must hold the database read lock.
-// Sharding a scan into consecutive slot ranges visits exactly the
-// elements of a full scan, in an order that concatenates shard-locally
-// to the serial order. An error from fn, or from the store (SSTable
+// counts that). fn must not retain the batch; it is reset after each
+// call. ScanBatches takes no lock: callers must hold the database read
+// lock. An error from fn, or from the store (SSTable
 // reads can fail), aborts the scan and is returned.
 func (r *Relation) ScanBatches(st *stats.Counters, lo, hi int, b *colbatch.Batch, cols []int, fn func() error) error {
 	flush := func() error {
@@ -609,11 +597,6 @@ func (r *Relation) MutCount() uint64 { return r.mutCount.Load() }
 // synchronized; mutators keep feeding it.
 func (r *Relation) LiveStats() *stats.TableStats { return r.stTable }
 
-// SlotWeights returns per-stripe live-tuple counts and the stripe
-// width, for density-balanced shard splitting; nil when no statistics
-// are maintained.
-func (r *Relation) SlotWeights() ([]int32, int) { return r.stTable.SlotWeights() }
-
 // rebuildStats rescans the relation and replaces its statistics with
 // freshly built ones (true quantile bucket boundaries, exact distinct
 // counts). It takes the content read lock like any other reader — do
@@ -638,8 +621,8 @@ func (r *Relation) rebuildStatsLocked() *stats.TableStats {
 	rb := ts.NewRebuild()
 	// A disk-tier read error aborts the rescan; committing a partial
 	// rebuild would be worse than keeping the drifted statistics.
-	if err := r.store.Scan(0, r.store.SlotSpan(), func(si int, tuple []value.Value) bool {
-		rb.Add(si, tuple)
+	if err := r.store.Scan(0, r.store.SlotSpan(), func(_ int, tuple []value.Value) bool {
+		rb.Add(tuple)
 		return true
 	}); err != nil {
 		return ts

@@ -57,63 +57,3 @@ func TestAsyncSingleFlightPerKey(t *testing.T) {
 	}
 	a.Wait()
 }
-
-func TestWeightedShardsBalance(t *testing.T) {
-	// 1000 slots, stripe 100; all the weight in the second half.
-	weights := []int32{0, 0, 0, 0, 0, 100, 100, 100, 100, 100}
-	spans := WeightedShards(1000, 2, weights, 100)
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	if spans[0][0] != 0 || spans[1][1] != 1000 {
-		t.Fatalf("spans %v do not cover [0,1000)", spans)
-	}
-	// The boundary should land near slot 750 (half the live weight),
-	// not 500 (half the slots).
-	b := spans[0][1]
-	if b < 700 || b > 800 {
-		t.Errorf("weighted boundary at %d, want ~750", b)
-	}
-	// Spans must be contiguous.
-	if spans[0][1] != spans[1][0] {
-		t.Errorf("spans %v not contiguous", spans)
-	}
-}
-
-func TestWeightedShardsFallsBackUniform(t *testing.T) {
-	spans := WeightedShards(100, 4, nil, 0)
-	want := Shards(100, 4)
-	if len(spans) != len(want) {
-		t.Fatalf("fallback spans %v, want %v", spans, want)
-	}
-	for i := range spans {
-		if spans[i] != want[i] {
-			t.Fatalf("fallback spans %v, want %v", spans, want)
-		}
-	}
-	// Zero weights behave the same.
-	spans = WeightedShards(100, 4, []int32{0, 0}, 50)
-	for i := range spans {
-		if spans[i] != want[i] {
-			t.Fatalf("zero-weight spans %v, want %v", spans, want)
-		}
-	}
-}
-
-func TestWeightedShardsCoverAndMonotone(t *testing.T) {
-	weights := []int32{5, 0, 90, 1, 0, 4}
-	for count := 1; count <= 8; count++ {
-		spans := WeightedShards(600, count, weights, 100)
-		if spans[0][0] != 0 || spans[len(spans)-1][1] != 600 {
-			t.Fatalf("count=%d: spans %v do not cover [0,600)", count, spans)
-		}
-		for i := range spans {
-			if spans[i][0] > spans[i][1] {
-				t.Fatalf("count=%d: span %d inverted: %v", count, i, spans)
-			}
-			if i > 0 && spans[i][0] != spans[i-1][1] {
-				t.Fatalf("count=%d: spans %v not contiguous", count, spans)
-			}
-		}
-	}
-}

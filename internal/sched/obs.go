@@ -2,17 +2,14 @@ package sched
 
 import "pascalr/internal/obs"
 
-// Scheduler metrics. The gauges are updated under the existing state
-// mutexes (the values they report are defined by that state), while the
-// counters are plain atomics; neither adds a lock to any path that did
-// not already hold one.
+// Scheduler metrics. The async backlog gauge is updated under the
+// executor's mutex (the value it reports is defined by that state);
+// the counters are plain atomics.
 var (
 	mJobs = obs.GetCounter("pascal_sched_jobs_total",
-		"Jobs executed by the bounded-worker DAG scheduler")
-	mQueueDepth = obs.GetGauge("pascal_sched_queue_depth_count",
-		"Ready-to-run jobs currently queued across active schedules")
+		"Jobs executed by the bounded worker pool")
 	mJobLatency = obs.GetHistogram("pascal_sched_job_seconds",
-		"Per-job run time on scheduler workers; the _sum is cumulative worker busy time")
+		"Per-job run time on pool workers; the _sum is cumulative worker busy time")
 	mAsyncJobs = obs.GetCounter("pascal_sched_async_jobs_total",
 		"Background maintenance jobs accepted by the async executor")
 	mAsyncBacklog = obs.GetGauge("pascal_sched_async_backlog_count",

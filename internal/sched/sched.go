@@ -1,232 +1,71 @@
-// Package sched is the run-time scheduler of the parallel collection
-// phase: a bounded worker pool executing a dependency DAG of jobs.
+// Package sched holds the two worker pools of the storage layer: Run,
+// the bounded pool that replays a durable database's write-ahead log
+// one relation per job, and Async, the single-flight executor for
+// background maintenance (drift-triggered statistics rebuilds).
 //
-// The paper observes that the collection phase decomposes into
-// independent relation scans ("parallel evaluation of subexpressions",
-// strategy 1 of section 4.1): scans of different relations share no
-// state except the indexes a probing scan consumes, which induces a
-// partial order. The scheduler runs that partial order with a fixed
-// number of worker goroutines, so intra-query parallelism is bounded by
-// the caller (typically GOMAXPROCS or an explicit Parallelism option)
-// rather than by the number of jobs.
+// Query evaluation does not use either: the engine runs the paper's
+// collection phase serially, one scan per relation (strategy 1's
+// "parallel evaluation of subexpressions" is a single-pass strategy,
+// not a multi-core one).
 //
-// Guarantees:
+// Run's guarantees:
 //
-//   - A job starts only after all of its dependencies completed
-//     successfully (completion of job i happens-before the start of any
-//     job depending on i, so jobs need no locking for structures handed
-//     across a dependency edge).
 //   - At most `workers` jobs run at any moment.
 //   - Run returns only after every started job has returned — no
 //     goroutine outlives the call, regardless of errors or
 //     cancellation.
 //   - Errors are reported deterministically: when several jobs fail,
-//     the error of the lowest-indexed failed job wins, so concurrent
-//     schedules surface the same error a serial left-to-right execution
-//     would.
+//     the error of the lowest-indexed failed job wins. A failure or a
+//     cancelled context stops jobs that have not started yet.
 package sched
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Job is one schedulable unit of work.
-type Job struct {
-	// Name labels the job in cycle errors and debugging output.
-	Name string
-	// Deps lists the indexes (into the slice passed to Run) of jobs
-	// that must complete before this one starts.
-	Deps []int
-	// Run does the work. It must observe ctx: once the schedule is
-	// cancelled (externally or by another job's error), long-running
-	// jobs are expected to return promptly with ctx.Err().
-	Run func(ctx context.Context) error
-}
+// Job is one unit of work. It must observe ctx: once the run is
+// cancelled (externally or by another job's error), long-running jobs
+// are expected to return promptly with ctx.Err().
+type Job func(ctx context.Context) error
 
-// state tracks one scheduled run under its mutex.
-type state struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	jobs    []Job
-	waiting []int   // unresolved dependency count per job
-	rdeps   [][]int // reverse edges: rdeps[i] = jobs waiting on i
-	ready   []int   // runnable job indexes, kept sorted ascending
-	pending int     // jobs neither started nor abandoned
-	running int
-
-	stopped bool // error or cancellation: start no new jobs
-	errIdx  int  // index of the lowest-indexed failed job
-	err     error
-}
-
-// Run executes the job DAG with at most `workers` concurrent jobs and
-// returns the first (lowest-indexed) job error, ctx.Err() if the
-// context was cancelled before completion, or an error describing a
-// dependency cycle. workers < 1 is treated as 1.
+// Run executes the jobs with at most `workers` running at once, in
+// index order of starting, and returns the lowest-indexed job error,
+// or ctx.Err() if the context was cancelled. workers < 1 is treated as
+// 1.
 func Run(ctx context.Context, workers int, jobs []Job) error {
-	if len(jobs) == 0 {
-		return ctx.Err()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	s := &state{
-		jobs:    jobs,
-		waiting: make([]int, len(jobs)),
-		rdeps:   make([][]int, len(jobs)),
-		pending: len(jobs),
-		errIdx:  len(jobs),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	for i, j := range jobs {
-		seen := make(map[int]bool, len(j.Deps))
-		for _, d := range j.Deps {
-			if d < 0 || d >= len(jobs) {
-				return fmt.Errorf("sched: job %d (%s) depends on out-of-range job %d", i, j.Name, d)
-			}
-			if d == i {
-				return fmt.Errorf("sched: job %d (%s) depends on itself", i, j.Name)
-			}
-			if seen[d] {
-				continue
-			}
-			seen[d] = true
-			s.waiting[i]++
-			s.rdeps[d] = append(s.rdeps[d], i)
-		}
-	}
-	for i := range jobs {
-		if s.waiting[i] == 0 {
-			s.ready = append(s.ready, i)
-		}
-	}
-	mQueueDepth.Add(int64(len(s.ready)))
-
-	// A cancelled parent context stops the schedule; a failing job
-	// cancels the derived context so sibling jobs abort promptly.
+	workers = max(1, min(workers, len(jobs)))
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stopWatch := make(chan struct{})
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-jctx.Done():
-			s.mu.Lock()
-			s.stopped = true
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		case <-stopWatch:
-		}
-	}()
-
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.work(jctx, cancel)
+			for jctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				start := time.Now()
+				errs[i] = jobs[i](jctx)
+				mJobLatency.Observe(time.Since(start))
+				mJobs.Inc()
+				if errs[i] != nil {
+					cancel()
+				}
+			}
 		}()
 	}
 	wg.Wait()
-	close(stopWatch)
-	cancel()
-	<-watcherDone
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Jobs abandoned by a stop (error or cancellation) never get claimed;
-	// drop them from the queue-depth gauge so it returns to zero.
-	mQueueDepth.Add(-int64(len(s.ready)))
-	s.ready = nil
-	if s.err != nil {
-		return s.err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if s.pending > 0 {
-		// Nothing failed, nothing was cancelled, yet jobs never became
-		// ready: the dependency graph has a cycle.
-		stuck := make([]string, 0, s.pending)
-		for i := range s.jobs {
-			if s.waiting[i] > 0 {
-				stuck = append(stuck, s.jobs[i].Name)
-			}
-		}
-		return fmt.Errorf("sched: dependency cycle among jobs %v", stuck)
-	}
-	return nil
-}
-
-// work is one worker's loop: claim the lowest-indexed ready job, run it
-// outside the lock, release its dependents.
-func (s *state) work(ctx context.Context, cancel context.CancelFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for !s.stopped && len(s.ready) == 0 && s.pending > 0 && s.running > 0 {
-			s.cond.Wait()
-		}
-		if s.stopped || s.pending == 0 || (len(s.ready) == 0 && s.running == 0) {
-			// Stopped, finished, or deadlocked (cycle): either way this
-			// worker has nothing left to claim. Wake the others so they
-			// reach the same conclusion.
-			s.cond.Broadcast()
-			return
-		}
-		if len(s.ready) == 0 {
-			continue
-		}
-		idx := s.ready[0]
-		s.ready = s.ready[1:]
-		s.pending--
-		s.running++
-		mQueueDepth.Add(-1)
-		s.mu.Unlock()
-
-		start := time.Now()
-		err := s.jobs[idx].Run(ctx)
-		mJobLatency.Observe(time.Since(start))
-		mJobs.Inc()
-
-		s.mu.Lock()
-		s.running--
+	for _, err := range errs {
 		if err != nil {
-			if idx < s.errIdx {
-				s.errIdx, s.err = idx, err
-			}
-			s.stopped = true
-			cancel()
-		} else {
-			for _, dep := range s.rdeps[idx] {
-				if s.waiting[dep]--; s.waiting[dep] == 0 {
-					s.ready = insertSorted(s.ready, dep)
-					mQueueDepth.Add(1)
-				}
-			}
+			return err
 		}
-		s.cond.Broadcast()
 	}
-}
-
-// insertSorted inserts idx into the ascending slice, preserving order —
-// workers always claim the lowest-indexed ready job, which keeps the
-// schedule close to the deterministic serial order and makes error
-// attribution reproducible.
-func insertSorted(a []int, idx int) []int {
-	i := sort.SearchInts(a, idx)
-	a = append(a, 0)
-	copy(a[i+1:], a[i:])
-	a[i] = idx
-	return a
+	return ctx.Err()
 }

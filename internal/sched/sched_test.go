@@ -11,40 +11,6 @@ import (
 	"time"
 )
 
-// TestRunRespectsDependencies runs a diamond DAG many times and checks
-// that every job observes its dependencies' effects.
-func TestRunRespectsDependencies(t *testing.T) {
-	for round := 0; round < 50; round++ {
-		var mu sync.Mutex
-		doneSet := map[int]bool{}
-		mark := func(i int, deps ...int) func(context.Context) error {
-			return func(context.Context) error {
-				mu.Lock()
-				defer mu.Unlock()
-				for _, d := range deps {
-					if !doneSet[d] {
-						return fmt.Errorf("job %d ran before dependency %d", i, d)
-					}
-				}
-				doneSet[i] = true
-				return nil
-			}
-		}
-		jobs := []Job{
-			{Name: "a", Run: mark(0)},
-			{Name: "b", Deps: []int{0}, Run: mark(1, 0)},
-			{Name: "c", Deps: []int{0}, Run: mark(2, 0)},
-			{Name: "d", Deps: []int{1, 2}, Run: mark(3, 1, 2)},
-		}
-		if err := Run(context.Background(), 4, jobs); err != nil {
-			t.Fatal(err)
-		}
-		if len(doneSet) != 4 {
-			t.Fatalf("completed %d jobs, want 4", len(doneSet))
-		}
-	}
-}
-
 // TestRunBoundsConcurrency checks that no more than `workers` jobs are
 // in flight at once.
 func TestRunBoundsConcurrency(t *testing.T) {
@@ -52,7 +18,7 @@ func TestRunBoundsConcurrency(t *testing.T) {
 	var cur, peak atomic.Int64
 	jobs := make([]Job, 16)
 	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprint(i), Run: func(context.Context) error {
+		jobs[i] = func(context.Context) error {
 			n := cur.Add(1)
 			for {
 				p := peak.Load()
@@ -63,7 +29,7 @@ func TestRunBoundsConcurrency(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			cur.Add(-1)
 			return nil
-		}}
+		}
 	}
 	if err := Run(context.Background(), workers, jobs); err != nil {
 		t.Fatal(err)
@@ -80,9 +46,9 @@ func TestRunDeterministicError(t *testing.T) {
 	errHigh := errors.New("high")
 	for round := 0; round < 50; round++ {
 		jobs := []Job{
-			{Name: "ok", Run: func(context.Context) error { return nil }},
-			{Name: "low", Run: func(context.Context) error { return errLow }},
-			{Name: "high", Run: func(context.Context) error { return errHigh }},
+			func(context.Context) error { return nil },
+			func(context.Context) error { return errLow },
+			func(context.Context) error { return errHigh },
 		}
 		err := Run(context.Background(), 3, jobs)
 		if !errors.Is(err, errLow) {
@@ -91,20 +57,20 @@ func TestRunDeterministicError(t *testing.T) {
 	}
 }
 
-// TestRunErrorSkipsDependents checks that jobs downstream of a failure
-// never start.
-func TestRunErrorSkipsDependents(t *testing.T) {
+// TestRunErrorStopsQueuedJobs checks that jobs not yet started when a
+// job fails never start.
+func TestRunErrorStopsQueuedJobs(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Bool
 	jobs := []Job{
-		{Name: "fail", Run: func(context.Context) error { return boom }},
-		{Name: "dep", Deps: []int{0}, Run: func(context.Context) error { ran.Store(true); return nil }},
+		func(context.Context) error { return boom },
+		func(context.Context) error { ran.Store(true); return nil },
 	}
-	if err := Run(context.Background(), 2, jobs); !errors.Is(err, boom) {
+	if err := Run(context.Background(), 1, jobs); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want %v", err, boom)
 	}
 	if ran.Load() {
-		t.Fatal("dependent of a failed job ran")
+		t.Fatal("a job queued behind a failed one ran")
 	}
 }
 
@@ -117,11 +83,11 @@ func TestRunCancellation(t *testing.T) {
 	var once sync.Once
 	jobs := make([]Job, 8)
 	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprint(i), Run: func(c context.Context) error {
+		jobs[i] = func(c context.Context) error {
 			once.Do(func() { close(started) })
 			<-c.Done()
 			return c.Err()
-		}}
+		}
 	}
 	go func() {
 		<-started
@@ -139,32 +105,12 @@ func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Bool
-	jobs := []Job{{Name: "x", Run: func(context.Context) error { ran.Store(true); return nil }}}
+	jobs := []Job{func(context.Context) error { ran.Store(true); return nil }}
 	if err := Run(ctx, 1, jobs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-}
-
-// TestRunDetectsCycles reports cyclic dependencies instead of hanging.
-func TestRunDetectsCycles(t *testing.T) {
-	jobs := []Job{
-		{Name: "a", Deps: []int{1}, Run: func(context.Context) error { return nil }},
-		{Name: "b", Deps: []int{0}, Run: func(context.Context) error { return nil }},
-	}
-	err := Run(context.Background(), 2, jobs)
-	if err == nil {
-		t.Fatal("cycle went undetected")
-	}
-}
-
-// TestRunValidatesDeps rejects out-of-range and self dependencies.
-func TestRunValidatesDeps(t *testing.T) {
-	nop := func(context.Context) error { return nil }
-	if err := Run(context.Background(), 1, []Job{{Name: "a", Deps: []int{5}, Run: nop}}); err == nil {
-		t.Fatal("out-of-range dependency accepted")
-	}
-	if err := Run(context.Background(), 1, []Job{{Name: "a", Deps: []int{0}, Run: nop}}); err == nil {
-		t.Fatal("self dependency accepted")
+	if ran.Load() {
+		t.Fatal("a job ran on a cancelled context")
 	}
 }
 
@@ -177,12 +123,12 @@ func TestRunSerialOrder(t *testing.T) {
 	jobs := make([]Job, 6)
 	for i := range jobs {
 		i := i
-		jobs[i] = Job{Name: fmt.Sprint(i), Run: func(context.Context) error {
+		jobs[i] = func(context.Context) error {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
 			return nil
-		}}
+		}
 	}
 	if err := Run(context.Background(), 1, jobs); err != nil {
 		t.Fatal(err)
@@ -207,56 +153,43 @@ func waitForGoroutines(t *testing.T, before int) {
 	}
 }
 
-// TestShards checks balanced contiguous splitting.
-func TestShards(t *testing.T) {
-	for _, tc := range []struct {
-		n, count int
-		want     int // number of shards
-	}{
-		{10, 3, 3}, {10, 1, 1}, {3, 8, 3}, {0, 4, 1}, {1000, 4, 4},
-	} {
-		got := Shards(tc.n, tc.count)
-		if len(got) != tc.want {
-			t.Fatalf("Shards(%d,%d) = %v, want %d shards", tc.n, tc.count, got, tc.want)
-		}
-		lo, total, minSz, maxSz := 0, 0, int(^uint(0)>>1), 0
-		for _, s := range got {
-			if s[0] != lo {
-				t.Fatalf("Shards(%d,%d) = %v: not contiguous", tc.n, tc.count, got)
+// TestRunEveryJobOnce checks that every job runs exactly once whatever
+// the worker count, including counts below one (treated as one) and
+// above the number of jobs (clamped to it).
+func TestRunEveryJobOnce(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 3, 64} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			runs := make([]atomic.Int64, 10)
+			jobs := make([]Job, len(runs))
+			for i := range jobs {
+				jobs[i] = func(context.Context) error {
+					runs[i].Add(1)
+					return nil
+				}
 			}
-			sz := s[1] - s[0]
-			total += sz
-			lo = s[1]
-			if sz < minSz {
-				minSz = sz
+			if err := Run(context.Background(), workers, jobs); err != nil {
+				t.Fatal(err)
 			}
-			if sz > maxSz {
-				maxSz = sz
+			for i := range runs {
+				if n := runs[i].Load(); n != 1 {
+					t.Fatalf("job %d ran %d times, want 1", i, n)
+				}
 			}
-		}
-		if total != tc.n {
-			t.Fatalf("Shards(%d,%d) covers %d elements", tc.n, tc.count, total)
-		}
-		if tc.n > 0 && maxSz-minSz > 1 {
-			t.Fatalf("Shards(%d,%d) = %v: unbalanced", tc.n, tc.count, got)
-		}
+		})
 	}
 }
 
-// TestShardCount checks the cost-guided shard heuristic.
-func TestShardCount(t *testing.T) {
-	for _, tc := range []struct {
-		card     float64
-		min, max int
-		want     int
-	}{
-		{100, 512, 8, 1},    // too small to shard
-		{2048, 512, 8, 4},   // one shard per 512 elements
-		{100000, 512, 8, 8}, // capped at the worker count
-		{0, 512, 8, 1},
-	} {
-		if got := ShardCount(tc.card, tc.min, tc.max); got != tc.want {
-			t.Fatalf("ShardCount(%v,%d,%d) = %d, want %d", tc.card, tc.min, tc.max, got, tc.want)
-		}
+// TestRunNoJobs: an empty job list succeeds on a live context and
+// reports the cancellation on a cancelled one, leaving no goroutines.
+func TestRunNoJobs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if err := Run(context.Background(), 4, nil); err != nil {
+		t.Fatalf("empty run on a live context: %v", err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Run(ctx, 4, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("empty run on a cancelled context: got %v, want context.Canceled", err)
+	}
+	waitForGoroutines(t, before)
 }

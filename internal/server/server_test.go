@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"pascalr"
 	"pascalr/client"
+	"pascalr/internal/protocol"
 	"pascalr/internal/workload"
 )
 
@@ -100,6 +102,53 @@ func TestServerBasics(t *testing.T) {
 	}
 	if err := c.Ping(); err != nil {
 		t.Fatalf("connection unusable after query error: %v", err)
+	}
+}
+
+// TestSetOptionRejectsWorkerCount: the server has no worker-count
+// option, so "parallelism" is refused as an unknown key with a
+// bad-request code, and the session stays usable.
+func TestSetOptionRejectsWorkerCount(t *testing.T) {
+	srv, _ := newTestServer(t, 5, 4, false)
+	c := dial(t, srv)
+	err := c.SetOption("parallelism", 4)
+	var se *client.Error
+	if !errors.As(err, &se) || se.Code != protocol.CodeBadRequest || !strings.Contains(se.Message, "unknown option") {
+		t.Fatalf("SetOption(parallelism) = %v, want a bad-request unknown-option error", err)
+	}
+	if err := c.SetOption("max_ref_tuples", 1<<20); err != nil {
+		t.Fatalf("known option refused after the error: %v", err)
+	}
+}
+
+// TestWireReferenceTupleBudget: the reference-tuple budget reaches the
+// engine both as a per-call option in the QueryOpts block and as a
+// session default, and a per-call budget overrides the default.
+func TestWireReferenceTupleBudget(t *testing.T) {
+	srv, _ := newTestServer(t, 5, 4, false)
+	c := dial(t, srv)
+	// Two indirect joins, so the combination phase joins once and checks
+	// the budget there.
+	const q = `[<e.ename, c.cnr> OF EACH e IN employees, EACH t IN timetable, EACH c IN courses:
+		(e.enr = t.tenr) AND (t.tcnr = c.cnr)]`
+	const budgetErr = "exceeded 1 reference tuples"
+	if _, err := c.Query(q, client.Options{}); err != nil {
+		t.Fatalf("unbudgeted query: %v", err)
+	}
+	if _, err := c.Query(q, client.Options{MaxRefTuples: 1}); err == nil || !strings.Contains(err.Error(), budgetErr) {
+		t.Fatalf("per-call budget 1: err = %v, want the budget error", err)
+	}
+	if _, err := c.Query(q, client.Options{}); err != nil {
+		t.Fatalf("per-call budget stuck to the session: %v", err)
+	}
+	if err := c.SetOption("max_ref_tuples", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(q, client.Options{}); err == nil || !strings.Contains(err.Error(), budgetErr) {
+		t.Fatalf("session budget 1: err = %v, want the budget error", err)
+	}
+	if _, err := c.Query(q, client.Options{MaxRefTuples: 1 << 30}); err != nil {
+		t.Fatalf("per-call budget over a session budget of 1: %v", err)
 	}
 }
 

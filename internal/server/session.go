@@ -389,9 +389,6 @@ func optionsFor(o protocol.QueryOpts) []pascalr.Option {
 	if o.HasCostBased && o.CostBased {
 		opts = append(opts, pascalr.WithCostBased())
 	}
-	if o.Parallelism > 0 {
-		opts = append(opts, pascalr.WithParallelism(int(o.Parallelism)))
-	}
 	if o.MaxRefTuples > 0 {
 		opts = append(opts, pascalr.WithMaxRefTuples(int64(o.MaxRefTuples)))
 	}
@@ -663,8 +660,6 @@ func (s *session) handleSetOption(r *protocol.Reader) error {
 			return s.writeErr(protocol.CodeBadRequest, fmt.Errorf("cost_based can only be enabled; open a new session for the static planner"))
 		}
 		opt = pascalr.WithCostBased()
-	case "parallelism":
-		opt = pascalr.WithParallelism(int(v))
 	case "max_ref_tuples":
 		opt = pascalr.WithMaxRefTuples(v)
 	default:

@@ -19,7 +19,7 @@ func buildEstimator() *Estimator {
 	e := NewEstimator()
 	ts := NewTableStats("emp", []string{"id", "grade"})
 	for i := 0; i < 100; i++ {
-		ts.Observe([]value.Value{value.Int(int64(i)), value.Int(int64(i % 4))})
+		ts.ObserveInsert([]value.Value{value.Int(int64(i)), value.Int(int64(i % 4))})
 	}
 	e.AddTable(ts)
 	return e
@@ -78,7 +78,7 @@ func TestJoinSelectivity(t *testing.T) {
 	e := buildEstimator()
 	other := NewTableStats("dept", []string{"gid"})
 	for i := 0; i < 10; i++ {
-		other.Observe([]value.Value{value.Int(int64(i % 2))})
+		other.ObserveInsert([]value.Value{value.Int(int64(i % 2))})
 	}
 	e.AddTable(other)
 	// Exact distributions: grade uniform over {0..3} (f=0.25 each), gid
@@ -93,11 +93,11 @@ func TestJoinSelectivitySkewAndDisjoint(t *testing.T) {
 	e := NewEstimator()
 	l := NewTableStats("l", []string{"v"})
 	for i := 0; i < 100; i++ {
-		l.Observe([]value.Value{value.Int(0)}) // all rows the heavy hitter
+		l.ObserveInsert([]value.Value{value.Int(0)}) // all rows the heavy hitter
 	}
 	r := NewTableStats("r", []string{"v"})
 	for i := 0; i < 100; i++ {
-		r.Observe([]value.Value{value.Int(int64(i % 10))})
+		r.ObserveInsert([]value.Value{value.Int(int64(i % 10))})
 	}
 	e.AddTable(l)
 	e.AddTable(r)
@@ -108,7 +108,7 @@ func TestJoinSelectivitySkewAndDisjoint(t *testing.T) {
 
 	d := NewTableStats("d", []string{"v"})
 	for i := 0; i < 50; i++ {
-		d.Observe([]value.Value{value.Int(int64(1000 + i))}) // disjoint range
+		d.ObserveInsert([]value.Value{value.Int(int64(1000 + i))}) // disjoint range
 	}
 	e.AddTable(d)
 	if got := e.JoinSelectivity("l", "v", value.OpEq, "d", "v"); got > 1e-3 {
@@ -136,7 +136,7 @@ func TestSinglePointColumn(t *testing.T) {
 	e := NewEstimator()
 	ts := NewTableStats("one", []string{"k"})
 	for i := 0; i < 5; i++ {
-		ts.Observe([]value.Value{value.Int(7)})
+		ts.ObserveInsert([]value.Value{value.Int(7)})
 	}
 	e.AddTable(ts)
 	almost(t, "k < 7", e.SelectivityConst("one", "k", value.OpLt, value.Int(7)), 0)
@@ -147,8 +147,8 @@ func TestSinglePointColumn(t *testing.T) {
 func TestMixedKindColumnFallsBack(t *testing.T) {
 	e := NewEstimator()
 	ts := NewTableStats("mix", []string{"k"})
-	ts.Observe([]value.Value{value.Int(1)})
-	ts.Observe([]value.Value{value.String_("a")})
+	ts.ObserveInsert([]value.Value{value.Int(1)})
+	ts.ObserveInsert([]value.Value{value.String_("a")})
 	e.AddTable(ts)
 	almost(t, "mixed <", e.SelectivityConst("mix", "k", value.OpLt, value.Int(5)), DefaultRangeSel)
 }
@@ -164,7 +164,7 @@ func TestSkewedEqualitySelectivity(t *testing.T) {
 		if i%10 == 9 {
 			k = int64(1 + i%7)
 		}
-		ts.Observe([]value.Value{value.Int(k)})
+		ts.ObserveInsert([]value.Value{value.Int(k)})
 	}
 	e.AddTable(ts)
 	hist := e.SelectivityConst("ev", "kind", value.OpEq, value.Int(0))
@@ -183,10 +183,10 @@ func TestDeletesKeepExactStats(t *testing.T) {
 	e := NewEstimator()
 	ts := NewTableStats("d", []string{"v"})
 	for i := 0; i < 100; i++ {
-		ts.ObserveInsert(i, []value.Value{value.Int(int64(i % 4))})
+		ts.ObserveInsert([]value.Value{value.Int(int64(i % 4))})
 	}
 	for i := 0; i < 50; i++ { // delete every v=0 and v=1 tuple's worth
-		ts.ObserveDelete(i, []value.Value{value.Int(int64(i % 2))})
+		ts.ObserveDelete([]value.Value{value.Int(int64(i % 2))})
 	}
 	e.AddTable(ts)
 	if ts.Rows() != 50 {
@@ -220,7 +220,7 @@ func TestEquiDepthDegrade(t *testing.T) {
 		if i%2 == 0 {
 			v = 7 // heavy hitter: half the rows
 		}
-		ts.Observe([]value.Value{value.Int(v)})
+		ts.ObserveInsert([]value.Value{value.Int(v)})
 	}
 	e.AddTable(ts)
 	cs := ts.Col("v")
@@ -253,11 +253,11 @@ func TestRebuildFromScan(t *testing.T) {
 	ts := NewTableStats("r", []string{"v"})
 	// Dirty the live stats with a different distribution first.
 	for i := 0; i < 600; i++ {
-		ts.ObserveInsert(i, []value.Value{value.Int(int64(i))})
+		ts.ObserveInsert([]value.Value{value.Int(int64(i))})
 	}
 	rb := ts.NewRebuild()
 	for i := 0; i < 2000; i++ {
-		rb.Add(i, []value.Value{value.Int(int64(i % 300 * 10))})
+		rb.Add([]value.Value{value.Int(int64(i % 300 * 10))})
 	}
 	rb.Commit()
 	if ts.Rows() != 2000 {
@@ -287,14 +287,14 @@ func TestDriftTrigger(t *testing.T) {
 	ts := NewTableStats("t", []string{"v"})
 	rb := ts.NewRebuild()
 	for i := 0; i < 2000; i++ {
-		rb.Add(i, []value.Value{value.Int(int64(i))})
+		rb.Add([]value.Value{value.Int(int64(i))})
 	}
 	rb.Commit()
 	if ts.Drifted() {
 		t.Fatal("no mutations yet, but drifted")
 	}
 	for i := 0; i < 500; i++ {
-		ts.ObserveInsert(2000+i, []value.Value{value.Int(int64(3000 + i))})
+		ts.ObserveInsert([]value.Value{value.Int(int64(3000 + i))})
 	}
 	if !ts.Drifted() {
 		t.Error("500 mutations on a 2000-row bucketed table should drift")
@@ -309,7 +309,7 @@ func TestDriftTrigger(t *testing.T) {
 func TestDegradeResetsDrift(t *testing.T) {
 	ts := NewTableStats("g", []string{"v"})
 	for i := 0; i <= MaxExactValues; i++ {
-		if ts.ObserveInsert(i, []value.Value{value.Int(int64(i))}) {
+		if ts.ObserveInsert([]value.Value{value.Int(int64(i))}) {
 			t.Fatalf("insert %d reported drift during organic growth", i)
 		}
 	}
@@ -321,7 +321,7 @@ func TestDegradeResetsDrift(t *testing.T) {
 	}
 	// Enough further churn must still trigger the rebuild.
 	for i := 0; i < minDriftMutations; i++ {
-		ts.ObserveInsert(MaxExactValues+1+i, []value.Value{value.Int(int64(MaxExactValues + 1 + i))})
+		ts.ObserveInsert([]value.Value{value.Int(int64(MaxExactValues + 1 + i))})
 	}
 	if !ts.Drifted() {
 		t.Errorf("%d mutations after the degrade point should drift", minDriftMutations)
@@ -339,14 +339,14 @@ func TestNonOrdinalDegradeArmsDrift(t *testing.T) {
 		return []value.Value{value.String_(fmt.Sprintf("v%03d", i))}
 	}
 	for i := 0; i < 500; i++ {
-		ts.ObserveInsert(i, name(i))
+		ts.ObserveInsert(name(i))
 	}
 	if m := ts.Col("name").Mode(); m != ModeBounds {
 		t.Fatalf("mode after 500 distinct strings = %s, want bounds", m)
 	}
 	drifted := false
 	for i := 0; i < 400; i++ {
-		if ts.ObserveDelete(i, name(i)) {
+		if ts.ObserveDelete(name(i)) {
 			drifted = true
 		}
 	}
@@ -355,7 +355,7 @@ func TestNonOrdinalDegradeArmsDrift(t *testing.T) {
 	}
 	rb := ts.NewRebuild()
 	for i := 400; i < 500; i++ {
-		rb.Add(i, name(i))
+		rb.Add(name(i))
 	}
 	rb.Commit()
 	if d := ts.Col("name").DistinctCount(); d != 100 {
@@ -371,11 +371,11 @@ func TestNonOrdinalDegradeArmsDrift(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	ts := NewTableStats("s", []string{"v"})
 	for i := 0; i < 10; i++ {
-		ts.ObserveInsert(i, []value.Value{value.Int(int64(i))})
+		ts.ObserveInsert([]value.Value{value.Int(int64(i))})
 	}
 	snap := ts.Snapshot()
 	for i := 10; i < 100; i++ {
-		ts.ObserveInsert(i, []value.Value{value.Int(int64(i))})
+		ts.ObserveInsert([]value.Value{value.Int(int64(i))})
 	}
 	if snap.Rows() != 10 {
 		t.Errorf("snapshot rows = %d, want 10", snap.Rows())
@@ -385,32 +385,5 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	if d := snap.Col("v").DistinctCount(); d != 10 {
 		t.Errorf("snapshot distinct = %d, want 10", d)
-	}
-}
-
-// TestSlotWeights checks the slot-density summary tracks live counts
-// per stripe through inserts and deletes.
-func TestSlotWeights(t *testing.T) {
-	ts := NewTableStats("w", []string{"v"})
-	for i := 0; i < 200; i++ {
-		ts.ObserveInsert(i, []value.Value{value.Int(int64(i))})
-	}
-	// Delete everything in the first stripe region.
-	for i := 0; i < 64; i++ {
-		ts.ObserveDelete(i, []value.Value{value.Int(int64(i))})
-	}
-	w, stripe := ts.SlotWeights()
-	if stripe == 0 || len(w) == 0 {
-		t.Fatal("no slot weights tracked")
-	}
-	total := int32(0)
-	for _, n := range w {
-		total += n
-	}
-	if total != int32(ts.Rows()) {
-		t.Errorf("slot weights total %d != rows %d", total, ts.Rows())
-	}
-	if w[0] != 0 {
-		t.Errorf("first stripe weight = %d, want 0 after deletes", w[0])
 	}
 }

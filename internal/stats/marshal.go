@@ -1,7 +1,7 @@
 // Checkpoint serialization of TableStats. A durable database persists
 // each relation's live statistics in its checkpoint manifest, so
-// recovery resumes with the histograms, distinct counts, and slot
-// density the process had built — instead of resetting to empty and
+// recovery resumes with the histograms and distinct counts the process
+// had built — instead of resetting to empty and
 // replanning blind until enough mutations re-teach it. The linear
 // distinct sketch is deliberately not persisted (2 KiB per high-
 // distinct column of mostly-zero bits): the serialized distinct count
@@ -10,6 +10,7 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -18,7 +19,14 @@ import (
 	"pascalr/internal/value"
 )
 
-const statsMarshalVersion = 1
+// statsMarshalVersion 2 dropped version 1's backend access-cost
+// profile and slot-density stripes.
+const statsMarshalVersion = 2
+
+// ErrVersion reports a statistics blob written under another
+// serialization version. Statistics are derived data: a caller that
+// gets it rebuilds them from the relation instead of failing.
+var ErrVersion = errors.New("stats: unsupported serialization version")
 
 // Column-statistics mode tags in the serialized form.
 const (
@@ -42,13 +50,6 @@ func (t *TableStats) Marshal() ([]byte, error) {
 	w.Uvarint(uint64(t.drift))
 	w.Uvarint(uint64(t.baseRows))
 	w.Strings(t.colList)
-	w.Uvarint(math.Float64bits(t.access.ScanTuple))
-	w.Uvarint(math.Float64bits(t.access.Probe))
-	w.Uvarint(uint64(t.slots.stripe))
-	w.Uvarint(uint64(len(t.slots.live)))
-	for _, n := range t.slots.live {
-		w.Uvarint(uint64(n))
-	}
 	for _, name := range t.colList {
 		if err := marshalCol(w, t.cols[name]); err != nil {
 			return nil, fmt.Errorf("stats: column %s: %w", name, err)
@@ -110,7 +111,7 @@ func Unmarshal(data []byte) (*TableStats, error) {
 		return nil, err
 	}
 	if ver != statsMarshalVersion {
-		return nil, fmt.Errorf("stats: unsupported serialization version %d", ver)
+		return nil, fmt.Errorf("%w %d", ErrVersion, ver)
 	}
 	name, err := r.String()
 	if err != nil {
@@ -126,33 +127,8 @@ func Unmarshal(data []byte) (*TableStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	scanBits, err1 := r.Uvarint()
-	probeBits, err2 := r.Uvarint()
-	if err1 != nil || err2 != nil {
-		return nil, fmt.Errorf("stats: truncated access profile")
-	}
 	t := NewTableStats(name, colList)
 	t.rows, t.drift, t.baseRows = int(rows), int(drift), int(baseRows)
-	t.access = CostProfile{ScanTuple: math.Float64frombits(scanBits), Probe: math.Float64frombits(probeBits)}
-	stripe, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	nStripes, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nStripes > maxStripes {
-		return nil, fmt.Errorf("stats: stripe count %d out of range", nStripes)
-	}
-	t.slots.stripe = int(stripe)
-	for range nStripes {
-		n, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		t.slots.live = append(t.slots.live, int32(n))
-	}
 	for _, cn := range colList {
 		c, err := unmarshalCol(r)
 		if err != nil {

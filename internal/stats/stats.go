@@ -178,9 +178,8 @@ func (c *Counters) Merge(other *Counters) {
 // Fingerprint renders the counters as a deterministic string: map keys
 // sorted, structure records sorted (their natural order follows map
 // iteration in parts of the engine, so only the multiset is
-// meaningful). Two runs of the same work — serial or parallel, in any
-// interleaving — must produce equal fingerprints; the differential
-// harness compares them.
+// meaningful). Two runs of the same work must produce equal
+// fingerprints; the differential harness compares them.
 func (c *Counters) Fingerprint() string {
 	if c == nil {
 		return ""

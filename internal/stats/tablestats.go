@@ -14,11 +14,6 @@ import (
 )
 
 const (
-	// slotStripe0 is the initial slot-density stripe width; maxStripes
-	// bounds the density array, doubling the stripe beyond it.
-	slotStripe0 = 64
-	maxStripes  = 1024
-
 	// minDriftMutations and driftFraction set the re-bucketing trigger:
 	// a table in histogram mode re-buckets after
 	// max(minDriftMutations, driftFraction·rows) mutations.
@@ -26,62 +21,8 @@ const (
 	driftFraction     = 0.2
 )
 
-// slotDensity tracks live-tuple counts per contiguous stripe of slot
-// indexes — the per-range surviving-tuple estimate shard balancing
-// consults instead of assuming uniform slot occupancy.
-type slotDensity struct {
-	stripe int
-	live   []int32
-}
-
-func (s *slotDensity) add(slot int, delta int32) {
-	if slot < 0 {
-		return
-	}
-	if s.stripe == 0 {
-		s.stripe = slotStripe0
-	}
-	for slot/s.stripe >= maxStripes {
-		s.coarsen()
-	}
-	i := slot / s.stripe
-	for len(s.live) <= i {
-		s.live = append(s.live, 0)
-	}
-	s.live[i] += delta
-	if s.live[i] < 0 {
-		s.live[i] = 0
-	}
-}
-
-// coarsen doubles the stripe width, merging stripe pairs.
-func (s *slotDensity) coarsen() {
-	merged := make([]int32, (len(s.live)+1)/2)
-	for i, n := range s.live {
-		merged[i/2] += n
-	}
-	s.live = merged
-	s.stripe *= 2
-}
-
-func (s *slotDensity) clone() slotDensity {
-	return slotDensity{stripe: s.stripe, live: append([]int32(nil), s.live...)}
-}
-
-// CostProfile describes the relative per-tuple access costs of the
-// storage backend holding a relation: how expensive one scanned tuple
-// and one point lookup are, in units where the in-memory backend is
-// 1.0. The planner's shard balancer consults it so a disk-resident
-// relation splits into proportionally finer work units; plan *shape*
-// (index choice, scan order) deliberately does not read it, because
-// index and range structures are RAM-resident on every backend.
-type CostProfile struct {
-	ScanTuple float64
-	Probe     float64
-}
-
-// TableStats is one relation's live statistics: cardinality, per-column
-// histograms, and slot density. All methods are safe for concurrent
+// TableStats is one relation's live statistics: cardinality and
+// per-column histograms. All methods are safe for concurrent
 // use; mutators are expected to be serialized by the storage layer's
 // content write lock, readers may run anywhere (including with no
 // database lock held — compile-time planning reads snapshots).
@@ -92,8 +33,6 @@ type TableStats struct {
 	rows    int
 	cols    map[string]*colStats
 	colList []string
-	slots   slotDensity
-	access  CostProfile // backend access costs; zero until SetAccessCost
 
 	drift    int // mutations since the last (re)build
 	baseRows int // rows at the last (re)build
@@ -110,36 +49,6 @@ func NewTableStats(name string, cols []string) *TableStats {
 		t.cols[c] = newColStats()
 	}
 	return t
-}
-
-// SetAccessCost records the access-cost profile of the storage backend
-// currently holding the relation. The relation layer calls it when a
-// relation is attached to (or migrated between) backends.
-func (t *TableStats) SetAccessCost(p CostProfile) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.access = p
-	t.mu.Unlock()
-}
-
-// AccessCost returns the backend access-cost profile, defaulting to
-// in-memory units (1.0/1.0) when none was recorded.
-func (t *TableStats) AccessCost() CostProfile {
-	if t == nil {
-		return CostProfile{ScanTuple: 1, Probe: 1}
-	}
-	t.mu.RLock()
-	p := t.access
-	t.mu.RUnlock()
-	if p.ScanTuple <= 0 {
-		p.ScanTuple = 1
-	}
-	if p.Probe <= 0 {
-		p.Probe = 1
-	}
-	return p
 }
 
 // Rows returns the live cardinality.
@@ -185,12 +94,11 @@ func (t *TableStats) col(name string) *colStats {
 	return t.cols[name]
 }
 
-// ObserveInsert folds one inserted tuple (in column order, stored at
-// the given slot index; slot < 0 skips density tracking) into the
+// ObserveInsert folds one inserted tuple (in column order) into the
 // statistics. It reports whether the table has drifted past its
 // rebuild threshold — computed under the lock already held, so the
 // mutation path needs no second acquisition.
-func (t *TableStats) ObserveInsert(slot int, tuple []value.Value) bool {
+func (t *TableStats) ObserveInsert(tuple []value.Value) bool {
 	if t == nil {
 		return false
 	}
@@ -198,7 +106,6 @@ func (t *TableStats) ObserveInsert(slot int, tuple []value.Value) bool {
 	defer t.mu.Unlock()
 	t.rows++
 	t.drift++
-	t.slots.add(slot, 1)
 	wasExact := t.degradedCols == 0
 	for i, c := range t.colList {
 		if i >= len(tuple) {
@@ -221,13 +128,9 @@ func (t *TableStats) ObserveInsert(slot int, tuple []value.Value) bool {
 	return t.drifted()
 }
 
-// Observe is ObserveInsert without a slot position, for summaries built
-// outside slotted storage (tests, ad-hoc analysis).
-func (t *TableStats) Observe(tuple []value.Value) { t.ObserveInsert(-1, tuple) }
-
 // ObserveDelete removes one tuple's contribution; like ObserveInsert
 // it reports the drift state.
-func (t *TableStats) ObserveDelete(slot int, tuple []value.Value) bool {
+func (t *TableStats) ObserveDelete(tuple []value.Value) bool {
 	if t == nil {
 		return false
 	}
@@ -237,7 +140,6 @@ func (t *TableStats) ObserveDelete(slot int, tuple []value.Value) bool {
 		t.rows--
 	}
 	t.drift++
-	t.slots.add(slot, -1)
 	for i, c := range t.colList {
 		if i >= len(tuple) {
 			break
@@ -255,7 +157,6 @@ func (t *TableStats) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rows, t.drift, t.baseRows, t.degradedCols = 0, 0, 0, 0
-	t.slots = slotDensity{}
 	for _, c := range t.colList {
 		t.cols[c] = newColStats()
 	}
@@ -288,21 +189,6 @@ func (t *TableStats) drifted() bool {
 	return t.drift >= thr
 }
 
-// SlotWeights returns the live-tuple counts per slot stripe and the
-// stripe width, for density-balanced shard splitting; nil when no
-// density was tracked.
-func (t *TableStats) SlotWeights() ([]int32, int) {
-	if t == nil {
-		return nil, 0
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if len(t.slots.live) == 0 {
-		return nil, 0
-	}
-	return append([]int32(nil), t.slots.live...), t.slots.stripe
-}
-
 // Snapshot returns an immutable deep copy for planning: compile-time
 // consumers read it without holding any database lock.
 func (t *TableStats) Snapshot() *TableStats {
@@ -316,8 +202,6 @@ func (t *TableStats) Snapshot() *TableStats {
 		rows:         t.rows,
 		cols:         make(map[string]*colStats, len(t.cols)),
 		colList:      append([]string(nil), t.colList...),
-		slots:        t.slots.clone(),
-		access:       t.access,
 		drift:        t.drift,
 		baseRows:     t.baseRows,
 		degradedCols: t.degradedCols,
@@ -373,10 +257,9 @@ func (v colView) Mode() string {
 // under its content read lock (writers blocked), so the scan and the
 // swap see one consistent state.
 type Rebuild struct {
-	t     *TableStats
-	rows  int
-	vals  []map[string]*valCount
-	slots slotDensity
+	t    *TableStats
+	rows int
+	vals []map[string]*valCount
 }
 
 // NewRebuild returns an empty rebuild accumulator for t.
@@ -389,9 +272,8 @@ func (t *TableStats) NewRebuild() *Rebuild {
 }
 
 // Add folds one live tuple into the accumulator.
-func (rb *Rebuild) Add(slot int, tuple []value.Value) {
+func (rb *Rebuild) Add(tuple []value.Value) {
 	rb.rows++
-	rb.slots.add(slot, 1)
 	for i := range rb.vals {
 		if i >= len(tuple) {
 			break
@@ -417,7 +299,6 @@ func (rb *Rebuild) Commit() {
 	defer t.mu.Unlock()
 	t.rows = rb.rows
 	t.cols = cols
-	t.slots = rb.slots
 	t.drift = 0
 	t.baseRows = rb.rows
 	t.degradedCols = 0

@@ -289,7 +289,7 @@ func TestOpenSSTableRejectsOtherFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.close()
-	if _, _, _, err := tb.get(0); err == nil || !strings.Contains(err.Error(), "footer") {
+	if _, _, err := tb.get(0); err == nil || !strings.Contains(err.Error(), "footer") {
 		t.Fatalf("get from a block disagreeing with the footer: %v", err)
 	}
 	var sc blockScanner

@@ -44,13 +44,13 @@ func benchSegmentFetch(b *testing.B, cache *BlockCache) {
 	t := d.tables[0]
 	var v blockView
 	for bi := range t.blocks { // populate the cache (no-op when nil)
-		if _, err := t.cachedBlock(bi, &v); err != nil {
+		if err := t.cachedBlock(bi, &v); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := t.cachedBlock(i%len(t.blocks), &v); err != nil {
+		if err := t.cachedBlock(i%len(t.blocks), &v); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -94,9 +94,8 @@ func TestBlockCacheNilSafe(t *testing.T) {
 }
 
 // TestDiskBlockCachePointReads verifies the wiring end to end: repeated
-// point reads hit the cache, scans bypass it, the learned hit rate
-// pulls the probe cost toward memory, and closing the backend leaves
-// nothing resident.
+// point reads hit the cache, scans bypass it, and closing the backend
+// leaves nothing resident.
 func TestDiskBlockCachePointReads(t *testing.T) {
 	cache := bc(t, 1<<20)
 	d := NewDisk(t.TempDir(), 0, Options{MemtableEntries: 8, Fsync: SyncNever}, cache)
@@ -114,10 +113,6 @@ func TestDiskBlockCachePointReads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := d.Costs()
-	if cold.Probe != diskCosts.Probe {
-		t.Fatalf("unobserved probe cost = %v, want static %v", cold.Probe, diskCosts.Probe)
-	}
 	for i := 0; i < n; i++ { // first pass: misses populate both read paths
 		if _, ok, err := d.Get(slots[i]); err != nil || !ok {
 			t.Fatalf("get(%d) = %v %v", slots[i], ok, err)
@@ -146,16 +141,6 @@ func TestDiskBlockCachePointReads(t *testing.T) {
 	}
 	if h1 <= h0 {
 		t.Fatalf("warm passes did not hit: %d -> %d", h0, h1)
-	}
-
-	// The learned rate must have pulled Probe well below the static
-	// cold price by now.
-	warm := d.Costs()
-	if warm.Probe >= cold.Probe/2 {
-		t.Fatalf("warm probe cost %v not below half the cold %v", warm.Probe, cold.Probe)
-	}
-	if rate, ok := d.CacheHitRate(); !ok || rate < 0.5 {
-		t.Fatalf("hit rate = %v %v after warm passes", rate, ok)
 	}
 
 	// Scans bypass the cache: a full sweep must not change residency.

@@ -54,7 +54,6 @@ type Disk struct {
 	dir   string // "" for a store with no directory
 	relID int
 	opts  Options
-	costs CostProfile // static access-cost profile
 
 	tables     []*ssTable   // ascending, disjoint slot ranges
 	dead       map[int]bool // table-resident tombstones
@@ -85,11 +84,6 @@ type Disk struct {
 	cache *BlockCache // shared per-database block cache, nil when disabled
 
 	bloomNegSkipped uint64 // probes answered "absent" by filters alone
-
-	// cacheHitRate tracks the block-cache hit fraction of this
-	// relation's point reads (1.0 per hit, 0.0 per miss) — the signal
-	// that turns the static probe cost into a learned one (Costs).
-	cacheHitRate atomicRate
 }
 
 // DiskTableMeta is the per-relation durable state a checkpoint manifest
@@ -104,13 +98,11 @@ type DiskTableMeta struct {
 }
 
 // NewMemory returns an empty store with no directory: no tables, bloom
-// filters or block cache, a memtable that never spills, and the unit
-// cost profile. It is volatile; durable databases pair stores with a
-// directory with the WAL.
+// filters or block cache, and a memtable that never spills. It is
+// volatile; durable databases pair stores with a directory with the
+// WAL.
 func NewMemory() *Disk {
-	d := NewDisk("", 0, Options{MemtableEntries: math.MaxInt}, nil)
-	d.costs = memoryCosts
-	return d
+	return NewDisk("", 0, Options{MemtableEntries: math.MaxInt}, nil)
 }
 
 // NewDisk creates an empty store writing its files into dir.
@@ -120,7 +112,6 @@ func NewDisk(dir string, relID int, opts Options, cache *BlockCache) *Disk {
 		dir:      dir,
 		relID:    relID,
 		opts:     opts.withDefaults(),
-		costs:    diskCosts,
 		dead:     make(map[int]bool),
 		memByKey: make(map[string]int),
 		cache:    cache,
@@ -170,8 +161,8 @@ func (d *Disk) Meta() DiskTableMeta {
 	return m
 }
 
-// SlotSpan returns the exclusive upper bound of slot indexes — the
-// range scan shards partition.
+// SlotSpan returns the exclusive upper bound of slot indexes — the end
+// of the range a full scan covers.
 func (d *Disk) SlotSpan() int { return d.memBase + len(d.mem) }
 
 // Get returns the tuple stored at slot si and whether the slot is live.
@@ -196,22 +187,7 @@ func (d *Disk) Get(si int) ([]value.Value, bool, error) {
 		return nil, false, nil
 	}
 	mSSTableReads.Inc()
-	tuple, ok, hit, err := t.get(si)
-	d.observeCache(hit)
-	return tuple, ok, err
-}
-
-// observeCache feeds one point read's cache outcome into the hit-rate
-// EWMA behind the learned probe cost.
-func (d *Disk) observeCache(hit bool) {
-	if d.cache == nil {
-		return
-	}
-	if hit {
-		d.cacheHitRate.observe(1)
-	} else {
-		d.cacheHitRate.observe(0)
-	}
+	return t.get(si)
 }
 
 // tableFor returns the table whose range covers si, or nil.
@@ -319,7 +295,7 @@ func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush 
 // fillTables fills b from the table-resident rows of [lo, hi): the
 // directory gives the blocks, each is read into one reused buffer and
 // checksummed once, and only the requested columns are decoded, one
-// loop per column over a run of rows (a whole block, unless a shard
+// loop per column over a run of rows (a whole block, unless a range
 // bound, a tombstone or the batch's capacity cuts it). Tombstones are
 // looked up only while the relation has any.
 func (d *Disk) fillTables(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
@@ -491,8 +467,7 @@ func (d *Disk) ProbeKey(enc string) (si int, ok bool, err error) {
 		}
 		mBloomHits.Inc()
 		mSSTableReads.Inc()
-		si, ok, hit, err := t.lookupKey(enc)
-		d.observeCache(hit)
+		si, ok, err := t.lookupKey(enc)
 		if err != nil {
 			return 0, false, err
 		}
@@ -893,30 +868,6 @@ func (d *Disk) DropObsolete(referenced map[string]bool) {
 	d.obsolete = kept
 }
 
-// Costs returns the store's access-cost profile: the static one its
-// constructor chose (the disk tier's, or the unit profile of a store
-// with no directory). ScanTuple stays static (scans bypass the block
-// cache by design), but Probe is learned once point reads go through a
-// block cache: it blends the cold probe cost toward the in-memory cost
-// by the measured hit rate, so the estimator's memory-vs-disk pricing
-// tracks what probes actually pay. Plan shape never reads this (see
-// CostProfile); only shard balancing and the estimator's cost totals
-// do, both counter-invisible.
-func (d *Disk) Costs() CostProfile {
-	c := d.costs
-	if rate, ok := d.cacheHitRate.load(); ok {
-		// A warm probe still pays bloom checks and segment decoding on
-		// top of an in-memory map hit.
-		const warmProbe = 2
-		c.Probe = rate*warmProbe + (1-rate)*d.costs.Probe
-	}
-	return c
-}
-
-// CacheHitRate returns the EWMA block-cache hit fraction of this
-// relation's point reads, and whether any read has been observed.
-func (d *Disk) CacheHitRate() (float64, bool) { return d.cacheHitRate.load() }
-
 // BloomNegatives returns how many key probes the bloom filters answered
 // without any file I/O.
 func (d *Disk) BloomNegatives() uint64 { return atomic.LoadUint64(&d.bloomNegSkipped) }
@@ -936,31 +887,4 @@ func (d *Disk) Close() error {
 	}
 	d.tables = nil
 	return err
-}
-
-// atomicRate is a lock-free exponentially weighted moving average
-// (alpha 1/8) whose observations legitimately include zero (a cache
-// miss is 0.0), so "unset" has its own flag instead of the zero value.
-// Concurrent observers race benignly: each
-// read-modify-write is atomic and a lost update only drops one sample
-// from the average.
-type atomicRate struct {
-	bits   atomic.Uint64
-	primed atomic.Bool
-}
-
-func (e *atomicRate) observe(v float64) {
-	if e.primed.CompareAndSwap(false, true) {
-		e.bits.Store(math.Float64bits(v))
-		return
-	}
-	old := math.Float64frombits(e.bits.Load())
-	e.bits.Store(math.Float64bits(old + (v-old)/8))
-}
-
-func (e *atomicRate) load() (float64, bool) {
-	if !e.primed.Load() {
-		return 0, false
-	}
-	return math.Float64frombits(e.bits.Load()), true
 }

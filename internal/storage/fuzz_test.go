@@ -155,12 +155,12 @@ func FuzzOpenSSTable(f *testing.F) {
 			return true, nil
 		})
 		_, _ = tb.scanBlocks(&sc, tb.lo+1, tb.hi-1, func(*blockView, int, int) (bool, error) { return true, nil })
-		_, _, _, _ = tb.get(tb.lo)
+		_, _, _ = tb.get(tb.lo)
 		for _, ref := range tb.blocks {
-			_, _, _, _ = tb.get(ref.first)
-			_, _, _, _ = tb.get(ref.first + 1)
+			_, _, _ = tb.get(ref.first)
+			_, _, _ = tb.get(ref.first + 1)
 		}
-		_, _, _, _ = tb.lookupKey(ikey(1))
+		_, _, _ = tb.lookupKey(ikey(1))
 	})
 }
 

@@ -253,21 +253,20 @@ func openSSTable(path string, cache *BlockCache) (*ssTable, error) {
 }
 
 // readSegment returns the index-section bytes [off, end), serving from
-// the block cache when resident; hit reports which way it went so the
-// disk tier can feed its cost EWMAs.
-func (t *ssTable) readSegment(off, end int64) (data []byte, hit bool, err error) {
+// the block cache when resident.
+func (t *ssTable) readSegment(off, end int64) ([]byte, error) {
 	if data, ok := t.cache.Get(t.id, off); ok {
-		return data, true, nil
+		return data, nil
 	}
 	seg := make([]byte, end-off)
 	if _, err := t.f.ReadAt(seg, off); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	// The segment bounds are a pure function of the immutable file and
 	// off (sparse index + max-segment clamp), so (id, off) fully
 	// identifies these bytes and the entry can never go stale.
 	t.cache.Put(t.id, off, seg)
-	return seg, false, nil
+	return seg, nil
 }
 
 // readBlock reads block bi from the file into buf (grown when too
@@ -303,15 +302,15 @@ func (t *ssTable) readBlock(bi int, buf []byte, v *blockView) ([]byte, error) {
 // resident block was verified when it was read, a missing one is read,
 // verified and handed to the cache. The cache unit is the whole block,
 // keyed by its frame offset.
-func (t *ssTable) cachedBlock(bi int, v *blockView) (hit bool, err error) {
+func (t *ssTable) cachedBlock(bi int, v *blockView) error {
 	if payload, ok := t.cache.Get(t.id, t.blocks[bi].off); ok {
-		return true, v.parse(payload, t.kinds, t.enums)
+		return v.parse(payload, t.kinds, t.enums)
 	}
 	if _, err := t.readBlock(bi, nil, v); err != nil {
-		return false, err
+		return err
 	}
 	t.cache.Put(t.id, t.blocks[bi].off, v.payload)
-	return false, nil
+	return nil
 }
 
 // blockEnd returns the exclusive upper bound of block bi's slots.
@@ -511,40 +510,37 @@ func (t *ssTable) parseFooter(payload []byte) error {
 }
 
 // get fetches the record at slot si via the block directory; ok is
-// false when the slot is not present (dead at flush time). hit reports
-// whether the block came out of the block cache.
-func (t *ssTable) get(si int) (_ []value.Value, ok bool, hit bool, err error) {
+// false when the slot is not present (dead at flush time).
+func (t *ssTable) get(si int) (_ []value.Value, ok bool, err error) {
 	if si < t.lo || si >= t.hi || len(t.blocks) == 0 || si < t.blocks[0].first {
-		return nil, false, false, nil
+		return nil, false, nil
 	}
 	t.pins.Add(1)
 	defer t.pins.Add(-1)
 	var v blockView
-	hit, err = t.cachedBlock(t.seekBlock(si), &v)
-	if err != nil {
-		return nil, false, hit, err
+	if err := t.cachedBlock(t.seekBlock(si), &v); err != nil {
+		return nil, false, err
 	}
 	j := v.search(si)
 	if j == v.rows || v.slot(j) != si {
-		return nil, false, hit, nil
+		return nil, false, nil
 	}
 	tuple, err := v.tuples(j, j+1)
 	if err != nil {
-		return nil, false, hit, fmt.Errorf("storage: sstable %s: slot %d: %w", t.name, si, err)
+		return nil, false, fmt.Errorf("storage: sstable %s: slot %d: %w", t.name, si, err)
 	}
-	return tuple, true, hit, nil
+	return tuple, true, nil
 }
 
 // lookupKey resolves an encoded key to its slot: bloom filter first (a
-// definite miss costs no I/O), then one sparse-key segment. hit reports
-// whether the segment came out of the block cache.
-func (t *ssTable) lookupKey(enc string) (_ int, ok bool, hit bool, err error) {
+// definite miss costs no I/O), then one sparse-key segment.
+func (t *ssTable) lookupKey(enc string) (_ int, ok bool, err error) {
 	if !t.filter.mayContain(enc) || len(t.spKeys) == 0 {
-		return 0, false, false, nil
+		return 0, false, nil
 	}
 	i := sort.Search(len(t.spKeys), func(i int) bool { return t.spKeys[i].key > enc }) - 1
 	if i < 0 {
-		return 0, false, false, nil
+		return 0, false, nil
 	}
 	off := t.spKeys[i].off
 	end := t.footerOff
@@ -553,9 +549,9 @@ func (t *ssTable) lookupKey(enc string) (_ int, ok bool, hit bool, err error) {
 	}
 	t.pins.Add(1)
 	defer t.pins.Add(-1)
-	seg, hit, err := t.readSegment(off, end)
+	seg, err := t.readSegment(off, end)
 	if err != nil {
-		return 0, false, false, fmt.Errorf("storage: sstable %s: %w", t.name, err)
+		return 0, false, fmt.Errorf("storage: sstable %s: %w", t.name, err)
 	}
 	pr := protocol.NewReader(seg)
 	for pr.Len() > 0 {
@@ -568,13 +564,13 @@ func (t *ssTable) lookupKey(enc string) (_ int, ok bool, hit bool, err error) {
 			break
 		}
 		if key == enc {
-			return int(si), true, hit, nil
+			return int(si), true, nil
 		}
 		if key > enc {
 			break // entries are key-sorted
 		}
 	}
-	return 0, false, hit, nil
+	return 0, false, nil
 }
 
 func (t *ssTable) close() error {

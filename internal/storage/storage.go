@@ -16,34 +16,6 @@ package storage
 
 import "runtime"
 
-// CostProfile prices a store's primitive accesses relative to an
-// in-memory slot read (== 1.0). The statistics layer carries it so
-// shard balancing can budget more parallelism for expensive scans; plan
-// *shape* deliberately does not depend on it — permanent and transient
-// index structures are RAM-resident for every store, so the optimal
-// plan is store-invariant and the differential test matrix can demand
-// bit-identical counters between stores with and without files.
-type CostProfile struct {
-	// ScanTuple is the relative cost of visiting one tuple in a scan.
-	ScanTuple float64
-	// Probe is the relative cost of one key lookup.
-	Probe float64
-}
-
-// memoryCosts is the unit profile of a store with no directory.
-var memoryCosts = CostProfile{ScanTuple: 1, Probe: 1}
-
-// diskCosts is the static profile of the SSTable-backed tier: scanning
-// reads, checksums and decodes blocks from (page-cached) files, probing
-// pays bloom checks and a key-index segment read to resolve the slot,
-// then a block-directory lookup and one block read (both reads through
-// the block cache) to fetch the row. ScanTuple is the measured
-// disk/memory batch-scan ratio, rounded: cmd/bench's storage probe
-// (storage.disk_vs_mem_scan_ratio, every column of timetable) reads
-// 19 ns a row from SSTable blocks against 6.4 to 9.9 ns from a store
-// with no directory, a ratio of 2.0 to 3.0.
-var diskCosts = CostProfile{ScanTuple: 3, Probe: 16}
-
 // FsyncPolicy says when the WAL fsyncs.
 type FsyncPolicy int
 

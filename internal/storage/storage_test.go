@@ -718,9 +718,6 @@ func TestMemoryStoreWritesNoFiles(t *testing.T) {
 	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
 		t.Fatalf("working directory holds %d files (%v)", len(files), err)
 	}
-	if c := m.Costs(); c != (CostProfile{ScanTuple: 1, Probe: 1}) {
-		t.Fatalf("Costs = %+v, want the unit profile", c)
-	}
 	kinds, enums, err := columnsOf(mixedTuple(0))
 	if err != nil {
 		t.Fatal(err)

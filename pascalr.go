@@ -55,13 +55,8 @@
 // A Database is safe for concurrent use: queries and prepared
 // statements may run from many goroutines while Exec mutates contents —
 // each execution reads a version-validated snapshot under the storage
-// layer's reader lock. The collection phase's independent relation
-// scans can additionally run in parallel within one query:
-//
-//	res, err := db.Query(src, pascalr.WithParallelism(4))
-//
-// (CLI: pascalr -parallel 4). Parallel execution returns exactly the
-// serial result and cost counters, just faster on multi-core hardware.
+// layer's reader lock. Each execution itself runs the paper's serial
+// schedule on the calling goroutine.
 package pascalr
 
 import (
@@ -158,7 +153,6 @@ type Database struct {
 	// plans runs outside it — the storage content lock covers that.
 	mu         sync.RWMutex
 	strategies Strategy
-	parallel   int
 
 	// plans is the LRU of prepared statements behind the one-shot Query
 	// path.
@@ -262,15 +256,6 @@ func (d *Database) SetStrategies(s Strategy) {
 	d.mu.Unlock()
 }
 
-// SetParallelism changes the default collection-phase worker budget
-// used by Exec and Query; per-call WithParallelism overrides it. Values
-// below 2 (the initial default) evaluate serially.
-func (d *Database) SetParallelism(n int) {
-	d.mu.Lock()
-	d.parallel = n
-	d.mu.Unlock()
-}
-
 // config carries per-call options.
 type config struct {
 	strategies   Strategy
@@ -278,13 +263,12 @@ type config struct {
 	maxRefTuples int64
 	costBased    bool
 	noCache      bool
-	parallelism  int
 }
 
 // newConfig resolves options against the database defaults.
 func (d *Database) newConfig(opts []Option) config {
 	d.mu.RLock()
-	c := config{strategies: d.strategies, parallelism: d.parallel}
+	c := config{strategies: d.strategies}
 	d.mu.RUnlock()
 	for _, o := range opts {
 		o(&c)
@@ -336,16 +320,6 @@ func WithCostBased() Option {
 // measuring the cache's effect.
 func WithoutPlanCache() Option {
 	return func(c *config) { c.noCache = true }
-}
-
-// WithParallelism runs the collection phase's independent relation
-// scans on up to n goroutines, splitting large scans into
-// cost-balanced shards. n = 1 is the paper's serial schedule with
-// bit-identical results and counters; higher n produces the same
-// results and merged counters. It is an execution-time option: prepared
-// statements accept it per call, and it does not key the plan cache.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
 }
 
 // Exec parses and executes a PASCAL/R script: TYPE and VAR sections,
@@ -488,7 +462,6 @@ func (d *Database) evalSelection(ctx context.Context, sel *calculus.Selection, c
 		Strategies:   engine.Strategy(c.strategies),
 		MaxRefTuples: c.maxRefTuples,
 		CostBased:    c.costBased,
-		Parallelism:  c.parallelism,
 	})
 }
 
@@ -619,9 +592,8 @@ func (d *Database) Explain(src string, opts ...Option) (string, error) {
 	}
 	eng := engine.New(d.db, nil)
 	return eng.Explain(checked, engine.Options{
-		Strategies:  engine.Strategy(c.strategies),
-		CostBased:   c.costBased,
-		Parallelism: c.parallelism,
+		Strategies: engine.Strategy(c.strategies),
+		CostBased:  c.costBased,
 	})
 }
 

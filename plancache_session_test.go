@@ -11,8 +11,8 @@ import (
 // TestPlanCacheSessionIsolation is the two-session differential proof
 // that the shared plan cache cannot be poisoned across sessions with
 // different execution options: compile-relevant options (planner
-// choice, strategy set) key separate entries, execution-time options
-// (parallelism, reference budget) are re-applied per call, and every
+// choice, strategy set) key separate entries, the execution-time option
+// (the reference budget) is re-applied per call, and every
 // cache hit is bit-identical — result rows and counter fingerprint —
 // to a cold compile under the same session's options.
 func TestPlanCacheSessionIsolation(t *testing.T) {
@@ -27,11 +27,11 @@ func TestPlanCacheSessionIsolation(t *testing.T) {
 	const q = `[<e.ename, c.cnr> OF EACH e IN employees, EACH c IN courses, EACH t IN timetable:
 		(e.enr = t.tenr) AND (c.cnr = t.tcnr)]`
 
-	// Session A keeps the database defaults (static planner, serial);
-	// session B plans cost-based and scans with two workers.
+	// Session A keeps the database defaults (static planner, no
+	// budget); session B plans cost-based under a generous budget.
 	a := db.NewSession()
 	b := db.NewSession()
-	b.SetOptions(WithCostBased(), WithParallelism(2))
+	b.SetOptions(WithCostBased(), WithMaxRefTuples(1<<30))
 
 	ctx := context.Background()
 	run := func(f func() (*Result, error)) (string, [][]any) {
@@ -78,5 +78,15 @@ func TestPlanCacheSessionIsolation(t *testing.T) {
 	fpA3, rowsA3 := run(func() (*Result, error) { return a.Query(ctx, q) })
 	if fpA3 != fpA1 || !reflect.DeepEqual(rowsA3, rowsA1) {
 		t.Error("session A's cached plan changed after session B executions")
+	}
+
+	// A per-call budget overrides the session's for that call only: it
+	// fails the call and leaves B's cached plan as it was.
+	if _, err := b.Query(ctx, q, WithMaxRefTuples(1)); err == nil {
+		t.Fatal("a budget of one reference tuple did not abort the query")
+	}
+	fpB3, rowsB3 := run(func() (*Result, error) { return b.Query(ctx, q) })
+	if fpB3 != fpB1 || !reflect.DeepEqual(rowsB3, rowsB1) {
+		t.Error("session B's cached plan changed after a call with its own budget")
 	}
 }

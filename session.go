@@ -7,7 +7,7 @@ import (
 
 // Session is a session-scoped handle on a shared Database: it carries
 // its own default execution options (strategy set, planner choice,
-// parallelism budget, reference-tuple budget) that apply to every call
+// reference-tuple budget) that apply to every call
 // made through it, without touching the database-wide defaults other
 // sessions resolve against. The network server gives every connection
 // one Session; embedded callers can use them to give independent
@@ -30,7 +30,7 @@ func (d *Database) NewSession() *Session { return &Session{db: d} }
 
 // SetOptions replaces the session's default options. They are applied
 // before per-call options on every subsequent call, so a later
-// WithParallelism in a Query call still wins over the session default.
+// WithMaxRefTuples in a Query call still wins over the session default.
 func (s *Session) SetOptions(opts ...Option) {
 	s.mu.Lock()
 	s.opts = append(s.opts[:0], opts...)

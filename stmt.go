@@ -69,7 +69,6 @@ func (d *Database) prepare(ctx context.Context, src string, c config) (*Stmt, er
 		Strategies:   engine.Strategy(c.strategies),
 		MaxRefTuples: c.maxRefTuples,
 		CostBased:    c.costBased,
-		Parallelism:  c.parallelism,
 	})
 	ksp.End()
 	if err != nil {
@@ -97,7 +96,7 @@ func (s *Stmt) execConfig(opts []Option) (config, error) {
 }
 
 // override returns the per-execution option override for one call: the
-// reference-tuple budget and the parallelism budget. Statistics need no
+// reference-tuple budget. Statistics need no
 // override — the plan derives them from the database's live snapshots
 // and refreshes them itself. The override applies to a private copy of
 // the plan's options inside the execution, so concurrent calls with
@@ -105,7 +104,6 @@ func (s *Stmt) execConfig(opts []Option) (config, error) {
 func (s *Stmt) override(c config) func(*engine.Options) {
 	return func(o *engine.Options) {
 		o.MaxRefTuples = c.maxRefTuples
-		o.Parallelism = c.parallelism
 	}
 }
 
