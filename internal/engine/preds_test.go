@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
+	"pascalr/internal/baseline"
 	"pascalr/internal/calculus"
+	"pascalr/internal/parser"
 	"pascalr/internal/relation"
 	"pascalr/internal/schema"
 	"pascalr/internal/value"
@@ -107,5 +110,92 @@ func TestComparableImpliesCompilable(t *testing.T) {
 	}
 	if accepted == 0 || rejected == 0 {
 		t.Fatalf("table is one-sided: %d accepted, %d rejected", accepted, rejected)
+	}
+}
+
+// enumDB holds two relations whose d columns share one enumeration
+// type, so strategy 4 can derive an atom comparing enum columns (no two
+// relations of the university schema share one): r has 24 elements
+// with d = k mod 7, s has 6 with d in {1, 3, 5} and k = 4i.
+func enumDB(t *testing.T) *relation.DB {
+	t.Helper()
+	db := relation.NewDB()
+	wd, err := schema.EnumType("weekday", "mon", "tue", "wed", "thu", "fri", "sat", "sun")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Catalog().DefineType(wd); err != nil {
+		t.Fatal(err)
+	}
+	kt := schema.IntType("kt", 0, 99)
+	for _, rel := range []struct {
+		name string
+		n    int
+		d    func(i int) int
+		k    func(i int) int
+	}{
+		{"r", 24, func(i int) int { return i % 7 }, func(i int) int { return i }},
+		{"s", 6, func(i int) int { return 1 + 2*(i%3) }, func(i int) int { return 4 * i }},
+	} {
+		r := db.MustCreate(schema.MustRelSchema(rel.name, []schema.Column{
+			{Name: "k", Type: kt},
+			{Name: "d", Type: wd},
+		}, []string{"k"}))
+		for i := 0; i < rel.n; i++ {
+			if _, err := r.Insert([]value.Value{value.Int(int64(rel.k(i))), value.Enum("weekday", rel.d(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// TestDerivedEnumAtoms pins every form a derived strategy-4 atom takes
+// over an enumeration column — the min/max bound, membership,
+// non-membership, the constant decision and the multi-term tuple list —
+// to the baseline's result and to the comparisons the tuple-at-a-time
+// evaluation counted.
+func TestDerivedEnumAtoms(t *testing.T) {
+	db := enumDB(t)
+	for _, tc := range []struct {
+		src  string
+		rows int
+		cmp  int64 // under AllStrategies and under S4 alone
+	}{
+		{`[<x.k> OF EACH x IN r: ALL y IN s (x.d >= y.d)]`, 6, 24},
+		{`[<x.k> OF EACH x IN r: SOME y IN s (x.d = y.d)]`, 10, 24},
+		{`[<x.k> OF EACH x IN r: ALL y IN s (x.d <> y.d)]`, 14, 24},
+		{`[<x.k> OF EACH x IN r: ALL y IN s (x.d = y.d)]`, 0, 24},
+		{`[<x.k> OF EACH x IN r: SOME y IN s ((x.d = y.d) AND (x.k < y.k))]`, 7, 150},
+	} {
+		sel, err := parser.ParseSelection(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked, info, err := calculus.Check(sel, db.Catalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := baseline.Eval(checked, info, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strat := range []Strategy{AllStrategies, S4} {
+			explain, err := New(db, nil).Explain(checked, Options{Strategies: strat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(explain, "value-list") {
+				t.Fatalf("%s under %s: no strategy-4 spec planned\n%s", tc.src, strat, explain)
+			}
+			got, st := evalWith(t, db, checked, strat)
+			if resultKey(got) != resultKey(want) {
+				t.Errorf("%s under %s: %d rows, baseline %d", tc.src, strat, got.Len(), want.Len())
+			}
+			if got.Len() != tc.rows || st.Comparisons != tc.cmp {
+				t.Errorf("%s under %s: %d rows, %d comparisons; want %d rows, %d comparisons",
+					tc.src, strat, got.Len(), st.Comparisons, tc.rows, tc.cmp)
+			}
+		}
 	}
 }

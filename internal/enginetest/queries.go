@@ -105,4 +105,23 @@ var UniversityQueries = []QueryTest{
 		Src: `[<e.ename> OF EACH e IN employees:
 			NOT SOME t IN timetable (e.enr = t.tenr)]`,
 	},
+	// Strategy-4 specs over string and enum columns: =SOME is set
+	// membership on strings, <>ALL non-membership. No two relations of
+	// the Figure 1 schema share an enumeration type (and a quantifier
+	// over the remaining variable's own relation is ineligible for
+	// strategy 4), so the enum case filters the value-list scan on an
+	// enum column and derives an integer bound (<SOME keeps the max).
+	{
+		Name: "string-membership",
+		Src:  `[<c.cnr> OF EACH c IN courses: SOME p IN papers (c.ctitle = p.ptitle)]`,
+	},
+	{
+		Name: "string-not-in",
+		Src:  `[<c.cnr> OF EACH c IN courses: ALL p IN papers (c.ctitle <> p.ptitle)]`,
+	},
+	{
+		Name: "enum-filtered-bound",
+		Src: `[<e.ename> OF EACH e IN employees:
+			SOME t IN timetable ((t.tday >= wednesday) AND (e.enr < t.tenr))]`,
+	},
 }
