@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -68,7 +69,9 @@ func joinActuals(t *testing.T, tr *obs.Trace) []int64 {
 // it materializes 1000 reference tuples and joins nothing. The second
 // builds two single lists of 10 references and an indirect join of 100
 // pairs (120 tuples), then joins them twice, 10 tuples each. Its
-// checkpoints see 1130 and 1140 cumulative tuples.
+// checkpoints see 1130 and 1140 cumulative tuples. The union of the two
+// conjunctions then materializes 1000 more, so the last checkpoint sees
+// 2140.
 func budgetQuery(t *testing.T) func(max int64) (*stats.Counters, []int64, error) {
 	t.Helper()
 	db := budgetDB(t)
@@ -124,20 +127,53 @@ func TestMaxRefTuplesCheckedAtFirstCrossingJoin(t *testing.T) {
 }
 
 // TestMaxRefTuplesBudgetIsInclusive: the budget is a strict bound on
-// the cumulative count a checkpoint sees. budgetQuery's last join
-// checkpoint sees 1140 tuples, so a budget of exactly 1140 admits the
-// query and one tuple less stops it there.
+// the cumulative count a checkpoint sees. budgetQuery's last
+// checkpoint, after the union, sees 2140 tuples, so a budget of exactly
+// 2140 admits the query and one tuple less stops it there, after both
+// joins ran.
 func TestMaxRefTuplesBudgetIsInclusive(t *testing.T) {
 	run := budgetQuery(t)
-	const last = 1140
+	const last = 2140
 	if _, joins, err := run(last); err != nil || len(joins) != 2 {
 		t.Fatalf("budget %d: %d joins ran, err = %v; want both joins and no error", last, len(joins), err)
 	}
 	_, joins, err := run(last - 1)
-	if err == nil || !strings.Contains(err.Error(), "exceeded 1139 reference tuples") {
+	if err == nil || !strings.Contains(err.Error(), "exceeded 2139 reference tuples") {
 		t.Fatalf("budget %d: err = %v, want the budget error", last-1, err)
 	}
 	if len(joins) != 2 {
 		t.Fatalf("budget %d: %d joins ran, want 2: only the last checkpoint crosses it", last-1, len(joins))
+	}
+}
+
+// TestMaxRefTuplesCheckedWithoutJoin: a conjunction that is a single
+// piece materializes its reference tuples without joining anything,
+// and the union of the conjunctions materializes them again; both are
+// checked against the budget under every strategy set. The equi-join
+// is one indirect join of two pairs, so a budget of one tuple stops it.
+// The disjunction builds single lists of 3 and 1 references (4
+// tuples) and a union of 4, so a budget of 4 passes every conjunction
+// and only the union's check stops it.
+func TestMaxRefTuplesCheckedWithoutJoin(t *testing.T) {
+	db := tinyUniversity(t)
+	for _, tc := range []struct {
+		src string
+		max int64
+	}{
+		{`[<e.ename, t.troom> OF EACH e IN employees, EACH t IN timetable: (e.enr = t.tenr)]`, 1},
+		{`[<e.ename> OF EACH e IN employees: (e.estatus = professor) OR (e.enr = 2)]`, 4},
+	} {
+		_, checked, info := compileSrc(t, db, tc.src)
+		for _, strat := range []Strategy{0, S1, AllStrategies} {
+			_, err := New(db, nil).Eval(context.Background(), checked, info,
+				Options{Strategies: strat, MaxRefTuples: tc.max})
+			if want := fmt.Sprintf("exceeded %d reference tuples", tc.max); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s under %s with budget %d: err = %v, want the budget error", tc.src, strat, tc.max, err)
+			}
+			if _, err := New(db, nil).Eval(context.Background(), checked, info,
+				Options{Strategies: strat, MaxRefTuples: 8}); err != nil {
+				t.Errorf("%s under %s with budget 8: %v", tc.src, strat, err)
+			}
+		}
 	}
 }

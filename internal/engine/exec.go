@@ -449,8 +449,9 @@ func (p *plan) liveVars() []string {
 // references, union over the disjunction, then quantifier elimination
 // right-to-left (projection for SOME, division for ALL). It returns a
 // reference relation over the free variables. Cancellation and the
-// reference-tuple budget are checked after every join and every
-// quantifier op, against the execution's cumulative materialization.
+// reference-tuple budget are checked once each conjunction's pieces
+// exist, after every join, after the union and after every quantifier
+// op, against the execution's cumulative materialization.
 func (p *plan) combine(ctx context.Context, maxRefTuples int64) (*algebra.RefRel, error) {
 	live := p.liveVars()
 
@@ -517,6 +518,9 @@ func (p *plan) combine(ctx context.Context, maxRefTuples int64) (*algebra.RefRel
 		union = u
 	}
 	p.st.RecordStructure("union", "refrel", union.Len())
+	if err := checkLimits(ctx, p, maxRefTuples); err != nil {
+		return nil, err
+	}
 
 	// Quantifiers are evaluated from right to left.
 	for i := len(p.x.Prefix) - 1; i >= 0; i-- {
@@ -563,7 +567,16 @@ func freeVarNames(p *plan) []string {
 // collapses the product are taken before pairs that merely look small.
 // Disconnected pieces fall back to Cartesian products either way.
 func (p *plan) greedyJoin(ctx context.Context, pieces []*algebra.RefRel, maxRefTuples int64) (*algebra.RefRel, error) {
-	for len(pieces) > 1 {
+	for {
+		// The pieces themselves materialized reference tuples, so the
+		// budget is checked before the first join as well as after
+		// every one — a single piece joins nothing.
+		if err := checkLimits(ctx, p, maxRefTuples); err != nil {
+			return nil, err
+		}
+		if len(pieces) == 1 {
+			return pieces[0], nil
+		}
 		bi, bj, bestShared, bestProd := -1, -1, false, int64(0)
 		bestEst := 0.0
 		for i := 0; i < len(pieces); i++ {
@@ -625,11 +638,7 @@ func (p *plan) greedyJoin(ctx context.Context, pieces []*algebra.RefRel, maxRefT
 			}
 		}
 		pieces = append(next, joined)
-		if err := checkLimits(ctx, p, maxRefTuples); err != nil {
-			return nil, err
-		}
 	}
-	return pieces[0], nil
 }
 
 // checkLimits enforces the combination phase's two abort conditions:
