@@ -367,46 +367,6 @@ func Divide(ctx context.Context, a *RefRel, v string, divisor []value.Value, st 
 	return out, nil
 }
 
-// Semijoin returns the rows of a that join with at least one row of b on
-// their shared variables. It backs strategy-2 style restriction between
-// intermediate structures.
-func Semijoin(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, error) {
-	tk := ticker{ctx: ctx}
-	sv, ai, bi := shared(a, b)
-	out := New(a.vars, st)
-	if len(sv) == 0 {
-		if b.Len() > 0 {
-			for _, row := range a.rows {
-				if err := tk.tick(); err != nil {
-					return nil, err
-				}
-				out.Add(row)
-			}
-		}
-		return out, nil
-	}
-	ht := make(map[string]struct{}, b.Len())
-	kbuf := make([]byte, 0, 16*len(bi))
-	for _, row := range b.rows {
-		if err := tk.tick(); err != nil {
-			return nil, err
-		}
-		kbuf = keyAtBuf(kbuf, row, bi)
-		ht[string(kbuf)] = struct{}{}
-	}
-	for _, row := range a.rows {
-		st.CountProbes(1)
-		if err := tk.tick(); err != nil {
-			return nil, err
-		}
-		kbuf = keyAtBuf(kbuf, row, ai)
-		if _, ok := ht[string(kbuf)]; ok {
-			out.Add(row)
-		}
-	}
-	return out, nil
-}
-
 // FromRefs builds a single-column reference relation from a reference
 // list — the bridge from collection-phase structures (single lists,
 // range lists) into the combination phase.

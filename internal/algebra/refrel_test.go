@@ -64,7 +64,7 @@ func TestDuplicateVarsPanics(t *testing.T) {
 	New([]string{"a", "a"}, nil)
 }
 
-// joinT / cartesianT / semijoinT unwrap the context-taking operations
+// joinT / cartesianT unwrap the context-taking operations
 // for tests that never cancel.
 func joinT(t *testing.T, a, b *RefRel) *RefRel {
 	t.Helper()
@@ -78,15 +78,6 @@ func joinT(t *testing.T, a, b *RefRel) *RefRel {
 func cartesianT(t *testing.T, a, b *RefRel) *RefRel {
 	t.Helper()
 	out, err := Cartesian(context.Background(), a, b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func semijoinT(t *testing.T, a, b *RefRel) *RefRel {
-	t.Helper()
-	out, err := Semijoin(context.Background(), a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,26 +252,6 @@ func TestDivideMultiColumnRest(t *testing.T) {
 	rw := out.Rows()[0]
 	if !value.Equal(rw[0], ref(0, 1)) || !value.Equal(rw[1], ref(3, 1)) {
 		t.Errorf("division row = %v", rw)
-	}
-}
-
-func TestSemijoin(t *testing.T) {
-	a := mk(t, []string{"x", "y"},
-		row(ref(0, 1), ref(1, 1)),
-		row(ref(0, 2), ref(1, 2)))
-	b := mk(t, []string{"y"}, row(ref(1, 1)))
-	out := semijoinT(t, a, b)
-	if out.Len() != 1 || !value.Equal(out.Rows()[0][0], ref(0, 1)) {
-		t.Errorf("semijoin = %v", out.Rows())
-	}
-	// No shared vars: b non-empty keeps everything; empty drops all.
-	c := mk(t, []string{"z"}, row(ref(2, 1)))
-	if semijoinT(t, a, c).Len() != 2 {
-		t.Errorf("semijoin with disjoint non-empty b should keep all")
-	}
-	empty := New([]string{"z"}, nil)
-	if semijoinT(t, a, empty).Len() != 0 {
-		t.Errorf("semijoin with disjoint empty b should drop all")
 	}
 }
 
