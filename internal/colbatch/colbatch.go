@@ -181,15 +181,6 @@ func (b *Batch) ColVal(c, i int) value.Value {
 	return b.vals[c][i]
 }
 
-// Row reconstructs row i into dst, which must have NumCols capacity.
-// Predicates with no bulk form (derived strategy-4 atoms) and the
-// value-list builders run against the reconstructed row.
-func (b *Batch) Row(i int, dst []value.Value) {
-	for c := range dst {
-		dst[c] = b.ColVal(c, i)
-	}
-}
-
 // Bitmap is a selection vector over the rows of one batch: bit i set
 // means row i survives. Bits at positions >= Len() are always zero.
 type Bitmap struct {

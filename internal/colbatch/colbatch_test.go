@@ -182,13 +182,11 @@ func TestBatchAppendResetRow(t *testing.T) {
 	if got := b.Ref(1); !value.Equal(got, value.Ref(3, 101, 0)) {
 		t.Errorf("Ref(1) = %s, want @3:101", got)
 	}
-	row := make([]value.Value, 2)
-	b.Row(3, row)
-	if got := row[0].AsInt(); got != 3 {
-		t.Errorf("Row(3)[0] = %d, want 3", got)
+	if got := b.ColVal(0, 3).AsInt(); got != 3 {
+		t.Errorf("ColVal(0, 3) = %d, want 3", got)
 	}
-	if got := row[1].AsString(); got != "a" {
-		t.Errorf("Row(3)[1] = %q, want a", got)
+	if got := b.ColVal(1, 3).AsString(); got != "a" {
+		t.Errorf("ColVal(1, 3) = %q, want a", got)
 	}
 	b.Reset()
 	if b.Len() != 0 || b.Full() {
@@ -204,11 +202,9 @@ func TestBatchTypedReconstruction(t *testing.T) {
 	b.Configure(7, []value.Kind{value.KindEnum, value.KindRef, value.KindBool}, []string{"daytype", "", ""})
 	orig := []value.Value{value.Enum("daytype", 2), value.Ref(5, 42, 0), value.Bool(true)}
 	b.Append(9, orig)
-	row := make([]value.Value, 3)
-	b.Row(0, row)
 	for c := range orig {
-		if !value.Equal(row[c], orig[c]) {
-			t.Errorf("col %d reconstructed as %s, want %s", c, row[c], orig[c])
+		if got := b.ColVal(c, 0); !value.Equal(got, orig[c]) {
+			t.Errorf("col %d reconstructed as %s, want %s", c, got, orig[c])
 		}
 	}
 }

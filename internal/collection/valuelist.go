@@ -10,24 +10,25 @@ import (
 // qualifying elements of a quantified variable's range — the structure
 // strategy 4 builds instead of a complete index ("When vnrel is read,
 // instead of a complete index only its value list is generated").
+// Values are distinct under value.Equal, which is field equality, so
+// the set keys on the values themselves.
 type ValueList struct {
-	set      map[string]struct{}
+	set      map[value.Value]struct{}
 	vals     []value.Value
 	min, max value.Value
 }
 
 // NewValueList creates an empty value list.
 func NewValueList() *ValueList {
-	return &ValueList{set: make(map[string]struct{})}
+	return &ValueList{set: make(map[value.Value]struct{})}
 }
 
 // Add inserts a value, maintaining the distinct set and the min/max.
 func (vl *ValueList) Add(v value.Value) {
-	k := value.EncodeKey([]value.Value{v})
-	if _, dup := vl.set[k]; dup {
+	if _, dup := vl.set[v]; dup {
 		return
 	}
-	vl.set[k] = struct{}{}
+	vl.set[v] = struct{}{}
 	vl.vals = append(vl.vals, v)
 	if !vl.min.IsValid() || value.MustCompare(v, vl.min) < 0 {
 		vl.min = v
@@ -40,9 +41,13 @@ func (vl *ValueList) Add(v value.Value) {
 // Len returns the number of distinct values.
 func (vl *ValueList) Len() int { return len(vl.vals) }
 
+// Values returns the distinct values in insertion order; callers must
+// not modify them.
+func (vl *ValueList) Values() []value.Value { return vl.vals }
+
 // Has reports membership.
 func (vl *ValueList) Has(v value.Value) bool {
-	_, ok := vl.set[value.EncodeKey([]value.Value{v})]
+	_, ok := vl.set[v]
 	return ok
 }
 
@@ -55,12 +60,18 @@ func (vl *ValueList) Max() value.Value { return vl.max }
 // QuantPred is a derived monadic predicate over one component value x,
 // deciding "SOME v in list: x op v" or "ALL v in list: x op v" — the
 // quantifier evaluation strategy 4 moves into the collection phase.
-// Size reports how many values the predicate actually needs to store,
-// reproducing the paper's storage refinements.
-type QuantPred interface {
-	Test(x value.Value) bool
-	Size() int
-	String() string
+// MakeQuantPred reduces it to one of three forms, which the engine
+// evaluates in bulk over a column:
+//
+//   - a bound (Set nil, Bound valid): x Op Bound;
+//   - a set (Set non-nil): x in Set when Op is =, x not in Set when Op
+//     is <>;
+//   - a constant (Set nil, Bound invalid): Const, whatever x is.
+type QuantPred struct {
+	Op    value.CmpOp
+	Bound value.Value
+	Set   *ValueList
+	Const bool
 }
 
 // MakeQuantPred builds the most compact predicate for the given
@@ -78,7 +89,7 @@ type QuantPred interface {
 // away by the Lemma 1 adaptation before strategy 4 applies.
 func MakeQuantPred(vl *ValueList, op value.CmpOp, all bool) (QuantPred, error) {
 	if vl.Len() == 0 {
-		return nil, fmt.Errorf("collection: quantifier predicate over empty value list (fold empty ranges first)")
+		return QuantPred{}, fmt.Errorf("collection: quantifier predicate over empty value list (fold empty ranges first)")
 	}
 	switch op {
 	case value.OpLt, value.OpLe:
@@ -87,73 +98,51 @@ func MakeQuantPred(vl *ValueList, op value.CmpOp, all bool) (QuantPred, error) {
 		if all {
 			bound = vl.Min()
 		}
-		return &boundPred{op: op, bound: bound}, nil
+		return QuantPred{Op: op, Bound: bound}, nil
 	case value.OpGt, value.OpGe:
 		bound := vl.Min()
 		if all {
 			bound = vl.Max()
 		}
-		return &boundPred{op: op, bound: bound}, nil
-	case value.OpEq:
-		if !all {
-			return &setPred{vl: vl, member: true}, nil
+		return QuantPred{Op: op, Bound: bound}, nil
+	case value.OpEq, value.OpNe:
+		// =SOME and <>ALL: (non-)membership. =ALL and <>SOME: one
+		// value decides by comparison, two or more decide alone.
+		if all == (op == value.OpNe) {
+			return QuantPred{Op: op, Set: vl}, nil
 		}
 		if vl.Len() > 1 {
-			return constPred(false), nil
+			return QuantPred{Const: op == value.OpNe}, nil
 		}
-		return &boundPred{op: value.OpEq, bound: vl.Min()}, nil
-	case value.OpNe:
-		if all {
-			return &setPred{vl: vl, member: false}, nil
-		}
-		if vl.Len() > 1 {
-			return constPred(true), nil
-		}
-		return &boundPred{op: value.OpNe, bound: vl.Min()}, nil
+		return QuantPred{Op: op, Bound: vl.Min()}, nil
 	default:
-		return nil, fmt.Errorf("collection: unknown operator %v", op)
+		return QuantPred{}, fmt.Errorf("collection: unknown operator %v", op)
 	}
 }
 
-// boundPred stores a single value: the min/max refinement and the
-// singleton =ALL / <>SOME cases.
-type boundPred struct {
-	op    value.CmpOp
-	bound value.Value
-}
-
-func (p *boundPred) Test(x value.Value) bool {
-	ok, err := p.op.Apply(x, p.bound)
-	return err == nil && ok
-}
-func (p *boundPred) Size() int      { return 1 }
-func (p *boundPred) String() string { return fmt.Sprintf("x %v %v", p.op, p.bound) }
-
-// setPred stores the full distinct set: the =SOME (membership) and
-// <>ALL (non-membership) cases.
-type setPred struct {
-	vl     *ValueList
-	member bool
-}
-
-func (p *setPred) Test(x value.Value) bool { return p.vl.Has(x) == p.member }
-func (p *setPred) Size() int               { return p.vl.Len() }
-func (p *setPred) String() string {
-	if p.member {
-		return fmt.Sprintf("x IN list[%d]", p.vl.Len())
+// Test decides the predicate for one value — the scalar reference the
+// engine's bulk forms count and decide like.
+func (p QuantPred) Test(x value.Value) bool {
+	switch {
+	case p.Set != nil:
+		return p.Set.Has(x) == (p.Op == value.OpEq)
+	case p.Bound.IsValid():
+		ok, err := p.Op.Apply(x, p.Bound)
+		return err == nil && ok
+	default:
+		return p.Const
 	}
-	return fmt.Sprintf("x NOT IN list[%d]", p.vl.Len())
 }
 
-// constPred is a constant decision: =ALL over two or more values, or
-// <>SOME over two or more values.
-type constPred bool
-
-func (p constPred) Test(value.Value) bool { return bool(p) }
-func (p constPred) Size() int             { return 0 }
-func (p constPred) String() string {
-	if p {
-		return "always TRUE"
+// Size reports how many values the predicate stores — the paper's
+// section 4.4 storage measure.
+func (p QuantPred) Size() int {
+	switch {
+	case p.Set != nil:
+		return p.Set.Len()
+	case p.Bound.IsValid():
+		return 1
+	default:
+		return 0
 	}
-	return "always FALSE"
 }

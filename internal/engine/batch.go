@@ -23,19 +23,15 @@ var batchSize = 1024
 // planColumnMasks computes every scan job's column mask — the union of
 // its tasks' footprints, sorted for a deterministic materialization
 // order — so the scan copies only the columns some task actually reads
-// (nil = whole rows, empty = references only).
+// (empty = references only).
 func (p *plan) planColumnMasks() {
 	for _, job := range p.jobs {
-		cols, all := []int{}, false
+		cols := []int{}
 		for _, t := range job.tasks {
-			tc, ta := t.batchCols()
-			all = all || ta
-			cols = append(cols, tc...)
+			cols = append(cols, t.batchCols()...)
 		}
-		if !all {
-			slices.Sort(cols)
-			job.batchCols = slices.Compact(cols)
-		}
+		slices.Sort(cols)
+		job.batchCols = slices.Compact(cols)
 	}
 }
 
@@ -72,7 +68,6 @@ func (p *plan) scanBatches(ctx context.Context, job *scanJob) error {
 	}
 	b := getBatch(len(job.rel.Schema().Cols))
 	defer putBatch(b)
-	snk := &scanSink{st: p.st}
 	var sel colbatch.Bitmap
 	flush := func() error {
 		if err := ctx.Err(); err != nil {
@@ -82,7 +77,7 @@ func (p *plan) scanBatches(ctx context.Context, job *scanJob) error {
 		kept := int64(0)
 		for _, t := range job.tasks {
 			sel.SetAll(rows)
-			n, err := t.processBatch(b, &sel, snk)
+			n, err := t.processBatch(b, &sel, p.st)
 			if err != nil {
 				return err
 			}
@@ -96,8 +91,5 @@ func (p *plan) scanBatches(ctx context.Context, job *scanJob) error {
 		hBatchSizeRows.Observe(int64(rows))
 		return nil
 	}
-	err := job.rel.ScanBatches(p.st, 0, job.rel.SlotSpan(), b, job.batchCols, flush)
-	job.liftedRows += snk.liftedRows
-	mBatchLiftedRows.Add(snk.liftedRows)
-	return err
+	return job.rel.ScanBatches(p.st, 0, job.rel.SlotSpan(), b, job.batchCols, flush)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -189,32 +190,49 @@ func TestBatchCursorStreamingDedup(t *testing.T) {
 	}
 }
 
-// TestLiftedRowsCounted pins the one row-at-a-time tally left in the
-// collection phase: derived strategy-4 atoms count the rows they are
-// lifted over — independently of where batches break — and a plan
-// without strategy 4 lifts nothing.
-func TestLiftedRowsCounted(t *testing.T) {
+// TestStrategy4ScansPushProjection: derived strategy-4 atoms and the
+// value-list feed read only the columns they declare, so every scan of
+// sample-2.1 under all strategies gets a column mask, and timetable's
+// holds just the two join columns — not tday, ttime or troom, which no
+// task reads. The result still matches the baseline across batch
+// boundaries.
+func TestStrategy4ScansPushProjection(t *testing.T) {
 	db := workload.MustUniversity(workload.DefaultConfig(40))
-	checked, info, err := calculus.Check(workload.SampleSelection(), db.Catalog())
+	checked, _, err := calculus.Check(workload.SampleSelection(), db.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lifted := func(strat Strategy) int64 {
-		before := mBatchLiftedRows.Load()
-		if _, err := New(db, nil).Eval(context.Background(), checked, info, Options{Strategies: strat}); err != nil {
-			t.Fatal(err)
-		}
-		return mBatchLiftedRows.Load() - before
+	opts := Options{Strategies: AllStrategies}
+	x, err := New(db, nil).prepare(checked, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	whole := lifted(AllStrategies)
-	if whole == 0 {
-		t.Fatal("sample query under S4 lifted no rows")
+	p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := db.MustRelation("timetable").Schema()
+	var want []int
+	for _, col := range []string{"tenr", "tcnr"} {
+		ci, _ := sch.ColIndex(col)
+		want = append(want, ci)
+	}
+	slices.Sort(want)
+	scanned := false
+	for _, job := range p.jobs {
+		if job.batchCols == nil {
+			t.Errorf("scan of %s (vars %v) has no column mask", job.rel.Name(), job.vars)
+		}
+		if job.rel.Name() == "timetable" {
+			scanned = true
+			if !slices.Equal(job.batchCols, want) {
+				t.Errorf("timetable scan (vars %v) materializes columns %v, want %v", job.vars, job.batchCols, want)
+			}
+		}
+	}
+	if !scanned {
+		t.Fatal("sample-2.1 planned no timetable scan")
 	}
 	setBatchSize(t, 7)
-	if split := lifted(AllStrategies); split != whole {
-		t.Fatalf("lifted rows depend on the batch size: %d at 7, %d at %d", split, whole, defaultBatchSize)
-	}
-	if n := lifted(S1 | S2 | S3); n != 0 {
-		t.Fatalf("plan without strategy 4 lifted %d rows", n)
-	}
+	evalChecked(t, db, workload.SampleSelection(), opts)
 }

@@ -7,6 +7,7 @@ import (
 
 	"pascalr/internal/algebra"
 	"pascalr/internal/colbatch"
+	"pascalr/internal/stats"
 	"pascalr/internal/value"
 )
 
@@ -16,11 +17,10 @@ import (
 // predicate chain (feeding the selection-density metrics). finish runs
 // once per task after the scan completed.
 type scanTask interface {
-	processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error)
-	// batchCols reports the column indexes processBatch reads, or
-	// all=true for whole-row access; the scan materializes only the
-	// union across its tasks.
-	batchCols() (cols []int, all bool)
+	processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error)
+	// batchCols reports the column indexes processBatch reads; the scan
+	// materializes only the union across its tasks.
+	batchCols() []int
 	finish() error
 	describe() string
 }
@@ -36,10 +36,10 @@ type rangeTask struct {
 	refs  []value.Value
 }
 
-func (t *rangeTask) batchCols() ([]int, bool) { return unionPredCols(t.preds) }
+func (t *rangeTask) batchCols() []int { return unionPredCols(t.preds) }
 
-func (t *rangeTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error) {
-	if err := evalPreds(t.preds, b, sel, snk); err != nil {
+func (t *rangeTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
+	if err := evalPreds(t.preds, b, sel, st); err != nil {
 		return 0, err
 	}
 	n := 0
@@ -63,13 +63,13 @@ type slTask struct {
 	rangePreds []batchPred
 }
 
-func (t *slTask) batchCols() ([]int, bool) { return unionPredCols(t.rangePreds, t.spec.preds) }
+func (t *slTask) batchCols() []int { return unionPredCols(t.rangePreds, t.spec.preds) }
 
-func (t *slTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error) {
-	if err := evalPreds(t.rangePreds, b, sel, snk); err != nil {
+func (t *slTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
+	if err := evalPreds(t.rangePreds, b, sel, st); err != nil {
 		return 0, err
 	}
-	if err := evalPreds(t.spec.preds, b, sel, snk); err != nil {
+	if err := evalPreds(t.spec.preds, b, sel, st); err != nil {
 		return 0, err
 	}
 	n := 0
@@ -89,16 +89,12 @@ type ixTask struct {
 	rangePreds []batchPred
 }
 
-func (t *ixTask) batchCols() ([]int, bool) {
-	cols, all := unionPredCols(t.rangePreds)
-	if all {
-		return nil, true
-	}
-	return append(cols, t.spec.colIdx), false
+func (t *ixTask) batchCols() []int {
+	return append(unionPredCols(t.rangePreds), t.spec.colIdx)
 }
 
-func (t *ixTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error) {
-	if err := evalPreds(t.rangePreds, b, sel, snk); err != nil {
+func (t *ixTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
+	if err := evalPreds(t.rangePreds, b, sel, st); err != nil {
 		return 0, err
 	}
 	n := 0
@@ -124,22 +120,19 @@ type groupTask struct {
 	matchBuf   [][]value.Value
 }
 
-func (t *groupTask) batchCols() ([]int, bool) {
-	cols, all := unionPredCols(t.rangePreds, t.grp.preds)
-	if all {
-		return nil, true
-	}
+func (t *groupTask) batchCols() []int {
+	cols := unionPredCols(t.rangePreds, t.grp.preds)
 	for _, pr := range t.grp.probes {
 		cols = append(cols, pr.probeCol)
 	}
-	return cols, false
+	return cols
 }
 
-func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error) {
-	if err := evalPreds(t.rangePreds, b, sel, snk); err != nil {
+func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
+	if err := evalPreds(t.rangePreds, b, sel, st); err != nil {
 		return 0, err
 	}
-	if err := evalPreds(t.grp.preds, b, sel, snk); err != nil {
+	if err := evalPreds(t.grp.preds, b, sel, st); err != nil {
 		return 0, err
 	}
 	if t.matchBuf == nil {
@@ -177,28 +170,23 @@ type specTask struct {
 	rangePreds []batchPred
 	monPreds   []batchPred
 	dyCols     []int
+	mon        colbatch.Bitmap
 }
 
-func (t *specTask) batchCols() ([]int, bool) { return nil, true } // builds whole rows
+func (t *specTask) batchCols() []int {
+	return append(unionPredCols(t.rangePreds, t.monPreds), t.dyCols...)
+}
 
-func (t *specTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) (int, error) {
-	if err := evalPreds(t.rangePreds, b, sel, snk); err != nil {
+func (t *specTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
+	if err := evalPreds(t.rangePreds, b, sel, st); err != nil {
 		return 0, err
 	}
-	var mon colbatch.Bitmap
-	mon.CopyFrom(sel)
-	if err := evalPreds(t.monPreds, b, &mon, snk); err != nil {
+	t.mon.CopyFrom(sel)
+	if err := evalPreds(t.monPreds, b, &t.mon, st); err != nil {
 		return 0, err
 	}
-	n := 0
-	row := make([]value.Value, b.NumCols())
-	sel.Do(func(i int) bool {
-		b.Row(i, row)
-		t.rt.add(row, mon.Has(i), t.dyCols)
-		n++
-		return true
-	})
-	return n, nil
+	t.rt.add(b, sel, &t.mon, t.dyCols)
+	return sel.Count(), nil
 }
 func (t *specTask) finish() error { return t.rt.finish() }
 func (t *specTask) describe() string {
@@ -253,7 +241,7 @@ func (p *plan) tasksForVar(v string) []scanTask {
 			if err != nil {
 				return []scanTask{&errTask{err: err}}
 			}
-			task.monPreds = append(task.monPreds, liftRowPred(pr))
+			task.monPreds = append(task.monPreds, pr)
 		}
 		for _, d := range spec.Dyadic {
 			ci, ok := node.sch.ColIndex(d.VnCol)
@@ -270,12 +258,12 @@ func (p *plan) tasksForVar(v string) []scanTask {
 // errTask defers a planning error into the scan phase.
 type errTask struct{ err error }
 
-func (t *errTask) processBatch(*colbatch.Batch, *colbatch.Bitmap, *scanSink) (int, error) {
+func (t *errTask) processBatch(*colbatch.Batch, *colbatch.Bitmap, *stats.Counters) (int, error) {
 	return 0, t.err
 }
-func (t *errTask) batchCols() ([]int, bool) { return nil, false }
-func (t *errTask) finish() error            { return t.err }
-func (t *errTask) describe() string         { return "error" }
+func (t *errTask) batchCols() []int { return nil }
+func (t *errTask) finish() error    { return t.err }
+func (t *errTask) describe() string { return "error" }
 
 // rangePredsFor compiles v's range filter; nil when the range is not
 // extended (the filter variable denotes the scanned tuple, like v).

@@ -46,13 +46,11 @@ func formatExplain(pp *plan, rows int) string {
 	}
 	fmt.Fprintf(&b, "strategies: %s, planner: %s\n", pp.strat, planner)
 	fmt.Fprintf(&b, "scan order: %s\n", strings.Join(pp.order, " -> "))
-	var totalBatches, liftedRows int64
+	var totalBatches int64
 	for _, job := range pp.jobs {
 		totalBatches += job.batches
-		liftedRows += job.liftedRows
 	}
-	fmt.Fprintf(&b, "execution: %d scans (%d batches, %d rows lifted)\n",
-		len(pp.jobs), totalBatches, liftedRows)
+	fmt.Fprintf(&b, "execution: %d scans (%d batches)\n", len(pp.jobs), totalBatches)
 	b.WriteString("scans (estimated vs actual surviving tuples):\n")
 	for _, v := range pp.order {
 		node := pp.vars[v]
@@ -98,7 +96,6 @@ func (pp *plan) annotateScanSpans() {
 			continue
 		}
 		sp.SetInt("batches", job.batches)
-		sp.SetInt("lifted_rows", job.liftedRows)
 		for _, v := range job.vars {
 			if pp.est != nil {
 				sp.SetFloat("est."+v, pp.estCard(v))

@@ -15,9 +15,8 @@ var (
 
 	// Collection-drive metrics: batches produced, rows materialized into
 	// them, rows entering bulk predicate evaluation (rows × tasks, the
-	// selection-density denominator), rows surviving it, rows evaluated
-	// row-at-a-time through lifted predicates, and the rows-per-batch
-	// distribution.
+	// selection-density denominator), rows surviving it, and the
+	// rows-per-batch distribution.
 	mBatchBatches = obs.GetCounter("pascal_engine_batch_batches_total",
 		"Columnar batches produced by vectorized collection-phase scans")
 	mBatchRows = obs.GetCounter("pascal_engine_batch_rows_total",
@@ -26,8 +25,6 @@ var (
 		"Rows entering bulk selection-vector filtering (batch rows x tasks)")
 	mBatchSelectedRows = obs.GetCounter("pascal_engine_batch_selected_rows_total",
 		"Rows surviving bulk selection-vector filtering across all tasks")
-	mBatchLiftedRows = obs.GetCounter("pascal_engine_batch_lifted_rows_total",
-		"Rows evaluated row-at-a-time through lifted derived predicates inside batches")
 	hBatchSizeRows = obs.GetValueHistogram("pascal_engine_batch_size_rows",
 		"Rows per columnar batch produced by vectorized scans",
 		[]float64{1, 4, 16, 64, 256, 1024, 4096})

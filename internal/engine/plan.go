@@ -160,13 +160,10 @@ type scanJob struct {
 	vars  []string
 	tasks []scanTask
 	// batchCols is the job's column mask — the sorted union of its
-	// tasks' footprints, nil when some task reads whole rows
-	// (planColumnMasks). batches and liftedRows count the columnar
-	// batches produced and the rows evaluated row-at-a-time through
-	// liftRowPred, for EXPLAIN and span attributes.
-	batchCols  []int
-	batches    int64
-	liftedRows int64
+	// tasks' footprints, never nil (planColumnMasks). batches counts
+	// the columnar batches produced, for EXPLAIN and span attributes.
+	batchCols []int
+	batches   int64
 }
 
 // plan is the compiled physical plan for one evaluation.
@@ -818,8 +815,8 @@ func (p *plan) deferredJoinFor(a dyAssign) (*deferredIJ, error) {
 	return d, nil
 }
 
-// compileAtoms compiles monadic atoms over v: plain comparisons in
-// bulk, derived strategy-4 atoms lifted row-wise.
+// compileAtoms compiles monadic atoms over v, plain comparisons and
+// derived strategy-4 atoms alike, into bulk predicates.
 func (p *plan) compileAtoms(v string, atoms []optimizer.Atom) ([]batchPred, error) {
 	node := p.vars[v]
 	out := make([]batchPred, 0, len(atoms))
@@ -840,7 +837,7 @@ func (p *plan) compileAtoms(v string, atoms []optimizer.Atom) ([]batchPred, erro
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, liftRowPred(pr))
+		out = append(out, pr)
 	}
 	return out, nil
 }

@@ -12,93 +12,56 @@ import (
 	"pascalr/internal/value"
 )
 
-// The predicate compiler. Range filters and monadic atoms compile, once
-// per plan, to bulk predicates over columnar batches (internal/colbatch):
-// a predicate clears the selection bits of the rows that fail, and
-// chains combine with bitwise AND/OR/AND-NOT.
+// The predicate compiler. Range filters, monadic atoms and derived
+// strategy-4 atoms all compile, once per plan, to bulk predicates over
+// columnar batches (internal/colbatch): a predicate clears the
+// selection bits of the rows that fail, and chains combine with
+// bitwise AND/OR/AND-NOT. No predicate reconstructs a row; each reads
+// only the columns it declares, which is what lets every scan
+// materialize just the union of its tasks' footprints.
 //
 // The counter discipline is the paper's tuple-at-a-time one, kept
 // exactly: a Cmp over a selection of k rows counts k comparisons, a
 // chain evaluates (and counts) predicate j only over the rows
 // predicates 0..j-1 kept, Or evaluates disjunct k only over rows no
-// earlier disjunct admitted, and row predicates (derived strategy-4
-// atoms) run against reconstructed rows exactly on the selected
-// positions. enginetest's counters.golden, generated by the deleted
-// tuple driver, pins it.
-
-// scanSink is where one scan counts: st takes the paper's counters,
-// and liftedRows tallies the rows evaluated row-at-a-time through
-// liftRowPred, for the trace and the metrics only.
-type scanSink struct {
-	st         *stats.Counters
-	liftedRows int64
-}
+// earlier disjunct admitted, a derived atom counts one comparison per
+// selected row (none once its outcome is resolved to a constant), and a
+// multi-term tuple list counts the comparisons of its per-row
+// early-exit loop. enginetest's counters.golden, generated by the
+// deleted tuple driver, pins it.
 
 // batchPred evaluates one predicate in bulk over a batch, clearing the
-// selection bits of rows that fail. cols lists the column indexes run reads (all marks whole-row
-// access instead); the scan materializes only the union of its tasks'
-// footprints into the batch — the projection pushdown.
+// selection bits of rows that fail and counting into st. cols lists
+// the column indexes run reads; the scan materializes only the union
+// of its tasks' footprints into the batch — the projection pushdown.
 type batchPred struct {
-	run  func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error
+	run  func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error
 	cols []int
-	all  bool
 }
 
-// rowPred tests one reconstructed row, counting comparisons into the
-// scanning worker's sink. Only derived strategy-4 atoms have this form
-// (compileSemiAtom); liftRowPred runs them inside a batch.
-type rowPred func(tuple []value.Value, st *stats.Counters) (bool, error)
-
-// unionPredCols merges the column footprints of a predicate chain;
-// all=true swallows everything (some predicate reads whole rows).
-func unionPredCols(chains ...[]batchPred) ([]int, bool) {
-	seen := map[int]bool{}
-	cols := []int{}
+// unionPredCols merges the column footprints of predicate chains.
+func unionPredCols(chains ...[]batchPred) []int {
+	var cols []int
 	for _, preds := range chains {
 		for _, p := range preds {
-			if p.all {
-				return nil, true
-			}
-			for _, c := range p.cols {
-				if !seen[c] {
-					seen[c] = true
-					cols = append(cols, c)
-				}
-			}
+			cols = append(cols, p.cols...)
 		}
 	}
-	return cols, false
+	return cols
 }
 
 // evalPreds applies a predicate chain to sel: predicate j sees (and
 // counts) only the rows predicates 0..j-1 kept.
-func evalPreds(preds []batchPred, b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+func evalPreds(preds []batchPred, b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 	for _, p := range preds {
 		if sel.Empty() {
 			return nil // nothing left to evaluate (or count)
 		}
-		if err := p.run(b, sel, snk); err != nil {
+		if err := p.run(b, sel, st); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// liftRowPred lifts a row predicate to batch form: the predicate runs
-// against reconstructed rows, exactly on the selected positions in
-// ascending order, so its counting is untouched. Derived strategy-4
-// atoms are the only predicates without a bulk form, which makes this
-// the only row-at-a-time evaluation left in the collection phase; the
-// rows it touches are tallied per call, not per row.
-func liftRowPred(pr rowPred) batchPred {
-	return batchPred{all: true, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
-		snk.liftedRows += int64(sel.Count())
-		row := make([]value.Value, b.NumCols())
-		return sel.Filter(func(i int) (bool, error) {
-			b.Row(i, row)
-			return pr(row, snk.st)
-		})
-	}}
 }
 
 // constPred compiles "col[ci] op rhs" into a bulk predicate.
@@ -110,25 +73,34 @@ func liftRowPred(pr rowPred) batchPred {
 // (schema.Type.Comparable), which TestComparableImpliesCompilable
 // holds the two to. String columns keep the boxed FilterBits path.
 func constPred(ci int, op value.CmpOp, rhs value.Value, sch *schema.RelSchema) (batchPred, error) {
-	k := sch.Cols[ci].Type.ValueKind()
-	if !value.OrdKind(k) {
-		return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
-			snk.st.CountComparisons(sel.Count())
+	if !value.OrdKind(sch.Cols[ci].Type.ValueKind()) {
+		return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+			st.CountComparisons(sel.Count())
 			return op.FilterBits(b.Vals(ci), rhs, sel.Words())
 		}}, nil
 	}
-	if rhs.Kind() != k {
-		return batchPred{}, fmt.Errorf("engine: cannot compare %s column %s with %s constant", k, sch.Cols[ci].Name, rhs.Kind())
-	}
-	if k == value.KindEnum && rhs.EnumType() != sch.Cols[ci].Type.Name {
-		return batchPred{}, fmt.Errorf("engine: cannot compare enum %s column %s with enum %s constant", sch.Cols[ci].Type.Name, sch.Cols[ci].Name, rhs.EnumType())
+	if err := checkOrdOperand(ci, rhs, sch); err != nil {
+		return batchPred{}, err
 	}
 	r := rhs.Ord()
-	return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
-		snk.st.CountComparisons(sel.Count())
+	return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+		st.CountComparisons(sel.Count())
 		op.FilterOrdBits(b.Ords(ci), r, sel.Words())
 		return nil
 	}}, nil
+}
+
+// checkOrdOperand type-checks a value compared with the int-backed
+// column ci, so that kernels can compare raw ordinals.
+func checkOrdOperand(ci int, v value.Value, sch *schema.RelSchema) error {
+	col := sch.Cols[ci]
+	if k := col.Type.ValueKind(); v.Kind() != k {
+		return fmt.Errorf("engine: cannot compare %s column %s with %s value", k, col.Name, v.Kind())
+	}
+	if v.Kind() == value.KindEnum && v.EnumType() != col.Type.Name {
+		return fmt.Errorf("engine: cannot compare enum %s column %s with enum %s value", col.Type.Name, col.Name, v.EnumType())
+	}
+	return nil
 }
 
 // compileMonadic compiles a monadic join term over v into a bulk
@@ -184,16 +156,16 @@ func compileMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (batchPred
 			if lk == value.KindEnum && sch.Cols[li].Type.Name != sch.Cols[ri].Type.Name {
 				return batchPred{}, fmt.Errorf("engine: cannot compare enum %s column %s with enum %s column %s", sch.Cols[li].Type.Name, sch.Cols[li].Name, sch.Cols[ri].Type.Name, sch.Cols[ri].Name)
 			}
-			return batchPred{cols: []int{li, ri}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
-				snk.st.CountComparisons(sel.Count())
+			return batchPred{cols: []int{li, ri}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+				st.CountComparisons(sel.Count())
 				lcol, rcol := b.Ords(li), b.Ords(ri)
 				return sel.Filter(func(i int) (bool, error) {
 					return op.HoldsOrd(lcol[i], rcol[i]), nil
 				})
 			}}, nil
 		}
-		return batchPred{cols: []int{li, ri}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
-			snk.st.CountComparisons(sel.Count())
+		return batchPred{cols: []int{li, ri}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+			st.CountComparisons(sel.Count())
 			lcol, rcol := b.Vals(li), b.Vals(ri)
 			return sel.Filter(func(i int) (bool, error) {
 				return op.Apply(lcol[i], rcol[i])
@@ -201,12 +173,12 @@ func compileMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (batchPred
 		}}, nil
 	case lConst && rConst:
 		lv, rv := lc.Val, rc.Val
-		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 			n := sel.Count()
 			if n == 0 {
 				return nil
 			}
-			snk.st.CountComparisons(n)
+			st.CountComparisons(n)
 			ok, err := op.Apply(lv, rv)
 			if err != nil {
 				return err
@@ -232,7 +204,7 @@ func compileFilter(f calculus.Formula, fv string, sch *schema.RelSchema) (batchP
 		return batchPred{}, fmt.Errorf("engine: nil filter formula")
 	case *calculus.Lit:
 		val := g.Val
-		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, _ *scanSink) error {
+		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, _ *stats.Counters) error {
 			if !val {
 				sel.ClearAll(sel.Len())
 			}
@@ -245,10 +217,10 @@ func compileFilter(f calculus.Formula, fv string, sch *schema.RelSchema) (batchP
 		if err != nil {
 			return batchPred{}, err
 		}
-		return batchPred{cols: sub.cols, all: sub.all, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+		return batchPred{cols: sub.cols, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 			var tmp colbatch.Bitmap
 			tmp.CopyFrom(sel)
-			if err := sub.run(b, &tmp, snk); err != nil {
+			if err := sub.run(b, &tmp, st); err != nil {
 				return err
 			}
 			sel.AndNot(&tmp)
@@ -259,17 +231,15 @@ func compileFilter(f calculus.Formula, fv string, sch *schema.RelSchema) (batchP
 		if err != nil {
 			return batchPred{}, err
 		}
-		cols, all := unionPredCols(subs)
-		return batchPred{cols: cols, all: all, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
-			return evalPreds(subs, b, sel, snk)
+		return batchPred{cols: unionPredCols(subs), run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+			return evalPreds(subs, b, sel, st)
 		}}, nil
 	case *calculus.Or:
 		subs, err := compileFilters(g.Fs, fv, sch)
 		if err != nil {
 			return batchPred{}, err
 		}
-		cols, all := unionPredCols(subs)
-		return batchPred{cols: cols, all: all, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, snk *scanSink) error {
+		return batchPred{cols: unionPredCols(subs), run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 			var acc, remaining, m colbatch.Bitmap
 			acc.ClearAll(sel.Len())
 			remaining.CopyFrom(sel)
@@ -278,7 +248,7 @@ func compileFilter(f calculus.Formula, fv string, sch *schema.RelSchema) (batchP
 					break
 				}
 				m.CopyFrom(&remaining)
-				if err := s.run(b, &m, snk); err != nil {
+				if err := s.run(b, &m, st); err != nil {
 					return err
 				}
 				acc.Or(&m)
@@ -312,13 +282,13 @@ type specRuntime struct {
 	spec *optimizer.SemiSpec
 
 	// Collection state.
-	vl       *collection.ValueList // single dyadic term
-	tuples   [][]value.Value       // multiple dyadic terms: distinct projected vn tuples
-	tupleSet map[string]struct{}
-	total    int // elements of the range (after range filter)
-	monOK    int // elements additionally satisfying the monadic terms
+	vl     *collection.ValueList // single dyadic term
+	tuples *rowSet               // multiple dyadic terms: distinct projected vn tuples
+	total  int                   // elements of the range (after range filter)
+	monOK  int                   // elements additionally satisfying the monadic terms
 
 	// Results, valid after finish().
+	done     bool
 	resolved bool // constant outcome known
 	constVal bool
 	pred     collection.QuantPred // single-dyadic predicate over the vm component
@@ -329,43 +299,46 @@ func newSpecRuntime(spec *optimizer.SemiSpec) *specRuntime {
 	if len(spec.Dyadic) == 1 {
 		rt.vl = collection.NewValueList()
 	} else if len(spec.Dyadic) > 1 {
-		rt.tupleSet = make(map[string]struct{})
+		rt.tuples = &rowSet{w: len(spec.Dyadic)}
 	}
 	return rt
 }
 
-// add processes one element of the eliminated variable's range during
-// the collection scan. monPassed reports whether the element satisfied
-// the spec's monadic (and nested) predicates.
-func (rt *specRuntime) add(tuple []value.Value, monPassed bool, dyCols []int) {
-	rt.total++
-	if monPassed {
-		rt.monOK++
-	}
+// add feeds the selected rows of one batch of the eliminated variable's
+// range, in ascending order; mon marks the rows that also satisfied the
+// spec's monadic (and nested) predicates. It reads only dyCols.
+func (rt *specRuntime) add(b *colbatch.Batch, sel, mon *colbatch.Bitmap, dyCols []int) {
+	rt.total += sel.Count()
+	rt.monOK += mon.Count()
 	// SOME collects only filtered elements; ALL collects the whole range
 	// (the monadic terms act as a global condition, counted separately).
-	if !rt.spec.All && !monPassed {
-		return
+	feed := sel
+	if !rt.spec.All {
+		feed = mon
 	}
 	switch {
 	case rt.vl != nil:
-		rt.vl.Add(tuple[dyCols[0]])
-	case rt.tupleSet != nil:
+		ci := dyCols[0]
+		feed.Do(func(i int) bool {
+			rt.vl.Add(b.ColVal(ci, i))
+			return true
+		})
+	case rt.tuples != nil:
 		proj := make([]value.Value, len(dyCols))
-		for i, ci := range dyCols {
-			proj[i] = tuple[ci]
-		}
-		k := value.EncodeKey(proj)
-		if _, dup := rt.tupleSet[k]; !dup {
-			rt.tupleSet[k] = struct{}{}
-			rt.tuples = append(rt.tuples, proj)
-		}
+		feed.Do(func(i int) bool {
+			for k, ci := range dyCols {
+				proj[k] = b.ColVal(ci, i)
+			}
+			rt.tuples.add(proj, b.Len())
+			return true
+		})
 	}
 }
 
 // finish resolves the derived predicate once the eliminated variable's
 // range has been fully scanned.
 func (rt *specRuntime) finish() error {
+	rt.done = true
 	s := rt.spec
 	if s.All {
 		// ALL vn (mon ∧ dy) = (ALL vn mon) AND (ALL vn dy). The first
@@ -409,66 +382,159 @@ func (rt *specRuntime) Size() int {
 	switch {
 	case rt.resolved:
 		return 0
-	case rt.pred != nil:
+	case rt.vl != nil:
 		return rt.pred.Size()
 	default:
-		return len(rt.tuples)
+		return rt.tuples.n
 	}
 }
 
 // compileSemiAtom compiles a derived atom over the remaining variable vm
-// into a row predicate against vm's relation schema.
-func compileSemiAtom(sa *optimizer.SemiAtom, sch *schema.RelSchema, rt *specRuntime) (rowPred, error) {
-	if sa.Spec.ConstOnly() {
-		return func([]value.Value, *stats.Counters) (bool, error) {
-			if !rt.resolved {
-				return false, fmt.Errorf("engine: spec %d used before its scan finished", sa.Spec.ID)
-			}
-			return rt.constVal, nil
-		}, nil
-	}
+// into a bulk predicate against vm's relation schema. Which form the
+// atom takes is known only once the spec's scan finished, so the
+// kernel is built by the first batch that reaches it (bulkSemiAtom).
+func compileSemiAtom(sa *optimizer.SemiAtom, sch *schema.RelSchema, rt *specRuntime) (batchPred, error) {
 	cols := make([]int, len(sa.Spec.Dyadic))
 	for i, d := range sa.Spec.Dyadic {
 		ci, ok := sch.ColIndex(d.VmCol)
 		if !ok {
-			return nil, fmt.Errorf("engine: relation %s has no component %s", sch.Name, d.VmCol)
+			return batchPred{}, fmt.Errorf("engine: relation %s has no component %s", sch.Name, d.VmCol)
 		}
 		cols[i] = ci
 	}
-	ops := make([]value.CmpOp, len(sa.Spec.Dyadic))
-	for i, d := range sa.Spec.Dyadic {
-		ops[i] = d.Op
+	var kernel func(*colbatch.Batch, *colbatch.Bitmap, *stats.Counters) error
+	return batchPred{cols: cols, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+		if kernel == nil {
+			if !rt.done {
+				return fmt.Errorf("engine: spec %d used before its scan finished", sa.Spec.ID)
+			}
+			k, err := bulkSemiAtom(rt, cols, sch)
+			if err != nil {
+				return err
+			}
+			kernel = k
+		}
+		return kernel(b, sel, st)
+	}}, nil
+}
+
+// bulkSemiAtom builds the kernel of a derived atom whose spec has
+// finished: a resolved outcome keeps or clears the whole selection
+// (counting nothing); a min/max or singleton bound is constPred's
+// kernel; =SOME and <>ALL filter the column by (non-)membership; the
+// constant decision of =ALL or <>SOME over several values counts one
+// comparison per row; a multi-term tuple list runs its per-row
+// early-exit loop over the term columns.
+func bulkSemiAtom(rt *specRuntime, cols []int, sch *schema.RelSchema) (func(*colbatch.Batch, *colbatch.Bitmap, *stats.Counters) error, error) {
+	if rt.resolved {
+		keep := rt.constVal
+		return func(_ *colbatch.Batch, sel *colbatch.Bitmap, _ *stats.Counters) error {
+			if !keep {
+				sel.ClearAll(sel.Len())
+			}
+			return nil
+		}, nil
 	}
-	all := sa.Spec.All
-	return func(tuple []value.Value, st *stats.Counters) (bool, error) {
-		if rt.resolved {
-			return rt.constVal, nil
+	if rt.vl == nil {
+		return tupleListKernel(rt, cols, sch)
+	}
+	q, ci := rt.pred, cols[0]
+	switch {
+	case q.Bound.IsValid():
+		p, err := constPred(ci, q.Op, q.Bound, sch)
+		return p.run, err
+	case q.Set != nil:
+		return membershipKernel(q.Set, q.Op == value.OpEq, ci, sch)
+	default:
+		keep := q.Const
+		return func(_ *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+			st.CountComparisons(sel.Count())
+			if !keep {
+				sel.ClearAll(sel.Len())
+			}
+			return nil
+		}, nil
+	}
+}
+
+// membershipKernel filters column ci by membership in vl (member) or
+// non-membership (!member), one comparison per selected row. An
+// int-backed column probes a set of the list's ordinals.
+func membershipKernel(vl *collection.ValueList, member bool, ci int, sch *schema.RelSchema) (func(*colbatch.Batch, *colbatch.Bitmap, *stats.Counters) error, error) {
+	if !value.OrdKind(sch.Cols[ci].Type.ValueKind()) {
+		return func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+			st.CountComparisons(sel.Count())
+			col := b.Vals(ci)
+			return sel.Filter(func(i int) (bool, error) {
+				return vl.Has(col[i]) == member, nil
+			})
+		}, nil
+	}
+	ords := make(map[int64]struct{}, vl.Len())
+	for _, v := range vl.Values() {
+		if err := checkOrdOperand(ci, v, sch); err != nil {
+			return nil, err
 		}
-		if rt.pred != nil {
-			st.CountComparisons(1)
-			return rt.pred.Test(tuple[cols[0]]), nil
+		ords[v.Ord()] = struct{}{}
+	}
+	return func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+		st.CountComparisons(sel.Count())
+		col := b.Ords(ci)
+		return sel.Filter(func(i int) (bool, error) {
+			_, ok := ords[col[i]]
+			return ok == member, nil
+		})
+	}, nil
+}
+
+// tupleListKernel evaluates a multi-term derived atom against the
+// spec's distinct vn tuples, in insertion order: per selected row, a
+// tuple counts one comparison per term it tests and stops at the first
+// failing term; ALL stops at the first tuple that fails, SOME at the
+// first that matches. Int-backed term columns compare raw ordinals.
+func tupleListKernel(rt *specRuntime, cols []int, sch *schema.RelSchema) (func(*colbatch.Batch, *colbatch.Bitmap, *stats.Counters) error, error) {
+	ops := make([]value.CmpOp, len(cols))
+	ord := make([]bool, len(cols))
+	tuples := rt.tuples
+	for i, d := range rt.spec.Dyadic {
+		ops[i] = d.Op
+		ord[i] = value.OrdKind(sch.Cols[cols[i]].Type.ValueKind())
+		if ord[i] && tuples.n > 0 {
+			if err := checkOrdOperand(cols[i], tuples.row(0)[i], sch); err != nil {
+				return nil, err
+			}
 		}
-		// General tuple-list evaluation for multi-term subformulas.
-		for _, vnTup := range rt.tuples {
-			match := true
-			for i := range ops {
-				st.CountComparisons(1)
-				ok, err := ops[i].Apply(tuple[cols[i]], vnTup[i])
-				if err != nil {
-					return false, err
+	}
+	all := rt.spec.All
+	return func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+		n := 0
+		err := sel.Filter(func(r int) (bool, error) {
+			for k := 0; k < tuples.n; k++ {
+				tup := tuples.row(k)
+				match := true
+				for i, ci := range cols {
+					n++
+					var ok bool
+					if ord[i] {
+						ok = ops[i].HoldsOrd(b.Ords(ci)[r], tup[i].Ord())
+					} else {
+						var err error
+						if ok, err = ops[i].Apply(b.Vals(ci)[r], tup[i]); err != nil {
+							return false, err
+						}
+					}
+					if !ok {
+						match = false
+						break
+					}
 				}
-				if !ok {
-					match = false
-					break
+				if all != match {
+					return match, nil
 				}
 			}
-			if all && !match {
-				return false, nil
-			}
-			if !all && match {
-				return true, nil
-			}
-		}
-		return all, nil
+			return all, nil
+		})
+		st.CountComparisons(n)
+		return err
 	}, nil
 }

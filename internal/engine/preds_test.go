@@ -116,7 +116,8 @@ func TestComparableImpliesCompilable(t *testing.T) {
 // enumDB holds two relations whose d columns share one enumeration
 // type, so strategy 4 can derive an atom comparing enum columns (no two
 // relations of the university schema share one): r has 24 elements
-// with d = k mod 7, s has 6 with d in {1, 3, 5} and k = 4i.
+// with d = k mod 7, s has 6 with d in {1, 3, 5} and k = 4i. The string
+// column n is k mod 4 spelled out.
 func enumDB(t *testing.T) *relation.DB {
 	t.Helper()
 	db := relation.NewDB()
@@ -140,9 +141,12 @@ func enumDB(t *testing.T) *relation.DB {
 		r := db.MustCreate(schema.MustRelSchema(rel.name, []schema.Column{
 			{Name: "k", Type: kt},
 			{Name: "d", Type: wd},
+			{Name: "n", Type: schema.StringType("", 8)},
 		}, []string{"k"}))
 		for i := 0; i < rel.n; i++ {
-			if _, err := r.Insert([]value.Value{value.Int(int64(rel.k(i))), value.Enum("weekday", rel.d(i))}); err != nil {
+			k := rel.k(i)
+			n := []string{"zero", "one", "two", "three"}[k%4]
+			if _, err := r.Insert([]value.Value{value.Int(int64(k)), value.Enum("weekday", rel.d(i)), value.String_(n)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,9 +156,9 @@ func enumDB(t *testing.T) *relation.DB {
 
 // TestDerivedEnumAtoms pins every form a derived strategy-4 atom takes
 // over an enumeration column — the min/max bound, membership,
-// non-membership, the constant decision and the multi-term tuple list —
-// to the baseline's result and to the comparisons the tuple-at-a-time
-// evaluation counted.
+// non-membership, the constant decision and the multi-term tuple list
+// (with a string term too) — to the baseline's result and to the
+// comparisons the tuple-at-a-time evaluation counted.
 func TestDerivedEnumAtoms(t *testing.T) {
 	db := enumDB(t)
 	for _, tc := range []struct {
@@ -167,6 +171,7 @@ func TestDerivedEnumAtoms(t *testing.T) {
 		{`[<x.k> OF EACH x IN r: ALL y IN s (x.d <> y.d)]`, 14, 24},
 		{`[<x.k> OF EACH x IN r: ALL y IN s (x.d = y.d)]`, 0, 24},
 		{`[<x.k> OF EACH x IN r: SOME y IN s ((x.d = y.d) AND (x.k < y.k))]`, 7, 150},
+		{`[<x.k> OF EACH x IN r: SOME y IN s ((x.n = y.n) AND (x.d > y.d))]`, 4, 74},
 	} {
 		sel, err := parser.ParseSelection(tc.src)
 		if err != nil {

@@ -256,14 +256,14 @@ func TestExplainCountsRepeatedJoinRefs(t *testing.T) {
 }
 
 // TestExplainExecutionLine pins EXPLAIN's execution summary: one scan
-// per relation, the batch and lifted-row totals of this execution (the
-// scan spans' attributes summed), and nothing after them. Explaining
-// the same plan twice reports the same line, so the counters are per
-// execution and do not accumulate on the compiled plan.
+// per relation, the batch total of this execution (the scan spans'
+// attributes summed), and nothing after it. Explaining the same plan
+// twice reports the same line, so the counters are per execution and
+// do not accumulate on the compiled plan.
 func TestExplainExecutionLine(t *testing.T) {
 	db := tinyUniversity(t)
 	plan, _, _ := compileSrc(t, db, `[<e.ename, t.troom> OF EACH e IN employees, EACH t IN timetable: (e.enr = t.tenr)]`)
-	explain := func() (line string, batches, lifted int64) {
+	explain := func() (line string, batches int64) {
 		tr := obs.NewTrace("")
 		text, err := plan.Explain(obs.With(context.Background(), tr.Root()))
 		if err != nil {
@@ -280,24 +280,22 @@ func TestExplainExecutionLine(t *testing.T) {
 			if b, ok := s.Attrs["batches"]; ok {
 				n, _ := strconv.ParseInt(b, 10, 64)
 				batches += n
-				n, _ = strconv.ParseInt(s.Attrs["lifted_rows"], 10, 64)
-				lifted += n
 			}
 			for _, c := range s.Children {
 				walk(c)
 			}
 		}
 		walk(tr.Snapshot().Root)
-		return line, batches, lifted
+		return line, batches
 	}
-	line, batches, lifted := explain()
+	line, batches := explain()
 	if batches == 0 {
 		t.Fatalf("scan spans report no batches; execution line %q", line)
 	}
-	if want := fmt.Sprintf("execution: 2 scans (%d batches, %d rows lifted)", batches, lifted); line != want {
+	if want := fmt.Sprintf("execution: 2 scans (%d batches)", batches); line != want {
 		t.Fatalf("execution line = %q, want %q", line, want)
 	}
-	if again, _, _ := explain(); again != line {
+	if again, _ := explain(); again != line {
 		t.Fatalf("second EXPLAIN reports %q, first %q", again, line)
 	}
 }

@@ -54,7 +54,9 @@ func fingerprint(t *testing.T, d *DB) string {
 		fmt.Fprintf(h, "rel %s span=%d len=%d\n", name, r.SlotSpan(), r.Len())
 		err := r.ScanBatches(sink, 0, r.SlotSpan(), b, nil, func() error {
 			for i := 0; i < b.Len(); i++ {
-				b.Row(i, row)
+				for c := range row {
+					row[c] = b.ColVal(c, i)
+				}
 				fmt.Fprintf(h, "  %s -> %s\n", value.EncodeKey([]value.Value{b.Ref(i)}), value.EncodeKey(row))
 			}
 			return nil

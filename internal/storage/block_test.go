@@ -89,7 +89,9 @@ func dumpTypedBatches(t *testing.T, be *Disk, lo, hi int, kinds []value.Kind, en
 	var out strings.Builder
 	err := be.ScanBatchesInto(lo, hi, nil, b, func() error {
 		for i := 0; i < b.Len(); i++ {
-			b.Row(i, row)
+			for c := range row {
+				row[c] = b.ColVal(c, i)
+			}
 			fmt.Fprintf(&out, "%d:%v\n", b.Slots()[i], row)
 		}
 		b.Reset()
