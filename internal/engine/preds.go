@@ -172,22 +172,12 @@ func compileMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (batchPred
 			})
 		}}, nil
 	case lConst && rConst:
-		lv, rv := lc.Val, rc.Val
-		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-			n := sel.Count()
-			if n == 0 {
-				return nil
-			}
-			st.CountComparisons(n)
-			ok, err := op.Apply(lv, rv)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				sel.ClearAll(sel.Len())
-			}
-			return nil
-		}}, nil
+		// Decided once, still counted once per row reaching it.
+		ok, err := op.Apply(lc.Val, rc.Val)
+		if err != nil {
+			return batchPred{}, err
+		}
+		return constOutcome(ok, true), nil
 	default:
 		return batchPred{}, fmt.Errorf("engine: unresolved operand in %s", c)
 	}
@@ -203,13 +193,7 @@ func compileFilter(f calculus.Formula, fv string, sch *schema.RelSchema) (batchP
 	case nil:
 		return batchPred{}, fmt.Errorf("engine: nil filter formula")
 	case *calculus.Lit:
-		val := g.Val
-		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, _ *stats.Counters) error {
-			if !val {
-				sel.ClearAll(sel.Len())
-			}
-			return nil
-		}}, nil
+		return constOutcome(g.Val, false), nil
 	case *calculus.Cmp:
 		return compileMonadic(g, fv, sch)
 	case *calculus.Not:
@@ -391,8 +375,13 @@ func (rt *specRuntime) Size() int {
 
 // compileSemiAtom compiles a derived atom over the remaining variable vm
 // into a bulk predicate against vm's relation schema. Which form the
-// atom takes is known only once the spec's scan finished, so the
-// kernel is built by the first batch that reaches it (bulkSemiAtom).
+// atom takes is known only once the spec's scan finished, so the first
+// batch that reaches it builds the kernel: a resolved outcome keeps or
+// clears the whole selection (counting nothing); a min/max or
+// singleton bound is constPred's kernel; =SOME and <>ALL filter the
+// column by (non-)membership; the constant decision of =ALL or <>SOME
+// over several values counts one comparison per row; a multi-term
+// tuple list runs its per-row early-exit loop over the term columns.
 func compileSemiAtom(sa *optimizer.SemiAtom, sch *schema.RelSchema, rt *specRuntime) (batchPred, error) {
 	cols := make([]int, len(sa.Spec.Dyadic))
 	for i, d := range sa.Spec.Dyadic {
@@ -402,111 +391,99 @@ func compileSemiAtom(sa *optimizer.SemiAtom, sch *schema.RelSchema, rt *specRunt
 		}
 		cols[i] = ci
 	}
-	var kernel func(*colbatch.Batch, *colbatch.Bitmap, *stats.Counters) error
+	var kernel batchPred
+	build := func() (batchPred, error) {
+		q := rt.pred
+		switch {
+		case !rt.done:
+			return batchPred{}, fmt.Errorf("engine: spec %d used before its scan finished", sa.Spec.ID)
+		case rt.resolved:
+			return constOutcome(rt.constVal, false), nil
+		case rt.vl == nil:
+			return tupleListPred(rt, cols, sch)
+		case q.Bound.IsValid():
+			return constPred(cols[0], q.Op, q.Bound, sch)
+		case q.Set != nil:
+			return membershipPred(q.Set, q.Op == value.OpEq, cols[0], sch)
+		default:
+			return constOutcome(q.Const, true), nil
+		}
+	}
 	return batchPred{cols: cols, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-		if kernel == nil {
-			if !rt.done {
-				return fmt.Errorf("engine: spec %d used before its scan finished", sa.Spec.ID)
-			}
-			k, err := bulkSemiAtom(rt, cols, sch)
+		if kernel.run == nil {
+			k, err := build()
 			if err != nil {
 				return err
 			}
 			kernel = k
 		}
-		return kernel(b, sel, st)
+		return kernel.run(b, sel, st)
 	}}, nil
 }
 
-// bulkSemiAtom builds the kernel of a derived atom whose spec has
-// finished: a resolved outcome keeps or clears the whole selection
-// (counting nothing); a min/max or singleton bound is constPred's
-// kernel; =SOME and <>ALL filter the column by (non-)membership; the
-// constant decision of =ALL or <>SOME over several values counts one
-// comparison per row; a multi-term tuple list runs its per-row
-// early-exit loop over the term columns.
-func bulkSemiAtom(rt *specRuntime, cols []int, sch *schema.RelSchema) (func(*colbatch.Batch, *colbatch.Bitmap, *stats.Counters) error, error) {
-	if rt.resolved {
-		keep := rt.constVal
-		return func(_ *colbatch.Batch, sel *colbatch.Bitmap, _ *stats.Counters) error {
-			if !keep {
-				sel.ClearAll(sel.Len())
-			}
-			return nil
-		}, nil
-	}
-	if rt.vl == nil {
-		return tupleListKernel(rt, cols, sch)
-	}
-	q, ci := rt.pred, cols[0]
-	switch {
-	case q.Bound.IsValid():
-		p, err := constPred(ci, q.Op, q.Bound, sch)
-		return p.run, err
-	case q.Set != nil:
-		return membershipKernel(q.Set, q.Op == value.OpEq, ci, sch)
-	default:
-		keep := q.Const
-		return func(_ *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+// constOutcome keeps or clears the whole selection. A counted outcome
+// is a decision made per row, one comparison each.
+func constOutcome(keep, counted bool) batchPred {
+	return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+		if counted {
 			st.CountComparisons(sel.Count())
-			if !keep {
-				sel.ClearAll(sel.Len())
-			}
-			return nil
-		}, nil
-	}
+		}
+		if !keep {
+			sel.ClearAll(sel.Len())
+		}
+		return nil
+	}}
 }
 
-// membershipKernel filters column ci by membership in vl (member) or
+// membershipPred filters column ci by membership in vl (member) or
 // non-membership (!member), one comparison per selected row. An
 // int-backed column probes a set of the list's ordinals.
-func membershipKernel(vl *collection.ValueList, member bool, ci int, sch *schema.RelSchema) (func(*colbatch.Batch, *colbatch.Bitmap, *stats.Counters) error, error) {
+func membershipPred(vl *collection.ValueList, member bool, ci int, sch *schema.RelSchema) (batchPred, error) {
 	if !value.OrdKind(sch.Cols[ci].Type.ValueKind()) {
-		return func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+		return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 			st.CountComparisons(sel.Count())
 			col := b.Vals(ci)
 			return sel.Filter(func(i int) (bool, error) {
 				return vl.Has(col[i]) == member, nil
 			})
-		}, nil
+		}}, nil
 	}
 	ords := make(map[int64]struct{}, vl.Len())
 	for _, v := range vl.Values() {
 		if err := checkOrdOperand(ci, v, sch); err != nil {
-			return nil, err
+			return batchPred{}, err
 		}
 		ords[v.Ord()] = struct{}{}
 	}
-	return func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+	return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 		st.CountComparisons(sel.Count())
 		col := b.Ords(ci)
 		return sel.Filter(func(i int) (bool, error) {
 			_, ok := ords[col[i]]
 			return ok == member, nil
 		})
-	}, nil
+	}}, nil
 }
 
-// tupleListKernel evaluates a multi-term derived atom against the
-// spec's distinct vn tuples, in insertion order: per selected row, a
-// tuple counts one comparison per term it tests and stops at the first
+// tupleListPred evaluates a multi-term derived atom against the spec's
+// distinct vn tuples, in insertion order: per selected row, a tuple
+// counts one comparison per term it tests and stops at the first
 // failing term; ALL stops at the first tuple that fails, SOME at the
 // first that matches. Int-backed term columns compare raw ordinals.
-func tupleListKernel(rt *specRuntime, cols []int, sch *schema.RelSchema) (func(*colbatch.Batch, *colbatch.Bitmap, *stats.Counters) error, error) {
+func tupleListPred(rt *specRuntime, cols []int, sch *schema.RelSchema) (batchPred, error) {
+	tuples, all := rt.tuples, rt.spec.All
 	ops := make([]value.CmpOp, len(cols))
 	ord := make([]bool, len(cols))
-	tuples := rt.tuples
 	for i, d := range rt.spec.Dyadic {
 		ops[i] = d.Op
 		ord[i] = value.OrdKind(sch.Cols[cols[i]].Type.ValueKind())
 		if ord[i] && tuples.n > 0 {
 			if err := checkOrdOperand(cols[i], tuples.row(0)[i], sch); err != nil {
-				return nil, err
+				return batchPred{}, err
 			}
 		}
 	}
-	all := rt.spec.All
-	return func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+	return batchPred{cols: cols, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 		n := 0
 		err := sel.Filter(func(r int) (bool, error) {
 			for k := 0; k < tuples.n; k++ {
@@ -514,17 +491,13 @@ func tupleListKernel(rt *specRuntime, cols []int, sch *schema.RelSchema) (func(*
 				match := true
 				for i, ci := range cols {
 					n++
-					var ok bool
+					var err error
 					if ord[i] {
-						ok = ops[i].HoldsOrd(b.Ords(ci)[r], tup[i].Ord())
-					} else {
-						var err error
-						if ok, err = ops[i].Apply(b.Vals(ci)[r], tup[i]); err != nil {
-							return false, err
-						}
+						match = ops[i].HoldsOrd(b.Ords(ci)[r], tup[i].Ord())
+					} else if match, err = ops[i].Apply(b.Vals(ci)[r], tup[i]); err != nil {
+						return false, err
 					}
-					if !ok {
-						match = false
+					if !match {
 						break
 					}
 				}
@@ -536,5 +509,5 @@ func tupleListKernel(rt *specRuntime, cols []int, sch *schema.RelSchema) (func(*
 		})
 		st.CountComparisons(n)
 		return err
-	}, nil
+	}}, nil
 }
