@@ -27,8 +27,8 @@ import (
 // earlier disjunct admitted, a derived atom counts one comparison per
 // selected row (none once its outcome is resolved to a constant), and a
 // multi-term tuple list counts the comparisons of its per-row
-// early-exit loop. enginetest's counters.golden, generated by the
-// deleted tuple driver, pins it.
+// early-exit loop. enginetest's counters.golden, recorded from the
+// tuple-at-a-time evaluator, pins it.
 
 // batchPred evaluates one predicate in bulk over a batch, clearing the
 // selection bits of rows that fail and counting into st. cols lists
