@@ -148,13 +148,127 @@ func compareBackends(t *testing.T, stage string, rng *rand.Rand, mem, disk *Disk
 	}
 }
 
+// storeModel is the plain-map reference TestDiskBlockDifferential holds
+// both stores to: the slot span, the tuple of every live slot and the
+// slot of every live key (mixedTuple(k) under ikey(k)).
+type storeModel struct {
+	span   int
+	tuples map[int][]value.Value // live slot -> tuple
+	slots  map[int]int           // live key -> slot
+}
+
+func (m *storeModel) append(k int) int {
+	si := m.span
+	m.span++
+	m.tuples[si] = mixedTuple(k)
+	m.slots[k] = si
+	return si
+}
+
+func (m *storeModel) delete(k int) {
+	delete(m.tuples, m.slots[k])
+	delete(m.slots, k)
+}
+
+func (m *storeModel) reset() {
+	m.tuples = map[int][]value.Value{}
+	m.slots = map[int]int{}
+}
+
+// rows renders the model's live slots of [lo, hi) in slot order, each
+// with the columns cols (nil = all), in checkModel's format.
+func (m *storeModel) rows(lo, hi int, cols []int) string {
+	var out strings.Builder
+	for si := max(lo, 0); si < min(hi, m.span); si++ {
+		if tuple, ok := m.tuples[si]; ok {
+			renderRow(&out, si, cols, func(c int) value.Value { return tuple[c] })
+		}
+	}
+	return out.String()
+}
+
+func renderRow(out *strings.Builder, si int, cols []int, col func(c int) value.Value) {
+	fmt.Fprintf(out, "%d:", si)
+	if cols == nil {
+		cols = []int{0, 1, 2, 3, 4, 5, 6}
+	}
+	for _, c := range cols {
+		fmt.Fprintf(out, " %v", col(c))
+	}
+	out.WriteByte('\n')
+}
+
+// checkModel holds d to the model over the slots [lo, hi) and the keys
+// probe: Get of every slot (one past each bound included), Scan,
+// ScanBatchesInto of every column and of a column list into a typed and
+// a boxed batch, and ProbeKey.
+func checkModel(t *testing.T, stage string, m *storeModel, d *Disk, lo, hi int, probe []int) {
+	t.Helper()
+	if d.SlotSpan() != m.span {
+		t.Fatalf("%s: slot span %d, the model's %d", stage, d.SlotSpan(), m.span)
+	}
+	for si := lo - 1; si <= hi; si++ {
+		got, ok, err := d.Get(si)
+		want, live := m.tuples[si]
+		if err != nil || ok != live || (live && fmt.Sprint(got) != fmt.Sprint(want)) {
+			t.Fatalf("%s: Get(%d) = %v %v %v, the model holds %v %v", stage, si, got, ok, err, want, live)
+		}
+	}
+	var scan strings.Builder
+	err := d.Scan(lo, hi, func(si int, tuple []value.Value) bool {
+		renderRow(&scan, si, nil, func(c int) value.Value { return tuple[c] })
+		return true
+	})
+	if err != nil {
+		t.Fatalf("%s: Scan(%d, %d): %v", stage, lo, hi, err)
+	}
+	if want := m.rows(lo, hi, nil); scan.String() != want {
+		t.Fatalf("%s: Scan(%d, %d):\n%s\nthe model:\n%s", stage, lo, hi, scan.String(), want)
+	}
+	kinds, enums, err := columnsOf(mixedTuple(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cols := range [][]int{nil, {6, 2, 4}} {
+		for _, typed := range []bool{true, false} {
+			b := colbatch.New(len(kinds), 37)
+			if typed {
+				b.Configure(3, kinds, enums)
+			}
+			var out strings.Builder
+			err := d.ScanBatchesInto(lo, hi, cols, b, func() error {
+				for i, si := range b.Slots() {
+					renderRow(&out, int(si), cols, func(c int) value.Value { return b.ColVal(c, i) })
+				}
+				b.Reset()
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: ScanBatchesInto(%d, %d, %v) typed %v: %v", stage, lo, hi, cols, typed, err)
+			}
+			if want := m.rows(lo, hi, cols); out.String() != want {
+				t.Fatalf("%s: ScanBatchesInto(%d, %d, %v) typed %v:\n%s\nthe model:\n%s", stage, lo, hi, cols, typed, out.String(), want)
+			}
+		}
+	}
+	for _, k := range probe {
+		si, ok, err := d.ProbeKey(ikey(k))
+		want, live := m.slots[k]
+		if err != nil || ok != live || (live && si != want) {
+			t.Fatalf("%s: ProbeKey(%d) = %d %v %v, the model holds %d %v", stage, k, si, ok, err, want, live)
+		}
+	}
+}
+
 // TestDiskBlockDifferential applies one seeded history — inserts of a
-// mixed-kind schema, deletes, a Reset — to a store with no directory and
-// to one whose tiny memtable spills constantly, and compares every read
-// path after
-// the history, after Flush, after compaction (tables grow past one
-// block), after reopening from the checkpoint metadata, and after
-// deleting out of the reopened multi-block tables.
+// mixed-kind schema, deletes, Resets, and flushes and compactions of the
+// spilling store at random points — to a store with no directory and to
+// one whose tiny memtable spills constantly. After every step both
+// stores answer a random window of slots and keys as a plain-map model
+// does; and every read path of the two is compared after the history,
+// after Flush, after compaction (tables grow past one block), after
+// reopening from the checkpoint metadata, and after deleting out of the
+// reopened multi-block tables.
 func TestDiskBlockDifferential(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{MemtableEntries: 16, Fsync: SyncNever}
@@ -163,14 +277,45 @@ func TestDiskBlockDifferential(t *testing.T) {
 	disk := NewDisk(dir, 3, opts, cache)
 	defer func() { disk.Close() }()
 	rng := rand.New(rand.NewSource(12))
+	crng := rand.New(rand.NewSource(13)) // check windows, apart from the history
+	model := &storeModel{}
+	model.reset()
 
-	live := map[int]int{} // key -> slot
 	next := 0
+	check := func(stage string, lo, hi int, probe ...int) {
+		t.Helper()
+		for range 2 {
+			probe = append(probe, crng.Intn(next+2))
+		}
+		checkModel(t, stage+" (memory)", model, mem, lo, hi, probe)
+		checkModel(t, stage+" (disk)", model, disk, lo, hi, probe)
+	}
+	reset := func() {
+		if err := mem.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if err := disk.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		model.reset()
+	}
 	apply := func(steps int) {
 		for ; steps > 0; steps-- {
-			if rng.Intn(4) == 0 && len(live) > 0 {
-				k := rng.Intn(next)
-				si, ok := live[k]
+			touched, k := -1, -1
+			switch r := rng.Intn(400); {
+			case r == 0:
+				reset()
+			case r < 4:
+				if err := disk.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			case r < 7:
+				if err := disk.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			case r < 107 && len(model.slots) > 0:
+				k = rng.Intn(next)
+				si, ok := model.slots[k]
 				if !ok {
 					continue
 				}
@@ -180,39 +325,52 @@ func TestDiskBlockDifferential(t *testing.T) {
 				if err := disk.Delete(si, ikey(k)); err != nil {
 					t.Fatal(err)
 				}
-				delete(live, k)
-				continue
+				model.delete(k)
+				touched = si
+			default:
+				ms, err := mem.Append(ikey(next), mixedTuple(next))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds, err := disk.Append(ikey(next), mixedTuple(next))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ms != ds {
+					t.Fatalf("append %d landed on slot %d in memory, %d on disk", next, ms, ds)
+				}
+				if want := model.append(next); ms != want {
+					t.Fatalf("append %d landed on slot %d, the model's is %d", next, ms, want)
+				}
+				k, touched = next, ms
+				next++
 			}
-			ms, err := mem.Append(ikey(next), mixedTuple(next))
-			if err != nil {
-				t.Fatal(err)
+			lo := crng.Intn(model.span + 1)
+			if touched >= 0 {
+				lo = max(touched-crng.Intn(8), 0)
 			}
-			ds, err := disk.Append(ikey(next), mixedTuple(next))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ms != ds {
-				t.Fatalf("append %d landed on slot %d in memory, %d on disk", next, ms, ds)
-			}
-			live[next] = ms
-			next++
+			check(fmt.Sprintf("step %d", next), lo, lo+crng.Intn(40), k)
 		}
+	}
+	full := func(stage string) {
+		t.Helper()
+		keys := make([]int, next+1)
+		for k := range keys {
+			keys[k] = k
+		}
+		check(stage, -3, model.span+5, keys...)
 	}
 
 	apply(150)
-	if err := mem.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if err := disk.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	live = map[int]int{}
+	reset()
 	apply(2500)
+	full("history")
 	compareBackends(t, "history", rng, mem, disk)
 
 	if err := disk.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	full("flush")
 	compareBackends(t, "flush", rng, mem, disk)
 
 	for round := 0; disk.NeedsCompaction(); round++ {
@@ -230,6 +388,7 @@ func TestDiskBlockDifferential(t *testing.T) {
 	if !multi {
 		t.Fatal("no table grew past one block; the history is too short to test block bounds")
 	}
+	full("compact")
 	compareBackends(t, "compact", rng, mem, disk)
 
 	meta := disk.Meta()
@@ -241,9 +400,11 @@ func TestDiskBlockDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk = reopened
+	full("reopen")
 	compareBackends(t, "reopen", rng, mem, disk)
 
 	apply(400) // tombstones inside multi-block tables, rows back in the memtable
+	full("reopen+history")
 	compareBackends(t, "reopen+history", rng, mem, disk)
 }
 
