@@ -89,26 +89,12 @@ func (b *Batch) enumOf(c int) string {
 	return ""
 }
 
-// Append copies one tuple (and its slot index) into the batch. The
-// caller keeps ownership of the tuple slice: storage backends are free
-// to reuse it after Append returns. Slot indexes fit int32 by
-// construction — an in-memory slot array approaching 2^31 rows
-// exhausts memory long before it exhausts the index space.
-func (b *Batch) Append(si int, tuple []value.Value) {
-	b.slots = append(b.slots, int32(si))
-	for c := range tuple {
-		if b.IsOrd(c) {
-			b.ords[c] = append(b.ords[c], tuple[c].Ord())
-		} else {
-			b.vals[c] = append(b.vals[c], tuple[c])
-		}
-	}
-}
-
 // AppendSlot appends only the slot index of one row, deferring column
-// materialization to GrowOrds/GrowVals. It is the row half of the
-// bulk-fill fast path: the storage backend gathers a window of live
-// slot indexes first, then fills each masked column in one pass.
+// materialization to GrowOrds/GrowVals: the storage backend appends a
+// stretch of live slot indexes first, then fills each masked column in
+// one pass. Slot indexes fit int32 by construction — an in-memory slot
+// array approaching 2^31 rows exhausts memory long before it exhausts
+// the index space.
 func (b *Batch) AppendSlot(si int) {
 	b.slots = append(b.slots, int32(si))
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"pascalr/internal/algebra"
 	"pascalr/internal/calculus"
@@ -30,7 +31,9 @@ type Cursor struct {
 	db        *relation.DB
 	sch       *schema.RelSchema
 	rows      [][]value.Value // combination-phase reference tuples
-	cols      []int           // projection: combination column per output component
+	vars      []int           // combination column of each projected variable, once each
+	elems     [][]value.Value // dereferenced element of each projected variable, reused per row
+	varOf     []int           // projection: projected variable per output component
 	fieldCols []int           // projection: relation component per output component
 	i         int             // next reference tuple to construct
 	buf       []value.Value   // scratch projection buffer, reused per row
@@ -64,14 +67,18 @@ func newCursor(ctx context.Context, db *relation.DB, sel *calculus.Selection, sc
 	for i, v := range refs.Vars() {
 		varIdx[v] = i
 	}
-	c.cols = make([]int, len(sel.Proj))
+	c.varOf = make([]int, len(sel.Proj))
 	c.fieldCols = make([]int, len(sel.Proj))
 	for i, pr := range sel.Proj {
 		vi, ok := varIdx[pr.Var]
 		if !ok {
 			return nil, fmt.Errorf("engine: projected variable %s missing from combination result", pr.Var)
 		}
-		c.cols[i] = vi
+		c.varOf[i] = slices.Index(c.vars, vi)
+		if c.varOf[i] < 0 {
+			c.varOf[i] = len(c.vars)
+			c.vars = append(c.vars, vi)
+		}
 		rel, ok := db.Relation(rangeRelOf(sel, pr.Var))
 		if !ok {
 			return nil, fmt.Errorf("engine: unknown relation for variable %s", pr.Var)
@@ -148,7 +155,8 @@ func (c *Cursor) fail(err error) bool {
 // reported once the rows built before it are yielded.
 func (c *Cursor) construct() {
 	if c.buf == nil {
-		c.buf = make([]value.Value, len(c.cols))
+		c.buf = make([]value.Value, len(c.varOf))
+		c.elems = make([][]value.Value, len(c.vars))
 		c.src = make([]int32, 0, min(constructChunk, len(c.rows)))
 	}
 	c.base = c.set.n
@@ -164,13 +172,16 @@ func (c *Cursor) construct() {
 			}
 		}
 		row := c.rows[c.i]
-		for j := range c.cols {
-			elem, err := c.db.Deref(row[c.cols[j]])
+		for v, col := range c.vars {
+			elem, err := c.db.DerefInto(row[col], c.elems[v])
 			if err != nil {
 				c.pending = err
 				return
 			}
-			c.buf[j] = elem[c.fieldCols[j]]
+			c.elems[v] = elem
+		}
+		for j, v := range c.varOf {
+			c.buf[j] = c.elems[v][c.fieldCols[j]]
 		}
 		if c.set.add(c.buf, len(c.rows)-c.i) {
 			c.src = append(c.src, int32(c.i))

@@ -295,16 +295,20 @@ func (d *DB) ByID(id int) (*Relation, bool) {
 	return d.byID[id], true
 }
 
-// Deref dereferences a reference value against whichever relation owns
-// it. It does not take the content lock: callers synchronizing against
+// Deref is DerefInto with a fresh tuple.
+func (d *DB) Deref(ref value.Value) ([]value.Value, error) { return d.DerefInto(ref, nil) }
+
+// DerefInto dereferences a reference value against whichever relation
+// owns it, into dst (grown as needed); the tuple belongs to the caller.
+// It does not take the content lock: callers synchronizing against
 // writers (the construction phase) hold RLock around batches of calls.
-func (d *DB) Deref(ref value.Value) ([]value.Value, error) {
+func (d *DB) DerefInto(ref value.Value, dst []value.Value) ([]value.Value, error) {
 	id, _, _ := ref.AsRef()
 	r, ok := d.ByID(id)
 	if !ok {
 		return nil, fmt.Errorf("relation: reference to unknown relation id %d", id)
 	}
-	return r.deref(ref)
+	return r.derefInto(ref, dst)
 }
 
 // SetStats attaches a counter sink to the database and all its

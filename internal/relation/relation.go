@@ -26,6 +26,7 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -215,18 +216,16 @@ func (r *Relation) insert(tuple []value.Value) (value.Value, bool, error) {
 		return value.Value{}, false, fmt.Errorf("relation %s: key %s already present with different components",
 			r.sch.Name, formatKey(r.sch, tuple))
 	}
-	cp := make([]value.Value, len(tuple))
-	copy(cp, tuple)
-	si, err = r.store.Append(k, cp)
+	si, err = r.store.Append(k, tuple)
 	if err != nil {
 		return value.Value{}, false, err
 	}
 	r.live.Add(1)
 	ref := r.refOf(si)
 	for _, ix := range r.colIndexes {
-		ix.add(cp[ix.colIdx], ref)
+		ix.add(tuple[ix.colIdx], ref)
 	}
-	drifted := r.stTable.ObserveInsert(cp)
+	drifted := r.stTable.ObserveInsert(tuple)
 	r.mutated(drifted)
 	return ref, true, nil
 }
@@ -420,7 +419,8 @@ func (r *Relation) Lookup(keyVals []value.Value) (value.Value, bool) {
 	return r.refOf(si), true
 }
 
-// Get returns the tuple with the given key values.
+// Get returns the tuple with the given key values. The tuple belongs to
+// the caller.
 func (r *Relation) Get(keyVals []value.Value) ([]value.Value, bool) {
 	r.rlock()
 	defer r.runlock()
@@ -437,21 +437,22 @@ func (r *Relation) Get(keyVals []value.Value) ([]value.Value, bool) {
 
 // Deref regains the element from a reference (the postfix @ operator).
 // It errors on references to other relations, stale references, and
-// malformed slots.
+// malformed slots. The tuple belongs to the caller.
 func (r *Relation) Deref(ref value.Value) ([]value.Value, error) {
 	r.rlock()
 	defer r.runlock()
-	return r.deref(ref)
+	return r.derefInto(ref, nil)
 }
 
-// deref is Deref without the lock, for callers that hold the database
-// read lock themselves (DB.Deref under the construction phase).
+// derefInto is Deref into dst (grown as needed) and without the lock,
+// for callers that hold the database read lock themselves (DB.DerefInto
+// under the construction phase).
 //
 // Staleness detection leans on the backend's append-only discipline:
 // slots are never reused, so every live element is at generation zero.
 // A reference carrying a non-zero generation predates that invariant
 // (it cannot have been minted here) and is stale by construction.
-func (r *Relation) deref(ref value.Value) ([]value.Value, error) {
+func (r *Relation) derefInto(ref value.Value, dst []value.Value) ([]value.Value, error) {
 	rel, si, gen := ref.AsRef()
 	if rel != r.id {
 		return nil, fmt.Errorf("relation %s: reference belongs to relation id %d", r.sch.Name, rel)
@@ -462,7 +463,7 @@ func (r *Relation) deref(ref value.Value) ([]value.Value, error) {
 	if gen != 0 {
 		return nil, fmt.Errorf("relation %s: %w to slot %d", r.sch.Name, ErrStale, si)
 	}
-	tuple, live, err := r.store.Get(si)
+	tuple, live, err := r.store.GetInto(si, dst)
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: slot %d: %w", r.sch.Name, si, err)
 	}
@@ -475,8 +476,9 @@ func (r *Relation) deref(ref value.Value) ([]value.Value, error) {
 // Scan iterates the elements in insertion order, calling fn with each
 // element's reference and tuple until fn returns false. One Scan call is
 // counted as one base-relation scan against the attached sink. The
-// tuple passed to fn must not be modified or retained. The content read
-// lock is held for the duration of the scan.
+// tuple passed to fn lives in a buffer the scan reuses: fn must neither
+// modify nor retain it. The content read lock is held for the duration
+// of the scan.
 func (r *Relation) Scan(fn func(ref value.Value, tuple []value.Value) bool) {
 	r.rlock()
 	defer r.runlock()
@@ -510,7 +512,7 @@ func (r *Relation) SlotSpan() int { return r.store.SlotSpan() }
 // ScanBatches is the engine's scan: it has the slot store fill b with
 // the live slots in [lo, hi) in slot order (storage.Disk.ScanBatchesInto
 // fills column by column, SSTable-resident rows from their blocks and
-// memtable rows from its columnar mirror), calling fn whenever b fills,
+// memtable rows from its column run), calling fn whenever b fills,
 // plus once more for a final partial batch. cols selects which columns
 // to materialize — the projection pushdown: nil materializes every
 // column, a non-nil list (possibly empty, for reference-only scans) only
@@ -549,9 +551,7 @@ func (r *Relation) Refs() []value.Value {
 func (r *Relation) Tuples() [][]value.Value {
 	out := make([][]value.Value, 0, r.Len())
 	r.Scan(func(_ value.Value, tuple []value.Value) bool {
-		cp := make([]value.Value, len(tuple))
-		copy(cp, tuple)
-		out = append(out, cp)
+		out = append(out, slices.Clone(tuple))
 		return true
 	})
 	return out

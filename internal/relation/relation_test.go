@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pascalr/internal/colbatch"
 	"pascalr/internal/schema"
 	"pascalr/internal/stats"
 	"pascalr/internal/value"
@@ -375,5 +376,66 @@ func TestDBVersion(t *testing.T) {
 	solo := New(employeesSchema(t), 7)
 	if _, err := solo.Insert(emp(2, "B", 0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPointReadsAreCallerOwned: the tuples Get, Deref and DB.Deref
+// return belong to the caller. Writing into them changes neither a later
+// Get nor a batch scan of an in-memory relation, and DerefInto of a
+// memtable row into a reused buffer allocates nothing.
+func TestPointReadsAreCallerOwned(t *testing.T) {
+	d := NewDB()
+	r := d.MustCreate(employeesSchema(t))
+	want := emp(10, "Lee", 2)
+	ref, err := r.Insert(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []value.Value{value.Int(10)}
+	scribble := func(tuple []value.Value) {
+		tuple[0], tuple[1], tuple[2] = value.Int(99), value.String_("X"), value.Enum("statustype", 0)
+	}
+	got, ok := r.Get(key)
+	if !ok {
+		t.Fatal("Get missed the element")
+	}
+	scribble(got)
+	el, err := r.Deref(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(el)
+	if el, err = d.Deref(ref); err != nil {
+		t.Fatal(err)
+	}
+	scribble(el)
+
+	if got, ok := r.Get(key); !ok || !tuplesEqual(got, want) {
+		t.Fatalf("Get after writing into returned tuples = %v, want %v", got, want)
+	}
+	b := colbatch.New(len(want), 8)
+	var scanned [][]value.Value
+	err = r.ScanBatches(nil, 0, r.SlotSpan(), b, nil, func() error {
+		for i := 0; i < b.Len(); i++ {
+			row := make([]value.Value, len(want))
+			for c := range row {
+				row[c] = b.ColVal(c, i)
+			}
+			scanned = append(scanned, row)
+		}
+		return nil
+	})
+	if err != nil || len(scanned) != 1 || !tuplesEqual(scanned[0], want) {
+		t.Fatalf("batch scan after writing into returned tuples = %v (%v), want %v", scanned, err, want)
+	}
+
+	buf := make([]value.Value, len(want))
+	allocs := testing.AllocsPerRun(100, func() {
+		if buf, err = d.DerefInto(ref, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || !tuplesEqual(buf, want) {
+		t.Fatalf("DerefInto into a reused buffer: %v allocations, tuple %v", allocs, buf)
 	}
 }

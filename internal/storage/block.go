@@ -68,16 +68,16 @@ func columnsOf(tuple []value.Value) ([]value.Kind, []string, error) {
 	return kinds, enums, nil
 }
 
-// blockCut returns the end of the block that starts at entries[start]:
-// sstBlockRows records, fewer when they are wide.
-func blockCut(entries []SSEntry, start int) int {
+// blockCut returns the end of the block that starts at rows[start]:
+// sstBlockRows rows of run, fewer when they are wide.
+func blockCut(run *colRun, rows []int, start int) int {
 	end, size := start, 0
-	for end < len(entries) && end-start < sstBlockRows {
-		e := entries[end]
-		size += 8 + len(e.Enc) + 8*len(e.Tuple)
-		for _, v := range e.Tuple {
-			if v.Kind() == value.KindString {
-				size += len(v.AsString())
+	for end < len(rows) && end-start < sstBlockRows {
+		i := rows[end]
+		size += 8 + len(run.keys[i]) + 8*len(run.kinds)
+		for c, k := range run.kinds {
+			if k == value.KindString {
+				size += len(run.strs[c][i])
 			}
 		}
 		if size > sstBlockBytes && end > start {
@@ -88,54 +88,29 @@ func blockCut(entries []SSEntry, start int) int {
 	return end
 }
 
-// appendBlock appends entries to dst as one framed block. Every tuple
-// must have the given column kinds.
-func appendBlock(dst []byte, entries []SSEntry, kinds []value.Kind, enums []string) ([]byte, error) {
+// appendBlock appends rows of run to dst as one framed block.
+func appendBlock(dst []byte, run *colRun, rows []int) ([]byte, error) {
 	start := len(dst)
 	le := binary.LittleEndian
 	dst = append(dst, make([]byte, frameHeader)...)
-	dst = le.AppendUint32(dst, uint32(len(entries)))
-	dst = le.AppendUint32(dst, uint32(len(kinds)))
-	for _, k := range kinds {
+	dst = le.AppendUint32(dst, uint32(len(rows)))
+	dst = le.AppendUint32(dst, uint32(len(run.kinds)))
+	for _, k := range run.kinds {
 		dst = append(dst, byte(k))
 	}
-	for _, e := range entries {
-		if len(e.Tuple) != len(kinds) {
-			return nil, fmt.Errorf("slot %d has %d columns, the table %d", e.Si, len(e.Tuple), len(kinds))
-		}
-		dst = le.AppendUint32(dst, uint32(e.Si))
+	for _, i := range rows {
+		dst = le.AppendUint32(dst, uint32(run.slots[i]))
 	}
-	for c, k := range kinds {
-		for _, e := range entries {
-			if v := e.Tuple[c]; v.Kind() != k || (k == value.KindEnum && v.EnumType() != enums[c]) {
-				return nil, fmt.Errorf("slot %d column %d holds %s, the table's column is %s %s", e.Si, c, v, k, enums[c])
-			}
-		}
+	for c, k := range run.kinds {
 		if k != value.KindString {
-			for _, e := range entries {
-				dst = le.AppendUint64(dst, uint64(e.Tuple[c].Ord()))
+			for _, i := range rows {
+				dst = le.AppendUint64(dst, uint64(run.ords[c][i]))
 			}
 			continue
 		}
-		end := 0
-		dst = le.AppendUint32(dst, 0)
-		for _, e := range entries {
-			end += len(e.Tuple[c].AsString())
-			dst = le.AppendUint32(dst, uint32(end))
-		}
-		for _, e := range entries {
-			dst = append(dst, e.Tuple[c].AsString()...)
-		}
+		dst = appendStrings(dst, run.strs[c], rows)
 	}
-	end := 0
-	dst = le.AppendUint32(dst, 0)
-	for _, e := range entries {
-		end += len(e.Enc)
-		dst = le.AppendUint32(dst, uint32(end))
-	}
-	for _, e := range entries {
-		dst = append(dst, e.Enc...)
-	}
+	dst = appendStrings(dst, run.keys, rows)
 	if len(dst)-start-frameHeader > maxRecordSize {
 		return nil, fmt.Errorf("block of %d bytes exceeds the record limit", len(dst)-start-frameHeader)
 	}
@@ -143,17 +118,34 @@ func appendBlock(dst []byte, entries []SSEntry, kinds []value.Kind, enums []stri
 	return dst, nil
 }
 
+// appendStrings appends strs[i] for every i of rows to dst as a
+// string-laid-out region: end offsets, then the bytes they cut.
+func appendStrings(dst []byte, strs []string, rows []int) []byte {
+	le := binary.LittleEndian
+	end := 0
+	dst = le.AppendUint32(dst, 0)
+	for _, i := range rows {
+		end += len(strs[i])
+		dst = le.AppendUint32(dst, uint32(end))
+	}
+	for _, i := range rows {
+		dst = append(dst, strs[i]...)
+	}
+	return dst
+}
+
 // blockView is a parsed block: the payload plus where its regions lie.
 // It aliases the payload and decodes on demand, so parsing costs
 // O(columns) whatever the row count. The zero view is ready for parse,
-// and reusing one across blocks reuses its offset table.
+// and reusing one across blocks reuses its offset table and scratch.
 type blockView struct {
 	payload []byte
 	rows    int
 	kinds   []value.Kind // the table's, shared
 	enums   []string
-	slots   []byte // rows × u32
-	colOff  []int  // payload offset of each column's region; the key column's last
+	slots   []byte   // rows × u32
+	colOff  []int    // payload offset of each column's region; the key column's last
+	scratch []string // vals' decoded strings
 }
 
 // parse points v at payload, checking the header against the table's
@@ -277,44 +269,17 @@ func (v *blockView) fill(b *colbatch.Batch, cols []int, r, k int) error {
 	return nil
 }
 
-// strSpan checks the offsets of the k rows from r on in the
-// string-laid-out region at payload offset off (a string column or the
-// key column) and copies the rows' bytes once, as one string the values
-// share: row r+j is all[at(j)-base : at(j+1)-base], at(j) being the j-th
-// u32 of offs.
-func (v *blockView) strSpan(off, r, k int) (all string, offs []byte, base int, err error) {
-	offs = v.payload[off+4*r : off+4*(r+k+1)]
-	data := v.payload[off+4*(v.rows+1):]
-	data = data[:binary.LittleEndian.Uint32(v.payload[off+4*v.rows:])] // parse checked that the region holds them
-	base = int(binary.LittleEndian.Uint32(offs))
-	prev := base
-	for j := 1; j <= k; j++ {
-		next := int(binary.LittleEndian.Uint32(offs[4*j:]))
-		if next < prev {
-			return "", nil, 0, fmt.Errorf("string offsets out of order at row %d", r+j-1)
-		}
-		prev = next
-	}
-	if prev > len(data) {
-		return "", nil, 0, fmt.Errorf("string offsets %d..%d outside %d bytes", base, prev, len(data))
-	}
-	return string(data[base:prev]), offs, base, nil
-}
-
 // vals decodes the k rows from r on of column c as boxed values into
 // dst[0], dst[stride], dst[2*stride], ...
 func (v *blockView) vals(c int, dst []value.Value, stride, r, k int) error {
 	kind := v.kinds[c]
 	if kind == value.KindString {
-		all, offs, base, err := v.strSpan(v.colOff[c], r, k)
-		if err != nil {
+		var err error
+		if v.scratch, err = v.strs(v.colOff[c], r, k, v.scratch[:0]); err != nil {
 			return err
 		}
-		prev := 0
-		for j := 0; j < k; j++ {
-			next := int(binary.LittleEndian.Uint32(offs[4*(j+1):])) - base
-			dst[j*stride] = value.String_(all[prev:next])
-			prev = next
+		for j, s := range v.scratch {
+			dst[j*stride] = value.String_(s)
 		}
 		return nil
 	}
@@ -326,33 +291,43 @@ func (v *blockView) vals(c int, dst []value.Value, stride, r, k int) error {
 	return nil
 }
 
-// tuples materializes rows [r, end) as one row-major array: row j's
-// tuple is the j-th run of len(kinds) values. One allocation serves the
-// block's rows (plus one per string column), and tuples cut from it
-// stay valid after the block's buffer is reused.
-func (v *blockView) tuples(r, end int) ([]value.Value, error) {
+// tuples decodes rows [r, end) into dst, grown as needed, as one
+// row-major array: row j's tuple is the (j-r)-th run of len(kinds)
+// values. One string allocation per string column serves the rows.
+func (v *blockView) tuples(dst []value.Value, r, end int) ([]value.Value, error) {
 	ncols := len(v.kinds)
-	flat := make([]value.Value, (end-r)*ncols)
+	if n := (end - r) * ncols; cap(dst) < n {
+		dst = make([]value.Value, n)
+	} else {
+		dst = dst[:n]
+	}
 	for c := range v.kinds {
-		if err := v.vals(c, flat[c:], ncols, r, end-r); err != nil {
+		if err := v.vals(c, dst[c:], ncols, r, end-r); err != nil {
 			return nil, fmt.Errorf("column %d: %w", c, err)
 		}
 	}
-	return flat, nil
+	return dst, nil
 }
 
-// keys returns the encoded keys of rows [r, end).
-func (v *blockView) keys(r, end int) ([]string, error) {
-	all, offs, base, err := v.strSpan(v.colOff[len(v.kinds)], r, end-r)
-	if err != nil {
-		return nil, err
+// strs appends the k strings from row r on of the string-laid-out
+// region at payload offset off (a string column or the key column) to
+// dst. It checks the rows' offsets and copies their bytes once, as one
+// string the appended ones share.
+func (v *blockView) strs(off, r, k int, dst []string) ([]string, error) {
+	at := func(j int) int { return int(binary.LittleEndian.Uint32(v.payload[off+4*(r+j):])) }
+	data := v.payload[off+4*(v.rows+1):]
+	data = data[:binary.LittleEndian.Uint32(v.payload[off+4*v.rows:])] // parse checked that the region holds them
+	for j := 1; j <= k; j++ {
+		if at(j) < at(j-1) {
+			return nil, fmt.Errorf("string offsets out of order at row %d", r+j-1)
+		}
 	}
-	out := make([]string, end-r)
-	prev := 0
-	for j := range out {
-		next := int(binary.LittleEndian.Uint32(offs[4*(j+1):])) - base
-		out[j] = all[prev:next]
-		prev = next
+	if at(k) > len(data) {
+		return nil, fmt.Errorf("string offsets %d..%d outside %d bytes", at(0), at(k), len(data))
 	}
-	return out, nil
+	all := string(data[at(0):at(k)])
+	for j := 0; j < k; j++ {
+		dst = append(dst, all[at(j)-at(0):at(j+1)-at(0)])
+	}
+	return dst, nil
 }

@@ -148,6 +148,19 @@ func compareBackends(t *testing.T, stage string, rng *rand.Rand, mem, disk *Disk
 	}
 }
 
+// runOf returns a column run holding tuple(k) under ikey(k) at slot si
+// for every {si, k} of rows.
+func runOf(tb testing.TB, tuple func(int) []value.Value, rows ...[2]int) *colRun {
+	tb.Helper()
+	var run colRun
+	for _, r := range rows {
+		if err := run.add(r[0], ikey(r[1]), tuple(r[1])); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return &run
+}
+
 // storeModel is the plain-map reference TestDiskBlockDifferential holds
 // both stores to: the slot span, the tuple of every live slot and the
 // slot of every live key (mixedTuple(k) under ikey(k)).
@@ -413,11 +426,8 @@ func TestDiskBlockDifferential(t *testing.T) {
 // an error that says so.
 func TestOpenSSTableRejectsOtherFormats(t *testing.T) {
 	dir := t.TempDir()
-	entries := []SSEntry{
-		{Si: 0, Enc: ikey(1), Tuple: ituple(1)},
-		{Si: 2, Enc: ikey(2), Tuple: ituple(2)},
-	}
-	tbl, err := writeSSTable(dir, "t.sst", entries, 0, 3, nil)
+	run := runOf(t, ituple, [2]int{0, 1}, [2]int{2, 2})
+	tbl, err := writeSSTable(dir, "t.sst", run, 0, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +462,7 @@ func TestOpenSSTableRejectsOtherFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.close()
-	if _, _, err := tb.get(0); err == nil || !strings.Contains(err.Error(), "footer") {
+	if _, _, err := tb.get(0, nil); err == nil || !strings.Contains(err.Error(), "footer") {
 		t.Fatalf("get from a block disagreeing with the footer: %v", err)
 	}
 	var sc blockScanner
@@ -460,9 +470,12 @@ func TestOpenSSTableRejectsOtherFormats(t *testing.T) {
 		t.Fatal("scan of a block disagreeing with the footer succeeded")
 	}
 
-	// A writer handed records of differing shapes refuses them.
-	mixed := []SSEntry{entries[0], {Si: 2, Enc: ikey(2), Tuple: []value.Value{value.String_("x"), value.String_("y")}}}
-	if _, err := writeSSTable(dir, "mixed.sst", mixed, 0, 3, nil); err == nil {
-		t.Fatal("writing a column of mixed kinds succeeded")
+	// The run a writer encodes refuses a row of another shape, and keeps
+	// its columns in step with its rows.
+	if err := run.add(3, ikey(3), []value.Value{value.Int(3), value.Int(4)}); err == nil {
+		t.Fatal("a column of mixed kinds was accepted")
+	}
+	if len(run.ords[0]) != run.len() || len(run.strs[1]) != run.len() {
+		t.Fatalf("refused row left columns of %d and %d values in a run of %d rows", len(run.ords[0]), len(run.strs[1]), run.len())
 	}
 }

@@ -12,16 +12,8 @@ import (
 	"pascalr/internal/value"
 )
 
-// memRow is one memtable slot, slot index memBase+position: the stored
-// tuple and its liveness. Its encoded key lives only in the key map,
-// which holds exactly the live rows; Flush recovers the keys from there.
-type memRow struct {
-	tuple []value.Value
-	live  bool
-}
-
 // Disk is the slot store of one relation: an append-only array of
-// (tuple, live) slots plus a key directory.
+// slots, each live or dead, plus a key directory.
 //
 // Slot indexes are handed out by Append in strictly ascending order and
 // are never reused: a slot that dies (Delete, Reset) stays dead forever.
@@ -35,7 +27,9 @@ type memRow struct {
 // the content read lock (compaction runs under an exclusive section
 // scheduled on the database's async executor).
 //
-// Appends land in a slot-ordered in-memory memtable. A store with a
+// Appends land in the memtable, one column run (colRun) in slot order:
+// its position i holds slot memBase+i, each cell copied into its
+// column's vector, the layout batch scans read. A store with a
 // directory flushes the memtable's live rows, once it fills, to an
 // immutable SSTable file covering the memtable's slot range; tables
 // therefore have disjoint, ascending slot ranges, and the read path is a
@@ -59,22 +53,9 @@ type Disk struct {
 	dead       map[int]bool // table-resident tombstones
 	resetFloor int          // every slot < resetFloor is dead
 
-	mem      []memRow
+	mem      colRun
 	memBase  int
 	memByKey map[string]int // encoded key -> memtable position, live rows only
-
-	// ordCols is the memtable's columnar mirror: for every column whose
-	// values are int-backed (integers, booleans, enums, references),
-	// ordCols[c][i] holds the Ord payload of memtable row i's column c,
-	// maintained by Append alongside the row. Batch scans fill from the
-	// mirror with sequential 8-byte reads instead of chasing one scattered
-	// tuple pointer per row — the difference between a memory-latency-
-	// bound fill and a bandwidth-trivial one. Dead rows keep stale mirror
-	// values; the gather skips them, so they are never read. Shaped by
-	// the first Append into an empty memtable and cleared by Flush;
-	// ordOK[c] records whether column c has stayed mirrorable.
-	ordCols [][]int64
-	ordOK   []bool
 
 	tableLive int // live (non-dead, above-floor) records in tables
 
@@ -163,21 +144,25 @@ func (d *Disk) Meta() DiskTableMeta {
 
 // SlotSpan returns the exclusive upper bound of slot indexes — the end
 // of the range a full scan covers.
-func (d *Disk) SlotSpan() int { return d.memBase + len(d.mem) }
+func (d *Disk) SlotSpan() int { return d.memBase + d.mem.len() }
 
-// Get returns the tuple stored at slot si and whether the slot is live.
-// Dead or never-allocated slots return (nil, false, nil). The returned
-// tuple must not be modified or retained across mutations.
-func (d *Disk) Get(si int) ([]value.Value, bool, error) {
+// Get is GetInto with a fresh tuple.
+func (d *Disk) Get(si int) ([]value.Value, bool, error) { return d.GetInto(si, nil) }
+
+// GetInto fills dst, grown as needed, with the tuple stored at slot si
+// and returns it with whether the slot is live. Dead or
+// never-allocated slots return (nil, false, nil). The tuple belongs to
+// the caller.
+func (d *Disk) GetInto(si int, dst []value.Value) ([]value.Value, bool, error) {
 	if si < 0 || si >= d.SlotSpan() {
 		return nil, false, nil
 	}
 	if si >= d.memBase {
-		r := &d.mem[si-d.memBase]
-		if !r.live {
+		i := si - d.memBase
+		if !d.mem.live[i] {
 			return nil, false, nil
 		}
-		return r.tuple, true, nil
+		return d.mem.row(i, dst), true, nil
 	}
 	if si < d.resetFloor || d.dead[si] {
 		return nil, false, nil
@@ -187,7 +172,7 @@ func (d *Disk) Get(si int) ([]value.Value, bool, error) {
 		return nil, false, nil
 	}
 	mSSTableReads.Inc()
-	return t.get(si)
+	return t.get(si, dst)
 }
 
 // tableFor returns the table whose range covers si, or nil.
@@ -201,27 +186,44 @@ func (d *Disk) tableFor(si int) *ssTable {
 
 // Scan calls fn for every live slot in [lo, hi) in ascending slot order
 // — tables in range order, then the memtable — until fn returns false.
-// Bounds are clamped to the slot span.
+// Bounds are clamped to the slot span. The tuple lives in a buffer the
+// scan reuses: fn must neither modify nor retain it.
 func (d *Disk) Scan(lo, hi int, fn func(si int, tuple []value.Value) bool) error {
 	lo, hi = d.clampScan(lo, hi)
+	var buf []value.Value
 	if lo < d.memBase {
-		if keep, err := d.scanTables(lo, hi, fn); err != nil || !keep {
+		keep, err := d.walkBlocks(lo, hi, func(v *blockView, r, end int) (bool, error) {
+			var err error
+			if buf, err = v.tuples(buf, r, end); err != nil {
+				return false, err
+			}
+			n := len(v.kinds)
+			for j := r; j < end; j++ {
+				if si := v.slot(j); !d.dead[si] && !fn(si, buf[(j-r)*n:][:n:n]) {
+					return false, nil
+				}
+			}
+			return true, nil
+		})
+		if err != nil || !keep {
 			return err
 		}
 	}
 	for si := max(lo, d.memBase); si < hi; si++ {
-		if r := &d.mem[si-d.memBase]; r.live && !fn(si, r.tuple) {
-			return nil
+		if i := si - d.memBase; d.mem.live[i] {
+			if buf = d.mem.row(i, buf); !fn(si, buf) {
+				return nil
+			}
 		}
 	}
 	return nil
 }
 
-// scanTables is Scan over the table-resident rows, materialized a block
-// at a time; keep reports whether fn wants the scan to go on.
-func (d *Disk) scanTables(lo, hi int, fn func(si int, tuple []value.Value) bool) (keep bool, err error) {
+// walkBlocks hands the table-resident rows of [lo, hi) to fn a block at
+// a time, tables in range order (see ssTable.scanBlocks); keep reports
+// whether fn let the walk run to the end.
+func (d *Disk) walkBlocks(lo, hi int, fn func(v *blockView, r, end int) (bool, error)) (keep bool, err error) {
 	var sc blockScanner
-	hasDead := len(d.dead) > 0
 	for _, t := range d.tables {
 		if t.hi <= lo {
 			continue
@@ -230,24 +232,7 @@ func (d *Disk) scanTables(lo, hi int, fn func(si int, tuple []value.Value) bool)
 			break
 		}
 		mSSTableReads.Inc()
-		keep, err := t.scanBlocks(&sc, lo, hi, func(v *blockView, r, end int) (bool, error) {
-			flat, err := v.tuples(r, end)
-			if err != nil {
-				return false, err
-			}
-			n := len(v.kinds)
-			for j := r; j < end; j++ {
-				si := v.slot(j)
-				if hasDead && d.dead[si] {
-					continue
-				}
-				if row := flat[(j-r)*n:]; !fn(si, row[:n:n]) {
-					return false, nil
-				}
-			}
-			return true, nil
-		})
-		if err != nil || !keep {
+		if keep, err := t.scanBlocks(&sc, lo, hi, fn); err != nil || !keep {
 			return false, err
 		}
 	}
@@ -275,9 +260,15 @@ func (d *Disk) clampScan(lo, hi int) (int, int) {
 // the scan and is returned. Int-backed columns of a configured batch are
 // filled as raw ordinals. Bounds are clamped to the slot span.
 // Table-resident rows fill from their blocks (fillTables), memtable
-// rows from the mirror and the rows (fillMem).
+// rows from its column run (fillMem).
 func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
 	lo, hi = d.clampScan(lo, hi)
+	if cols == nil {
+		cols = make([]int, b.NumCols())
+		for c := range cols {
+			cols[c] = c
+		}
+	}
 	if lo < d.memBase {
 		if err := d.fillTables(lo, hi, cols, b, flush); err != nil {
 			return err
@@ -295,154 +286,33 @@ func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush 
 // fillTables fills b from the table-resident rows of [lo, hi): the
 // directory gives the blocks, each is read into one reused buffer and
 // checksummed once, and only the requested columns are decoded, one
-// loop per column over a run of rows (a whole block, unless a range
+// loop per column over a stretch of rows (a whole block, unless a range
 // bound, a tombstone or the batch's capacity cuts it). Tombstones are
 // looked up only while the relation has any.
 func (d *Disk) fillTables(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
-	if cols == nil {
-		cols = make([]int, b.NumCols())
-		for c := range cols {
-			cols[c] = c
+	_, err := d.walkBlocks(lo, hi, func(v *blockView, r, end int) (bool, error) {
+		var dead func(j int) bool
+		if len(d.dead) > 0 {
+			dead = func(j int) bool { return d.dead[v.slot(j)] }
 		}
-	}
-	var sc blockScanner
-	fill := func(v *blockView, r, end int) (bool, error) {
-		for r < end {
-			run := end // rows [r, run) are live
-			if len(d.dead) > 0 {
-				for r < end && d.dead[v.slot(r)] {
-					r++
-				}
-				for run = r; run < end && !d.dead[v.slot(run)]; run++ {
-				}
-			}
-			for r < run {
-				k := min(run-r, b.Cap()-b.Len())
-				if err := v.fill(b, cols, r, k); err != nil {
-					return false, err
-				}
-				r += k
-				if b.Full() {
-					if err := flush(); err != nil {
-						return false, err
-					}
-				}
-			}
-		}
-		return true, nil
-	}
-	for _, t := range d.tables {
-		if t.hi <= lo {
-			continue
-		}
-		if t.lo >= hi {
-			break
-		}
-		mSSTableReads.Inc()
-		if _, err := t.scanBlocks(&sc, lo, hi, fill); err != nil {
-			return err
-		}
-	}
-	return nil
+		err := fillLive(b, r, end, dead, func(r, k int) error { return v.fill(b, cols, r, k) }, flush)
+		return err == nil, err
+	})
+	return err
 }
 
-// fillBlock is the row-block size of fillMem's boxed columns: small
-// enough that a block's source rows stay cache-resident across the
-// per-column passes, large enough to amortize the pointer-resolution
-// pass.
-const fillBlock = 256
-
-// mirDst pairs a grown destination span with its mirror column; valDst
-// pairs one with the column index the rows supply it from.
-type mirDst struct {
-	span []int64
-	src  []int64
-}
-
-type valDst struct {
-	span []value.Value
-	c    int
-}
-
-// fillMem is the memtable's batch fill, closure-free: it gathers a
-// window of live slots of [lo, hi) into b, then fills each requested
-// column for the whole window in one pass and calls flush whenever b
-// fills. Filling pre-grown per-window spans amortizes the slice
-// bookkeeping to one grow per column per window instead of per row.
-// Unboxed columns come from the mirror, which holds every int-backed
-// column; a batch wanting any other column unboxed is refused, as the
-// block decoder refuses it.
+// fillMem fills b from the memtable rows of [lo, hi), copying each
+// stretch of live rows column by column straight from the run. Liveness
+// is looked up only while the memtable has dead rows (the key map holds
+// exactly the live ones).
 func (d *Disk) fillMem(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
-	mirDsts := make([]mirDst, 0, 8)
-	valDsts := make([]valDst, 0, 8)
-	var rows [fillBlock][]value.Value
-	ncols := len(cols)
-	if cols == nil {
-		ncols = b.NumCols()
+	m := &d.mem
+	var dead func(i int) bool
+	if len(d.memByKey) < m.len() {
+		dead = func(i int) bool { return !m.live[i] }
 	}
-	base := d.memBase
-	for si := lo; si < hi; {
-		start := b.Len()
-		for ; si < hi && !b.Full(); si++ {
-			if d.mem[si-base].live {
-				b.AppendSlot(si)
-			}
-		}
-		if n := b.Len() - start; n > 0 {
-			window := b.Slots()[start:]
-			mirDsts, valDsts = mirDsts[:0], valDsts[:0]
-			for k := 0; k < ncols; k++ {
-				c := k
-				if cols != nil {
-					c = cols[k]
-				}
-				switch {
-				case !b.IsOrd(c):
-					valDsts = append(valDsts, valDst{b.GrowVals(c, n), c})
-				case c < len(d.ordCols) && d.ordOK[c]:
-					mirDsts = append(mirDsts, mirDst{b.GrowOrds(c, n), d.ordCols[c]})
-				default:
-					return fmt.Errorf("storage: scan wants column %d, which is not int-backed, as ordinals", c)
-				}
-			}
-			// Mirrored columns gather straight from the mirror: ascending
-			// positions over an 8-byte-stride array, which the prefetcher
-			// handles, instead of a dependent load through the row pointer.
-			for _, dst := range mirDsts {
-				span, src := dst.span, dst.src
-				for j, s := range window {
-					span[j] = src[int(s)-base]
-				}
-			}
-			// Boxed columns fill from the rows in blocks: resolve a block
-			// of row pointers once, then run one tight loop per column
-			// over the block. The first column pass pulls each scattered
-			// row into cache, where the remaining passes find it —
-			// row-major locality — while each inner loop keeps a fixed
-			// destination span and column index, free of the per-row
-			// per-column bookkeeping a fused row-major loop pays.
-			if len(valDsts) > 0 {
-				for off := 0; off < n; off += fillBlock {
-					blk := rows[:min(n-off, fillBlock)]
-					for j, s := range window[off : off+len(blk)] {
-						blk[j] = d.mem[int(s)-base].tuple
-					}
-					for _, dst := range valDsts {
-						span := dst.span[off : off+len(blk)]
-						for j, t := range blk {
-							span[j] = t[dst.c]
-						}
-					}
-				}
-			}
-		}
-		if b.Full() {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	fill := func(r, k int) error { return m.fill(b, cols, r, k) }
+	return fillLive(b, lo-d.memBase, hi-d.memBase, dead, fill, flush)
 }
 
 // ProbeKey returns the live slot holding the tuple whose encoded
@@ -493,27 +363,22 @@ func (d *Disk) LookupKey(enc string) (int, bool) {
 // Append stores a new live tuple under the encoded key enc and returns
 // its slot index (== the previous SlotSpan), flushing the memtable to an
 // SSTable when it reaches the configured entry budget. The caller has
-// already checked that enc is not present. The store takes ownership of
-// the tuple slice.
+// already checked that enc is not present. The store copies the cells;
+// a tuple whose column kinds differ from the memtable's is refused.
 func (d *Disk) Append(enc string, tuple []value.Value) (int, error) {
-	i := len(d.mem)
-	d.mem = append(d.mem, memRow{tuple: tuple, live: true})
-	d.mirrorAppend(tuple)
-	d.memByKey[enc] = i
+	i := d.mem.len()
 	si := d.memBase + i
-	if len(d.mem) >= d.opts.MemtableEntries {
+	if err := d.mem.add(si, enc, tuple); err != nil {
+		return 0, fmt.Errorf("storage: relation %d: %w", d.relID, err)
+	}
+	d.memByKey[enc] = i
+	if d.mem.len() >= d.opts.MemtableEntries {
 		if err := d.Flush(); err != nil {
 			// The caller treats the append as failed and publishes
 			// nothing (no live count, no index entries), so the row must
-			// not stay visible here either: roll the memtable and its
-			// mirror back to their pre-append state (a failed Flush
-			// mutated nothing).
-			d.mem = d.mem[:i]
-			for c, col := range d.ordCols {
-				if d.ordOK[c] {
-					d.ordCols[c] = col[:i]
-				}
-			}
+			// not stay visible here either: roll the memtable back to its
+			// pre-append state (a failed Flush mutated nothing).
+			d.mem.truncate(i)
 			delete(d.memByKey, enc)
 			return 0, err
 		}
@@ -521,38 +386,11 @@ func (d *Disk) Append(enc string, tuple []value.Value) (int, error) {
 	return si, nil
 }
 
-// mirrorAppend extends the columnar mirror with one tuple, keeping the
-// invariant that len(ordCols[c]) == len(mem) for every column with
-// ordOK[c]. A column's first non-int-backed value permanently drops it
-// from the mirror; batches take such a column boxed from the rows. The
-// relation layer checks every tuple against one schema, so the arity
-// never varies.
-func (d *Disk) mirrorAppend(tuple []value.Value) {
-	if d.ordCols == nil {
-		d.ordCols = make([][]int64, len(tuple))
-		d.ordOK = make([]bool, len(tuple))
-		for c := range tuple {
-			d.ordOK[c] = true
-		}
-	}
-	for c, v := range tuple {
-		if !d.ordOK[c] {
-			continue
-		}
-		if !value.OrdKind(v.Kind()) {
-			d.ordOK[c] = false
-			d.ordCols[c] = nil
-			continue
-		}
-		d.ordCols[c] = append(d.ordCols[c], v.Ord())
-	}
-}
-
 // Delete kills slot si, which currently holds the encoded key enc.
 func (d *Disk) Delete(si int, enc string) error {
 	if si >= d.memBase {
-		if i := si - d.memBase; i < len(d.mem) && d.mem[i].live {
-			d.mem[i] = memRow{}
+		if i := si - d.memBase; i < d.mem.len() && d.mem.live[i] {
+			d.mem.kill(i)
 			delete(d.memByKey, enc)
 		}
 		return nil
@@ -567,12 +405,11 @@ func (d *Disk) Delete(si int, enc string) error {
 // Reset kills every live slot (the := assignment). Slot indexes are not
 // reused: the next Append continues from the current span. The floor
 // rises instead of the immutable files being touched; compaction
-// reclaims the space later. The mirror stays: memtable rows die, they
-// are not truncated, so its alignment must survive for the appends that
-// follow.
+// reclaims the space later. Memtable rows die, they are not truncated:
+// their positions must keep matching their slots.
 func (d *Disk) Reset() error {
-	for i := max(d.resetFloor-d.memBase, 0); i < len(d.mem); i++ {
-		d.mem[i] = memRow{}
+	for i := max(d.resetFloor-d.memBase, 0); i < d.mem.len(); i++ {
+		d.mem.kill(i)
 	}
 	d.resetFloor = d.SlotSpan()
 	d.memByKey = make(map[string]int)
@@ -587,35 +424,24 @@ func (d *Disk) Reset() error {
 // directory never flushes. Idempotent per fill: replaying the same
 // appends re-flushes at the same point with the same contents.
 func (d *Disk) Flush() error {
-	n := len(d.mem)
+	n := d.mem.len()
 	if n == 0 || d.dir == "" {
 		return nil
 	}
-	keys := make([]string, n)
-	for enc, i := range d.memByKey {
-		keys[i] = enc
-	}
-	var entries []SSEntry
-	for i, r := range d.mem {
-		if r.live {
-			entries = append(entries, SSEntry{Si: d.memBase + i, Enc: keys[i], Tuple: r.tuple})
-		}
-	}
-	if len(entries) > 0 {
+	if live := len(d.memByKey); live > 0 {
 		name := fmt.Sprintf("r%d-g%d.sst", d.relID, d.nextGen)
 		d.nextGen++
-		t, err := writeSSTable(d.dir, name, entries, d.memBase, d.memBase+n, d.cache)
+		t, err := writeSSTable(d.dir, name, &d.mem, d.memBase, d.memBase+n, d.cache)
 		if err != nil {
 			return err
 		}
 		d.tables = append(d.tables, t)
-		d.tableLive += len(entries)
+		d.tableLive += live
 		mMemtableSpills.Inc()
 	}
 	d.memBase += n
-	d.mem = nil
+	d.mem = colRun{}
 	d.memByKey = make(map[string]int)
-	d.ordCols, d.ordOK = nil, nil
 	return nil
 }
 
@@ -766,36 +592,23 @@ func (d *Disk) Compact() error {
 		acted = true
 		run := d.tables[lo:hi]
 		slotLo, slotHi := run[0].lo, run[len(run)-1].hi
-		var entries []SSEntry
+		var live colRun // the merged tables' live rows
 		var sc blockScanner
 		for _, t := range run {
 			_, err := t.scanBlocks(&sc, max(t.lo, d.resetFloor), t.hi, func(v *blockView, r, end int) (bool, error) {
-				flat, err := v.tuples(r, end)
-				if err != nil {
-					return false, err
-				}
-				keys, err := v.keys(r, end)
-				if err != nil {
-					return false, err
-				}
-				n := len(v.kinds)
-				for j := r; j < end; j++ {
-					if si := v.slot(j); !d.dead[si] {
-						row := flat[(j-r)*n:]
-						entries = append(entries, SSEntry{Si: si, Enc: keys[j-r], Tuple: row[:n:n]})
-					}
-				}
-				return true, nil
+				dead := func(j int) bool { return d.dead[v.slot(j)] }
+				err := liveStretches(r, end, dead, func(r, k int) error { return live.addBlock(v, r, k) })
+				return err == nil, err
 			})
 			if err != nil {
 				return err
 			}
 		}
 		var merged *ssTable
-		if len(entries) > 0 {
+		if live.len() > 0 {
 			name := fmt.Sprintf("r%d-g%d.sst", d.relID, d.nextGen)
 			d.nextGen++
-			t, err := writeSSTable(d.dir, name, entries, slotLo, slotHi, d.cache)
+			t, err := writeSSTable(d.dir, name, &live, slotLo, slotHi, d.cache)
 			if err != nil {
 				return err
 			}

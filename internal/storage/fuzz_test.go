@@ -91,12 +91,13 @@ func FuzzDecodeManifest(f *testing.F) {
 }
 
 // drainView runs every decoder of a parsed block over all its rows:
-// tuples and keys (Scan, get, compaction) and the batch fill, typed and
-// boxed. None may panic or read outside the payload, whatever the
-// string offsets hold.
+// tuples (Scan, get), the column-run decode (compaction) and the batch
+// fill, typed and boxed. None may panic or read outside the payload,
+// whatever the string offsets hold.
 func drainView(v *blockView) {
-	_, _ = v.tuples(0, v.rows)
-	_, _ = v.keys(0, v.rows)
+	_, _ = v.tuples(nil, 0, v.rows)
+	var run colRun
+	_ = run.addBlock(v, 0, v.rows)
 	cols := make([]int, len(v.kinds))
 	for c := range cols {
 		cols[c] = c
@@ -113,8 +114,8 @@ func drainView(v *blockView) {
 
 func FuzzOpenSSTable(f *testing.F) {
 	dir := f.TempDir()
-	seed := func(name string, entries []SSEntry, lo, hi int) []byte {
-		tbl, err := writeSSTable(dir, name, entries, lo, hi, nil)
+	seed := func(name string, run *colRun, lo, hi int) []byte {
+		tbl, err := writeSSTable(dir, name, run, lo, hi, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -125,17 +126,14 @@ func FuzzOpenSSTable(f *testing.F) {
 		}
 		return raw
 	}
-	raw := seed("seed.sst", []SSEntry{
-		{Si: 0, Enc: ikey(1), Tuple: ituple(1)},
-		{Si: 2, Enc: ikey(2), Tuple: ituple(2)},
-	}, 0, 3)
+	raw := seed("seed.sst", runOf(f, ituple, [2]int{0, 1}, [2]int{2, 2}), 0, 3)
 	f.Add(raw)
 	f.Add(raw[:len(raw)-5])
-	var mixed []SSEntry // every kind; kept small, the fuzzer minimizes what it keeps
+	var mixed [][2]int // every kind; kept small, the fuzzer minimizes what it keeps
 	for i := 0; i < 9; i++ {
-		mixed = append(mixed, SSEntry{Si: 3 + 2*i, Enc: ikey(i), Tuple: mixedTuple(i)})
+		mixed = append(mixed, [2]int{3 + 2*i, i})
 	}
-	f.Add(seed("mixed.sst", mixed, 3, 4+2*len(mixed)))
+	f.Add(seed("mixed.sst", runOf(f, mixedTuple, mixed...), 3, 4+2*len(mixed)))
 	// The previous format: same trailer, per-record frames after the magic.
 	f.Add(append([]byte("PRSST001"), raw[len(sstMagic):]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -155,10 +153,10 @@ func FuzzOpenSSTable(f *testing.F) {
 			return true, nil
 		})
 		_, _ = tb.scanBlocks(&sc, tb.lo+1, tb.hi-1, func(*blockView, int, int) (bool, error) { return true, nil })
-		_, _, _ = tb.get(tb.lo)
+		_, _, _ = tb.get(tb.lo, nil)
 		for _, ref := range tb.blocks {
-			_, _, _ = tb.get(ref.first)
-			_, _, _ = tb.get(ref.first + 1)
+			_, _, _ = tb.get(ref.first, nil)
+			_, _, _ = tb.get(ref.first+1, nil)
 		}
 		_, _, _ = tb.lookupKey(ikey(1))
 	})
@@ -169,15 +167,13 @@ func FuzzOpenSSTable(f *testing.F) {
 // bit-flipped block must be refused (or decode to something harmless),
 // never panic or over-read.
 func FuzzDecodeBlock(f *testing.F) {
-	var entries []SSEntry
+	var rows [][2]int
 	for i := 0; i < 5; i++ {
-		entries = append(entries, SSEntry{Si: 10 + 3*i, Enc: ikey(i), Tuple: mixedTuple(i)})
+		rows = append(rows, [2]int{10 + 3*i, i})
 	}
-	kinds, enums, err := columnsOf(entries[0].Tuple)
-	if err != nil {
-		f.Fatal(err)
-	}
-	frame, err := appendBlock(nil, entries, kinds, enums)
+	run := runOf(f, mixedTuple, rows...)
+	kinds, enums := run.kinds, run.enums
+	frame, err := appendBlock(nil, run, []int{0, 1, 2, 3, 4})
 	if err != nil {
 		f.Fatal(err)
 	}

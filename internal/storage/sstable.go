@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -35,9 +36,8 @@ import (
 //	[8]  magic "PRSSTEND"
 //
 // The storage layer sees no schema, so the column kinds (and the
-// enumeration type name of enum columns) are those of the first record;
-// the relation layer checks every tuple against one schema, and the
-// writer refuses a record that disagrees.
+// enumeration type name of enum columns) are those of the column run
+// the table is written from, which refuses a row that disagrees.
 //
 // Blocks are in ascending slot order, so the merging read path presents
 // the engine's slot-ordered scan by walking tables in range order and
@@ -63,13 +63,6 @@ const (
 	// (key, offset) pair per this many index entries.
 	sstSparseEvery = 16
 )
-
-// SSEntry is one live slot handed to the SSTable writer.
-type SSEntry struct {
-	Si    int
-	Enc   string
-	Tuple []value.Value
-}
 
 type spKey struct {
 	key string
@@ -124,66 +117,61 @@ type ssTable struct {
 var nextFileID atomic.Uint64
 
 // writeSSTable builds and atomically writes an SSTable (tmp + rename)
-// and returns the opened handle, fronted by cache (nil ok). Entries
-// must be in ascending slot order; span is the exclusive slot range
-// [lo, hi) the table covers (it may exceed the entries' own range when
-// dead slots were dropped).
-func writeSSTable(dir, name string, entries []SSEntry, lo, hi int, cache *BlockCache) (*ssTable, error) {
-	var kinds []value.Kind
-	var enums []string
-	if len(entries) > 0 {
-		var err error
-		if kinds, enums, err = columnsOf(entries[0].Tuple); err != nil {
-			return nil, fmt.Errorf("storage: sstable %s: %w", name, err)
+// of run's live rows and returns the opened handle, fronted by cache
+// (nil ok). The rows must be in ascending slot order; span is the
+// exclusive slot range [lo, hi) the table covers (it may exceed the
+// rows' own range when dead slots were dropped).
+func writeSSTable(dir, name string, run *colRun, lo, hi int, cache *BlockCache) (*ssTable, error) {
+	var rows []int
+	for i, live := range run.live {
+		if live {
+			rows = append(rows, i)
 		}
 	}
 	buf := make([]byte, 0, 64<<10)
 	buf = append(buf, sstMagic...)
 
-	// Data section: one block per run of entries.
+	// Data section: one block per run of rows.
 	var blocks []blockRef
 	prev := lo - 1
-	for start := 0; start < len(entries); {
-		end := blockCut(entries, start)
-		for _, e := range entries[start:end] {
-			if e.Si <= prev || e.Si >= hi || e.Si > maxSlot {
-				return nil, fmt.Errorf("storage: sstable %s: slot %d out of order or outside [%d, %d)", name, e.Si, lo, hi)
+	for start := 0; start < len(rows); {
+		end := blockCut(run, rows, start)
+		for _, i := range rows[start:end] {
+			if si := run.slots[i]; si <= prev || si >= hi || si > maxSlot {
+				return nil, fmt.Errorf("storage: sstable %s: slot %d out of order or outside [%d, %d)", name, si, lo, hi)
 			}
-			prev = e.Si
+			prev = run.slots[i]
 		}
 		off := len(buf)
 		var err error
-		if buf, err = appendBlock(buf, entries[start:end], kinds, enums); err != nil {
+		if buf, err = appendBlock(buf, run, rows[start:end]); err != nil {
 			return nil, fmt.Errorf("storage: sstable %s: %w", name, err)
 		}
-		blocks = append(blocks, blockRef{first: entries[start].Si, off: int64(off), length: len(buf) - off, rows: end - start})
+		blocks = append(blocks, blockRef{first: run.slots[rows[start]], off: int64(off), length: len(buf) - off, rows: end - start})
 		start = end
 	}
 	indexOff := int64(len(buf))
 
 	// Index section: (key, si) sorted by encoded key.
-	byKey := make([]int, len(entries))
-	for i := range byKey {
-		byKey[i] = i
-	}
-	sort.Slice(byKey, func(a, b int) bool { return entries[byKey[a]].Enc < entries[byKey[b]].Enc })
-	filter := newBloom(len(entries))
+	byKey := slices.Clone(rows)
+	sort.Slice(byKey, func(a, b int) bool { return run.keys[byKey[a]] < run.keys[byKey[b]] })
+	filter := newBloom(len(rows))
 	var spKeys []spKey
 	maxKeySeg := 0
 	segStart := len(buf)
-	for i, ei := range byKey {
-		e := entries[ei]
-		filter.add(e.Enc)
-		if i%sstSparseEvery == 0 {
-			if i > 0 && len(buf)-segStart > maxKeySeg {
+	for n, i := range byKey {
+		enc := run.keys[i]
+		filter.add(enc)
+		if n%sstSparseEvery == 0 {
+			if n > 0 && len(buf)-segStart > maxKeySeg {
 				maxKeySeg = len(buf) - segStart
 			}
-			spKeys = append(spKeys, spKey{key: e.Enc, off: int64(len(buf))})
+			spKeys = append(spKeys, spKey{key: enc, off: int64(len(buf))})
 			segStart = len(buf)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(e.Enc)))
-		buf = append(buf, e.Enc...)
-		buf = binary.AppendUvarint(buf, uint64(e.Si))
+		buf = binary.AppendUvarint(buf, uint64(len(enc)))
+		buf = append(buf, enc...)
+		buf = binary.AppendUvarint(buf, uint64(run.slots[i]))
 	}
 	if len(buf)-segStart > maxKeySeg {
 		maxKeySeg = len(buf) - segStart
@@ -191,7 +179,7 @@ func writeSSTable(dir, name string, entries []SSEntry, lo, hi int, cache *BlockC
 
 	// Footer.
 	fw := protocol.NewWriter()
-	fw.Uvarint(uint64(len(entries)))
+	fw.Uvarint(uint64(len(rows)))
 	fw.Uvarint(uint64(lo))
 	fw.Uvarint(uint64(hi))
 	fw.Uvarint(uint64(indexOff))
@@ -202,10 +190,10 @@ func writeSSTable(dir, name string, entries []SSEntry, lo, hi int, cache *BlockC
 		binary.LittleEndian.PutUint64(words[8*i:], wd)
 	}
 	fw.String(string(words))
-	fw.Uvarint(uint64(len(kinds)))
-	for c, k := range kinds {
+	fw.Uvarint(uint64(len(run.kinds)))
+	for c, k := range run.kinds {
 		fw.Uvarint(uint64(k))
-		fw.String(enums[c])
+		fw.String(run.enums[c])
 	}
 	fw.Uvarint(uint64(len(blocks)))
 	for _, b := range blocks {
@@ -509,9 +497,10 @@ func (t *ssTable) parseFooter(payload []byte) error {
 	return nil
 }
 
-// get fetches the record at slot si via the block directory; ok is
-// false when the slot is not present (dead at flush time).
-func (t *ssTable) get(si int) (_ []value.Value, ok bool, err error) {
+// get decodes the record at slot si, found via the block directory,
+// into dst (grown as needed); ok is false when the slot is not present
+// (dead at flush time).
+func (t *ssTable) get(si int, dst []value.Value) (_ []value.Value, ok bool, err error) {
 	if si < t.lo || si >= t.hi || len(t.blocks) == 0 || si < t.blocks[0].first {
 		return nil, false, nil
 	}
@@ -525,7 +514,7 @@ func (t *ssTable) get(si int) (_ []value.Value, ok bool, err error) {
 	if j == v.rows || v.slot(j) != si {
 		return nil, false, nil
 	}
-	tuple, err := v.tuples(j, j+1)
+	tuple, err := v.tuples(dst, j, j+1)
 	if err != nil {
 		return nil, false, fmt.Errorf("storage: sstable %s: slot %d: %w", t.name, si, err)
 	}

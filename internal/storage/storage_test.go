@@ -601,9 +601,9 @@ func TestSplitRecordChunks(t *testing.T) {
 // Append must leave the store exactly as before the append — the
 // caller published nothing (no live count, no index entries), so a
 // half-registered entry would answer key probes while being invisible
-// to scans. The columnar mirror is memtable state too: it must be back
-// in step with the rows, so that batch fills of the rows that stay
-// agree with Scan.
+// to scans. Every column of the memtable's run must be back in step
+// with its rows, so that batch fills of the rows that stay agree with
+// Scan.
 func TestDiskAppendFlushFailureRollsBack(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "missing")
 	d := NewDisk(dir, 0, Options{MemtableEntries: 3, Fsync: SyncNever}, nil)
@@ -626,9 +626,9 @@ func TestDiskAppendFlushFailureRollsBack(t *testing.T) {
 	if got := snapshot(t, d); got != before {
 		t.Fatalf("rolled-back entry visible to scans:\n%s", got)
 	}
-	for c, col := range d.ordCols {
-		if d.ordOK[c] && len(col) != len(d.mem) {
-			t.Fatalf("mirror column %d holds %d values for %d memtable rows", c, len(col), len(d.mem))
+	for c := range d.mem.kinds {
+		if got := len(d.mem.ords[c]) + len(d.mem.strs[c]); got != d.mem.len() {
+			t.Fatalf("memtable column %d holds %d values for %d rows", c, got, d.mem.len())
 		}
 	}
 	kinds, enums, err := columnsOf(mixedTuple(0))
@@ -684,8 +684,8 @@ func TestScanBatchesRefusesStringAsOrdinals(t *testing.T) {
 // slot in its memtable. Three default memtable budgets of appends (and
 // an explicit Flush) leave no table and no file in the working
 // directory, accesses are priced at the unit profile, and the batch
-// fill from the columnar mirror — which holds exactly the int-backed
-// columns — agrees with Scan.
+// fill from the memtable's run — which holds exactly the int-backed
+// columns as ordinals — agrees with Scan.
 func TestMemoryStoreWritesNoFiles(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -723,11 +723,54 @@ func TestMemoryStoreWritesNoFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c, k := range kinds {
-		if mirrored := c < len(m.ordOK) && m.ordOK[c]; mirrored != value.OrdKind(k) {
-			t.Fatalf("column %d (%s): mirrored = %v", c, k, mirrored)
+		if ords := m.mem.ords[c] != nil; ords != value.OrdKind(k) {
+			t.Fatalf("column %d (%s): held as ordinals = %v", c, k, ords)
 		}
 	}
 	if got, want := dumpTypedBatches(t, m, 0, m.SlotSpan(), kinds, enums), dumpScan(t, m, 0, m.SlotSpan()); got != want {
 		t.Fatal("typed batch fill diverged from Scan")
+	}
+}
+
+// TestMemtableReleasesDeadStrings: a store with no directory never
+// flushes, so its memtable must not keep a dead row's strings alive.
+// After Delete, and after Reset, the dead rows' string cells and keys
+// read "", while the live rows keep theirs.
+func TestMemtableReleasesDeadStrings(t *testing.T) {
+	m := NewMemory()
+	for i := 0; i < 10; i++ {
+		if _, err := m.Append(ikey(i), mixedTuple(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cells := func(i int) []string {
+		out := []string{m.mem.keys[i]}
+		for c, k := range m.mem.kinds {
+			if k == value.KindString {
+				out = append(out, m.mem.strs[c][i])
+			}
+		}
+		return out
+	}
+	released := func(stage string, i int) {
+		t.Helper()
+		for _, s := range cells(i) {
+			if s != "" {
+				t.Fatalf("%s: dead row %d still holds %q", stage, i, s)
+			}
+		}
+	}
+	if err := m.Delete(3, ikey(3)); err != nil {
+		t.Fatal(err)
+	}
+	released("delete", 3)
+	if got, want := cells(4), []string{ikey(4), mixedTuple(4)[4].AsString(), mixedTuple(4)[6].AsString()}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("live row 4 holds %q, want %q", got, want)
+	}
+	if err := m.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		released("reset", i)
 	}
 }
