@@ -31,10 +31,10 @@ type Cursor struct {
 	db        *relation.DB
 	sch       *schema.RelSchema
 	rows      [][]value.Value // combination-phase reference tuples
-	vars      []int           // combination column of each projected variable, once each
-	elems     [][]value.Value // dereferenced element of each projected variable, reused per row
-	varOf     []int           // projection: projected variable per output component
+	cols      []int           // projection: combination column per output component
 	fieldCols []int           // projection: relation component per output component
+	vars      []int           // combination columns the projection reads, once each
+	elems     [][]value.Value // dereferenced element per combination column, reused per row
 	i         int             // next reference tuple to construct
 	buf       []value.Value   // scratch projection buffer, reused per row
 	set       rowSet          // distinct constructed rows, in yield order
@@ -67,16 +67,15 @@ func newCursor(ctx context.Context, db *relation.DB, sel *calculus.Selection, sc
 	for i, v := range refs.Vars() {
 		varIdx[v] = i
 	}
-	c.varOf = make([]int, len(sel.Proj))
+	c.cols = make([]int, len(sel.Proj))
 	c.fieldCols = make([]int, len(sel.Proj))
 	for i, pr := range sel.Proj {
 		vi, ok := varIdx[pr.Var]
 		if !ok {
 			return nil, fmt.Errorf("engine: projected variable %s missing from combination result", pr.Var)
 		}
-		c.varOf[i] = slices.Index(c.vars, vi)
-		if c.varOf[i] < 0 {
-			c.varOf[i] = len(c.vars)
+		c.cols[i] = vi
+		if !slices.Contains(c.vars, vi) {
 			c.vars = append(c.vars, vi)
 		}
 		rel, ok := db.Relation(rangeRelOf(sel, pr.Var))
@@ -155,8 +154,8 @@ func (c *Cursor) fail(err error) bool {
 // reported once the rows built before it are yielded.
 func (c *Cursor) construct() {
 	if c.buf == nil {
-		c.buf = make([]value.Value, len(c.varOf))
-		c.elems = make([][]value.Value, len(c.vars))
+		c.buf = make([]value.Value, len(c.cols))
+		c.elems = make([][]value.Value, len(c.rows[0]))
 		c.src = make([]int32, 0, min(constructChunk, len(c.rows)))
 	}
 	c.base = c.set.n
@@ -172,16 +171,16 @@ func (c *Cursor) construct() {
 			}
 		}
 		row := c.rows[c.i]
-		for v, col := range c.vars {
-			elem, err := c.db.DerefInto(row[col], c.elems[v])
+		for _, col := range c.vars {
+			elem, err := c.db.DerefInto(row[col], c.elems[col])
 			if err != nil {
 				c.pending = err
 				return
 			}
-			c.elems[v] = elem
+			c.elems[col] = elem
 		}
-		for j, v := range c.varOf {
-			c.buf[j] = c.elems[v][c.fieldCols[j]]
+		for j, col := range c.cols {
+			c.buf[j] = c.elems[col][c.fieldCols[j]]
 		}
 		if c.set.add(c.buf, len(c.rows)-c.i) {
 			c.src = append(c.src, int32(c.i))

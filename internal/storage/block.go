@@ -137,15 +137,14 @@ func appendStrings(dst []byte, strs []string, rows []int) []byte {
 // blockView is a parsed block: the payload plus where its regions lie.
 // It aliases the payload and decodes on demand, so parsing costs
 // O(columns) whatever the row count. The zero view is ready for parse,
-// and reusing one across blocks reuses its offset table and scratch.
+// and reusing one across blocks reuses its offset table.
 type blockView struct {
 	payload []byte
 	rows    int
 	kinds   []value.Kind // the table's, shared
 	enums   []string
-	slots   []byte   // rows × u32
-	colOff  []int    // payload offset of each column's region; the key column's last
-	scratch []string // vals' decoded strings
+	slots   []byte // rows × u32
+	colOff  []int  // payload offset of each column's region; the key column's last
 }
 
 // parse points v at payload, checking the header against the table's
@@ -274,12 +273,15 @@ func (v *blockView) fill(b *colbatch.Batch, cols []int, r, k int) error {
 func (v *blockView) vals(c int, dst []value.Value, stride, r, k int) error {
 	kind := v.kinds[c]
 	if kind == value.KindString {
-		var err error
-		if v.scratch, err = v.strs(v.colOff[c], r, k, v.scratch[:0]); err != nil {
+		all, offs, base, err := v.strSpan(v.colOff[c], r, k)
+		if err != nil {
 			return err
 		}
-		for j, s := range v.scratch {
-			dst[j*stride] = value.String_(s)
+		prev := 0
+		for j := 0; j < k; j++ {
+			next := int(binary.LittleEndian.Uint32(offs[4*(j+1):])) - base
+			dst[j*stride] = value.String_(all[prev:next])
+			prev = next
 		}
 		return nil
 	}
@@ -309,25 +311,42 @@ func (v *blockView) tuples(dst []value.Value, r, end int) ([]value.Value, error)
 	return dst, nil
 }
 
-// strs appends the k strings from row r on of the string-laid-out
-// region at payload offset off (a string column or the key column) to
-// dst. It checks the rows' offsets and copies their bytes once, as one
-// string the appended ones share.
-func (v *blockView) strs(off, r, k int, dst []string) ([]string, error) {
-	at := func(j int) int { return int(binary.LittleEndian.Uint32(v.payload[off+4*(r+j):])) }
+// strSpan checks the offsets of the k rows from r on in the
+// string-laid-out region at payload offset off (a string column or the
+// key column) and copies the rows' bytes once, as one string the values
+// share: row r+j is all[at(j)-base : at(j+1)-base], at(j) being the j-th
+// u32 of offs.
+func (v *blockView) strSpan(off, r, k int) (all string, offs []byte, base int, err error) {
+	offs = v.payload[off+4*r : off+4*(r+k+1)]
 	data := v.payload[off+4*(v.rows+1):]
 	data = data[:binary.LittleEndian.Uint32(v.payload[off+4*v.rows:])] // parse checked that the region holds them
+	base = int(binary.LittleEndian.Uint32(offs))
+	prev := base
 	for j := 1; j <= k; j++ {
-		if at(j) < at(j-1) {
-			return nil, fmt.Errorf("string offsets out of order at row %d", r+j-1)
+		next := int(binary.LittleEndian.Uint32(offs[4*j:]))
+		if next < prev {
+			return "", nil, 0, fmt.Errorf("string offsets out of order at row %d", r+j-1)
 		}
+		prev = next
 	}
-	if at(k) > len(data) {
-		return nil, fmt.Errorf("string offsets %d..%d outside %d bytes", at(0), at(k), len(data))
+	if prev > len(data) {
+		return "", nil, 0, fmt.Errorf("string offsets %d..%d outside %d bytes", base, prev, len(data))
 	}
-	all := string(data[at(0):at(k)])
+	return string(data[base:prev]), offs, base, nil
+}
+
+// strs appends the k strings from row r on of the string-laid-out
+// region at payload offset off to dst.
+func (v *blockView) strs(off, r, k int, dst []string) ([]string, error) {
+	all, offs, base, err := v.strSpan(off, r, k)
+	if err != nil {
+		return nil, err
+	}
+	prev := 0
 	for j := 0; j < k; j++ {
-		dst = append(dst, all[at(j)-at(0):at(j+1)-at(0)])
+		next := int(binary.LittleEndian.Uint32(offs[4*(j+1):])) - base
+		dst = append(dst, all[prev:next])
+		prev = next
 	}
 	return dst, nil
 }

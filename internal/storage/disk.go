@@ -259,8 +259,14 @@ func (d *Disk) clampScan(lo, hi int) (int, int) {
 // batch. flush counts, consumes and resets the batch; its error aborts
 // the scan and is returned. Int-backed columns of a configured batch are
 // filled as raw ordinals. Bounds are clamped to the slot span.
-// Table-resident rows fill from their blocks (fillTables), memtable
-// rows from its column run (fillMem).
+//
+// Rows fill in stretches of live rows (fillLive), one loop per
+// requested column over each. Table-resident rows come from their
+// blocks: each is read into one reused buffer and checksummed once, and
+// only the requested columns are decoded. Memtable rows are copied
+// straight from the column run. Liveness is looked up only while there
+// are tombstones, or dead memtable rows (the key map holds exactly the
+// live ones).
 func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
 	lo, hi = d.clampScan(lo, hi)
 	if cols == nil {
@@ -270,49 +276,31 @@ func (d *Disk) ScanBatchesInto(lo, hi int, cols []int, b *colbatch.Batch, flush 
 		}
 	}
 	if lo < d.memBase {
-		if err := d.fillTables(lo, hi, cols, b, flush); err != nil {
+		_, err := d.walkBlocks(lo, hi, func(v *blockView, r, end int) (bool, error) {
+			var dead func(j int) bool
+			if len(d.dead) > 0 {
+				dead = func(j int) bool { return d.dead[v.slot(j)] }
+			}
+			err := fillLive(b, r, end, dead, func(r, k int) error { return v.fill(b, cols, r, k) }, flush)
+			return err == nil, err
+		})
+		if err != nil {
 			return err
 		}
 	}
-	if err := d.fillMem(max(lo, d.memBase), hi, cols, b, flush); err != nil {
-		return err
-	}
-	if b.Len() > 0 {
-		return flush()
-	}
-	return nil
-}
-
-// fillTables fills b from the table-resident rows of [lo, hi): the
-// directory gives the blocks, each is read into one reused buffer and
-// checksummed once, and only the requested columns are decoded, one
-// loop per column over a stretch of rows (a whole block, unless a range
-// bound, a tombstone or the batch's capacity cuts it). Tombstones are
-// looked up only while the relation has any.
-func (d *Disk) fillTables(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
-	_, err := d.walkBlocks(lo, hi, func(v *blockView, r, end int) (bool, error) {
-		var dead func(j int) bool
-		if len(d.dead) > 0 {
-			dead = func(j int) bool { return d.dead[v.slot(j)] }
-		}
-		err := fillLive(b, r, end, dead, func(r, k int) error { return v.fill(b, cols, r, k) }, flush)
-		return err == nil, err
-	})
-	return err
-}
-
-// fillMem fills b from the memtable rows of [lo, hi), copying each
-// stretch of live rows column by column straight from the run. Liveness
-// is looked up only while the memtable has dead rows (the key map holds
-// exactly the live ones).
-func (d *Disk) fillMem(lo, hi int, cols []int, b *colbatch.Batch, flush func() error) error {
 	m := &d.mem
 	var dead func(i int) bool
 	if len(d.memByKey) < m.len() {
 		dead = func(i int) bool { return !m.live[i] }
 	}
 	fill := func(r, k int) error { return m.fill(b, cols, r, k) }
-	return fillLive(b, lo-d.memBase, hi-d.memBase, dead, fill, flush)
+	if err := fillLive(b, max(lo, d.memBase)-d.memBase, hi-d.memBase, dead, fill, flush); err != nil {
+		return err
+	}
+	if b.Len() > 0 {
+		return flush()
+	}
+	return nil
 }
 
 // ProbeKey returns the live slot holding the tuple whose encoded

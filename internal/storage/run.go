@@ -71,30 +71,26 @@ func (m *colRun) add(si int, enc string, tuple []value.Value) error {
 	return nil
 }
 
-// addBlock appends rows [r, r+k) of a parsed block, all live.
+// addBlock appends rows [r, r+k) of a parsed block, all live. A run
+// that fails to decode a block is left torn: the caller drops it.
 func (m *colRun) addBlock(v *blockView, r, k int) error {
 	m.shape(v.kinds, v.enums)
 	if !slices.Equal(v.kinds, m.kinds) || !slices.Equal(v.enums, m.enums) {
 		return fmt.Errorf("block columns %v %q, the run's %v %q", v.kinds, v.enums, m.kinds, m.enums)
 	}
+	var err error
 	for c, kind := range m.kinds {
 		if kind != value.KindString {
 			n := len(m.ords[c])
 			m.ords[c] = append(m.ords[c], make([]int64, k)...)
 			v.ords(c, m.ords[c][n:], r)
-			continue
-		}
-		strs, err := v.strs(v.colOff[c], r, k, m.strs[c])
-		if err != nil {
+		} else if m.strs[c], err = v.strs(v.colOff[c], r, k, m.strs[c]); err != nil {
 			return err
 		}
-		m.strs[c] = strs
 	}
-	keys, err := v.strs(v.colOff[len(v.kinds)], r, k, m.keys)
-	if err != nil {
+	if m.keys, err = v.strs(v.colOff[len(v.kinds)], r, k, m.keys); err != nil {
 		return err
 	}
-	m.keys = keys
 	for j := r; j < r+k; j++ {
 		m.slots = append(m.slots, v.slot(j))
 		m.live = append(m.live, true)
