@@ -131,7 +131,7 @@ func writeSSTable(dir, name string, run *colRun, lo, hi int, cache *BlockCache) 
 	buf := make([]byte, 0, 64<<10)
 	buf = append(buf, sstMagic...)
 
-	// Data section: one block per run of rows.
+	// Data section: one block per stretch of rows.
 	var blocks []blockRef
 	prev := lo - 1
 	for start := 0; start < len(rows); {

@@ -1,9 +1,9 @@
 // Package storage is the durable storage subsystem behind the relation
 // layer: the slot store of a relation (Disk, see its contract), a
 // CRC-checksummed write-ahead log with configurable fsync policy, and
-// the LSM-ish tier under the store (a slot-ordered in-memory memtable
-// flushing to immutable SSTable files of columnar blocks, with bloom
-// filters and sparse key indexes).
+// the LSM-ish tier under the store (a slot-ordered in-memory column
+// memtable flushing to immutable SSTable files of columnar blocks, with
+// bloom filters and sparse key indexes).
 //
 // # Durability
 //
