@@ -341,7 +341,9 @@ func runE5(w io.Writer, scales []int) error {
 		scanTime := time.Since(start)
 		// Stale reference detection.
 		ref, _ := employees.Lookup([]value.Value{value.Int(1)})
-		employees.Delete([]value.Value{value.Int(1)})
+		if _, err := employees.Delete([]value.Value{value.Int(1)}); err != nil {
+			return err
+		}
 		_, err = employees.Deref(ref)
 		stale := err != nil
 		t.add(n, found, lookupTime.Round(time.Microsecond), scanTime.Round(time.Microsecond), stale)

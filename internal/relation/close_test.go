@@ -49,7 +49,7 @@ func TestCloseQuiescesDriftRebuilds(t *testing.T) {
 	if _, err := rel.Insert([]value.Value{value.Int(999999), value.Int(1)}); err != nil {
 		t.Fatalf("insert after Close: %v", err)
 	}
-	if !rel.Delete([]value.Value{value.Int(999999)}) {
+	if ok, err := rel.Delete([]value.Value{value.Int(999999)}); err != nil || !ok {
 		t.Fatal("delete after Close failed")
 	}
 	// Close is idempotent.

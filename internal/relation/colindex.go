@@ -68,9 +68,8 @@ func (r *Relation) CreateIndex(col string) (*ColIndex, error) {
 }
 
 // createIndexLocked is CreateIndex's core — declaration plus backfill —
-// without locking or logging; parallel replay calls it directly from a
-// relation's replay queue, where CreateIndex's position among the
-// relation's mutations determines what the backfill sees.
+// without locking or logging, for callers holding the content write
+// lock (CreateIndex itself).
 func (r *Relation) createIndexLocked(col string) (*ColIndex, error) {
 	ci, ok := r.sch.ColIndex(col)
 	if !ok {

@@ -37,8 +37,13 @@ import (
 //     acquiring mu), so lookups are safe both under the phase lock and
 //     on their own.
 //
-// Version and each relation's length are atomics, readable without any
-// lock — compiled plans compare versions to validate snapshots.
+// Mutators update the counters below under the content write lock, but
+// each has a reader that takes no lock, so they are atomics: Version
+// (compiled plans and cursors compare it to validate snapshots), the
+// statistics epoch (Estimator's cache check), and each relation's live
+// count (Relation.Len, also called under the engine's phase lock, where
+// the locking accessors would deadlock) and mutation counter
+// (Relation.MutCount).
 type DB struct {
 	mu sync.RWMutex // content lock, shared with all relations
 

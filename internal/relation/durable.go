@@ -9,8 +9,8 @@
 // apply and append simply loses the not-yet-durable tail, and any
 // SSTable a memtable flush wrote for unlogged appends is an orphan the
 // next open removes before replay deterministically recreates it.
-// Delete is the one exception — it logs before applying, because its
-// boolean signature could not surface a WAL failure afterwards (see
+// Delete is the one exception — it logs before applying, so a refused
+// delete (a failed append or fsync) leaves nothing applied (see
 // Relation.Delete). Assignments whose record would exceed the WAL's
 // frame bound are logged as a chunk group that replay applies only
 // when complete. A WAL append failure is sticky: the database fails
@@ -22,9 +22,10 @@
 // OpenDB loads the checkpoint manifest (schemas, SSTable metadata,
 // permanent-index columns, serialized statistics), removes orphaned
 // table files, and replays the WAL records with Seq beyond the
-// manifest's LastSeq through the ordinary mutators — with logging and
-// background maintenance suppressed — so indexes, statistics, and
-// memtable flush points all land exactly where the live run put them.
+// manifest's LastSeq in log order through the ordinary mutators — with
+// logging and background maintenance suppressed — so indexes,
+// statistics, and memtable flush points all land exactly where the live
+// run put them.
 // The recovered state is bit-for-bit the last durable state: a record
 // is either wholly applied or (torn tail, CRC mismatch) wholly
 // dropped, never half-applied.
@@ -38,7 +39,6 @@
 package relation
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -46,7 +46,6 @@ import (
 	"sync"
 	"time"
 
-	"pascalr/internal/sched"
 	"pascalr/internal/stats"
 	"pascalr/internal/storage"
 	"pascalr/internal/value"
@@ -143,13 +142,10 @@ func OpenDB(dir string, opts storage.Options) (*DB, error) {
 		// still physically present in the log.
 		d.dur.seq = maxSeq
 	}
-	if opts.ReplayWorkers > 1 {
-		err = d.replayParallel(recs, opts.ReplayWorkers)
-	} else {
-		err = d.replaySerial(recs)
-	}
-	if err != nil {
-		return nil, d.openFailed(err)
+	for _, rec := range recs {
+		if err := d.applyRecord(rec); err != nil {
+			return nil, d.openFailed(fmt.Errorf("relation: WAL replay seq %d: %w", rec.Seq, err))
+		}
 	}
 	// After replay, so the rebuilt statistics count the replayed rows.
 	for _, id := range staleStats {
@@ -208,71 +204,6 @@ func assembleReplay(payloads [][]byte, lastSeq uint64) (recs []storage.Record, m
 	// the assignment never becomes durable, though maxSeq still covers
 	// its chunks' sequence numbers.
 	return recs, maxSeq, nil
-}
-
-// replaySerial applies the assembled records in log order through the
-// ordinary mutators.
-func (d *DB) replaySerial(recs []storage.Record) error {
-	for _, rec := range recs {
-		if err := d.applyRecord(rec); err != nil {
-			return fmt.Errorf("relation: WAL replay seq %d: %w", rec.Seq, err)
-		}
-	}
-	return nil
-}
-
-// replayParallel partitions the assembled records by relation and
-// applies the partitions concurrently, one worker per relation at a
-// time, on a bounded sched pool.
-//
-// Correctness rests on two orders being preserved. DDL that shapes the
-// catalog (DefineType, CreateRel) applies serially first, in log order
-// — relation IDs are assigned by creation order, and every mutation of
-// a relation follows its creation in the log, so hoisting creation
-// cannot reorder anything observable. Everything else — mutations AND
-// CreateIndex, whose backfill-then-maintain semantics depend on its
-// position among the relation's mutations — keeps its log order within
-// its relation's queue. Queues touch disjoint state: each replay job
-// owns its relation outright (backend, indexes, statistics), and the
-// cross-relation state the lock-free cores touch (live counts, version,
-// statistics epoch) is atomic. Background maintenance is suppressed by
-// the replaying flag exactly as in serial replay. The result is
-// fingerprint-identical to serial replay: per-relation application
-// order is equal, and no replayed effect depends on cross-relation
-// interleaving.
-func (d *DB) replayParallel(recs []storage.Record, workers int) error {
-	byRel := make(map[int][]storage.Record)
-	var order []int
-	for _, rec := range recs {
-		switch rec.Op {
-		case storage.OpDefineType, storage.OpCreateRel:
-			if err := d.applyRecord(rec); err != nil {
-				return fmt.Errorf("relation: WAL replay seq %d: %w", rec.Seq, err)
-			}
-		default:
-			if _, ok := byRel[rec.Rel]; !ok {
-				order = append(order, rec.Rel)
-			}
-			byRel[rec.Rel] = append(byRel[rec.Rel], rec)
-		}
-	}
-	jobs := make([]sched.Job, 0, len(order))
-	for _, relID := range order {
-		r, ok := d.ByID(relID)
-		if !ok {
-			return fmt.Errorf("relation: WAL replay: unknown relation id %d", relID)
-		}
-		queue := byRel[relID]
-		jobs = append(jobs, func(context.Context) error {
-			for _, rec := range queue {
-				if err := r.applyReplay(rec); err != nil {
-					return fmt.Errorf("relation: WAL replay seq %d: %w", rec.Seq, err)
-				}
-			}
-			return nil
-		})
-	}
-	return sched.Run(context.Background(), workers, jobs)
 }
 
 // openFailed releases whatever OpenDB had opened before failing.
@@ -359,7 +290,11 @@ func (d *DB) applyRecord(rec storage.Record) error {
 		if !ok {
 			return fmt.Errorf("unknown relation id %d", rec.Rel)
 		}
-		if !r.Delete(rec.Key) {
+		ok, err := r.Delete(rec.Key)
+		if err != nil {
+			return fmt.Errorf("delete: %w", err)
+		}
+		if !ok {
 			return fmt.Errorf("logged delete of absent key in %s", r.sch.Name)
 		}
 		return nil
@@ -463,8 +398,8 @@ func (d *DB) maybeMaintain(r *Relation) {
 // index columns, and serialized statistics — then truncates the WAL
 // and unlinks superseded table files. Recovery after a checkpoint
 // replays only the records logged since. A no-op on in-memory
-// databases. It also surfaces any sticky durability error recorded by
-// mutators without an error channel.
+// databases. It refuses with the database's sticky durability error
+// once one is recorded.
 func (d *DB) Checkpoint() error {
 	if d.dur == nil {
 		return nil

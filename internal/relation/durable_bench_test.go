@@ -52,7 +52,7 @@ func benchReplay(b *testing.B) {
 		}
 	}
 	for i := 1; i <= deletes; i++ {
-		if !r.Delete([]value.Value{value.Int(int64(i * 7 % inserts))}) {
+		if ok, err := r.Delete([]value.Value{value.Int(int64(i * 7 % inserts))}); err != nil || !ok {
 			b.Fatalf("delete %d ineffective", i)
 		}
 	}

@@ -112,7 +112,7 @@ func tortureWorkload(t *testing.T, d *DB) []string {
 	_, err = r.CreateIndex("estatus")
 	step("create index", err)
 	for _, k := range []int64{3, 7} {
-		if !r.Delete([]value.Value{value.Int(k)}) {
+		if ok, err := r.Delete([]value.Value{value.Int(k)}); err != nil || !ok {
 			t.Fatalf("delete %d ineffective", k)
 		}
 		step("delete", nil)
@@ -130,7 +130,7 @@ func tortureWorkload(t *testing.T, d *DB) []string {
 		_, err := r.Insert(emp(i, fmt.Sprintf("S%d", i), int(i%4)))
 		step("insert", err)
 	}
-	if !r.Delete([]value.Value{value.Int(4)}) {
+	if ok, err := r.Delete([]value.Value{value.Int(4)}); err != nil || !ok {
 		t.Fatal("final delete ineffective")
 	}
 	step("delete", nil)
@@ -405,7 +405,7 @@ func TestDurableMaintenance(t *testing.T) {
 		}
 	}
 	for i := int64(1); i <= 90; i++ {
-		if !r.Delete([]value.Value{value.Int(i)}) {
+		if ok, err := r.Delete([]value.Value{value.Int(i)}); err != nil || !ok {
 			t.Fatalf("delete %d ineffective", i)
 		}
 	}
@@ -583,8 +583,12 @@ func TestWALFailureFailsStop(t *testing.T) {
 	if err := d.dur.wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if r.Delete([]value.Value{value.Int(1)}) {
+	ok, err := r.Delete([]value.Value{value.Int(1)})
+	if ok {
 		t.Fatal("unloggable delete acknowledged")
+	}
+	if sticky := d.dur.sticky(); err == nil || err != sticky {
+		t.Fatalf("refused delete returned %v, want the WAL error %v", err, sticky)
 	}
 	if _, ok := r.Get([]value.Value{value.Int(1)}); !ok {
 		t.Fatal("refused delete removed the element anyway")
@@ -655,6 +659,45 @@ func TestInsertProbeErrorAppendsNothing(t *testing.T) {
 	}
 	if r.SlotSpan() != span || r.Len() != n {
 		t.Fatalf("failed insert changed the relation: span %d -> %d, len %d -> %d", span, r.SlotSpan(), n, r.Len())
+	}
+}
+
+// TestDeleteProbeErrorRemovesNothing: when the key probe cannot read
+// the SSTable holding a key, Delete of that key must return the error
+// and remove nothing — answering "absent" would report a failed read as
+// a no-op (and, in replay, as a logged delete of an absent key). The
+// block cache is off so the probe reads the file itself.
+func TestDeleteProbeErrorRemovesNothing(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDB(dir, storage.Options{Fsync: storage.SyncNever, CheckpointWALBytes: -1, BlockCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	r, err := d.Create(wideSchema(t, "wide"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Insert(wrow(1, "one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil { // flushes the row into an SSTable
+		t.Fatal(err)
+	}
+	tables := r.store.Meta().Tables
+	if len(tables) != 1 {
+		t.Fatalf("checkpoint left %d tables, want 1", len(tables))
+	}
+	// Keep only the magic: the data, key-index and footer sections are gone.
+	if err := os.Truncate(filepath.Join(dir, tables[0]), 8); err != nil {
+		t.Fatal(err)
+	}
+	span, n := r.SlotSpan(), r.Len()
+	if ok, err := r.Delete([]value.Value{value.Int(1)}); ok || err == nil {
+		t.Fatalf("delete over an unreadable key probe = (%v, %v), want an error", ok, err)
+	}
+	if r.SlotSpan() != span || r.Len() != n {
+		t.Fatalf("failed delete changed the relation: span %d -> %d, len %d -> %d", span, r.SlotSpan(), n, r.Len())
 	}
 }
 

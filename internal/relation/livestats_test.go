@@ -37,7 +37,7 @@ func TestLiveStatsFollowMutations(t *testing.T) {
 		t.Fatalf("live eq selectivity = %v, want 0.2", got)
 	}
 	for i := 0; i < 40; i++ {
-		if !rel.Delete([]value.Value{value.Int(int64(i))}) {
+		if ok, err := rel.Delete([]value.Value{value.Int(int64(i))}); err != nil || !ok {
 			t.Fatalf("delete %d failed", i)
 		}
 	}

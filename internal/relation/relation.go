@@ -231,53 +231,41 @@ func (r *Relation) insert(tuple []value.Value) (value.Value, bool, error) {
 }
 
 // Delete implements the :- operator for a single element identified by
-// its key values. It reports whether an element was removed. References
-// to the removed element become stale.
+// its key values. It reports whether an element was removed; an absent
+// key is a no-op, not an error. References to the removed element
+// become stale.
 //
-// Unlike Insert and Assign, Delete logs before applying: its boolean
-// signature has no error channel, so a WAL failure after the in-memory
-// delete would acknowledge a mutation that recovery silently undoes.
-// Logging first lets a durability failure refuse the delete outright —
-// the element stays, the caller sees false, and the failure is recorded
-// as the database's sticky durability error (failing every subsequent
-// mutation and checkpoint until the database is reopened). The
-// effectiveness check runs before logging, under the same write lock
-// the apply runs under, so a logged delete is always effective —
-// replay treats a logged delete of an absent key as corruption.
-//
-// For the same reason Delete waits for durability UNDER the write lock,
-// before applying: releasing the lock first would let the delete fail
-// after returning, and the boolean could not take it back. Deletes
-// therefore don't coalesce into group commits — the price of a truthful
-// boolean, and no worse than the old fsync-per-record behavior.
-func (r *Relation) Delete(keyVals []value.Value) bool {
+// Unlike Insert and Assign, Delete logs before applying, and waits for
+// the covering WAL fsync under the write lock before applying, so that
+// a refused delete leaves nothing applied: an unreadable key probe or a
+// failed append or fsync returns its error and the element stays. A WAL
+// failure is also recorded as the database's sticky durability error,
+// failing every subsequent mutation and checkpoint until the database
+// is reopened. The key probe runs before logging, under the same write
+// lock the apply runs under, so a logged delete is always effective —
+// replay treats a logged delete of an absent key as corruption. The
+// price is that deletes don't coalesce into group commits.
+func (r *Relation) Delete(keyVals []value.Value) (bool, error) {
 	r.lock()
 	defer r.unlock()
 	k := value.EncodeKey(keyVals)
-	si, ok := r.store.LookupKey(k)
-	if !ok {
-		return false
+	si, ok, err := r.store.ProbeKey(k)
+	if err != nil {
+		return false, fmt.Errorf("relation %s: key probe: %w", r.sch.Name, err)
 	}
-	if _, live, err := r.store.Get(si); err != nil || !live {
-		return false
+	if !ok {
+		return false, nil
+	}
+	tuple, _, err := r.store.Get(si) // ProbeKey finds live slots only
+	if err != nil {
+		return false, fmt.Errorf("relation %s: slot %d: %w", r.sch.Name, si, err)
 	}
 	tk, err := r.logMutation(storage.Record{Op: storage.OpDelete, Rel: r.id, Key: keyVals})
-	if err != nil || r.waitDurable(tk) != nil {
-		return false
+	if err == nil {
+		err = r.waitDurable(tk)
 	}
-	return r.delete(keyVals)
-}
-
-// delete applies one deletion without logging.
-func (r *Relation) delete(keyVals []value.Value) bool {
-	k := value.EncodeKey(keyVals)
-	si, ok := r.store.LookupKey(k)
-	if !ok {
-		return false
-	}
-	tuple, live, err := r.store.Get(si)
-	if err != nil || !live {
-		return false
+	if err != nil {
+		return false, err
 	}
 	for _, ix := range r.colIndexes {
 		ix.remove(tuple[ix.colIdx], r.refOf(si))
@@ -290,7 +278,7 @@ func (r *Relation) delete(keyVals []value.Value) bool {
 	}
 	r.live.Add(-1)
 	r.mutated(drifted)
-	return true
+	return true, nil
 }
 
 // Assign implements the := operator: it replaces the relation's contents
@@ -379,32 +367,6 @@ func (r *Relation) durableErr() error {
 		return nil
 	}
 	return r.owner.dur.sticky()
-}
-
-// applyReplay applies one already-assembled WAL record to this relation
-// during parallel replay. It mirrors applyRecord's per-relation arms but
-// calls the lock-free mutator cores directly: the replay job owns the
-// relation outright, the DB-wide content lock is not taken (jobs for
-// different relations run concurrently), and logging is suppressed by
-// the replaying flag anyway. Replay is strict, as in applyRecord: every
-// logged record was effective when written.
-func (r *Relation) applyReplay(rec storage.Record) error {
-	switch rec.Op {
-	case storage.OpCreateIndex:
-		_, err := r.createIndexLocked(rec.Col)
-		return err
-	case storage.OpInsert:
-		_, _, err := r.insert(rec.Tuple)
-		return err
-	case storage.OpDelete:
-		if !r.delete(rec.Key) {
-			return fmt.Errorf("logged delete of absent key in %s", r.sch.Name)
-		}
-		return nil
-	case storage.OpAssign:
-		return r.assign(rec.Tuples)
-	}
-	return fmt.Errorf("unexpected WAL op %d in relation queue", rec.Op)
 }
 
 // Lookup implements the selected variable rel[keyval]: it returns the

@@ -95,10 +95,10 @@ func TestDeref(t *testing.T) {
 func TestDeleteStalenessAndReinsert(t *testing.T) {
 	r := New(employeesSchema(t), 0)
 	ref, _ := r.Insert(emp(5, "Smith", 3))
-	if !r.Delete([]value.Value{value.Int(5)}) {
+	if ok, err := r.Delete([]value.Value{value.Int(5)}); err != nil || !ok {
 		t.Fatalf("Delete failed")
 	}
-	if r.Delete([]value.Value{value.Int(5)}) {
+	if ok, err := r.Delete([]value.Value{value.Int(5)}); err != nil || ok {
 		t.Errorf("second Delete succeeded")
 	}
 	if r.Len() != 0 {
@@ -353,13 +353,13 @@ func TestDBVersion(t *testing.T) {
 	if d.Version() != v1 {
 		t.Errorf("duplicate insert bumped the version")
 	}
-	if r.Delete([]value.Value{value.Int(99)}) { // absent key: no-op
+	if ok, err := r.Delete([]value.Value{value.Int(99)}); err != nil || ok { // absent key: no-op
 		t.Fatal("deleted a missing key")
 	}
 	if d.Version() != v1 {
 		t.Errorf("no-op delete bumped the version")
 	}
-	if !r.Delete([]value.Value{value.Int(1)}) {
+	if ok, err := r.Delete([]value.Value{value.Int(1)}); err != nil || !ok {
 		t.Fatal("delete failed")
 	}
 	v2 := d.Version()

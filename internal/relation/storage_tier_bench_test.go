@@ -2,15 +2,12 @@ package relation
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pascalr/internal/schema"
 	"pascalr/internal/storage"
-	"pascalr/internal/value"
 )
 
 // benchWideSchema mirrors wideSchema for benchmarks: a roomy key range
@@ -75,93 +72,4 @@ func benchGroupCommit(b *testing.B, writers int) {
 	if r.Len() != int(next.Load()) {
 		b.Fatalf("row count %d, want %d", r.Len(), next.Load())
 	}
-}
-
-// BenchmarkParallelReplay times cold-start recovery of a crash image
-// holding four relations' worth of uncheckpointed WAL, replayed
-// serially versus partitioned across workers. CI converts the output
-// to BENCH_storage_tier.json.
-func BenchmarkParallelReplay(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchParallelReplay(b, -1) })
-	b.Run("parallel", func(b *testing.B) { benchParallelReplay(b, 8) })
-}
-
-func benchParallelReplay(b *testing.B, workers int) {
-	opts := storage.Options{
-		Fsync:              storage.SyncNever,
-		MemtableEntries:    256,
-		CheckpointWALBytes: -1, // never checkpoint: keep the full WAL live
-	}
-	src := b.TempDir()
-	d, err := OpenDB(src, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const relCount, rowsPerRel = 4, 1024
-	rels := make([]*Relation, relCount)
-	for i := range rels {
-		r, err := d.Create(benchWideSchema(fmt.Sprintf("wide%d", i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rels[i] = r
-	}
-	for i := 0; i < rowsPerRel; i++ { // interleaved so partitions stay even
-		for _, r := range rels {
-			if _, err := r.Insert(wrow(int64(i+1), "pad")); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	for _, r := range rels {
-		for i := 7; i <= rowsPerRel; i += 7 {
-			if !r.Delete([]value.Value{value.Int(int64(i))}) {
-				b.Fatalf("delete %d ineffective", i)
-			}
-		}
-	}
-	if err := d.dur.wal.Sync(); err != nil {
-		b.Fatal(err)
-	}
-	// No Close: Close checkpoints and would leave nothing to replay.
-	d.Quiesce()
-
-	files, err := os.ReadDir(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ropts := opts
-	ropts.ReplayWorkers = workers
-	want := rowsPerRel - rowsPerRel/7
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := filepath.Join(b.TempDir(), "copy")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			b.Fatal(err)
-		}
-		for _, f := range files {
-			data, err := os.ReadFile(filepath.Join(src, f.Name()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		rd, err := OpenDB(dir, ropts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		for ri := range rels {
-			if rr, _ := rd.Relation(fmt.Sprintf("wide%d", ri)); rr.Len() != want {
-				b.Fatalf("wide%d recovered %d rows, want %d", ri, rr.Len(), want)
-			}
-		}
-		rd.Close()
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(relCount*(rowsPerRel+rowsPerRel/7)+relCount), "records/op")
 }

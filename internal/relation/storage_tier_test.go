@@ -198,7 +198,7 @@ func TestCompactionCrashTorture(t *testing.T) {
 
 	// Round 2: tombstone-heavy — delete most rows, compact, checkpoint.
 	for i := int64(1); i <= 40; i++ {
-		if !r.Delete([]value.Value{value.Int(i)}) {
+		if ok, err := r.Delete([]value.Value{value.Int(i)}); err != nil || !ok {
 			t.Fatalf("delete %d ineffective", i)
 		}
 	}
@@ -222,13 +222,11 @@ func TestCompactionCrashTorture(t *testing.T) {
 	}
 }
 
-// TestParallelReplayFingerprint recovers one crash image serially and
-// with several worker counts: every recovery must land on the identical
-// fingerprint — per-relation order is preserved and no replayed effect
-// may depend on cross-relation interleaving. The workload interleaves
+// TestReplayFingerprint recovers a crash image whose WAL interleaves
 // mutations of several relations with DDL (index creation mid-stream)
-// so the partitioned queues genuinely interleave in the log.
-func TestParallelReplayFingerprint(t *testing.T) {
+// and an assignment: replay in log order must land on the live
+// fingerprint.
+func TestReplayFingerprint(t *testing.T) {
 	opts := storage.Options{
 		Fsync:              storage.SyncNever,
 		MemtableEntries:    4,
@@ -254,16 +252,15 @@ func TestParallelReplayFingerprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 20 {
-			// Mid-stream index creation: its backfill position among the
-			// relation's mutations must survive partitioning.
+			// Mid-stream index creation: the backfill sees only the
+			// relation's mutations logged before it.
 			if _, err := rels[0].CreateIndex("payload"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if i%7 == 0 {
-			victim := i - int64(nRels)
-			if victim > 0 && !rels[victim%nRels].Delete([]value.Value{value.Int(victim)}) {
-				t.Fatalf("delete %d ineffective", victim)
+		if victim := i - int64(nRels); i%7 == 0 && victim > 0 {
+			if ok, err := rels[victim%nRels].Delete([]value.Value{value.Int(victim)}); err != nil || !ok {
+				t.Fatalf("delete %d ineffective: %v", victim, err)
 			}
 		}
 	}
@@ -280,23 +277,9 @@ func TestParallelReplayFingerprint(t *testing.T) {
 	d.Quiesce() // abandon without Close: recovery must come from the WAL
 	want := fingerprint(t, d)
 
-	scratch := t.TempDir()
-	for _, workers := range []int{-1, 2, 8} {
-		dir := filepath.Join(scratch, fmt.Sprintf("w%d", workers))
-		copyDB(t, src, dir)
-		ropts := opts
-		ropts.ReplayWorkers = workers
-		rd, err := OpenDB(dir, ropts)
-		if err != nil {
-			t.Fatalf("workers=%d: reopen: %v", workers, err)
-		}
-		if got := fingerprint(t, rd); got != want {
-			t.Fatalf("workers=%d: recovered state diverged from serial truth", workers)
-		}
-		if err := rd.Close(); err != nil {
-			t.Fatalf("workers=%d: close: %v", workers, err)
-		}
-	}
+	dir := filepath.Join(t.TempDir(), "crash")
+	copyDB(t, src, dir)
+	reopenCheck(t, dir, opts, want, "interleaved WAL")
 }
 
 // TestGroupCommitConcurrentWriters hammers a SyncAlways database with
@@ -333,7 +316,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 					return
 				}
 				if i%5 == 4 { // exercise Delete's wait-under-lock path too
-					if !r.Delete([]value.Value{value.Int(id)}) {
+					if ok, err := r.Delete([]value.Value{value.Int(id)}); err != nil || !ok {
 						errs <- fmt.Errorf("writer %d: delete %d ineffective", w, id)
 						return
 					}

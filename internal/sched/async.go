@@ -1,3 +1,12 @@
+// Package sched holds Async, the single-flight executor for the
+// storage layer's background maintenance (drift-triggered statistics
+// rebuilds, WAL-size checkpoints, compactions).
+//
+// Query evaluation does not use it: the engine runs the paper's
+// collection phase serially, one scan per relation (strategy 1's
+// "parallel evaluation of subexpressions" is a single-pass strategy,
+// not a multi-core one). WAL replay on open is serial too, in log
+// order.
 package sched
 
 import "sync"

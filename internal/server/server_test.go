@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -34,6 +36,12 @@ func newTestServer(t testing.TB, scale, maxSessions int, monitor bool) (*Server,
 	if monitor {
 		cfg.MonitorAddr = "127.0.0.1:0"
 	}
+	return startServer(t, db, cfg), db
+}
+
+// startServer starts a server over db. Cleanup shuts it down.
+func startServer(t testing.TB, db *pascalr.Database, cfg Config) *Server {
+	t.Helper()
 	srv := New(db, cfg)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -45,7 +53,7 @@ func newTestServer(t testing.TB, scale, maxSessions int, monitor bool) (*Server,
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	return srv, db
+	return srv
 }
 
 func dial(t testing.TB, srv *Server) *client.Conn {
@@ -413,5 +421,40 @@ func TestGracefulShutdownNoLeaks(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestExecDeleteProbeErrorFrame: a delete whose key probe cannot read
+// the SSTable holding the key reaches the client as an error frame, not
+// as the OK of a no-op, and the session stays usable. The block cache
+// is off so the probe reads the file itself.
+func TestExecDeleteProbeErrorFrame(t *testing.T) {
+	dir := t.TempDir()
+	db, err := pascalr.OpenDir(dir, pascalr.WithBlockCacheBytes(-1), pascalr.WithCheckpointWALBytes(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	db.MustExec(`TYPE idtype = 1..99;
+VAR r : RELATION <id> OF RECORD id : idtype END;
+r :+ [<1>, <2>];`)
+	if err := db.Checkpoint(); err != nil { // flushes r into an SSTable
+		t.Fatal(err)
+	}
+	// Keep only the table's 8-byte magic.
+	tables, err := filepath.Glob(filepath.Join(dir, "r0-*.sst"))
+	if err != nil || len(tables) != 1 {
+		t.Fatalf("tables = %v (%v), want one", tables, err)
+	}
+	if err := os.Truncate(tables[0], 8); err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, startServer(t, db, Config{Addr: "127.0.0.1:0", MaxSessions: 2}))
+	var se *client.Error
+	if err := c.Exec("r :- [<1>];"); !errors.As(err, &se) {
+		t.Fatalf("delete over an unreadable key probe = %v, want an error frame", err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("connection unusable after the error frame: %v", err)
 	}
 }

@@ -340,8 +340,8 @@ func (d *Disk) ProbeKey(enc string) (si int, ok bool, err error) {
 }
 
 // LookupKey is ProbeKey for callers with no error channel (the relation
-// layer's Lookup, Get and Delete): an unreadable table answers
-// "absent". Scans surface the corruption with a real error, and inserts
+// layer's Lookup and Get): an unreadable table answers "absent". Scans
+// surface the corruption with a real error, and inserts and deletes
 // probe with ProbeKey.
 func (d *Disk) LookupKey(enc string) (int, bool) {
 	si, ok, _ := d.ProbeKey(enc)

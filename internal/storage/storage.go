@@ -14,8 +14,6 @@
 // layer composes such stores into a crash-recoverable database.
 package storage
 
-import "runtime"
-
 // FsyncPolicy says when the WAL fsyncs.
 type FsyncPolicy int
 
@@ -45,11 +43,6 @@ type Options struct {
 	// cache fronting point reads. Default 8 MiB; 0 keeps the default, a
 	// negative value disables the cache.
 	BlockCacheBytes int64
-	// ReplayWorkers is the worker count for parallel WAL replay on open.
-	// Replay partitions mutation records by relation, so workers beyond
-	// the number of mutated relations sit idle. Default GOMAXPROCS; 0
-	// keeps the default, a negative value forces serial replay.
-	ReplayWorkers int
 }
 
 // withDefaults fills unset options.
@@ -62,9 +55,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BlockCacheBytes == 0 {
 		o.BlockCacheBytes = 8 << 20
-	}
-	if o.ReplayWorkers == 0 {
-		o.ReplayWorkers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }

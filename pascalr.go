@@ -211,14 +211,6 @@ func WithBlockCacheBytes(n int64) DirOption {
 	return func(o *storage.Options) { o.BlockCacheBytes = n }
 }
 
-// WithReplayWorkers sets the worker count for parallel write-ahead-log
-// replay on open (default GOMAXPROCS). Replay partitions records by
-// relation, so the useful parallelism is bounded by the number of
-// mutated relations; negative forces serial replay.
-func WithReplayWorkers(n int) DirOption {
-	return func(o *storage.Options) { o.ReplayWorkers = n }
-}
-
 // OpenDir opens (creating if needed) a durable database rooted at the
 // given directory and recovers it to its last durable state: the
 // checkpoint manifest restores schemas, disk-resident relation
@@ -405,7 +397,10 @@ func (d *Database) execStmt(st parser.Stmt) error {
 			if err != nil {
 				return err
 			}
-			rel.Delete(key)
+			// An absent key is a no-op; a failed probe or log is not.
+			if _, err := rel.Delete(key); err != nil {
+				return err
+			}
 		}
 		return nil
 	default:

@@ -1,6 +1,8 @@
 package pascalr
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -293,5 +295,36 @@ func TestLemma1ThroughPublicAPI(t *testing.T) {
 	got := names(t, db.MustQuery(example21))
 	if len(got) != 3 {
 		t.Errorf("with papers=[]: %v, want 3 professors", got)
+	}
+}
+
+// TestExecDeleteProbeError: a delete statement whose key probe cannot
+// read the SSTable holding the key fails, rather than passing as the
+// no-op of an absent key. The block cache is off so the probe reads the
+// file itself.
+func TestExecDeleteProbeError(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, WithBlockCacheBytes(-1), WithCheckpointWALBytes(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.MustExec(sampleScript)
+	if err := db.Checkpoint(); err != nil { // flushes every relation into an SSTable
+		t.Fatal(err)
+	}
+	// employees is relation 0; keep only its table's 8-byte magic.
+	tables, err := filepath.Glob(filepath.Join(dir, "r0-*.sst"))
+	if err != nil || len(tables) != 1 {
+		t.Fatalf("employees tables = %v (%v), want one", tables, err)
+	}
+	if err := os.Truncate(tables[0], 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Exec(`employees :- [<1>];`); err == nil {
+		t.Fatal("delete over an unreadable key probe succeeded")
+	}
+	if n, err := db.RelationLen("employees"); err != nil || n != 4 {
+		t.Fatalf("employees after the failed delete = %d (%v), want 4", n, err)
 	}
 }
