@@ -701,6 +701,163 @@ func TestDeleteProbeErrorRemovesNothing(t *testing.T) {
 	}
 }
 
+// TestDeleteAbsentKeyLogsNothing: Delete of a key that is in neither
+// the memtable nor any SSTable is a no-op — (false, nil), no WAL record
+// (replay treats a logged delete of an absent key as corruption), and
+// no version bump.
+func TestDeleteAbsentKeyLogsNothing(t *testing.T) {
+	d, err := OpenDB(t.TempDir(), tortureOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	r, err := d.Create(wideSchema(t, "wide"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Insert(wrow(1, "one")); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		seq, v := d.dur.seq, d.Version()
+		if ok, err := r.Delete([]value.Value{value.Int(99)}); ok || err != nil {
+			t.Fatalf("%s: delete of an absent key = (%v, %v), want (false, <nil>)", stage, ok, err)
+		}
+		if d.dur.seq != seq {
+			t.Fatalf("%s: delete of an absent key logged a record (seq %d -> %d)", stage, seq, d.dur.seq)
+		}
+		if d.Version() != v {
+			t.Fatalf("%s: delete of an absent key bumped the version", stage)
+		}
+	}
+	check("memtable")
+	if err := d.Checkpoint(); err != nil { // the probe now also reads an SSTable
+		t.Fatal(err)
+	}
+	check("sstable")
+	if r.Len() != 1 {
+		t.Fatalf("Len = %d after no-op deletes, want 1", r.Len())
+	}
+}
+
+// TestDeleteCheckpointedKey: Delete of a key living in an SSTable (not
+// the memtable) removes it — one WAL record, the element gone from Get
+// and from the permanent index, whose entry is found through the tuple
+// read back from the table's block.
+func TestDeleteCheckpointedKey(t *testing.T) {
+	d, err := OpenDB(t.TempDir(), tortureOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	r, err := d.Create(wideSchema(t, "wide"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []string{"one", "two"} {
+		if _, err := r.Insert(wrow(int64(i+1), p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := r.CreateIndex("payload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.store.Meta().Tables) == 0 {
+		t.Fatal("checkpoint left no SSTable")
+	}
+	seq := d.dur.seq
+	if ok, err := r.Delete([]value.Value{value.Int(1)}); !ok || err != nil {
+		t.Fatalf("delete of a checkpointed key = (%v, %v), want (true, <nil>)", ok, err)
+	}
+	if d.dur.seq != seq+1 {
+		t.Fatalf("delete logged %d records, want 1", d.dur.seq-seq)
+	}
+	if _, ok := r.Get([]value.Value{value.Int(1)}); ok {
+		t.Fatal("deleted key still readable")
+	}
+	if r.Len() != 1 {
+		t.Fatalf("Len = %d after the delete, want 1", r.Len())
+	}
+	if ix.Len() != 1 || len(ix.ProbeEq(value.String_("one"))) != 0 || len(ix.ProbeEq(value.String_("two"))) != 1 {
+		t.Fatalf("index after the delete: %d entries, one=%d two=%d; want 1, 0, 1",
+			ix.Len(), len(ix.ProbeEq(value.String_("one"))), len(ix.ProbeEq(value.String_("two"))))
+	}
+}
+
+// TestReplayDelete replays a hand-written delete of the checkpointed
+// employee: a delete of a key living in an SSTable must apply, a delete
+// of an absent key is corruption, and a delete whose slot read fails
+// must report the read error rather than "absent key".
+func TestReplayDelete(t *testing.T) {
+	t.Run("checkpointed key", func(t *testing.T) {
+		dir, seq, relID := chunkTestDB(t)
+		appendWALRecords(t, dir, []storage.Record{
+			{Seq: seq + 1, Op: storage.OpDelete, Rel: relID, Key: []value.Value{value.Int(1)}},
+		})
+		d, err := OpenDB(dir, tortureOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if got := enrs(t, d); len(got) != 0 {
+			t.Fatalf("recovered keys %v, want none", got)
+		}
+	})
+	t.Run("absent key", func(t *testing.T) {
+		dir, seq, relID := chunkTestDB(t)
+		appendWALRecords(t, dir, []storage.Record{
+			{Seq: seq + 1, Op: storage.OpDelete, Rel: relID, Key: []value.Value{value.Int(99)}},
+		})
+		d, err := OpenDB(dir, tortureOpts())
+		if err == nil {
+			d.Close()
+			t.Fatal("replay accepted a logged delete of an absent key")
+		}
+		if !strings.Contains(err.Error(), "logged delete of absent key") {
+			t.Fatalf("replay error %q does not name the absent key", err)
+		}
+	})
+	t.Run("unreadable slot", func(t *testing.T) {
+		dir, seq, relID := chunkTestDB(t)
+		appendWALRecords(t, dir, []storage.Record{
+			{Seq: seq + 1, Op: storage.OpDelete, Rel: relID, Key: []value.Value{value.Int(1)}},
+		})
+		m, ok, err := storage.ReadManifest(dir)
+		if err != nil || !ok {
+			t.Fatalf("manifest: ok=%v err=%v", ok, err)
+		}
+		tables := m.Rels[relID].Disk.Tables
+		if len(tables) != 1 {
+			t.Fatalf("employees tables = %v, want one", tables)
+		}
+		// Flip the first payload byte of the first data block (after the
+		// 8-byte magic and the 8-byte frame header): the footer and key
+		// index still open and probe, but the block fails its CRC.
+		path := filepath.Join(dir, tables[0])
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[16] ^= 0xff
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDB(dir, tortureOpts())
+		if err == nil {
+			d.Close()
+			t.Fatal("replay applied a delete whose slot could not be read")
+		}
+		if strings.Contains(err.Error(), "absent key") || !strings.Contains(err.Error(), "delete:") {
+			t.Fatalf("replay error %q, want the delete's read error", err)
+		}
+	})
+}
+
 // TestLargeAssignChunkedDurable drives an assignment past the 8 MiB
 // chunk threshold through the public mutator: the log must hold it as
 // multiple bounded frames (a single frame this size would previously

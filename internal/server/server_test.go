@@ -458,3 +458,31 @@ r :+ [<1>, <2>];`)
 		t.Fatalf("connection unusable after the error frame: %v", err)
 	}
 }
+
+// TestExecDeleteOverWire: a delete statement over the wire removes the
+// element for the next query, and deleting the same key again is the
+// OK of a no-op, not an error frame.
+func TestExecDeleteOverWire(t *testing.T) {
+	srv, _ := newTestServer(t, 20, 2, false)
+	c := dial(t, srv)
+	const q = `[<e.enr> OF EACH e IN employees: (e.enr = 1)]`
+	before, err := c.Query(q, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before.Rows) != 1 {
+		t.Fatalf("employee 1 before the delete: %d rows, want 1", len(before.Rows))
+	}
+	for i := range 2 { // the second delete finds the key absent
+		if err := c.Exec("employees :- [<1>];"); err != nil {
+			t.Fatalf("delete %d: %v", i+1, err)
+		}
+	}
+	after, err := c.Query(q, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after.Rows) != 0 {
+		t.Fatalf("employee 1 after the delete: %d rows, want 0", len(after.Rows))
+	}
+}

@@ -328,3 +328,76 @@ func TestExecDeleteProbeError(t *testing.T) {
 		t.Fatalf("employees after the failed delete = %d (%v), want 4", n, err)
 	}
 }
+
+// TestExecDeleteAbsentKeyIsNoOp: a delete statement naming a key that
+// is not in the relation succeeds and changes nothing, in memory and on
+// disk (where the key probe also reads the checkpointed SSTable).
+func TestExecDeleteAbsentKeyIsNoOp(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) *Database
+	}{
+		{"memory", func(t *testing.T) *Database {
+			db, err := Open(sampleScript)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}},
+		{"dir", func(t *testing.T) *Database {
+			db, err := OpenDir(t.TempDir(), WithCheckpointWALBytes(-1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			db.MustExec(sampleScript)
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := tc.open(t)
+			if err := db.Exec(`employees :- [<99>];`); err != nil {
+				t.Fatalf("delete of an absent key: %v", err)
+			}
+			if n, err := db.RelationLen("employees"); err != nil || n != 4 {
+				t.Fatalf("employees after the no-op delete = %d (%v), want 4", n, err)
+			}
+		})
+	}
+}
+
+// TestExecDeleteSurvivesReopen: a delete statement of a checkpointed
+// key removes it from the SSTable-resident relation, and the removal
+// survives closing and reopening the directory.
+func TestExecDeleteSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, WithCheckpointWALBytes(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(sampleScript)
+	if err := db.Checkpoint(); err != nil { // flushes every relation into an SSTable
+		t.Fatal(err)
+	}
+	if err := db.Exec(`employees :- [<1>, <3>];`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r, err := db.Query(`[<e.ename> OF EACH e IN employees: e.enr >= 1]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := names(t, r); len(got) != 2 || got[0] != "bob" || got[1] != "dan" {
+		t.Fatalf("employees after reopen = %v, want [bob dan]", got)
+	}
+}
