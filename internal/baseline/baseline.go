@@ -92,7 +92,7 @@ func scanRange(db *relation.DB, st *stats.Counters, r *calculus.RangeExpr, fn fu
 	}
 	sch := rel.Schema()
 	var scanErr error
-	rel.ScanStats(st, func(_ value.Value, tuple []value.Value) bool {
+	err := rel.Scan(st, func(_ value.Value, tuple []value.Value) bool {
 		if r.Extended() {
 			env := Env{r.FilterVar: {Tuple: tuple, Schema: sch}}
 			ok, err := evalFormula(r.Filter, env, db, st)
@@ -110,6 +110,9 @@ func scanRange(db *relation.DB, st *stats.Counters, r *calculus.RangeExpr, fn fu
 		}
 		return true
 	})
+	if err != nil {
+		return err
+	}
 	return scanErr
 }
 

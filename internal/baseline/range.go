@@ -12,18 +12,20 @@ import (
 // an empty base relation, or an extended range whose filter rejects
 // every element. This is the runtime information the paper's compiler
 // arranges to have available for adapting the standard form (Lemma 1).
+// A fail-stopped database returns its sticky error, like every read:
+// its in-memory cardinalities may count mutations recovery drops.
 func RangeEmpty(db *relation.DB, r *calculus.RangeExpr) (bool, error) {
 	rel, ok := db.Relation(r.Rel)
 	if !ok {
 		return false, fmt.Errorf("baseline: unknown relation %s", r.Rel)
 	}
 	if !r.Extended() {
-		return rel.Len() == 0, nil
+		return rel.Len() == 0, db.Err()
 	}
 	empty := true
 	var scanErr error
 	sch := rel.Schema()
-	rel.ScanStats(db.Stats(), func(_ value.Value, tuple []value.Value) bool {
+	err := rel.Scan(db.Stats(), func(_ value.Value, tuple []value.Value) bool {
 		ok, err := EvalFormula(r.Filter, Env{r.FilterVar: {Tuple: tuple, Schema: sch}}, db)
 		if err != nil {
 			scanErr = err
@@ -35,6 +37,9 @@ func RangeEmpty(db *relation.DB, r *calculus.RangeExpr) (bool, error) {
 		}
 		return true
 	})
+	if err != nil {
+		return false, err
+	}
 	return empty, scanErr
 }
 

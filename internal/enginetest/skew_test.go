@@ -19,7 +19,7 @@ func actualFrac(db *relation.DB, rel, col string, op value.CmpOp, c value.Value)
 	r := db.MustRelation(rel)
 	ci, _ := r.Schema().ColIndex(col)
 	n, hits := 0, 0
-	r.ScanStats(nil, func(_ value.Value, tuple []value.Value) bool {
+	r.Scan(nil, func(_ value.Value, tuple []value.Value) bool {
 		n++
 		cmp, err := value.Compare(tuple[ci], c)
 		if err == nil && op.Holds(cmp) {

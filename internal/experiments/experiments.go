@@ -283,12 +283,14 @@ func runE4(w io.Writer, scales []int) error {
 			}
 		}
 		profs := 0
-		db.MustRelation("employees").Scan(func(_ value.Value, tup []value.Value) bool {
+		if err := db.MustRelation("employees").Scan(db.Stats(), func(_ value.Value, tup []value.Value) bool {
 			if tup[2].EnumOrd() == workload.StatusProfessor {
 				profs++
 			}
 			return true
-		})
+		}); err != nil {
+			return err
+		}
 		oracle, err := baseline.Eval(sel, info, db)
 		if err != nil {
 			return err
@@ -325,7 +327,11 @@ func runE5(w io.Writer, scales []int) error {
 		start := time.Now()
 		found := 0
 		for i := 1; i <= n; i++ {
-			if _, ok := employees.Lookup([]value.Value{value.Int(int64(i))}); ok {
+			_, ok, err := employees.Lookup([]value.Value{value.Int(int64(i))})
+			if err != nil {
+				return err
+			}
+			if ok {
 				found++
 			}
 		}
@@ -334,13 +340,18 @@ func runE5(w io.Writer, scales []int) error {
 		start = time.Now()
 		for i := 1; i <= n; i++ {
 			want := int64(i)
-			employees.Scan(func(_ value.Value, tup []value.Value) bool {
+			if err := employees.Scan(nil, func(_ value.Value, tup []value.Value) bool {
 				return tup[0].AsInt() != want
-			})
+			}); err != nil {
+				return err
+			}
 		}
 		scanTime := time.Since(start)
 		// Stale reference detection.
-		ref, _ := employees.Lookup([]value.Value{value.Int(1)})
+		ref, _, err := employees.Lookup([]value.Value{value.Int(1)})
+		if err != nil {
+			return err
+		}
 		if _, err := employees.Delete([]value.Value{value.Int(1)}); err != nil {
 			return err
 		}

@@ -47,29 +47,19 @@ type ColIndex struct {
 // the same index twice is an error. On a durable database the creation
 // is logged, so recovery recreates the index.
 func (r *Relation) CreateIndex(col string) (*ColIndex, error) {
-	r.lock()
-	if err := r.durableErr(); err != nil {
-		r.unlock()
-		return nil, err
-	}
-	ix, err := r.createIndexLocked(col)
-	var tk storage.Ticket
-	if err == nil {
-		tk, err = r.logMutation(storage.Record{Op: storage.OpCreateIndex, Rel: r.id, Col: col})
-	}
-	r.unlock()
-	if err == nil {
-		err = r.waitDurable(tk)
-	}
+	var ix *ColIndex
+	err := r.owner.write(r, func() (_ storage.Record, _ bool, err error) {
+		ix, err = r.createIndexLocked(col)
+		return storage.Record{Op: storage.OpCreateIndex, Rel: r.id, Col: col}, true, err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-// createIndexLocked is CreateIndex's core — declaration plus backfill —
-// without locking or logging, for callers holding the content write
-// lock (CreateIndex itself).
+// createIndexLocked is CreateIndex's apply — declaration plus backfill
+// — run by DB.write under the content write lock.
 func (r *Relation) createIndexLocked(col string) (*ColIndex, error) {
 	ci, ok := r.sch.ColIndex(col)
 	if !ok {

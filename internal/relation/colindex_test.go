@@ -120,7 +120,7 @@ func TestColIndexMatchesScan(t *testing.T) {
 		pv := value.Int(int64(probe % 7))
 		for _, op := range value.AllOps {
 			want := 0
-			r.Scan(func(_ value.Value, tup []value.Value) bool {
+			r.Scan(nil, func(_ value.Value, tup []value.Value) bool {
 				if ok, _ := op.Apply(pv, tup[1]); ok {
 					want++
 				}

@@ -20,13 +20,16 @@ import (
 // Two locks protect a database against concurrent use:
 //
 //   - mu, the content lock, is a database-wide RWMutex shared by every
-//     relation of the DB. Content mutators (Insert, Delete, Assign,
-//     CreateIndex) take it exclusively; public read paths (Scan,
-//     ScanStats, Lookup, Get, Deref) take it shared per call. The query
-//     engine instead holds it shared across a whole collection phase
-//     (RLock/RUnlock) and uses the non-locking snapshot accessors
-//     (ScanBatches, SlotSpan, DB.Deref), so one read acquisition covers
-//     every scan and permanent-index probe of an execution — including
+//     relation of the DB. Every mutator (Create, DefineType, and the
+//     relation mutators Insert, Delete, Assign, CreateIndex) takes it
+//     exclusively through one helper, write, which applies and logs
+//     under it and waits for the WAL fsync after releasing it — no
+//     reader ever waits out an fsync. Public read paths (Scan, Lookup,
+//     Get, Deref) take it shared per call. The query engine instead
+//     holds it shared across a whole collection phase (RLock/RUnlock)
+//     and uses the non-locking snapshot accessors (ScanBatches,
+//     SlotSpan, DB.DerefInto), so one read acquisition covers every
+//     scan and permanent-index probe of an execution — including
 //     probes into relations other than the one being scanned. Code
 //     running under the engine's phase lock must never call the locking
 //     accessors: recursive RLock can deadlock against a queued writer.
@@ -36,6 +39,10 @@ import (
 //     (readers holding mu may take catMu; no path holds catMu while
 //     acquiring mu), so lookups are safe both under the phase lock and
 //     on their own.
+//
+// Once a WAL append or fsync fails, the database fails stop (see Err):
+// write refuses every mutation, and every content read — the locking
+// accessors and the snapshot accessors alike — returns the same error.
 //
 // Mutators update the counters below under the content write lock, but
 // each has a reader that takes no lock, so they are atomics: Version
@@ -147,7 +154,7 @@ func (d *DB) Close() error {
 		}
 	}
 	if err == nil {
-		err = d.dur.sticky()
+		err = d.Err()
 	}
 	return err
 }
@@ -177,36 +184,59 @@ func (d *DB) RUnlock() { d.mu.RUnlock() }
 // it in the catalog. On a durable database the relation's slots live in
 // the SSTable-backed disk tier and the declaration is logged.
 func (d *DB) Create(sch *schema.RelSchema) (*Relation, error) {
+	var r *Relation
+	err := d.write(nil, func() (storage.Record, bool, error) {
+		d.catMu.Lock()
+		defer d.catMu.Unlock()
+		if err := d.cat.DefineRelation(sch); err != nil {
+			return storage.Record{}, false, err
+		}
+		if d.dur != nil {
+			r = newRelation(sch, d.nextID, storage.NewDisk(d.dur.dir, d.nextID, d.dur.opts, d.dur.cache))
+		} else {
+			r = New(sch, d.nextID)
+		}
+		d.attach(r)
+		return storage.Record{Op: storage.OpCreateRel, Schema: sch}, true, nil
+	})
+	return r, err
+}
+
+// write is the one write path: Create, DefineType, and the relation
+// mutators Insert, Delete, Assign and CreateIndex all run through it.
+// Under the content write lock it refuses with the sticky durability
+// error, runs apply, and logs the record apply returns if apply
+// changed something. With the lock released it then waits for the
+// fsync covering that record, so concurrent writers' records coalesce
+// into one group commit (see storage.WAL) while readers and other
+// writers proceed. A refused apply logs nothing; a failed append or
+// fsync becomes the sticky error. r is the mutated relation (nil for
+// DDL). A nil d — a standalone relation — only applies: no lock, no
+// log.
+func (d *DB) write(r *Relation, apply func() (rec storage.Record, changed bool, err error)) error {
+	if d == nil {
+		_, _, err := apply()
+		return err
+	}
 	d.mu.Lock()
-	if d.dur != nil {
-		if err := d.dur.sticky(); err != nil {
-			d.mu.Unlock()
-			return nil, err
+	err := d.Err()
+	var tk storage.Ticket
+	if err == nil {
+		var rec storage.Record
+		var changed bool
+		if rec, changed, err = apply(); err == nil && changed {
+			tk, err = d.logRecord(r, rec)
 		}
 	}
-	d.catMu.Lock()
-	if err := d.cat.DefineRelation(sch); err != nil {
-		d.catMu.Unlock()
-		d.mu.Unlock()
-		return nil, err
-	}
-	var r *Relation
-	if d.dur != nil {
-		r = newRelation(sch, d.nextID, storage.NewDisk(d.dur.dir, d.nextID, d.dur.opts, d.dur.cache))
-	} else {
-		r = New(sch, d.nextID)
-	}
-	d.attach(r)
-	tk, err := d.logRecord(r, storage.Record{Op: storage.OpCreateRel, Schema: sch})
-	d.catMu.Unlock()
 	d.mu.Unlock()
-	if err == nil {
-		err = d.waitDurable(tk)
+	if err != nil || tk == 0 {
+		return err
 	}
-	if err != nil {
-		return r, err
+	if err := d.dur.wal.WaitDurable(tk); err != nil {
+		d.dur.setSticky(err)
+		return err
 	}
-	return r, nil
+	return nil
 }
 
 // attach wires a freshly built relation into the database: locking,
@@ -235,23 +265,9 @@ func (d *DB) attach(r *Relation) {
 // Catalog().DefineType path remains for in-memory use; durable callers
 // must come through here.
 func (d *DB) DefineType(t *schema.Type) error {
-	d.mu.Lock()
-	if d.dur != nil {
-		if err := d.dur.sticky(); err != nil {
-			d.mu.Unlock()
-			return err
-		}
-	}
-	err := d.cat.DefineType(t)
-	var tk storage.Ticket
-	if err == nil {
-		tk, err = d.logRecord(nil, storage.Record{Op: storage.OpDefineType, Type: t})
-	}
-	d.mu.Unlock()
-	if err == nil {
-		err = d.waitDurable(tk)
-	}
-	return err
+	return d.write(nil, func() (storage.Record, bool, error) {
+		return storage.Record{Op: storage.OpDefineType, Type: t}, true, d.cat.DefineType(t)
+	})
 }
 
 // MustCreate is Create that panics on error, for tests and generators.
@@ -307,6 +323,7 @@ func (d *DB) Deref(ref value.Value) ([]value.Value, error) { return d.DerefInto(
 // owns it, into dst (grown as needed); the tuple belongs to the caller.
 // It does not take the content lock: callers synchronizing against
 // writers (the construction phase) hold RLock around batches of calls.
+// A fail-stopped database returns its sticky error (see Err).
 func (d *DB) DerefInto(ref value.Value, dst []value.Value) ([]value.Value, error) {
 	id, _, _ := ref.AsRef()
 	r, ok := d.ByID(id)

@@ -4,18 +4,24 @@
 //
 // # Write path
 //
-// Every effective mutation (DDL included) appends one WAL record under
-// the content write lock, after the in-memory apply: a crash between
-// apply and append simply loses the not-yet-durable tail, and any
-// SSTable a memtable flush wrote for unlogged appends is an orphan the
-// next open removes before replay deterministically recreates it.
-// Delete is the one exception — it logs before applying, so a refused
-// delete (a failed append or fsync) leaves nothing applied (see
-// Relation.Delete). Assignments whose record would exceed the WAL's
-// frame bound are logged as a chunk group that replay applies only
-// when complete. A WAL append failure is sticky: the database fails
-// stop (every later mutation and checkpoint returns the error) rather
-// than let memory and log drift apart.
+// Every mutator (DDL included) runs through one helper, DB.write: under
+// the content write lock it refuses with the sticky durability error,
+// applies the mutation in memory, and appends its WAL record when the
+// apply changed something; with the lock released it then waits for
+// the fsync covering the record, so concurrent writers share one group
+// commit. Logging after the apply means a crash between the two simply
+// loses the not-yet-durable tail, and any SSTable a memtable flush
+// wrote for unlogged appends is an orphan the next open removes before
+// replay deterministically recreates it. A refused apply logs nothing.
+// Assignments whose record would exceed the WAL's frame bound are
+// logged as a chunk group that replay applies only when complete.
+//
+// A failed WAL append or covering fsync is sticky: the database fails
+// stop. Every later mutation and checkpoint returns the error, and so
+// does every content read (scans, point reads, dereferences): the
+// mutation that hit the failure was already applied in memory, and
+// recovery will not reproduce it, so nothing may read that state.
+// Reopening the directory recovers the last durable state.
 //
 // # Recovery
 //
@@ -43,7 +49,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"pascalr/internal/stats"
@@ -60,31 +66,31 @@ type durable struct {
 	seq   uint64              // last assigned log sequence number
 
 	// err is the sticky durability failure: set when a WAL append or
-	// its covering group-commit fsync fails. From then on the database
-	// fails stop — every mutator and checkpoint returns it (so the
-	// in-memory state cannot drift further from the durable one, and a
-	// checkpoint cannot promote drifted state to durable truth) and
-	// Close surfaces it. Guarded by its own mutex rather than the
-	// content write lock: group-commit waiters observe fsync failures
-	// after releasing the content lock.
-	errMu sync.Mutex
-	err   error
-}
-
-// sticky returns the recorded durability failure, if any.
-func (du *durable) sticky() error {
-	du.errMu.Lock()
-	defer du.errMu.Unlock()
-	return du.err
+	// its covering group-commit fsync fails, first failure wins. From
+	// then on the database fails stop (see DB.Err). An atomic rather
+	// than a field under the content lock: group-commit waiters record
+	// fsync failures after releasing that lock, and every content read
+	// checks it, DB.DerefInto once per reference.
+	err atomic.Pointer[error]
 }
 
 // setSticky records a durability failure; the first one wins.
-func (du *durable) setSticky(err error) {
-	du.errMu.Lock()
-	if du.err == nil {
-		du.err = err
+func (du *durable) setSticky(err error) { du.err.CompareAndSwap(nil, &err) }
+
+// Err returns the database's sticky durability error: nil until a WAL
+// append or its covering fsync fails, and always nil for in-memory
+// databases and standalone relations (a nil DB). From the first
+// failure on the database fails stop: every mutation, checkpoint and
+// content read returns this error, and Close surfaces it. One atomic
+// load, safe without any lock.
+func (d *DB) Err() error {
+	if d == nil || d.dur == nil {
+		return nil
 	}
-	du.errMu.Unlock()
+	if p := d.dur.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // OpenDB opens (creating if needed) a durable database in dir and
@@ -310,17 +316,12 @@ func (d *DB) applyRecord(rec storage.Record) error {
 
 // logRecord appends one record to the WAL, assigning it the next log
 // sequence number, and returns the group-commit ticket covering the
-// append (zero when nothing needs waiting). Callers hold the content
-// write lock (mutators run under it), which also serializes the
-// sequence counter; r is the mutated relation (nil for DDL that touches
-// none) — passed explicitly because some callers also hold the catalog
-// lock, so maintenance must not look it up. In-memory databases and
-// replay no-op. Once a sticky durability error is recorded, every
-// further logRecord fails with it.
-//
-// The append only writes the frame; under SyncAlways the caller must
-// hand the ticket to waitDurable AFTER releasing the content write
-// lock, so concurrent writers' fsyncs coalesce (see storage.WAL).
+// append (zero when nothing needs waiting). Only DB.write calls it,
+// under the content write lock, which also serializes the sequence
+// counter; r is the mutated relation (nil for DDL, which touches none).
+// In-memory databases and replay no-op. Once a sticky durability error
+// is recorded, every further logRecord fails with it: a group-commit
+// waiter can record one after write checked.
 //
 // Oversized assignments are split into a chunk group (storage.
 // SplitRecord) appended contiguously under the lock; replay applies a
@@ -331,7 +332,7 @@ func (d *DB) logRecord(r *Relation, rec storage.Record) (storage.Ticket, error) 
 	if d.dur == nil || d.replaying.Load() {
 		return 0, nil
 	}
-	if err := d.dur.sticky(); err != nil {
+	if err := d.Err(); err != nil {
 		return 0, err
 	}
 	var tk storage.Ticket
@@ -349,23 +350,6 @@ func (d *DB) logRecord(r *Relation, rec storage.Record) (storage.Ticket, error) 
 	}
 	d.maybeMaintain(r)
 	return tk, nil
-}
-
-// waitDurable blocks until the WAL fsync covering the given ticket has
-// completed — the group-commit rendezvous. Callers must NOT hold the
-// content write lock (Delete is the documented exception): the whole
-// point is that the fsync happens while other writers make progress
-// under the lock, piling their frames into the same sync. A covering-
-// sync failure is recorded as the database's sticky durability error.
-func (d *DB) waitDurable(tk storage.Ticket) error {
-	if d.dur == nil || tk == 0 {
-		return nil
-	}
-	if err := d.dur.wal.WaitDurable(tk); err != nil {
-		d.dur.setSticky(err)
-		return err
-	}
-	return nil
 }
 
 // maybeMaintain schedules background storage maintenance after a logged
@@ -415,7 +399,7 @@ func (d *DB) checkpointLocked() error {
 	}
 	start := time.Now()
 	defer func() { mCheckpointLatency.Observe(time.Since(start)) }()
-	if err := d.dur.sticky(); err != nil {
+	if err := d.Err(); err != nil {
 		// A WAL append or fsync failed earlier: the in-memory state may
 		// have drifted from the log. Checkpointing would persist that
 		// drift as durable truth (and truncate the log) — refuse instead;

@@ -485,7 +485,7 @@ func enrs(t *testing.T, d *DB) []int64 {
 		t.Fatal("employees missing")
 	}
 	var out []int64
-	r.Scan(func(_ value.Value, tuple []value.Value) bool {
+	r.Scan(nil, func(_ value.Value, tuple []value.Value) bool {
 		out = append(out, tuple[0].AsInt())
 		return true
 	})
@@ -554,71 +554,106 @@ func TestAssignChunkReplay(t *testing.T) {
 }
 
 // TestWALFailureFailsStop: once a WAL append fails, the database must
-// fail stop — the failing delete is refused (not acknowledged and then
-// resurrected by recovery), every later mutation and checkpoint returns
-// the sticky error, Close surfaces it, and reopening recovers the last
-// durable state.
+// fail stop. The failing mutation returns the WAL error; it was applied
+// in memory before the append failed, and recovery will not reproduce
+// it, so every content read — point reads, scans, the engine's batch
+// scan and dereference — returns the same sticky error. Every later
+// mutation and checkpoint refuses with it, Close surfaces it, and
+// reopening recovers the last durable state. One leg per first failure:
+// a delete and an insert.
 func TestWALFailureFailsStop(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDB(dir, tortureOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.DefineType(employeesSchema(t).Cols[2].Type); err != nil {
-		t.Fatal(err)
-	}
-	r, err := d.Create(employeesSchema(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 2; i++ {
-		if _, err := r.Insert(emp(i, fmt.Sprintf("N%d", i), 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := fingerprint(t, d)
+	for _, tc := range []struct {
+		name string
+		fail func(t *testing.T, r *Relation) error
+	}{
+		{"delete", func(t *testing.T, r *Relation) error {
+			ok, err := r.Delete([]value.Value{value.Int(1)})
+			if ok {
+				t.Error("unloggable delete acknowledged")
+			}
+			return err
+		}},
+		{"insert", func(_ *testing.T, r *Relation) error {
+			_, err := r.Insert(emp(3, "N3", 1))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := OpenDB(dir, tortureOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.DefineType(employeesSchema(t).Cols[2].Type); err != nil {
+				t.Fatal(err)
+			}
+			r, err := d.Create(employeesSchema(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref value.Value
+			for i := int64(1); i <= 2; i++ {
+				if ref, err = r.Insert(emp(i, fmt.Sprintf("N%d", i), 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := fingerprint(t, d)
 
-	// Fault injection: close the log out from under the database; every
-	// append from here on fails.
-	if err := d.dur.wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := r.Delete([]value.Value{value.Int(1)})
-	if ok {
-		t.Fatal("unloggable delete acknowledged")
-	}
-	if sticky := d.dur.sticky(); err == nil || err != sticky {
-		t.Fatalf("refused delete returned %v, want the WAL error %v", err, sticky)
-	}
-	if _, ok := r.Get([]value.Value{value.Int(1)}); !ok {
-		t.Fatal("refused delete removed the element anyway")
-	}
-	if _, err := r.Insert(emp(9, "late", 1)); err == nil {
-		t.Fatal("insert after durability failure succeeded")
-	}
-	if err := r.Assign([][]value.Value{emp(8, "bulk", 1)}); err == nil {
-		t.Fatal("assign after durability failure succeeded")
-	}
-	if _, err := r.CreateIndex("estatus"); err == nil {
-		t.Fatal("index creation after durability failure succeeded")
-	}
-	if err := d.Checkpoint(); err == nil {
-		t.Fatal("checkpoint after durability failure succeeded")
-	}
-	if got := fingerprint(t, d); got != want {
-		t.Fatal("refused mutations changed the in-memory state")
-	}
-	if err := d.Close(); err == nil {
-		t.Fatal("Close swallowed the sticky durability error")
-	}
+			// Fault injection: close the log out from under the
+			// database; every append from here on fails.
+			if err := d.dur.wal.Close(); err != nil {
+				t.Fatal(err)
+			}
+			err = tc.fail(t, r)
+			sticky := d.Err()
+			if err == nil || err != sticky {
+				t.Fatalf("refused %s returned %v, want the WAL error %v", tc.name, err, sticky)
+			}
 
-	rd, err := OpenDB(dir, tortureOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	if got := fingerprint(t, rd); got != want {
-		t.Fatal("recovered state diverged from the last durable state")
+			key := []value.Value{value.Int(1)}
+			reads := map[string]error{}
+			_, _, reads["Get"] = r.Get(key)
+			_, _, reads["Lookup"] = r.Lookup(key)
+			reads["Scan"] = r.Scan(nil, func(value.Value, []value.Value) bool { return true })
+			d.RLock()
+			b := colbatch.New(len(r.Schema().Cols), 8)
+			reads["ScanBatches"] = r.ScanBatches(nil, 0, r.SlotSpan(), b, nil, func() error { return nil })
+			_, reads["DerefInto"] = d.DerefInto(ref, nil)
+			d.RUnlock()
+			for what, err := range reads {
+				if err != sticky {
+					t.Errorf("%s after the WAL failure = %v, want the sticky error", what, err)
+				}
+			}
+
+			if _, err := r.Insert(emp(9, "late", 1)); err != sticky {
+				t.Fatalf("insert after durability failure = %v, want the sticky error", err)
+			}
+			if ok, err := r.Delete([]value.Value{value.Int(2)}); ok || err != sticky {
+				t.Fatalf("delete after durability failure = (%v, %v), want the sticky error", ok, err)
+			}
+			if err := r.Assign([][]value.Value{emp(8, "bulk", 1)}); err != sticky {
+				t.Fatalf("assign after durability failure = %v, want the sticky error", err)
+			}
+			if _, err := r.CreateIndex("estatus"); err != sticky {
+				t.Fatalf("index creation after durability failure = %v, want the sticky error", err)
+			}
+			if err := d.Checkpoint(); err != sticky {
+				t.Fatalf("checkpoint after durability failure = %v, want the sticky error", err)
+			}
+			if err := d.Close(); err == nil {
+				t.Fatal("Close swallowed the sticky durability error")
+			}
+
+			rd, err := OpenDB(dir, tortureOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rd.Close()
+			if got := fingerprint(t, rd); got != want {
+				t.Fatal("recovered state diverged from the last durable state")
+			}
+		})
 	}
 }
 
@@ -701,6 +736,51 @@ func TestDeleteProbeErrorRemovesNothing(t *testing.T) {
 	}
 }
 
+// TestPointReadProbeError: when the key probe cannot read the SSTable
+// holding a key, Get and Lookup must return the read error — answering
+// "absent" would report a corrupt table as a missing element. A key
+// that is in the memtable is still found. The block cache is off so the
+// probe reads the file itself.
+func TestPointReadProbeError(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDB(dir, storage.Options{Fsync: storage.SyncNever, CheckpointWALBytes: -1, BlockCacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	r, err := d.Create(wideSchema(t, "wide"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Insert(wrow(1, "one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil { // flushes the row into an SSTable
+		t.Fatal(err)
+	}
+	if _, err := r.Insert(wrow(2, "two")); err != nil { // stays in the memtable
+		t.Fatal(err)
+	}
+	tables := r.store.Meta().Tables
+	if len(tables) != 1 {
+		t.Fatalf("checkpoint left %d tables, want 1", len(tables))
+	}
+	// Keep only the magic: the data, key-index and footer sections are gone.
+	if err := os.Truncate(filepath.Join(dir, tables[0]), 8); err != nil {
+		t.Fatal(err)
+	}
+	key := []value.Value{value.Int(1)}
+	if tup, ok, err := r.Get(key); ok || err == nil {
+		t.Fatalf("Get over an unreadable key probe = (%v, %v, %v), want an error", tup, ok, err)
+	}
+	if ref, ok, err := r.Lookup(key); ok || err == nil {
+		t.Fatalf("Lookup over an unreadable key probe = (%v, %v, %v), want an error", ref, ok, err)
+	}
+	if _, ok, err := r.Get([]value.Value{value.Int(2)}); !ok || err != nil {
+		t.Fatalf("Get of a memtable key = (%v, %v), want found", ok, err)
+	}
+}
+
 // TestDeleteAbsentKeyLogsNothing: Delete of a key that is in neither
 // the memtable nor any SSTable is a no-op — (false, nil), no WAL record
 // (replay treats a logged delete of an absent key as corruption), and
@@ -777,7 +857,7 @@ func TestDeleteCheckpointedKey(t *testing.T) {
 	if d.dur.seq != seq+1 {
 		t.Fatalf("delete logged %d records, want 1", d.dur.seq-seq)
 	}
-	if _, ok := r.Get([]value.Value{value.Int(1)}); ok {
+	if _, ok, err := r.Get([]value.Value{value.Int(1)}); ok || err != nil {
 		t.Fatal("deleted key still readable")
 	}
 	if r.Len() != 1 {

@@ -1,0 +1,63 @@
+package relation_test
+
+import (
+	"context"
+	"testing"
+
+	"pascalr/internal/calculus"
+	"pascalr/internal/engine"
+	"pascalr/internal/parser"
+	"pascalr/internal/relation"
+	"pascalr/internal/schema"
+	"pascalr/internal/stats"
+	"pascalr/internal/storage"
+	"pascalr/internal/value"
+)
+
+// TestFailStopFencesEmptinessFold: a refused delete of a relation's
+// only element leaves the relation empty in memory, though recovery
+// restores the element. The engine's Lemma 1 emptiness fold must not
+// read that state: it would fold SOME y IN b to FALSE and answer with
+// no rows and no error, without scanning anything. The query must
+// return the sticky error instead.
+func TestFailStopFencesEmptinessFold(t *testing.T) {
+	d, err := relation.OpenDB(t.TempDir(), storage.Options{Fsync: storage.SyncNever, CheckpointWALBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idType := schema.IntType("idtype", 1, 99)
+	var b *relation.Relation
+	for _, name := range []string{"a", "b"} {
+		r, err := d.Create(schema.MustRelSchema(name, []schema.Column{{Name: "id", Type: idType}}, []string{"id"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Insert([]value.Value{value.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+		b = r
+	}
+	if err := relation.CloseWAL(d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Delete([]value.Value{value.Int(1)}); err == nil {
+		t.Fatal("unloggable delete succeeded")
+	}
+	sticky := d.Err()
+	parsed, err := parser.ParseSelection(`[<x.id> OF EACH x IN a: SOME y IN b (y.id = x.id)]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, info, err := calculus.Check(parsed, d.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.New(d, &stats.Counters{}).Eval(context.Background(), sel, info, engine.Options{})
+	if err != sticky {
+		n := -1
+		if res != nil {
+			n = res.Len()
+		}
+		t.Fatalf("query after the WAL failure = %d rows, %v; want the sticky error %v", n, err, sticky)
+	}
+}

@@ -16,11 +16,13 @@
 // (storage.NewMemory) by default, or one spilling to SSTables for
 // durable databases (OpenDB). Relations created through DB.Create share
 // the database's content RWMutex (see the locking discipline on DB):
-// exported mutators and readers lock per call, while the snapshot
-// accessors (ScanBatches, SlotSpan, deref via DB.Deref) rely on the
-// caller holding the database read lock. Standalone relations (New)
-// carry no lock and stay as cheap as before — the engine's
-// per-execution result relations are built that way.
+// exported mutators write through DB.write and readers lock per call,
+// while the snapshot accessors (ScanBatches, SlotSpan, deref via
+// DB.DerefInto) rely on the caller holding the database read lock.
+// Every content read of a fail-stopped database returns its sticky
+// durability error (DB.Err). Standalone relations (New) carry no lock
+// and stay as cheap as before — the engine's per-execution result
+// relations are built that way.
 package relation
 
 import (
@@ -112,18 +114,6 @@ func newRelation(sch *schema.RelSchema, id int, store *storage.Disk) *Relation {
 		batchKinds: kinds, batchEnums: enums}
 }
 
-func (r *Relation) lock() {
-	if r.lk != nil {
-		r.lk.Lock()
-	}
-}
-
-func (r *Relation) unlock() {
-	if r.lk != nil {
-		r.lk.Unlock()
-	}
-}
-
 func (r *Relation) rlock() {
 	if r.lk != nil {
 		r.lk.RLock()
@@ -150,13 +140,15 @@ func (r *Relation) ID() int { return r.id }
 // lock, where the locking accessors would deadlock).
 func (r *Relation) Len() int { return int(r.live.Load()) }
 
-// SetStats attaches a counter sink; scans, reads, and permanent-index
-// probes through the locking accessors are recorded there. A nil sink
-// disables counting. Engine executions bypass the attached sink and
-// pass their own.
+// SetStats attaches a counter sink; scans through Refs and Tuples and
+// permanent-index probes through Probe and ProbeEq are recorded there.
+// A nil sink disables counting. Engine executions and Scan callers
+// pass their own sinks.
 func (r *Relation) SetStats(st *stats.Counters) {
-	r.lock()
-	defer r.unlock()
+	if r.lk != nil {
+		r.lk.Lock()
+		defer r.lk.Unlock()
+	}
 	r.setStats(st)
 }
 
@@ -172,22 +164,11 @@ func (r *Relation) setStats(st *stats.Counters) {
 // no-op (relations are sets); a key collision with different components
 // is an error. It returns the element's reference.
 func (r *Relation) Insert(tuple []value.Value) (value.Value, error) {
-	r.lock()
-	if err := r.durableErr(); err != nil {
-		r.unlock()
-		return value.Value{}, err
-	}
-	ref, added, err := r.insert(tuple)
-	var tk storage.Ticket
-	if err == nil && added {
-		tk, err = r.logMutation(storage.Record{Op: storage.OpInsert, Rel: r.id, Tuple: tuple})
-	}
-	r.unlock()
-	// Group-commit rendezvous outside the lock: concurrent inserters'
-	// frames coalesce into one fsync (see storage.WAL).
-	if err == nil {
-		err = r.waitDurable(tk)
-	}
+	var ref value.Value
+	err := r.owner.write(r, func() (_ storage.Record, added bool, err error) {
+		ref, added, err = r.insert(tuple)
+		return storage.Record{Op: storage.OpInsert, Rel: r.id, Tuple: tuple}, added, err
+	})
 	return ref, err
 }
 
@@ -233,52 +214,41 @@ func (r *Relation) insert(tuple []value.Value) (value.Value, bool, error) {
 // Delete implements the :- operator for a single element identified by
 // its key values. It reports whether an element was removed; an absent
 // key is a no-op, not an error. References to the removed element
-// become stale.
-//
-// Unlike Insert and Assign, Delete logs before applying, and waits for
-// the covering WAL fsync under the write lock before applying, so that
-// a refused delete leaves nothing applied: an unreadable key probe or a
-// failed append or fsync returns its error and the element stays. A WAL
-// failure is also recorded as the database's sticky durability error,
-// failing every subsequent mutation and checkpoint until the database
-// is reopened. The key probe runs before logging, under the same write
-// lock the apply runs under, so a logged delete is always effective —
-// replay treats a logged delete of an absent key as corruption. The
-// price is that deletes don't coalesce into group commits.
+// become stale. An unreadable key probe or a failed store delete
+// returns its error and removes nothing; a failed append or fsync
+// returns the database's sticky durability error (see DB.Err). The key
+// probe runs under the same write lock as the apply and the append, so
+// a logged delete is always effective — replay treats a logged delete
+// of an absent key as corruption.
 func (r *Relation) Delete(keyVals []value.Value) (bool, error) {
-	r.lock()
-	defer r.unlock()
-	k := value.EncodeKey(keyVals)
-	si, ok, err := r.store.ProbeKey(k)
-	if err != nil {
-		return false, fmt.Errorf("relation %s: key probe: %w", r.sch.Name, err)
-	}
-	if !ok {
-		return false, nil
-	}
-	tuple, _, err := r.store.Get(si) // ProbeKey finds live slots only
-	if err != nil {
-		return false, fmt.Errorf("relation %s: slot %d: %w", r.sch.Name, si, err)
-	}
-	tk, err := r.logMutation(storage.Record{Op: storage.OpDelete, Rel: r.id, Key: keyVals})
-	if err == nil {
-		err = r.waitDurable(tk)
-	}
-	if err != nil {
-		return false, err
-	}
-	for _, ix := range r.colIndexes {
-		ix.remove(tuple[ix.colIdx], r.refOf(si))
-	}
-	drifted := r.stTable.ObserveDelete(tuple)
-	if err := r.store.Delete(si, k); err != nil {
-		// The store cannot fail here today (deletes touch in-memory
-		// structures only); fail loudly if it ever does.
-		panic(fmt.Sprintf("relation %s: delete slot %d: %v", r.sch.Name, si, err))
-	}
-	r.live.Add(-1)
-	r.mutated(drifted)
-	return true, nil
+	removed := false
+	err := r.owner.write(r, func() (storage.Record, bool, error) {
+		rec := storage.Record{Op: storage.OpDelete, Rel: r.id, Key: keyVals}
+		k := value.EncodeKey(keyVals)
+		si, ok, err := r.store.ProbeKey(k)
+		if err != nil {
+			return rec, false, fmt.Errorf("relation %s: key probe: %w", r.sch.Name, err)
+		}
+		if !ok {
+			return rec, false, nil
+		}
+		tuple, _, err := r.store.Get(si) // ProbeKey finds live slots only
+		if err != nil {
+			return rec, false, fmt.Errorf("relation %s: slot %d: %w", r.sch.Name, si, err)
+		}
+		if err := r.store.Delete(si, k); err != nil {
+			return rec, false, fmt.Errorf("relation %s: delete slot %d: %w", r.sch.Name, si, err)
+		}
+		for _, ix := range r.colIndexes {
+			ix.remove(tuple[ix.colIdx], r.refOf(si))
+		}
+		drifted := r.stTable.ObserveDelete(tuple)
+		r.live.Add(-1)
+		r.mutated(drifted)
+		removed = true
+		return rec, true, nil
+	})
+	return removed && err == nil, err
 }
 
 // Assign implements the := operator: it replaces the relation's contents
@@ -287,21 +257,9 @@ func (r *Relation) Delete(keyVals []value.Value) (bool, error) {
 // anything is destroyed, so a failed assignment leaves the contents
 // untouched.
 func (r *Relation) Assign(tuples [][]value.Value) error {
-	r.lock()
-	if err := r.durableErr(); err != nil {
-		r.unlock()
-		return err
-	}
-	err := r.assign(tuples)
-	var tk storage.Ticket
-	if err == nil {
-		tk, err = r.logMutation(storage.Record{Op: storage.OpAssign, Rel: r.id, Tuples: tuples})
-	}
-	r.unlock()
-	if err == nil {
-		err = r.waitDurable(tk)
-	}
-	return err
+	return r.owner.write(r, func() (storage.Record, bool, error) {
+		return storage.Record{Op: storage.OpAssign, Rel: r.id, Tuples: tuples}, true, r.assign(tuples)
+	})
 }
 
 // assign applies one assignment without logging.
@@ -336,65 +294,45 @@ func (r *Relation) assign(tuples [][]value.Value) error {
 	return nil
 }
 
-// logMutation appends one WAL record for this relation's mutation when
-// the owning database is durable, returning the group-commit ticket for
-// waitDurable; a no-op for standalone relations and in-memory
-// databases. Called under the content write lock.
-func (r *Relation) logMutation(rec storage.Record) (storage.Ticket, error) {
-	if r.owner == nil {
-		return 0, nil
-	}
-	return r.owner.logRecord(r, rec)
-}
-
-// waitDurable blocks until the logged record behind tk is fsynced; a
-// no-op for standalone relations, in-memory databases, and zero
-// tickets. See DB.waitDurable for the lock discipline.
-func (r *Relation) waitDurable(tk storage.Ticket) error {
-	if r.owner == nil {
-		return nil
-	}
-	return r.owner.waitDurable(tk)
-}
-
-// durableErr returns the owning database's sticky durability error: set
-// when a WAL append or covering fsync failed, after which mutators
-// refuse to run so the in-memory state cannot drift further from the
-// durable state. Nil for standalone relations and in-memory databases.
-// Callers hold the content write lock.
-func (r *Relation) durableErr() error {
-	if r.owner == nil || r.owner.dur == nil {
-		return nil
-	}
-	return r.owner.dur.sticky()
-}
-
 // Lookup implements the selected variable rel[keyval]: it returns the
-// reference of the element with the given key values.
-func (r *Relation) Lookup(keyVals []value.Value) (value.Value, bool) {
+// reference of the element with the given key values. An unreadable
+// SSTable is an error, not an absent key.
+func (r *Relation) Lookup(keyVals []value.Value) (value.Value, bool, error) {
 	r.rlock()
 	defer r.runlock()
-	si, ok := r.store.LookupKey(value.EncodeKey(keyVals))
-	if !ok {
-		return value.Value{}, false
+	si, ok, err := r.probe(keyVals)
+	if err != nil || !ok {
+		return value.Value{}, false, err
 	}
-	return r.refOf(si), true
+	return r.refOf(si), true, nil
 }
 
 // Get returns the tuple with the given key values. The tuple belongs to
-// the caller.
-func (r *Relation) Get(keyVals []value.Value) ([]value.Value, bool) {
+// the caller. An unreadable SSTable is an error, not an absent key.
+func (r *Relation) Get(keyVals []value.Value) ([]value.Value, bool, error) {
 	r.rlock()
 	defer r.runlock()
-	si, ok := r.store.LookupKey(value.EncodeKey(keyVals))
-	if !ok {
-		return nil, false
+	si, ok, err := r.probe(keyVals)
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	tuple, live, err := r.store.Get(si)
-	if err != nil || !live {
-		return nil, false
+	tuple, _, err := r.store.Get(si) // ProbeKey finds live slots only
+	if err != nil {
+		return nil, false, fmt.Errorf("relation %s: slot %d: %w", r.sch.Name, si, err)
 	}
-	return tuple, true
+	return tuple, true, nil
+}
+
+// probe is the point reads' key probe, behind the fail-stop fence.
+func (r *Relation) probe(keyVals []value.Value) (int, bool, error) {
+	if err := r.owner.Err(); err != nil {
+		return 0, false, err
+	}
+	si, ok, err := r.store.ProbeKey(value.EncodeKey(keyVals))
+	if err != nil {
+		return 0, false, fmt.Errorf("relation %s: key probe: %w", r.sch.Name, err)
+	}
+	return si, ok, nil
 }
 
 // Deref regains the element from a reference (the postfix @ operator).
@@ -408,13 +346,17 @@ func (r *Relation) Deref(ref value.Value) ([]value.Value, error) {
 
 // derefInto is Deref into dst (grown as needed) and without the lock,
 // for callers that hold the database read lock themselves (DB.DerefInto
-// under the construction phase).
+// under the construction phase). A fail-stopped database returns its
+// sticky error.
 //
 // Staleness detection leans on the backend's append-only discipline:
 // slots are never reused, so every live element is at generation zero.
 // A reference carrying a non-zero generation predates that invariant
 // (it cannot have been minted here) and is stale by construction.
 func (r *Relation) derefInto(ref value.Value, dst []value.Value) ([]value.Value, error) {
+	if err := r.owner.Err(); err != nil {
+		return nil, err
+	}
 	rel, si, gen := ref.AsRef()
 	if rel != r.id {
 		return nil, fmt.Errorf("relation %s: reference belongs to relation id %d", r.sch.Name, rel)
@@ -436,31 +378,21 @@ func (r *Relation) derefInto(ref value.Value, dst []value.Value) ([]value.Value,
 }
 
 // Scan iterates the elements in insertion order, calling fn with each
-// element's reference and tuple until fn returns false. One Scan call is
-// counted as one base-relation scan against the attached sink. The
-// tuple passed to fn lives in a buffer the scan reuses: fn must neither
+// element's reference and tuple until fn returns false. One Scan call
+// is counted as one base-relation scan against st (nil disables
+// counting), so concurrent readers count into private sinks. The tuple
+// passed to fn lives in a buffer the scan reuses: fn must neither
 // modify nor retain it. The content read lock is held for the duration
-// of the scan.
-func (r *Relation) Scan(fn func(ref value.Value, tuple []value.Value) bool) {
+// of the scan. An unreadable SSTable aborts the scan with its error,
+// and a fail-stopped database returns its sticky error.
+func (r *Relation) Scan(st *stats.Counters, fn func(ref value.Value, tuple []value.Value) bool) error {
 	r.rlock()
 	defer r.runlock()
-	r.st.CountScan(r.sch.Name)
-	r.scan(r.st, fn)
-}
-
-// ScanStats is Scan with an explicit counter sink, so concurrent
-// readers (the baseline oracle, statistics analysis) can count into
-// private sinks instead of racing on the attached one. A nil sink
-// disables counting.
-func (r *Relation) ScanStats(st *stats.Counters, fn func(ref value.Value, tuple []value.Value) bool) {
-	r.rlock()
-	defer r.runlock()
+	if err := r.owner.Err(); err != nil {
+		return err
+	}
 	st.CountScan(r.sch.Name)
-	r.scan(st, fn)
-}
-
-func (r *Relation) scan(st *stats.Counters, fn func(ref value.Value, tuple []value.Value) bool) {
-	_ = r.store.Scan(0, r.store.SlotSpan(), func(si int, tuple []value.Value) bool {
+	return r.store.Scan(0, r.store.SlotSpan(), func(si int, tuple []value.Value) bool {
 		st.CountTuples(1)
 		return fn(r.refOf(si), tuple)
 	})
@@ -483,8 +415,12 @@ func (r *Relation) SlotSpan() int { return r.store.SlotSpan() }
 // counts that). fn must not retain the batch; it is reset after each
 // call. ScanBatches takes no lock: callers must hold the database read
 // lock. An error from fn, or from the store (SSTable
-// reads can fail), aborts the scan and is returned.
+// reads can fail), aborts the scan and is returned; a fail-stopped
+// database returns its sticky error before scanning.
 func (r *Relation) ScanBatches(st *stats.Counters, lo, hi int, b *colbatch.Batch, cols []int, fn func() error) error {
+	if err := r.owner.Err(); err != nil {
+		return err
+	}
 	flush := func() error {
 		st.CountTuples(b.Len())
 		if err := fn(); err != nil {
@@ -498,10 +434,13 @@ func (r *Relation) ScanBatches(st *stats.Counters, lo, hi int, b *colbatch.Batch
 }
 
 // Refs returns the references of all elements in insertion order,
-// counting one scan.
+// counting one scan against the attached sink. It drops Scan's error,
+// so it is only for relations whose scan cannot fail: standalone
+// result relations, and the benchmark's in-memory fixtures. Read a
+// database's relations with Scan.
 func (r *Relation) Refs() []value.Value {
 	out := make([]value.Value, 0, r.Len())
-	r.Scan(func(ref value.Value, _ []value.Value) bool {
+	_ = r.Scan(r.st, func(ref value.Value, _ []value.Value) bool {
 		out = append(out, ref)
 		return true
 	})
@@ -509,10 +448,12 @@ func (r *Relation) Refs() []value.Value {
 }
 
 // Tuples returns copies of all tuples in insertion order, counting one
-// scan.
+// scan against the attached sink. Like Refs it drops Scan's error: it
+// is only for standalone result relations and the benchmark's
+// in-memory fixtures.
 func (r *Relation) Tuples() [][]value.Value {
 	out := make([][]value.Value, 0, r.Len())
-	r.Scan(func(_ value.Value, tuple []value.Value) bool {
+	_ = r.Scan(r.st, func(_ value.Value, tuple []value.Value) bool {
 		out = append(out, slices.Clone(tuple))
 		return true
 	})

@@ -37,15 +37,15 @@ func TestInsertAndLookup(t *testing.T) {
 	if r.Len() != 1 {
 		t.Errorf("Len = %d", r.Len())
 	}
-	got, ok := r.Lookup([]value.Value{value.Int(20)})
-	if !ok || !value.Equal(got, ref) {
+	got, ok, err := r.Lookup([]value.Value{value.Int(20)})
+	if err != nil || !ok || !value.Equal(got, ref) {
 		t.Errorf("Lookup ref mismatch")
 	}
-	tup, ok := r.Get([]value.Value{value.Int(20)})
-	if !ok || tup[1].AsString() != "Highman" {
-		t.Errorf("Get = %v,%v", tup, ok)
+	tup, ok, err := r.Get([]value.Value{value.Int(20)})
+	if err != nil || !ok || tup[1].AsString() != "Highman" {
+		t.Errorf("Get = %v,%v,%v", tup, ok, err)
 	}
-	if _, ok := r.Lookup([]value.Value{value.Int(99)}); ok {
+	if _, ok, err := r.Lookup([]value.Value{value.Int(99)}); ok || err != nil {
 		t.Errorf("missing key resolved")
 	}
 }
@@ -137,7 +137,7 @@ func TestAssignInvalidatesReferences(t *testing.T) {
 	if _, err := r.Deref(ref); err == nil {
 		t.Errorf("pre-assign reference still valid")
 	}
-	if _, ok := r.Lookup([]value.Value{value.Int(1)}); ok {
+	if _, ok, _ := r.Lookup([]value.Value{value.Int(1)}); ok {
 		t.Errorf("old element still present")
 	}
 	// Assign with a bad tuple fails up front.
@@ -155,7 +155,7 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	}
 	r.Delete([]value.Value{value.Int(3)})
 	var got []int64
-	r.Scan(func(_ value.Value, tuple []value.Value) bool {
+	r.Scan(nil, func(_ value.Value, tuple []value.Value) bool {
 		got = append(got, tuple[0].AsInt())
 		return true
 	})
@@ -170,7 +170,7 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	r.Scan(func(value.Value, []value.Value) bool {
+	r.Scan(nil, func(value.Value, []value.Value) bool {
 		n++
 		return n < 2
 	})
@@ -186,8 +186,8 @@ func TestScanCountsStats(t *testing.T) {
 	for i := int64(1); i <= 4; i++ {
 		r.Insert(emp(i, "N", 0))
 	}
-	r.Scan(func(value.Value, []value.Value) bool { return true })
-	r.Scan(func(value.Value, []value.Value) bool { return true })
+	r.Scan(st, func(value.Value, []value.Value) bool { return true })
+	r.Scan(st, func(value.Value, []value.Value) bool { return true })
 	if st.BaseScans["employees"] != 2 {
 		t.Errorf("scans = %v", st.BaseScans)
 	}
@@ -210,7 +210,7 @@ func TestRefsAndTuples(t *testing.T) {
 	}
 	// Returned tuples are copies: mutating them must not corrupt storage.
 	tuples[0][1] = value.String_("ZZZ")
-	got, _ := r.Get([]value.Value{value.Int(1)})
+	got, _, _ := r.Get([]value.Value{value.Int(1)})
 	if got[1].AsString() != "A" {
 		t.Errorf("Tuples exposed internal storage")
 	}
@@ -221,7 +221,7 @@ func TestInsertCopiesInput(t *testing.T) {
 	tup := emp(1, "A", 0)
 	r.Insert(tup)
 	tup[1] = value.String_("HACK")
-	got, _ := r.Get([]value.Value{value.Int(1)})
+	got, _, _ := r.Get([]value.Value{value.Int(1)})
 	if got[1].AsString() != "A" {
 		t.Errorf("Insert retained caller's slice")
 	}
@@ -259,7 +259,7 @@ func TestInsertDeleteInvariant(t *testing.T) {
 		}
 		seen := 0
 		okAll := true
-		r.Scan(func(ref value.Value, tuple []value.Value) bool {
+		r.Scan(nil, func(ref value.Value, tuple []value.Value) bool {
 			seen++
 			if !alive[tuple[0].AsInt()] {
 				okAll = false
@@ -312,7 +312,7 @@ func TestDB(t *testing.T) {
 		t.Errorf("unknown relation reference dereferenced")
 	}
 	// Stats flow through relations created before SetStats too.
-	r.Scan(func(value.Value, []value.Value) bool { return true })
+	r.Refs()
 	if st.BaseScans["employees"] != 1 {
 		t.Errorf("db stats not attached: %v", st.BaseScans)
 	}
@@ -324,7 +324,7 @@ func TestDBSetStatsAfterCreate(t *testing.T) {
 	st := &stats.Counters{}
 	d.SetStats(st)
 	r.Insert(emp(1, "A", 0))
-	r.Scan(func(value.Value, []value.Value) bool { return true })
+	r.Refs()
 	if st.BaseScans["employees"] != 1 {
 		t.Errorf("SetStats after create not applied")
 	}
@@ -395,8 +395,8 @@ func TestPointReadsAreCallerOwned(t *testing.T) {
 	scribble := func(tuple []value.Value) {
 		tuple[0], tuple[1], tuple[2] = value.Int(99), value.String_("X"), value.Enum("statustype", 0)
 	}
-	got, ok := r.Get(key)
-	if !ok {
+	got, ok, err := r.Get(key)
+	if err != nil || !ok {
 		t.Fatal("Get missed the element")
 	}
 	scribble(got)
@@ -410,7 +410,7 @@ func TestPointReadsAreCallerOwned(t *testing.T) {
 	}
 	scribble(el)
 
-	if got, ok := r.Get(key); !ok || !tuplesEqual(got, want) {
+	if got, ok, err := r.Get(key); err != nil || !ok || !tuplesEqual(got, want) {
 		t.Fatalf("Get after writing into returned tuples = %v, want %v", got, want)
 	}
 	b := colbatch.New(len(want), 8)

@@ -315,7 +315,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 					errs <- err
 					return
 				}
-				if i%5 == 4 { // exercise Delete's wait-under-lock path too
+				if i%5 == 4 { // deletes share the group commit too
 					if ok, err := r.Delete([]value.Value{value.Int(id)}); err != nil || !ok {
 						errs <- fmt.Errorf("writer %d: delete %d ineffective", w, id)
 						return

@@ -9,7 +9,7 @@ import (
 // BlockCache is the byte-budgeted LRU block cache shared by every
 // SSTable of a database. It caches what point reads decode — the data
 // block a Get searches (its verified payload, so a hit pays no CRC) and
-// the bounded sparse-key run a LookupKey walks — keyed by (file,
+// the bounded sparse-key run a ProbeKey walks — keyed by (file,
 // offset): the offset comes from the table's immutable block directory
 // or sparse key index, so the key fully determines the bytes and a
 // cached entry never goes stale while its file exists. Closing a table

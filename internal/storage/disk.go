@@ -339,10 +339,11 @@ func (d *Disk) ProbeKey(enc string) (si int, ok bool, err error) {
 	return 0, false, nil
 }
 
-// LookupKey is ProbeKey for callers with no error channel (the relation
-// layer's Lookup and Get): an unreadable table answers "absent". Scans
-// surface the corruption with a real error, and inserts and deletes
-// probe with ProbeKey.
+// LookupKey is ProbeKey with the error dropped: an unreadable table
+// answers "absent". Its one remaining caller is the benchmark's
+// storage.lookupkey_us probe (cmd/bench); every reader and mutator in
+// the program probes with ProbeKey. Delete it together with that probe
+// in the next change to the benchmark.
 func (d *Disk) LookupKey(enc string) (int, bool) {
 	si, ok, _ := d.ProbeKey(enc)
 	return si, ok

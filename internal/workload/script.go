@@ -49,7 +49,7 @@ VAR employees : RELATION <enr> OF
 	// ordinals back to labels through the generator's catalog.
 	for _, relName := range []string{"employees", "papers", "courses", "timetable"} {
 		rel, _ := gen.Relation(relName)
-		for _, tup := range rel.Tuples() {
+		if err := rel.Scan(nil, func(_ value.Value, tup []value.Value) bool {
 			b.WriteString(relName + " :+ [<")
 			for i, v := range tup {
 				if i > 0 {
@@ -66,6 +66,9 @@ VAR employees : RELATION <enr> OF
 				}
 			}
 			b.WriteString(">];\n")
+			return true
+		}); err != nil {
+			return "", err
 		}
 	}
 	return b.String(), nil

@@ -48,19 +48,19 @@ func TestUniversitySelectivities(t *testing.T) {
 	cfg := DefaultConfig(400)
 	db := MustUniversity(cfg)
 	profs, y77, soph := 0, 0, 0
-	db.MustRelation("employees").Scan(func(_ value.Value, tup []value.Value) bool {
+	db.MustRelation("employees").Scan(nil, func(_ value.Value, tup []value.Value) bool {
 		if tup[2].EnumOrd() == StatusProfessor {
 			profs++
 		}
 		return true
 	})
-	db.MustRelation("papers").Scan(func(_ value.Value, tup []value.Value) bool {
+	db.MustRelation("papers").Scan(nil, func(_ value.Value, tup []value.Value) bool {
 		if tup[1].AsInt() == 1977 {
 			y77++
 		}
 		return true
 	})
-	db.MustRelation("courses").Scan(func(_ value.Value, tup []value.Value) bool {
+	db.MustRelation("courses").Scan(nil, func(_ value.Value, tup []value.Value) bool {
 		if tup[1].EnumOrd() <= LevelSophomore {
 			soph++
 		}

@@ -62,6 +62,7 @@ package pascalr
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -219,6 +220,10 @@ func WithBlockCacheBytes(n int64) DirOption {
 // optimization strategies are enabled by default. Close flushes and
 // checkpoints; killing the process instead merely loses mutations
 // after the last durable log record, never a prefix or a partial one.
+// If a log append or fsync fails, the database fails stop: the
+// statement that hit it and every later statement, query and read
+// return that error, and Close reports it. Reopen the directory to
+// continue from the last durable state.
 func OpenDir(path string, opts ...DirOption) (*Database, error) {
 	var o storage.Options
 	for _, f := range opts {
@@ -519,7 +524,7 @@ func (d *Database) QueryContext(ctx context.Context, src string, opts ...Option)
 		if err != nil {
 			return nil, err
 		}
-		return newResult(res), nil
+		return newResult(res)
 	}
 	s, err := d.preparedStmt(ctx, src, c)
 	if err != nil {
@@ -529,7 +534,7 @@ func (d *Database) QueryContext(ctx context.Context, src string, opts ...Option)
 	if err != nil {
 		return nil, classifyErr(err)
 	}
-	return newResult(rel), nil
+	return newResult(rel)
 }
 
 // QueryRows evaluates a selection expression and returns a streaming
@@ -639,11 +644,16 @@ func (d *Database) Relations() []string {
 	return d.db.Catalog().Relations()
 }
 
-// RelationLen returns the cardinality of a relation.
+// RelationLen returns the cardinality of a relation. A database whose
+// write-ahead log failed refuses it with that error, as it refuses
+// every read.
 func (d *Database) RelationLen(name string) (int, error) {
 	rel, ok := d.db.Relation(name)
 	if !ok {
 		return 0, fmt.Errorf("pascalr: unknown relation %s", name)
+	}
+	if err := d.db.Err(); err != nil {
+		return 0, err
 	}
 	return rel.Len(), nil
 }
@@ -655,7 +665,7 @@ func (d *Database) Dump(name string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("pascalr: unknown relation %s", name)
 	}
-	return newResult(rel), nil
+	return newResult(rel)
 }
 
 // Stats reports the cost counters accumulated since the last ResetStats:
@@ -760,14 +770,22 @@ type Result struct {
 	rows [][]value.Value
 }
 
-func newResult(rel *relation.Relation) *Result {
-	sch := rel.Schema()
-	r := &Result{rows: rel.Tuples()}
-	for _, c := range sch.Cols {
+// newResult copies a relation's tuples, in insertion order, into a
+// Result; a failed scan (an unreadable SSTable, a fail-stopped
+// database) is its error.
+func newResult(rel *relation.Relation) (*Result, error) {
+	r := &Result{rows: make([][]value.Value, 0, rel.Len())}
+	if err := rel.Scan(nil, func(_ value.Value, tuple []value.Value) bool {
+		r.rows = append(r.rows, slices.Clone(tuple))
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	for _, c := range rel.Schema().Cols {
 		r.cols = append(r.cols, c.Name)
 		r.typs = append(r.typs, c.Type)
 	}
-	return r
+	return r, nil
 }
 
 // Columns returns the component names.

@@ -329,6 +329,41 @@ func TestExecDeleteProbeError(t *testing.T) {
 	}
 }
 
+// TestReadsOverUnreadableTable: a relation whose SSTable cannot be
+// read must make every read of it fail — Dump and the baseline oracle
+// as well as the engine — rather than answer with the rows that happen
+// to be readable. The block cache is off so each read hits the file.
+func TestReadsOverUnreadableTable(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, WithBlockCacheBytes(-1), WithCheckpointWALBytes(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.MustExec(sampleScript)
+	if err := db.Checkpoint(); err != nil { // flushes every relation into an SSTable
+		t.Fatal(err)
+	}
+	// employees is relation 0; keep only its table's 8-byte magic.
+	tables, err := filepath.Glob(filepath.Join(dir, "r0-*.sst"))
+	if err != nil || len(tables) != 1 {
+		t.Fatalf("employees tables = %v (%v), want one", tables, err)
+	}
+	if err := os.Truncate(tables[0], 8); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := db.Dump("employees"); err == nil {
+		t.Fatalf("Dump over an unreadable table returned %d rows and no error", res.Len())
+	}
+	const q = `[<e.ename> OF EACH e IN employees: TRUE]`
+	if res, err := db.Query(q, WithBaseline()); err == nil {
+		t.Fatalf("baseline query over an unreadable table returned %d rows and no error", res.Len())
+	}
+	if res, err := db.Query(q); err == nil {
+		t.Fatalf("engine query over an unreadable table returned %d rows and no error", res.Len())
+	}
+}
+
 // TestExecDeleteAbsentKeyIsNoOp: a delete statement naming a key that
 // is not in the relation succeeds and changes nothing, in memory and on
 // disk (where the key probe also reads the checkpointed SSTable).

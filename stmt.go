@@ -119,7 +119,7 @@ func (s *Stmt) Query(ctx context.Context, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, classifyErr(err)
 	}
-	return newResult(rel), nil
+	return newResult(rel)
 }
 
 // Rows re-executes the compiled plan and returns a streaming cursor:
