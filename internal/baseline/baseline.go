@@ -31,18 +31,20 @@ type Binding struct {
 type Env map[string]Binding
 
 // Eval evaluates a checked selection (as returned by calculus.Check)
-// against the database and returns the result as a fresh relation with
-// the given schema. Scans of base relations are counted through the
-// database's attached stats sink.
-func Eval(sel *calculus.Selection, info *calculus.Info, db *relation.DB) (*relation.Relation, error) {
+// against the database and returns the distinct result rows under
+// info.Result, in the order their projections first occur. Scans of
+// base relations are counted through the database's attached stats
+// sink.
+func Eval(sel *calculus.Selection, info *calculus.Info, db *relation.DB) ([][]value.Value, error) {
 	return EvalStats(sel, info, db, db.Stats())
 }
 
 // EvalStats is Eval with an explicit counter sink, so concurrent
 // baseline evaluations can count into private sinks instead of racing
 // on the database's attached one.
-func EvalStats(sel *calculus.Selection, info *calculus.Info, db *relation.DB, st *stats.Counters) (*relation.Relation, error) {
-	result := relation.New(info.Result, 0xFFFF)
+func EvalStats(sel *calculus.Selection, info *calculus.Info, db *relation.DB, st *stats.Counters) ([][]value.Value, error) {
+	var rows [][]value.Value
+	seen := map[string]struct{}{}
 	env := Env{}
 	err := forEachRange(db, st, sel.Free, 0, env, func() error {
 		ok, err := evalFormula(sel.Pred, env, db, st)
@@ -60,13 +62,19 @@ func EvalStats(sel *calculus.Selection, info *calculus.Info, db *relation.DB, st
 			}
 			tuple[i] = v
 		}
-		_, err = result.Insert(tuple)
-		return err
+		// Every component of the result is key: a set keeps the first
+		// occurrence of each projection.
+		k := value.EncodeKey(tuple)
+		if _, dup := seen[k]; !dup {
+			seen[k] = struct{}{}
+			rows = append(rows, tuple)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return result, nil
+	return rows, nil
 }
 
 // forEachRange enumerates all combinations of bindings for the declared

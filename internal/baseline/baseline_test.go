@@ -58,17 +58,17 @@ func tinyUniversity(t *testing.T) *relation.DB {
 }
 
 // names extracts the single string column of a result, sorted.
-func names(t *testing.T, rel *relation.Relation) []string {
+func names(t *testing.T, rows [][]value.Value) []string {
 	t.Helper()
 	var out []string
-	for _, tup := range rel.Tuples() {
+	for _, tup := range rows {
 		out = append(out, tup[0].AsString())
 	}
 	sort.Strings(out)
 	return out
 }
 
-func evalSample(t *testing.T, db *relation.DB, sel *calculus.Selection) *relation.Relation {
+func evalSample(t *testing.T, db *relation.DB, sel *calculus.Selection) [][]value.Value {
 	t.Helper()
 	checked, info, err := calculus.Check(sel, db.Catalog())
 	if err != nil {
@@ -121,10 +121,10 @@ func TestSubexpressionSelection(t *testing.T) {
 	db := tinyUniversity(t)
 	res := evalSample(t, db, workload.SubexprSelection())
 	// Only course 10 is sophomore; only cyd teaches it: one pair.
-	if res.Len() != 1 {
-		t.Errorf("Example 3.2 fragment returned %d rows", res.Len())
+	if len(res) != 1 {
+		t.Errorf("Example 3.2 fragment returned %d rows", len(res))
 	}
-	tup := res.Tuples()[0]
+	tup := res[0]
 	if tup[0].AsInt() != 10 || tup[1].AsInt() != 3 {
 		t.Errorf("Example 3.2 fragment = %v", tup)
 	}
@@ -237,7 +237,7 @@ func TestResultIsSet(t *testing.T) {
 		Free: []calculus.Decl{{Var: "e", Range: &calculus.RangeExpr{Rel: "employees"}}},
 	}
 	res := evalSample(t, db, sel)
-	if res.Len() != 2 { // professor and student
-		t.Errorf("distinct statuses = %d, want 2", res.Len())
+	if len(res) != 2 { // professor and student
+		t.Errorf("distinct statuses = %d, want 2", len(res))
 	}
 }

@@ -12,7 +12,9 @@ import (
 	"pascalr/internal/obs"
 	"pascalr/internal/optimizer"
 	"pascalr/internal/relation"
+	"pascalr/internal/schema"
 	"pascalr/internal/stats"
+	"pascalr/internal/value"
 )
 
 // Plan is a compiled, reusable evaluation plan: the compile-time half of
@@ -196,20 +198,24 @@ func (p *Plan) instance() (*optimizer.XForm, Options, uint64, error) {
 	return p.tmpl.Clone(), p.opts, p.version, nil
 }
 
+// Schema returns the checked result schema the plan's rows are under.
+func (p *Plan) Schema() *schema.RelSchema { return p.info.Result }
+
 // maxStaleRetries bounds Eval's optimistic re-executions when a
 // concurrent writer deletes referenced elements between the combination
 // phase and construction.
 const maxStaleRetries = 4
 
 // Eval executes the plan to completion and returns the materialized
-// result relation. It is the run-time half of the old one-shot Eval:
-// collection, combination, and construction against the compiled
-// template. When a concurrent writer invalidates references before
-// construction finishes (relation.ErrStale), Eval re-executes against
-// the new contents — optimistic concurrency for the materializing
-// path; only a writer that keeps winning the race through every retry
-// surfaces the error.
-func (p *Plan) Eval(ctx context.Context) (*relation.Relation, error) {
+// result: the distinct rows in the order construction yields them,
+// under the checked result schema. It is the run-time half of the old
+// one-shot Eval: collection, combination, and construction against the
+// compiled template. When a concurrent writer invalidates references
+// before construction finishes (relation.ErrStale), Eval re-executes
+// against the new contents — optimistic concurrency for the
+// materializing path; only a writer that keeps winning the race through
+// every retry surfaces the error.
+func (p *Plan) Eval(ctx context.Context) ([][]value.Value, error) {
 	return p.EvalWith(ctx, nil)
 }
 
@@ -217,10 +223,9 @@ func (p *Plan) Eval(ctx context.Context) (*relation.Relation, error) {
 // runs against a private copy of the plan's options after
 // revalidation, so concurrent executions with different
 // execution-time options (budget, statistics) never
-// contaminate each other or the plan. It drains a cursor and is the
-// only path that builds a result relation, from the cursor's
-// already-distinct rows.
-func (p *Plan) EvalWith(ctx context.Context, override func(*Options)) (*relation.Relation, error) {
+// contaminate each other or the plan. It drains a cursor and returns
+// the cursor's already-distinct rows, which belong to the caller.
+func (p *Plan) EvalWith(ctx context.Context, override func(*Options)) ([][]value.Value, error) {
 	var lastErr error
 	for attempt := 0; attempt <= maxStaleRetries; attempt++ {
 		cur, err := p.RowsWith(ctx, override)
@@ -230,13 +235,13 @@ func (p *Plan) EvalWith(ctx context.Context, override func(*Options)) (*relation
 		for cur.Next() {
 		}
 		err = cur.Err()
-		var rel *relation.Relation
+		var rows [][]value.Value
 		if err == nil {
-			rel, err = cur.relation()
+			rows = cur.yieldedRows()
 		}
 		cur.Close()
 		if err == nil {
-			return rel, nil
+			return rows, nil
 		}
 		if !errors.Is(err, relation.ErrStale) {
 			return nil, err

@@ -11,14 +11,13 @@ import (
 
 	"pascalr/internal/baseline"
 	"pascalr/internal/calculus"
-	"pascalr/internal/relation"
 	"pascalr/internal/value"
 	"pascalr/internal/workload"
 )
 
-func relKey(rel *relation.Relation) string {
+func relKey(rows [][]value.Value) string {
 	var keys []string
-	for _, tup := range rel.Tuples() {
+	for _, tup := range rows {
 		keys = append(keys, value.EncodeKey(tup))
 	}
 	sort.Strings(keys)
@@ -54,7 +53,7 @@ func TestPlanReuseAcrossMutations(t *testing.T) {
 		}
 		if relKey(got) != relKey(want) {
 			t.Fatalf("%s: reused plan disagrees with baseline: got %d rows, want %d",
-				step, got.Len(), want.Len())
+				step, len(got), len(want))
 		}
 	}
 
@@ -292,7 +291,7 @@ func TestCursorStreamsDistinctTuples(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	if len(got) != want.Len() {
-		t.Fatalf("cursor yielded %d tuples, materialized result has %d", len(got), want.Len())
+	if len(got) != len(want) {
+		t.Fatalf("cursor yielded %d tuples, materialized result has %d", len(got), len(want))
 	}
 }

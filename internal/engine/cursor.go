@@ -222,14 +222,14 @@ func (c *Cursor) Close() error {
 // Schema returns the schema of the result relation the cursor produces.
 func (c *Cursor) Schema() *schema.RelSchema { return c.sch }
 
-// relation materializes the rows the cursor has yielded as a result
-// relation; the rows are already distinct.
-func (c *Cursor) relation() (*relation.Relation, error) {
-	rel := relation.New(c.sch, 0xFFFF)
-	for k := 0; k < c.yielded; k++ {
-		if _, err := rel.Insert(c.set.row(k)); err != nil {
-			return nil, err
-		}
+// yieldedRows returns the rows Next has yielded, in yield order. They
+// alias the construction set's arena: a rebuild after a concurrent
+// commit rewrites only unyielded rows, and Close drops the set without
+// touching it.
+func (c *Cursor) yieldedRows() [][]value.Value {
+	out := make([][]value.Value, c.yielded)
+	for k := range out {
+		out[k] = c.set.row(k)
 	}
-	return rel, nil
+	return out
 }

@@ -33,6 +33,7 @@ import (
 	"pascalr/internal/optimizer"
 	"pascalr/internal/relation"
 	"pascalr/internal/stats"
+	"pascalr/internal/value"
 )
 
 // Strategy is a bit set of the paper's optimization strategies.
@@ -132,9 +133,10 @@ func (e *Engine) Stats(f func(*stats.Counters)) {
 }
 
 // Eval compiles and executes a checked selection (from calculus.Check)
-// in one shot and returns the result relation. Callers that re-execute
-// the same selection should Compile once and reuse the returned Plan.
-func (e *Engine) Eval(ctx context.Context, sel *calculus.Selection, info *calculus.Info, opts Options) (*relation.Relation, error) {
+// in one shot and returns the result rows (see Plan.Eval). Callers that
+// re-execute the same selection should Compile once and reuse the
+// returned Plan.
+func (e *Engine) Eval(ctx context.Context, sel *calculus.Selection, info *calculus.Info, opts Options) ([][]value.Value, error) {
 	p, err := e.Compile(sel, info, opts)
 	if err != nil {
 		return nil, err

@@ -53,7 +53,7 @@ func tinyUniversity(t *testing.T) *relation.DB {
 	return db
 }
 
-func evalWith(t *testing.T, db *relation.DB, sel *calculus.Selection, strat Strategy) (*relation.Relation, *stats.Counters) {
+func evalWith(t *testing.T, db *relation.DB, sel *calculus.Selection, strat Strategy) ([][]value.Value, *stats.Counters) {
 	t.Helper()
 	checked, info, err := calculus.Check(sel, db.Catalog())
 	if err != nil {
@@ -68,10 +68,10 @@ func evalWith(t *testing.T, db *relation.DB, sel *calculus.Selection, strat Stra
 	return res, st
 }
 
-func names(t *testing.T, rel *relation.Relation) []string {
+func names(t *testing.T, rows [][]value.Value) []string {
 	t.Helper()
 	var out []string
-	for _, tup := range rel.Tuples() {
+	for _, tup := range rows {
 		out = append(out, tup[0].AsString())
 	}
 	sort.Strings(out)
@@ -128,8 +128,8 @@ func TestEmptyEmployeesGivesEmptyResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, _ := evalWith(t, db, workload.SampleSelection(), strat)
-		if res.Len() != 0 {
-			t.Errorf("%s: empty free range returned %d rows", strat, res.Len())
+		if len(res) != 0 {
+			t.Errorf("%s: empty free range returned %d rows", strat, len(res))
 		}
 	}
 }
@@ -263,8 +263,8 @@ func TestSubexprQuery(t *testing.T) {
 	for _, strat := range ladder {
 		db := tinyUniversity(t)
 		res, _ := evalWith(t, db, workload.SubexprSelection(), strat)
-		if res.Len() != 1 {
-			t.Errorf("%s: subexpression rows = %d, want 1", strat, res.Len())
+		if len(res) != 1 {
+			t.Errorf("%s: subexpression rows = %d, want 1", strat, len(res))
 		}
 	}
 }
@@ -284,9 +284,9 @@ func TestMaxRefTuplesGuard(t *testing.T) {
 
 // resultKey renders a result relation as a sorted string for
 // order-independent comparison.
-func resultKey(rel *relation.Relation) string {
+func resultKey(rows [][]value.Value) string {
 	var keys []string
-	for _, tup := range rel.Tuples() {
+	for _, tup := range rows {
 		keys = append(keys, value.EncodeKey(tup))
 	}
 	sort.Strings(keys)
@@ -325,7 +325,7 @@ func TestDifferentialAgainstBaseline(t *testing.T) {
 			}
 			if gotKey := resultKey(got); gotKey != wantKey {
 				t.Fatalf("seed %d %s: result mismatch\nquery: %s\nwant %d rows, got %d rows",
-					seed, strat, checked, want.Len(), got.Len())
+					seed, strat, checked, len(want), len(got))
 			}
 		}
 	}
@@ -351,7 +351,7 @@ func TestDifferentialOnUniversity(t *testing.T) {
 			got, _ := evalWith(t, db, workload.SampleSelection(), strat)
 			if resultKey(got) != wantKey {
 				t.Errorf("seed %d %s: university query mismatch (want %d rows, got %d)",
-					seed, strat, want.Len(), got.Len())
+					seed, strat, len(want), len(got))
 			}
 		}
 	}

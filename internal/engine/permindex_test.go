@@ -44,7 +44,7 @@ func TestPermanentIndexSkipsScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st, res.Len()
+		return st, len(res)
 	}
 
 	stNo, rowsNo := run(false)
@@ -122,7 +122,7 @@ func TestDifferentialWithPermanentIndexes(t *testing.T) {
 			}
 			if resultKey(got) != wantKey {
 				t.Fatalf("seed %d %s: mismatch with permanent indexes\nquery: %s\nwant %d got %d",
-					seed, strat, checked, want.Len(), got.Len())
+					seed, strat, checked, len(want), len(got))
 			}
 		}
 	}
@@ -139,7 +139,7 @@ func TestLazyRangeListsPreserveSemantics(t *testing.T) {
 	}
 	sel := workload.SubexprSelection() // free c, free t; t's relation empty
 	res, _ := evalWith(t, db, sel, S1|S2|S3|S4)
-	if res.Len() != 0 {
-		t.Errorf("join over empty relation returned %d rows", res.Len())
+	if len(res) != 0 {
+		t.Errorf("join over empty relation returned %d rows", len(res))
 	}
 }

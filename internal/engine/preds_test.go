@@ -195,11 +195,11 @@ func TestDerivedEnumAtoms(t *testing.T) {
 			}
 			got, st := evalWith(t, db, checked, strat)
 			if resultKey(got) != resultKey(want) {
-				t.Errorf("%s under %s: %d rows, baseline %d", tc.src, strat, got.Len(), want.Len())
+				t.Errorf("%s under %s: %d rows, baseline %d", tc.src, strat, len(got), len(want))
 			}
-			if got.Len() != tc.rows || st.Comparisons != tc.cmp {
+			if len(got) != tc.rows || st.Comparisons != tc.cmp {
 				t.Errorf("%s under %s: %d rows, %d comparisons; want %d rows, %d comparisons",
-					tc.src, strat, got.Len(), st.Comparisons, tc.rows, tc.cmp)
+					tc.src, strat, len(got), st.Comparisons, tc.rows, tc.cmp)
 			}
 		}
 	}

@@ -39,7 +39,7 @@ func TestStressDifferential(t *testing.T) {
 			}
 			if gotKey := resultKey(got); gotKey != wantKey {
 				t.Fatalf("seed %d %s: result mismatch\nquery: %s\nwant %d rows, got %d rows",
-					seed, strat, checked, want.Len(), got.Len())
+					seed, strat, checked, len(want), len(got))
 			}
 		}
 	}

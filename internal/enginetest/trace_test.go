@@ -53,7 +53,7 @@ func TestTracedFingerprintIdentity(t *testing.T) {
 
 					if a, b := RelKey(got), RelKey(gotTr); a != b {
 						t.Fatalf("[%s %s] traced result diverges\nuntraced: %d rows\ntraced:   %d rows",
-							strat, mode.Name, got.Len(), gotTr.Len())
+							strat, mode.Name, len(got), len(gotTr))
 					}
 					if a, b := plain.Fingerprint(), traced.Fingerprint(); a != b {
 						t.Fatalf("[%s %s] traced counters diverge\nuntraced: %s\ntraced:   %s",

@@ -327,7 +327,7 @@ func TestStandardFormHelpers(t *testing.T) {
 	}
 }
 
-func evalSel(t *testing.T, db *relation.DB, sel *calculus.Selection, info *calculus.Info) *relation.Relation {
+func evalSel(t *testing.T, db *relation.DB, sel *calculus.Selection, info *calculus.Info) [][]value.Value {
 	t.Helper()
 	if info == nil {
 		var err error
@@ -345,10 +345,10 @@ func evalSel(t *testing.T, db *relation.DB, sel *calculus.Selection, info *calcu
 	return res
 }
 
-func resultKey(t *testing.T, rel *relation.Relation) string {
+func resultKey(t *testing.T, rows [][]value.Value) string {
 	t.Helper()
 	var keys []string
-	for _, tup := range rel.Tuples() {
+	for _, tup := range rows {
 		keys = append(keys, value.EncodeKey(tup))
 	}
 	sort.Strings(keys)

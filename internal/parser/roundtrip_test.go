@@ -52,9 +52,9 @@ func TestRandomSelectionRoundTrip(t *testing.T) {
 	}
 }
 
-func key(rel interface{ Tuples() [][]value.Value }) string {
+func key(rows [][]value.Value) string {
 	var keys []string
-	for _, tup := range rel.Tuples() {
+	for _, tup := range rows {
 		keys = append(keys, value.EncodeKey(tup))
 	}
 	sort.Strings(keys)

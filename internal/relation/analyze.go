@@ -29,11 +29,3 @@ func (d *DB) Analyze() *stats.Estimator {
 	}
 	return d.Estimator()
 }
-
-// AnalyzeRelation rebuilds (and returns) one relation's statistics from
-// a full scan, bypassing the relation's counter sink. For standalone
-// relations — which maintain no live statistics — it returns a detached
-// summary of the current contents.
-func AnalyzeRelation(r *Relation) *stats.TableStats {
-	return r.rebuildStats()
-}

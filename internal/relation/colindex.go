@@ -37,8 +37,6 @@ type ColIndex struct {
 	sortMu     sync.Mutex    // guards the lazy sorted copy
 	sorted     bool          // sortedVals up to date
 	sortedVals []value.Value // ascending copy of vals
-
-	st *stats.Counters
 }
 
 // CreateIndex declares a permanent index on the named component and
@@ -68,7 +66,7 @@ func (r *Relation) createIndexLocked(col string) (*ColIndex, error) {
 	if _, dup := r.colIndexes[col]; dup {
 		return nil, fmt.Errorf("relation %s: index on %s already exists", r.sch.Name, col)
 	}
-	ix := &ColIndex{rel: r, col: col, colIdx: ci, eq: make(map[string][]value.Value), st: r.st}
+	ix := &ColIndex{rel: r, col: col, colIdx: ci, eq: make(map[string][]value.Value)}
 	if err := r.store.Scan(0, r.store.SlotSpan(), func(si int, tuple []value.Value) bool {
 		ix.add(tuple[ci], r.refOf(si))
 		return true
@@ -92,8 +90,8 @@ func (r *Relation) Index(col string) (*ColIndex, bool) {
 
 // Indexes returns the indexed component names, sorted.
 func (r *Relation) Indexes() []string {
-	r.rlock()
-	defer r.runlock()
+	r.owner.mu.RLock()
+	defer r.owner.mu.RUnlock()
 	out := make([]string, 0, len(r.colIndexes))
 	for col := range r.colIndexes {
 		out = append(out, col)
@@ -173,19 +171,6 @@ func (ix *ColIndex) sortedSnapshot() []value.Value {
 		ix.sorted = true
 	}
 	return ix.sortedVals
-}
-
-// ProbeEq returns the references whose indexed component equals v,
-// counting against the attached sink. Callers must not modify the
-// returned slice.
-func (ix *ColIndex) ProbeEq(v value.Value) []value.Value {
-	ix.st.CountProbes(1)
-	return ix.eq[value.EncodeKey([]value.Value{v})]
-}
-
-// Probe is ProbeStats against the attached counter sink.
-func (ix *ColIndex) Probe(op value.CmpOp, pv value.Value, fn func(ref value.Value)) {
-	ix.ProbeStats(ix.st, op, pv, fn)
 }
 
 // ProbeStats calls fn with every reference whose indexed value iv

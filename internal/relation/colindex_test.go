@@ -5,15 +5,23 @@ import (
 	"testing/quick"
 
 	"pascalr/internal/schema"
+	"pascalr/internal/stats"
 	"pascalr/internal/value"
 )
 
 func intRel(t *testing.T) *Relation {
 	t.Helper()
-	return New(schema.MustRelSchema("r", []schema.Column{
+	return NewDB().MustCreate(schema.MustRelSchema("r", []schema.Column{
 		{Name: "k", Type: schema.IntType("", 0, 1000)},
 		{Name: "v", Type: schema.IntType("", 0, 1000)},
-	}, []string{"k"}), 0)
+	}, []string{"k"}))
+}
+
+// eqRefs counts the references an equality probe for v finds.
+func eqRefs(ix *ColIndex, v value.Value) int {
+	n := 0
+	ix.ProbeStats(&stats.Counters{}, value.OpEq, v, func(value.Value) { n++ })
+	return n
 }
 
 func TestCreateIndexBackfillsAndMaintains(t *testing.T) {
@@ -30,24 +38,24 @@ func TestCreateIndexBackfillsAndMaintains(t *testing.T) {
 	if ix.Len() != 10 {
 		t.Errorf("backfill = %d entries", ix.Len())
 	}
-	if got := len(ix.ProbeEq(value.Int(0))); got != 4 { // 0,3,6,9
+	if got := eqRefs(ix, value.Int(0)); got != 4 { // 0,3,6,9
 		t.Errorf("ProbeEq(0) = %d", got)
 	}
 	// Maintenance under insert.
 	r.Insert([]value.Value{value.Int(100), value.Int(0)})
-	if got := len(ix.ProbeEq(value.Int(0))); got != 5 {
+	if got := eqRefs(ix, value.Int(0)); got != 5 {
 		t.Errorf("after insert ProbeEq(0) = %d", got)
 	}
 	// Maintenance under delete.
 	r.Delete([]value.Value{value.Int(0)})
-	if got := len(ix.ProbeEq(value.Int(0))); got != 4 {
+	if got := eqRefs(ix, value.Int(0)); got != 4 {
 		t.Errorf("after delete ProbeEq(0) = %d", got)
 	}
 	// Maintenance under assign.
 	if err := r.Assign([][]value.Value{{value.Int(1), value.Int(7)}}); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 1 || len(ix.ProbeEq(value.Int(7))) != 1 {
+	if ix.Len() != 1 || eqRefs(ix, value.Int(7)) != 1 {
 		t.Errorf("after assign Len=%d", ix.Len())
 	}
 	// Duplicate index and unknown component error.
@@ -71,9 +79,10 @@ func TestColIndexProbeOperators(t *testing.T) {
 		r.Insert([]value.Value{value.Int(int64(i)), value.Int(v)})
 	}
 	ix, _ := r.CreateIndex("v")
+	st := &stats.Counters{}
 	count := func(op value.CmpOp, pv int64) int {
 		n := 0
-		ix.Probe(op, value.Int(pv), func(value.Value) { n++ })
+		ix.ProbeStats(st, op, value.Int(pv), func(value.Value) { n++ })
 		return n
 	}
 	cases := []struct {
@@ -92,8 +101,11 @@ func TestColIndexProbeOperators(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := count(c.op, c.pv); got != c.want {
-			t.Errorf("Probe(%v,%d) = %d, want %d", c.op, c.pv, got, c.want)
+			t.Errorf("ProbeStats(%v,%d) = %d, want %d", c.op, c.pv, got, c.want)
 		}
+	}
+	if st.IndexProbes != int64(len(cases)) {
+		t.Errorf("sink counted %d probes, want %d", st.IndexProbes, len(cases))
 	}
 	// Entries enumerates everything.
 	n := 0
@@ -127,7 +139,7 @@ func TestColIndexMatchesScan(t *testing.T) {
 				return true
 			})
 			got := 0
-			ix.Probe(op, pv, func(ref value.Value) {
+			ix.ProbeStats(&stats.Counters{}, op, pv, func(ref value.Value) {
 				if _, err := r.Deref(ref); err != nil {
 					t.Errorf("index returned stale ref")
 				}

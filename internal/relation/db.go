@@ -191,11 +191,11 @@ func (d *DB) Create(sch *schema.RelSchema) (*Relation, error) {
 		if err := d.cat.DefineRelation(sch); err != nil {
 			return storage.Record{}, false, err
 		}
+		store := storage.NewMemory()
 		if d.dur != nil {
-			r = newRelation(sch, d.nextID, storage.NewDisk(d.dur.dir, d.nextID, d.dur.opts, d.dur.cache))
-		} else {
-			r = New(sch, d.nextID)
+			store = storage.NewDisk(d.dur.dir, d.nextID, d.dur.opts, d.dur.cache)
 		}
+		r = newRelation(sch, d.nextID, store)
 		d.attach(r)
 		return storage.Record{Op: storage.OpCreateRel, Schema: sch}, true, nil
 	})
@@ -211,13 +211,8 @@ func (d *DB) Create(sch *schema.RelSchema) (*Relation, error) {
 // into one group commit (see storage.WAL) while readers and other
 // writers proceed. A refused apply logs nothing; a failed append or
 // fsync becomes the sticky error. r is the mutated relation (nil for
-// DDL). A nil d — a standalone relation — only applies: no lock, no
-// log.
+// DDL).
 func (d *DB) write(r *Relation, apply func() (rec storage.Record, changed bool, err error)) error {
-	if d == nil {
-		_, _, err := apply()
-		return err
-	}
 	d.mu.Lock()
 	err := d.Err()
 	var tk storage.Ticket
@@ -239,11 +234,9 @@ func (d *DB) write(r *Relation, apply func() (rec storage.Record, changed bool, 
 	return nil
 }
 
-// attach wires a freshly built relation into the database: locking,
+// attach wires a freshly built relation into the database: owner,
 // statistics, registration maps. Callers hold mu and catMu exclusively.
 func (d *DB) attach(r *Relation) {
-	r.onMutate = d.bumpVersion
-	r.lk = &d.mu
 	r.st = d.st
 	if r.stTable == nil {
 		cols := make([]string, len(r.sch.Cols))
@@ -334,8 +327,9 @@ func (d *DB) DerefInto(ref value.Value, dst []value.Value) ([]value.Value, error
 }
 
 // SetStats attaches a counter sink to the database and all its
-// relations. The sink feeds the locking read paths (Scan, public
-// probes); engine executions pass explicit per-execution sinks instead.
+// relations. Refs and Tuples count into it, and baseline.Eval reads it
+// through Stats; engine executions and Scan callers pass explicit
+// sinks instead.
 func (d *DB) SetStats(st *stats.Counters) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -343,7 +337,7 @@ func (d *DB) SetStats(st *stats.Counters) {
 	defer d.catMu.RUnlock()
 	d.st = st
 	for _, r := range d.rels {
-		r.setStats(st)
+		r.st = st
 	}
 }
 
@@ -387,9 +381,6 @@ func (d *DB) Estimator() *stats.Estimator {
 	}
 	est := stats.NewEstimator()
 	for _, r := range rels {
-		if r.stTable == nil {
-			continue
-		}
 		// Read the counter before snapshotting: a concurrent mutation
 		// between the two at worst re-snapshots next call, never tags a
 		// stale snapshot as fresh.
@@ -408,13 +399,21 @@ func (d *DB) Estimator() *stats.Estimator {
 // scheduleStatsRebuild queues a background re-bucketing of one
 // relation's histograms (single-flight per relation). Called by
 // mutators under the content write lock; the rebuild itself runs later
-// under the content read lock. After Close the submission is rejected
-// (by the flag here and, authoritatively, by the closed executor), so
-// a drift trigger racing shutdown cannot schedule work the shutdown
-// will not wait for.
+// under the content read lock, and only while the statistics are still
+// drifted — a rerun queued behind a rebuild that already repaired them
+// returns at once. After Close the submission is rejected (by the flag
+// here and, authoritatively, by the closed executor), so a drift
+// trigger racing shutdown cannot schedule work the shutdown will not
+// wait for.
 func (d *DB) scheduleStatsRebuild(r *Relation) {
 	if d.closed.Load() || d.replaying.Load() {
 		return
 	}
-	d.async.Submit("stats:"+r.sch.Name, func() { r.rebuildStats() })
+	d.async.Submit("stats:"+r.sch.Name, func() {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		if r.stTable.Drifted() {
+			r.rebuildStatsLocked()
+		}
+	})
 }

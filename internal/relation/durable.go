@@ -79,12 +79,11 @@ func (du *durable) setSticky(err error) { du.err.CompareAndSwap(nil, &err) }
 
 // Err returns the database's sticky durability error: nil until a WAL
 // append or its covering fsync fails, and always nil for in-memory
-// databases and standalone relations (a nil DB). From the first
-// failure on the database fails stop: every mutation, checkpoint and
-// content read returns this error, and Close surfaces it. One atomic
-// load, safe without any lock.
+// databases. From the first failure on the database fails stop: every
+// mutation, checkpoint and content read returns this error, and Close
+// surfaces it. One atomic load, safe without any lock.
 func (d *DB) Err() error {
-	if d == nil || d.dur == nil {
+	if d.dur == nil {
 		return nil
 	}
 	if p := d.dur.err.Load(); p != nil {
@@ -356,14 +355,21 @@ func (d *DB) logRecord(r *Relation, rec storage.Record) (storage.Ticket, error) 
 // mutation: a checkpoint when the WAL outgrew its budget (bounding
 // replay time), and a compaction when the mutated relation's disk tier
 // would reclaim enough dead records. Both run on the database's async
-// executor, single-flight per key, and take the content write lock
-// themselves.
+// executor, single-flight per key, take the content write lock
+// themselves, and re-check their trigger under it: a rerun queued
+// behind a job that already did the work returns at once.
 func (d *DB) maybeMaintain(r *Relation) {
 	if d.closed.Load() {
 		return
 	}
 	if t := d.dur.opts.CheckpointWALBytes; t > 0 && d.dur.wal.Size() >= t {
-		d.async.Submit("checkpoint", func() { d.Checkpoint() })
+		d.async.Submit("checkpoint", func() {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			if d.dur.wal.Size() >= t {
+				d.checkpointLocked()
+			}
+		})
 	}
 	if r == nil {
 		return
@@ -372,7 +378,9 @@ func (d *DB) maybeMaintain(r *Relation) {
 		d.async.Submit("compact:"+r.sch.Name, func() {
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			r.store.Compact()
+			if r.store.NeedsCompaction() {
+				r.store.Compact()
+			}
 		})
 	}
 }

@@ -863,9 +863,9 @@ func TestDeleteCheckpointedKey(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d after the delete, want 1", r.Len())
 	}
-	if ix.Len() != 1 || len(ix.ProbeEq(value.String_("one"))) != 0 || len(ix.ProbeEq(value.String_("two"))) != 1 {
+	if ix.Len() != 1 || eqRefs(ix, value.String_("one")) != 0 || eqRefs(ix, value.String_("two")) != 1 {
 		t.Fatalf("index after the delete: %d entries, one=%d two=%d; want 1, 0, 1",
-			ix.Len(), len(ix.ProbeEq(value.String_("one"))), len(ix.ProbeEq(value.String_("two"))))
+			ix.Len(), eqRefs(ix, value.String_("one")), eqRefs(ix, value.String_("two")))
 	}
 }
 

@@ -56,8 +56,38 @@ func TestFailStopFencesEmptinessFold(t *testing.T) {
 	if err != sticky {
 		n := -1
 		if res != nil {
-			n = res.Len()
+			n = len(res)
 		}
 		t.Fatalf("query after the WAL failure = %d rows, %v; want the sticky error %v", n, err, sticky)
+	}
+}
+
+// TestFailStopFencesLiveStats: a refused delete of a relation's only
+// element leaves its live statistics at 0 rows, though recovery
+// restores the element. LiveStats must return the sticky error
+// instead of that count.
+func TestFailStopFencesLiveStats(t *testing.T) {
+	d, err := relation.OpenDB(t.TempDir(), storage.Options{Fsync: storage.SyncNever, CheckpointWALBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := d.Create(schema.MustRelSchema("solo", []schema.Column{{Name: "id", Type: schema.IntType("idtype", 1, 99)}}, []string{"id"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := solo.Insert([]value.Value{value.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if ts, err := solo.LiveStats(); err != nil || ts.Rows() != 1 {
+		t.Fatalf("LiveStats before the failure = %v, %v; want 1 row", ts, err)
+	}
+	if err := relation.CloseWAL(d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := solo.Delete([]value.Value{value.Int(1)}); err == nil {
+		t.Fatal("unloggable delete succeeded")
+	}
+	if ts, err := solo.LiveStats(); err == nil || err != d.Err() {
+		t.Fatalf("LiveStats after the WAL failure = %v, %v; want the sticky error %v", ts, err, d.Err())
 	}
 }

@@ -12,24 +12,22 @@
 // slot discipline (slots never revive, so a live slot is always at
 // generation zero).
 //
-// Tuples live in a storage.Disk slot store: one with no directory
-// (storage.NewMemory) by default, or one spilling to SSTables for
-// durable databases (OpenDB). Relations created through DB.Create share
-// the database's content RWMutex (see the locking discipline on DB):
-// exported mutators write through DB.write and readers lock per call,
-// while the snapshot accessors (ScanBatches, SlotSpan, deref via
-// DB.DerefInto) rely on the caller holding the database read lock.
-// Every content read of a fail-stopped database returns its sticky
-// durability error (DB.Err). Standalone relations (New) carry no lock
-// and stay as cheap as before — the engine's per-execution result
-// relations are built that way.
+// Every relation belongs to a DB (DB.Create, OpenDB). Tuples live in a
+// storage.Disk slot store: one with no directory (storage.NewMemory)
+// for in-memory databases, or one spilling to SSTables for durable
+// databases. Relations share the database's content RWMutex (see the
+// locking discipline on DB): exported mutators write through DB.write
+// and readers lock per call, while the snapshot accessors
+// (ScanBatches, SlotSpan, deref via DB.DerefInto) rely on the caller
+// holding the database read lock. Every content read of a fail-stopped
+// database returns its sticky durability error (DB.Err). Query results
+// are not relations: the engine hands back the constructed rows.
 package relation
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"pascalr/internal/colbatch"
@@ -65,16 +63,11 @@ type Relation struct {
 	batchKinds []value.Kind
 	batchEnums []string
 
-	// onMutate, when set (by DB.Create), is called after every content
-	// mutation — the hook behind DB.Version.
-	onMutate func()
-
 	// stTable is the incrementally maintained statistics of this
 	// relation (histograms, distinct counts), fed by every
-	// insert, delete, and assignment under the content write lock; nil
-	// for standalone relations, which skip all statistics work. owner
-	// points back at the database for drift-triggered background
-	// rebuilds and write-ahead logging.
+	// insert, delete, and assignment under the content write lock.
+	// owner is the database the relation belongs to: its content lock,
+	// version, write-ahead log and background rebuilds.
 	stTable *stats.TableStats
 	owner   *DB
 	// mutCount counts this relation's content mutations — the
@@ -82,22 +75,12 @@ type Relation struct {
 	// of one relation invalidates only its own cached statistics.
 	mutCount atomic.Uint64
 
-	// lk is the owning database's content lock; nil for standalone
-	// relations, which then skip all locking.
-	lk *sync.RWMutex
-
 	st *stats.Counters
 }
 
-// New creates an empty relation with the given schema and catalog id,
-// backed by a slot store with no directory. The id must fit in 16 bits
-// (it is packed into reference values).
-func New(sch *schema.RelSchema, id int) *Relation {
-	return newRelation(sch, id, storage.NewMemory())
-}
-
 // newRelation creates a relation over the given empty or checkpointed
-// slot store.
+// slot store; DB.attach makes it the database's. The id must fit in 16
+// bits (it is packed into reference values).
 func newRelation(sch *schema.RelSchema, id int, store *storage.Disk) *Relation {
 	if id < 0 || id > 0xFFFF {
 		panic(fmt.Sprintf("relation: id %d out of range", id))
@@ -114,18 +97,6 @@ func newRelation(sch *schema.RelSchema, id int, store *storage.Disk) *Relation {
 		batchKinds: kinds, batchEnums: enums}
 }
 
-func (r *Relation) rlock() {
-	if r.lk != nil {
-		r.lk.RLock()
-	}
-}
-
-func (r *Relation) runlock() {
-	if r.lk != nil {
-		r.lk.RUnlock()
-	}
-}
-
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *schema.RelSchema { return r.sch }
 
@@ -139,25 +110,6 @@ func (r *Relation) ID() int { return r.id }
 // without any lock (and in particular safe under the engine's phase
 // lock, where the locking accessors would deadlock).
 func (r *Relation) Len() int { return int(r.live.Load()) }
-
-// SetStats attaches a counter sink; scans through Refs and Tuples and
-// permanent-index probes through Probe and ProbeEq are recorded there.
-// A nil sink disables counting. Engine executions and Scan callers
-// pass their own sinks.
-func (r *Relation) SetStats(st *stats.Counters) {
-	if r.lk != nil {
-		r.lk.Lock()
-		defer r.lk.Unlock()
-	}
-	r.setStats(st)
-}
-
-func (r *Relation) setStats(st *stats.Counters) {
-	r.st = st
-	for _, ix := range r.colIndexes {
-		ix.st = st
-	}
-}
 
 // Insert implements the :+ operator for a single element. Inserting an
 // element whose key is present with identical non-key components is a
@@ -298,8 +250,8 @@ func (r *Relation) assign(tuples [][]value.Value) error {
 // reference of the element with the given key values. An unreadable
 // SSTable is an error, not an absent key.
 func (r *Relation) Lookup(keyVals []value.Value) (value.Value, bool, error) {
-	r.rlock()
-	defer r.runlock()
+	r.owner.mu.RLock()
+	defer r.owner.mu.RUnlock()
 	si, ok, err := r.probe(keyVals)
 	if err != nil || !ok {
 		return value.Value{}, false, err
@@ -310,8 +262,8 @@ func (r *Relation) Lookup(keyVals []value.Value) (value.Value, bool, error) {
 // Get returns the tuple with the given key values. The tuple belongs to
 // the caller. An unreadable SSTable is an error, not an absent key.
 func (r *Relation) Get(keyVals []value.Value) ([]value.Value, bool, error) {
-	r.rlock()
-	defer r.runlock()
+	r.owner.mu.RLock()
+	defer r.owner.mu.RUnlock()
 	si, ok, err := r.probe(keyVals)
 	if err != nil || !ok {
 		return nil, false, err
@@ -339,8 +291,8 @@ func (r *Relation) probe(keyVals []value.Value) (int, bool, error) {
 // It errors on references to other relations, stale references, and
 // malformed slots. The tuple belongs to the caller.
 func (r *Relation) Deref(ref value.Value) ([]value.Value, error) {
-	r.rlock()
-	defer r.runlock()
+	r.owner.mu.RLock()
+	defer r.owner.mu.RUnlock()
 	return r.derefInto(ref, nil)
 }
 
@@ -386,8 +338,8 @@ func (r *Relation) derefInto(ref value.Value, dst []value.Value) ([]value.Value,
 // of the scan. An unreadable SSTable aborts the scan with its error,
 // and a fail-stopped database returns its sticky error.
 func (r *Relation) Scan(st *stats.Counters, fn func(ref value.Value, tuple []value.Value) bool) error {
-	r.rlock()
-	defer r.runlock()
+	r.owner.mu.RLock()
+	defer r.owner.mu.RUnlock()
 	if err := r.owner.Err(); err != nil {
 		return err
 	}
@@ -434,10 +386,9 @@ func (r *Relation) ScanBatches(st *stats.Counters, lo, hi int, b *colbatch.Batch
 }
 
 // Refs returns the references of all elements in insertion order,
-// counting one scan against the attached sink. It drops Scan's error,
-// so it is only for relations whose scan cannot fail: standalone
-// result relations, and the benchmark's in-memory fixtures. Read a
-// database's relations with Scan.
+// counting one scan against the database's attached sink (DB.SetStats).
+// It drops Scan's error, so it is only for the benchmark's in-memory
+// fixtures, whose scans cannot fail; read anything else with Scan.
 func (r *Relation) Refs() []value.Value {
 	out := make([]value.Value, 0, r.Len())
 	_ = r.Scan(r.st, func(ref value.Value, _ []value.Value) bool {
@@ -448,9 +399,8 @@ func (r *Relation) Refs() []value.Value {
 }
 
 // Tuples returns copies of all tuples in insertion order, counting one
-// scan against the attached sink. Like Refs it drops Scan's error: it
-// is only for standalone result relations and the benchmark's
-// in-memory fixtures.
+// scan against the database's attached sink. Like Refs it drops Scan's
+// error: it is only for the benchmark's in-memory fixtures.
 func (r *Relation) Tuples() [][]value.Value {
 	out := make([][]value.Value, 0, r.Len())
 	_ = r.Scan(r.st, func(_ value.Value, tuple []value.Value) bool {
@@ -460,8 +410,8 @@ func (r *Relation) Tuples() [][]value.Value {
 	return out
 }
 
-// mutated reports a content change to the owning database (no-op for
-// standalone relations). Insert calls it only for genuinely new
+// mutated reports a content change to the owning database. Insert
+// calls it only for genuinely new
 // elements, Delete only for present keys, so no-op statements leave the
 // database version — and everything tagged with it — untouched. The
 // per-relation mutation counter bumps strictly after the statistics
@@ -472,10 +422,8 @@ func (r *Relation) Tuples() [][]value.Value {
 // relation).
 func (r *Relation) mutated(drifted bool) {
 	r.bumpStatsVersion()
-	if r.onMutate != nil {
-		r.onMutate()
-	}
-	if drifted && r.owner != nil {
+	r.owner.bumpVersion()
+	if drifted {
 		r.owner.scheduleStatsRebuild(r)
 	}
 }
@@ -485,9 +433,7 @@ func (r *Relation) mutated(drifted bool) {
 // observed the change — see mutated).
 func (r *Relation) bumpStatsVersion() {
 	r.mutCount.Add(1)
-	if r.owner != nil {
-		r.owner.statsEpoch.Add(1)
-	}
+	r.owner.statsEpoch.Add(1)
 }
 
 // MutCount returns the relation's content-mutation counter: the
@@ -495,52 +441,48 @@ func (r *Relation) bumpStatsVersion() {
 // without any lock.
 func (r *Relation) MutCount() uint64 { return r.mutCount.Load() }
 
-// LiveStats returns the relation's incrementally maintained statistics
-// (nil for standalone relations). The returned TableStats is internally
-// synchronized; mutators keep feeding it.
-func (r *Relation) LiveStats() *stats.TableStats { return r.stTable }
+// LiveStats returns the relation's incrementally maintained
+// statistics. The returned TableStats is internally synchronized;
+// mutators keep feeding it. A fail-stopped database returns its sticky
+// error instead: its statistics observed mutations recovery will not
+// reproduce.
+func (r *Relation) LiveStats() (*stats.TableStats, error) {
+	if err := r.owner.Err(); err != nil {
+		return nil, err
+	}
+	return r.stTable, nil
+}
 
 // rebuildStats rescans the relation and replaces its statistics with
 // freshly built ones (true quantile bucket boundaries, exact distinct
 // counts). It takes the content read lock like any other reader — do
 // not call it while holding the database read lock.
-func (r *Relation) rebuildStats() *stats.TableStats {
-	r.rlock()
-	defer r.runlock()
-	return r.rebuildStatsLocked()
+func (r *Relation) rebuildStats() {
+	r.owner.mu.RLock()
+	defer r.owner.mu.RUnlock()
+	r.rebuildStatsLocked()
 }
 
 // rebuildStatsLocked is rebuildStats for callers already holding the
-// content (read) lock. Standalone relations build a detached summary.
-func (r *Relation) rebuildStatsLocked() *stats.TableStats {
-	ts := r.stTable
-	if ts == nil {
-		cols := make([]string, len(r.sch.Cols))
-		for i, c := range r.sch.Cols {
-			cols[i] = c.Name
-		}
-		ts = stats.NewTableStats(r.sch.Name, cols)
-	}
-	rb := ts.NewRebuild()
+// content (read) lock.
+func (r *Relation) rebuildStatsLocked() {
+	rb := r.stTable.NewRebuild()
 	// A disk-tier read error aborts the rescan; committing a partial
 	// rebuild would be worse than keeping the drifted statistics.
 	if err := r.store.Scan(0, r.store.SlotSpan(), func(_ int, tuple []value.Value) bool {
 		rb.Add(tuple)
 		return true
 	}); err != nil {
-		return ts
+		return
 	}
 	rb.Commit()
-	if r.stTable != nil {
-		// The rebuild changed the statistics without changing contents:
-		// bump the statistics version (after the commit, so a snapshot
-		// tagged with the new value always includes the rebuilt state)
-		// or cached estimator snapshots would keep serving the
-		// pre-rebuild histograms. Deliberately not mutated(): the DB
-		// content version must not move — compiled plans stay valid.
-		r.bumpStatsVersion()
-	}
-	return ts
+	// The rebuild changed the statistics without changing contents:
+	// bump the statistics version (after the commit, so a snapshot
+	// tagged with the new value always includes the rebuilt state) or
+	// cached estimator snapshots would keep serving the pre-rebuild
+	// histograms. Deliberately not mutated(): the DB content version
+	// must not move — compiled plans stay valid.
+	r.bumpStatsVersion()
 }
 
 // refOf mints the reference of slot si. Generation is always zero: the

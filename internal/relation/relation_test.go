@@ -29,7 +29,7 @@ func emp(enr int64, name string, status int) []value.Value {
 }
 
 func TestInsertAndLookup(t *testing.T) {
-	r := New(employeesSchema(t), 0)
+	r := NewDB().MustCreate(employeesSchema(t))
 	ref, err := r.Insert(emp(20, "Highman", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestInsertAndLookup(t *testing.T) {
 }
 
 func TestInsertDuplicates(t *testing.T) {
-	r := New(employeesSchema(t), 0)
+	r := NewDB().MustCreate(employeesSchema(t))
 	ref1, _ := r.Insert(emp(1, "A", 0))
 	// Identical element: set semantics, no-op, same reference.
 	ref2, err := r.Insert(emp(1, "A", 0))
@@ -75,25 +75,25 @@ func TestInsertDuplicates(t *testing.T) {
 }
 
 func TestDeref(t *testing.T) {
-	r := New(employeesSchema(t), 3)
+	r := NewDB().MustCreate(employeesSchema(t))
 	ref, _ := r.Insert(emp(5, "Smith", 3))
 	tup, err := r.Deref(ref)
 	if err != nil || tup[1].AsString() != "Smith" {
 		t.Fatalf("Deref = %v, %v", tup, err)
 	}
 	// Wrong relation id.
-	other := value.Ref(4, 0, 0)
+	other := value.Ref(r.ID()+1, 0, 0)
 	if _, err := r.Deref(other); err == nil {
 		t.Errorf("foreign reference dereferenced")
 	}
 	// Out-of-range slot.
-	if _, err := r.Deref(value.Ref(3, 99, 0)); err == nil {
+	if _, err := r.Deref(value.Ref(r.ID(), 99, 0)); err == nil {
 		t.Errorf("out-of-range slot dereferenced")
 	}
 }
 
 func TestDeleteStalenessAndReinsert(t *testing.T) {
-	r := New(employeesSchema(t), 0)
+	r := NewDB().MustCreate(employeesSchema(t))
 	ref, _ := r.Insert(emp(5, "Smith", 3))
 	if ok, err := r.Delete([]value.Value{value.Int(5)}); err != nil || !ok {
 		t.Fatalf("Delete failed")
@@ -125,7 +125,7 @@ func TestDeleteStalenessAndReinsert(t *testing.T) {
 }
 
 func TestAssignInvalidatesReferences(t *testing.T) {
-	r := New(employeesSchema(t), 0)
+	r := NewDB().MustCreate(employeesSchema(t))
 	ref, _ := r.Insert(emp(1, "A", 0))
 	err := r.Assign([][]value.Value{emp(2, "B", 1), emp(3, "C", 2)})
 	if err != nil {
@@ -147,7 +147,7 @@ func TestAssignInvalidatesReferences(t *testing.T) {
 }
 
 func TestScanOrderAndEarlyStop(t *testing.T) {
-	r := New(employeesSchema(t), 0)
+	r := NewDB().MustCreate(employeesSchema(t))
 	for i := int64(1); i <= 5; i++ {
 		if _, err := r.Insert(emp(i, "N", 0)); err != nil {
 			t.Fatal(err)
@@ -180,9 +180,8 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 }
 
 func TestScanCountsStats(t *testing.T) {
-	r := New(employeesSchema(t), 0)
+	r := NewDB().MustCreate(employeesSchema(t))
 	st := &stats.Counters{}
-	r.SetStats(st)
 	for i := int64(1); i <= 4; i++ {
 		r.Insert(emp(i, "N", 0))
 	}
@@ -197,7 +196,7 @@ func TestScanCountsStats(t *testing.T) {
 }
 
 func TestRefsAndTuples(t *testing.T) {
-	r := New(employeesSchema(t), 0)
+	r := NewDB().MustCreate(employeesSchema(t))
 	r.Insert(emp(1, "A", 0))
 	r.Insert(emp(2, "B", 1))
 	refs := r.Refs()
@@ -217,7 +216,7 @@ func TestRefsAndTuples(t *testing.T) {
 }
 
 func TestInsertCopiesInput(t *testing.T) {
-	r := New(employeesSchema(t), 0)
+	r := NewDB().MustCreate(employeesSchema(t))
 	tup := emp(1, "A", 0)
 	r.Insert(tup)
 	tup[1] = value.String_("HACK")
@@ -232,10 +231,10 @@ func TestInsertCopiesInput(t *testing.T) {
 // by key and by scan.
 func TestInsertDeleteInvariant(t *testing.T) {
 	f := func(ops []int16) bool {
-		r := New(schema.MustRelSchema("t", []schema.Column{
+		r := NewDB().MustCreate(schema.MustRelSchema("t", []schema.Column{
 			{Name: "k", Type: schema.IntType("", -40, 40)},
 			{Name: "v", Type: schema.IntType("", 0, 1000)},
-		}, []string{"k"}), 0)
+		}, []string{"k"}))
 		alive := map[int64]bool{}
 		for i, op := range ops {
 			k := int64(op%40 + 40/2) // keys in a small range to force collisions
@@ -371,11 +370,6 @@ func TestDBVersion(t *testing.T) {
 	}
 	if d.Version() == v2 {
 		t.Errorf("assign did not bump the version")
-	}
-	// Standalone relations (no owning DB) must not panic on mutation.
-	solo := New(employeesSchema(t), 7)
-	if _, err := solo.Insert(emp(2, "B", 0)); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -12,20 +12,32 @@ package sched
 import "sync"
 
 // Async is a small background executor for maintenance work the
-// query path must not wait for — today, drift-triggered histogram
-// re-bucketing. Jobs are keyed and single-flight: submitting a key
-// that is already queued or running is a no-op, so a burst of
-// mutations schedules at most one rebuild per relation. At most
-// `workers` jobs run concurrently; no worker goroutine exists while
-// the queue is empty.
+// query path must not wait for — drift-triggered histogram
+// re-bucketing, checkpoints and compactions. Jobs are keyed and
+// single-flight: a key runs at most once at a time and is queued at
+// most once, so a burst of mutations schedules at most one rebuild per
+// relation. Submitting a key that is queued is a no-op; submitting a
+// key that is running marks one more run, which starts after the
+// current one finishes — work triggered after a running job has read
+// its input is not lost. Jobs therefore re-check their trigger, so a
+// rerun that finds the work done returns at once. At most `workers`
+// jobs run concurrently; no worker goroutine exists while the queue is
+// empty.
 type Async struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // signalled when the executor drains empty
 	workers int
 	running int
 	closed  bool
-	pending map[string]func()
-	order   []string // FIFO over pending keys
+	jobs    map[string]*job // queued or running, by key
+	order   []string        // FIFO over queued keys
+}
+
+// job is one key's queued or running work.
+type job struct {
+	fn      func()
+	running bool
+	again   bool // submitted while running: queue fn once more after
 }
 
 // NewAsync returns an executor running at most workers jobs at once
@@ -34,42 +46,49 @@ func NewAsync(workers int) *Async {
 	if workers < 1 {
 		workers = 1
 	}
-	a := &Async{workers: workers, pending: make(map[string]func())}
+	a := &Async{workers: workers, jobs: make(map[string]*job)}
 	a.cond = sync.NewCond(&a.mu)
 	return a
 }
 
-// Submit enqueues fn under key unless a job with that key is already
-// pending or running, or the executor is closed. It returns whether the
-// job was accepted.
+// Submit enqueues fn under key, or, when the key is running, marks fn
+// to run once more after it. It returns whether the job was accepted:
+// false when the key is already queued (or running with a rerun
+// marked) or the executor is closed.
 func (a *Async) Submit(key string, fn func()) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
 		return false
 	}
-	if _, dup := a.pending[key]; dup {
-		return false
+	if j, dup := a.jobs[key]; dup {
+		if !j.running || j.again {
+			return false
+		}
+		// The worker running key requeues it when the run ends.
+		j.fn, j.again = fn, true
+	} else {
+		a.jobs[key] = &job{fn: fn}
+		a.order = append(a.order, key)
+		if a.running < a.workers {
+			a.running++
+			go a.drain()
+		}
 	}
-	a.pending[key] = fn
-	a.order = append(a.order, key)
 	mAsyncJobs.Inc()
 	mAsyncBacklog.Add(1)
-	if a.running < a.workers {
-		a.running++
-		go a.drain()
-	}
 	return true
 }
 
-// drain runs pending jobs until the queue empties, then exits — the
-// goroutine's lifetime is bounded by the queued work.
+// drain runs queued jobs until the queue empties, then exits — the
+// goroutine's lifetime is bounded by the queued work. A job marked to
+// run again goes back to the tail of the queue once it finishes.
 func (a *Async) drain() {
 	for {
 		a.mu.Lock()
 		if len(a.order) == 0 {
 			a.running--
-			if a.running == 0 && len(a.pending) == 0 {
+			if a.running == 0 && len(a.jobs) == 0 {
 				a.cond.Broadcast()
 			}
 			a.mu.Unlock()
@@ -77,13 +96,21 @@ func (a *Async) drain() {
 		}
 		key := a.order[0]
 		a.order = a.order[1:]
-		fn := a.pending[key]
+		j := a.jobs[key]
+		j.running = true
+		fn := j.fn
 		a.mu.Unlock()
 
 		fn()
 
 		a.mu.Lock()
-		delete(a.pending, key)
+		j.running = false
+		if j.again {
+			j.again = false
+			a.order = append(a.order, key)
+		} else {
+			delete(a.jobs, key)
+		}
 		mAsyncBacklog.Add(-1)
 		a.mu.Unlock()
 	}
@@ -94,7 +121,7 @@ func (a *Async) drain() {
 // Wait are safe: both operate under the executor's mutex.
 func (a *Async) Wait() {
 	a.mu.Lock()
-	for a.running > 0 || len(a.pending) > 0 {
+	for a.running > 0 || len(a.jobs) > 0 {
 		a.cond.Wait()
 	}
 	a.mu.Unlock()
@@ -109,7 +136,7 @@ func (a *Async) Wait() {
 func (a *Async) Close() {
 	a.mu.Lock()
 	a.closed = true
-	for a.running > 0 || len(a.pending) > 0 {
+	for a.running > 0 || len(a.jobs) > 0 {
 		a.cond.Wait()
 	}
 	a.mu.Unlock()

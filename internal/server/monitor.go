@@ -63,8 +63,16 @@ func handlePrometheus(w http.ResponseWriter, _ *http.Request) {
 // protocol uses — Database.Stats merges the counter sinks under the
 // engine's lock, TableStats reads the relations' published snapshots —
 // so a scrape concurrent with a write-heavy workload observes a
-// consistent document.
+// consistent document. A fail-stopped database answers 503 with its
+// error.
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
+	tables, err := s.db.TableStats()
+	if err != nil {
+		// A fail-stopped database: its statistics observed mutations
+		// recovery will not reproduce.
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	s.mu.Lock()
 	active, peak := len(s.sessions), s.peak
 	s.mu.Unlock()
@@ -78,7 +86,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 			Max:      s.cfg.MaxSessions,
 		},
 		Counters: s.db.Stats(),
-		Tables:   s.db.TableStats(),
+		Tables:   tables,
 	}
 	writeJSON(w, payload)
 }

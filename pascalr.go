@@ -360,22 +360,22 @@ func (d *Database) MustExec(src string) {
 func (d *Database) execStmt(st parser.Stmt) error {
 	switch st.Op {
 	case parser.OpAssign:
-		res, err := d.evalSelection(context.Background(), st.Sel, config{strategies: d.strategies})
+		sch, rows, err := d.evalSelection(context.Background(), st.Sel, config{strategies: d.strategies})
 		if err != nil {
 			return err
 		}
-		return d.assign(st.Target, res)
+		return d.assign(st.Target, sch, rows)
 	case parser.OpInsert:
 		rel, ok := d.db.Relation(st.Target)
 		if !ok {
 			return fmt.Errorf("pascalr: unknown relation %s", st.Target)
 		}
 		if st.Sel != nil {
-			res, err := d.evalSelection(context.Background(), st.Sel, config{strategies: d.strategies})
+			_, rows, err := d.evalSelection(context.Background(), st.Sel, config{strategies: d.strategies})
 			if err != nil {
 				return err
 			}
-			for _, tup := range res.Tuples() {
+			for _, tup := range rows {
 				if _, err := rel.Insert(tup); err != nil {
 					return err
 				}
@@ -413,13 +413,14 @@ func (d *Database) execStmt(st parser.Stmt) error {
 	}
 }
 
-// assign implements `target := selection-result`: the target relation is
-// created on first assignment and replaced on subsequent ones.
-func (d *Database) assign(target string, res *relation.Relation) error {
+// assign implements `target := selection-result` for a result's
+// schema and rows: the target relation is created on first assignment
+// and replaced on subsequent ones.
+func (d *Database) assign(target string, res *schema.RelSchema, rows [][]value.Value) error {
 	rel, ok := d.db.Relation(target)
 	if !ok {
-		cols := append([]schema.Column(nil), res.Schema().Cols...)
-		sch, err := schema.NewRelSchema(target, cols, res.Schema().Key)
+		cols := append([]schema.Column(nil), res.Cols...)
+		sch, err := schema.NewRelSchema(target, cols, res.Key)
 		if err != nil {
 			return err
 		}
@@ -428,41 +429,44 @@ func (d *Database) assign(target string, res *relation.Relation) error {
 			return err
 		}
 	} else {
-		if len(rel.Schema().Cols) != len(res.Schema().Cols) {
+		if len(rel.Schema().Cols) != len(res.Cols) {
 			return fmt.Errorf("pascalr: cannot assign %d-component result to relation %s with %d components",
-				len(res.Schema().Cols), target, len(rel.Schema().Cols))
+				len(res.Cols), target, len(rel.Schema().Cols))
 		}
 		for i, c := range rel.Schema().Cols {
-			if !c.Type.Comparable(res.Schema().Cols[i].Type) {
+			if !c.Type.Comparable(res.Cols[i].Type) {
 				return fmt.Errorf("pascalr: component %s of %s has incompatible type", c.Name, target)
 			}
 		}
 	}
-	return rel.Assign(res.Tuples())
+	return rel.Assign(rows)
 }
 
-// evalSelection checks and evaluates a parsed selection. Callers hold
-// the database lock (shared suffices for the engine path; Exec holds it
-// exclusively) so checking reads a stable catalog.
-func (d *Database) evalSelection(ctx context.Context, sel *calculus.Selection, c config) (*relation.Relation, error) {
+// evalSelection checks and evaluates a parsed selection, returning the
+// result schema and the distinct result rows. Callers hold the database
+// lock (shared suffices for the engine path; Exec holds it exclusively)
+// so checking reads a stable catalog.
+func (d *Database) evalSelection(ctx context.Context, sel *calculus.Selection, c config) (*schema.RelSchema, [][]value.Value, error) {
 	checked, info, err := calculus.Check(sel, d.db.Catalog())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var rows [][]value.Value
 	if c.useBaseline {
 		// The oracle counts into a private sink merged on completion,
 		// like engine executions, so concurrent baseline calls do not
 		// race on the shared counters.
 		local := &stats.Counters{}
-		res, err := baseline.EvalStats(checked, info, d.db, local)
+		rows, err = baseline.EvalStats(checked, info, d.db, local)
 		d.eng.Stats(func(st *stats.Counters) { st.Merge(local) })
-		return res, err
+	} else {
+		rows, err = d.eng.Eval(ctx, checked, info, engine.Options{
+			Strategies:   engine.Strategy(c.strategies),
+			MaxRefTuples: c.maxRefTuples,
+			CostBased:    c.costBased,
+		})
 	}
-	return d.eng.Eval(ctx, checked, info, engine.Options{
-		Strategies:   engine.Strategy(c.strategies),
-		MaxRefTuples: c.maxRefTuples,
-		CostBased:    c.costBased,
-	})
+	return info.Result, rows, err
 }
 
 // preparedStmt returns the prepared statement the one-shot path should
@@ -519,22 +523,22 @@ func (d *Database) QueryContext(ctx context.Context, src string, opts ...Option)
 			return nil, err
 		}
 		d.mu.RLock()
-		res, err := d.evalSelection(ctx, sel, c)
+		sch, rows, err := d.evalSelection(ctx, sel, c)
 		d.mu.RUnlock()
 		if err != nil {
 			return nil, err
 		}
-		return newResult(res)
+		return newResult(sch, rows), nil
 	}
 	s, err := d.preparedStmt(ctx, src, c)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := s.plan.EvalWith(ctx, s.override(c))
+	rows, err := s.plan.EvalWith(ctx, s.override(c))
 	if err != nil {
 		return nil, classifyErr(err)
 	}
-	return newResult(rel)
+	return newResult(s.plan.Schema(), rows), nil
 }
 
 // QueryRows evaluates a selection expression and returns a streaming
@@ -665,7 +669,16 @@ func (d *Database) Dump(name string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("pascalr: unknown relation %s", name)
 	}
-	return newResult(rel)
+	// A failed scan (an unreadable SSTable, a fail-stopped database) is
+	// Dump's error.
+	rows := make([][]value.Value, 0, rel.Len())
+	if err := rel.Scan(nil, func(_ value.Value, tuple []value.Value) bool {
+		rows = append(rows, slices.Clone(tuple))
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	return newResult(rel.Schema(), rows), nil
 }
 
 // Stats reports the cost counters accumulated since the last ResetStats:
@@ -748,19 +761,24 @@ type ColumnStat struct {
 // TableStats snapshots the live, incrementally maintained per-relation
 // statistics (cardinalities, distinct counts, histogram modes) in
 // declaration order. The snapshot is consistent per relation and
-// requires no analyze pass.
-func (d *Database) TableStats() []TableStat {
+// requires no analyze pass. A database whose write-ahead log failed
+// refuses it with that error, as it refuses every read.
+func (d *Database) TableStats() ([]TableStat, error) {
 	rels := d.db.Relations()
 	out := make([]TableStat, 0, len(rels))
 	for _, r := range rels {
-		sum := r.LiveStats().Summary()
+		live, err := r.LiveStats()
+		if err != nil {
+			return nil, err
+		}
+		sum := live.Summary()
 		ts := TableStat{Name: sum.Name, Rows: sum.Rows, Columns: make([]ColumnStat, 0, len(sum.Columns))}
 		for _, c := range sum.Columns {
 			ts.Columns = append(ts.Columns, ColumnStat{Name: c.Name, Distinct: c.Distinct, Mode: c.Mode, Lo: c.Lo, Hi: c.Hi})
 		}
 		out = append(out, ts)
 	}
-	return out
+	return out, nil
 }
 
 // Result is a query result: a set of tuples with named components.
@@ -770,22 +788,15 @@ type Result struct {
 	rows [][]value.Value
 }
 
-// newResult copies a relation's tuples, in insertion order, into a
-// Result; a failed scan (an unreadable SSTable, a fail-stopped
-// database) is its error.
-func newResult(rel *relation.Relation) (*Result, error) {
-	r := &Result{rows: make([][]value.Value, 0, rel.Len())}
-	if err := rel.Scan(nil, func(_ value.Value, tuple []value.Value) bool {
-		r.rows = append(r.rows, slices.Clone(tuple))
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	for _, c := range rel.Schema().Cols {
+// newResult makes a Result of rows under sch; the Result takes the
+// rows over.
+func newResult(sch *schema.RelSchema, rows [][]value.Value) *Result {
+	r := &Result{rows: rows}
+	for _, c := range sch.Cols {
 		r.cols = append(r.cols, c.Name)
 		r.typs = append(r.typs, c.Type)
 	}
-	return r, nil
+	return r
 }
 
 // Columns returns the component names.

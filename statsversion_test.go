@@ -50,7 +50,11 @@ func TestOpenDirRebuildsOldStatistics(t *testing.T) {
 			}
 		}
 		staff := db.db.MustRelation("staff")
-		if rows, n := staff.LiveStats().Rows(), staff.Len(); rows != n || n != 41 {
+		live, err := staff.LiveStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, n := live.Rows(), staff.Len(); rows != n || n != 41 {
 			t.Fatalf("statistics count %d rows, relation holds %d, want 41", rows, n)
 		}
 	}

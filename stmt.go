@@ -115,11 +115,11 @@ func (s *Stmt) Query(ctx context.Context, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel, err := s.plan.EvalWith(ctx, s.override(c))
+	rows, err := s.plan.EvalWith(ctx, s.override(c))
 	if err != nil {
 		return nil, classifyErr(err)
 	}
-	return newResult(rel)
+	return newResult(s.plan.Schema(), rows), nil
 }
 
 // Rows re-executes the compiled plan and returns a streaming cursor:
