@@ -5,16 +5,23 @@
 // and quantifiers with: join and Cartesian product for conjunctions,
 // union for the disjunction, projection for existential quantifiers,
 // and division for universal quantifiers.
+//
+// A reference is held as its packed int64 word (value.Value.Ord of a
+// reference: relation id, generation and slot), and a reference
+// relation is one flat []int64 with stride equal to its arity.
+// Deduplication, join tables and division groups all key on those
+// words, through one open-addressing set of row hashes (tupleSet); a
+// hash match is confirmed by comparing the words, so a collision costs
+// a comparison, never a lost row.
 package algebra
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"pascalr/internal/stats"
-	"pascalr/internal/value"
 )
 
 // cancelCheckInterval is how many row operations pass between context
@@ -35,13 +42,120 @@ func (t *ticker) tick() error {
 	return nil
 }
 
-// RefRel is a set of tuples of references, with one named column per
-// selection-expression variable.
+// rowHash hashes one row of packed words. It is a variable so a test
+// can force every row onto one hash and exercise the word comparison
+// that confirms each match.
+var rowHash = hashRow
+
+func hashRow(row []int64) uint64 {
+	h := uint64(len(row)) * 0x9E3779B97F4A7C15
+	for _, w := range row {
+		h ^= uint64(w)
+		h *= 0xFF51AFD7ED558CCD
+		h ^= h >> 32
+	}
+	h *= 0xC4CEB9FE1A85EC53
+	return h ^ h>>29
+}
+
+// tupleSet is a set of fixed-width rows of packed words, kept flat in
+// insertion order and found through an open-addressing table of row
+// hashes.
+type tupleSet struct {
+	w    int     // words per row
+	data []int64 // row k is data[k*w : (k+1)*w]
+	n    int     // rows stored (a zero-width set holds at most one)
+	// table holds tag<<32 | row+1 per occupied slot, 0 when empty; the
+	// tag is the high half of the row's hash and also picks its home
+	// slot, so growing rehashes without the rows.
+	table []uint64
+}
+
+// row returns stored row k. The slice aliases the set and must not be
+// modified.
+func (s *tupleSet) row(k int) []int64 {
+	o := k * s.w
+	return s.data[o : o+s.w : o+s.w]
+}
+
+// reserve sizes the set for n more rows, so a relation built from a
+// list of known length grows nothing.
+func (s *tupleSet) reserve(n int) {
+	size := 16
+	for size < 2*(s.n+n) {
+		size <<= 1
+	}
+	if size > len(s.table) {
+		s.rehash(size)
+	}
+	s.data = slices.Grow(s.data, n*s.w)
+}
+
+// lookup returns the index of row, whose hash tag is tag, or -1 and
+// the empty slot where row belongs. The table must not be empty.
+func (s *tupleSet) lookup(row []int64, tag uint32) (int, uint32) {
+	mask := uint32(len(s.table) - 1)
+	p := tag & mask
+	for ; s.table[p] != 0; p = (p + 1) & mask {
+		e := s.table[p]
+		if k := int(uint32(e)) - 1; uint32(e>>32) == tag && slices.Equal(s.row(k), row) {
+			return k, p
+		}
+	}
+	return -1, p
+}
+
+// find returns the index of row, or -1 when the set does not hold it.
+func (s *tupleSet) find(row []int64) int {
+	if s.n == 0 {
+		return -1
+	}
+	k, _ := s.lookup(row, uint32(rowHash(row)>>32))
+	return k
+}
+
+// add copies row into the set unless an equal row is already there. It
+// returns the row's index and whether it was new.
+func (s *tupleSet) add(row []int64) (int, bool) {
+	if len(s.table) == 0 {
+		s.table = make([]uint64, 16)
+	} else if 2*(s.n+1) > len(s.table) {
+		s.rehash(2 * len(s.table))
+	}
+	tag := uint32(rowHash(row) >> 32)
+	k, p := s.lookup(row, tag)
+	if k >= 0 {
+		return k, false
+	}
+	s.table[p] = uint64(tag)<<32 | uint64(s.n+1)
+	s.data = append(s.data, row...)
+	s.n++
+	return s.n - 1, true
+}
+
+// rehash rebuilds the table at the given size.
+func (s *tupleSet) rehash(size int) {
+	old := s.table
+	s.table = make([]uint64, size)
+	mask := uint32(size - 1)
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		p := uint32(e>>32) & mask
+		for s.table[p] != 0 {
+			p = (p + 1) & mask
+		}
+		s.table[p] = e
+	}
+}
+
+// RefRel is a set of tuples of packed references, with one named column
+// per selection-expression variable, in insertion order.
 type RefRel struct {
 	vars   []string
 	varIdx map[string]int
-	rows   [][]value.Value
-	set    map[string]struct{}
+	set    tupleSet
 	st     *stats.Counters
 
 	// distinctCache memoizes DistinctOn per column set; invalidated on
@@ -55,7 +169,7 @@ func New(vars []string, st *stats.Counters) *RefRel {
 	r := &RefRel{
 		vars:   append([]string(nil), vars...),
 		varIdx: make(map[string]int, len(vars)),
-		set:    make(map[string]struct{}),
+		set:    tupleSet{w: len(vars)},
 		st:     st,
 	}
 	for i, v := range vars {
@@ -71,10 +185,12 @@ func New(vars []string, st *stats.Counters) *RefRel {
 func (r *RefRel) Vars() []string { return r.vars }
 
 // Len returns the number of tuples.
-func (r *RefRel) Len() int { return len(r.rows) }
+func (r *RefRel) Len() int { return r.set.n }
 
-// Rows returns the underlying tuples; callers must not modify them.
-func (r *RefRel) Rows() [][]value.Value { return r.rows }
+// Row returns tuple k (0 <= k < Len, in insertion order) as packed
+// references, one per column. The slice aliases the relation and must
+// not be modified.
+func (r *RefRel) Row(k int) []int64 { return r.set.row(k) }
 
 // ColIdx returns the column position of a variable.
 func (r *RefRel) ColIdx(v string) (int, bool) {
@@ -82,52 +198,29 @@ func (r *RefRel) ColIdx(v string) (int, bool) {
 	return i, ok
 }
 
-// Add inserts a tuple (copied) unless an identical tuple is present; it
-// reports whether the tuple was new.
-func (r *RefRel) Add(row []value.Value) bool {
+// Add inserts a tuple of packed references (copied) unless an identical
+// tuple is present; it reports whether the tuple was new.
+func (r *RefRel) Add(row []int64) bool {
 	if len(row) != len(r.vars) {
 		panic(fmt.Sprintf("algebra: arity mismatch: row %d vs vars %d", len(row), len(r.vars)))
 	}
-	k := value.EncodeKey(row)
-	if _, dup := r.set[k]; dup {
+	if _, isNew := r.set.add(row); !isNew {
 		return false
 	}
-	r.set[k] = struct{}{}
-	cp := make([]value.Value, len(row))
-	copy(cp, row)
-	r.rows = append(r.rows, cp)
 	r.distinctCache = nil
-	r.st.CountRefTuples(1, len(r.rows))
+	r.st.CountRefTuples(1, r.set.n)
 	return true
-}
-
-// Has reports whether an identical tuple is present.
-func (r *RefRel) Has(row []value.Value) bool {
-	_, ok := r.set[value.EncodeKey(row)]
-	return ok
 }
 
 // String renders a summary for EXPLAIN and debugging.
 func (r *RefRel) String() string {
-	return fmt.Sprintf("refrel(%s)[%d]", strings.Join(r.vars, ","), len(r.rows))
+	return fmt.Sprintf("refrel(%s)[%d]", strings.Join(r.vars, ","), r.set.n)
 }
 
-// keyAt encodes the values of a row at the given column indexes.
-func keyAt(row []value.Value, idx []int) string {
-	dst := make([]byte, 0, 16*len(idx))
-	for _, i := range idx {
-		dst = value.AppendKey(dst, row[i])
-	}
-	return string(dst)
-}
-
-// keyAtBuf is keyAt into a reused buffer: probe loops encode one key
-// per row, and map lookups via string(buf) do not allocate, so probing
-// stays allocation-free regardless of the probe side's size.
-func keyAtBuf(dst []byte, row []value.Value, idx []int) []byte {
-	dst = dst[:0]
-	for _, i := range idx {
-		dst = value.AppendKey(dst, row[i])
+// gather copies the words of row at the given column indexes into dst.
+func gather(dst, row []int64, idx []int) []int64 {
+	for k, i := range idx {
+		dst[k] = row[i]
 	}
 	return dst
 }
@@ -145,35 +238,48 @@ func shared(a, b *RefRel) (vars []string, ai, bi []int) {
 	return
 }
 
-// Join computes the natural join of a and b on their shared variables.
-// With no shared variables it degenerates to the Cartesian product,
-// which is exactly the standard algorithm's behaviour for conjunctions
-// that do not link all variables. The context is checked periodically —
-// a runaway product aborts with ctx.Err() instead of materializing.
+// Join computes the natural join of a and b on their shared variables:
+// an output row is all of a's columns, then b's columns that a does
+// not have. With no shared variables it degenerates to the Cartesian
+// product (a's rows outer, b's inner), which is exactly the standard
+// algorithm's behaviour for conjunctions that do not link all
+// variables. Otherwise the smaller side is hashed on the shared key and
+// the larger probes it: rows come out in probe order, and per probe row
+// in the build side's insertion order. The context is checked
+// periodically — a runaway product aborts with ctx.Err() instead of
+// materializing.
 func Join(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, error) {
 	tk := ticker{ctx: ctx}
 	sv, ai, bi := shared(a, b)
 	outVars := append([]string(nil), a.vars...)
-	for _, v := range b.vars {
+	var bExtra []int // b's columns a does not have
+	for j, v := range b.vars {
 		if _, dup := a.varIdx[v]; !dup {
 			outVars = append(outVars, v)
+			bExtra = append(bExtra, j)
 		}
 	}
 	out := New(outVars, st)
+	buf := make([]int64, len(outVars))
+	emit := func(arow, brow []int64) {
+		copy(buf, arow)
+		gather(buf[len(arow):], brow, bExtra)
+		out.Add(buf)
+	}
 	if len(sv) == 0 {
 		st.CountCartesianJoin()
-		for _, ra := range a.rows {
-			for _, rb := range b.rows {
+		for i := 0; i < a.Len(); i++ {
+			ra := a.Row(i)
+			for j := 0; j < b.Len(); j++ {
 				if err := tk.tick(); err != nil {
 					return nil, err
 				}
-				out.Add(concatRows(ra, rb, b, nil))
+				emit(ra, b.Row(j))
 			}
 		}
 		return out, nil
 	}
 	st.CountHashJoin()
-	// Hash the smaller side on the shared key, probe with the larger.
 	build, probe := a, b
 	bIdx, pIdx := ai, bi
 	buildIsA := true
@@ -182,52 +288,58 @@ func Join(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, error
 		bIdx, pIdx = bi, ai
 		buildIsA = false
 	}
-	ht := make(map[string][]int, build.Len())
-	kbuf := make([]byte, 0, 16*len(bIdx))
-	for i, row := range build.rows {
+	// Chain the build rows by key hash: head holds bucket -> row+1,
+	// next row -> row+1 of the bucket's next row. Inserting in reverse
+	// leaves every chain in insertion order.
+	nb := 1
+	for nb < build.Len() {
+		nb <<= 1
+	}
+	mask := uint64(nb - 1)
+	head := make([]int32, nb)
+	next := make([]int32, build.Len())
+	key := make([]int64, len(bIdx))
+	for i := build.Len() - 1; i >= 0; i-- {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		kbuf = keyAtBuf(kbuf, row, bIdx)
-		ht[string(kbuf)] = append(ht[string(kbuf)], i)
+		h := rowHash(gather(key, build.Row(i), bIdx)) & mask
+		next[i] = head[h]
+		head[h] = int32(i + 1)
 	}
-	for _, prow := range probe.rows {
+	for i := 0; i < probe.Len(); i++ {
 		st.CountProbes(1)
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		kbuf = keyAtBuf(kbuf, prow, pIdx)
-		for _, i := range ht[string(kbuf)] {
+		prow := probe.Row(i)
+		gather(key, prow, pIdx)
+		for e := head[rowHash(key)&mask]; e != 0; e = next[e-1] {
+			brow := build.Row(int(e - 1))
+			if !keyMatch(brow, bIdx, key) {
+				continue
+			}
 			if err := tk.tick(); err != nil {
 				return nil, err
 			}
-			brow := build.rows[i]
-			var arow, brow2 []value.Value
 			if buildIsA {
-				arow, brow2 = brow, prow
+				emit(brow, prow)
 			} else {
-				arow, brow2 = prow, brow
+				emit(prow, brow)
 			}
-			out.Add(concatRows(arow, brow2, b, a))
 		}
 	}
 	return out, nil
 }
 
-// concatRows builds an output row: all of a's columns, then b's columns
-// that a does not have. aRel may be nil when no columns are shared.
-func concatRows(arow, brow []value.Value, bRel, aRel *RefRel) []value.Value {
-	out := make([]value.Value, 0, len(arow)+len(brow))
-	out = append(out, arow...)
-	for j, v := range bRel.vars {
-		if aRel != nil {
-			if _, dup := aRel.varIdx[v]; dup {
-				continue
-			}
+// keyMatch reports whether row's words at idx equal key.
+func keyMatch(row []int64, idx []int, key []int64) bool {
+	for k, i := range idx {
+		if row[i] != key[k] {
+			return false
 		}
-		out = append(out, brow[j])
 	}
-	return out
+	return true
 }
 
 // Cartesian computes the Cartesian product of a and b, which must share
@@ -240,7 +352,8 @@ func Cartesian(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, 
 }
 
 // Union computes a ∪ b; both must have the same variable set (column
-// order may differ; b's rows are permuted to a's order).
+// order may differ; b's rows are permuted to a's order). Rows keep
+// their first occurrence's position: a's rows, then b's new ones.
 func Union(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, error) {
 	if len(a.vars) != len(b.vars) {
 		return nil, fmt.Errorf("algebra: union arity mismatch (%v vs %v)", a.vars, b.vars)
@@ -255,60 +368,64 @@ func Union(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, erro
 	}
 	tk := ticker{ctx: ctx}
 	out := New(a.vars, st)
-	for _, row := range a.rows {
+	for i := 0; i < a.Len(); i++ {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		out.Add(row)
+		out.Add(a.Row(i))
 	}
-	tmp := make([]value.Value, len(a.vars))
-	for _, row := range b.rows {
+	tmp := make([]int64, len(a.vars))
+	for i := 0; i < b.Len(); i++ {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		for i, j := range perm {
-			tmp[i] = row[j]
-		}
-		out.Add(tmp)
+		out.Add(gather(tmp, b.Row(i), perm))
 	}
 	return out, nil
 }
 
 // Project keeps only the named variables (existential quantifier
-// elimination), deduplicating the result.
+// elimination), deduplicating the result in first-occurrence order.
 func Project(ctx context.Context, a *RefRel, keep []string, st *stats.Counters) (*RefRel, error) {
-	idx := make([]int, len(keep))
-	for i, v := range keep {
-		j, ok := a.varIdx[v]
-		if !ok {
-			return nil, fmt.Errorf("algebra: project on absent variable %s", v)
-		}
-		idx[i] = j
+	idx, err := a.colsOf(keep)
+	if err != nil {
+		return nil, fmt.Errorf("algebra: project on %w", err)
 	}
 	tk := ticker{ctx: ctx}
 	out := New(keep, st)
-	tmp := make([]value.Value, len(keep))
-	for _, row := range a.rows {
+	tmp := make([]int64, len(keep))
+	for i := 0; i < a.Len(); i++ {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		for i, j := range idx {
-			tmp[i] = row[j]
-		}
-		out.Add(tmp)
+		out.Add(gather(tmp, a.Row(i), idx))
 	}
 	return out, nil
 }
 
+// colsOf returns the column indexes of vars.
+func (r *RefRel) colsOf(vars []string) ([]int, error) {
+	idx := make([]int, len(vars))
+	for i, v := range vars {
+		j, ok := r.varIdx[v]
+		if !ok {
+			return nil, fmt.Errorf("absent variable %s", v)
+		}
+		idx[i] = j
+	}
+	return idx, nil
+}
+
 // Divide implements relational division for universal quantification:
 // it returns the tuples t over a's variables minus v such that for
-// every reference d in divisor, t extended with d is present in a.
+// every reference d in divisor, t extended with d is present in a. The
+// result is in the order of each t's first occurrence in a.
 //
 // An empty divisor yields the projection of a onto the remaining
 // variables; callers evaluating ALL over a possibly-empty range must
 // fold that case out beforehand (Lemma 1), because the correct answer
 // there is "all bindings", not "all bindings present in a".
-func Divide(ctx context.Context, a *RefRel, v string, divisor []value.Value, st *stats.Counters) (*RefRel, error) {
+func Divide(ctx context.Context, a *RefRel, v string, divisor []int64, st *stats.Counters) (*RefRel, error) {
 	vi, ok := a.varIdx[v]
 	if !ok {
 		return nil, fmt.Errorf("algebra: divide on absent variable %s", v)
@@ -321,73 +438,65 @@ func Divide(ctx context.Context, a *RefRel, v string, divisor []value.Value, st 
 			restIdx = append(restIdx, i)
 		}
 	}
-	// Deduplicate the divisor.
-	divSet := make(map[string]struct{}, len(divisor))
-	for _, d := range divisor {
-		divSet[value.EncodeKey([]value.Value{d})] = struct{}{}
+	// The distinct divisor members, numbered.
+	divs := tupleSet{w: 1}
+	divs.reserve(len(divisor))
+	for i := range divisor {
+		divs.add(divisor[i : i+1])
 	}
-	need := len(divSet)
-
-	// Group rows by the remaining variables and count distinct divisor
-	// members seen per group.
-	type group struct {
-		row  []value.Value
-		seen map[string]struct{}
-	}
+	// Group a's rows by the remaining variables and count the distinct
+	// divisor members seen per group, through the set of (group,
+	// member) pairs.
 	tk := ticker{ctx: ctx}
-	groups := make(map[string]*group)
-	order := make([]string, 0)
-	for _, row := range a.rows {
+	groups := tupleSet{w: len(restIdx)}
+	seen := tupleSet{w: 2}
+	var hits []int // distinct divisor members per group
+	rest := make([]int64, len(restIdx))
+	var pair [2]int64
+	for i := 0; i < a.Len(); i++ {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		gk := keyAt(row, restIdx)
-		g := groups[gk]
-		if g == nil {
-			rest := make([]value.Value, len(restIdx))
-			for i, j := range restIdx {
-				rest[i] = row[j]
-			}
-			g = &group{row: rest, seen: make(map[string]struct{})}
-			groups[gk] = g
-			order = append(order, gk)
+		row := a.Row(i)
+		g, isNew := groups.add(gather(rest, row, restIdx))
+		if isNew {
+			hits = append(hits, 0)
 		}
-		dk := value.EncodeKey([]value.Value{row[vi]})
-		if _, isDiv := divSet[dk]; isDiv {
-			g.seen[dk] = struct{}{}
+		if d := divs.find(row[vi : vi+1]); d >= 0 {
+			pair[0], pair[1] = int64(g), int64(d)
+			if _, isNew := seen.add(pair[:]); isNew {
+				hits[g]++
+			}
 		}
 	}
 	out := New(restVars, st)
-	for _, gk := range order {
-		g := groups[gk]
-		if len(g.seen) == need {
-			out.Add(g.row)
+	for g, n := range hits {
+		if n == divs.n {
+			out.Add(groups.row(g))
 		}
 	}
 	return out, nil
 }
 
-// FromRefs builds a single-column reference relation from a reference
-// list — the bridge from collection-phase structures (single lists,
-// range lists) into the combination phase.
-func FromRefs(v string, refs []value.Value, st *stats.Counters) *RefRel {
+// FromRefs builds a single-column reference relation from a list of
+// packed references — the bridge from collection-phase structures
+// (single lists, range lists) into the combination phase.
+func FromRefs(v string, refs []int64, st *stats.Counters) *RefRel {
 	out := New([]string{v}, st)
-	row := make([]value.Value, 1)
-	for _, ref := range refs {
-		row[0] = ref
-		out.Add(row)
+	out.set.reserve(len(refs))
+	for i := range refs {
+		out.Add(refs[i : i+1])
 	}
 	return out
 }
 
 // FromPairs builds a two-column reference relation from an indirect
-// join's pairs.
-func FromPairs(lv, rv string, pairs [][2]value.Value, st *stats.Counters) *RefRel {
+// join's packed reference pairs.
+func FromPairs(lv, rv string, pairs [][2]int64, st *stats.Counters) *RefRel {
 	out := New([]string{lv, rv}, st)
-	row := make([]value.Value, 2)
-	for _, p := range pairs {
-		row[0], row[1] = p[0], p[1]
-		out.Add(row)
+	out.set.reserve(len(pairs))
+	for i := range pairs {
+		out.Add(pairs[i][:])
 	}
 	return out
 }
@@ -400,23 +509,20 @@ func (r *RefRel) DistinctOn(vars []string) int {
 	if d, ok := r.distinctCache[ck]; ok {
 		return d
 	}
-	idx := make([]int, len(vars))
-	for i, v := range vars {
-		j, ok := r.varIdx[v]
-		if !ok {
-			return 0
-		}
-		idx[i] = j
+	idx, err := r.colsOf(vars)
+	if err != nil {
+		return 0
 	}
-	seen := make(map[string]struct{}, len(r.rows))
-	for _, row := range r.rows {
-		seen[keyAt(row, idx)] = struct{}{}
+	seen := tupleSet{w: len(idx)}
+	tmp := make([]int64, len(idx))
+	for i := 0; i < r.Len(); i++ {
+		seen.add(gather(tmp, r.Row(i), idx))
 	}
 	if r.distinctCache == nil {
 		r.distinctCache = make(map[string]int)
 	}
-	r.distinctCache[ck] = len(seen)
-	return len(seen)
+	r.distinctCache[ck] = seen.n
+	return seen.n
 }
 
 // EstimateJoinSize predicts |a ⋈ b| from the relations' exact sizes and
@@ -440,15 +546,4 @@ func EstimateJoinSize(a, b *RefRel) (float64, bool) {
 		return 0, true // one side empty: the join is empty
 	}
 	return prod / float64(d), true
-}
-
-// SortedKeys renders the tuples as sorted encoded strings; used by tests
-// to compare contents order-independently.
-func (r *RefRel) SortedKeys() []string {
-	keys := make([]string, 0, len(r.rows))
-	for k := range r.set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,12 +12,40 @@ import (
 	"pascalr/internal/value"
 )
 
-// ref is shorthand for a reference with relation id r and slot s.
-func ref(r, s int) value.Value { return value.Ref(r, s, 0) }
+// ref is shorthand for the packed reference with relation id r and
+// slot s.
+func ref(r, s int) int64 { return value.Ref(r, s, 0).Ord() }
 
-func row(vals ...value.Value) []value.Value { return vals }
+func row(words ...int64) []int64 { return words }
 
-func mk(t *testing.T, vars []string, rows ...[]value.Value) *RefRel {
+// rowsOf reads a relation's tuples in order, through Row.
+func rowsOf(r *RefRel) [][]int64 {
+	out := make([][]int64, r.Len())
+	for k := range out {
+		out[k] = slices.Clone(r.Row(k))
+	}
+	return out
+}
+
+// sortedRows reads a relation's tuples in lexicographic order, to
+// compare contents order-independently.
+func sortedRows(r *RefRel) [][]int64 {
+	out := rowsOf(r)
+	slices.SortFunc(out, slices.Compare[[]int64])
+	return out
+}
+
+// has reports whether r holds the tuple.
+func has(r *RefRel, tuple []int64) bool {
+	for k := 0; k < r.Len(); k++ {
+		if slices.Equal(r.Row(k), tuple) {
+			return true
+		}
+	}
+	return false
+}
+
+func mk(t *testing.T, vars []string, rows ...[]int64) *RefRel {
 	t.Helper()
 	r := New(vars, nil)
 	for _, rw := range rows {
@@ -40,8 +69,8 @@ func TestAddDedup(t *testing.T) {
 	if st.RefTuples != 1 {
 		t.Errorf("RefTuples = %d", st.RefTuples)
 	}
-	if !r.Has(row(ref(0, 1))) || r.Has(row(ref(0, 2))) {
-		t.Errorf("Has wrong")
+	if !has(r, row(ref(0, 1))) || has(r, row(ref(0, 2))) {
+		t.Errorf("contents wrong")
 	}
 }
 
@@ -50,7 +79,7 @@ func TestAddCopies(t *testing.T) {
 	rw := row(ref(0, 1))
 	r.Add(rw)
 	rw[0] = ref(0, 9)
-	if !r.Has(row(ref(0, 1))) {
+	if !has(r, row(ref(0, 1))) {
 		t.Errorf("Add retained caller slice")
 	}
 }
@@ -100,8 +129,8 @@ func TestJoinShared(t *testing.T) {
 	if out.Len() != 2 {
 		t.Fatalf("join produced %d rows", out.Len())
 	}
-	for _, rw := range out.Rows() {
-		if !value.Equal(rw[0], ref(0, 1)) || !value.Equal(rw[1], ref(1, 10)) {
+	for _, rw := range rowsOf(out) {
+		if rw[0] != ref(0, 1) || rw[1] != ref(1, 10) {
 			t.Errorf("unexpected join row %v", rw)
 		}
 	}
@@ -130,7 +159,7 @@ func TestJoinSymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(proj1.SortedKeys(), proj2.SortedKeys()) {
+	if !reflect.DeepEqual(sortedRows(proj1), sortedRows(proj2)) {
 		t.Errorf("join not symmetric")
 	}
 }
@@ -143,7 +172,7 @@ func TestJoinNoSharedIsCartesian(t *testing.T) {
 		t.Errorf("cartesian size = %d", out.Len())
 	}
 	cart := cartesianT(t, a, b)
-	if !reflect.DeepEqual(cart.SortedKeys(), out.SortedKeys()) {
+	if !reflect.DeepEqual(sortedRows(cart), sortedRows(out)) {
 		t.Errorf("Cartesian differs from Join")
 	}
 }
@@ -206,16 +235,16 @@ func TestDivide(t *testing.T) {
 		row(ref(0, 1), ref(1, 1)),
 		row(ref(0, 1), ref(1, 2)),
 		row(ref(0, 2), ref(1, 1)))
-	divisor := []value.Value{ref(1, 1), ref(1, 2)}
+	divisor := []int64{ref(1, 1), ref(1, 2)}
 	out, err := Divide(context.Background(), a, "p", divisor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 1 || !value.Equal(out.Rows()[0][0], ref(0, 1)) {
-		t.Errorf("division = %v", out.Rows())
+	if out.Len() != 1 || out.Row(0)[0] != ref(0, 1) {
+		t.Errorf("division = %v", rowsOf(out))
 	}
 	// Duplicate divisor entries must not double-count.
-	out, err = Divide(context.Background(), a, "p", []value.Value{ref(1, 1), ref(1, 1)}, nil)
+	out, err = Divide(context.Background(), a, "p", []int64{ref(1, 1), ref(1, 1)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,26 +271,25 @@ func TestDivideMultiColumnRest(t *testing.T) {
 		row(ref(0, 1), ref(3, 1), ref(1, 1)),
 		row(ref(0, 1), ref(3, 1), ref(1, 2)),
 		row(ref(0, 1), ref(3, 2), ref(1, 1)))
-	out, err := Divide(context.Background(), a, "p", []value.Value{ref(1, 1), ref(1, 2)}, nil)
+	out, err := Divide(context.Background(), a, "p", []int64{ref(1, 1), ref(1, 2)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 1 {
 		t.Fatalf("division = %d rows", out.Len())
 	}
-	rw := out.Rows()[0]
-	if !value.Equal(rw[0], ref(0, 1)) || !value.Equal(rw[1], ref(3, 1)) {
+	if rw := out.Row(0); rw[0] != ref(0, 1) || rw[1] != ref(3, 1) {
 		t.Errorf("division row = %v", rw)
 	}
 }
 
 func TestFromRefsAndPairs(t *testing.T) {
-	refs := []value.Value{ref(0, 1), ref(0, 2), ref(0, 1)}
+	refs := []int64{ref(0, 1), ref(0, 2), ref(0, 1)}
 	r := FromRefs("x", refs, nil)
 	if r.Len() != 2 {
 		t.Errorf("FromRefs = %d", r.Len())
 	}
-	pairs := [][2]value.Value{{ref(0, 1), ref(1, 1)}, {ref(0, 1), ref(1, 1)}}
+	pairs := [][2]int64{{ref(0, 1), ref(1, 1)}, {ref(0, 1), ref(1, 1)}}
 	p := FromPairs("x", "y", pairs, nil)
 	if p.Len() != 1 {
 		t.Errorf("FromPairs = %d", p.Len())
@@ -279,7 +307,7 @@ func TestDivideInvertsCartesian(t *testing.T) {
 		for _, s := range aSlots {
 			a.Add(row(ref(0, int(s))))
 		}
-		var divisor []value.Value
+		var divisor []int64
 		d := New([]string{"p"}, nil)
 		for _, s := range dSlots {
 			r := ref(1, int(s))
@@ -291,7 +319,7 @@ func TestDivideInvertsCartesian(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(q.SortedKeys(), a.SortedKeys())
+		return reflect.DeepEqual(sortedRows(q), sortedRows(a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -344,9 +372,9 @@ func TestJoinSubsetOfCartesian(t *testing.T) {
 		j := joinT(t, a, b)
 		// Verify each joined row agrees and count against the naive loop.
 		n := 0
-		for _, ra := range a.Rows() {
-			for _, rb := range b.Rows() {
-				if value.Equal(ra[1], rb[0]) {
+		for _, ra := range rowsOf(a) {
+			for _, rb := range rowsOf(b) {
+				if ra[1] == rb[0] {
 					n++
 				}
 			}
@@ -361,12 +389,12 @@ func TestJoinSubsetOfCartesian(t *testing.T) {
 // TestJoinCancellation: a cancelled context must abort a large product
 // mid-materialization with ctx.Err().
 func TestJoinCancellation(t *testing.T) {
-	rows := make([][]value.Value, 0, 3000)
+	rows := make([][]int64, 0, 3000)
 	for i := 0; i < 3000; i++ {
 		rows = append(rows, row(ref(0, i)))
 	}
 	a := mk(t, []string{"x"}, rows...)
-	brows := make([][]value.Value, 0, 3000)
+	brows := make([][]int64, 0, 3000)
 	for i := 0; i < 3000; i++ {
 		brows = append(brows, row(ref(1, i)))
 	}

@@ -30,7 +30,9 @@ import (
 // reference on demand, so only rows that survive selection ever pay
 // for one. Columns whose kind Configure declares int-backed are stored
 // unboxed in ords; the rest (and every column of an unconfigured
-// batch) are boxed in vals.
+// batch) are boxed in vals. Both kinds of vector are allocated on
+// first need, so a pooled batch reused across relations of different
+// column kinds only ever grows the vectors its scans fill.
 type Batch struct {
 	slots []int32
 	relID int
@@ -42,21 +44,18 @@ type Batch struct {
 }
 
 // New returns an empty batch holding up to capacity rows of ncols
-// columns, with every column boxed until Configure declares kinds.
+// columns, with every column boxed until Configure declares kinds. No
+// column vector is allocated until Configure or GrowVals needs it.
 func New(ncols, capacity int) *Batch {
 	if capacity < 1 {
 		capacity = 1
 	}
-	b := &Batch{
+	return &Batch{
 		slots: make([]int32, 0, capacity),
 		ords:  make([][]int64, ncols),
 		vals:  make([][]value.Value, ncols),
 		cap:   capacity,
 	}
-	for c := range b.vals {
-		b.vals[c] = make([]value.Value, 0, capacity)
-	}
-	return b
 }
 
 // Configure prepares the batch for one scan: relID is the relation Ref
@@ -71,8 +70,11 @@ func (b *Batch) Configure(relID int, kinds []value.Kind, enums []string) {
 	b.kinds = kinds
 	b.enums = enums
 	for c, k := range kinds {
-		if value.OrdKind(k) && b.ords[c] == nil {
+		switch {
+		case value.OrdKind(k) && b.ords[c] == nil:
 			b.ords[c] = make([]int64, 0, b.cap)
+		case !value.OrdKind(k) && b.vals[c] == nil:
+			b.vals[c] = make([]value.Value, 0, b.cap)
 		}
 	}
 }
@@ -114,8 +116,12 @@ func (b *Batch) GrowOrds(c, n int) []int64 {
 	return col[len(col)-n:]
 }
 
-// GrowVals is GrowOrds for boxed columns.
+// GrowVals is GrowOrds for boxed columns. The first call on a column
+// Configure did not declare boxed allocates its vector.
 func (b *Batch) GrowVals(c, n int) []value.Value {
+	if b.vals[c] == nil {
+		b.vals[c] = make([]value.Value, 0, b.cap)
+	}
 	col := b.vals[c]
 	col = col[:len(col)+n]
 	b.vals[c] = col
@@ -141,7 +147,9 @@ func (b *Batch) Reset() {
 		if b.ords[c] != nil {
 			b.ords[c] = b.ords[c][:0]
 		}
-		b.vals[c] = b.vals[c][:0]
+		if b.vals[c] != nil {
+			b.vals[c] = b.vals[c][:0]
+		}
 	}
 }
 

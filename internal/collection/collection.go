@@ -6,11 +6,17 @@
 //
 // The structures are all expressible as PASCAL/R relations over
 // reference components (Figure 2 of the paper); here they get dedicated
-// representations so index probes are cheap.
+// representations so index probes are cheap. Every reference they hold
+// is its packed int64 word (value.Value.Ord of a reference): a single
+// list's set keys on the word, an indirect join stores word pairs, and
+// an index chains its entries by the hash of the component value
+// itself (value.Value.Hash), confirming each match with value.Equal.
+// Nothing is keyed by an encoded string.
 package collection
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
 
 	"pascalr/internal/stats"
@@ -21,52 +27,64 @@ import (
 // monadic join terms, e.g. sl_prof or sl_csoph in Figure 2.
 type SingleList struct {
 	Var  string
-	refs []value.Value
-	set  map[string]struct{}
+	refs []int64
+	set  map[int64]struct{}
 }
 
 // NewSingleList creates an empty single list for a variable.
 func NewSingleList(v string) *SingleList {
-	return &SingleList{Var: v, set: make(map[string]struct{})}
+	return &SingleList{Var: v, set: make(map[int64]struct{})}
 }
 
-// Add inserts a reference.
-func (sl *SingleList) Add(ref value.Value) {
-	k := value.EncodeKey([]value.Value{ref})
-	if _, dup := sl.set[k]; dup {
+// Add inserts a packed reference.
+func (sl *SingleList) Add(ref int64) {
+	if _, dup := sl.set[ref]; dup {
 		return
 	}
-	sl.set[k] = struct{}{}
+	sl.set[ref] = struct{}{}
 	sl.refs = append(sl.refs, ref)
 }
 
-// Refs returns the references in insertion order.
-func (sl *SingleList) Refs() []value.Value { return sl.refs }
+// Refs returns the packed references in insertion order.
+func (sl *SingleList) Refs() []int64 { return sl.refs }
 
 // Len returns the number of references.
 func (sl *SingleList) Len() int { return len(sl.refs) }
 
-// Has reports whether a reference is present.
-func (sl *SingleList) Has(ref value.Value) bool {
-	_, ok := sl.set[value.EncodeKey([]value.Value{ref})]
+// Has reports whether a packed reference is present.
+func (sl *SingleList) Has(ref int64) bool {
+	_, ok := sl.set[ref]
 	return ok
 }
 
-// IndexEntry associates one component value with one reference.
+// IndexEntry associates one component value with one packed reference.
 type IndexEntry struct {
 	Val value.Value
-	Ref value.Value
+	Ref int64
+}
+
+// valSeed seeds the index's value hash for the process.
+var valSeed = maphash.MakeSeed()
+
+// valHash hashes an indexed value. It is a variable so a test can force
+// every value onto one hash and exercise the value.Equal confirmation.
+var valHash = defaultValHash
+
+func defaultValHash(v value.Value) uint64 {
+	h := v.Hash(valSeed)
+	return h ^ h>>32
 }
 
 // Index is a (partial) index on one relation: component value ->
 // references, e.g. ind_t_cnr in Figure 2. The build phase appends plain
 // (value, reference) entries; the entry list is immutable once the
 // build scan completes, and both access structures derive from it
-// lazily — the equality hash table on the first =-probe, and a sorted
+// lazily — the equality hash chains on the first =-probe, and a sorted
 // *copy* of the entries on the first ordered probe. Because the
 // insertion-order list is never mutated after the build, <>-probes and
-// the equality map always see the same deterministic order, and scans
-// that build an index nobody equality-probes never pay the hashing.
+// the equality chains always see the same deterministic order, and
+// scans that build an index nobody equality-probes never pay the
+// hashing.
 //
 // The plan's scan order completes an index's build scan before any
 // probing scan starts; one execution owns the index, so it needs no
@@ -77,8 +95,12 @@ type Index struct {
 
 	entries []IndexEntry // insertion order; immutable once built
 
-	eq     map[string][]value.Value // built on the first =-probe
-	sorted []IndexEntry             // ascending by Val, stable; built on the first ordered probe
+	// head and next chain the entries by value hash, built on the
+	// first =-probe: head maps a bucket to its first entry index+1,
+	// next an entry to the bucket's next entry index+1 (0 ends a
+	// chain). Chains run in insertion order.
+	head, next []int32
+	sorted     []IndexEntry // ascending by Val, stable; built on the first ordered probe
 }
 
 // NewIndex creates an empty index over rel.col.
@@ -86,22 +108,31 @@ func NewIndex(rel, col string) *Index {
 	return &Index{Rel: rel, Col: col}
 }
 
-// Add indexes one element's component value.
-func (ix *Index) Add(v, ref value.Value) {
+// Add indexes one element's component value under its packed reference.
+func (ix *Index) Add(v value.Value, ref int64) {
 	ix.entries = append(ix.entries, IndexEntry{Val: v, Ref: ref})
 }
 
-// eqMap builds (on the first =-probe) and returns the equality hash
-// table. Entries are immutable by then: builds complete before probes.
-func (ix *Index) eqMap() map[string][]value.Value {
-	if ix.eq == nil {
-		ix.eq = make(map[string][]value.Value, len(ix.entries))
-		for _, e := range ix.entries {
-			k := value.EncodeKey([]value.Value{e.Val})
-			ix.eq[k] = append(ix.eq[k], e.Ref)
-		}
+// chain builds (on the first =-probe) the equality hash chains.
+// Entries are immutable by then: builds complete before probes.
+// Entries are inserted in reverse so every chain runs in insertion
+// order.
+func (ix *Index) chain() {
+	if ix.head != nil {
+		return
 	}
-	return ix.eq
+	nb := 1
+	for nb < len(ix.entries) {
+		nb <<= 1
+	}
+	ix.head = make([]int32, nb)
+	ix.next = make([]int32, len(ix.entries))
+	mask := uint64(nb - 1)
+	for i := len(ix.entries) - 1; i >= 0; i-- {
+		b := valHash(ix.entries[i].Val) & mask
+		ix.next[i] = ix.head[b]
+		ix.head[b] = int32(i + 1)
+	}
 }
 
 // sortedEntries builds (on the first ordered probe) and returns a
@@ -120,28 +151,25 @@ func (ix *Index) sortedEntries() []IndexEntry {
 // Len returns the number of indexed entries.
 func (ix *Index) Len() int { return len(ix.entries) }
 
-// Entries returns the indexed (value, reference) pairs; callers must not
-// modify them. The order is unspecified.
+// Entries returns the indexed (value, reference) pairs in insertion
+// order; callers must not modify them.
 func (ix *Index) Entries() []IndexEntry { return ix.entries }
 
-// ProbeEq returns the references whose indexed value equals v, counting
-// one probe into st.
-func (ix *Index) ProbeEq(st *stats.Counters, v value.Value) []value.Value {
-	st.CountProbes(1)
-	return ix.eqMap()[value.EncodeKey([]value.Value{v})]
-}
-
-// Probe calls fn with every reference whose indexed value iv satisfies
-// "pv op iv" — the probe value on the left, as in a join term
-// probe.col OP index.col. Equality uses the hash table; the ordered
-// operators use binary search over the sorted entries; <> scans.
+// Probe calls fn with every packed reference whose indexed value iv
+// satisfies "pv op iv" — the probe value on the left, as in a join term
+// probe.col OP index.col. Equality walks one hash chain, yielding equal
+// values' references in insertion order; the ordered operators use
+// binary search over the sorted entries; <> scans in insertion order.
 // Probes and comparisons count into st, the probing worker's sink.
-func (ix *Index) Probe(st *stats.Counters, op value.CmpOp, pv value.Value, fn func(ref value.Value)) {
+func (ix *Index) Probe(st *stats.Counters, op value.CmpOp, pv value.Value, fn func(ref int64)) {
 	st.CountProbes(1)
 	switch op {
 	case value.OpEq:
-		for _, ref := range ix.eqMap()[value.EncodeKey([]value.Value{pv})] {
-			fn(ref)
+		ix.chain()
+		for e := ix.head[valHash(pv)&uint64(len(ix.head)-1)]; e != 0; e = ix.next[e-1] {
+			if en := &ix.entries[e-1]; value.Equal(en.Val, pv) {
+				fn(en.Ref)
+			}
 		}
 	case value.OpNe:
 		// Insertion order, always: the list is immutable post-build, so
@@ -188,7 +216,7 @@ func (ix *Index) Probe(st *stats.Counters, op value.CmpOp, pv value.Value, fn fu
 // Figure 2 relations are preserved downstream.
 type IndirectJoin struct {
 	LVar, RVar string
-	pairs      [][2]value.Value
+	pairs      [][2]int64
 }
 
 // NewIndirectJoin creates an empty indirect join between two variables.
@@ -196,13 +224,13 @@ func NewIndirectJoin(lv, rv string) *IndirectJoin {
 	return &IndirectJoin{LVar: lv, RVar: rv}
 }
 
-// Add inserts a reference pair.
-func (ij *IndirectJoin) Add(l, r value.Value) {
-	ij.pairs = append(ij.pairs, [2]value.Value{l, r})
+// Add inserts a pair of packed references.
+func (ij *IndirectJoin) Add(l, r int64) {
+	ij.pairs = append(ij.pairs, [2]int64{l, r})
 }
 
-// Pairs returns the reference pairs in insertion order.
-func (ij *IndirectJoin) Pairs() [][2]value.Value { return ij.pairs }
+// Pairs returns the packed reference pairs in insertion order.
+func (ij *IndirectJoin) Pairs() [][2]int64 { return ij.pairs }
 
 // Len returns the number of pairs.
 func (ij *IndirectJoin) Len() int { return len(ij.pairs) }

@@ -1,6 +1,7 @@
 package collection
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,7 +9,8 @@ import (
 	"pascalr/internal/value"
 )
 
-func ref(s int) value.Value { return value.Ref(0, s, 0) }
+// ref is the packed reference to slot s of relation 0.
+func ref(s int) int64 { return value.Ref(0, s, 0).Ord() }
 
 func TestSingleList(t *testing.T) {
 	sl := NewSingleList("c")
@@ -21,7 +23,7 @@ func TestSingleList(t *testing.T) {
 	if !sl.Has(ref(1)) || sl.Has(ref(3)) {
 		t.Errorf("Has wrong")
 	}
-	if got := sl.Refs(); len(got) != 2 || !value.Equal(got[0], ref(1)) {
+	if got := sl.Refs(); len(got) != 2 || got[0] != ref(1) {
 		t.Errorf("Refs = %v", got)
 	}
 }
@@ -35,21 +37,21 @@ func TestIndexProbeEq(t *testing.T) {
 	if ix.Len() != 3 {
 		t.Errorf("Len = %d", ix.Len())
 	}
-	got := ix.ProbeEq(st, value.Int(10))
+	got := collectProbe(ix, st, value.OpEq, value.Int(10))
 	if len(got) != 2 {
-		t.Errorf("ProbeEq(10) = %v", got)
+		t.Errorf("Probe(=, 10) = %v", got)
 	}
-	if len(ix.ProbeEq(st, value.Int(99))) != 0 {
-		t.Errorf("ProbeEq(99) non-empty")
+	if len(collectProbe(ix, st, value.OpEq, value.Int(99))) != 0 {
+		t.Errorf("Probe(=, 99) non-empty")
 	}
 	if st.IndexProbes != 2 {
 		t.Errorf("probes = %d", st.IndexProbes)
 	}
 }
 
-func collectProbe(ix *Index, op value.CmpOp, pv value.Value) []value.Value {
-	var out []value.Value
-	ix.Probe(nil, op, pv, func(r value.Value) { out = append(out, r) })
+func collectProbe(ix *Index, st *stats.Counters, op value.CmpOp, pv value.Value) []int64 {
+	var out []int64
+	ix.Probe(st, op, pv, func(r int64) { out = append(out, r) })
 	return out
 }
 
@@ -77,7 +79,7 @@ func TestIndexProbeOperators(t *testing.T) {
 		{value.OpLt, 9, 0},  // none
 	}
 	for _, c := range cases {
-		got := collectProbe(ix, c.op, value.Int(c.pv))
+		got := collectProbe(ix, nil, c.op, value.Int(c.pv))
 		if len(got) != c.want {
 			t.Errorf("Probe(%v, %d) = %d refs, want %d", c.op, c.pv, len(got), c.want)
 		}
@@ -100,7 +102,7 @@ func TestIndexProbeMatchesNaive(t *testing.T) {
 					want++
 				}
 			}
-			if len(collectProbe(ix, op, pv)) != want {
+			if len(collectProbe(ix, nil, op, pv)) != want {
 				return false
 			}
 		}
@@ -121,7 +123,7 @@ func TestIndirectJoin(t *testing.T) {
 	if ij.Len() != 2 {
 		t.Errorf("Len = %d", ij.Len())
 	}
-	if got := ij.Pairs(); !value.Equal(got[0][0], ref(1)) || !value.Equal(got[1][1], ref(20)) {
+	if got := ij.Pairs(); got[0][0] != ref(1) || got[1][1] != ref(20) {
 		t.Errorf("Pairs = %v", got)
 	}
 }
@@ -255,5 +257,73 @@ func TestQuantPredMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIndexEqualityUnderOneHash puts every indexed value on one hash
+// chain: an =-probe must still yield exactly the equal values'
+// references, in insertion order, a miss nothing, and a <>-probe the
+// unequal ones in insertion order, each probe counted once.
+func TestIndexEqualityUnderOneHash(t *testing.T) {
+	valHash = func(value.Value) uint64 { return 0 }
+	t.Cleanup(func() { valHash = defaultValHash })
+	ix := NewIndex("r", "a")
+	// Int(3), Enum("color", 3) and Ref(0, 3, 0) share the payload 3, so
+	// only the kind tells them apart.
+	vals := []value.Value{
+		value.Int(3), value.String_("x"), value.Int(1), value.Int(3),
+		value.Enum("color", 3), value.Int(3), value.String_("x"), value.Ref(0, 3, 0),
+	}
+	for i, v := range vals {
+		ix.Add(v, ref(i))
+	}
+	st := &stats.Counters{}
+	cases := []struct {
+		op   value.CmpOp
+		pv   value.Value
+		want []int64
+	}{
+		{value.OpEq, value.Int(3), []int64{ref(0), ref(3), ref(5)}},
+		{value.OpEq, value.String_("x"), []int64{ref(1), ref(6)}},
+		{value.OpEq, value.Enum("color", 3), []int64{ref(4)}},
+		{value.OpEq, value.Int(2), nil},
+		{value.OpEq, value.String_("y"), nil},
+		{value.OpNe, value.Int(3), []int64{ref(1), ref(2), ref(4), ref(6), ref(7)}},
+	}
+	for i, c := range cases {
+		if got := collectProbe(ix, st, c.op, c.pv); !slices.Equal(got, c.want) {
+			t.Errorf("Probe(%v, %v) = %v, want %v", c.op, c.pv, got, c.want)
+		}
+		if st.IndexProbes != int64(i+1) {
+			t.Errorf("after %d probes the sink counted %d", i+1, st.IndexProbes)
+		}
+	}
+}
+
+// TestIndexProbeOrder: with real hashes, =-probes yield a value's
+// references in insertion order whichever probe builds the chains, and
+// <>-probes scan in insertion order even after an ordered probe built
+// the sorted copy.
+func TestIndexProbeOrder(t *testing.T) {
+	ix := NewIndex("r", "a")
+	for i := 0; i < 200; i++ {
+		ix.Add(value.Int(int64(i*7%5)), ref(i))
+	}
+	collectProbe(ix, nil, value.OpLt, value.Int(2)) // builds the sorted copy first
+	for v := int64(0); v < 6; v++ {
+		var eq, ne []int64
+		for i := 0; i < 200; i++ {
+			if int64(i*7%5) == v {
+				eq = append(eq, ref(i))
+			} else {
+				ne = append(ne, ref(i))
+			}
+		}
+		if got := collectProbe(ix, nil, value.OpEq, value.Int(v)); !slices.Equal(got, eq) {
+			t.Errorf("Probe(=, %d) = %v, want %v", v, got, eq)
+		}
+		if got := collectProbe(ix, nil, value.OpNe, value.Int(v)); !slices.Equal(got, ne) {
+			t.Errorf("Probe(<>, %d) = %v, want %v", v, got, ne)
+		}
 	}
 }

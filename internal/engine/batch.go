@@ -35,18 +35,27 @@ func (p *plan) planColumnMasks() {
 	}
 }
 
-// batchPool recycles columnar batches across scans and executions: the
-// buffers are the dominant per-execution allocation of the collection
-// phase (cols × batchSize values), and without reuse the GC pressure
-// erases the bulk-evaluation win on repeated queries. A batch whose
-// shape no longer matches (different column count, or a test shrank
-// batchSize) is simply dropped and a fresh one allocated.
-var batchPool sync.Pool
+// batchPools recycles columnar batches across scans and executions,
+// one sync.Pool per column count (map key: the count): the buffers are
+// the dominant per-execution allocation of the collection phase (cols
+// × batchSize values), and without reuse the GC pressure erases the
+// bulk-evaluation win on repeated queries. Pooling by width lets
+// queries that alternate relations of different widths reuse a batch
+// for each. A batch of another capacity (a test shrank batchSize) is
+// dropped and a fresh one allocated.
+var batchPools sync.Map
+
+func batchPool(ncols int) *sync.Pool {
+	if p, ok := batchPools.Load(ncols); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := batchPools.LoadOrStore(ncols, new(sync.Pool))
+	return p.(*sync.Pool)
+}
 
 func getBatch(ncols int) *colbatch.Batch {
-	if v := batchPool.Get(); v != nil {
-		b := v.(*colbatch.Batch)
-		if b.NumCols() == ncols && b.Cap() == batchSize {
+	if v := batchPool(ncols).Get(); v != nil {
+		if b := v.(*colbatch.Batch); b.Cap() == batchSize {
 			return b
 		}
 	}
@@ -55,7 +64,7 @@ func getBatch(ncols int) *colbatch.Batch {
 
 func putBatch(b *colbatch.Batch) {
 	b.Reset()
-	batchPool.Put(b)
+	batchPool(b.NumCols()).Put(b)
 }
 
 // scanBatches drives the job's tasks over its relation's whole slot

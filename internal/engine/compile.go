@@ -83,7 +83,9 @@ func (e *Engine) CompileCtx(ctx context.Context, sel *calculus.Selection, info *
 	// then leaves a counter mismatch (an unnecessary refresh next
 	// execution), never a fresh-tagged stale estimator.
 	muts := p.captureMutCounts()
-	e.ensureEstimator(&opts)
+	if err := e.ensureEstimator(&opts); err != nil {
+		return nil, err
+	}
 	p.opts = opts
 	folded := normalize.Fold(sel.Pred, baseline.Emptiness(e.db))
 	x, err := e.prepareFoldedCtx(ctx, sel, folded, p.opts)
@@ -160,6 +162,9 @@ func (p *Plan) instance() (*optimizer.XForm, Options, uint64, error) {
 		// granularity. Counters are captured before the estimator (see
 		// captureMutCounts), and the estimator itself is epoch-cached,
 		// so the refresh allocates only when something actually changed.
+		if err := p.eng.db.Err(); err != nil {
+			return nil, Options{}, 0, err
+		}
 		muts = p.captureMutCounts()
 		p.opts.Estimator = p.eng.db.Estimator()
 		statsChanged = true
@@ -183,6 +188,9 @@ func (p *Plan) instance() (*optimizer.XForm, Options, uint64, error) {
 				// forever. Counters before estimator, as in Compile.
 				muts = p.captureMutCounts()
 				if p.autoEst {
+					if err := p.eng.db.Err(); err != nil {
+						return nil, Options{}, 0, err
+					}
 					p.opts.Estimator = p.eng.db.Estimator()
 				}
 			}

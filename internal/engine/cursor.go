@@ -30,7 +30,7 @@ type Cursor struct {
 	ctx       context.Context
 	db        *relation.DB
 	sch       *schema.RelSchema
-	rows      [][]value.Value // combination-phase reference tuples
+	refs      *algebra.RefRel // combination-phase reference tuples
 	cols      []int           // projection: combination column per output component
 	fieldCols []int           // projection: relation component per output component
 	vars      []int           // combination columns the projection reads, once each
@@ -88,7 +88,7 @@ func newCursor(ctx context.Context, db *relation.DB, sel *calculus.Selection, sc
 		}
 		c.fieldCols[i] = ci
 	}
-	c.rows = refs.Rows()
+	c.refs = refs
 	return c, nil
 }
 
@@ -122,7 +122,7 @@ func (c *Cursor) Next() bool {
 		c.pending = nil
 	}
 	if c.yielded == c.set.n {
-		if c.pending == nil && c.i < len(c.rows) {
+		if c.pending == nil && c.refs != nil && c.i < c.refs.Len() {
 			c.construct()
 		}
 		if c.yielded == c.set.n {
@@ -155,24 +155,26 @@ func (c *Cursor) fail(err error) bool {
 func (c *Cursor) construct() {
 	if c.buf == nil {
 		c.buf = make([]value.Value, len(c.cols))
-		c.elems = make([][]value.Value, len(c.rows[0]))
-		c.src = make([]int32, 0, min(constructChunk, len(c.rows)))
+		c.elems = make([][]value.Value, len(c.refs.Vars()))
+		c.src = make([]int32, 0, min(constructChunk, c.refs.Len()))
 	}
+	n := c.refs.Len()
 	c.base = c.set.n
 	c.src = c.src[:0]
 	c.db.RLock()
 	defer c.db.RUnlock()
 	c.ver = c.db.Version()
-	for c.i < len(c.rows) && len(c.src) < constructChunk {
+	for c.i < n && len(c.src) < constructChunk {
 		if c.i%64 == 0 {
 			if err := c.ctx.Err(); err != nil {
 				c.pending = err
 				return
 			}
 		}
-		row := c.rows[c.i]
+		row := c.refs.Row(c.i)
 		for _, col := range c.vars {
-			elem, err := c.db.DerefInto(row[col], c.elems[col])
+			ref := value.MakeOrd(value.KindRef, row[col], "")
+			elem, err := c.db.DerefInto(ref, c.elems[col])
 			if err != nil {
 				c.pending = err
 				return
@@ -182,7 +184,7 @@ func (c *Cursor) construct() {
 		for j, col := range c.cols {
 			c.buf[j] = c.elems[col][c.fieldCols[j]]
 		}
-		if c.set.add(c.buf, len(c.rows)-c.i) {
+		if c.set.add(c.buf, n-c.i) {
 			c.src = append(c.src, int32(c.i))
 		}
 		c.i++
@@ -213,7 +215,7 @@ func (c *Cursor) Err() error { return c.err }
 // fails; it exists for the database/sql-style defer rows.Close() idiom.
 func (c *Cursor) Close() error {
 	c.closed = true
-	c.rows = nil
+	c.refs = nil
 	c.set = rowSet{}
 	c.cur = nil
 	return nil

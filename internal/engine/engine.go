@@ -195,10 +195,16 @@ func (e *Engine) prepareFoldedCtx(ctx context.Context, sel *calculus.Selection, 
 // for it without supplying statistics, take the database's live
 // statistics (incrementally maintained by the mutators — no analyze
 // rescans), so Eval and Explain always plan from the same statistics.
-func (e *Engine) ensureEstimator(opts *Options) {
+// A fail-stopped database returns its sticky error instead: its live
+// statistics may hold mutations recovery will not reproduce.
+func (e *Engine) ensureEstimator(opts *Options) error {
 	if opts.CostBased && opts.Estimator == nil {
+		if err := e.db.Err(); err != nil {
+			return err
+		}
 		opts.Estimator = e.db.Estimator()
 	}
+	return nil
 }
 
 // planEstimator returns the estimator the physical planner should use;
@@ -326,7 +332,9 @@ func adaptXForm(x *optimizer.XForm, empty map[string]bool) {
 // Explain renders the logical and physical plan without executing the
 // combination phase. It runs the collection phase's planning only.
 func (e *Engine) Explain(sel *calculus.Selection, opts Options) (string, error) {
-	e.ensureEstimator(&opts)
+	if err := e.ensureEstimator(&opts); err != nil {
+		return "", err
+	}
 	x, err := e.prepare(sel, opts)
 	if err != nil {
 		return "", err

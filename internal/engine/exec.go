@@ -33,7 +33,7 @@ type rangeTask struct {
 	p     *plan
 	v     string
 	preds []batchPred // the range filter, if extended
-	refs  []value.Value
+	refs  []int64
 }
 
 func (t *rangeTask) batchCols() []int { return unionPredCols(t.preds) }
@@ -44,7 +44,7 @@ func (t *rangeTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *st
 	}
 	n := 0
 	sel.Do(func(i int) bool {
-		t.refs = append(t.refs, b.Ref(i))
+		t.refs = append(t.refs, b.Ref(i).Ord())
 		n++
 		return true
 	})
@@ -74,7 +74,7 @@ func (t *slTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats
 	}
 	n := 0
 	sel.Do(func(i int) bool {
-		t.spec.out.Add(b.Ref(i))
+		t.spec.out.Add(b.Ref(i).Ord())
 		n++
 		return true
 	})
@@ -100,7 +100,7 @@ func (t *ixTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats
 	n := 0
 	ci := t.spec.colIdx
 	sel.Do(func(i int) bool {
-		t.spec.out.Add(b.ColVal(ci, i), b.Ref(i))
+		t.spec.out.Add(b.ColVal(ci, i), b.Ref(i).Ord())
 		n++
 		return true
 	})
@@ -117,7 +117,7 @@ type groupTask struct {
 	p          *plan
 	grp        *probeGroup
 	rangePreds []batchPred
-	matchBuf   [][]value.Value
+	matchBuf   [][]int64
 }
 
 func (t *groupTask) batchCols() []int {
@@ -136,7 +136,7 @@ func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *st
 		return 0, err
 	}
 	if t.matchBuf == nil {
-		t.matchBuf = make([][]value.Value, len(t.grp.probes))
+		t.matchBuf = make([][]int64, len(t.grp.probes))
 	}
 	n := 0
 	sel.Do(func(i int) bool {
@@ -144,16 +144,17 @@ func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *st
 		for pi := range t.grp.probes {
 			pr := &t.grp.probes[pi]
 			t.matchBuf[pi] = t.matchBuf[pi][:0]
-			pr.index.probe(t.p, pr.op, b.ColVal(pr.probeCol, i), func(r value.Value) {
+			pr.index.probe(t.p, pr.op, b.ColVal(pr.probeCol, i), func(r int64) {
 				t.matchBuf[pi] = append(t.matchBuf[pi], r)
 			})
 			if t.grp.mutual && len(t.matchBuf[pi]) == 0 {
 				return true // another probe failed: suppress all pairs (4.2)
 			}
 		}
+		ref := b.Ref(i).Ord()
 		for pi := range t.grp.probes {
 			for _, r := range t.matchBuf[pi] {
-				t.grp.probes[pi].out.Add(b.Ref(i), r)
+				t.grp.probes[pi].out.Add(ref, r)
 			}
 		}
 		return true
@@ -362,15 +363,15 @@ func driveSmallerSide(op value.CmpOp) bool {
 // operators alike), minimizing probe count at identical output.
 func (p *plan) materializeDeferred(d *deferredIJ) {
 	if p.est != nil && driveSmallerSide(d.op) && p.effLen(d.lIx) > p.effLen(d.rIx) {
-		d.rIx.entriesDo(p, func(v, rref value.Value) {
-			d.lIx.probe(p, d.op.Flip(), v, func(lref value.Value) {
+		d.rIx.entriesDo(p, func(v value.Value, rref int64) {
+			d.lIx.probe(p, d.op.Flip(), v, func(lref int64) {
 				d.out.Add(lref, rref)
 			})
 		})
 		return
 	}
-	d.lIx.entriesDo(p, func(v, lref value.Value) {
-		d.rIx.probe(p, d.op, v, func(rref value.Value) {
+	d.lIx.entriesDo(p, func(v value.Value, lref int64) {
+		d.rIx.probe(p, d.op, v, func(rref int64) {
 			d.out.Add(lref, rref)
 		})
 	})

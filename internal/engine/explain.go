@@ -134,10 +134,10 @@ func (pp *plan) actualCard(v string) (int, string) {
 func (pp *plan) distinctIJRefs(v string) (int, bool) {
 	var seen []uint64
 	n, found := 0, false
-	count := func(side int, pairs [][2]value.Value) {
+	count := func(side int, pairs [][2]int64) {
 		found = true
 		for _, pr := range pairs {
-			_, slot, _ := pr[side].AsRef()
+			_, slot, _ := value.MakeOrd(value.KindRef, pr[side], "").AsRef()
 			w, bit := slot/64, uint64(1)<<(slot%64)
 			if w >= len(seen) {
 				seen = append(seen, make([]uint64, w+1-len(seen))...)

@@ -61,45 +61,48 @@ func (ix *ixSpec) length() int {
 	return ix.out.Len()
 }
 
-// probe enumerates references whose indexed value iv satisfies
-// "pv op iv", applying the range filter for permanent indexes. Probes
-// count into the plan's sink.
-func (ix *ixSpec) probe(p *plan, op value.CmpOp, pv value.Value, fn func(value.Value)) {
+// probe enumerates the packed references whose indexed value iv
+// satisfies "pv op iv", applying the range filter for permanent
+// indexes. Probes count into the plan's sink.
+func (ix *ixSpec) probe(p *plan, op value.CmpOp, pv value.Value, fn func(ref int64)) {
 	if ix.perm == nil {
 		ix.out.Probe(p.st, op, pv, fn)
 		return
 	}
-	if !ix.filtered {
-		ix.perm.ProbeStats(p.st, op, pv, fn)
-		return
+	var in map[int64]struct{}
+	if ix.filtered {
+		in = p.rangeSet(ix.v)
 	}
-	in := p.rangeSet(ix.v)
 	ix.perm.ProbeStats(p.st, op, pv, func(ref value.Value) {
-		if _, ok := in[value.EncodeKey([]value.Value{ref})]; ok {
-			fn(ref)
+		if w := ref.Ord(); in == nil || inSet(in, w) {
+			fn(w)
 		}
 	})
 }
 
-// entriesDo enumerates (value, ref) pairs, applying the range filter for
-// permanent indexes.
-func (ix *ixSpec) entriesDo(p *plan, fn func(v, ref value.Value)) {
+// entriesDo enumerates (value, packed reference) pairs, applying the
+// range filter for permanent indexes.
+func (ix *ixSpec) entriesDo(p *plan, fn func(v value.Value, ref int64)) {
 	if ix.perm == nil {
 		for _, e := range ix.out.Entries() {
 			fn(e.Val, e.Ref)
 		}
 		return
 	}
-	if !ix.filtered {
-		ix.perm.Entries(fn)
-		return
+	var in map[int64]struct{}
+	if ix.filtered {
+		in = p.rangeSet(ix.v)
 	}
-	in := p.rangeSet(ix.v)
 	ix.perm.Entries(func(v, ref value.Value) {
-		if _, ok := in[value.EncodeKey([]value.Value{ref})]; ok {
-			fn(v, ref)
+		if w := ref.Ord(); in == nil || inSet(in, w) {
+			fn(v, w)
 		}
 	})
+}
+
+func inSet(s map[int64]struct{}, w int64) bool {
+	_, ok := s[w]
+	return ok
 }
 
 // probeRef is one indirect-join probe within a group.
@@ -187,9 +190,9 @@ type plan struct {
 	vars      map[string]*varNode
 	order     []string
 	jobs      []*scanJob
-	rangeLst  map[string][]value.Value
+	rangeLst  map[string][]int64 // packed references of each materialized range
 	needRange map[string]bool
-	rangeSets map[string]map[string]struct{}
+	rangeSets map[string]map[int64]struct{}
 	sls       map[string]*slSpec
 	ixs       map[string]*ixSpec
 	groups    map[string]*probeGroup
@@ -225,9 +228,9 @@ func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat St
 		refBase:   st.RefTuples,
 		costCards: map[string]float64{},
 		vars:      map[string]*varNode{},
-		rangeLst:  map[string][]value.Value{},
+		rangeLst:  map[string][]int64{},
 		needRange: map[string]bool{},
-		rangeSets: map[string]map[string]struct{}{},
+		rangeSets: map[string]map[int64]struct{}{},
 		sls:       map[string]*slSpec{},
 		ixs:       map[string]*ixSpec{},
 		groups:    map[string]*probeGroup{},
@@ -724,16 +727,16 @@ func (p *plan) planRangeLists() {
 	}
 }
 
-// rangeSet returns (building lazily) the set of encoded references in
+// rangeSet returns (building lazily) the set of packed references in
 // v's range list; valid once v's scan has completed, which the scan
 // order guarantees for every prober.
-func (p *plan) rangeSet(v string) map[string]struct{} {
+func (p *plan) rangeSet(v string) map[int64]struct{} {
 	if s, ok := p.rangeSets[v]; ok {
 		return s
 	}
-	s := make(map[string]struct{}, len(p.rangeLst[v]))
+	s := make(map[int64]struct{}, len(p.rangeLst[v]))
 	for _, ref := range p.rangeLst[v] {
-		s[value.EncodeKey([]value.Value{ref})] = struct{}{}
+		s[ref] = struct{}{}
 	}
 	p.rangeSets[v] = s
 	return s

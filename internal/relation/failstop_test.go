@@ -91,3 +91,43 @@ func TestFailStopFencesLiveStats(t *testing.T) {
 		t.Fatalf("LiveStats after the WAL failure = %v, %v; want the sticky error %v", ts, err, d.Err())
 	}
 }
+
+// TestFailStopFencesCostPlanning: a refused insert leaves the live
+// statistics counting a row recovery will not reproduce. Compiling a
+// cost-based selection plans from those statistics, so it must return
+// the sticky error instead of a plan.
+func TestFailStopFencesCostPlanning(t *testing.T) {
+	d, err := relation.OpenDB(t.TempDir(), storage.Options{Fsync: storage.SyncNever, CheckpointWALBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := d.Create(schema.MustRelSchema("r", []schema.Column{{Name: "id", Type: schema.IntType("idtype", 1, 99)}}, []string{"id"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Insert([]value.Value{value.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := relation.CloseWAL(d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Insert([]value.Value{value.Int(2)}); err == nil {
+		t.Fatal("unloggable insert succeeded")
+	}
+	sticky := d.Err()
+	parsed, err := parser.ParseSelection(`[<x.id> OF EACH x IN r: x.id > 1]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, info, err := calculus.Check(parsed, d.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(d, &stats.Counters{})
+	if _, err := eng.Compile(sel, info, engine.Options{CostBased: true}); err != sticky {
+		t.Fatalf("cost-based compile after the WAL failure = %v; want the sticky error %v", err, sticky)
+	}
+	if _, err := eng.Explain(sel, engine.Options{CostBased: true}); err != sticky {
+		t.Fatalf("cost-based explain after the WAL failure = %v; want the sticky error %v", err, sticky)
+	}
+}
