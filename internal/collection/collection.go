@@ -8,15 +8,17 @@
 // reference components (Figure 2 of the paper); here they get dedicated
 // representations so index probes are cheap. Every reference they hold
 // is its packed int64 word (value.Value.Ord of a reference): a single
-// list's set keys on the word, an indirect join stores word pairs, and
-// an index chains its entries by the hash of the component value
-// itself (value.Value.Hash), confirming each match with value.Equal.
-// Nothing is keyed by an encoded string.
+// list stores words, an indirect join word pairs, and an index chains
+// its entries by the hash of the component value itself
+// (value.Value.Hash), confirming each match with value.Equal. A value
+// list holds the ordinals or strings of one component kind. Nothing is
+// keyed by an encoded string or by a boxed value.
 package collection
 
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 
 	"pascalr/internal/stats"
@@ -24,38 +26,32 @@ import (
 )
 
 // SingleList is a unary relation of references to elements satisfying
-// monadic join terms, e.g. sl_prof or sl_csoph in Figure 2.
+// monadic join terms, e.g. sl_prof or sl_csoph in Figure 2. References
+// are stored as added, without a dedup table: one task per list adds
+// each element of one scan once, so the list holds distinct references
+// in ascending slot order, and the combination phase's reference
+// relations deduplicate on ingestion anyway.
 type SingleList struct {
 	Var  string
 	refs []int64
-	set  map[int64]struct{}
 }
 
 // NewSingleList creates an empty single list for a variable.
 func NewSingleList(v string) *SingleList {
-	return &SingleList{Var: v, set: make(map[int64]struct{})}
+	return &SingleList{Var: v}
 }
 
-// Add inserts a packed reference.
-func (sl *SingleList) Add(ref int64) {
-	if _, dup := sl.set[ref]; dup {
-		return
-	}
-	sl.set[ref] = struct{}{}
-	sl.refs = append(sl.refs, ref)
-}
+// Reserve makes room for n more references.
+func (sl *SingleList) Reserve(n int) { sl.refs = slices.Grow(sl.refs, n) }
+
+// Add appends a packed reference.
+func (sl *SingleList) Add(ref int64) { sl.refs = append(sl.refs, ref) }
 
 // Refs returns the packed references in insertion order.
 func (sl *SingleList) Refs() []int64 { return sl.refs }
 
 // Len returns the number of references.
 func (sl *SingleList) Len() int { return len(sl.refs) }
-
-// Has reports whether a packed reference is present.
-func (sl *SingleList) Has(ref int64) bool {
-	_, ok := sl.set[ref]
-	return ok
-}
 
 // IndexEntry associates one component value with one packed reference.
 type IndexEntry struct {
@@ -107,6 +103,9 @@ type Index struct {
 func NewIndex(rel, col string) *Index {
 	return &Index{Rel: rel, Col: col}
 }
+
+// Reserve makes room for n more entries.
+func (ix *Index) Reserve(n int) { ix.entries = slices.Grow(ix.entries, n) }
 
 // Add indexes one element's component value under its packed reference.
 func (ix *Index) Add(v value.Value, ref int64) {

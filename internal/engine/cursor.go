@@ -30,14 +30,15 @@ type Cursor struct {
 	ctx       context.Context
 	db        *relation.DB
 	sch       *schema.RelSchema
-	refs      *algebra.RefRel // combination-phase reference tuples
-	cols      []int           // projection: combination column per output component
-	fieldCols []int           // projection: relation component per output component
-	vars      []int           // combination columns the projection reads, once each
-	elems     [][]value.Value // dereferenced element per combination column, reused per row
-	i         int             // next reference tuple to construct
-	buf       []value.Value   // scratch projection buffer, reused per row
-	set       rowSet          // distinct constructed rows, in yield order
+	refs      *algebra.RefRel      // combination-phase reference tuples
+	cols      []int                // projection: combination column per output component
+	fieldCols []int                // projection: relation component per output component
+	vars      []int                // combination columns the projection reads, once each
+	rels      []*relation.Relation // relation of each combination column the projection reads
+	elems     [][]value.Value      // dereferenced element per combination column, reused per row
+	i         int                  // next reference tuple to construct
+	buf       []value.Value        // scratch projection buffer, reused per row
+	set       rowSet               // distinct constructed rows, in yield order
 
 	yielded int     // rows of set handed out by Next
 	ver     uint64  // database version the unyielded rows were built at
@@ -69,6 +70,7 @@ func newCursor(ctx context.Context, db *relation.DB, sel *calculus.Selection, sc
 	}
 	c.cols = make([]int, len(sel.Proj))
 	c.fieldCols = make([]int, len(sel.Proj))
+	c.rels = make([]*relation.Relation, len(refs.Vars()))
 	for i, pr := range sel.Proj {
 		vi, ok := varIdx[pr.Var]
 		if !ok {
@@ -87,6 +89,7 @@ func newCursor(ctx context.Context, db *relation.DB, sel *calculus.Selection, sc
 			return nil, fmt.Errorf("engine: relation %s has no component %s", rel.Name(), pr.Col)
 		}
 		c.fieldCols[i] = ci
+		c.rels[vi] = rel
 	}
 	c.refs = refs
 	return c, nil
@@ -148,10 +151,12 @@ func (c *Cursor) fail(err error) bool {
 // construct dereferences and projects reference tuples until the set
 // holds constructChunk new rows or the tuples run out, all under one
 // acquisition of the database read lock: construction is race-free
-// against concurrent writers, and an element deleted since the
-// combination phase surfaces as a stale-reference error (per-slot
-// generations), not as a torn read. An error stops the chunk; it is
-// reported once the rows built before it are yielded.
+// against concurrent writers. Each reference is dereferenced through
+// its column's relation, resolved once by newCursor, so no reference
+// pays a catalog lookup. An element deleted since the combination
+// phase surfaces as a stale-reference error (per-slot generations),
+// not as a torn read. An error stops the chunk; it is reported once
+// the rows built before it are yielded.
 func (c *Cursor) construct() {
 	if c.buf == nil {
 		c.buf = make([]value.Value, len(c.cols))
@@ -174,7 +179,7 @@ func (c *Cursor) construct() {
 		row := c.refs.Row(c.i)
 		for _, col := range c.vars {
 			ref := value.MakeOrd(value.KindRef, row[col], "")
-			elem, err := c.db.DerefInto(ref, c.elems[col])
+			elem, err := c.rels[col].DerefInto(ref, c.elems[col])
 			if err != nil {
 				c.pending = err
 				return

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"pascalr/internal/algebra"
@@ -42,10 +43,10 @@ func (t *rangeTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *st
 	if err := evalPreds(t.preds, b, sel, st); err != nil {
 		return 0, err
 	}
-	n := 0
+	n := sel.Count()
+	t.refs = slices.Grow(t.refs, n)
 	sel.Do(func(i int) bool {
 		t.refs = append(t.refs, b.Ref(i).Ord())
-		n++
 		return true
 	})
 	return n, nil
@@ -57,7 +58,9 @@ func (t *rangeTask) finish() error {
 }
 func (t *rangeTask) describe() string { return "range " + t.v }
 
-// slTask builds a single list.
+// slTask builds a single list. A variable is scanned once and each
+// single list has one task, so every element enters the list at most
+// once, in ascending slot order.
 type slTask struct {
 	spec       *slSpec
 	rangePreds []batchPred
@@ -72,10 +75,10 @@ func (t *slTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats
 	if err := evalPreds(t.spec.preds, b, sel, st); err != nil {
 		return 0, err
 	}
-	n := 0
+	n := sel.Count()
+	t.spec.out.Reserve(n)
 	sel.Do(func(i int) bool {
 		t.spec.out.Add(b.Ref(i).Ord())
-		n++
 		return true
 	})
 	return n, nil
@@ -97,11 +100,11 @@ func (t *ixTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats
 	if err := evalPreds(t.rangePreds, b, sel, st); err != nil {
 		return 0, err
 	}
-	n := 0
+	n := sel.Count()
 	ci := t.spec.colIdx
+	t.spec.out.Reserve(n)
 	sel.Do(func(i int) bool {
 		t.spec.out.Add(b.ColVal(ci, i), b.Ref(i).Ord())
-		n++
 		return true
 	})
 	return n, nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -69,12 +70,8 @@ func (ix *ixSpec) probe(p *plan, op value.CmpOp, pv value.Value, fn func(ref int
 		ix.out.Probe(p.st, op, pv, fn)
 		return
 	}
-	var in map[int64]struct{}
-	if ix.filtered {
-		in = p.rangeSet(ix.v)
-	}
 	ix.perm.ProbeStats(p.st, op, pv, func(ref value.Value) {
-		if w := ref.Ord(); in == nil || inSet(in, w) {
+		if w := ref.Ord(); p.inRange(ix, w) {
 			fn(w)
 		}
 	})
@@ -89,19 +86,23 @@ func (ix *ixSpec) entriesDo(p *plan, fn func(v value.Value, ref int64)) {
 		}
 		return
 	}
-	var in map[int64]struct{}
-	if ix.filtered {
-		in = p.rangeSet(ix.v)
-	}
 	ix.perm.Entries(func(v, ref value.Value) {
-		if w := ref.Ord(); in == nil || inSet(in, w) {
+		if w := ref.Ord(); p.inRange(ix, w) {
 			fn(v, w)
 		}
 	})
 }
 
-func inSet(s map[int64]struct{}, w int64) bool {
-	_, ok := s[w]
+// inRange reports whether a permanent index's hit w lies in the
+// variable's range: always when the range is not extended, otherwise
+// when the range list holds it. The list is valid once v's scan has
+// completed, which the scan order guarantees for every prober, and is
+// in ascending slot order, so its words ascend.
+func (p *plan) inRange(ix *ixSpec, w int64) bool {
+	if !ix.filtered {
+		return true
+	}
+	_, ok := slices.BinarySearch(p.rangeLst[ix.v], w)
 	return ok
 }
 
@@ -192,7 +193,6 @@ type plan struct {
 	jobs      []*scanJob
 	rangeLst  map[string][]int64 // packed references of each materialized range
 	needRange map[string]bool
-	rangeSets map[string]map[int64]struct{}
 	sls       map[string]*slSpec
 	ixs       map[string]*ixSpec
 	groups    map[string]*probeGroup
@@ -230,7 +230,6 @@ func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat St
 		vars:      map[string]*varNode{},
 		rangeLst:  map[string][]int64{},
 		needRange: map[string]bool{},
-		rangeSets: map[string]map[int64]struct{}{},
 		sls:       map[string]*slSpec{},
 		ixs:       map[string]*ixSpec{},
 		groups:    map[string]*probeGroup{},
@@ -258,27 +257,28 @@ func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat St
 // variables, and the strategy-4 specs reachable from the matrix, and
 // wires scan-order dependencies.
 func (p *plan) buildVarNodes() error {
-	add := func(v string, rng *calculus.RangeExpr, free, live bool, rt *specRuntime) error {
+	add := func(v string, rng *calculus.RangeExpr, free, live bool) (*varNode, error) {
 		rel, ok := p.db.Relation(rng.Rel)
 		if !ok {
-			return fmt.Errorf("engine: unknown relation %s", rng.Rel)
+			return nil, fmt.Errorf("engine: unknown relation %s", rng.Rel)
 		}
 		if _, dup := p.vars[v]; dup {
-			return fmt.Errorf("engine: duplicate scan variable %s", v)
+			return nil, fmt.Errorf("engine: duplicate scan variable %s", v)
 		}
-		p.vars[v] = &varNode{
+		node := &varNode{
 			v: v, rng: rng, rel: rel, sch: rel.Schema(),
-			free: free, live: live, rt: rt, deps: map[string]struct{}{},
+			free: free, live: live, deps: map[string]struct{}{},
 		}
-		return nil
+		p.vars[v] = node
+		return node, nil
 	}
 	for _, d := range p.x.Free {
-		if err := add(d.Var, d.Range, true, true, nil); err != nil {
+		if _, err := add(d.Var, d.Range, true, true); err != nil {
 			return err
 		}
 	}
 	for _, q := range p.x.Prefix {
-		if err := add(q.Var, q.Range, false, true, nil); err != nil {
+		if _, err := add(q.Var, q.Range, false, true); err != nil {
 			return err
 		}
 	}
@@ -290,11 +290,14 @@ func (p *plan) buildVarNodes() error {
 		if _, done := p.specRTs[s]; done {
 			return nil
 		}
-		rt := newSpecRuntime(s)
-		p.specRTs[s] = rt
-		if err := add(specNodeName(s), s.Range, false, false, rt); err != nil {
+		node, err := add(specNodeName(s), s.Range, false, false)
+		if err != nil {
 			return err
 		}
+		if node.rt, err = newSpecRuntime(s, node.sch); err != nil {
+			return err
+		}
+		p.specRTs[s] = node.rt
 		for _, n := range s.NestedMonadic {
 			if err := reach(n.Spec); err != nil {
 				return err
@@ -725,21 +728,6 @@ func (p *plan) planRangeLists() {
 			}
 		}
 	}
-}
-
-// rangeSet returns (building lazily) the set of packed references in
-// v's range list; valid once v's scan has completed, which the scan
-// order guarantees for every prober.
-func (p *plan) rangeSet(v string) map[int64]struct{} {
-	if s, ok := p.rangeSets[v]; ok {
-		return s
-	}
-	s := make(map[int64]struct{}, len(p.rangeLst[v]))
-	for _, ref := range p.rangeLst[v] {
-		s[ref] = struct{}{}
-	}
-	p.rangeSets[v] = s
-	return s
 }
 
 func (p *plan) singleListFor(v string, atoms []optimizer.Atom) (*slSpec, error) {

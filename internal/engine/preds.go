@@ -278,33 +278,53 @@ type specRuntime struct {
 	pred     collection.QuantPred // single-dyadic predicate over the vm component
 }
 
-func newSpecRuntime(spec *optimizer.SemiSpec) *specRuntime {
+// newSpecRuntime prepares a spec's collection state; sch is the
+// eliminated variable's relation schema, whose column fixes the kind of
+// a single-term spec's value list.
+func newSpecRuntime(spec *optimizer.SemiSpec, sch *schema.RelSchema) (*specRuntime, error) {
 	rt := &specRuntime{spec: spec}
 	if len(spec.Dyadic) == 1 {
-		rt.vl = collection.NewValueList()
+		ci, ok := sch.ColIndex(spec.Dyadic[0].VnCol)
+		if !ok {
+			return nil, fmt.Errorf("engine: relation %s has no component %s", sch.Name, spec.Dyadic[0].VnCol)
+		}
+		t := sch.Cols[ci].Type
+		rt.vl = collection.NewValueList(t.ValueKind(), t.Name)
 	} else if len(spec.Dyadic) > 1 {
 		rt.tuples = &rowSet{w: len(spec.Dyadic)}
 	}
-	return rt
+	return rt, nil
 }
 
 // add feeds the selected rows of one batch of the eliminated variable's
 // range, in ascending order; mon marks the rows that also satisfied the
-// spec's monadic (and nested) predicates. It reads only dyCols.
+// spec's monadic (and nested) predicates. It reads only dyCols. A value
+// list takes the column's raw ordinals, or its strings.
 func (rt *specRuntime) add(b *colbatch.Batch, sel, mon *colbatch.Bitmap, dyCols []int) {
-	rt.total += sel.Count()
-	rt.monOK += mon.Count()
 	// SOME collects only filtered elements; ALL collects the whole range
 	// (the monadic terms act as a global condition, counted separately).
-	feed := sel
+	feed, n := sel, sel.Count()
+	rt.total += n
+	qualifying := mon.Count()
+	rt.monOK += qualifying
 	if !rt.spec.All {
-		feed = mon
+		feed, n = mon, qualifying
 	}
 	switch {
 	case rt.vl != nil:
 		ci := dyCols[0]
+		rt.vl.Reserve(n)
+		if rt.vl.Kind() == value.KindString {
+			col := b.Vals(ci)
+			feed.Do(func(i int) bool {
+				rt.vl.AddString(col[i].AsString())
+				return true
+			})
+			return
+		}
+		col := b.Ords(ci)
 		feed.Do(func(i int) bool {
-			rt.vl.Add(b.ColVal(ci, i))
+			rt.vl.AddOrd(col[i])
 			return true
 		})
 	case rt.tuples != nil:
@@ -436,31 +456,31 @@ func constOutcome(keep, counted bool) batchPred {
 }
 
 // membershipPred filters column ci by membership in vl (member) or
-// non-membership (!member), one comparison per selected row. An
-// int-backed column probes a set of the list's ordinals.
+// non-membership (!member), one comparison per selected row, probing
+// the list's own set: an int-backed column with its raw ordinals, a
+// string column with its strings. The list has one kind, so one check
+// against the column's type covers every value.
 func membershipPred(vl *collection.ValueList, member bool, ci int, sch *schema.RelSchema) (batchPred, error) {
 	if !value.OrdKind(sch.Cols[ci].Type.ValueKind()) {
+		if vl.Kind() != value.KindString {
+			return batchPred{}, fmt.Errorf("engine: cannot compare string column %s with %s values", sch.Cols[ci].Name, vl.Kind())
+		}
 		return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 			st.CountComparisons(sel.Count())
 			col := b.Vals(ci)
 			return sel.Filter(func(i int) (bool, error) {
-				return vl.Has(col[i]) == member, nil
+				return vl.HasString(col[i].AsString()) == member, nil
 			})
 		}}, nil
 	}
-	ords := make(map[int64]struct{}, vl.Len())
-	for _, v := range vl.Values() {
-		if err := checkOrdOperand(ci, v, sch); err != nil {
-			return batchPred{}, err
-		}
-		ords[v.Ord()] = struct{}{}
+	if err := checkOrdOperand(ci, vl.Min(), sch); err != nil {
+		return batchPred{}, err
 	}
 	return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 		st.CountComparisons(sel.Count())
 		col := b.Ords(ci)
 		return sel.Filter(func(i int) (bool, error) {
-			_, ok := ords[col[i]]
-			return ok == member, nil
+			return vl.HasOrd(col[i]) == member, nil
 		})
 	}}, nil
 }

@@ -1,9 +1,9 @@
 package normalize
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"pascalr/internal/calculus"
 )
@@ -104,46 +104,51 @@ func dnf(f calculus.Formula, maxConj int) ([][]*calculus.Cmp, bool, error) {
 }
 
 // simplifyDNF deduplicates terms within conjunctions, drops
-// contradictory conjunctions, and deduplicates whole conjunctions.
+// contradictory conjunctions, and deduplicates whole conjunctions. A
+// literal is keyed on its comparable calculus.Cmp value, whose operands
+// are comparable structs: each distinct literal gets a number, and a
+// conjunction is keyed on its literals' sorted numbers. Terms and
+// conjunctions keep their order.
 func simplifyDNF(conjs [][]*calculus.Cmp) [][]*calculus.Cmp {
 	out := make([][]*calculus.Cmp, 0, len(conjs))
+	ids := map[calculus.Cmp]int{}
 	seenConj := map[string]bool{}
+	var conjIDs []int
+	var key []byte
 	for _, conj := range conjs {
 		terms := make([]*calculus.Cmp, 0, len(conj))
-		seen := map[string]bool{}
+		conjIDs = conjIDs[:0]
 		contradictory := false
 		for _, c := range conj {
-			key := c.String()
-			if seen[key] {
+			id, ok := ids[*c]
+			if !ok {
+				id = len(ids)
+				ids[*c] = id
+			}
+			if slices.Contains(conjIDs, id) {
 				continue
 			}
 			// Exact complement present? (same operands, negated operator)
-			neg := (&calculus.Cmp{L: c.L, Op: c.Op.Negate(), R: c.R}).String()
-			if seen[neg] {
+			if neg, ok := ids[calculus.Cmp{L: c.L, Op: c.Op.Negate(), R: c.R}]; ok && slices.Contains(conjIDs, neg) {
 				contradictory = true
 				break
 			}
-			seen[key] = true
+			conjIDs = append(conjIDs, id)
 			terms = append(terms, c)
 		}
 		if contradictory {
 			continue
 		}
-		ck := conjKey(terms)
-		if seenConj[ck] {
+		slices.Sort(conjIDs)
+		key = key[:0]
+		for _, id := range conjIDs {
+			key = binary.AppendUvarint(key, uint64(id))
+		}
+		if seenConj[string(key)] {
 			continue
 		}
-		seenConj[ck] = true
+		seenConj[string(key)] = true
 		out = append(out, terms)
 	}
 	return out
-}
-
-func conjKey(terms []*calculus.Cmp) string {
-	keys := make([]string, len(terms))
-	for i, c := range terms {
-		keys[i] = c.String()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "&")
 }

@@ -28,7 +28,7 @@ import (
 //     Get, Deref) take it shared per call. The query engine instead
 //     holds it shared across a whole collection phase (RLock/RUnlock)
 //     and uses the non-locking snapshot accessors (ScanBatches,
-//     SlotSpan, DB.DerefInto), so one read acquisition covers every
+//     SlotSpan, Relation.DerefInto), so one read acquisition covers every
 //     scan and permanent-index probe of an execution — including
 //     probes into relations other than the one being scanned. Code
 //     running under the engine's phase lock must never call the locking
@@ -309,21 +309,17 @@ func (d *DB) ByID(id int) (*Relation, bool) {
 	return d.byID[id], true
 }
 
-// Deref is DerefInto with a fresh tuple.
-func (d *DB) Deref(ref value.Value) ([]value.Value, error) { return d.DerefInto(ref, nil) }
-
-// DerefInto dereferences a reference value against whichever relation
-// owns it, into dst (grown as needed); the tuple belongs to the caller.
-// It does not take the content lock: callers synchronizing against
-// writers (the construction phase) hold RLock around batches of calls.
-// A fail-stopped database returns its sticky error (see Err).
-func (d *DB) DerefInto(ref value.Value, dst []value.Value) ([]value.Value, error) {
+// Deref dereferences a reference value against whichever relation owns
+// it; the tuple belongs to the caller. It does not take the content
+// lock: callers synchronizing against writers hold RLock around it. A
+// fail-stopped database returns its sticky error (see Err).
+func (d *DB) Deref(ref value.Value) ([]value.Value, error) {
 	id, _, _ := ref.AsRef()
 	r, ok := d.ByID(id)
 	if !ok {
 		return nil, fmt.Errorf("relation: reference to unknown relation id %d", id)
 	}
-	return r.derefInto(ref, dst)
+	return r.DerefInto(ref, nil)
 }
 
 // SetStats attaches a counter sink to the database and all its

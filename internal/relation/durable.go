@@ -70,7 +70,7 @@ type durable struct {
 	// then on the database fails stop (see DB.Err). An atomic rather
 	// than a field under the content lock: group-commit waiters record
 	// fsync failures after releasing that lock, and every content read
-	// checks it, DB.DerefInto once per reference.
+	// checks it, Relation.DerefInto once per reference.
 	err atomic.Pointer[error]
 }
 

@@ -618,7 +618,8 @@ func TestWALFailureFailsStop(t *testing.T) {
 			d.RLock()
 			b := colbatch.New(len(r.Schema().Cols), 8)
 			reads["ScanBatches"] = r.ScanBatches(nil, 0, r.SlotSpan(), b, nil, func() error { return nil })
-			_, reads["DerefInto"] = d.DerefInto(ref, nil)
+			_, reads["DerefInto"] = r.DerefInto(ref, nil)
+			_, reads["Deref"] = d.Deref(ref)
 			d.RUnlock()
 			for what, err := range reads {
 				if err != sticky {

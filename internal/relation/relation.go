@@ -18,7 +18,7 @@
 // databases. Relations share the database's content RWMutex (see the
 // locking discipline on DB): exported mutators write through DB.write
 // and readers lock per call, while the snapshot accessors
-// (ScanBatches, SlotSpan, deref via DB.DerefInto) rely on the caller
+// (ScanBatches, SlotSpan, DerefInto) rely on the caller
 // holding the database read lock. Every content read of a fail-stopped
 // database returns its sticky durability error (DB.Err). Query results
 // are not relations: the engine hands back the constructed rows.
@@ -293,19 +293,20 @@ func (r *Relation) probe(keyVals []value.Value) (int, bool, error) {
 func (r *Relation) Deref(ref value.Value) ([]value.Value, error) {
 	r.owner.mu.RLock()
 	defer r.owner.mu.RUnlock()
-	return r.derefInto(ref, nil)
+	return r.DerefInto(ref, nil)
 }
 
-// derefInto is Deref into dst (grown as needed) and without the lock,
-// for callers that hold the database read lock themselves (DB.DerefInto
-// under the construction phase). A fail-stopped database returns its
-// sticky error.
+// DerefInto is Deref into dst (grown as needed) and without the lock,
+// for callers that hold the database read lock themselves (the
+// construction phase, which resolves each variable's relation once and
+// dereferences through it). A fail-stopped database returns its sticky
+// error.
 //
 // Staleness detection leans on the backend's append-only discipline:
 // slots are never reused, so every live element is at generation zero.
 // A reference carrying a non-zero generation predates that invariant
 // (it cannot have been minted here) and is stale by construction.
-func (r *Relation) derefInto(ref value.Value, dst []value.Value) ([]value.Value, error) {
+func (r *Relation) DerefInto(ref value.Value, dst []value.Value) ([]value.Value, error) {
 	if err := r.owner.Err(); err != nil {
 		return nil, err
 	}

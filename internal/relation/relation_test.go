@@ -425,7 +425,7 @@ func TestPointReadsAreCallerOwned(t *testing.T) {
 
 	buf := make([]value.Value, len(want))
 	allocs := testing.AllocsPerRun(100, func() {
-		if buf, err = d.DerefInto(ref, buf); err != nil {
+		if buf, err = r.DerefInto(ref, buf); err != nil {
 			t.Fatal(err)
 		}
 	})
