@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 
 	"pascalr/internal/protocol"
@@ -313,6 +314,13 @@ type Rows struct {
 	done bool
 	err  error
 
+	// slab is what is left of the values the rows of the current block
+	// are cut from, one slab per fetched block; labels holds each
+	// enumeration column's labels, boxed at first use, and the label
+	// table they were boxed from.
+	slab   []any
+	labels []boxedLabels
+
 	// FetchSize overrides the per-Fetch row ask (default 256).
 	FetchSize int
 }
@@ -358,6 +366,11 @@ func (r *Rows) Next() bool {
 	}
 	r.done = done
 	r.i = 1
+	for j := range r.labels {
+		if !slices.Equal(r.labels[j].from, r.blk.Cols[j].Labels) {
+			r.labels[j] = boxedLabels{} // another label table: box anew
+		}
+	}
 	return r.blk.Rows > 0
 }
 
@@ -372,17 +385,55 @@ func (r *Rows) row() int {
 
 // Values returns the current row as native values (int64, string,
 // bool; enumeration labels as strings) in a fresh slice the caller may
-// keep, or nil when there is no current row.
+// keep and append to, or nil when there is no current row.
+//
+// The slices of one fetched block's rows are cut from one allocation
+// sized to the block, and each enumeration label is boxed once.
 func (r *Rows) Values() []any {
 	k := r.row()
 	if k < 0 {
 		return nil
 	}
-	out := make([]any, len(r.blk.Cols))
+	w := len(r.blk.Cols)
+	if w == 0 {
+		return []any{}
+	}
+	if len(r.slab) < w {
+		r.slab = make([]any, (r.blk.Rows-k)*w)
+	}
+	out := r.slab[:w:w]
+	r.slab = r.slab[w:]
 	for j := range out {
-		out[j] = r.blk.Value(k, j)
+		if c := &r.blk.Cols[j]; c.Kind == protocol.ColEnum {
+			out[j] = r.label(j, c)
+		} else {
+			out[j] = r.blk.Value(k, j)
+		}
 	}
 	return out
+}
+
+// boxedLabels is an enumeration column's label table, boxed.
+type boxedLabels struct {
+	from  []string
+	boxed []any
+}
+
+// label returns enumeration column j's current label, boxed once per
+// label table.
+func (r *Rows) label(j int, c *protocol.Column) any {
+	if r.labels == nil {
+		r.labels = make([]boxedLabels, len(r.blk.Cols))
+	}
+	bl := &r.labels[j]
+	if bl.boxed == nil {
+		*bl = boxedLabels{from: slices.Clone(c.Labels), boxed: make([]any, len(c.Labels))}
+	}
+	code := c.Codes[r.i-1]
+	if bl.boxed[code] == nil {
+		bl.boxed[code] = c.Labels[code]
+	}
+	return bl.boxed[code]
 }
 
 // Scan copies the current row into the destinations: *int64 or *int

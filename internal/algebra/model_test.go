@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"pascalr/internal/recycle"
 	"pascalr/internal/stats"
 )
 
@@ -36,9 +37,10 @@ var modelPool = []string{"a", "b", "c", "d"}
 // randRel draws a relation of arity 0–3 over modelPool, possibly empty,
 // whose words repeat often enough to produce duplicates and join
 // matches. A variable's words all point into one relation, so shared
-// columns compare like references do.
-func randRel(rng *rand.Rand, vars []string) (*RefRel, *model) {
-	r, m := New(vars, nil), newModel(vars)
+// columns compare like references do. The relation is lent by ws (nil:
+// allocated).
+func randRel(rng *rand.Rand, ws *Workspace, vars []string) (*RefRel, *model) {
+	r, m := ws.New(vars, nil), newModel(vars)
 	n := rng.Intn(10)
 	if rng.Intn(4) == 0 {
 		n = 0
@@ -188,22 +190,34 @@ func checkOp(t *testing.T, what string, got *RefRel, want *model, st *stats.Coun
 // shared and disjoint variables, empty sides — against nested-loop
 // references, comparing rows in order and the counted reference
 // tuples. The "one hash" run puts every row on the same hash, so every
-// set and join probe goes through the word comparison.
+// set and join probe goes through the word comparison. The "recycled"
+// run lends every relation and scratch table from one workspace,
+// released after each iteration with returned memory poisoned, so each
+// iteration builds in memory the previous one filled with garbage.
 func TestCombinationMatchesModel(t *testing.T) {
-	for _, mode := range []string{"hash", "one hash"} {
+	for _, mode := range []string{"hash", "one hash", "recycled"} {
 		t.Run(mode, func(t *testing.T) {
-			if mode == "one hash" {
+			var ws *Workspace
+			switch mode {
+			case "one hash":
 				rowHash = func([]int64) uint64 { return 0 }
 				t.Cleanup(func() { rowHash = hashRow })
+			case "recycled":
+				ws = &Workspace{}
+				recycle.Poison = true
+				t.Cleanup(func() { recycle.Poison = false })
 			}
 			rng := rand.New(rand.NewSource(7))
 			ctx := context.Background()
 			for it := 0; it < 1500; it++ {
-				a, am := randRel(rng, randVars(rng))
+				if ws != nil {
+					ws.Release(nil)
+				}
+				a, am := randRel(rng, ws, randVars(rng))
 				if got := rowsOf(a); !sameRows(got, am.rows) {
 					t.Fatalf("Add: rows %v, want %v", got, am.rows)
 				}
-				b, bm := randRel(rng, randVars(rng))
+				b, bm := randRel(rng, ws, randVars(rng))
 
 				st := &stats.Counters{}
 				j, err := Join(ctx, a, b, st)
@@ -222,7 +236,7 @@ func TestCombinationMatchesModel(t *testing.T) {
 				// Union with the same variables in another order.
 				perm := slices.Clone(am.vars)
 				rng.Shuffle(len(perm), func(i, k int) { perm[i], perm[k] = perm[k], perm[i] })
-				c, cm := randRel(rng, perm)
+				c, cm := randRel(rng, ws, perm)
 				st = &stats.Counters{}
 				u, err := Union(ctx, a, c, st)
 				if err != nil {

@@ -13,6 +13,10 @@
 // words, through one open-addressing set of row hashes (tupleSet); a
 // hash match is confirmed by comparing the words, so a collision costs
 // a comparison, never a lost row.
+//
+// A relation lent by a Workspace belongs to it, and so does every
+// relation an operation derives from it and every scratch table the
+// operation builds: Workspace.Release takes them all back at once.
 package algebra
 
 import (
@@ -76,6 +80,12 @@ type tupleSet struct {
 func (s *tupleSet) row(k int) []int64 {
 	o := k * s.w
 	return s.data[o : o+s.w : o+s.w]
+}
+
+// reset empties the set for rows of w words, keeping its memory.
+func (s *tupleSet) reset(w int) {
+	s.w, s.n, s.data = w, 0, s.data[:0]
+	clear(s.table)
 }
 
 // reserve sizes the set for n more rows, so a relation built from a
@@ -157,6 +167,7 @@ type RefRel struct {
 	varIdx map[string]int
 	set    tupleSet
 	st     *stats.Counters
+	ws     *Workspace // lender of the relation and of what derives from it; nil when allocated
 
 	// distinctCache memoizes DistinctOn per column set; invalidated on
 	// Add. Join-size estimation queries the same pieces repeatedly.
@@ -166,19 +177,22 @@ type RefRel struct {
 // New creates an empty reference relation with the given variable
 // columns. Tuples added through Add are counted against st.
 func New(vars []string, st *stats.Counters) *RefRel {
-	r := &RefRel{
-		vars:   append([]string(nil), vars...),
-		varIdx: make(map[string]int, len(vars)),
-		set:    tupleSet{w: len(vars)},
-		st:     st,
-	}
+	r := &RefRel{varIdx: make(map[string]int, len(vars))}
+	r.init(vars, st)
+	return r
+}
+
+// init sets an empty relation's columns and sink.
+func (r *RefRel) init(vars []string, st *stats.Counters) {
+	r.vars = append(r.vars[:0], vars...)
+	r.set.reset(len(vars))
+	r.st = st
 	for i, v := range vars {
 		if _, dup := r.varIdx[v]; dup {
 			panic(fmt.Sprintf("algebra: duplicate variable column %s", v))
 		}
 		r.varIdx[v] = i
 	}
-	return r
 }
 
 // Vars returns the column variables in order.
@@ -207,7 +221,9 @@ func (r *RefRel) Add(row []int64) bool {
 	if _, isNew := r.set.add(row); !isNew {
 		return false
 	}
-	r.distinctCache = nil
+	if len(r.distinctCache) > 0 {
+		clear(r.distinctCache)
+	}
 	r.st.CountRefTuples(1, r.set.n)
 	return true
 }
@@ -259,7 +275,7 @@ func Join(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, error
 			bExtra = append(bExtra, j)
 		}
 	}
-	out := New(outVars, st)
+	out := a.ws.New(outVars, st)
 	buf := make([]int64, len(outVars))
 	emit := func(arow, brow []int64) {
 		copy(buf, arow)
@@ -296,8 +312,7 @@ func Join(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, error
 		nb <<= 1
 	}
 	mask := uint64(nb - 1)
-	head := make([]int32, nb)
-	next := make([]int32, build.Len())
+	head, next := a.ws.chains(nb, build.Len())
 	key := make([]int64, len(bIdx))
 	for i := build.Len() - 1; i >= 0; i-- {
 		if err := tk.tick(); err != nil {
@@ -367,7 +382,7 @@ func Union(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, erro
 		perm[i] = j
 	}
 	tk := ticker{ctx: ctx}
-	out := New(a.vars, st)
+	out := a.ws.New(a.vars, st)
 	for i := 0; i < a.Len(); i++ {
 		if err := tk.tick(); err != nil {
 			return nil, err
@@ -392,7 +407,7 @@ func Project(ctx context.Context, a *RefRel, keep []string, st *stats.Counters) 
 		return nil, fmt.Errorf("algebra: project on %w", err)
 	}
 	tk := ticker{ctx: ctx}
-	out := New(keep, st)
+	out := a.ws.New(keep, st)
 	tmp := make([]int64, len(keep))
 	for i := 0; i < a.Len(); i++ {
 		if err := tk.tick(); err != nil {
@@ -439,7 +454,7 @@ func Divide(ctx context.Context, a *RefRel, v string, divisor []int64, st *stats
 		}
 	}
 	// The distinct divisor members, numbered.
-	divs := tupleSet{w: 1}
+	divs := a.ws.scratch(1)
 	divs.reserve(len(divisor))
 	for i := range divisor {
 		divs.add(divisor[i : i+1])
@@ -448,9 +463,9 @@ func Divide(ctx context.Context, a *RefRel, v string, divisor []int64, st *stats
 	// divisor members seen per group, through the set of (group,
 	// member) pairs.
 	tk := ticker{ctx: ctx}
-	groups := tupleSet{w: len(restIdx)}
-	seen := tupleSet{w: 2}
-	var hits []int // distinct divisor members per group
+	groups := a.ws.scratch(len(restIdx))
+	seen := a.ws.scratch(2)
+	hits := a.ws.counts() // distinct divisor members per group
 	rest := make([]int64, len(restIdx))
 	var pair [2]int64
 	for i := 0; i < a.Len(); i++ {
@@ -469,20 +484,21 @@ func Divide(ctx context.Context, a *RefRel, v string, divisor []int64, st *stats
 			}
 		}
 	}
-	out := New(restVars, st)
+	out := a.ws.New(restVars, st)
 	for g, n := range hits {
 		if n == divs.n {
 			out.Add(groups.row(g))
 		}
 	}
+	a.ws.keepCounts(hits)
 	return out, nil
 }
 
 // FromRefs builds a single-column reference relation from a list of
 // packed references — the bridge from collection-phase structures
 // (single lists, range lists) into the combination phase.
-func FromRefs(v string, refs []int64, st *stats.Counters) *RefRel {
-	out := New([]string{v}, st)
+func (w *Workspace) FromRefs(v string, refs []int64, st *stats.Counters) *RefRel {
+	out := w.New([]string{v}, st)
 	out.set.reserve(len(refs))
 	for i := range refs {
 		out.Add(refs[i : i+1])
@@ -492,8 +508,8 @@ func FromRefs(v string, refs []int64, st *stats.Counters) *RefRel {
 
 // FromPairs builds a two-column reference relation from an indirect
 // join's packed reference pairs.
-func FromPairs(lv, rv string, pairs [][2]int64, st *stats.Counters) *RefRel {
-	out := New([]string{lv, rv}, st)
+func (w *Workspace) FromPairs(lv, rv string, pairs [][2]int64, st *stats.Counters) *RefRel {
+	out := w.New([]string{lv, rv}, st)
 	out.set.reserve(len(pairs))
 	for i := range pairs {
 		out.Add(pairs[i][:])
@@ -513,7 +529,7 @@ func (r *RefRel) DistinctOn(vars []string) int {
 	if err != nil {
 		return 0
 	}
-	seen := tupleSet{w: len(idx)}
+	seen := r.ws.scratch(len(idx))
 	tmp := make([]int64, len(idx))
 	for i := 0; i < r.Len(); i++ {
 		seen.add(gather(tmp, r.Row(i), idx))

@@ -284,13 +284,14 @@ func TestDivideMultiColumnRest(t *testing.T) {
 }
 
 func TestFromRefsAndPairs(t *testing.T) {
+	ws := &Workspace{}
 	refs := []int64{ref(0, 1), ref(0, 2), ref(0, 1)}
-	r := FromRefs("x", refs, nil)
+	r := ws.FromRefs("x", refs, nil)
 	if r.Len() != 2 {
 		t.Errorf("FromRefs = %d", r.Len())
 	}
 	pairs := [][2]int64{{ref(0, 1), ref(1, 1)}, {ref(0, 1), ref(1, 1)}}
-	p := FromPairs("x", "y", pairs, nil)
+	p := ws.FromPairs("x", "y", pairs, nil)
 	if p.Len() != 1 {
 		t.Errorf("FromPairs = %d", p.Len())
 	}

@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sort"
 
+	"pascalr/internal/recycle"
 	"pascalr/internal/stats"
 	"pascalr/internal/value"
 )
@@ -94,9 +95,12 @@ type Index struct {
 	// head and next chain the entries by value hash, built on the
 	// first =-probe: head maps a bucket to its first entry index+1,
 	// next an entry to the bucket's next entry index+1 (0 ends a
-	// chain). Chains run in insertion order.
+	// chain). Chains run in insertion order. chained and isSorted mark
+	// the two built, so a recycled index keeps their memory.
 	head, next []int32
 	sorted     []IndexEntry // ascending by Val, stable; built on the first ordered probe
+	chained    bool
+	isSorted   bool
 }
 
 // NewIndex creates an empty index over rel.col.
@@ -117,15 +121,17 @@ func (ix *Index) Add(v value.Value, ref int64) {
 // Entries are inserted in reverse so every chain runs in insertion
 // order.
 func (ix *Index) chain() {
-	if ix.head != nil {
+	if ix.chained {
 		return
 	}
+	ix.chained = true
 	nb := 1
 	for nb < len(ix.entries) {
 		nb <<= 1
 	}
-	ix.head = make([]int32, nb)
-	ix.next = make([]int32, len(ix.entries))
+	ix.head = recycle.Resize(ix.head, nb)
+	clear(ix.head)
+	ix.next = recycle.Resize(ix.next, len(ix.entries))
 	mask := uint64(nb - 1)
 	for i := len(ix.entries) - 1; i >= 0; i-- {
 		b := valHash(ix.entries[i].Val) & mask
@@ -138,10 +144,11 @@ func (ix *Index) chain() {
 // stable sorted copy of the entries; the insertion-order list stays
 // untouched.
 func (ix *Index) sortedEntries() []IndexEntry {
-	if ix.sorted == nil && len(ix.entries) > 0 {
-		ix.sorted = append([]IndexEntry(nil), ix.entries...)
-		sort.SliceStable(ix.sorted, func(i, j int) bool {
-			return value.MustCompare(ix.sorted[i].Val, ix.sorted[j].Val) < 0
+	if !ix.isSorted {
+		ix.isSorted = true
+		ix.sorted = append(ix.sorted[:0], ix.entries...)
+		slices.SortStableFunc(ix.sorted, func(a, b IndexEntry) int {
+			return value.MustCompare(a.Val, b.Val)
 		})
 	}
 	return ix.sorted

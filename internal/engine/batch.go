@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"slices"
-	"sync"
 
 	"pascalr/internal/colbatch"
 )
@@ -35,48 +34,18 @@ func (p *plan) planColumnMasks() {
 	}
 }
 
-// batchPools recycles columnar batches across scans and executions,
-// one sync.Pool per column count (map key: the count): the buffers are
-// the dominant per-execution allocation of the collection phase (cols
-// × batchSize values), and without reuse the GC pressure erases the
-// bulk-evaluation win on repeated queries. Pooling by width lets
-// queries that alternate relations of different widths reuse a batch
-// for each. A batch of another capacity (a test shrank batchSize) is
-// dropped and a fresh one allocated.
-var batchPools sync.Map
-
-func batchPool(ncols int) *sync.Pool {
-	if p, ok := batchPools.Load(ncols); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := batchPools.LoadOrStore(ncols, new(sync.Pool))
-	return p.(*sync.Pool)
-}
-
-func getBatch(ncols int) *colbatch.Batch {
-	if v := batchPool(ncols).Get(); v != nil {
-		if b := v.(*colbatch.Batch); b.Cap() == batchSize {
-			return b
-		}
-	}
-	return colbatch.New(ncols, batchSize)
-}
-
-func putBatch(b *colbatch.Batch) {
-	b.Reset()
-	batchPool(b.NumCols()).Put(b)
-}
-
 // scanBatches drives the job's tasks over its relation's whole slot
 // span: fill a batch, run every task's bulk predicate chain over it,
 // flush, repeat. Cancellation is checked per batch, the final partial
-// one included.
+// one included. The batch is the workspace's, one per width it has
+// scanned, so repeated executions and queries that alternate relations
+// of different widths reuse theirs.
 func (p *plan) scanBatches(ctx context.Context, job *scanJob) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	b := getBatch(len(job.rel.Schema().Cols))
-	defer putBatch(b)
+	b := p.ws.batch(len(job.rel.Schema().Cols))
+	defer p.ws.putBatch(b)
 	var sel colbatch.Bitmap
 	flush := func() error {
 		if err := ctx.Err(); err != nil {

@@ -33,35 +33,30 @@ func (t *collectTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, _ *s
 func (t *collectTask) finish() error    { return nil }
 func (t *collectTask) describe() string { return "collect" }
 
-// scanAll scans every column of r through the plan's collection drive
-// and returns the rows a collecting task saw; with collect false the
-// job has no task and allocates nothing per row.
-func scanAll(t *testing.T, r *relation.Relation, collect bool) [][]value.Value {
+// scanAll scans every column of r through the collection drive of a
+// plan whose workspace is ws and returns the rows a collecting task
+// saw.
+func scanAll(t *testing.T, ws *workspace, r *relation.Relation) [][]value.Value {
 	t.Helper()
 	task := &collectTask{}
 	for c := range r.Schema().Cols {
 		task.cols = append(task.cols, c)
 	}
-	job := &scanJob{rel: r, batchCols: task.cols}
-	if collect {
-		job.tasks = []scanTask{task}
-	}
-	if err := (&plan{}).scanBatches(context.Background(), job); err != nil {
+	job := &scanJob{rel: r, batchCols: task.cols, tasks: []scanTask{task}}
+	if err := (&plan{ws: ws}).scanBatches(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	return task.rows
 }
 
-func batchPoolDB(t *testing.T) (narrow, wide, wideStr *relation.Relation) {
+func batchPoolDB(t *testing.T) (wide, wideStr *relation.Relation) {
 	db := relation.NewDB()
 	n := schema.IntType("n", 0, 1000)
 	s := schema.StringType("s", 8)
-	narrow = db.MustCreate(schema.MustRelSchema("narrow", []schema.Column{{Name: "a", Type: n}}, []string{"a"}))
 	wide = db.MustCreate(schema.MustRelSchema("wide", []schema.Column{{Name: "a", Type: n}, {Name: "b", Type: n}, {Name: "c", Type: n}}, []string{"a"}))
 	wideStr = db.MustCreate(schema.MustRelSchema("widestr", []schema.Column{{Name: "a", Type: n}, {Name: "s", Type: s}, {Name: "c", Type: n}}, []string{"a"}))
 	for i := int64(0); i < 100; i++ {
 		for r, tup := range map[*relation.Relation][]value.Value{
-			narrow:  {value.Int(i)},
 			wide:    {value.Int(i), value.Int(i * 2), value.Int(i * 3)},
 			wideStr: {value.Int(i), value.String_(string(rune('a' + i%26))), value.Int(i * 3)},
 		} {
@@ -70,33 +65,18 @@ func batchPoolDB(t *testing.T) (narrow, wide, wideStr *relation.Relation) {
 			}
 		}
 	}
-	return narrow, wide, wideStr
+	return wide, wideStr
 }
 
-// TestBatchPoolReusesAcrossWidths: scans alternating between relations
-// of different widths reuse one pooled batch per width, so after
-// warm-up they allocate no more than scans of one relation do.
-func TestBatchPoolReusesAcrossWidths(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
-	narrow, wide, _ := batchPoolDB(t)
-	same := testing.AllocsPerRun(50, func() { scanAll(t, narrow, false); scanAll(t, narrow, false) })
-	alternating := testing.AllocsPerRun(50, func() { scanAll(t, narrow, false); scanAll(t, wide, false) })
-	sameWide := testing.AllocsPerRun(50, func() { scanAll(t, wide, false); scanAll(t, wide, false) })
-	if want := (same + sameWide) / 2; alternating > want {
-		t.Fatalf("alternating scans allocate %.1f objects per pair, scans of one relation %.1f (narrow) and %.1f (wide)", alternating, same, sameWide)
-	}
-}
-
-// TestPooledBatchIntThenString: a pooled batch that served a scan of
+// TestPooledBatchIntThenString: a workspace batch that served a scan of
 // int columns fills a string column at the same position in the next
 // scan, and both scans read back what was inserted.
 func TestPooledBatchIntThenString(t *testing.T) {
-	_, wide, wideStr := batchPoolDB(t)
+	wide, wideStr := batchPoolDB(t)
+	ws := &workspace{}
 	for round := 0; round < 3; round++ {
 		for _, r := range []*relation.Relation{wide, wideStr} {
-			got := scanAll(t, r, true)
+			got := scanAll(t, ws, r)
 			want := r.Tuples()
 			if !slices.EqualFunc(got, want, func(a, b []value.Value) bool { return slices.EqualFunc(a, b, value.Equal) }) {
 				t.Fatalf("round %d, %s: scanned %v, want %v", round, r.Name(), got, want)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"pascalr/internal/algebra"
 	"pascalr/internal/baseline"
 	"pascalr/internal/calculus"
 	"pascalr/internal/normalize"
@@ -285,7 +286,7 @@ func (p *Plan) Rows(ctx context.Context) (*Cursor, error) {
 
 // RowsWith is Rows with per-execution option overrides; see EvalWith.
 func (p *Plan) RowsWith(ctx context.Context, override func(*Options)) (*Cursor, error) {
-	cur, _, err := p.rowsWithPlan(ctx, override)
+	cur, _, err := p.rowsWithPlan(ctx, override, false)
 	return cur, err
 }
 
@@ -293,10 +294,29 @@ func (p *Plan) RowsWith(ctx context.Context, override func(*Options)) (*Cursor, 
 // for EXPLAIN reporting (the plan holds the materialized range-list
 // sizes, structures, and join log the report compares estimates
 // against).
-func (p *Plan) rowsWithPlan(ctx context.Context, override func(*Options)) (*Cursor, *plan, error) {
+//
+// The execution takes one workspace from the pool, which lends the
+// structures of all three phases. Once combine has built the final
+// reference relation the workspace takes the rest back — unless
+// keepPlan is set, for a caller that reads the returned plan's
+// structures until it closes the cursor. The cursor owns the workspace
+// from then on; an execution that fails pools it again at once.
+func (p *Plan) rowsWithPlan(ctx context.Context, override func(*Options), keepPlan bool) (*Cursor, *plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	ws := getWorkspace()
+	cur, pp, err := p.execute(ctx, override, keepPlan, ws)
+	if err != nil {
+		putWorkspace(ws)
+		return nil, nil, err
+	}
+	return cur, pp, nil
+}
+
+// execute runs the collection and combination phases with the
+// structures ws lends and returns the cursor that takes ws over.
+func (p *Plan) execute(ctx context.Context, override func(*Options), keepPlan bool, ws *workspace) (*Cursor, *plan, error) {
 	e := p.eng
 	execSt := &stats.Counters{}
 	defer e.mergeStats(execSt)
@@ -338,7 +358,7 @@ func (p *Plan) rowsWithPlan(ctx context.Context, override func(*Options)) (*Curs
 			continue
 		}
 		opts.maxAdaptations = len(x.Prefix) + len(x.Free) + len(x.Specs) + 2
-		pp, err = e.collectWithAdaptation(ctx, x, execSt, opts)
+		pp, err = e.collectWithAdaptation(ctx, x, execSt, opts, ws)
 		e.db.RUnlock()
 		if err != nil {
 			return nil, nil, err
@@ -349,29 +369,28 @@ func (p *Plan) rowsWithPlan(ctx context.Context, override func(*Options)) (*Curs
 		pp.annotateScanSpans()
 	}
 
-	result := p.info.Result
 	// An empty free range, or a constant-FALSE matrix, yields the empty
-	// relation.
-	if x.Const != nil && !*x.Const {
-		cur, err := newCursor(ctx, e.db, p.sel, result, nil)
-		return cur, pp, err
-	}
-	for _, d := range x.Free {
-		if pp.freeRangeEmpty(d.Var) {
-			cur, err := newCursor(ctx, e.db, p.sel, result, nil)
-			return cur, pp, err
+	// relation (nil refs).
+	var refs *algebra.RefRel
+	if !pp.resultEmpty() {
+		pp.combSp = sp.Start("combination")
+		var err error
+		refs, err = pp.combine(ctx, opts.MaxRefTuples)
+		if err != nil {
+			pp.combSp.End()
+			return nil, nil, err
+		}
+		if pp.combSp != nil {
+			pp.combSp.SetInt("ref_tuples", int64(refs.Len()))
+			pp.combSp.End()
 		}
 	}
-	pp.combSp = sp.Start("combination")
-	refs, err := pp.combine(ctx, opts.MaxRefTuples)
+	if !keepPlan {
+		ws.release(refs)
+	}
+	cur, err := newCursor(ctx, e.db, p.sel, p.info.Result, refs, ws)
 	if err != nil {
-		pp.combSp.End()
 		return nil, nil, err
 	}
-	if pp.combSp != nil {
-		pp.combSp.SetInt("ref_tuples", int64(refs.Len()))
-		pp.combSp.End()
-	}
-	cur, err := newCursor(ctx, e.db, p.sel, result, refs)
-	return cur, pp, err
+	return cur, pp, nil
 }

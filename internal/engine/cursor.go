@@ -38,7 +38,8 @@ type Cursor struct {
 	elems     [][]value.Value      // dereferenced element per combination column, reused per row
 	i         int                  // next reference tuple to construct
 	buf       []value.Value        // scratch projection buffer, reused per row
-	set       rowSet               // distinct constructed rows, in yield order
+	set       *rowSet              // distinct constructed rows, in yield order
+	ws        *workspace           // lender of refs and set; pooled again at Close
 
 	yielded int     // rows of set handed out by Next
 	ver     uint64  // database version the unyielded rows were built at
@@ -57,10 +58,12 @@ type Cursor struct {
 const constructChunk = 256
 
 // newCursor prepares the construction projection. A nil refs means the
-// combination phase proved the result empty.
-func newCursor(ctx context.Context, db *relation.DB, sel *calculus.Selection, sch *schema.RelSchema, refs *algebra.RefRel) (*Cursor, error) {
-	c := &Cursor{ctx: ctx, db: db, sch: sch}
-	c.set.w = len(sch.Cols)
+// combination phase proved the result empty. The cursor takes ws over:
+// refs must be lent by it, the construction set is, and Close returns
+// both and pools ws.
+func newCursor(ctx context.Context, db *relation.DB, sel *calculus.Selection, sch *schema.RelSchema, refs *algebra.RefRel, ws *workspace) (*Cursor, error) {
+	c := &Cursor{ctx: ctx, db: db, sch: sch, ws: ws}
+	c.set = ws.rowSet(len(sch.Cols))
 	if refs == nil || refs.Len() == 0 {
 		return c, nil
 	}
@@ -198,13 +201,22 @@ func (c *Cursor) construct() {
 
 // Seed marks the rows prev has yielded as already yielded by c, so a
 // re-executed cursor resumes a stream without repeating them. It must
-// be called before c's first Next.
+// be called before c's first Next and before prev is closed.
 func (c *Cursor) Seed(prev *Cursor) {
 	for k := 0; k < prev.yielded; k++ {
 		c.set.add(prev.set.row(k), prev.yielded-k)
 	}
 	c.yielded = c.set.n
 	c.base = c.set.n
+}
+
+// Buffered reports how many rows the cursor has constructed beyond the
+// current one: the rows the next Next calls yield without constructing.
+func (c *Cursor) Buffered() int {
+	if c.set == nil {
+		return 0
+	}
+	return c.set.n - c.yielded
 }
 
 // Row returns the current tuple. It is valid until the next Next call
@@ -216,27 +228,34 @@ func (c *Cursor) Row() []value.Value { return c.cur }
 func (c *Cursor) Err() error { return c.err }
 
 // Close releases the buffered combination result and the construction
-// set. Further Next calls return false. Close is idempotent and never
-// fails; it exists for the database/sql-style defer rows.Close() idiom.
+// set to the execution's workspace, which goes back to the pool; no row
+// Next yielded may be read afterwards. Further Next calls return false.
+// Close is idempotent and never fails; it exists for the
+// database/sql-style defer rows.Close() idiom.
 func (c *Cursor) Close() error {
 	c.closed = true
 	c.refs = nil
-	c.set = rowSet{}
+	c.set = nil
 	c.cur = nil
+	if ws := c.ws; ws != nil {
+		c.ws = nil
+		putWorkspace(ws)
+	}
 	return nil
 }
 
 // Schema returns the schema of the result relation the cursor produces.
 func (c *Cursor) Schema() *schema.RelSchema { return c.sch }
 
-// yieldedRows returns the rows Next has yielded, in yield order. They
-// alias the construction set's arena: a rebuild after a concurrent
-// commit rewrites only unyielded rows, and Close drops the set without
-// touching it.
+// yieldedRows returns the rows Next has yielded, in yield order, and
+// detaches the construction set's arena they alias: the rows belong to
+// the caller, and Close returns the set without them. Call it once,
+// after the cursor is drained.
 func (c *Cursor) yieldedRows() [][]value.Value {
 	out := make([][]value.Value, c.yielded)
 	for k := range out {
 		out[k] = c.set.row(k)
 	}
+	c.set.blocks = nil
 	return out
 }

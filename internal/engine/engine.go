@@ -227,7 +227,8 @@ func costModel(opts Options) optimizer.CostModel {
 
 // collectWithAdaptation plans and runs the collection phase, re-adapting
 // and re-planning whenever a live range turns out to be empty (Lemma 1).
-func (e *Engine) collectWithAdaptation(ctx context.Context, x *optimizer.XForm, st *stats.Counters, opts Options) (*plan, error) {
+// The plans' structures are lent by ws.
+func (e *Engine) collectWithAdaptation(ctx context.Context, x *optimizer.XForm, st *stats.Counters, opts Options, ws *workspace) (*plan, error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > opts.maxAdaptations {
 			return nil, fmt.Errorf("engine: adaptation loop did not converge")
@@ -235,7 +236,7 @@ func (e *Engine) collectWithAdaptation(ctx context.Context, x *optimizer.XForm, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts))
+		p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), ws)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +342,7 @@ func (e *Engine) Explain(sel *calculus.Selection, opts Options) (string, error) 
 	}
 	st := &stats.Counters{}
 	e.db.RLock()
-	p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts))
+	p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), nil)
 	e.db.RUnlock()
 	if err != nil {
 		return "", err

@@ -3,11 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"pascalr/internal/algebra"
 	"pascalr/internal/colbatch"
+	"pascalr/internal/collection"
 	"pascalr/internal/stats"
 	"pascalr/internal/value"
 )
@@ -28,13 +28,13 @@ type scanTask interface {
 
 // rangeTask collects the references of a live variable's range —
 // "the collection phase evaluates range expressions". References
-// accumulate task-locally and publish into the plan's range-list map at
-// finish.
+// accumulate task-locally, in a single list the workspace lends, and
+// publish into the plan's range-list map at finish.
 type rangeTask struct {
 	p     *plan
 	v     string
 	preds []batchPred // the range filter, if extended
-	refs  []int64
+	refs  *collection.SingleList
 }
 
 func (t *rangeTask) batchCols() []int { return unionPredCols(t.preds) }
@@ -44,16 +44,16 @@ func (t *rangeTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *st
 		return 0, err
 	}
 	n := sel.Count()
-	t.refs = slices.Grow(t.refs, n)
+	t.refs.Reserve(n)
 	sel.Do(func(i int) bool {
-		t.refs = append(t.refs, b.Ref(i).Ord())
+		t.refs.Add(b.Ref(i).Ord())
 		return true
 	})
 	return n, nil
 }
 
 func (t *rangeTask) finish() error {
-	t.p.rangeLst[t.v] = t.refs
+	t.p.rangeLst[t.v] = t.refs.Refs()
 	return nil
 }
 func (t *rangeTask) describe() string { return "range " + t.v }
@@ -209,7 +209,7 @@ func (p *plan) tasksForVar(v string) []scanTask {
 	}
 	var tasks []scanTask
 	if node.live && p.needRange[v] {
-		tasks = append(tasks, &rangeTask{p: p, v: v, preds: rangePreds})
+		tasks = append(tasks, &rangeTask{p: p, v: v, preds: rangePreds, refs: p.ws.colls().SingleList(v)})
 	}
 	for _, key := range sortedKeys(p.sls) {
 		if sl := p.sls[key]; sl.v == v {
@@ -395,6 +395,20 @@ func (p *plan) emptyLiveVars() []string {
 	return out
 }
 
+// resultEmpty reports whether the collection phase proved the result
+// empty: a constant-FALSE matrix, or an empty free range.
+func (p *plan) resultEmpty() bool {
+	if p.x.Const != nil && !*p.x.Const {
+		return true
+	}
+	for _, d := range p.x.Free {
+		if p.freeRangeEmpty(d.Var) {
+			return true
+		}
+	}
+	return false
+}
+
 // freeRangeEmpty reports whether a free variable's range is empty,
 // consulting the materialized list when one exists and the base
 // relation otherwise.
@@ -453,7 +467,7 @@ func (p *plan) combine(ctx context.Context, maxRefTuples int64) (*algebra.RefRel
 		// their (non-empty) ranges, so only the free variables matter.
 		pieces := make([]*algebra.RefRel, 0, len(p.x.Free))
 		for _, d := range p.x.Free {
-			pieces = append(pieces, algebra.FromRefs(d.Var, p.rangeLst[d.Var], p.st))
+			pieces = append(pieces, p.ws.algs().FromRefs(d.Var, p.rangeLst[d.Var], p.st))
 		}
 		return p.greedyJoin(ctx, pieces, maxRefTuples)
 	}
@@ -475,16 +489,16 @@ func (p *plan) combine(ctx context.Context, maxRefTuples int64) (*algebra.RefRel
 		}
 		var pieces []*algebra.RefRel
 		for i, ij := range cp.ijs {
-			pieces = append(pieces, algebra.FromPairs(cp.ijNames[i][0], cp.ijNames[i][1], ij.Pairs(), p.st))
+			pieces = append(pieces, p.ws.algs().FromPairs(cp.ijNames[i][0], cp.ijNames[i][1], ij.Pairs(), p.st))
 		}
 		for _, sl := range cp.sls {
-			pieces = append(pieces, algebra.FromRefs(sl.v, sl.out.Refs(), p.st))
+			pieces = append(pieces, p.ws.algs().FromRefs(sl.v, sl.out.Refs(), p.st))
 		}
 		// Unconstrained live variables enter as their full range lists —
 		// the Cartesian blow-up the paper's strategies fight.
 		for _, v := range live {
 			if !cp.consumed[v] {
-				pieces = append(pieces, algebra.FromRefs(v, p.rangeLst[v], p.st))
+				pieces = append(pieces, p.ws.algs().FromRefs(v, p.rangeLst[v], p.st))
 			}
 		}
 		if len(pieces) == 0 {
@@ -499,7 +513,7 @@ func (p *plan) combine(ctx context.Context, maxRefTuples int64) (*algebra.RefRel
 	}
 
 	if len(conjRels) == 0 {
-		return algebra.New(freeVarNames(p), p.st), nil
+		return p.ws.algs().New(freeVarNames(p), p.st), nil
 	}
 	union := conjRels[0]
 	for _, r := range conjRels[1:] {

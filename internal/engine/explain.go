@@ -21,18 +21,20 @@ func (p *Plan) Explain(ctx context.Context) (string, error) {
 
 // ExplainWith is Explain with per-execution option overrides; see
 // EvalWith.
+// The report reads the plan's collection structures, so the execution
+// keeps them until the report is built, and only then returns its
+// workspace.
 func (p *Plan) ExplainWith(ctx context.Context, override func(*Options)) (string, error) {
-	cur, pp, err := p.rowsWithPlan(ctx, override)
+	cur, pp, err := p.rowsWithPlan(ctx, override, true)
 	if err != nil {
 		return "", err
 	}
+	defer cur.Close()
 	rows := 0
 	for cur.Next() {
 		rows++
 	}
-	err = cur.Err()
-	cur.Close()
-	if err != nil {
+	if err := cur.Err(); err != nil {
 		return "", err
 	}
 	return formatExplain(pp, rows), nil

@@ -181,6 +181,10 @@ type plan struct {
 	est       *stats.Estimator
 	costCards map[string]float64 // memoized effective cardinalities
 
+	// ws lends the execution's structures; nil (allocate, never return)
+	// for a plan that is only rendered.
+	ws *workspace
+
 	// refBase snapshots the sink's cumulative RefTuples counter at plan
 	// creation: the MaxRefTuples budget bounds this execution's delta,
 	// not the sink's lifetime total, so re-executing a prepared or
@@ -222,9 +226,9 @@ type joinStep struct {
 	got  int
 }
 
-func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat Strategy, est *stats.Estimator) (*plan, error) {
+func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat Strategy, est *stats.Estimator, ws *workspace) (*plan, error) {
 	p := &plan{
-		x: x, db: db, st: st, strat: strat, est: est,
+		x: x, db: db, st: st, strat: strat, est: est, ws: ws,
 		refBase:   st.RefTuples,
 		costCards: map[string]float64{},
 		vars:      map[string]*varNode{},
@@ -294,7 +298,7 @@ func (p *plan) buildVarNodes() error {
 		if err != nil {
 			return err
 		}
-		if node.rt, err = newSpecRuntime(s, node.sch); err != nil {
+		if node.rt, err = newSpecRuntime(s, node.sch, p.ws); err != nil {
 			return err
 		}
 		p.specRTs[s] = node.rt
@@ -696,7 +700,7 @@ func (p *plan) indexFor(v string, f calculus.Field) (*ixSpec, error) {
 		ix.filtered = node.rng.Extended()
 		ix.key = "permix|" + v + "|" + f.Col
 	} else {
-		ix.out = collection.NewIndex(node.rng.Rel, f.Col)
+		ix.out = p.ws.colls().Index(node.rng.Rel, f.Col)
 	}
 	p.ixs[ix.key] = ix
 	return ix, nil
@@ -739,7 +743,7 @@ func (p *plan) singleListFor(v string, atoms []optimizer.Atom) (*slSpec, error) 
 	if err != nil {
 		return nil, err
 	}
-	sl := &slSpec{key: key, v: v, label: sigOf(atoms), preds: preds, out: collection.NewSingleList(v)}
+	sl := &slSpec{key: key, v: v, label: sigOf(atoms), preds: preds, out: p.ws.colls().SingleList(v)}
 	p.sls[key] = sl
 	return sl, nil
 }
@@ -773,7 +777,7 @@ func (p *plan) probeGroupFor(pv string, as []dyAssign, predAtoms []optimizer.Ato
 		}
 		grp.probes = append(grp.probes, probeRef{
 			op: a.op, probeCol: ci, index: ix,
-			out: collection.NewIndirectJoin(pv, a.ixV),
+			out: p.ws.colls().IndirectJoin(pv, a.ixV),
 		})
 	}
 	p.groups[key] = grp
@@ -800,7 +804,7 @@ func (p *plan) deferredJoinFor(a dyAssign) (*deferredIJ, error) {
 	d := &deferredIJ{
 		key: key, lv: a.probeF.Var, rv: a.ixF.Var, op: a.c.Op,
 		lIx: lIx, rIx: rIx,
-		out: collection.NewIndirectJoin(a.probeF.Var, a.ixF.Var),
+		out: p.ws.colls().IndirectJoin(a.probeF.Var, a.ixF.Var),
 	}
 	p.deferred = append(p.deferred, d)
 	return d, nil

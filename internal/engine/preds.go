@@ -278,10 +278,10 @@ type specRuntime struct {
 	pred     collection.QuantPred // single-dyadic predicate over the vm component
 }
 
-// newSpecRuntime prepares a spec's collection state; sch is the
-// eliminated variable's relation schema, whose column fixes the kind of
-// a single-term spec's value list.
-func newSpecRuntime(spec *optimizer.SemiSpec, sch *schema.RelSchema) (*specRuntime, error) {
+// newSpecRuntime prepares a spec's collection state, lent by ws; sch is
+// the eliminated variable's relation schema, whose column fixes the
+// kind of a single-term spec's value list.
+func newSpecRuntime(spec *optimizer.SemiSpec, sch *schema.RelSchema, ws *workspace) (*specRuntime, error) {
 	rt := &specRuntime{spec: spec}
 	if len(spec.Dyadic) == 1 {
 		ci, ok := sch.ColIndex(spec.Dyadic[0].VnCol)
@@ -289,9 +289,9 @@ func newSpecRuntime(spec *optimizer.SemiSpec, sch *schema.RelSchema) (*specRunti
 			return nil, fmt.Errorf("engine: relation %s has no component %s", sch.Name, spec.Dyadic[0].VnCol)
 		}
 		t := sch.Cols[ci].Type
-		rt.vl = collection.NewValueList(t.ValueKind(), t.Name)
+		rt.vl = ws.colls().ValueList(t.ValueKind(), t.Name)
 	} else if len(spec.Dyadic) > 1 {
-		rt.tuples = &rowSet{w: len(spec.Dyadic)}
+		rt.tuples = ws.rowSet(len(spec.Dyadic))
 	}
 	return rt, nil
 }

@@ -40,6 +40,16 @@ type rowSet struct {
 	table []uint64
 }
 
+// reset empties the set for rows of w values, keeping its arena blocks
+// and table.
+func (s *rowSet) reset(w int) {
+	s.w, s.n = w, 0
+	for i := range s.blocks {
+		s.blocks[i] = s.blocks[i][:0]
+	}
+	clear(s.table)
+}
+
 // row returns stored row k. The slice aliases the arena and must not
 // be modified.
 func (s *rowSet) row(k int) []value.Value {
@@ -78,16 +88,29 @@ func (s *rowSet) add(row []value.Value, more int) bool {
 	}
 	if s.w > 0 {
 		if s.n%arenaBlock == 0 {
-			s.blocks = append(s.blocks, make([]value.Value, 0, min(more, arenaBlock)*s.w))
+			s.startBlock(min(more, arenaBlock) * s.w)
 		}
-		b := &s.blocks[len(s.blocks)-1]
+		b := &s.blocks[s.n/arenaBlock]
 		*b = append(*b, row...)
 	}
 	s.n++
 	return true
 }
 
-// truncate drops every row from n on.
+// startBlock readies the block row s.n starts, with room for size
+// values: a kept block when it is large enough, else a new one.
+func (s *rowSet) startBlock(size int) {
+	k := s.n / arenaBlock
+	switch {
+	case k == len(s.blocks):
+		s.blocks = append(s.blocks, make([]value.Value, 0, size))
+	case cap(s.blocks[k]) < size:
+		s.blocks[k] = make([]value.Value, 0, size)
+	}
+}
+
+// truncate drops every row from n on; the blocks it empties stay for
+// the rows that replace them.
 func (s *rowSet) truncate(n int) {
 	if n >= s.n {
 		return
@@ -95,8 +118,9 @@ func (s *rowSet) truncate(n int) {
 	s.n = n
 	if s.w > 0 {
 		nb := (n + arenaBlock - 1) / arenaBlock
-		clear(s.blocks[nb:])
-		s.blocks = s.blocks[:nb]
+		for i := nb; i < len(s.blocks); i++ {
+			s.blocks[i] = s.blocks[i][:0]
+		}
 		if k := n % arenaBlock; k != 0 {
 			s.blocks[nb-1] = s.blocks[nb-1][:k*s.w]
 		}

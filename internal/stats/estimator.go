@@ -252,13 +252,13 @@ func (e *Estimator) histEqJoin(lrel, lcol, rrel, rcol string) (float64, bool) {
 			small, big = rPairs, lPairs
 			smallN, bigN = float64(rN), float64(lN)
 		}
-		bigByKey := make(map[string]int, len(big))
+		bigByKey := make(map[value.Value]int, len(big))
 		for _, p := range big {
-			bigByKey[encVal(p.v)] = p.n
+			bigByKey[p.v] = p.n
 		}
 		sel := 0.0
 		for _, p := range small {
-			if bn, ok := bigByKey[encVal(p.v)]; ok {
+			if bn, ok := bigByKey[p.v]; ok {
 				sel += (float64(p.n) / smallN) * (float64(bn) / bigN)
 			}
 		}

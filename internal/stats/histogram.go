@@ -98,17 +98,19 @@ type colStats struct {
 	min, max value.Value
 	ordered  bool // min/max comparable (no mixed kinds seen)
 
-	distinct int                  // exact in exact mode; floor estimate otherwise
-	counts   map[string]*valCount // exact mode; nil once degraded
-	buckets  []bucket             // equi-depth mode; nil in bounds-only mode
-	lo       float64              // ordinal lower bound of buckets[0]
-	sketch   *linearSketch        // distinct estimator once counts is gone
+	distinct int                       // exact in exact mode; floor estimate otherwise
+	counts   map[value.Value]*valCount // exact mode, keyed by the value itself; nil once degraded
+	buckets  []bucket                  // equi-depth mode; nil in bounds-only mode
+	lo       float64                   // ordinal lower bound of buckets[0]
+	sketch   *linearSketch             // distinct estimator once counts is gone
 }
 
 func newColStats() *colStats {
-	return &colStats{counts: make(map[string]*valCount)}
+	return &colStats{counts: make(map[value.Value]*valCount)}
 }
 
+// encVal encodes a value for the distinct sketch and for the sorted
+// order of the serialized frequency table.
 func encVal(v value.Value) string { return value.EncodeKey([]value.Value{v}) }
 
 // observeInsert folds one value in; it reports whether the column just
@@ -118,13 +120,12 @@ func (c *colStats) observeInsert(v value.Value) (degraded bool) {
 	c.n++
 	c.updateBounds(v)
 	if c.counts != nil {
-		k := encVal(v)
-		if vc := c.counts[k]; vc != nil {
+		if vc := c.counts[v]; vc != nil {
 			vc.n++
 			return false
 		}
 		if len(c.counts) < MaxExactValues {
-			c.counts[k] = &valCount{v: v, n: 1}
+			c.counts[v] = &valCount{v: v, n: 1}
 			c.distinct++
 			return false
 		}
@@ -146,11 +147,10 @@ func (c *colStats) observeDelete(v value.Value) {
 		c.n--
 	}
 	if c.counts != nil {
-		k := encVal(v)
-		if vc := c.counts[k]; vc != nil {
+		if vc := c.counts[v]; vc != nil {
 			vc.n--
 			if vc.n <= 0 {
-				delete(c.counts, k)
+				delete(c.counts, v)
 				c.distinct--
 				// The frequency table holds every live value, so when an
 				// extremum vanishes the bounds can be recomputed exactly —
@@ -209,8 +209,8 @@ func (c *colStats) updateBounds(v value.Value) {
 func (c *colStats) degrade() {
 	c.sketch = newLinearSketch()
 	pairs := make([]valCount, 0, len(c.counts))
-	for k, vc := range c.counts {
-		c.sketch.add(k)
+	for _, vc := range c.counts {
+		c.sketch.add(encVal(vc.v))
 		pairs = append(pairs, *vc)
 	}
 	c.buckets, c.lo = buildBuckets(pairs, c.n)
@@ -330,7 +330,7 @@ func (c *colStats) eqFraction(v value.Value) (float64, bool) {
 	}
 	n := float64(c.n)
 	if c.counts != nil {
-		if vc := c.counts[encVal(v)]; vc != nil {
+		if vc := c.counts[v]; vc != nil {
 			return float64(vc.n) / n, true
 		}
 		// Unseen value: near zero, but never exactly zero — cost products
@@ -446,7 +446,7 @@ func (c *colStats) mode() string {
 func (c *colStats) clone() *colStats {
 	cp := *c
 	if c.counts != nil {
-		cp.counts = make(map[string]*valCount, len(c.counts))
+		cp.counts = make(map[value.Value]*valCount, len(c.counts))
 		for k, vc := range c.counts {
 			v := *vc
 			cp.counts[k] = &v

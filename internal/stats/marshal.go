@@ -72,14 +72,20 @@ func marshalCol(w *protocol.Writer, c *colStats) error {
 	switch {
 	case c.counts != nil:
 		w.Uvarint(marshalModeExact)
-		keys := make([]string, 0, len(c.counts))
-		for k := range c.counts {
-			keys = append(keys, k)
+		// Sorted by encoded value, as the table was keyed before it
+		// was keyed by value: the blob stays byte-identical.
+		type keyed struct {
+			key string
+			vc  *valCount
 		}
-		sort.Strings(keys)
-		w.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			vc := c.counts[k]
+		vcs := make([]keyed, 0, len(c.counts))
+		for v, vc := range c.counts {
+			vcs = append(vcs, keyed{encVal(v), vc})
+		}
+		sort.Slice(vcs, func(i, j int) bool { return vcs[i].key < vcs[j].key })
+		w.Uvarint(uint64(len(vcs)))
+		for _, kv := range vcs {
+			vc := kv.vc
 			if err := w.Val(vc.v); err != nil {
 				return err
 			}
@@ -178,7 +184,7 @@ func unmarshalCol(r *protocol.Reader) (*colStats, error) {
 		if nVals > MaxExactValues {
 			return nil, fmt.Errorf("exact table of %d values out of range", nVals)
 		}
-		c.counts = make(map[string]*valCount, nVals)
+		c.counts = make(map[value.Value]*valCount, nVals)
 		for range nVals {
 			v, err := r.Val()
 			if err != nil {
@@ -188,7 +194,7 @@ func unmarshalCol(r *protocol.Reader) (*colStats, error) {
 			if err != nil {
 				return nil, err
 			}
-			c.counts[encVal(v)] = &valCount{v: v, n: int(cnt)}
+			c.counts[v] = &valCount{v: v, n: int(cnt)}
 		}
 		c.distinct = len(c.counts)
 	case marshalModeDepth:

@@ -73,6 +73,49 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalMatchesStringKeyed: frequency tables keyed by value
+// serialize to exactly the bytes the string-keyed tables did — over
+// integers, strings, booleans, enumerations and references, after
+// deletes, with every column in each mode, and for statistics a rebuild
+// built.
+func TestMarshalMatchesStringKeyed(t *testing.T) {
+	ts := NewTableStats("emp", []string{"grade", "name", "flag", "status", "ref"})
+	row := func(i int) []value.Value {
+		return []value.Value{
+			value.Int(int64(i%7 - 3)),
+			value.String_(string(rune('a' + i%5))),
+			value.Bool(i%3 == 0),
+			value.Enum("status", i%4),
+			value.Ref(2, i%9, 0),
+		}
+	}
+	for i := 0; i < 300; i++ {
+		ts.ObserveInsert(row(i))
+	}
+	for i := 0; i < 40; i += 3 {
+		ts.ObserveDelete(row(i))
+	}
+	rebuilt := NewTableStats("emp", ts.Columns())
+	rb := rebuilt.NewRebuild()
+	for i := 0; i < 300; i++ {
+		rb.Add(row(i))
+	}
+	rb.Commit()
+	for name, st := range map[string]*TableStats{"maintained": ts, "rebuilt": rebuilt, "modes": marshalFixture()} {
+		got, err := st.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := marshalStringKeyed(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: marshalled statistics differ from the string-keyed reference", name)
+		}
+	}
+}
+
 // TestUnmarshalVersionMismatch: a blob written under another
 // serialization version is reported as ErrVersion, so a caller rebuilds
 // the statistics instead of failing; a damaged blob of the current

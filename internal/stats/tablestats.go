@@ -259,14 +259,14 @@ func (v colView) Mode() string {
 type Rebuild struct {
 	t    *TableStats
 	rows int
-	vals []map[string]*valCount
+	vals []map[value.Value]*valCount
 }
 
 // NewRebuild returns an empty rebuild accumulator for t.
 func (t *TableStats) NewRebuild() *Rebuild {
-	rb := &Rebuild{t: t, vals: make([]map[string]*valCount, len(t.colList))}
+	rb := &Rebuild{t: t, vals: make([]map[value.Value]*valCount, len(t.colList))}
 	for i := range rb.vals {
-		rb.vals[i] = make(map[string]*valCount)
+		rb.vals[i] = make(map[value.Value]*valCount)
 	}
 	return rb
 }
@@ -278,11 +278,11 @@ func (rb *Rebuild) Add(tuple []value.Value) {
 		if i >= len(tuple) {
 			break
 		}
-		k := encVal(tuple[i])
+		k := tuple[i]
 		if vc := rb.vals[i][k]; vc != nil {
 			vc.n++
 		} else {
-			rb.vals[i][k] = &valCount{v: tuple[i], n: 1}
+			rb.vals[i][k] = &valCount{v: k, n: 1}
 		}
 	}
 }
@@ -313,7 +313,7 @@ func (rb *Rebuild) Commit() {
 // fresh statistics: exact mode when small enough, equi-depth buckets
 // (built from the full distribution, so boundaries are true quantiles)
 // otherwise.
-func buildColStats(agg map[string]*valCount) *colStats {
+func buildColStats(agg map[value.Value]*valCount) *colStats {
 	c := &colStats{}
 	pairs := make([]valCount, 0, len(agg))
 	for _, vc := range agg {
@@ -323,10 +323,10 @@ func buildColStats(agg map[string]*valCount) *colStats {
 	}
 	c.distinct = len(pairs)
 	if len(pairs) <= MaxExactValues {
-		c.counts = make(map[string]*valCount, len(pairs))
+		c.counts = make(map[value.Value]*valCount, len(pairs))
 		for _, p := range pairs {
 			p := p
-			c.counts[encVal(p.v)] = &p
+			c.counts[p.v] = &p
 		}
 		return c
 	}

@@ -45,6 +45,12 @@ type Rows struct {
 	reopen  func() (*engine.Cursor, error)
 	retried bool
 	err     error // sticky: a reopen that itself failed
+
+	// slab is what is left of the values the rows of the current chunk
+	// are cut from, one slab per chunk the cursor constructs; labels
+	// holds each enumeration component's labels, boxed at first use.
+	slab   []any
+	labels [][]any
 }
 
 func newRows(cur *engine.Cursor) *Rows {
@@ -167,17 +173,53 @@ func (r *Rows) Scan(dest ...any) error {
 }
 
 // Values converts the current tuple to native Go values, with the same
-// mapping Result.Rows uses. It returns nil before the first Next.
+// mapping Result.Rows uses, in a fresh slice the caller may keep and
+// append to. It returns nil before the first Next.
+//
+// The slices of one chunk of rows — those the cursor constructed under
+// one read lock — are cut from one allocation sized to the chunk, and
+// each enumeration label is boxed once.
 func (r *Rows) Values() []any {
 	row := r.cur.Row()
 	if row == nil {
 		return nil
 	}
-	out := make([]any, len(row))
+	w := len(row)
+	if w == 0 {
+		return []any{}
+	}
+	if len(r.slab) < w {
+		r.slab = make([]any, (1+r.cur.Buffered())*w)
+	}
+	out := r.slab[:w:w]
+	r.slab = r.slab[w:]
 	for i, v := range row {
-		out[i] = convertValue(v, r.typs[i])
+		out[i] = r.native(i, v)
 	}
 	return out
+}
+
+// native is convertValue for component i, with enumeration labels
+// boxed once per Rows.
+func (r *Rows) native(i int, v value.Value) any {
+	t := r.typs[i]
+	if v.Kind() != value.KindEnum || t.Kind != schema.TEnum {
+		return convertValue(v, t)
+	}
+	ord := v.EnumOrd()
+	if ord < 0 || ord >= len(t.Labels) {
+		return convertValue(v, t)
+	}
+	if r.labels == nil {
+		r.labels = make([][]any, len(r.typs))
+	}
+	if r.labels[i] == nil {
+		r.labels[i] = make([]any, len(t.Labels))
+	}
+	if r.labels[i][ord] == nil {
+		r.labels[i][ord] = convertValue(v, t)
+	}
+	return r.labels[i][ord]
 }
 
 func scanValue(v value.Value, t *schema.Type, dest any) error {
