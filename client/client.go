@@ -388,7 +388,9 @@ func (r *Rows) row() int {
 // keep and append to, or nil when there is no current row.
 //
 // The slices of one fetched block's rows are cut from one allocation
-// sized to the block, and each enumeration label is boxed once.
+// sized to the block, and each enumeration label is boxed once. So a
+// kept row keeps its whole block's slices alive; a caller that keeps a
+// few rows of a long result should keep copies (slices.Clone).
 func (r *Rows) Values() []any {
 	k := r.row()
 	if k < 0 {

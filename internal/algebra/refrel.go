@@ -25,6 +25,7 @@ import (
 	"slices"
 	"strings"
 
+	"pascalr/internal/recycle"
 	"pascalr/internal/stats"
 )
 
@@ -73,6 +74,7 @@ type tupleSet struct {
 	// tag is the high half of the row's hash and also picks its home
 	// slot, so growing rehashes without the rows.
 	table []uint64
+	peak  int // the most rows held or sized for since the last trim
 }
 
 // row returns stored row k. The slice aliases the set and must not be
@@ -84,21 +86,53 @@ func (s *tupleSet) row(k int) []int64 {
 
 // reset empties the set for rows of w words, keeping its memory.
 func (s *tupleSet) reset(w int) {
+	s.peak = max(s.peak, s.n)
 	s.w, s.n, s.data = w, 0, s.data[:0]
 	clear(s.table)
+}
+
+// resetFor empties the set for at most n rows of w words, sizing and
+// clearing only the table slots n rows need: a scratch set reused for
+// inputs of very different sizes costs each use its own size.
+func (s *tupleSet) resetFor(w, n int) {
+	s.peak = max(s.peak, s.n, n)
+	s.w, s.n, s.data = w, 0, s.data[:0]
+	s.table = recycle.Resize(s.table, tableSize(n))
+	clear(s.table)
+}
+
+// scrub poisons a returned set's memory under recycle.Poison.
+func (s *tupleSet) scrub() {
+	recycle.Scrub(s.data, recycle.Word)
+	recycle.Scrub(s.table, ^uint64(0))
+}
+
+// trim drops the memory far beyond the most rows the set held or was
+// sized for since the last trim (recycle.Keep), and leaves the set
+// empty until its next reset.
+func (s *tupleSet) trim() {
+	rows := max(s.peak, s.n)
+	s.data = recycle.Keep(s.data, rows*s.w)
+	s.table = recycle.Keep(s.table, 2*rows)
+	s.peak, s.n = 0, 0
 }
 
 // reserve sizes the set for n more rows, so a relation built from a
 // list of known length grows nothing.
 func (s *tupleSet) reserve(n int) {
-	size := 16
-	for size < 2*(s.n+n) {
-		size <<= 1
-	}
-	if size > len(s.table) {
+	if size := tableSize(s.n + n); size > len(s.table) {
 		s.rehash(size)
 	}
 	s.data = slices.Grow(s.data, n*s.w)
+}
+
+// tableSize is the table a set of n rows needs: at most half full.
+func tableSize(n int) int {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
 }
 
 // lookup returns the index of row, whose hash tag is tag, or -1 and
@@ -454,18 +488,15 @@ func Divide(ctx context.Context, a *RefRel, v string, divisor []int64, st *stats
 		}
 	}
 	// The distinct divisor members, numbered.
-	divs := a.ws.scratch(1)
+	divs, groups, seen, hits := a.ws.divideSets(len(divisor), len(restIdx), a.Len())
 	divs.reserve(len(divisor))
 	for i := range divisor {
 		divs.add(divisor[i : i+1])
 	}
 	// Group a's rows by the remaining variables and count the distinct
 	// divisor members seen per group, through the set of (group,
-	// member) pairs.
+	// member) pairs; hits counts the distinct members per group.
 	tk := ticker{ctx: ctx}
-	groups := a.ws.scratch(len(restIdx))
-	seen := a.ws.scratch(2)
-	hits := a.ws.counts() // distinct divisor members per group
 	rest := make([]int64, len(restIdx))
 	var pair [2]int64
 	for i := 0; i < a.Len(); i++ {
@@ -529,7 +560,7 @@ func (r *RefRel) DistinctOn(vars []string) int {
 	if err != nil {
 		return 0
 	}
-	seen := r.ws.scratch(len(idx))
+	seen := r.ws.distinctSet(len(idx), r.Len())
 	tmp := make([]int64, len(idx))
 	for i := 0; i < r.Len(); i++ {
 		seen.add(gather(tmp, r.Row(i), idx))

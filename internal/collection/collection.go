@@ -35,6 +35,7 @@ import (
 type SingleList struct {
 	Var  string
 	refs []int64
+	peak int // the most references held since a Workspace last trimmed it
 }
 
 // NewSingleList creates an empty single list for a variable.
@@ -101,6 +102,8 @@ type Index struct {
 	sorted     []IndexEntry // ascending by Val, stable; built on the first ordered probe
 	chained    bool
 	isSorted   bool
+
+	peak int // the most entries held since a Workspace last trimmed it
 }
 
 // NewIndex creates an empty index over rel.col.
@@ -223,6 +226,7 @@ func (ix *Index) Probe(st *stats.Counters, op value.CmpOp, pv value.Value, fn fu
 type IndirectJoin struct {
 	LVar, RVar string
 	pairs      [][2]int64
+	peak       int // the most pairs held since a Workspace last trimmed it
 }
 
 // NewIndirectJoin creates an empty indirect join between two variables.

@@ -31,6 +31,7 @@ type ValueList struct {
 	// tag is the high half of the entry's hash and also picks its home
 	// slot, so growing rehashes without the entries.
 	table []uint64
+	peak  int // the most entries held since a Workspace last trimmed it
 }
 
 // listSeed seeds the string lists' hash for the process.

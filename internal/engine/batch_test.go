@@ -207,7 +207,7 @@ func TestStrategy4ScansPushProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, nil, nil)
+	p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, nil, &workspace{})
 	if err != nil {
 		t.Fatal(err)
 	}

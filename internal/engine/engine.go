@@ -341,8 +341,10 @@ func (e *Engine) Explain(sel *calculus.Selection, opts Options) (string, error) 
 		return "", err
 	}
 	st := &stats.Counters{}
+	ws := getWorkspace()
+	defer putWorkspace(ws)
 	e.db.RLock()
-	p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), nil)
+	p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), ws)
 	e.db.RUnlock()
 	if err != nil {
 		return "", err

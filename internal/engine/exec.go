@@ -209,7 +209,7 @@ func (p *plan) tasksForVar(v string) []scanTask {
 	}
 	var tasks []scanTask
 	if node.live && p.needRange[v] {
-		tasks = append(tasks, &rangeTask{p: p, v: v, preds: rangePreds, refs: p.ws.colls().SingleList(v)})
+		tasks = append(tasks, &rangeTask{p: p, v: v, preds: rangePreds, refs: p.ws.coll.SingleList(v)})
 	}
 	for _, key := range sortedKeys(p.sls) {
 		if sl := p.sls[key]; sl.v == v {
@@ -467,7 +467,7 @@ func (p *plan) combine(ctx context.Context, maxRefTuples int64) (*algebra.RefRel
 		// their (non-empty) ranges, so only the free variables matter.
 		pieces := make([]*algebra.RefRel, 0, len(p.x.Free))
 		for _, d := range p.x.Free {
-			pieces = append(pieces, p.ws.algs().FromRefs(d.Var, p.rangeLst[d.Var], p.st))
+			pieces = append(pieces, p.ws.alg.FromRefs(d.Var, p.rangeLst[d.Var], p.st))
 		}
 		return p.greedyJoin(ctx, pieces, maxRefTuples)
 	}
@@ -489,16 +489,16 @@ func (p *plan) combine(ctx context.Context, maxRefTuples int64) (*algebra.RefRel
 		}
 		var pieces []*algebra.RefRel
 		for i, ij := range cp.ijs {
-			pieces = append(pieces, p.ws.algs().FromPairs(cp.ijNames[i][0], cp.ijNames[i][1], ij.Pairs(), p.st))
+			pieces = append(pieces, p.ws.alg.FromPairs(cp.ijNames[i][0], cp.ijNames[i][1], ij.Pairs(), p.st))
 		}
 		for _, sl := range cp.sls {
-			pieces = append(pieces, p.ws.algs().FromRefs(sl.v, sl.out.Refs(), p.st))
+			pieces = append(pieces, p.ws.alg.FromRefs(sl.v, sl.out.Refs(), p.st))
 		}
 		// Unconstrained live variables enter as their full range lists —
 		// the Cartesian blow-up the paper's strategies fight.
 		for _, v := range live {
 			if !cp.consumed[v] {
-				pieces = append(pieces, p.ws.algs().FromRefs(v, p.rangeLst[v], p.st))
+				pieces = append(pieces, p.ws.alg.FromRefs(v, p.rangeLst[v], p.st))
 			}
 		}
 		if len(pieces) == 0 {
@@ -513,7 +513,7 @@ func (p *plan) combine(ctx context.Context, maxRefTuples int64) (*algebra.RefRel
 	}
 
 	if len(conjRels) == 0 {
-		return p.ws.algs().New(freeVarNames(p), p.st), nil
+		return p.ws.alg.New(freeVarNames(p), p.st), nil
 	}
 	union := conjRels[0]
 	for _, r := range conjRels[1:] {

@@ -181,8 +181,7 @@ type plan struct {
 	est       *stats.Estimator
 	costCards map[string]float64 // memoized effective cardinalities
 
-	// ws lends the execution's structures; nil (allocate, never return)
-	// for a plan that is only rendered.
+	// ws lends the execution's structures.
 	ws *workspace
 
 	// refBase snapshots the sink's cumulative RefTuples counter at plan
@@ -700,7 +699,7 @@ func (p *plan) indexFor(v string, f calculus.Field) (*ixSpec, error) {
 		ix.filtered = node.rng.Extended()
 		ix.key = "permix|" + v + "|" + f.Col
 	} else {
-		ix.out = p.ws.colls().Index(node.rng.Rel, f.Col)
+		ix.out = p.ws.coll.Index(node.rng.Rel, f.Col)
 	}
 	p.ixs[ix.key] = ix
 	return ix, nil
@@ -743,7 +742,7 @@ func (p *plan) singleListFor(v string, atoms []optimizer.Atom) (*slSpec, error) 
 	if err != nil {
 		return nil, err
 	}
-	sl := &slSpec{key: key, v: v, label: sigOf(atoms), preds: preds, out: p.ws.colls().SingleList(v)}
+	sl := &slSpec{key: key, v: v, label: sigOf(atoms), preds: preds, out: p.ws.coll.SingleList(v)}
 	p.sls[key] = sl
 	return sl, nil
 }
@@ -777,7 +776,7 @@ func (p *plan) probeGroupFor(pv string, as []dyAssign, predAtoms []optimizer.Ato
 		}
 		grp.probes = append(grp.probes, probeRef{
 			op: a.op, probeCol: ci, index: ix,
-			out: p.ws.colls().IndirectJoin(pv, a.ixV),
+			out: p.ws.coll.IndirectJoin(pv, a.ixV),
 		})
 	}
 	p.groups[key] = grp
@@ -804,7 +803,7 @@ func (p *plan) deferredJoinFor(a dyAssign) (*deferredIJ, error) {
 	d := &deferredIJ{
 		key: key, lv: a.probeF.Var, rv: a.ixF.Var, op: a.c.Op,
 		lIx: lIx, rIx: rIx,
-		out: p.ws.colls().IndirectJoin(a.probeF.Var, a.ixF.Var),
+		out: p.ws.coll.IndirectJoin(a.probeF.Var, a.ixF.Var),
 	}
 	p.deferred = append(p.deferred, d)
 	return d, nil

@@ -289,7 +289,7 @@ func newSpecRuntime(spec *optimizer.SemiSpec, sch *schema.RelSchema, ws *workspa
 			return nil, fmt.Errorf("engine: relation %s has no component %s", sch.Name, spec.Dyadic[0].VnCol)
 		}
 		t := sch.Cols[ci].Type
-		rt.vl = ws.colls().ValueList(t.ValueKind(), t.Name)
+		rt.vl = ws.coll.ValueList(t.ValueKind(), t.Name)
 	} else if len(spec.Dyadic) > 1 {
 		rt.tuples = ws.rowSet(len(spec.Dyadic))
 	}

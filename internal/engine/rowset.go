@@ -38,6 +38,7 @@ type rowSet struct {
 	// tag is the high half of the row's hash and also picks its home
 	// slot, so growing or truncating rehashes without the rows.
 	table []uint64
+	peak  int // the most rows held since a workspace last trimmed it
 }
 
 // reset empties the set for rows of w values, keeping its arena blocks

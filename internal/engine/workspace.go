@@ -26,47 +26,49 @@ import (
 // rows belong to the caller (Cursor.yieldedRows detaches them), and a
 // permanent index's hits and the stored rows belong to the relation.
 //
+// Every recycle.TrimEvery executions it drops the memory far beyond what
+// those executions used, so a large execution does not leave its memory
+// to be held, and cleared, by every smaller one after it.
+//
 // A workspace lives only in the workspaces pool, never on a Plan or a
-// Stmt, so a garbage collection may drop it and the memory it keeps is
-// not part of the live heap a workload holds.
+// Stmt, so two garbage collections drop an idle one.
 type workspace struct {
 	coll    collection.Workspace
 	alg     algebra.Workspace
 	sets    recycle.List[rowSet]
 	batches []*colbatch.Batch // free scan batches, of any width
+	execs   int               // executions served
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
 func getWorkspace() *workspace { return workspaces.Get().(*workspace) }
 
-// putWorkspace takes back everything ws lent and pools it.
+// putWorkspace ends ws's execution and pools it.
 func putWorkspace(ws *workspace) {
-	ws.release(nil)
+	ws.finish()
 	workspaces.Put(ws)
 }
 
-// colls and algs return the phase workspaces; nil (allocate, never
-// return) for a plan built without a workspace.
-func (ws *workspace) colls() *collection.Workspace {
-	if ws == nil {
-		return nil
+// finish takes back everything ws lent and, every recycle.TrimEvery
+// executions, trims what it keeps.
+func (ws *workspace) finish() {
+	ws.release(nil)
+	if ws.execs++; ws.execs%recycle.TrimEvery != 0 {
+		return
 	}
-	return &ws.coll
-}
-
-func (ws *workspace) algs() *algebra.Workspace {
-	if ws == nil {
-		return nil
-	}
-	return &ws.alg
+	ws.coll.Trim()
+	ws.alg.Trim()
+	ws.sets.Trim(func(s *rowSet) {
+		n := min(len(s.blocks), (s.peak+arenaBlock-1)/arenaBlock)
+		clear(s.blocks[n:])
+		s.blocks = s.blocks[:n]
+		s.table, s.peak = recycle.Keep(s.table, 2*s.peak), 0
+	})
 }
 
 // rowSet lends an empty set of rows of w values.
 func (ws *workspace) rowSet(w int) *rowSet {
-	if ws == nil {
-		return &rowSet{w: w}
-	}
 	s := ws.sets.Lend()
 	s.reset(w)
 	return s
@@ -78,6 +80,7 @@ func (ws *workspace) release(keep *algebra.RefRel) {
 	ws.coll.Release()
 	ws.alg.Release(keep)
 	ws.sets.Return(nil, func(s *rowSet) {
+		s.peak = max(s.peak, s.n)
 		for _, b := range s.blocks {
 			recycle.Fill(b, recycle.Value)
 		}
@@ -87,14 +90,12 @@ func (ws *workspace) release(keep *algebra.RefRel) {
 
 // batch lends a scan batch of ncols columns at the current batchSize.
 func (ws *workspace) batch(ncols int) *colbatch.Batch {
-	if ws != nil {
-		for i, b := range ws.batches {
-			if b.NumCols() == ncols && b.Cap() == batchSize {
-				last := len(ws.batches) - 1
-				ws.batches[i], ws.batches[last] = ws.batches[last], nil
-				ws.batches = ws.batches[:last]
-				return b
-			}
+	for i, b := range ws.batches {
+		if b.NumCols() == ncols && b.Cap() == batchSize {
+			last := len(ws.batches) - 1
+			ws.batches[i], ws.batches[last] = ws.batches[last], nil
+			ws.batches = ws.batches[:last]
+			return b
 		}
 	}
 	return colbatch.New(ncols, batchSize)
@@ -102,9 +103,6 @@ func (ws *workspace) batch(ncols int) *colbatch.Batch {
 
 // putBatch takes back a batch whose scan ended.
 func (ws *workspace) putBatch(b *colbatch.Batch) {
-	if ws == nil {
-		return
-	}
 	for c := range b.NumCols() {
 		recycle.Fill(b.Vals(c), recycle.Value)
 		recycle.Scrub(b.Ords(c), recycle.Word)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"pascalr/internal/calculus"
 	"pascalr/internal/parser"
@@ -96,5 +97,89 @@ func TestWorkspaceSteadyStateBytes(t *testing.T) {
 	t.Logf("%.0f bytes per execution", perExec)
 	if perExec > steadyStateBytes {
 		t.Fatalf("a warmed-up execution allocates %.0f bytes, want at most %d", perExec, steadyStateBytes)
+	}
+}
+
+// TestWorkspaceAfterLargeExecution: after one round of the paperMix
+// shapes over a large database, rounds over a small one run on the same
+// workspace as fast, and allocate as little, as before it, once the
+// workspace has trimmed (every recycle.TrimEvery executions). A
+// workspace that kept the large round's memory would clear its tables
+// on every small execution and hold them for good.
+func TestWorkspaceAfterLargeExecution(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	compile := func(scale int) []*Plan {
+		db, err := workload.University(workload.DefaultConfig(scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := New(db, nil)
+		var plans []*Plan
+		for _, src := range paperMix {
+			sel, err := parser.ParseSelection(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checked, info, err := calculus.Check(sel, db.Catalog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := eng.Compile(checked, info, Options{Strategies: AllStrategies})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, p)
+		}
+		return plans
+	}
+	small, large := compile(40), compile(20000)
+	// One workspace, never pooled: the cursor is closed without it and
+	// the round ends each execution itself.
+	ws := new(workspace)
+	ctx := context.Background()
+	round := func(plans []*Plan) time.Duration {
+		start := time.Now()
+		for _, p := range plans {
+			cur, _, err := p.execute(ctx, nil, false, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cur.Next() {
+			}
+			if err := cur.Err(); err != nil {
+				t.Fatal(err)
+			}
+			cur.ws = nil
+			cur.Close()
+			ws.finish()
+		}
+		return time.Since(start)
+	}
+	fastest := func() time.Duration {
+		best := round(small)
+		for range 30 {
+			best = min(best, round(small))
+		}
+		return best
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	round(small)
+	before := fastest()
+	round(large)
+	round(small)
+	round(small)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	after := fastest()
+	runtime.ReadMemStats(&m1)
+	perExec := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(31*len(small))
+	t.Logf("small round: %v before the large one, %v after; %.0f bytes per execution after", before, after, perExec)
+	if perExec > steadyStateBytes {
+		t.Errorf("after a large execution a small one allocates %.0f bytes, want at most %d", perExec, steadyStateBytes)
+	}
+	if after > 2*before {
+		t.Errorf("a small round takes %v after a large one, %v before it", after, before)
 	}
 }

@@ -4,7 +4,11 @@
 // return points, so nothing is handed back piecemeal.
 package recycle
 
-import "pascalr/internal/value"
+import (
+	"unsafe"
+
+	"pascalr/internal/value"
+)
 
 // Poison makes every returned structure overwrite its contents with
 // garbage (Word, Str, Value) instead of only clearing its pointers, so a
@@ -23,11 +27,44 @@ const Str = "\x00returned"
 
 var Value = value.String_(Str)
 
+// TrimEvery, keepFactor, keepFloor and keepSpare bound the memory a
+// workspace keeps. Every TrimEvery executions it trims: a vector whose
+// capacity exceeds keepFactor times the most its structure used in
+// those executions, plus keepFloor bytes, is dropped (Keep), and a List
+// keeps at most keepFactor times as many free values as it lent at once
+// in them, plus keepSpare (List.Trim). So after one large execution,
+// smaller ones clear and hold its memory for at most TrimEvery
+// executions, while executions of similar size, or plans that take
+// turns on one workspace, reuse theirs: a bound per execution would
+// drop and regrow a structure each time a small plan followed a large
+// one.
+const (
+	TrimEvery  = 64
+	keepFactor = 4
+	keepFloor  = 64 << 10
+	keepSpare  = 8
+)
+
+// Keep returns s when its capacity is within keepFactor times used
+// elements plus keepFloor bytes, and nil otherwise: a vector much
+// larger executions grew is given up to the collector rather than
+// kept, and cleared, by every smaller one after them.
+func Keep[E any](s []E, used int) []E {
+	var zero E
+	size := unsafe.Sizeof(zero)
+	if uintptr(cap(s))*size > uintptr(keepFactor*used)*size+keepFloor {
+		return nil
+	}
+	return s
+}
+
 // List lends values of type T and takes every lent value back at once.
 // The zero List is empty and ready to use; it is not safe for
 // concurrent use.
 type List[T any] struct {
 	lent, free []*T
+	lends      int // Lends since the list last had nothing lent
+	peak       int // the most such Lends since the last Trim
 }
 
 // Lend returns a value from the free list, or a new zero one when the
@@ -41,6 +78,7 @@ func (l *List[T]) Lend() *T {
 	} else {
 		x = new(T)
 	}
+	l.lends++
 	l.lent = append(l.lent, x)
 	return x
 }
@@ -64,7 +102,25 @@ func (l *List[T]) Return(keep *T, scrub func(*T)) {
 	l.lent = l.lent[:0]
 	if kept {
 		l.lent = append(l.lent, keep)
+		return
 	}
+	l.peak = max(l.peak, l.lends)
+	l.lends = 0
+}
+
+// Trim drops the free values beyond keepFactor times the most the list
+// lent at once since the last Trim, plus keepSpare, the longest unused
+// first, and calls trim on the rest. Call it when nothing is lent.
+func (l *List[T]) Trim(trim func(*T)) {
+	if extra := len(l.free) - (keepFactor*l.peak + keepSpare); extra > 0 {
+		n := copy(l.free, l.free[extra:])
+		clear(l.free[n:])
+		l.free = l.free[:n]
+	}
+	for _, x := range l.free {
+		trim(x)
+	}
+	l.peak = 0
 }
 
 // Resize returns s with length n, reusing its memory when it holds n

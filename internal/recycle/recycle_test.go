@@ -54,3 +54,61 @@ func TestFillAndScrub(t *testing.T) {
 		}
 	}
 }
+
+// TestKeep: a vector is kept while its capacity is within keepFactor
+// times its use plus keepFloor bytes, and dropped beyond.
+func TestKeep(t *testing.T) {
+	floor := keepFloor / 8 // int64 elements in keepFloor bytes
+	for _, c := range []struct {
+		cap, used int
+		kept      bool
+	}{
+		{0, 0, true},
+		{floor, 0, true},
+		{floor + 1, 0, false},
+		{keepFactor*1000 + floor, 1000, true},
+		{keepFactor*1000 + floor + 1, 1000, false},
+		{1 << 20, 1 << 20, true},
+	} {
+		s := make([]int64, 0, c.cap)
+		if got := Keep(s, c.used) != nil; got != c.kept {
+			t.Errorf("Keep(cap %d, used %d) kept %v, want %v", c.cap, c.used, got, c.kept)
+		}
+	}
+}
+
+// TestListTrim: Trim keeps at most keepFactor times the most values
+// lent at once since the last Trim, plus keepSpare — the ones lent most
+// recently — and hands each kept one to its trim function.
+func TestListTrim(t *testing.T) {
+	var l List[int]
+	for range 100 {
+		l.Lend()
+	}
+	l.Return(nil, func(*int) {})
+	l.Trim(func(*int) {})
+	if len(l.free) != 100 {
+		t.Fatalf("%d free after lending 100 at once, want 100", len(l.free))
+	}
+	for range 3 {
+		k := l.Lend()
+		l.Lend()
+		l.Return(k, func(*int) {}) // k stays lent: the round goes on
+		l.Lend()
+		l.Return(nil, func(*int) {})
+	}
+	trimmed := 0
+	l.Trim(func(*int) { trimmed++ })
+	if want := 3*keepFactor + keepSpare; len(l.free) != want || trimmed != want {
+		t.Fatalf("%d free, %d trimmed after lending at most three at a time, want %d", len(l.free), trimmed, want)
+	}
+	a := l.Lend()
+	l.Return(nil, func(*int) {})
+	l.Trim(func(*int) {})
+	if want := keepFactor + keepSpare; len(l.free) != want {
+		t.Fatalf("%d free after lending one at a time, want %d", len(l.free), want)
+	}
+	if l.Lend() != a {
+		t.Fatal("the value lent last was dropped")
+	}
+}

@@ -177,8 +177,10 @@ func (r *Rows) Scan(dest ...any) error {
 // append to. It returns nil before the first Next.
 //
 // The slices of one chunk of rows — those the cursor constructed under
-// one read lock — are cut from one allocation sized to the chunk, and
-// each enumeration label is boxed once.
+// one read lock, up to 256 — are cut from one allocation sized to the
+// chunk, and each enumeration label is boxed once. So a kept row keeps
+// its whole chunk's slices alive; a caller that keeps a few rows of a
+// long result should keep copies (slices.Clone).
 func (r *Rows) Values() []any {
 	row := r.cur.Row()
 	if row == nil {
