@@ -124,4 +124,12 @@ var UniversityQueries = []QueryTest{
 		Src: `[<e.ename> OF EACH e IN employees:
 			SOME t IN timetable ((t.tday >= wednesday) AND (e.enr < t.tenr))]`,
 	},
+	// Monadic terms comparing a string column with a string constant,
+	// on the free variable and (flipped) on the quantified one: the
+	// collection phase filters both ranges with the string kernel.
+	{
+		Name: "string-constant-range",
+		Src: `[<p.ptitle> OF EACH p IN papers: (p.ptitle < 'paper000030')
+			AND SOME e IN employees ((e.enr = p.penr) AND ('emp000010' <= e.ename))]`,
+	},
 }
