@@ -3,14 +3,15 @@
 //
 // A Batch materializes a fixed-capacity window of a relation scan in
 // column-major order, with row provenance kept as compact slot indexes
-// from which reference values are minted on demand. Columns of an
-// int-backed kind (integers, booleans, enumerations, references) are
-// stored unboxed as raw []int64 ordinal vectors — a quarter the width
-// of a boxed value, and the shape the branchless FilterOrdBits kernel
-// consumes; string columns stay boxed. Predicates evaluate as bulk
-// operations over whole columns, producing selection Bitmaps (one
-// uint64 word per 64 rows) that combine with bitwise AND/OR/AND-NOT
-// instead of branching per tuple.
+// from which reference values are minted on demand. Every column is a
+// plain vector of its schema kind: int-backed columns (integers,
+// booleans, enumerations, references) are raw []int64 ordinals — a
+// quarter the width of a boxed value, and the shape the branchless
+// FilterOrdBits kernel consumes — and string columns are []string, the
+// shape FilterStrBits consumes. Predicates evaluate as bulk operations
+// over whole columns, producing selection Bitmaps (one uint64 word per
+// 64 rows) that combine with bitwise AND/OR/AND-NOT instead of
+// branching per tuple.
 //
 // Bitmap maintains one invariant throughout: bits at positions >= Len()
 // are always zero, so Count, Empty, and word-level combination never
@@ -28,24 +29,23 @@ import (
 // relation's id (set once per scan with Configure) — a quarter the
 // width of a materialized reference value — and Ref mints the full
 // reference on demand, so only rows that survive selection ever pay
-// for one. Columns whose kind Configure declares int-backed are stored
-// unboxed in ords; the rest (and every column of an unconfigured
-// batch) are boxed in vals. Both kinds of vector are allocated on
-// first need, so a pooled batch reused across relations of different
-// column kinds only ever grows the vectors its scans fill.
+// for one. Configure declares each column's kind: int-backed columns
+// are stored in ords, string columns in strs. Both kinds of vector are
+// allocated on first need, so a pooled batch reused across relations of
+// different column kinds only ever grows the vectors its scans fill.
 type Batch struct {
 	slots []int32
 	relID int
-	kinds []value.Kind // per-column kinds; nil (unconfigured) boxes everything
+	kinds []value.Kind // per-column kinds
 	enums []string     // enumeration type name per enum column ("" otherwise)
 	ords  [][]int64
-	vals  [][]value.Value
+	strs  [][]string
 	cap   int
 }
 
 // New returns an empty batch holding up to capacity rows of ncols
-// columns, with every column boxed until Configure declares kinds. No
-// column vector is allocated until Configure or GrowVals needs it.
+// columns. It holds no column vector until Configure declares the
+// columns' kinds, which every scan does first.
 func New(ncols, capacity int) *Batch {
 	if capacity < 1 {
 		capacity = 1
@@ -53,18 +53,18 @@ func New(ncols, capacity int) *Batch {
 	return &Batch{
 		slots: make([]int32, 0, capacity),
 		ords:  make([][]int64, ncols),
-		vals:  make([][]value.Value, ncols),
+		strs:  make([][]string, ncols),
 		cap:   capacity,
 	}
 }
 
 // Configure prepares the batch for one scan: relID is the relation Ref
-// mints references against, kinds declares each column's storage class
-// (int-backed kinds go unboxed; nil boxes everything), and enums names
-// the enumeration type of each enum column (for reconstruction). The
-// kinds and enums slices are retained, not copied — callers pass
-// immutable schema-derived data. Configuring once per scan keeps
-// pooled batches safe to reuse across relations.
+// mints references against, kinds declares each column's kind
+// (int-backed or string), and enums names the enumeration type of each
+// enum column (for reconstruction). The kinds and enums slices are
+// retained, not copied — callers pass immutable schema-derived data.
+// Configuring once per scan keeps pooled batches safe to reuse across
+// relations.
 func (b *Batch) Configure(relID int, kinds []value.Kind, enums []string) {
 	b.relID = relID
 	b.kinds = kinds
@@ -73,15 +73,16 @@ func (b *Batch) Configure(relID int, kinds []value.Kind, enums []string) {
 		switch {
 		case value.OrdKind(k) && b.ords[c] == nil:
 			b.ords[c] = make([]int64, 0, b.cap)
-		case !value.OrdKind(k) && b.vals[c] == nil:
-			b.vals[c] = make([]value.Value, 0, b.cap)
+		case !value.OrdKind(k) && b.strs[c] == nil:
+			b.strs[c] = make([]string, 0, b.cap)
 		}
 	}
 }
 
-// IsOrd reports whether column c is stored unboxed.
+// IsOrd reports whether column c is int-backed; otherwise it holds
+// strings.
 func (b *Batch) IsOrd(c int) bool {
-	return c < len(b.kinds) && value.OrdKind(b.kinds[c])
+	return value.OrdKind(b.kinds[c])
 }
 
 func (b *Batch) enumOf(c int) string {
@@ -92,7 +93,7 @@ func (b *Batch) enumOf(c int) string {
 }
 
 // AppendSlot appends only the slot index of one row, deferring column
-// materialization to GrowOrds/GrowVals: the storage backend appends a
+// materialization to GrowOrds/GrowStrs: the storage backend appends a
 // stretch of live slot indexes first, then fills each masked column in
 // one pass. Slot indexes fit int32 by construction — an in-memory slot
 // array approaching 2^31 rows exhausts memory long before it exhausts
@@ -116,15 +117,11 @@ func (b *Batch) GrowOrds(c, n int) []int64 {
 	return col[len(col)-n:]
 }
 
-// GrowVals is GrowOrds for boxed columns. The first call on a column
-// Configure did not declare boxed allocates its vector.
-func (b *Batch) GrowVals(c, n int) []value.Value {
-	if b.vals[c] == nil {
-		b.vals[c] = make([]value.Value, 0, b.cap)
-	}
-	col := b.vals[c]
+// GrowStrs is GrowOrds for string columns.
+func (b *Batch) GrowStrs(c, n int) []string {
+	col := b.strs[c]
 	col = col[:len(col)+n]
-	b.vals[c] = col
+	b.strs[c] = col
 	return col[len(col)-n:]
 }
 
@@ -135,7 +132,7 @@ func (b *Batch) Len() int { return len(b.slots) }
 func (b *Batch) Cap() int { return b.cap }
 
 // NumCols returns the number of columns per row.
-func (b *Batch) NumCols() int { return len(b.vals) }
+func (b *Batch) NumCols() int { return len(b.ords) }
 
 // Full reports whether the batch reached capacity.
 func (b *Batch) Full() bool { return len(b.slots) >= b.cap }
@@ -147,8 +144,8 @@ func (b *Batch) Reset() {
 		if b.ords[c] != nil {
 			b.ords[c] = b.ords[c][:0]
 		}
-		if b.vals[c] != nil {
-			b.vals[c] = b.vals[c][:0]
+		if b.strs[c] != nil {
+			b.strs[c] = b.strs[c][:0]
 		}
 	}
 }
@@ -163,16 +160,23 @@ func (b *Batch) Ref(i int) value.Value {
 // Ords returns unboxed column c. Shared storage — read-only.
 func (b *Batch) Ords(c int) []int64 { return b.ords[c] }
 
-// Vals returns boxed column c. Shared storage — read-only.
-func (b *Batch) Vals(c int) []value.Value { return b.vals[c] }
+// Strs returns string column c. Shared storage — read-only.
+func (b *Batch) Strs(c int) []string { return b.strs[c] }
 
 // ColVal returns column c of row i as a value, reconstructing it from
-// the ordinal vector for unboxed columns.
+// the column's vector; boxing a string does not allocate.
 func (b *Batch) ColVal(c, i int) value.Value {
 	if b.IsOrd(c) {
 		return value.MakeOrd(b.kinds[c], b.ords[c][i], b.enumOf(c))
 	}
-	return b.vals[c][i]
+	return value.String_(b.strs[c][i])
+}
+
+// Row fills tuple, one value per column, with row i (see ColVal).
+func (b *Batch) Row(i int, tuple []value.Value) {
+	for c := range tuple {
+		tuple[c] = b.ColVal(c, i)
+	}
 }
 
 // Bitmap is a selection vector over the rows of one batch: bit i set

@@ -160,7 +160,7 @@ func appendRow(b *Batch, si int, tuple []value.Value) {
 		if b.IsOrd(c) {
 			b.GrowOrds(c, 1)[0] = v.Ord()
 		} else {
-			b.GrowVals(c, 1)[0] = v
+			b.GrowStrs(c, 1)[0] = v.AsString()
 		}
 	}
 }
@@ -170,7 +170,7 @@ func TestBatchAppendResetRow(t *testing.T) {
 	if b.Len() != 0 || b.Cap() != 4 || b.NumCols() != 2 {
 		t.Fatalf("fresh batch: len=%d cap=%d cols=%d", b.Len(), b.Cap(), b.NumCols())
 	}
-	// Column 0 is typed (unboxed ordinals), column 1 stays boxed.
+	// Column 0 holds ordinals, column 1 strings.
 	b.Configure(3, []value.Kind{value.KindInt, value.KindString}, []string{"", ""})
 	if !b.IsOrd(0) || b.IsOrd(1) {
 		t.Fatalf("IsOrd = %v,%v, want true,false", b.IsOrd(0), b.IsOrd(1))
@@ -197,6 +197,9 @@ func TestBatchAppendResetRow(t *testing.T) {
 	}
 	if got := b.ColVal(1, 3).AsString(); got != "a" {
 		t.Errorf("ColVal(1, 3) = %q, want a", got)
+	}
+	if got := b.Strs(1)[3]; got != "a" {
+		t.Errorf("strs col 1 row 3 = %q, want a", got)
 	}
 	b.Reset()
 	if b.Len() != 0 || b.Full() {

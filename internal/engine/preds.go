@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"pascalr/internal/calculus"
 	"pascalr/internal/colbatch"
@@ -64,23 +65,26 @@ func evalPreds(preds []batchPred, b *colbatch.Batch, sel *colbatch.Bitmap, st *s
 	return nil
 }
 
-// constPred compiles "col[ci] op rhs" into a bulk predicate.
-// Int-backed columns run the unboxed FilterOrdBits kernel over the
-// batch's raw ordinal vector: the column's kind is known from the
-// schema, so the constant is type-checked here, at compile time, and
-// no per-row kind dispatch remains. A mismatched constant is a
-// planning error; calculus.Check rejects every such comparison first
-// (schema.Type.Comparable), which TestComparableImpliesCompilable
-// holds the two to. String columns keep the boxed FilterBits path.
+// constPred compiles "col[ci] op rhs" into a bulk predicate over the
+// batch's column vector: FilterOrdBits over the raw ordinals of an
+// int-backed column, FilterStrBits over the strings of a string column.
+// The column's kind is known from the schema, so the constant is
+// type-checked here, at compile time, and no kernel has a per-row kind
+// dispatch or an error path. A mismatched constant is a planning error;
+// calculus.Check rejects every such comparison first
+// (schema.Type.Comparable), which TestComparableImpliesCompilable holds
+// the two to, both ways.
 func constPred(ci int, op value.CmpOp, rhs value.Value, sch *schema.RelSchema) (batchPred, error) {
-	if !value.OrdKind(sch.Cols[ci].Type.ValueKind()) {
+	if err := checkOperand(ci, rhs, sch); err != nil {
+		return batchPred{}, err
+	}
+	if rhs.Kind() == value.KindString {
+		r := rhs.AsString()
 		return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 			st.CountComparisons(sel.Count())
-			return op.FilterBits(b.Vals(ci), rhs, sel.Words())
+			op.FilterStrBits(b.Strs(ci), r, sel.Words())
+			return nil
 		}}, nil
-	}
-	if err := checkOrdOperand(ci, rhs, sch); err != nil {
-		return batchPred{}, err
 	}
 	r := rhs.Ord()
 	return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
@@ -90,9 +94,9 @@ func constPred(ci int, op value.CmpOp, rhs value.Value, sch *schema.RelSchema) (
 	}}, nil
 }
 
-// checkOrdOperand type-checks a value compared with the int-backed
-// column ci, so that kernels can compare raw ordinals.
-func checkOrdOperand(ci int, v value.Value, sch *schema.RelSchema) error {
+// checkOperand type-checks a value compared with column ci, so that
+// kernels compare raw ordinals or strings.
+func checkOperand(ci int, v value.Value, sch *schema.RelSchema) error {
 	col := sch.Cols[ci]
 	if k := col.Type.ValueKind(); v.Kind() != k {
 		return fmt.Errorf("engine: cannot compare %s column %s with %s value", k, col.Name, v.Kind())
@@ -107,7 +111,7 @@ func checkOrdOperand(ci int, v value.Value, sch *schema.RelSchema) error {
 // predicate. Field-versus-constant terms — the common case — go
 // through constPred, one (compile-time) kind dispatch per column
 // instead of per row; field-versus-field terms run a per-selected-row
-// loop, unboxed when both columns are int-backed.
+// loop over the two columns' ordinals or strings.
 func compileMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (batchPred, error) {
 	colIdx := func(f calculus.Field) (int, error) {
 		if f.Var != v {
@@ -124,6 +128,12 @@ func compileMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (batchPred
 	lf, lField := c.L.(calculus.Field)
 	rc, rConst := c.R.(calculus.Const)
 	rf, rField := c.R.(calculus.Field)
+	if (lConst && lc.Val.Kind() == value.KindRef) || (rConst && rc.Val.Kind() == value.KindRef) {
+		// A reference value does not name its relation's schema, so it
+		// cannot be checked against a reference column's type; Check
+		// refuses such a literal for the same reason.
+		return batchPred{}, fmt.Errorf("engine: cannot type the reference constant in %s", c)
+	}
 	switch {
 	case lField && rConst:
 		ci, err := colIdx(lf)
@@ -147,28 +157,25 @@ func compileMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (batchPred
 		if err != nil {
 			return batchPred{}, err
 		}
-		lk, rk := sch.Cols[li].Type.ValueKind(), sch.Cols[ri].Type.ValueKind()
-		if value.OrdKind(lk) || value.OrdKind(rk) {
+		lt, rt := sch.Cols[li].Type, sch.Cols[ri].Type
+		if !lt.Comparable(rt) {
 			// Same compile-time discipline as constPred.
-			if lk != rk {
-				return batchPred{}, fmt.Errorf("engine: cannot compare %s column %s with %s column %s", lk, sch.Cols[li].Name, rk, sch.Cols[ri].Name)
-			}
-			if lk == value.KindEnum && sch.Cols[li].Type.Name != sch.Cols[ri].Type.Name {
-				return batchPred{}, fmt.Errorf("engine: cannot compare enum %s column %s with enum %s column %s", sch.Cols[li].Type.Name, sch.Cols[li].Name, sch.Cols[ri].Type.Name, sch.Cols[ri].Name)
-			}
+			return batchPred{}, fmt.Errorf("engine: cannot compare %s column %s with %s column %s", lt, sch.Cols[li].Name, rt, sch.Cols[ri].Name)
+		}
+		if lt.ValueKind() == value.KindString {
 			return batchPred{cols: []int{li, ri}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 				st.CountComparisons(sel.Count())
-				lcol, rcol := b.Ords(li), b.Ords(ri)
+				lcol, rcol := b.Strs(li), b.Strs(ri)
 				return sel.Filter(func(i int) (bool, error) {
-					return op.HoldsOrd(lcol[i], rcol[i]), nil
+					return op.Holds(strings.Compare(lcol[i], rcol[i])), nil
 				})
 			}}, nil
 		}
 		return batchPred{cols: []int{li, ri}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 			st.CountComparisons(sel.Count())
-			lcol, rcol := b.Vals(li), b.Vals(ri)
+			lcol, rcol := b.Ords(li), b.Ords(ri)
 			return sel.Filter(func(i int) (bool, error) {
-				return op.Apply(lcol[i], rcol[i])
+				return op.HoldsOrd(lcol[i], rcol[i]), nil
 			})
 		}}, nil
 	case lConst && rConst:
@@ -315,9 +322,9 @@ func (rt *specRuntime) add(b *colbatch.Batch, sel, mon *colbatch.Bitmap, dyCols 
 		ci := dyCols[0]
 		rt.vl.Reserve(n)
 		if rt.vl.Kind() == value.KindString {
-			col := b.Vals(ci)
+			col := b.Strs(ci)
 			feed.Do(func(i int) bool {
-				rt.vl.AddString(col[i].AsString())
+				rt.vl.AddString(col[i])
 				return true
 			})
 			return
@@ -467,13 +474,13 @@ func membershipPred(vl *collection.ValueList, member bool, ci int, sch *schema.R
 		}
 		return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 			st.CountComparisons(sel.Count())
-			col := b.Vals(ci)
+			col := b.Strs(ci)
 			return sel.Filter(func(i int) (bool, error) {
-				return vl.HasString(col[i].AsString()) == member, nil
+				return vl.HasString(col[i]) == member, nil
 			})
 		}}, nil
 	}
-	if err := checkOrdOperand(ci, vl.Min(), sch); err != nil {
+	if err := checkOperand(ci, vl.Min(), sch); err != nil {
 		return batchPred{}, err
 	}
 	return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
@@ -489,16 +496,17 @@ func membershipPred(vl *collection.ValueList, member bool, ci int, sch *schema.R
 // distinct vn tuples, in insertion order: per selected row, a tuple
 // counts one comparison per term it tests and stops at the first
 // failing term; ALL stops at the first tuple that fails, SOME at the
-// first that matches. Int-backed term columns compare raw ordinals.
+// first that matches. Each term compares its column's ordinals or
+// strings with the tuple's value, whose kind is checked here, once.
 func tupleListPred(rt *specRuntime, cols []int, sch *schema.RelSchema) (batchPred, error) {
 	tuples, all := rt.tuples, rt.spec.All
 	ops := make([]value.CmpOp, len(cols))
-	ord := make([]bool, len(cols))
+	str := make([]bool, len(cols))
 	for i, d := range rt.spec.Dyadic {
 		ops[i] = d.Op
-		ord[i] = value.OrdKind(sch.Cols[cols[i]].Type.ValueKind())
-		if ord[i] && tuples.n > 0 {
-			if err := checkOrdOperand(cols[i], tuples.row(0)[i], sch); err != nil {
+		str[i] = sch.Cols[cols[i]].Type.ValueKind() == value.KindString
+		if tuples.n > 0 {
+			if err := checkOperand(cols[i], tuples.row(0)[i], sch); err != nil {
 				return batchPred{}, err
 			}
 		}
@@ -511,11 +519,10 @@ func tupleListPred(rt *specRuntime, cols []int, sch *schema.RelSchema) (batchPre
 				match := true
 				for i, ci := range cols {
 					n++
-					var err error
-					if ord[i] {
+					if str[i] {
+						match = ops[i].Holds(strings.Compare(b.Strs(ci)[r], tup[i].AsString()))
+					} else {
 						match = ops[i].HoldsOrd(b.Ords(ci)[r], tup[i].Ord())
-					} else if match, err = ops[i].Apply(b.Vals(ci)[r], tup[i]); err != nil {
-						return false, err
 					}
 					if !match {
 						break

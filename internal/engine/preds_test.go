@@ -54,14 +54,15 @@ func mixedCatalog(t *testing.T) *schema.Catalog {
 }
 
 // TestComparableImpliesCompilable is the contract between the type
-// checker and the predicate compiler: every comparison calculus.Check
-// accepts (schema.Type.Comparable) must compile, so a compile failure is
-// always a planning error on a selection Check would have refused —
-// never a reachable runtime surprise. It covers every ordered pair of
-// columns of the university and of a mixed-kind schema, every column
-// against every kind of constant in both orders, and constant pairs,
-// under all six operators. Widening Comparable without teaching the
-// compiler fails here.
+// checker and the predicate compiler, both ways: every comparison
+// calculus.Check accepts (schema.Type.Comparable) must compile, so a
+// compile failure is always a planning error on a selection Check would
+// have refused, and every comparison Check rejects must fail to
+// compile, so no kernel meets operands of the wrong kind at run time.
+// It covers every ordered pair of columns of the university and of a
+// mixed-kind schema, every column against every kind of constant in
+// both orders, and constant pairs, under all six operators. Widening or
+// narrowing Comparable without teaching the compiler fails here.
 func TestComparableImpliesCompilable(t *testing.T) {
 	udb := relation.NewDB()
 	if err := workload.DefineSchema(udb, workload.DefaultConfig(10)); err != nil {
@@ -97,6 +98,9 @@ func TestComparableImpliesCompilable(t *testing.T) {
 						_, compileErr := compileMonadic(cmp, "v", sch)
 						if checkErr != nil {
 							rejected++
+							if compileErr == nil {
+								t.Errorf("%s over %s: Check rejects (%v), the predicate compiler accepts", cmp, rel, checkErr)
+							}
 							continue
 						}
 						accepted++

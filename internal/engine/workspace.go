@@ -104,7 +104,7 @@ func (ws *workspace) batch(ncols int) *colbatch.Batch {
 // putBatch takes back a batch whose scan ended.
 func (ws *workspace) putBatch(b *colbatch.Batch) {
 	for c := range b.NumCols() {
-		recycle.Fill(b.Vals(c), recycle.Value)
+		recycle.Fill(b.Strs(c), recycle.Str)
 		recycle.Scrub(b.Ords(c), recycle.Word)
 	}
 	b.Reset()

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"pascalr/internal/colbatch"
 	"pascalr/internal/stats"
 	"pascalr/internal/storage"
 	"pascalr/internal/value"
@@ -67,8 +68,8 @@ func (r *Relation) createIndexLocked(col string) (*ColIndex, error) {
 		return nil, fmt.Errorf("relation %s: index on %s already exists", r.sch.Name, col)
 	}
 	ix := &ColIndex{rel: r, col: col, colIdx: ci, eq: make(map[string][]value.Value)}
-	if err := r.store.Scan(0, r.store.SlotSpan(), func(si int, tuple []value.Value) bool {
-		ix.add(tuple[ci], r.refOf(si))
+	if err := r.walk([]int{ci}, func(b *colbatch.Batch, i int) bool {
+		ix.add(b.ColVal(ci, i), b.Ref(i))
 		return true
 	}); err != nil {
 		return nil, fmt.Errorf("relation %s: index backfill: %w", r.sch.Name, err)

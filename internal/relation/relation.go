@@ -345,10 +345,41 @@ func (r *Relation) Scan(st *stats.Counters, fn func(ref value.Value, tuple []val
 		return err
 	}
 	st.CountScan(r.sch.Name)
-	return r.store.Scan(0, r.store.SlotSpan(), func(si int, tuple []value.Value) bool {
+	tuple := make([]value.Value, len(r.sch.Cols))
+	return r.walk(nil, func(b *colbatch.Batch, i int) bool {
+		b.Row(i, tuple)
 		st.CountTuples(1)
-		return fn(r.refOf(si), tuple)
+		return fn(b.Ref(i), tuple)
 	})
+}
+
+// errStopWalk ends a walk whose visitor returned false.
+var errStopWalk = errors.New("relation: walk stopped")
+
+// walkBatchRows is the most rows one batch of a walk holds.
+const walkBatchRows = 1024
+
+// walk hands every live row to fn in ascending slot order, through
+// column batches the store fills with the columns cols (nil = all): fn
+// gets the batch and the row's index in it, and returning false stops
+// the walk. A store error is returned. Callers hold the database lock.
+func (r *Relation) walk(cols []int, fn func(b *colbatch.Batch, i int) bool) error {
+	span := r.store.SlotSpan()
+	b := colbatch.New(len(r.sch.Cols), min(span, walkBatchRows))
+	b.Configure(r.id, r.batchKinds, r.batchEnums)
+	err := r.store.ScanBatchesInto(0, span, cols, b, func() error {
+		for i := range b.Len() {
+			if !fn(b, i) {
+				return errStopWalk
+			}
+		}
+		b.Reset()
+		return nil
+	})
+	if errors.Is(err, errStopWalk) {
+		return nil
+	}
+	return err
 }
 
 // SlotSpan returns the exclusive upper bound of slot indexes, the end
@@ -470,7 +501,9 @@ func (r *Relation) rebuildStatsLocked() {
 	rb := r.stTable.NewRebuild()
 	// A disk-tier read error aborts the rescan; committing a partial
 	// rebuild would be worse than keeping the drifted statistics.
-	if err := r.store.Scan(0, r.store.SlotSpan(), func(_ int, tuple []value.Value) bool {
+	tuple := make([]value.Value, len(r.sch.Cols))
+	if err := r.walk(nil, func(b *colbatch.Batch, i int) bool {
+		b.Row(i, tuple)
 		rb.Add(tuple)
 		return true
 	}); err != nil {

@@ -255,14 +255,14 @@ func (v *blockView) fill(b *colbatch.Batch, cols []int, r, k int) error {
 		switch {
 		case c >= len(v.kinds):
 			return fmt.Errorf("storage: scan wants column %d of a %d-column table", c, len(v.kinds))
-		case !b.IsOrd(c):
-			if err := v.vals(c, b.GrowVals(c, k), 1, r, k); err != nil {
+		case b.IsOrd(c) != value.OrdKind(v.kinds[c]):
+			return kindMismatch(b, c, v.kinds[c])
+		case b.IsOrd(c):
+			v.ords(c, b.GrowOrds(c, k), r)
+		default:
+			if err := v.strs(v.colOff[c], r, b.GrowStrs(c, k)); err != nil {
 				return err
 			}
-		case v.kinds[c] == value.KindString:
-			return fmt.Errorf("storage: scan wants string column %d as ordinals", c)
-		default:
-			v.ords(c, b.GrowOrds(c, k), r)
 		}
 	}
 	return nil
@@ -335,18 +335,18 @@ func (v *blockView) strSpan(off, r, k int) (all string, offs []byte, base int, e
 	return string(data[base:prev]), offs, base, nil
 }
 
-// strs appends the k strings from row r on of the string-laid-out
-// region at payload offset off to dst.
-func (v *blockView) strs(off, r, k int, dst []string) ([]string, error) {
-	all, offs, base, err := v.strSpan(off, r, k)
+// strs decodes the len(dst) strings from row r on of the
+// string-laid-out region at payload offset off into dst.
+func (v *blockView) strs(off, r int, dst []string) error {
+	all, offs, base, err := v.strSpan(off, r, len(dst))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	prev := 0
-	for j := 0; j < k; j++ {
+	for j := range dst {
 		next := int(binary.LittleEndian.Uint32(offs[4*(j+1):])) - base
-		dst = append(dst, all[prev:next])
+		dst[j] = all[prev:next]
 		prev = next
 	}
-	return dst, nil
+	return nil
 }

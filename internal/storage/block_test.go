@@ -31,8 +31,7 @@ func mixedTuple(i int) []value.Value {
 }
 
 // dumpBatches renders what ScanBatchesInto hands to flush over [lo, hi):
-// per batch the slots and every materialized column, unboxed or boxed as
-// the batch was configured.
+// per batch the slots and every materialized column vector.
 func dumpBatches(t *testing.T, be *Disk, lo, hi int, cols []int, kinds []value.Kind, enums []string, capacity int) string {
 	t.Helper()
 	ncols := len(mixedTuple(0))
@@ -52,7 +51,7 @@ func dumpBatches(t *testing.T, be *Disk, lo, hi int, cols []int, kinds []value.K
 			if b.IsOrd(c) {
 				fmt.Fprintf(&out, " ord%d %v\n", c, b.Ords(c))
 			} else {
-				fmt.Fprintf(&out, " val%d %v\n", c, b.Vals(c))
+				fmt.Fprintf(&out, " str%d %q\n", c, b.Strs(c))
 			}
 		}
 		b.Reset()
@@ -64,24 +63,10 @@ func dumpBatches(t *testing.T, be *Disk, lo, hi int, cols []int, kinds []value.K
 	return out.String()
 }
 
-func dumpScan(t *testing.T, be *Disk, lo, hi int) string {
-	t.Helper()
-	var out strings.Builder
-	err := be.Scan(lo, hi, func(si int, tuple []value.Value) bool {
-		fmt.Fprintf(&out, "%d:%v\n", si, tuple)
-		return true
-	})
-	if err != nil {
-		t.Fatalf("Scan(%d, %d): %v", lo, hi, err)
-	}
-	return out.String()
-}
-
-// dumpTypedBatches renders a ScanBatchesInto of every column over
-// [lo, hi), into a batch configured with kinds and enums (int-backed
-// columns unboxed), in dumpScan's format: each row is reconstructed from
-// the batch's columns.
-func dumpTypedBatches(t *testing.T, be *Disk, lo, hi int, kinds []value.Kind, enums []string) string {
+// dumpRows renders a ScanBatchesInto of every column over [lo, hi),
+// into a batch configured with kinds and enums, one "slot:tuple" line
+// per live row, each row boxed from the batch's columns.
+func dumpRows(t *testing.T, be *Disk, lo, hi int, kinds []value.Kind, enums []string) string {
 	t.Helper()
 	b := colbatch.New(len(kinds), 100)
 	b.Configure(7, kinds, enums)
@@ -103,10 +88,28 @@ func dumpTypedBatches(t *testing.T, be *Disk, lo, hi int, kinds []value.Kind, en
 	return out.String()
 }
 
+// dumpGets renders the live slots of the whole span in dumpRows's
+// format, each read on its own through Get: the point read's row decode
+// against which the batch fill is checked.
+func dumpGets(t *testing.T, be *Disk) string {
+	t.Helper()
+	var out strings.Builder
+	for si := 0; si < be.SlotSpan(); si++ {
+		tuple, ok, err := be.Get(si)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", si, err)
+		}
+		if ok {
+			fmt.Fprintf(&out, "%d:%v\n", si, tuple)
+		}
+	}
+	return out.String()
+}
+
 // compareBackends demands that mem and disk answer every read of the
 // store identically: full and sharded scans, batch fills
-// under random shard bounds, column masks (nil and empty included),
-// batch capacities and both batch configurations, and Get of every slot.
+// under random shard bounds, column masks (nil and empty included) and
+// batch capacities, and Get of every slot.
 func compareBackends(t *testing.T, stage string, rng *rand.Rand, mem, disk *Disk) {
 	t.Helper()
 	span := mem.SlotSpan()
@@ -124,17 +127,13 @@ func compareBackends(t *testing.T, stage string, rng *rand.Rand, mem, disk *Disk
 			lo = rng.Intn(span + 1)
 			hi = lo + rng.Intn(span+2-lo)
 		}
-		if m, d := dumpScan(t, mem, lo, hi), dumpScan(t, disk, lo, hi); m != d {
-			t.Fatalf("%s: Scan(%d, %d) diverged:\nmem:\n%s\ndisk:\n%s", stage, lo, hi, m, d)
+		if m, d := dumpRows(t, mem, lo, hi, kinds, enums), dumpRows(t, disk, lo, hi, kinds, enums); m != d {
+			t.Fatalf("%s: rows of [%d, %d) diverged:\nmem:\n%s\ndisk:\n%s", stage, lo, hi, m, d)
 		}
 		cols := masks[trial%len(masks)]
 		capacity := []int{1024, 5, 300}[trial%3]
-		bk, be := kinds, enums
-		if trial%4 == 3 {
-			bk, be = nil, nil // an unconfigured batch boxes every column
-		}
-		m := dumpBatches(t, mem, lo, hi, cols, bk, be, capacity)
-		d := dumpBatches(t, disk, lo, hi, cols, bk, be, capacity)
+		m := dumpBatches(t, mem, lo, hi, cols, kinds, enums, capacity)
+		d := dumpBatches(t, disk, lo, hi, cols, kinds, enums, capacity)
 		if m != d {
 			t.Fatalf("%s: ScanBatchesInto(%d, %d, %v) cap %d diverged:\nmem:\n%s\ndisk:\n%s", stage, lo, hi, cols, capacity, m, d)
 		}
@@ -212,9 +211,8 @@ func renderRow(out *strings.Builder, si int, cols []int, col func(c int) value.V
 }
 
 // checkModel holds d to the model over the slots [lo, hi) and the keys
-// probe: Get of every slot (one past each bound included), Scan,
-// ScanBatchesInto of every column and of a column list into a typed and
-// a boxed batch, and ProbeKey.
+// probe: Get of every slot (one past each bound included),
+// ScanBatchesInto of every column and of a column list, and ProbeKey.
 func checkModel(t *testing.T, stage string, m *storeModel, d *Disk, lo, hi int, probe []int) {
 	t.Helper()
 	if d.SlotSpan() != m.span {
@@ -227,41 +225,26 @@ func checkModel(t *testing.T, stage string, m *storeModel, d *Disk, lo, hi int, 
 			t.Fatalf("%s: Get(%d) = %v %v %v, the model holds %v %v", stage, si, got, ok, err, want, live)
 		}
 	}
-	var scan strings.Builder
-	err := d.Scan(lo, hi, func(si int, tuple []value.Value) bool {
-		renderRow(&scan, si, nil, func(c int) value.Value { return tuple[c] })
-		return true
-	})
-	if err != nil {
-		t.Fatalf("%s: Scan(%d, %d): %v", stage, lo, hi, err)
-	}
-	if want := m.rows(lo, hi, nil); scan.String() != want {
-		t.Fatalf("%s: Scan(%d, %d):\n%s\nthe model:\n%s", stage, lo, hi, scan.String(), want)
-	}
 	kinds, enums, err := columnsOf(mixedTuple(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cols := range [][]int{nil, {6, 2, 4}} {
-		for _, typed := range []bool{true, false} {
-			b := colbatch.New(len(kinds), 37)
-			if typed {
-				b.Configure(3, kinds, enums)
+		b := colbatch.New(len(kinds), 37)
+		b.Configure(3, kinds, enums)
+		var out strings.Builder
+		err := d.ScanBatchesInto(lo, hi, cols, b, func() error {
+			for i, si := range b.Slots() {
+				renderRow(&out, int(si), cols, func(c int) value.Value { return b.ColVal(c, i) })
 			}
-			var out strings.Builder
-			err := d.ScanBatchesInto(lo, hi, cols, b, func() error {
-				for i, si := range b.Slots() {
-					renderRow(&out, int(si), cols, func(c int) value.Value { return b.ColVal(c, i) })
-				}
-				b.Reset()
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s: ScanBatchesInto(%d, %d, %v) typed %v: %v", stage, lo, hi, cols, typed, err)
-			}
-			if want := m.rows(lo, hi, cols); out.String() != want {
-				t.Fatalf("%s: ScanBatchesInto(%d, %d, %v) typed %v:\n%s\nthe model:\n%s", stage, lo, hi, cols, typed, out.String(), want)
-			}
+			b.Reset()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: ScanBatchesInto(%d, %d, %v): %v", stage, lo, hi, cols, err)
+		}
+		if want := m.rows(lo, hi, cols); out.String() != want {
+			t.Fatalf("%s: ScanBatchesInto(%d, %d, %v):\n%s\nthe model:\n%s", stage, lo, hi, cols, out.String(), want)
 		}
 	}
 	for _, k := range probe {

@@ -2,9 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"strings"
 	"testing"
-
-	"pascalr/internal/value"
 )
 
 func bc(t *testing.T, budget int64) *BlockCache {
@@ -145,8 +144,8 @@ func TestDiskBlockCachePointReads(t *testing.T) {
 
 	// Scans bypass the cache: a full sweep must not change residency.
 	lenBefore := cache.Len()
-	if err := d.Scan(0, d.SlotSpan(), func(int, []value.Value) bool { return true }); err != nil {
-		t.Fatal(err)
+	if rows := snapshot(t, d, ituple); !strings.Contains(rows, fmt.Sprintf("%d:", slots[n-1])) {
+		t.Fatalf("full sweep missed the last row:\n%s", rows)
 	}
 	if cache.Len() != lenBefore {
 		t.Fatalf("scan changed cache residency %d -> %d", lenBefore, cache.Len())

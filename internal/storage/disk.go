@@ -184,41 +184,6 @@ func (d *Disk) tableFor(si int) *ssTable {
 	return nil
 }
 
-// Scan calls fn for every live slot in [lo, hi) in ascending slot order
-// — tables in range order, then the memtable — until fn returns false.
-// Bounds are clamped to the slot span. The tuple lives in a buffer the
-// scan reuses: fn must neither modify nor retain it.
-func (d *Disk) Scan(lo, hi int, fn func(si int, tuple []value.Value) bool) error {
-	lo, hi = d.clampScan(lo, hi)
-	var buf []value.Value
-	if lo < d.memBase {
-		keep, err := d.walkBlocks(lo, hi, func(v *blockView, r, end int) (bool, error) {
-			var err error
-			if buf, err = v.tuples(buf, r, end); err != nil {
-				return false, err
-			}
-			n := len(v.kinds)
-			for j := r; j < end; j++ {
-				if si := v.slot(j); !d.dead[si] && !fn(si, buf[(j-r)*n:][:n:n]) {
-					return false, nil
-				}
-			}
-			return true, nil
-		})
-		if err != nil || !keep {
-			return err
-		}
-	}
-	for si := max(lo, d.memBase); si < hi; si++ {
-		if i := si - d.memBase; d.mem.live[i] {
-			if buf = d.mem.row(i, buf); !fn(si, buf) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
 // walkBlocks hands the table-resident rows of [lo, hi) to fn a block at
 // a time, tables in range order (see ssTable.scanBlocks); keep reports
 // whether fn let the walk run to the end.

@@ -91,9 +91,9 @@ func FuzzDecodeManifest(f *testing.F) {
 }
 
 // drainView runs every decoder of a parsed block over all its rows:
-// tuples (Scan, get), the column-run decode (compaction) and the batch
-// fill, typed and boxed. None may panic or read outside the payload,
-// whatever the string offsets hold.
+// tuples (get), the column-run decode (compaction) and the batch fill.
+// None may panic or read outside the payload, whatever the string
+// offsets hold.
 func drainView(v *blockView) {
 	_, _ = v.tuples(nil, 0, v.rows)
 	var run colRun
@@ -105,8 +105,6 @@ func drainView(v *blockView) {
 	typed := colbatch.New(len(v.kinds), v.rows)
 	typed.Configure(0, v.kinds, v.enums)
 	_ = v.fill(typed, cols, 0, v.rows)
-	boxed := colbatch.New(len(v.kinds), v.rows)
-	_ = v.fill(boxed, cols, 0, v.rows)
 	for j := 0; j < typed.Len(); j++ {
 		_ = typed.Ref(j) // a slot past 31 bits would panic here
 	}

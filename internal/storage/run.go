@@ -78,17 +78,22 @@ func (m *colRun) addBlock(v *blockView, r, k int) error {
 	if !slices.Equal(v.kinds, m.kinds) || !slices.Equal(v.enums, m.enums) {
 		return fmt.Errorf("block columns %v %q, the run's %v %q", v.kinds, v.enums, m.kinds, m.enums)
 	}
-	var err error
 	for c, kind := range m.kinds {
 		if kind != value.KindString {
 			n := len(m.ords[c])
 			m.ords[c] = append(m.ords[c], make([]int64, k)...)
 			v.ords(c, m.ords[c][n:], r)
-		} else if m.strs[c], err = v.strs(v.colOff[c], r, k, m.strs[c]); err != nil {
+			continue
+		}
+		n := len(m.strs[c])
+		m.strs[c] = append(m.strs[c], make([]string, k)...)
+		if err := v.strs(v.colOff[c], r, m.strs[c][n:]); err != nil {
 			return err
 		}
 	}
-	if m.keys, err = v.strs(v.colOff[len(v.kinds)], r, k, m.keys); err != nil {
+	n := len(m.keys)
+	m.keys = append(m.keys, make([]string, k)...)
+	if err := v.strs(v.colOff[len(v.kinds)], r, m.keys[n:]); err != nil {
 		return err
 	}
 	for j := r; j < r+k; j++ {
@@ -150,18 +155,25 @@ func (m *colRun) fill(b *colbatch.Batch, cols []int, r, k int) error {
 	}
 	for _, c := range cols {
 		switch {
-		case b.IsOrd(c) && m.kinds[c] == value.KindString:
-			return fmt.Errorf("storage: scan wants string column %d as ordinals", c)
+		case b.IsOrd(c) != value.OrdKind(m.kinds[c]):
+			return kindMismatch(b, c, m.kinds[c])
 		case b.IsOrd(c):
 			copy(b.GrowOrds(c, k), m.ords[c][r:r+k])
 		default:
-			dst := b.GrowVals(c, k)
-			for j := range dst {
-				dst[j] = m.cell(c, r+j)
-			}
+			copy(b.GrowStrs(c, k), m.strs[c][r:r+k])
 		}
 	}
 	return nil
+}
+
+// kindMismatch refuses a fill of column c, stored as kind, into a
+// batch that declared the other vector for it.
+func kindMismatch(b *colbatch.Batch, c int, kind value.Kind) error {
+	want := "strings"
+	if b.IsOrd(c) {
+		want = "ordinals"
+	}
+	return fmt.Errorf("storage: scan wants %s column %d as %s", kind, c, want)
 }
 
 // liveStretches calls fn(r, k) for every maximal stretch [r, r+k) of

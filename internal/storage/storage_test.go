@@ -22,18 +22,14 @@ func ituple(i int) []value.Value {
 }
 
 // snapshot captures the slot span and every live slot's tuple, for
-// equivalence comparisons.
-func snapshot(t *testing.T, b *Disk) string {
+// equivalence comparisons; the store holds rows shaped like tuple(0).
+func snapshot(t *testing.T, b *Disk, tuple func(int) []value.Value) string {
 	t.Helper()
-	out := fmt.Sprintf("span=%d\n", b.SlotSpan())
-	err := b.Scan(0, b.SlotSpan(), func(si int, tuple []value.Value) bool {
-		out += fmt.Sprintf("%d:%s\n", si, value.EncodeKey(tuple))
-		return true
-	})
+	kinds, enums, err := columnsOf(tuple(0))
 	if err != nil {
-		t.Fatalf("scan: %v", err)
+		t.Fatal(err)
 	}
-	return out
+	return fmt.Sprintf("span=%d\n", b.SlotSpan()) + dumpRows(t, b, 0, b.SlotSpan(), kinds, enums)
 }
 
 // TestMemoryDiskEquivalence drives an identical randomized mutation
@@ -87,12 +83,12 @@ func TestMemoryDiskEquivalence(t *testing.T) {
 			present[k] = true
 		}
 		if step%50 == 0 {
-			if m, d := snapshot(t, mem), snapshot(t, disk); m != d {
+			if m, d := snapshot(t, mem, ituple), snapshot(t, disk, ituple); m != d {
 				t.Fatalf("step %d: scans diverged:\nmem:\n%s\ndisk:\n%s", step, m, d)
 			}
 		}
 	}
-	if m, d := snapshot(t, mem), snapshot(t, disk); m != d {
+	if m, d := snapshot(t, mem, ituple), snapshot(t, disk, ituple); m != d {
 		t.Fatalf("final scans diverged:\nmem:\n%s\ndisk:\n%s", m, d)
 	}
 	for k := 0; k < 60; k++ {
@@ -204,12 +200,12 @@ func TestDiskCompaction(t *testing.T) {
 	if err := d.Delete(si, ikey(1)); err != nil { // now more than half dead
 		t.Fatal(err)
 	}
-	before := snapshot(t, d)
+	before := snapshot(t, d, ituple)
 	nBefore := d.TableCount()
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshot(t, d); got != before {
+	if got := snapshot(t, d, ituple); got != before {
 		t.Fatalf("compaction changed state:\nbefore:\n%s\nafter:\n%s", before, got)
 	}
 	if d.TableCount() != 1 {
@@ -232,7 +228,7 @@ func TestDiskCompaction(t *testing.T) {
 			t.Fatalf("superseded file %s survived DropObsolete", name)
 		}
 	}
-	if got := snapshot(t, d); got != before {
+	if got := snapshot(t, d, ituple); got != before {
 		t.Fatal("state changed after DropObsolete")
 	}
 }
@@ -257,7 +253,7 @@ func TestDiskMetaRoundTrip(t *testing.T) {
 	if err := d.Flush(); err != nil { // Meta requires an empty memtable
 		t.Fatal(err)
 	}
-	want := snapshot(t, d)
+	want := snapshot(t, d, ituple)
 	meta := d.Meta()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -267,7 +263,7 @@ func TestDiskMetaRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	if got := snapshot(t, rd); got != want {
+	if got := snapshot(t, rd, ituple); got != want {
 		t.Fatalf("reopened state diverged:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	for i := 0; i < 50; i++ {
@@ -603,7 +599,7 @@ func TestSplitRecordChunks(t *testing.T) {
 // half-registered entry would answer key probes while being invisible
 // to scans. Every column of the memtable's run must be back in step
 // with its rows, so that batch fills of the rows that stay agree with
-// Scan.
+// Get.
 func TestDiskAppendFlushFailureRollsBack(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "missing")
 	d := NewDisk(dir, 0, Options{MemtableEntries: 3, Fsync: SyncNever}, nil)
@@ -613,7 +609,7 @@ func TestDiskAppendFlushFailureRollsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := snapshot(t, d)
+	before := snapshot(t, d, mixedTuple)
 	if _, err := d.Append(ikey(3), mixedTuple(3)); err == nil {
 		t.Fatal("append with failing flush reported success")
 	}
@@ -623,7 +619,7 @@ func TestDiskAppendFlushFailureRollsBack(t *testing.T) {
 	if _, ok := d.LookupKey(ikey(3)); ok {
 		t.Fatal("rolled-back entry still answers key lookups")
 	}
-	if got := snapshot(t, d); got != before {
+	if got := snapshot(t, d, mixedTuple); got != before {
 		t.Fatalf("rolled-back entry visible to scans:\n%s", got)
 	}
 	for c := range d.mem.kinds {
@@ -635,8 +631,8 @@ func TestDiskAppendFlushFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := dumpTypedBatches(t, d, 0, d.SlotSpan(), kinds, enums), dumpScan(t, d, 0, d.SlotSpan()); got != want {
-		t.Fatalf("typed batch fill after the rolled-back append diverged from Scan:\nbatches:\n%s\nscan:\n%s", got, want)
+	if got, want := dumpRows(t, d, 0, d.SlotSpan(), kinds, enums), dumpGets(t, d); got != want {
+		t.Fatalf("batch fill after the rolled-back append diverged from Get:\nbatches:\n%s\nGet:\n%s", got, want)
 	}
 	// With the failure cause repaired, the same append must succeed and
 	// reuse the never-published slot.
@@ -656,8 +652,8 @@ func TestDiskAppendFlushFailureRollsBack(t *testing.T) {
 }
 
 // TestScanBatchesRefusesStringAsOrdinals: a batch that wants a string
-// column unboxed is refused with an error, whether the rows sit in the
-// memtable (which mirrors only int-backed columns) or in SSTable blocks.
+// column as ordinals, or an int-backed one as strings, is refused with
+// an error, whether the rows sit in the memtable or in SSTable blocks.
 func TestScanBatchesRefusesStringAsOrdinals(t *testing.T) {
 	mem := NewMemory()
 	disk := NewDisk(t.TempDir(), 0, Options{MemtableEntries: 2, Fsync: SyncNever}, nil)
@@ -669,13 +665,18 @@ func TestScanBatchesRefusesStringAsOrdinals(t *testing.T) {
 			}
 		}
 	}
-	b := colbatch.New(2, 8)
-	b.Configure(0, []value.Kind{value.KindInt, value.KindInt}, nil)
-	for name, s := range map[string]*Disk{"memtable": mem, "blocks": disk} {
-		b.Reset()
-		err := s.ScanBatchesInto(0, s.SlotSpan(), []int{1}, b, func() error { b.Reset(); return nil })
-		if err == nil || !strings.Contains(err.Error(), "as ordinals") {
-			t.Errorf("%s: string column filled as ordinals: %v", name, err)
+	for _, tc := range []struct {
+		col  int
+		want string
+	}{{1, "as ordinals"}, {0, "as strings"}} {
+		b := colbatch.New(2, 8)
+		b.Configure(0, []value.Kind{value.KindString, value.KindInt}, nil)
+		for name, s := range map[string]*Disk{"memtable": mem, "blocks": disk} {
+			b.Reset()
+			err := s.ScanBatchesInto(0, s.SlotSpan(), []int{tc.col}, b, func() error { b.Reset(); return nil })
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: column %d filled %s: %v", name, tc.col, tc.want, err)
+			}
 		}
 	}
 }
@@ -685,7 +686,7 @@ func TestScanBatchesRefusesStringAsOrdinals(t *testing.T) {
 // an explicit Flush) leave no table and no file in the working
 // directory, accesses are priced at the unit profile, and the batch
 // fill from the memtable's run — which holds exactly the int-backed
-// columns as ordinals — agrees with Scan.
+// columns as ordinals — agrees with Get.
 func TestMemoryStoreWritesNoFiles(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -727,8 +728,8 @@ func TestMemoryStoreWritesNoFiles(t *testing.T) {
 			t.Fatalf("column %d (%s): held as ordinals = %v", c, k, ords)
 		}
 	}
-	if got, want := dumpTypedBatches(t, m, 0, m.SlotSpan(), kinds, enums), dumpScan(t, m, 0, m.SlotSpan()); got != want {
-		t.Fatal("typed batch fill diverged from Scan")
+	if got, want := dumpRows(t, m, 0, m.SlotSpan(), kinds, enums), dumpGets(t, m); got != want {
+		t.Fatal("batch fill diverged from Get")
 	}
 }
 

@@ -115,141 +115,16 @@ func (op CmpOp) Apply(a, b Value) (bool, error) {
 	return op.Holds(c), nil
 }
 
-// FilterBits evaluates "col[i] op rhs" in bulk over the rows whose bit
-// is set in words (bit i of words selects col[i]) and clears the bits
-// of rows where the comparison does not hold. Bits at positions >=
-// len(col) must be zero. It errors exactly where a row-at-a-time
-// Compare would, at the first offending selected row in ascending
-// order; the words are left partially filtered in that case.
-//
-// The payload-typed fast paths below are the point: one kind switch
-// per column instead of per row, no closures, and word-sized writes,
-// which is what makes bitmap predicate evaluation worth batching for.
-func (op CmpOp) FilterBits(col []Value, rhs Value, words []uint64) error {
-	switch rhs.kind {
-	case KindInt, KindBool, KindRef:
-		r, k := rhs.i, rhs.kind
-		for wi, w := range words {
-			// Dense word: most rows selected, so walk all 64 values
-			// sequentially — perfectly predicted branches and hardware
-			// prefetch — and mask the result with the selection,
-			// instead of extracting set bits one by one. The early
-			// predicates of a conjunctive chain run at near-full
-			// density, which makes this the hot loop of a scan. A kind
-			// mismatch anywhere in the word (which row-at-a-time
-			// evaluation might not even reach) falls back to the
-			// sparse path, so errors surface exactly where a per-row
-			// Compare would raise them.
-			if bits.OnesCount64(w) >= 32 && wi*64+64 <= len(col) {
-				var res uint64
-				mixed := false
-				for j, v := range col[wi*64 : wi*64+64] {
-					if v.kind != k {
-						mixed = true
-						break
-					}
-					if op.Holds(cmpInt64(v.i, r)) {
-						res |= uint64(1) << uint(j)
-					}
-				}
-				if !mixed {
-					words[wi] = w & res
-					continue
-				}
-			}
-			keep := w
-			for m := w; m != 0; m &= m - 1 {
-				v := col[wi*64+bits.TrailingZeros64(m)]
-				if v.kind != k {
-					return fmt.Errorf("value: cannot compare %s with %s", v.kind, k)
-				}
-				if !op.Holds(cmpInt64(v.i, r)) {
-					keep &^= m & -m
-				}
-			}
-			words[wi] = keep
-		}
-		return nil
-	case KindString:
-		r := rhs.s
-		for wi, w := range words {
-			keep := w
-			for m := w; m != 0; m &= m - 1 {
-				v := col[wi*64+bits.TrailingZeros64(m)]
-				if v.kind != KindString {
-					return fmt.Errorf("value: cannot compare %s with %s", v.kind, KindString)
-				}
-				if !op.Holds(strings.Compare(v.s, r)) {
-					keep &^= m & -m
-				}
-			}
-			words[wi] = keep
-		}
-		return nil
-	case KindEnum:
-		for wi, w := range words {
-			// Dense word, see the int case; the mismatch fallback here
-			// also covers enum-type mismatches.
-			if bits.OnesCount64(w) >= 32 && wi*64+64 <= len(col) {
-				var res uint64
-				mixed := false
-				for j, v := range col[wi*64 : wi*64+64] {
-					if v.kind != KindEnum || v.s != rhs.s {
-						mixed = true
-						break
-					}
-					if op.Holds(cmpInt64(v.i, rhs.i)) {
-						res |= uint64(1) << uint(j)
-					}
-				}
-				if !mixed {
-					words[wi] = w & res
-					continue
-				}
-			}
-			keep := w
-			for m := w; m != 0; m &= m - 1 {
-				v := col[wi*64+bits.TrailingZeros64(m)]
-				if v.kind != KindEnum {
-					return fmt.Errorf("value: cannot compare %s with %s", v.kind, KindEnum)
-				}
-				if v.s != rhs.s {
-					return fmt.Errorf("value: cannot compare enum %s with enum %s", v.s, rhs.s)
-				}
-				if !op.Holds(cmpInt64(v.i, rhs.i)) {
-					keep &^= m & -m
-				}
-			}
-			words[wi] = keep
-		}
-		return nil
-	default:
-		for wi, w := range words {
-			keep := w
-			for m := w; m != 0; m &= m - 1 {
-				ok, err := op.Apply(col[wi*64+bits.TrailingZeros64(m)], rhs)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					keep &^= m & -m
-				}
-			}
-			words[wi] = keep
-		}
-		return nil
-	}
-}
-
 // HoldsOrd reports whether "a op b" holds for two Ord payloads of the
 // same (compile-time-checked) int-backed kind.
 func (op CmpOp) HoldsOrd(a, b int64) bool {
 	return op.Holds(cmpInt64(a, b))
 }
 
-// FilterOrdBits is FilterBits over an unboxed ordinal column: it
-// evaluates "col[i] op r" for the rows whose bit is set in words and
-// clears the bits where the comparison does not hold. The caller (the
+// FilterOrdBits evaluates "col[i] op r" in bulk over an unboxed
+// ordinal column, for the rows whose bit is set in words (bit i selects
+// col[i]; bits at positions >= len(col) must be zero), and clears the
+// bits of rows where the comparison does not hold. The caller (the
 // vectorized predicate compiler) has type-checked the column against
 // the constant at compile time, so no per-row kind checks remain and
 // the function cannot fail. Dense words run a sequential compare over
@@ -309,6 +184,22 @@ func (op CmpOp) FilterOrdBits(col []int64, r int64, words []uint64) {
 		keep := w
 		for m := w; m != 0; m &= m - 1 {
 			if !op.Holds(cmpInt64(col[base+bits.TrailingZeros64(m)], r)) {
+				keep &^= m & -m
+			}
+		}
+		words[wi] = keep
+	}
+}
+
+// FilterStrBits is FilterOrdBits over a string column, comparing
+// lexicographically as Compare does. The column and r are strings by a
+// compile-time check, so it cannot fail either. It visits only the
+// selected rows: a string compare costs more than extracting a bit.
+func (op CmpOp) FilterStrBits(col []string, r string, words []uint64) {
+	for wi, w := range words {
+		keep := w
+		for m := w; m != 0; m &= m - 1 {
+			if !op.Holds(strings.Compare(col[wi*64+bits.TrailingZeros64(m)], r)) {
 				keep &^= m & -m
 			}
 		}

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -96,80 +97,38 @@ func TestApplyOnStrings(t *testing.T) {
 	}
 }
 
-// TestFilterBitsMatchesApply cross-checks the bulk filter against
-// row-at-a-time Apply for every operator and kind pairing, over lengths
-// straddling word boundaries.
-func TestFilterBitsMatchesApply(t *testing.T) {
-	mk := func(kind string, i int) Value {
-		switch kind {
-		case "int":
-			return Int(int64(i % 7))
-		case "string":
-			return String_(string(rune('a' + i%5)))
-		case "bool":
-			return Bool(i%2 == 0)
-		case "enum":
-			return Enum("color", i%3)
-		case "ref":
-			return Ref(1, i%9, 0)
-		default:
-			panic(kind)
-		}
+// TestFilterStrBitsMatchesCompare cross-checks the string kernel
+// against a row-at-a-time strings.Compare for every operator, over
+// lengths straddling word boundaries, under a dense selection (every
+// row but each third) and a sparse one (each fifth row).
+func TestFilterStrBitsMatchesCompare(t *testing.T) {
+	selections := map[string]func(i int) bool{
+		"dense":  func(i int) bool { return i%3 != 1 },
+		"sparse": func(i int) bool { return i%5 == 2 },
 	}
-	for _, kind := range []string{"int", "string", "bool", "enum", "ref"} {
-		for _, n := range []int{0, 1, 63, 64, 65, 130} {
-			col := make([]Value, n)
-			for i := range col {
-				col[i] = mk(kind, i)
-			}
-			rhs := mk(kind, 3)
-			for _, op := range AllOps {
-				words := make([]uint64, (n+63)/64)
-				// Start from an arbitrary selection, not all-ones.
-				for i := 0; i < n; i++ {
-					if i%3 != 1 {
-						words[i/64] |= 1 << uint(i%64)
-					}
-				}
-				before := append([]uint64(nil), words...)
-				if err := op.FilterBits(col, rhs, words); err != nil {
-					t.Fatalf("%s %v n=%d: %v", kind, op, n, err)
-				}
-				for i := 0; i < n; i++ {
-					sel := before[i/64]&(1<<uint(i%64)) != 0
-					want := false
-					if sel {
-						ok, err := op.Apply(col[i], rhs)
-						if err != nil {
-							t.Fatal(err)
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		col := make([]string, n)
+		for i := range col {
+			col[i] = strings.Repeat(string(rune('a'+i%5)), 1+i%3)
+		}
+		for _, r := range []string{"", "c", "cc", "z"} {
+			for name, selected := range selections {
+				for _, op := range AllOps {
+					words := make([]uint64, (n+63)/64)
+					for i := 0; i < n; i++ {
+						if selected(i) {
+							words[i/64] |= 1 << uint(i%64)
 						}
-						want = ok
 					}
-					got := words[i/64]&(1<<uint(i%64)) != 0
-					if got != want {
-						t.Fatalf("%s %v n=%d row %d: got %v want %v", kind, op, n, i, got, want)
+					op.FilterStrBits(col, r, words)
+					for i := 0; i < n; i++ {
+						want := selected(i) && op.Holds(strings.Compare(col[i], r))
+						if got := words[i/64]&(1<<uint(i%64)) != 0; got != want {
+							t.Fatalf("%s n=%d %q %v %q row %d: got %v want %v", name, n, col[i], op, r, i, got, want)
+						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestFilterBitsKindMismatch: the bulk path must surface the same
-// errors Compare would, only for selected rows.
-func TestFilterBitsKindMismatch(t *testing.T) {
-	col := []Value{Int(1), String_("x"), Int(3)}
-	words := []uint64{0b101} // row 1 (the string) not selected
-	if err := OpEq.FilterBits(col, Int(2), words); err != nil {
-		t.Errorf("unselected mismatched row errored: %v", err)
-	}
-	words[0] = 0b111
-	if err := OpEq.FilterBits(col, Int(2), words); err == nil {
-		t.Errorf("selected kind mismatch did not error")
-	}
-	ecol := []Value{Enum("color", 1), Enum("size", 1)}
-	words[0] = 0b11
-	if err := OpEq.FilterBits(ecol, Enum("color", 0), words); err == nil {
-		t.Errorf("enum type mismatch did not error")
 	}
 }
