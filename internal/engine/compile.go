@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -220,10 +221,11 @@ const maxStaleRetries = 4
 // under the checked result schema. It is the run-time half of the old
 // one-shot Eval: collection, combination, and construction against the
 // compiled template. When a concurrent writer invalidates references
-// before construction finishes (relation.ErrStale), Eval re-executes
-// against the new contents — optimistic concurrency for the
-// materializing path; only a writer that keeps winning the race through
-// every retry surfaces the error.
+// before construction finishes, or keeps committing while the
+// execution aligns its template with the contents (relation.ErrStale),
+// Eval re-executes against the new contents — optimistic concurrency
+// for the materializing path; only a writer that keeps winning the race
+// through every retry surfaces the error.
 func (p *Plan) Eval(ctx context.Context) ([][]value.Value, error) {
 	return p.EvalWith(ctx, nil)
 }
@@ -238,6 +240,10 @@ func (p *Plan) EvalWith(ctx context.Context, override func(*Options)) ([][]value
 	var lastErr error
 	for attempt := 0; attempt <= maxStaleRetries; attempt++ {
 		cur, err := p.RowsWith(ctx, override)
+		if errors.Is(err, relation.ErrStale) {
+			lastErr = err
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -263,11 +269,17 @@ func (p *Plan) EvalWith(ctx context.Context, override func(*Options)) ([][]value
 // maxSnapshotRetries bounds the optimistic loop that aligns a
 // revalidated template with the contents the collection phase will
 // read: when a writer commits between revalidation and lock
-// acquisition, the execution refolds and retries. After the budget it
-// proceeds with the latest template — the runtime Lemma 1 adaptation
-// still catches ranges that emptied, matching the serial engine's
-// behaviour under interleaved mutations.
+// acquisition, the execution refolds and retries. After the budget the
+// execution fails with the retryable relation.ErrStale: the template's
+// fold may have removed a range that the last commit filled, which the
+// runtime Lemma 1 adaptation (it catches only ranges that emptied)
+// would not notice.
 const maxSnapshotRetries = 3
+
+// beforeSnapshot runs between a template's revalidation and the read
+// lock the collection phase takes. It is a variable so a test can
+// commit in that window; nothing else sets it.
+var beforeSnapshot = func() {}
 
 // Rows executes the collection and combination phases eagerly and
 // returns a streaming cursor that runs the construction phase one
@@ -349,13 +361,17 @@ func (p *Plan) execute(ctx context.Context, override func(*Options), keepPlan bo
 		if override != nil {
 			override(&opts)
 		}
+		beforeSnapshot()
 		e.db.RLock()
-		if e.db.Version() != ver && attempt < maxSnapshotRetries {
+		if e.db.Version() != ver {
 			// A writer committed since revalidation: the fold (and any
 			// self-derived statistics) may describe contents the scans
 			// will not see. Retry against the new version.
 			e.db.RUnlock()
-			continue
+			if attempt < maxSnapshotRetries {
+				continue
+			}
+			return nil, nil, fmt.Errorf("engine: %w: a writer committed during each of %d snapshot attempts", relation.ErrStale, attempt+1)
 		}
 		opts.maxAdaptations = len(x.Prefix) + len(x.Free) + len(x.Specs) + 2
 		pp, err = e.collectWithAdaptation(ctx, x, execSt, opts, ws)
