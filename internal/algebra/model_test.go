@@ -37,8 +37,7 @@ var modelPool = []string{"a", "b", "c", "d"}
 // randRel draws a relation of arity 0–3 over modelPool, possibly empty,
 // whose words repeat often enough to produce duplicates and join
 // matches. A variable's words all point into one relation, so shared
-// columns compare like references do. The relation is lent by ws (nil:
-// allocated).
+// columns compare like references do. The relation is lent by ws.
 func randRel(rng *rand.Rand, ws *Workspace, vars []string) (*RefRel, *model) {
 	r, m := ws.New(vars, nil), newModel(vars)
 	n := rng.Intn(10)
@@ -193,25 +192,27 @@ func checkOp(t *testing.T, what string, got *RefRel, want *model, st *stats.Coun
 // set and join probe goes through the word comparison. The "recycled"
 // run lends every relation and scratch table from one workspace,
 // released after each iteration with returned memory poisoned, so each
-// iteration builds in memory the previous one filled with garbage.
+// iteration builds in memory the previous one filled with garbage; the
+// other runs take a fresh workspace per iteration.
 func TestCombinationMatchesModel(t *testing.T) {
 	for _, mode := range []string{"hash", "one hash", "recycled"} {
 		t.Run(mode, func(t *testing.T) {
-			var ws *Workspace
+			ws := &Workspace{}
 			switch mode {
 			case "one hash":
 				rowHash = func([]int64) uint64 { return 0 }
 				t.Cleanup(func() { rowHash = hashRow })
 			case "recycled":
-				ws = &Workspace{}
 				recycle.Poison = true
 				t.Cleanup(func() { recycle.Poison = false })
 			}
 			rng := rand.New(rand.NewSource(7))
 			ctx := context.Background()
 			for it := 0; it < 1500; it++ {
-				if ws != nil {
+				if mode == "recycled" {
 					ws.Release(nil)
+				} else {
+					ws = &Workspace{}
 				}
 				a, am := randRel(rng, ws, randVars(rng))
 				if got := rowsOf(a); !sameRows(got, am.rows) {

@@ -201,19 +201,11 @@ type RefRel struct {
 	varIdx map[string]int
 	set    tupleSet
 	st     *stats.Counters
-	ws     *Workspace // lender of the relation and of what derives from it; nil when allocated
+	ws     *Workspace // lender of the relation and of what derives from it
 
 	// distinctCache memoizes DistinctOn per column set; invalidated on
 	// Add. Join-size estimation queries the same pieces repeatedly.
 	distinctCache map[string]int
-}
-
-// New creates an empty reference relation with the given variable
-// columns. Tuples added through Add are counted against st.
-func New(vars []string, st *stats.Counters) *RefRel {
-	r := &RefRel{varIdx: make(map[string]int, len(vars))}
-	r.init(vars, st)
-	return r
 }
 
 // init sets an empty relation's columns and sink.

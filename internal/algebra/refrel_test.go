@@ -45,9 +45,14 @@ func has(r *RefRel, tuple []int64) bool {
 	return false
 }
 
+// newRel lends an empty relation from a workspace of its own.
+func newRel(vars []string, st *stats.Counters) *RefRel {
+	return new(Workspace).New(vars, st)
+}
+
 func mk(t *testing.T, vars []string, rows ...[]int64) *RefRel {
 	t.Helper()
-	r := New(vars, nil)
+	r := newRel(vars, nil)
 	for _, rw := range rows {
 		r.Add(rw)
 	}
@@ -56,7 +61,7 @@ func mk(t *testing.T, vars []string, rows ...[]int64) *RefRel {
 
 func TestAddDedup(t *testing.T) {
 	st := &stats.Counters{}
-	r := New([]string{"a"}, st)
+	r := newRel([]string{"a"}, st)
 	if !r.Add(row(ref(0, 1))) {
 		t.Errorf("first Add returned false")
 	}
@@ -75,7 +80,7 @@ func TestAddDedup(t *testing.T) {
 }
 
 func TestAddCopies(t *testing.T) {
-	r := New([]string{"a"}, nil)
+	r := newRel([]string{"a"}, nil)
 	rw := row(ref(0, 1))
 	r.Add(rw)
 	rw[0] = ref(0, 9)
@@ -90,7 +95,7 @@ func TestDuplicateVarsPanics(t *testing.T) {
 			t.Errorf("duplicate columns accepted")
 		}
 	}()
-	New([]string{"a", "a"}, nil)
+	newRel([]string{"a", "a"}, nil)
 }
 
 // joinT / cartesianT unwrap the context-taking operations
@@ -304,12 +309,12 @@ func TestDivideInvertsCartesian(t *testing.T) {
 		if len(dSlots) == 0 {
 			return true
 		}
-		a := New([]string{"x"}, nil)
+		a := newRel([]string{"x"}, nil)
 		for _, s := range aSlots {
 			a.Add(row(ref(0, int(s))))
 		}
 		var divisor []int64
-		d := New([]string{"p"}, nil)
+		d := newRel([]string{"p"}, nil)
 		for _, s := range dSlots {
 			r := ref(1, int(s))
 			divisor = append(divisor, r)
@@ -328,11 +333,11 @@ func TestDivideInvertsCartesian(t *testing.T) {
 }
 
 func TestDistinctOnAndEstimateJoinSize(t *testing.T) {
-	a := New([]string{"x", "s"}, nil)
+	a := newRel([]string{"x", "s"}, nil)
 	for i := 0; i < 12; i++ {
 		a.Add(row(ref(0, i), ref(9, i%3))) // 3 distinct s values
 	}
-	b := New([]string{"s", "y"}, nil)
+	b := newRel([]string{"s", "y"}, nil)
 	for i := 0; i < 6; i++ {
 		b.Add(row(ref(9, i%2), ref(1, i))) // 2 distinct s values
 	}
@@ -350,7 +355,7 @@ func TestDistinctOnAndEstimateJoinSize(t *testing.T) {
 	if est != 24 {
 		t.Errorf("estimated join size = %v, want 24", est)
 	}
-	c := New([]string{"z"}, nil)
+	c := newRel([]string{"z"}, nil)
 	c.Add(row(ref(2, 0)))
 	est, shared = EstimateJoinSize(a, c)
 	if shared || est != 12 {
@@ -362,11 +367,11 @@ func TestDistinctOnAndEstimateJoinSize(t *testing.T) {
 // the shared column.
 func TestJoinSubsetOfCartesian(t *testing.T) {
 	f := func(av, bv []uint8) bool {
-		a := New([]string{"x", "s"}, nil)
+		a := newRel([]string{"x", "s"}, nil)
 		for i, s := range av {
 			a.Add(row(ref(0, i), ref(9, int(s%4))))
 		}
-		b := New([]string{"s", "y"}, nil)
+		b := newRel([]string{"s", "y"}, nil)
 		for i, s := range bv {
 			b.Add(row(ref(9, int(s%4)), ref(1, i)))
 		}

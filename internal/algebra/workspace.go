@@ -8,9 +8,8 @@ import (
 // Workspace lends reference relations, and the scratch memory the
 // operations use, and takes them back when the combination phase's
 // results are no longer read, keeping their memory for the next
-// execution. A nil Workspace lends nothing: every relation and table
-// is freshly allocated and never returned. A Workspace serves one
-// execution at a time.
+// execution. The zero Workspace is empty and ready to use. A Workspace
+// serves one execution at a time.
 type Workspace struct {
 	rels recycle.List[RefRel]
 	// The scratch memory of one call site each, emptied on entry and
@@ -25,11 +24,8 @@ type Workspace struct {
 }
 
 // New lends an empty reference relation with the given variable
-// columns, counting its tuples against st (see the package-level New).
+// columns. Tuples added through Add are counted against st.
 func (w *Workspace) New(vars []string, st *stats.Counters) *RefRel {
-	if w == nil {
-		return New(vars, st)
-	}
 	r := w.rels.Lend()
 	if r.varIdx == nil {
 		r.varIdx = make(map[string]int, len(vars))
@@ -42,9 +38,6 @@ func (w *Workspace) New(vars []string, st *stats.Counters) *RefRel {
 // chains returns Join's bucket heads, cleared, and its chain links
 // for n build rows.
 func (w *Workspace) chains(buckets, n int) (head, next []int32) {
-	if w == nil {
-		return make([]int32, buckets), make([]int32, n)
-	}
 	w.chainRows = max(w.chainRows, n)
 	w.head, w.next = recycle.Resize(w.head, buckets), recycle.Resize(w.next, n)
 	clear(w.head)
@@ -54,9 +47,6 @@ func (w *Workspace) chains(buckets, n int) (head, next []int32) {
 // distinctSet returns DistinctOn's empty set for at most n rows of
 // width words.
 func (w *Workspace) distinctSet(width, n int) *tupleSet {
-	if w == nil {
-		return &tupleSet{w: width}
-	}
 	w.distinct.resetFor(width, n)
 	return &w.distinct
 }
@@ -66,9 +56,6 @@ func (w *Workspace) distinctSet(width, n int) *tupleSet {
 // out of n rows — and its empty per-group counter; keepCounts takes
 // back what the counter grew to.
 func (w *Workspace) divideSets(d, width, n int) (divs, groups, seen *tupleSet, hits []int) {
-	if w == nil {
-		return &tupleSet{w: 1}, &tupleSet{w: width}, &tupleSet{w: 2}, nil
-	}
 	w.divs.resetFor(1, d)
 	w.groups.resetFor(width, n)
 	w.seen.resetFor(2, n)
@@ -76,9 +63,7 @@ func (w *Workspace) divideSets(d, width, n int) (divs, groups, seen *tupleSet, h
 }
 
 func (w *Workspace) keepCounts(hits []int) {
-	if w != nil {
-		w.hits = hits
-	}
+	w.hits = hits
 }
 
 // Release takes back every relation the workspace lent, except keep
