@@ -468,10 +468,10 @@ func constOutcome(keep, counted bool) batchPred {
 // string column with its strings. The list has one kind, so one check
 // against the column's type covers every value.
 func membershipPred(vl *collection.ValueList, member bool, ci int, sch *schema.RelSchema) (batchPred, error) {
-	if !value.OrdKind(sch.Cols[ci].Type.ValueKind()) {
-		if vl.Kind() != value.KindString {
-			return batchPred{}, fmt.Errorf("engine: cannot compare string column %s with %s values", sch.Cols[ci].Name, vl.Kind())
-		}
+	if err := checkOperand(ci, vl.Min(), sch); err != nil {
+		return batchPred{}, err
+	}
+	if vl.Kind() == value.KindString {
 		return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 			st.CountComparisons(sel.Count())
 			col := b.Strs(ci)
@@ -479,9 +479,6 @@ func membershipPred(vl *collection.ValueList, member bool, ci int, sch *schema.R
 				return vl.HasString(col[i]) == member, nil
 			})
 		}}, nil
-	}
-	if err := checkOperand(ci, vl.Min(), sch); err != nil {
-		return batchPred{}, err
 	}
 	return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 		st.CountComparisons(sel.Count())
