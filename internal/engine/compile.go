@@ -59,6 +59,8 @@ type Plan struct {
 	autoEst bool
 	tmpl    *optimizer.XForm
 	foldKey string // rendering of the folded predicate the template assumed
+	// empty lists the ranges the fold at version took as empty.
+	empty   []*calculus.RangeExpr
 	version uint64 // db content version the template was validated against
 	// relMuts records, per relation the template ranges over, the
 	// mutation counter its statistics were read at — the per-relation
@@ -89,14 +91,43 @@ func (e *Engine) CompileCtx(ctx context.Context, sel *calculus.Selection, info *
 		return nil, err
 	}
 	p.opts = opts
-	folded := normalize.Fold(sel.Pred, baseline.Emptiness(e.db))
+	folded, empty := foldEmpty(e.db, sel.Pred)
 	x, err := e.prepareFoldedCtx(ctx, sel, folded, p.opts)
 	if err != nil {
 		return nil, err
 	}
-	p.tmpl, p.foldKey = x, folded.String()
+	p.tmpl, p.foldKey, p.empty = x, folded.String(), empty
 	p.relMuts = templateMuts(x, muts)
 	return p, nil
+}
+
+// foldEmpty folds pred over the current emptiness of its ranges
+// (Lemma 1) and returns the ranges it took as empty.
+func foldEmpty(db *relation.DB, pred calculus.Formula) (calculus.Formula, []*calculus.RangeExpr) {
+	isEmpty := baseline.Emptiness(db)
+	var empty []*calculus.RangeExpr
+	folded := normalize.Fold(pred, func(r *calculus.RangeExpr) bool {
+		if isEmpty(r) {
+			empty = append(empty, r)
+			return true
+		}
+		return false
+	})
+	return folded, empty
+}
+
+// stillEmpty reports whether every range in empty is still empty. It
+// reads only relation cardinalities, so it may run under the database
+// read lock; an extended range would need a scan of its filter, so it
+// counts as possibly filled.
+func stillEmpty(db *relation.DB, empty []*calculus.RangeExpr) bool {
+	for _, r := range empty {
+		rel, ok := db.Relation(r.Rel)
+		if r.Extended() || !ok || rel.Len() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // captureMutCounts snapshots every relation's mutation counter. Callers
@@ -147,10 +178,11 @@ func (p *Plan) statsStale() bool {
 // instance revalidates the template against the database's content
 // version and returns a private XForm copy for one execution (the
 // runtime adaptation mutates it) together with the options to run
-// under and the content version the template was validated against —
-// the execution re-checks that version under the database read lock
-// (snapshot validation) before scanning.
-func (p *Plan) instance() (*optimizer.XForm, Options, uint64, error) {
+// under, the content version the template was validated against — the
+// execution re-checks that version under the database read lock
+// (snapshot validation) before scanning — and the ranges its fold took
+// as empty.
+func (p *Plan) instance() (*optimizer.XForm, Options, uint64, []*calculus.RangeExpr, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	statsChanged := false
@@ -165,14 +197,14 @@ func (p *Plan) instance() (*optimizer.XForm, Options, uint64, error) {
 		// captureMutCounts), and the estimator itself is epoch-cached,
 		// so the refresh allocates only when something actually changed.
 		if err := p.eng.db.Err(); err != nil {
-			return nil, Options{}, 0, err
+			return nil, Options{}, 0, nil, err
 		}
 		muts = p.captureMutCounts()
 		p.opts.Estimator = p.eng.db.Estimator()
 		statsChanged = true
 	}
 	if v := p.eng.db.Version(); v != p.version || statsChanged {
-		folded := normalize.Fold(p.sel.Pred, baseline.Emptiness(p.eng.db))
+		folded, empty := foldEmpty(p.eng.db, p.sel.Pred)
 		// Recompile the template when the empty-range fold changed
 		// (Lemma 1) — and also when this plan's statistics did: the
 		// logical strategies bake estimator-driven decisions (the
@@ -191,21 +223,21 @@ func (p *Plan) instance() (*optimizer.XForm, Options, uint64, error) {
 				muts = p.captureMutCounts()
 				if p.autoEst {
 					if err := p.eng.db.Err(); err != nil {
-						return nil, Options{}, 0, err
+						return nil, Options{}, 0, nil, err
 					}
 					p.opts.Estimator = p.eng.db.Estimator()
 				}
 			}
 			x, err := p.eng.prepareFolded(p.sel, folded, p.opts)
 			if err != nil {
-				return nil, Options{}, 0, err
+				return nil, Options{}, 0, nil, err
 			}
 			p.tmpl, p.foldKey = x, key
 			p.relMuts = templateMuts(x, muts)
 		}
-		p.version = v
+		p.version, p.empty = v, empty
 	}
-	return p.tmpl.Clone(), p.opts, p.version, nil
+	return p.tmpl.Clone(), p.opts, p.version, p.empty, nil
 }
 
 // Schema returns the checked result schema the plan's rows are under.
@@ -269,11 +301,11 @@ func (p *Plan) EvalWith(ctx context.Context, override func(*Options)) ([][]value
 // maxSnapshotRetries bounds the optimistic loop that aligns a
 // revalidated template with the contents the collection phase will
 // read: when a writer commits between revalidation and lock
-// acquisition, the execution refolds and retries. After the budget the
-// execution fails with the retryable relation.ErrStale: the template's
-// fold may have removed a range that the last commit filled, which the
-// runtime Lemma 1 adaptation (it catches only ranges that emptied)
-// would not notice.
+// acquisition, the execution refolds and retries. After the budget it
+// runs the latest template only if every range that template's fold
+// removed is still empty: the runtime Lemma 1 adaptation catches ranges
+// that emptied, but not one the last commit filled. Otherwise the
+// execution fails with the retryable relation.ErrStale.
 const maxSnapshotRetries = 3
 
 // beforeSnapshot runs between a template's revalidation and the read
@@ -354,7 +386,8 @@ func (p *Plan) execute(ctx context.Context, override func(*Options), keepPlan bo
 	for attempt := 0; ; attempt++ {
 		var ver uint64
 		var err error
-		x, opts, ver, err = p.instance()
+		var empty []*calculus.RangeExpr
+		x, opts, ver, empty, err = p.instance()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -363,7 +396,7 @@ func (p *Plan) execute(ctx context.Context, override func(*Options), keepPlan bo
 		}
 		beforeSnapshot()
 		e.db.RLock()
-		if e.db.Version() != ver {
+		if e.db.Version() != ver && (attempt < maxSnapshotRetries || !stillEmpty(e.db, empty)) {
 			// A writer committed since revalidation: the fold (and any
 			// self-derived statistics) may describe contents the scans
 			// will not see. Retry against the new version.
@@ -371,7 +404,7 @@ func (p *Plan) execute(ctx context.Context, override func(*Options), keepPlan bo
 			if attempt < maxSnapshotRetries {
 				continue
 			}
-			return nil, nil, fmt.Errorf("engine: %w: a writer committed during each of %d snapshot attempts", relation.ErrStale, attempt+1)
+			return nil, nil, fmt.Errorf("engine: %w: a writer committed during each of %d snapshot attempts, and a range the plan took as empty may have filled", relation.ErrStale, attempt+1)
 		}
 		opts.maxAdaptations = len(x.Prefix) + len(x.Free) + len(x.Specs) + 2
 		pp, err = e.collectWithAdaptation(ctx, x, execSt, opts, ws)

@@ -213,11 +213,11 @@ func TestAutoEstimatorRefreshesOnRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, opts1, _, err := plan.instance()
+	_, opts1, _, _, err := plan.instance()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, optsQuiet, _, err := plan.instance(); err != nil || optsQuiet.Estimator != opts1.Estimator {
+	if _, optsQuiet, _, _, err := plan.instance(); err != nil || optsQuiet.Estimator != opts1.Estimator {
 		t.Fatal("quiet database must reuse the cached estimator assembly")
 	}
 	// A mutation of a relation the plan never touches must not disturb
@@ -228,12 +228,12 @@ func TestAutoEstimatorRefreshesOnRebuild(t *testing.T) {
 	if _, err := other.Insert([]value.Value{value.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, optsOther, _, err := plan.instance(); err != nil || optsOther.Estimator != opts1.Estimator {
+	if _, optsOther, _, _, err := plan.instance(); err != nil || optsOther.Estimator != opts1.Estimator {
 		t.Fatal("unrelated-relation mutation invalidated the plan's estimator")
 	}
 
 	db.Analyze() // rebuild: bumps the plan's relations' counters, not the version
-	_, opts2, _, err := plan.instance()
+	_, opts2, _, _, err := plan.instance()
 	if err != nil {
 		t.Fatal(err)
 	}
