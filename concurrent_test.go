@@ -8,7 +8,8 @@ import (
 	"sync"
 	"testing"
 
-	"pascalr/internal/relation"
+	"pascalr/internal/enginetest"
+	"pascalr/internal/value"
 )
 
 // concurrentSchema is a small standalone schema for concurrency tests.
@@ -92,9 +93,12 @@ func TestConcurrentStmtQuery(t *testing.T) {
 
 // TestConcurrentQueryAndExec interleaves one-shot queries (through the
 // shared LRU plan cache), prepared statements, streamed cursors, and a
-// writer goroutine mutating the database through Exec. Row counts may
-// differ run to run — the writer interleaves — but every execution must
-// complete without error, and under -race without data races.
+// writer goroutine mutating the database through Exec, one statement
+// per call. It is the root leg of the version-window oracle
+// (enginetest.CheckWindows): every answer must equal the baseline's at
+// some content version the execution may have read, or be the
+// retryable ErrStaleRead — which an opening QueryRows never returns,
+// since its collection reads one consistent version.
 func TestConcurrentQueryAndExec(t *testing.T) {
 	db := concurrentDB(t, 80)
 	src := `[<s.sname> OF EACH s IN staff: (s.sstatus = professor) AND
@@ -108,21 +112,26 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 	const reps = 12
 	var wg sync.WaitGroup
 	errCh := make(chan error, readers+1)
+	versions := []uint64{db.db.Version()}
+	var script []string
+	var mu sync.Mutex
+	var windows []enginetest.Window
 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < reps; i++ {
-			ins := fmt.Sprintf("staff :+ [<%d, 'w%07d', professor>]; duties :+ [<%d, %d>];",
-				1000+i, 1000+i, 1000+i, 1000+i)
-			if err := db.Exec(ins); err != nil {
-				errCh <- fmt.Errorf("writer: %w", err)
-				return
-			}
-			del := fmt.Sprintf("staff :- [<%d>];", 1000+i)
-			if err := db.Exec(del); err != nil {
-				errCh <- fmt.Errorf("writer: %w", err)
-				return
+			for _, ex := range []string{
+				fmt.Sprintf("staff :+ [<%d, 'w%07d', professor>];", 1000+i, 1000+i),
+				fmt.Sprintf("duties :+ [<%d, %d>];", 1000+i, 1000+i),
+				fmt.Sprintf("staff :- [<%d>];", 1000+i),
+			} {
+				if err := db.Exec(ex); err != nil {
+					errCh <- fmt.Errorf("writer: %w", err)
+					return
+				}
+				versions = append(versions, db.db.Version())
+				script = append(script, ex)
 			}
 		}
 	}()
@@ -133,36 +142,45 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 			defer wg.Done()
 			ctx := context.Background()
 			for r := 0; r < reps; r++ {
+				lo := db.db.Version()
+				var key string
+				var err error
 				switch r % 3 {
 				case 0:
-					if _, err := db.Query(src, WithMaxRefTuples(1<<20)); err != nil {
-						errCh <- fmt.Errorf("reader %d query: %w", g, err)
-						return
+					var res *Result
+					if res, err = db.Query(src, WithMaxRefTuples(1<<20)); err == nil {
+						key = enginetest.RelKey(res.rows)
 					}
 				case 1:
-					if _, err := stmt.Query(ctx, WithMaxRefTuples(1<<20)); err != nil {
-						errCh <- fmt.Errorf("reader %d stmt: %w", g, err)
-						return
+					var res *Result
+					if res, err = stmt.Query(ctx, WithMaxRefTuples(1<<20)); err == nil {
+						key = enginetest.RelKey(res.rows)
 					}
 				default:
 					rows, err := db.QueryRows(ctx, src)
 					if err != nil {
-						errCh <- fmt.Errorf("reader %d rows: %w", g, err)
+						errCh <- fmt.Errorf("reader %d: opening QueryRows: %w", g, err)
 						return
 					}
+					var keys [][]value.Value
 					for rows.Next() {
+						keys = append(keys, append([]value.Value(nil), rows.cur.Row()...))
 					}
 					err = rows.Err()
 					rows.Close()
-					// A streaming cursor reads live data: a writer
-					// deleting a referenced element mid-stream surfaces
-					// as ErrStale, the documented optimistic outcome.
-					// Anything else is a bug.
-					if err != nil && !errors.Is(err, relation.ErrStale) {
-						errCh <- fmt.Errorf("reader %d cursor: %w", g, err)
-						return
-					}
+					key = enginetest.RelKey(keys)
 				}
+				hi := db.db.Version()
+				if errors.Is(err, ErrStaleRead) {
+					continue
+				}
+				if err != nil {
+					errCh <- fmt.Errorf("reader %d leg %d: %w", g, r%3, err)
+					return
+				}
+				mu.Lock()
+				windows = append(windows, enginetest.Window{Lo: lo, Hi: hi, Key: key})
+				mu.Unlock()
 			}
 		}(g)
 	}
@@ -171,6 +189,11 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
+
+	replay := concurrentDB(t, 80)
+	enginetest.CheckWindows(t, "query-and-exec", versions, windows,
+		func(i int) { replay.MustExec(script[i-1]) },
+		func(int) string { return enginetest.RelKey(replay.MustQuery(src, WithBaseline()).rows) })
 }
 
 // TestConcurrentStmtQueryAndDDL races a cost-based prepared statement
