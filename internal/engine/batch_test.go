@@ -203,10 +203,7 @@ func TestStrategy4ScansPushProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Strategies: AllStrategies}
-	x, err := New(db, nil).prepare(checked, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := prepareTemplate(t, db, checked, opts)
 	p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, nil, &workspace{})
 	if err != nil {
 		t.Fatal(err)

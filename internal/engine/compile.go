@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"pascalr/internal/algebra"
-	"pascalr/internal/baseline"
 	"pascalr/internal/calculus"
+	"pascalr/internal/colbatch"
 	"pascalr/internal/normalize"
 	"pascalr/internal/obs"
 	"pascalr/internal/optimizer"
@@ -27,20 +27,24 @@ import (
 // repeated executions of one selection skip parsing, checking, and
 // standardization entirely.
 //
-// The template is tagged with the database's content version. When the
-// database mutates, the next execution revalidates: statistics the plan
-// derived itself are refreshed, and the template is recompiled if the
-// Lemma 1 empty-range fold would now produce a different formula (the
-// prenex transformation assumed the ranges that were non-empty at
-// compile time — Example 2.2). Executions therefore always see current
-// data; only the compile work is amortized.
+// The template is tagged with the database's content version. An
+// execution takes the database read lock once and, under it, revalidates
+// the template and runs the collection phase. Revalidation is lazy: while
+// the version holds still and the statistics the plan derived itself
+// are fresh, the template is reused as is. Otherwise those statistics
+// are refreshed, and the template is recompiled if the Lemma 1
+// empty-range fold now decides some range differently (the prenex
+// transformation assumed the ranges that were non-empty when it ran —
+// Example 2.2). Fold and scans read one version, so the only ranges the
+// collection phase can find empty are the extended ranges strategy 3
+// made, which the runtime adaptation handles (adaptXForm).
 //
 // A Plan is safe for concurrent execution: revalidation state is
-// mutex-guarded, every execution counts into a private sink merged into
-// the engine's cumulative sink on completion, and the collection phase
-// runs under the database's read lock — validated against the content
-// version the template assumed, so each execution reads one consistent
-// snapshot and concurrent relation writers simply wait.
+// mutex-guarded, and every execution counts into a private sink merged
+// into the engine's cumulative sink on completion. Concurrent relation
+// writers wait for the collection phase. The lock order is the
+// database content lock (read), then Plan.mu, then the catalog and
+// statistics locks DB.Estimator takes — the order writers take them in.
 type Plan struct {
 	eng  *Engine
 	sel  *calculus.Selection
@@ -58,9 +62,7 @@ type Plan struct {
 	// EvalWith/RowsWith override, which affects physical planning only.
 	autoEst bool
 	tmpl    *optimizer.XForm
-	foldKey string // rendering of the folded predicate the template assumed
-	// empty lists the ranges the fold at version took as empty.
-	empty   []*calculus.RangeExpr
+	empties string // emptiness signature of the fold the template assumed (foldEmpty)
 	version uint64 // db content version the template was validated against
 	// relMuts records, per relation the template ranges over, the
 	// mutation counter its statistics were read at — the per-relation
@@ -70,8 +72,9 @@ type Plan struct {
 }
 
 // Compile runs the compile-time pipeline for a checked selection and
-// returns the reusable plan. The selection and info must not be mutated
-// afterwards.
+// returns the reusable plan. Like an execution's revalidation, it folds
+// and compiles under the database read lock. The selection and info
+// must not be mutated afterwards.
 func (e *Engine) Compile(sel *calculus.Selection, info *calculus.Info, opts Options) (*Plan, error) {
 	return e.CompileCtx(context.Background(), sel, info, opts)
 }
@@ -81,53 +84,86 @@ func (e *Engine) Compile(sel *calculus.Selection, info *calculus.Info, opts Opti
 // child spans. Compilation itself ignores cancellation — it is fast and
 // has no mid-point worth aborting at.
 func (e *Engine) CompileCtx(ctx context.Context, sel *calculus.Selection, info *calculus.Info, opts Options) (*Plan, error) {
-	autoEst := opts.CostBased && opts.Estimator == nil
-	p := &Plan{eng: e, sel: sel, info: info, autoEst: autoEst, version: e.db.Version()}
-	// Counters first, estimator second: a mutation racing the compile
-	// then leaves a counter mismatch (an unnecessary refresh next
-	// execution), never a fresh-tagged stale estimator.
-	muts := p.captureMutCounts()
-	if err := e.ensureEstimator(&opts); err != nil {
+	p := e.newPlan(sel, info, opts)
+	e.db.RLock()
+	defer e.db.RUnlock()
+	if err := p.revalidate(ctx); err != nil {
 		return nil, err
 	}
-	p.opts = opts
-	folded, empty := foldEmpty(e.db, sel.Pred)
-	x, err := e.prepareFoldedCtx(ctx, sel, folded, p.opts)
-	if err != nil {
-		return nil, err
-	}
-	p.tmpl, p.foldKey, p.empty = x, folded.String(), empty
-	p.relMuts = templateMuts(x, muts)
 	return p, nil
 }
 
-// foldEmpty folds pred over the current emptiness of its ranges
-// (Lemma 1) and returns the ranges it took as empty.
-func foldEmpty(db *relation.DB, pred calculus.Formula) (calculus.Formula, []*calculus.RangeExpr) {
-	isEmpty := baseline.Emptiness(db)
-	var empty []*calculus.RangeExpr
-	folded := normalize.Fold(pred, func(r *calculus.RangeExpr) bool {
-		if isEmpty(r) {
-			empty = append(empty, r)
-			return true
-		}
-		return false
-	})
-	return folded, empty
+// newPlan returns a plan with no template yet: its first revalidation
+// compiles one. With CostBased and no estimator the plan derives its
+// statistics from the database's live ones.
+func (e *Engine) newPlan(sel *calculus.Selection, info *calculus.Info, opts Options) *Plan {
+	return &Plan{eng: e, sel: sel, info: info, opts: opts, autoEst: opts.CostBased && opts.Estimator == nil}
 }
 
-// stillEmpty reports whether every range in empty is still empty. It
-// reads only relation cardinalities, so it may run under the database
-// read lock; an extended range would need a scan of its filter, so it
-// counts as possibly filled.
-func stillEmpty(db *relation.DB, empty []*calculus.RangeExpr) bool {
-	for _, r := range empty {
-		rel, ok := db.Relation(r.Rel)
-		if r.Extended() || !ok || rel.Len() != 0 {
-			return false
+// foldEmpty folds pred over the current emptiness of its quantifier
+// ranges (Lemma 1) and returns the fold with its emptiness signature:
+// one byte per range the fold consulted, in the order it consulted
+// them. The fold is a function of that sequence, so equal signatures
+// mean equal folds. The caller holds the database read lock.
+func foldEmpty(db *relation.DB, pred calculus.Formula) (calculus.Formula, string, error) {
+	var sig []byte
+	var err error
+	folded := normalize.Fold(pred, func(r *calculus.RangeExpr) bool {
+		empty := false
+		if err == nil {
+			empty, err = rangeEmpty(db, r)
 		}
+		if empty {
+			sig = append(sig, 'e')
+		} else {
+			sig = append(sig, 'n')
+		}
+		return empty
+	})
+	return folded, string(sig), err
+}
+
+// errSelected stops an emptiness scan at the first row it selects.
+var errSelected = errors.New("engine: range selects a row")
+
+// rangeEmpty reports whether r selects no element, without taking the
+// database read lock its caller holds: a base range's emptiness is its
+// relation's atomic Len, an extended range's a batch scan of its
+// compiled filter that stops at the first selected row. It counts
+// nothing; the fold is compile work, not the collection phase. A
+// fail-stopped database returns its sticky error: its in-memory
+// contents may hold mutations recovery will not reproduce.
+func rangeEmpty(db *relation.DB, r *calculus.RangeExpr) (bool, error) {
+	if err := db.Err(); err != nil {
+		return false, err
 	}
-	return true
+	rel, ok := db.Relation(r.Rel)
+	if !ok {
+		return false, fmt.Errorf("engine: unknown relation %s", r.Rel)
+	}
+	if !r.Extended() || rel.Len() == 0 {
+		return rel.Len() == 0, nil
+	}
+	pred, err := compileFilter(r.Filter, r.FilterVar, rel.Schema())
+	if err != nil {
+		return false, err
+	}
+	b := colbatch.New(len(rel.Schema().Cols), batchSize)
+	var sel colbatch.Bitmap
+	err = rel.ScanBatches(nil, 0, rel.SlotSpan(), b, nil, func() error {
+		sel.SetAll(b.Len())
+		if err := pred.run(b, &sel, nil); err != nil {
+			return err
+		}
+		if !sel.Empty() {
+			return errSelected
+		}
+		return nil
+	})
+	if errors.Is(err, errSelected) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // captureMutCounts snapshots every relation's mutation counter. Callers
@@ -175,16 +211,24 @@ func (p *Plan) statsStale() bool {
 	return false
 }
 
-// instance revalidates the template against the database's content
-// version and returns a private XForm copy for one execution (the
-// runtime adaptation mutates it) together with the options to run
-// under, the content version the template was validated against — the
-// execution re-checks that version under the database read lock
-// (snapshot validation) before scanning — and the ranges its fold took
-// as empty.
-func (p *Plan) instance() (*optimizer.XForm, Options, uint64, []*calculus.RangeExpr, error) {
+// instance revalidates the template and returns a private XForm copy
+// for one execution (the runtime adaptation mutates it) together with
+// the options to run under. The caller holds the database read lock, so
+// the version, the fold and the scans that follow all read the same
+// contents.
+func (p *Plan) instance() (*optimizer.XForm, Options, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.revalidate(context.Background()); err != nil {
+		return nil, Options{}, err
+	}
+	return p.tmpl.Clone(), p.opts, nil
+}
+
+// revalidate compiles the template if the plan has none, or brings it
+// up to the database's content version. The caller holds the database
+// read lock and, once the plan is shared, p.mu.
+func (p *Plan) revalidate(ctx context.Context) error {
 	statsChanged := false
 	var muts map[string]uint64
 	if p.autoEst && p.statsStale() {
@@ -197,47 +241,51 @@ func (p *Plan) instance() (*optimizer.XForm, Options, uint64, []*calculus.RangeE
 		// captureMutCounts), and the estimator itself is epoch-cached,
 		// so the refresh allocates only when something actually changed.
 		if err := p.eng.db.Err(); err != nil {
-			return nil, Options{}, 0, nil, err
+			return err
 		}
 		muts = p.captureMutCounts()
 		p.opts.Estimator = p.eng.db.Estimator()
 		statsChanged = true
 	}
-	if v := p.eng.db.Version(); v != p.version || statsChanged {
-		folded, empty := foldEmpty(p.eng.db, p.sel.Pred)
+	if v := p.eng.db.Version(); p.tmpl == nil || v != p.version || statsChanged {
+		folded, empties, err := foldEmpty(p.eng.db, p.sel.Pred)
+		if err != nil {
+			return err
+		}
 		// Recompile the template when the empty-range fold changed
 		// (Lemma 1) — and also when this plan's statistics did: the
 		// logical strategies bake estimator-driven decisions (the
 		// extraction gate, the elimination order) into the template,
 		// which would otherwise stay frozen at compile-time statistics
 		// forever.
-		if key := folded.String(); key != p.foldKey || statsChanged {
+		if p.tmpl == nil || empties != p.empties || statsChanged {
 			if muts == nil {
-				// The fold changed while every tracked relation held
-				// still: a relation the template does not range over
-				// (typically one the fold eliminated while it was empty)
-				// mutated. Self-derived statistics must refresh here too —
-				// relMuts is restamped with current counters below, which
-				// would otherwise tag the compile-time estimator as fresh
-				// forever. Counters before estimator, as in Compile.
+				// A first compile, or the fold changed while every
+				// tracked relation held still: a relation the template
+				// does not range over (typically one the fold eliminated
+				// while it was empty) mutated. Self-derived statistics
+				// must refresh here too — relMuts is restamped with
+				// current counters below, which would otherwise tag an
+				// older estimator as fresh forever. Counters first,
+				// estimator second (see captureMutCounts).
 				muts = p.captureMutCounts()
 				if p.autoEst {
 					if err := p.eng.db.Err(); err != nil {
-						return nil, Options{}, 0, nil, err
+						return err
 					}
 					p.opts.Estimator = p.eng.db.Estimator()
 				}
 			}
-			x, err := p.eng.prepareFolded(p.sel, folded, p.opts)
+			x, err := p.eng.prepareFolded(ctx, p.sel, folded, p.opts)
 			if err != nil {
-				return nil, Options{}, 0, nil, err
+				return err
 			}
-			p.tmpl, p.foldKey = x, key
+			p.tmpl, p.empties = x, empties
 			p.relMuts = templateMuts(x, muts)
 		}
-		p.version, p.empty = v, empty
+		p.version = v
 	}
-	return p.tmpl.Clone(), p.opts, p.version, p.empty, nil
+	return nil
 }
 
 // Schema returns the checked result schema the plan's rows are under.
@@ -252,12 +300,11 @@ const maxStaleRetries = 4
 // result: the distinct rows in the order construction yields them,
 // under the checked result schema. It is the run-time half of the old
 // one-shot Eval: collection, combination, and construction against the
-// compiled template. When a concurrent writer invalidates references
-// before construction finishes, or keeps committing while the
-// execution aligns its template with the contents (relation.ErrStale),
-// Eval re-executes against the new contents — optimistic concurrency
-// for the materializing path; only a writer that keeps winning the race
-// through every retry surfaces the error.
+// compiled template. When a concurrent writer deletes referenced
+// elements before construction finishes (relation.ErrStale), Eval
+// re-executes against the new contents — optimistic concurrency for the
+// materializing path; only a writer that keeps winning the race through
+// every retry surfaces the error.
 func (p *Plan) Eval(ctx context.Context) ([][]value.Value, error) {
 	return p.EvalWith(ctx, nil)
 }
@@ -269,14 +316,10 @@ func (p *Plan) Eval(ctx context.Context) ([][]value.Value, error) {
 // contaminate each other or the plan. It drains a cursor and returns
 // the cursor's already-distinct rows, which belong to the caller.
 func (p *Plan) EvalWith(ctx context.Context, override func(*Options)) ([][]value.Value, error) {
-	var lastErr error
+	var err error
 	for attempt := 0; attempt <= maxStaleRetries; attempt++ {
-		cur, err := p.RowsWith(ctx, override)
-		if errors.Is(err, relation.ErrStale) {
-			lastErr = err
-			continue
-		}
-		if err != nil {
+		var cur *Cursor
+		if cur, err = p.RowsWith(ctx, override); err != nil {
 			return nil, err
 		}
 		for cur.Next() {
@@ -287,31 +330,12 @@ func (p *Plan) EvalWith(ctx context.Context, override func(*Options)) ([][]value
 			rows = cur.yieldedRows()
 		}
 		cur.Close()
-		if err == nil {
-			return rows, nil
-		}
 		if !errors.Is(err, relation.ErrStale) {
-			return nil, err
+			return rows, err
 		}
-		lastErr = err
 	}
-	return nil, lastErr
+	return nil, err
 }
-
-// maxSnapshotRetries bounds the optimistic loop that aligns a
-// revalidated template with the contents the collection phase will
-// read: when a writer commits between revalidation and lock
-// acquisition, the execution refolds and retries. After the budget it
-// runs the latest template only if every range that template's fold
-// removed is still empty: the runtime Lemma 1 adaptation catches ranges
-// that emptied, but not one the last commit filled. Otherwise the
-// execution fails with the retryable relation.ErrStale.
-const maxSnapshotRetries = 3
-
-// beforeSnapshot runs between a template's revalidation and the read
-// lock the collection phase takes. It is a variable so a test can
-// commit in that window; nothing else sets it.
-var beforeSnapshot = func() {}
 
 // Rows executes the collection and combination phases eagerly and
 // returns a streaming cursor that runs the construction phase one
@@ -319,11 +343,11 @@ var beforeSnapshot = func() {}
 // mid-stream surfaces as ctx.Err() from Err after Next returns false.
 //
 // The collection phase holds the database read lock: one acquisition
-// covers every scan and permanent-index probe of the execution
-// (version-checked against the template's snapshot), so concurrent
-// Exec writers serialize against it. Counters accumulate in a
-// per-execution sink that merges into the engine's cumulative sink when
-// the phases complete — successful or not.
+// covers the template's revalidation and every scan and permanent-index
+// probe of the execution, so concurrent Exec writers serialize against
+// it. Counters accumulate in a per-execution sink that merges into the
+// engine's cumulative sink when the phases complete — successful or
+// not.
 func (p *Plan) Rows(ctx context.Context) (*Cursor, error) {
 	return p.RowsWith(ctx, nil)
 }
@@ -380,39 +404,19 @@ func (p *Plan) execute(ctx context.Context, override func(*Options), keepPlan bo
 		}()
 	}
 
-	var x *optimizer.XForm
-	var opts Options
 	var pp *plan
-	for attempt := 0; ; attempt++ {
-		var ver uint64
-		var err error
-		var empty []*calculus.RangeExpr
-		x, opts, ver, empty, err = p.instance()
-		if err != nil {
-			return nil, nil, err
-		}
+	e.db.RLock()
+	x, opts, err := p.instance()
+	if err == nil {
 		if override != nil {
 			override(&opts)
 		}
-		beforeSnapshot()
-		e.db.RLock()
-		if e.db.Version() != ver && (attempt < maxSnapshotRetries || !stillEmpty(e.db, empty)) {
-			// A writer committed since revalidation: the fold (and any
-			// self-derived statistics) may describe contents the scans
-			// will not see. Retry against the new version.
-			e.db.RUnlock()
-			if attempt < maxSnapshotRetries {
-				continue
-			}
-			return nil, nil, fmt.Errorf("engine: %w: a writer committed during each of %d snapshot attempts, and a range the plan took as empty may have filled", relation.ErrStale, attempt+1)
-		}
 		opts.maxAdaptations = len(x.Prefix) + len(x.Free) + len(x.Specs) + 2
 		pp, err = e.collectWithAdaptation(ctx, x, execSt, opts, ws)
-		e.db.RUnlock()
-		if err != nil {
-			return nil, nil, err
-		}
-		break
+	}
+	e.db.RUnlock()
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(pp.jobSpans) > 0 {
 		pp.annotateScanSpans()
@@ -423,7 +427,6 @@ func (p *Plan) execute(ctx context.Context, override func(*Options), keepPlan bo
 	var refs *algebra.RefRel
 	if !pp.resultEmpty() {
 		pp.combSp = sp.Start("combination")
-		var err error
 		refs, err = pp.combine(ctx, opts.MaxRefTuples)
 		if err != nil {
 			pp.combSp.End()

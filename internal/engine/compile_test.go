@@ -11,7 +11,6 @@ import (
 
 	"pascalr/internal/baseline"
 	"pascalr/internal/calculus"
-	"pascalr/internal/relation"
 	"pascalr/internal/value"
 	"pascalr/internal/workload"
 )
@@ -294,83 +293,5 @@ func TestCursorStreamsDistinctTuples(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Fatalf("cursor yielded %d tuples, materialized result has %d", len(got), len(want))
-	}
-}
-
-// TestExhaustedSnapshotRetriesFailStale: a writer that commits between
-// a template's revalidation and the read lock on every attempt flips
-// papers between one row and empty, so that the last template folds the
-// ALL over papers away (papers was empty when it was revalidated) while
-// the scans would see the row. The execution must not answer from that
-// template: Rows fails with the retryable relation.ErrStale, and Eval,
-// which retries on it, returns that error or the oracle's rows. A
-// writer that commits as often but leaves papers filled does not fail
-// the execution: no range the template folded away can have filled.
-func TestExhaustedSnapshotRetriesFailStale(t *testing.T) {
-	ctx := context.Background()
-	db := tinyUniversity(t)
-	papers := db.MustRelation("papers")
-	row := []value.Value{value.Int(1), value.Int(1977), value.String_("t1")}
-	if err := papers.Assign([][]value.Value{row}); err != nil {
-		t.Fatal(err)
-	}
-	plan, checked, info := compileSrc(t, db, `[<e.ename> OF EACH e IN employees: ALL p IN papers (e.enr <> p.penr)]`)
-	beforeSnapshot = func() {
-		next := [][]value.Value{row}
-		if papers.Len() > 0 {
-			next = nil
-		}
-		if err := papers.Assign(next); err != nil {
-			t.Error(err)
-		}
-	}
-	t.Cleanup(func() { beforeSnapshot = func() {} })
-
-	oracle := func() string {
-		t.Helper()
-		want, err := baseline.Eval(checked, info, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return relKey(want)
-	}
-	cur, err := plan.Rows(ctx)
-	if err == nil {
-		got := drain(t, cur)
-		t.Fatalf("Rows answered %d rows from a template older than the contents (the oracle's: %s)", len(got), oracle())
-	}
-	if !errors.Is(err, relation.ErrStale) {
-		t.Fatalf("Rows: %v, want relation.ErrStale", err)
-	}
-	rows, err := plan.Eval(ctx)
-	switch {
-	case err == nil && relKey(rows) != oracle():
-		t.Fatalf("Eval: %s, the oracle's rows: %s", relKey(rows), oracle())
-	case err != nil && !errors.Is(err, relation.ErrStale):
-		t.Fatalf("Eval: %v, want relation.ErrStale or the oracle's rows", err)
-	}
-
-	beforeSnapshot = func() {}
-	if err := papers.Assign([][]value.Value{row}); err != nil {
-		t.Fatal(err)
-	}
-	courses := db.MustRelation("courses")
-	extra := []value.Value{value.Int(12), value.Enum("leveltype", workload.LevelJunior), value.String_("c12")}
-	beforeSnapshot = func() {
-		if _, err := courses.Insert(extra); err != nil {
-			t.Error(err)
-		}
-		if _, err := courses.Delete(extra[:1]); err != nil {
-			t.Error(err)
-		}
-	}
-	cur, err = plan.Rows(ctx)
-	if err != nil {
-		t.Fatalf("Rows under commits that fill no folded range: %v", err)
-	}
-	got := drain(t, cur)
-	sort.Strings(got)
-	if want := oracle(); strings.Join(got, "|") != want {
-		t.Fatalf("Rows: %v, the oracle's rows: %s", got, want)
 	}
 }

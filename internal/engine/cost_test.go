@@ -69,15 +69,11 @@ func planOrder(t *testing.T, db *relation.DB, sel *calculus.Selection, costBased
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(db, nil)
 	opts := Options{Strategies: S1 | S2, CostBased: costBased}
 	if costBased {
 		opts.Estimator = db.Analyze()
 	}
-	x, err := e.prepare(checked, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := prepareTemplate(t, db, checked, opts)
 	p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, planEstimator(opts), &workspace{})
 	if err != nil {
 		t.Fatal(err)
@@ -147,15 +143,11 @@ func TestCostBasedTransientOverFilteredPermanent(t *testing.T) {
 	}
 	build := func(costBased bool, strat Strategy) *plan {
 		t.Helper()
-		e := New(db, nil)
 		opts := Options{Strategies: strat, CostBased: costBased}
 		if costBased {
 			opts.Estimator = db.Estimator()
 		}
-		x, err := e.prepare(checked, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := prepareTemplate(t, db, checked, opts)
 		p, err := buildPlan(x, db, &stats.Counters{}, opts.Strategies, planEstimator(opts), &workspace{})
 		if err != nil {
 			t.Fatal(err)
@@ -213,11 +205,11 @@ func TestAutoEstimatorRefreshesOnRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, opts1, _, _, err := plan.instance()
+	_, opts1, err := plan.instance()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, optsQuiet, _, _, err := plan.instance(); err != nil || optsQuiet.Estimator != opts1.Estimator {
+	if _, optsQuiet, err := plan.instance(); err != nil || optsQuiet.Estimator != opts1.Estimator {
 		t.Fatal("quiet database must reuse the cached estimator assembly")
 	}
 	// A mutation of a relation the plan never touches must not disturb
@@ -228,12 +220,12 @@ func TestAutoEstimatorRefreshesOnRebuild(t *testing.T) {
 	if _, err := other.Insert([]value.Value{value.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, optsOther, _, _, err := plan.instance(); err != nil || optsOther.Estimator != opts1.Estimator {
+	if _, optsOther, err := plan.instance(); err != nil || optsOther.Estimator != opts1.Estimator {
 		t.Fatal("unrelated-relation mutation invalidated the plan's estimator")
 	}
 
 	db.Analyze() // rebuild: bumps the plan's relations' counters, not the version
-	_, opts2, _, _, err := plan.instance()
+	_, opts2, err := plan.instance()
 	if err != nil {
 		t.Fatal(err)
 	}

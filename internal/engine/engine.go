@@ -26,7 +26,6 @@ import (
 	"strings"
 	"sync"
 
-	"pascalr/internal/baseline"
 	"pascalr/internal/calculus"
 	"pascalr/internal/normalize"
 	"pascalr/internal/obs"
@@ -144,24 +143,14 @@ func (e *Engine) Eval(ctx context.Context, sel *calculus.Selection, info *calcul
 	return p.Eval(ctx)
 }
 
-// prepare folds empty ranges out of the original formula (Lemma 1: the
-// prenex transformation is only valid for non-empty ranges, so the
-// adaptation must happen before standardization — this is the paper's
-// Example 2.2 caveat, where the unadapted normal form would return all
-// employees instead of the professors), then runs standardization and
-// the logical strategies (3 and 4).
-func (e *Engine) prepare(sel *calculus.Selection, opts Options) (*optimizer.XForm, error) {
-	return e.prepareFolded(sel, normalize.Fold(sel.Pred, baseline.Emptiness(e.db)), opts)
-}
-
-// prepareFolded is prepare for a predicate already adapted to the
-// current empty ranges; Plan revalidation computes the fold itself to
-// detect staleness, then hands it over.
-func (e *Engine) prepareFolded(sel *calculus.Selection, folded calculus.Formula, opts Options) (*optimizer.XForm, error) {
-	return e.prepareFoldedCtx(context.Background(), sel, folded, opts)
-}
-
-func (e *Engine) prepareFoldedCtx(ctx context.Context, sel *calculus.Selection, folded calculus.Formula, opts Options) (*optimizer.XForm, error) {
+// prepareFolded runs standardization and the logical strategies (3 and
+// 4) over the selection's predicate with its empty ranges folded out
+// (foldEmpty). Lemma 1: the prenex transformation is only valid for
+// non-empty ranges, so the adaptation must happen before
+// standardization — this is the paper's Example 2.2 caveat, where the
+// unadapted normal form would return all employees instead of the
+// professors.
+func (e *Engine) prepareFolded(ctx context.Context, sel *calculus.Selection, folded calculus.Formula, opts Options) (*optimizer.XForm, error) {
 	sp := obs.SpanFrom(ctx)
 	sel = &calculus.Selection{Proj: sel.Proj, Free: sel.Free, Pred: folded}
 	ssp := sp.Start("standardize")
@@ -189,22 +178,6 @@ func (e *Engine) prepareFoldedCtx(ctx context.Context, sel *calculus.Selection, 
 		optimizer.EliminateQuantifiersCost(x, cm)
 	}
 	return x, nil
-}
-
-// ensureEstimator bootstraps cost-based planning: when the caller asked
-// for it without supplying statistics, take the database's live
-// statistics (incrementally maintained by the mutators — no analyze
-// rescans), so Eval and Explain always plan from the same statistics.
-// A fail-stopped database returns its sticky error instead: its live
-// statistics may hold mutations recovery will not reproduce.
-func (e *Engine) ensureEstimator(opts *Options) error {
-	if opts.CostBased && opts.Estimator == nil {
-		if err := e.db.Err(); err != nil {
-			return err
-		}
-		opts.Estimator = e.db.Estimator()
-	}
-	return nil
 }
 
 // planEstimator returns the estimator the physical planner should use;
@@ -266,10 +239,12 @@ func (e *Engine) collectWithAdaptation(ctx context.Context, x *optimizer.XForm, 
 }
 
 // adaptXForm applies the Lemma 1 rules to the prenex form when prefix
-// ranges turn out empty at run time. After prepare's pre-fold, the only
-// way a prefix range can be empty is through an extended range created
-// by strategy 3, and the adaptation undoes exactly the extraction step
-// that the emptiness invalidated:
+// ranges turn out empty at run time. The template's fold read the
+// contents the scans read (both run under one database read lock), so
+// every base range it kept is non-empty, and the only way a prefix
+// range can be empty is through an extended range created by strategy
+// 3. The adaptation undoes exactly the extraction step that the
+// emptiness invalidated:
 //
 //   - SOME over an empty extended range falsifies every conjunction
 //     containing the variable (each needs a witness satisfying the
@@ -333,18 +308,17 @@ func adaptXForm(x *optimizer.XForm, empty map[string]bool) {
 // Explain renders the logical and physical plan without executing the
 // combination phase. It runs the collection phase's planning only.
 func (e *Engine) Explain(sel *calculus.Selection, opts Options) (string, error) {
-	if err := e.ensureEstimator(&opts); err != nil {
-		return "", err
-	}
-	x, err := e.prepare(sel, opts)
-	if err != nil {
-		return "", err
-	}
 	st := &stats.Counters{}
 	ws := getWorkspace()
 	defer putWorkspace(ws)
+	// One read lock covers the fold, the template and the planning, so
+	// the rendering describes one version of the contents.
 	e.db.RLock()
-	p, err := buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), ws)
+	x, opts, err := e.newPlan(sel, nil, opts).instance()
+	var p *plan
+	if err == nil {
+		p, err = buildPlan(x, e.db, st, opts.Strategies, planEstimator(opts), ws)
+	}
 	e.db.RUnlock()
 	if err != nil {
 		return "", err

@@ -9,6 +9,7 @@ import (
 
 	"pascalr/internal/baseline"
 	"pascalr/internal/calculus"
+	"pascalr/internal/optimizer"
 	"pascalr/internal/relation"
 	"pascalr/internal/stats"
 	"pascalr/internal/value"
@@ -158,6 +159,19 @@ func TestStrategy1ScanCounts(t *testing.T) {
 	}
 }
 
+// prepareTemplate returns the template a plan of sel compiles under
+// opts: empty ranges folded, standardized, strategies 3 and 4 applied.
+func prepareTemplate(t *testing.T, db *relation.DB, sel *calculus.Selection, opts Options) *optimizer.XForm {
+	t.Helper()
+	db.RLock()
+	x, _, err := New(db, nil).newPlan(sel, nil, opts).instance()
+	db.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
 // TestStrategy3RemovesConjunction reproduces Example 4.5: extraction of
 // the universal variable's monadic term removes one whole conjunction.
 func TestStrategy3RemovesConjunction(t *testing.T) {
@@ -166,11 +180,7 @@ func TestStrategy3RemovesConjunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(db, nil)
-	x3, err := eng.prepare(checked, Options{Strategies: S3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x3 := prepareTemplate(t, db, checked, Options{Strategies: S3})
 	if len(x3.Matrix) != 2 {
 		t.Errorf("S3 matrix has %d conjunctions, want 2 (Example 4.5):\n%s", len(x3.Matrix), x3)
 	}
@@ -198,11 +208,7 @@ func TestStrategy4Cascade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(db, nil)
-	x, err := eng.prepare(checked, Options{Strategies: S3 | S4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := prepareTemplate(t, db, checked, Options{Strategies: S3 | S4})
 	if len(x.Prefix) != 0 {
 		t.Errorf("S3+S4 leaves prefix %v, want full elimination (Example 4.7):\n%s", x.Prefix, x)
 	}
@@ -211,10 +217,7 @@ func TestStrategy4Cascade(t *testing.T) {
 	}
 	// Without S3 the universal variable p occurs in two conjunctions, so
 	// it cannot be eliminated (Example 4.6's observation).
-	x4only, err := eng.prepare(checked, Options{Strategies: S4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x4only := prepareTemplate(t, db, checked, Options{Strategies: S4})
 	for _, q := range x4only.Prefix {
 		if q.Var == "p" {
 			return // p survived, as the paper says it must

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -46,6 +46,17 @@ type windowMutation struct {
 	rows [][]value.Value
 }
 
+// window is one reader execution under a concurrent writer: the query
+// it ran and the configuration it ran under, the database content
+// versions read before it started (lo) and after it ended (hi), and
+// its answer as a RelKey.
+type window struct {
+	query  int
+	config string
+	lo, hi uint64
+	key    string
+}
+
 // TestVersionWindowOracle runs prepared plans of every strategy set ×
 // {static, self-derived cost} planner × {memory, disk} backend while
 // one writer keeps emptying and refilling papers, removing and
@@ -72,21 +83,28 @@ func runVersionWindows(t *testing.T, label string, db *relation.DB) {
 		queries[i], infos[i] = checkSrc(t, db, src)
 	}
 
-	// Each toggle alternates a relation between two contents.
-	lowLevel := func(tup []value.Value) bool { return tup[1].EnumOrd() <= workload.LevelSophomore }
+	// Each toggle alternates a relation between its starting contents
+	// and another: papers empty, no course the extended range selects,
+	// one more professor.
 	courses := db.MustRelation("courses").Tuples()
+	var upper [][]value.Value
+	for _, c := range courses {
+		if c[1].EnumOrd() > workload.LevelSophomore {
+			upper = append(upper, c)
+		}
+	}
+	if len(upper) == len(courses) {
+		t.Fatalf("%s: no course the extended range selects", label)
+	}
 	employees := db.MustRelation("employees").Tuples()
 	prof := []value.Value{value.Int(windowScale + 1), value.String_("newprof"), value.Enum("statustype", workload.StatusProfessor)}
 	toggles := []struct {
 		rel  string
 		alts [2][][]value.Value
 	}{
-		{"papers", [2][][]value.Value{nil, db.MustRelation("papers").Tuples()}},
-		{"courses", [2][][]value.Value{filterRows(courses, func(tup []value.Value) bool { return !lowLevel(tup) }), courses}},
-		{"employees", [2][][]value.Value{append(append([][]value.Value{}, employees...), prof), employees}},
-	}
-	if len(toggles[1].alts[0]) == len(courses) {
-		t.Fatalf("%s: no course the extended range selects", label)
+		{"papers", [2][][]value.Value{db.MustRelation("papers").Tuples(), nil}},
+		{"courses", [2][][]value.Value{courses, upper}},
+		{"employees", [2][][]value.Value{employees, append(slices.Clone(employees), prof)}},
 	}
 
 	versions := []uint64{db.Version()}
@@ -104,14 +122,16 @@ func runVersionWindows(t *testing.T, label string, db *relation.DB) {
 			default:
 			}
 			i := rng.Intn(len(toggles))
-			state[i] = 1 - state[i]
-			m := windowMutation{toggles[i].rel, toggles[i].alts[1-state[i]]}
+			state[i] ^= 1
+			m := windowMutation{toggles[i].rel, toggles[i].alts[state[i]]}
 			if err := db.MustRelation(m.rel).Assign(m.rows); err != nil {
 				t.Errorf("%s: writer: %v", label, err)
 				return
 			}
 			versions = append(versions, db.Version())
 			log = append(log, m)
+			// Paced so that a window spans a few commits, not hundreds:
+			// the replay asks the oracle once per state a window needs.
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
@@ -123,7 +143,7 @@ func runVersionWindows(t *testing.T, label string, db *relation.DB) {
 	defer stopWriter()
 	ctx := context.Background()
 	var mu sync.Mutex
-	var windows []Window
+	var windows []window
 	for _, strat := range StrategySets() {
 		for _, cost := range []bool{false, true} {
 			// The watchdog panics from its own goroutine: the test's
@@ -160,7 +180,7 @@ func runVersionWindows(t *testing.T, label string, db *relation.DB) {
 							return
 						}
 						mu.Lock()
-						windows = append(windows, Window{Query: q, Config: fmt.Sprintf("%s cost=%v", strat, cost), Lo: lo, Hi: hi, Key: key})
+						windows = append(windows, window{query: q, config: fmt.Sprintf("%s cost=%v", strat, cost), lo: lo, hi: hi, key: key})
 						mu.Unlock()
 					}
 				}(g)
@@ -177,25 +197,51 @@ func runVersionWindows(t *testing.T, label string, db *relation.DB) {
 		t.Fatalf("%s: the writer committed nothing while the readers ran", label)
 	}
 
-	rdb := universityDB(t, windowScale)
-	rqueries := make([]*calculus.Selection, len(windowQueries))
-	rinfos := make([]*calculus.Info, len(windowQueries))
-	for i, src := range windowQueries {
-		rqueries[i], rinfos[i] = checkSrc(t, rdb, src)
+	// State s is the contents after the writer's first s mutations, at
+	// versions[s]. A window may have read the last state at or before
+	// its lo through the last at or before its hi: a mutation that bumps
+	// the version several times is visible only once it commits. The
+	// log is replayed once into a memory database, asking the baseline
+	// once per (query, state) some window needs.
+	state := func(v uint64) int {
+		return sort.Search(len(versions), func(i int) bool { return versions[i] > v }) - 1
 	}
-	CheckWindows(t, label, versions, windows,
-		func(i int) {
-			if err := rdb.MustRelation(log[i-1].rel).Assign(log[i-1].rows); err != nil {
+	need := make([]map[int]bool, len(versions))
+	for _, w := range windows {
+		for s := state(w.lo); s <= state(w.hi); s++ {
+			if need[s] == nil {
+				need[s] = map[int]bool{}
+			}
+			need[s][w.query] = true
+		}
+	}
+	rdb := universityDB(t, windowScale)
+	want := map[[2]int]string{}
+	for s := range versions {
+		if s > 0 {
+			if err := rdb.MustRelation(log[s-1].rel).Assign(log[s-1].rows); err != nil {
 				t.Fatal(err)
 			}
-		},
-		func(q int) string {
-			rows, err := baseline.Eval(rqueries[q], rinfos[q], rdb)
+		}
+		for q := range need[s] {
+			sel, info := checkSrc(t, rdb, windowQueries[q])
+			rows, err := baseline.Eval(sel, info, rdb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return RelKey(rows)
-		})
+			want[[2]int{q, s}] = RelKey(rows)
+		}
+	}
+	for _, w := range windows {
+		ok := false
+		for s := state(w.lo); s <= state(w.hi) && !ok; s++ {
+			ok = want[[2]int{w.query, s}] == w.key
+		}
+		if !ok {
+			t.Errorf("%s [%s]: query %d read between versions %d and %d answered rows the baseline gives at none of them: %s",
+				label, w.config, w.query, w.lo, w.hi, w.key)
+		}
+	}
 }
 
 // runLeg executes a plan once, materialized or through a drained
@@ -210,12 +256,11 @@ func runLeg(ctx context.Context, plan *engine.Plan, materialize bool) (string, e
 		return "", err
 	}
 	defer cur.Close()
-	var keys []string
+	var rows [][]value.Value
 	for cur.Next() {
-		keys = append(keys, value.EncodeKey(cur.Row()))
+		rows = append(rows, slices.Clone(cur.Row()))
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|"), cur.Err()
+	return RelKey(rows), cur.Err()
 }
 
 func checkSrc(t *testing.T, db *relation.DB, src string) (*calculus.Selection, *calculus.Info) {
@@ -229,14 +274,4 @@ func checkSrc(t *testing.T, db *relation.DB, src string) (*calculus.Selection, *
 		t.Fatal(err)
 	}
 	return checked, info
-}
-
-func filterRows(rows [][]value.Value, keep func([]value.Value) bool) [][]value.Value {
-	var out [][]value.Value
-	for _, r := range rows {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -174,7 +174,13 @@ func (d *DB) Catalog() *schema.Catalog { return d.cat }
 
 // RLock acquires the database content lock shared, for a consistent
 // multi-relation read phase (the engine's collection phase). Content
-// mutators block until RUnlock. Calls must not nest.
+// mutators block until RUnlock. Calls must not nest: code holding it
+// must not call the locking accessors (Stats, and Relation's Scan,
+// Tuples, Refs, Get, Lookup and Deref). Safe under it are the atomic
+// reads (Version, Err, Relation.Len, Relation.MutCount), the catalog
+// lookups (Relation, Relations, ByID), the snapshot accessors (Deref,
+// and Relation's ScanBatches, SlotSpan, DerefInto and Index) and
+// Estimator.
 func (d *DB) RLock() { d.mu.RLock() }
 
 // RUnlock releases the shared content lock.

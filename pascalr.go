@@ -54,8 +54,9 @@
 //
 // A Database is safe for concurrent use: queries and prepared
 // statements may run from many goroutines while Exec mutates contents —
-// each execution reads a version-validated snapshot under the storage
-// layer's reader lock. Each execution itself runs the paper's serial
+// each execution revalidates its plan and runs its collection phase
+// under one acquisition of the storage layer's reader lock, so it reads
+// one version of the contents. Each execution itself runs the paper's serial
 // schedule on the calling goroutine.
 package pascalr
 
