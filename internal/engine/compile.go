@@ -405,6 +405,7 @@ func (p *Plan) execute(ctx context.Context, override func(*Options), keepPlan bo
 	}
 
 	var pp *plan
+	empty := false
 	e.db.RLock()
 	x, opts, err := p.instance()
 	if err == nil {
@@ -414,6 +415,13 @@ func (p *Plan) execute(ctx context.Context, override func(*Options), keepPlan bo
 		opts.maxAdaptations = len(x.Prefix) + len(x.Free) + len(x.Specs) + 2
 		pp, err = e.collectWithAdaptation(ctx, x, execSt, opts, ws)
 	}
+	if err == nil {
+		// An empty free range, or a constant-FALSE matrix, yields the
+		// empty relation (nil refs). Decided under the lock: a free range
+		// with no materialized list is judged by its relation's Len,
+		// which a concurrent assignment passes through zero.
+		empty = pp.resultEmpty()
+	}
 	e.db.RUnlock()
 	if err != nil {
 		return nil, nil, err
@@ -422,10 +430,8 @@ func (p *Plan) execute(ctx context.Context, override func(*Options), keepPlan bo
 		pp.annotateScanSpans()
 	}
 
-	// An empty free range, or a constant-FALSE matrix, yields the empty
-	// relation (nil refs).
 	var refs *algebra.RefRel
-	if !pp.resultEmpty() {
+	if !empty {
 		pp.combSp = sp.Start("combination")
 		refs, err = pp.combine(ctx, opts.MaxRefTuples)
 		if err != nil {
