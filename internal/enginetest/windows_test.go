@@ -26,7 +26,7 @@ import (
 // and a division over a source-level extended range, whose emptiness
 // the fold decides by scanning courses.
 var windowQueries = []string{
-	UniversityQueries[9].Src,
+	universityQuery("sample-2.1"),
 	`[<e.ename> OF EACH e IN employees:
 		ALL c IN [EACH x IN courses: (x.clevel <= sophomore)]
 			(SOME t IN timetable ((t.tenr = e.enr) AND (t.tcnr = c.cnr)))]`,
@@ -261,6 +261,15 @@ func runLeg(ctx context.Context, plan *engine.Plan, materialize bool) (string, e
 		rows = append(rows, slices.Clone(cur.Row()))
 	}
 	return RelKey(rows), cur.Err()
+}
+
+func universityQuery(name string) string {
+	for _, q := range UniversityQueries {
+		if q.Name == name {
+			return q.Src
+		}
+	}
+	panic("enginetest: no university query " + name)
 }
 
 func checkSrc(t *testing.T, db *relation.DB, src string) (*calculus.Selection, *calculus.Info) {
