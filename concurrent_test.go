@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -121,12 +119,9 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 	errCh := make(chan error, readers+1)
 	versions := []uint64{db.db.Version()}
 	var script []string
-	type window struct {
-		lo, hi uint64
-		key    string
-	}
 	var mu sync.Mutex
-	var windows []window
+	var windows []enginetest.Window
+	legs := [...]string{"Query", "Stmt.Query", "QueryRows"}
 
 	wg.Add(1)
 	go func() {
@@ -168,8 +163,8 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 						key = enginetest.RelKey(res.rows)
 					}
 				default:
-					rows, err := db.QueryRows(ctx, src)
-					if err != nil {
+					var rows *Rows
+					if rows, err = db.QueryRows(ctx, src); err != nil {
 						errCh <- fmt.Errorf("reader %d: opening QueryRows: %w", g, err)
 						return
 					}
@@ -186,11 +181,11 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 					continue
 				}
 				if err != nil {
-					errCh <- fmt.Errorf("reader %d leg %d: %w", g, r%3, err)
+					errCh <- fmt.Errorf("reader %d %s: %w", g, legs[r%3], err)
 					return
 				}
 				mu.Lock()
-				windows = append(windows, window{lo, hi, key})
+				windows = append(windows, enginetest.Window{Label: legs[r%3], Lo: lo, Hi: hi, Key: key})
 				mu.Unlock()
 			}
 		}(g)
@@ -209,13 +204,8 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 		replay.MustExec(ex)
 		want = append(want, enginetest.RelKey(replay.MustQuery(src, WithBaseline()).rows))
 	}
-	state := func(v uint64) int {
-		return sort.Search(len(versions), func(i int) bool { return versions[i] > v }) - 1
-	}
-	for _, w := range windows {
-		if !slices.Contains(want[state(w.lo):state(w.hi)+1], w.key) {
-			t.Errorf("an answer read between versions %d and %d is the baseline's at none of them: %s", w.lo, w.hi, w.key)
-		}
+	for _, w := range enginetest.WrongWindows(versions, windows, func(_, s int) string { return want[s] }) {
+		t.Errorf("%s read between versions %d and %d is the baseline's answer at none of them: %s", w.Label, w.Lo, w.Hi, w.Key)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -148,9 +149,11 @@ func rangeEmpty(db *relation.DB, r *calculus.RangeExpr) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	cols := append([]int{}, pred.cols...)
+	slices.Sort(cols)
 	b := colbatch.New(len(rel.Schema().Cols), batchSize)
 	var sel colbatch.Bitmap
-	err = rel.ScanBatches(nil, 0, rel.SlotSpan(), b, nil, func() error {
+	err = rel.ScanBatches(nil, 0, rel.SlotSpan(), b, slices.Compact(cols), func() error {
 		sel.SetAll(b.Len())
 		if err := pred.run(b, &sel, nil); err != nil {
 			return err

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -44,17 +43,6 @@ const (
 type windowMutation struct {
 	rel  string
 	rows [][]value.Value
-}
-
-// window is one reader execution under a concurrent writer: the query
-// it ran and the configuration it ran under, the database content
-// versions read before it started (lo) and after it ended (hi), and
-// its answer as a RelKey.
-type window struct {
-	query  int
-	config string
-	lo, hi uint64
-	key    string
 }
 
 // TestVersionWindowOracle runs prepared plans of every strategy set ×
@@ -141,53 +129,17 @@ func runVersionWindows(t *testing.T, label string, db *relation.DB) {
 		<-writerDone
 	})
 	defer stopWriter()
-	ctx := context.Background()
 	var mu sync.Mutex
-	var windows []window
+	var windows []Window
 	for _, strat := range StrategySets() {
 		for _, cost := range []bool{false, true} {
-			// The watchdog panics from its own goroutine: the test's
-			// cleanups (a disk database's Close) would block on a
-			// deadlocked content lock too.
-			watchdog := time.AfterFunc(windowWatchdog, func() {
-				buf := make([]byte, 1<<20)
-				panic(fmt.Sprintf("%s [%s cost=%v]: no progress in %v; goroutines:\n%s",
-					label, strat, cost, windowWatchdog, buf[:runtime.Stack(buf, true)]))
-			})
-			eng := engine.New(db, nil)
-			plans := make([]*engine.Plan, len(queries))
-			for q := range queries {
-				var err error
-				if plans[q], err = eng.Compile(queries[q], infos[q], engine.Options{Strategies: strat, CostBased: cost}); err != nil {
-					t.Fatalf("%s [%s cost=%v]: compile query %d: %v", label, strat, cost, q, err)
-				}
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < windowReaders; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for r := 0; r < windowReps; r++ {
-						q := (r + g) % len(queries)
-						lo := db.Version()
-						key, err := runLeg(ctx, plans[q], (r/len(queries)+g)%2 == 0)
-						hi := db.Version()
-						if errors.Is(err, relation.ErrStale) {
-							continue
-						}
-						if err != nil {
-							t.Errorf("%s [%s cost=%v]: query %d: %v", label, strat, cost, q, err)
-							return
-						}
-						mu.Lock()
-						windows = append(windows, window{query: q, config: fmt.Sprintf("%s cost=%v", strat, cost), lo: lo, hi: hi, key: key})
-						mu.Unlock()
-					}
-				}(g)
-			}
-			wg.Wait()
-			watchdog.Stop()
-			if t.Failed() {
+			config := fmt.Sprintf("%s cost=%v", strat, cost)
+			if !runWindowConfig(t, label+" ["+config+"]", db, queries, infos, engine.Options{Strategies: strat, CostBased: cost}, func(w Window) {
+				w.Label = config
+				mu.Lock()
+				windows = append(windows, w)
+				mu.Unlock()
+			}) {
 				return
 			}
 		}
@@ -197,22 +149,16 @@ func runVersionWindows(t *testing.T, label string, db *relation.DB) {
 		t.Fatalf("%s: the writer committed nothing while the readers ran", label)
 	}
 
-	// State s is the contents after the writer's first s mutations, at
-	// versions[s]. A window may have read the last state at or before
-	// its lo through the last at or before its hi: a mutation that bumps
-	// the version several times is visible only once it commits. The
-	// log is replayed once into a memory database, asking the baseline
-	// once per (query, state) some window needs.
-	state := func(v uint64) int {
-		return sort.Search(len(versions), func(i int) bool { return versions[i] > v }) - 1
-	}
+	// The log is replayed once into a memory database, asking the
+	// baseline once per (query, state) some window may have read.
 	need := make([]map[int]bool, len(versions))
 	for _, w := range windows {
-		for s := state(w.lo); s <= state(w.hi); s++ {
+		first, last := WindowStates(versions, w)
+		for s := first; s <= last; s++ {
 			if need[s] == nil {
 				need[s] = map[int]bool{}
 			}
-			need[s][w.query] = true
+			need[s][w.Query] = true
 		}
 	}
 	rdb := universityDB(t, windowScale)
@@ -232,16 +178,58 @@ func runVersionWindows(t *testing.T, label string, db *relation.DB) {
 			want[[2]int{q, s}] = RelKey(rows)
 		}
 	}
-	for _, w := range windows {
-		ok := false
-		for s := state(w.lo); s <= state(w.hi) && !ok; s++ {
-			ok = want[[2]int{w.query, s}] == w.key
-		}
-		if !ok {
-			t.Errorf("%s [%s]: query %d read between versions %d and %d answered rows the baseline gives at none of them: %s",
-				label, w.config, w.query, w.lo, w.hi, w.key)
+	for _, w := range WrongWindows(versions, windows, func(q, s int) string { return want[[2]int{q, s}] }) {
+		t.Errorf("%s [%s]: query %d read between versions %d and %d answered rows the baseline gives at none of them: %s",
+			label, w.Label, w.Query, w.Lo, w.Hi, w.Key)
+	}
+}
+
+// runWindowConfig compiles the queries under opts and runs the readers
+// against them, passing record every execution that did not fail
+// stale. It reports whether the configuration ran clean. A watchdog
+// armed for the configuration's whole run, compilation included,
+// panics from its own goroutine with every goroutine's stack: the
+// test's cleanups (a disk database's Close) would block on a
+// deadlocked content lock too.
+func runWindowConfig(t *testing.T, label string, db *relation.DB, queries []*calculus.Selection, infos []*calculus.Info, opts engine.Options, record func(Window)) bool {
+	watchdog := time.AfterFunc(windowWatchdog, func() {
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("%s: no progress in %v; goroutines:\n%s", label, windowWatchdog, buf[:runtime.Stack(buf, true)]))
+	})
+	defer watchdog.Stop()
+	eng := engine.New(db, nil)
+	plans := make([]*engine.Plan, len(queries))
+	for q := range queries {
+		var err error
+		if plans[q], err = eng.Compile(queries[q], infos[q], opts); err != nil {
+			t.Errorf("%s: compile query %d: %v", label, q, err)
+			return false
 		}
 	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < windowReaders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < windowReps; r++ {
+				q := (r + g) % len(queries)
+				lo := db.Version()
+				key, err := runLeg(ctx, plans[q], (r/len(queries)+g)%2 == 0)
+				hi := db.Version()
+				if errors.Is(err, relation.ErrStale) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: query %d: %v", label, q, err)
+					return
+				}
+				record(Window{Query: q, Lo: lo, Hi: hi, Key: key})
+			}
+		}(g)
+	}
+	wg.Wait()
+	return !t.Failed()
 }
 
 // runLeg executes a plan once, materialized or through a drained
